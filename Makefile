@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race chaos replay-check serve-check vulncheck fuzz bench bench-json bench-trend reproduce reproduce-paper-scale clean
+.PHONY: all build test vet lint race worktree-check chaos replay-check serve-check vulncheck fuzz bench bench-json bench-trend reproduce reproduce-paper-scale clean
 
 all: build test
 
@@ -31,6 +31,11 @@ lint:
 # sweep are the concurrent subsystems of record).
 race:
 	$(GO) test -race ./...
+
+# Tier-1 verify (build + tests) in a fresh git worktree of HEAD, where
+# only committed files exist — catches fixtures hidden by .gitignore.
+worktree-check:
+	scripts/check_clean_worktree.sh
 
 # Deterministic fault-injection soak: the live feed pipeline pushed
 # through a chaotic transport (resets, truncation, corruption, stalls)

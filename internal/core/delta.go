@@ -29,6 +29,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -290,6 +291,25 @@ func (o *DeltaOutcome) PollutedCount() int {
 	return o.polluted
 }
 
+// PollutedWeight returns the number of polluted ASes and the sum of their
+// weights (nil: every node weighs 1). Pollution lives entirely in the
+// changed set, and integer sums are order-free, so the delta path walks
+// that set unsorted and Changed's lazy sort is not paid.
+func (o *DeltaOutcome) PollutedWeight(weights []int64) (count int, weight int64) {
+	if o.full != nil {
+		return o.full.PollutedWeight(weights)
+	}
+	if weights == nil {
+		return o.polluted, int64(o.polluted)
+	}
+	for _, v := range o.changed {
+		if o.Polluted(int(v)) {
+			weight += weights[v]
+		}
+	}
+	return o.polluted, weight
+}
+
 // PollutedNodes appends all polluted node indices to dst, ascending.
 func (o *DeltaOutcome) PollutedNodes(dst []int) []int {
 	if o.full != nil {
@@ -336,7 +356,7 @@ func (ds *DeltaSolver) SolveDelta(snap *Snapshot, at Attack, def Defense) (*Delt
 
 	ds.snap = snap
 	ds.sc = &sc
-	ds.qe++
+	ds.qe = nextStamp(ds.qe, ds.tStamp, ds.d1Stamp, ds.d2Stamp, ds.fStamp)
 	ds.touched = ds.touched[:0]
 	ds.d1 = ds.d1[:0]
 	ds.d2 = ds.d2[:0]
@@ -453,12 +473,26 @@ func (ds *DeltaSolver) setOverlay(v int32, stage int8, val rv) {
 // ---- worklist ----------------------------------------------------------
 
 func (ds *DeltaSolver) resetWorklist() {
-	ds.we++
+	ds.we = nextStamp(ds.we, ds.qStamp)
 	// Buckets are fully drained by each stage's loop, so only capacity
 	// management remains.
 	if ds.buckets == nil {
 		ds.buckets = make([][]int32, 0, 64)
 	}
+}
+
+// nextStamp advances an epoch counter whose values mark entries of the
+// given stamp arrays. At the top of the int32 range the arrays are cleared
+// and counting restarts at 1 (0 stays the "unmarked" value), so a stale
+// mark can never alias a live epoch in a long-lived solver.
+func nextStamp(e int32, stamps ...[]int32) int32 {
+	if e < math.MaxInt32 {
+		return e + 1
+	}
+	for _, s := range stamps {
+		clear(s)
+	}
+	return 1
 }
 
 func (ds *DeltaSolver) enqueue(v int32, d int) {

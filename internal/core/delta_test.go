@@ -27,9 +27,36 @@ func deltaTestPolicy(t testing.TB, n int, seed int64, opts ...PolicyOption) *Pol
 	return pol
 }
 
+// requirePollutedWeight checks the bulk pollution pass against the
+// per-node Polluted loop it replaced, under unit weights (nil) and under
+// the given per-node weights.
+func requirePollutedWeight(t *testing.T, label string, weights []int64, o OutcomeView) {
+	t.Helper()
+	for _, ws := range [][]int64{nil, weights} {
+		wantCount, wantWeight := 0, int64(0)
+		for i := 0; i < o.N(); i++ {
+			if !o.Polluted(i) {
+				continue
+			}
+			wantCount++
+			if ws == nil {
+				wantWeight++
+			} else {
+				wantWeight += ws[i]
+			}
+		}
+		count, weight := o.PollutedWeight(ws)
+		if count != wantCount || weight != wantWeight {
+			t.Fatalf("%s: PollutedWeight(weighted=%v) = (%d, %d), per-node loop (%d, %d)",
+				label, ws != nil, count, weight, wantCount, wantWeight)
+		}
+	}
+}
+
 // requireSameOutcome compares a DeltaOutcome against a full Outcome node
-// by node across every accessor the query layer reads.
-func requireSameOutcome(t *testing.T, label string, want *Outcome, got *DeltaOutcome) {
+// by node across every accessor the query layer reads, and holds the bulk
+// pollution pass of both, and of a Clone, to the per-node loop.
+func requireSameOutcome(t *testing.T, label string, weights []int64, want *Outcome, got *DeltaOutcome) {
 	t.Helper()
 	if want.N() != got.N() {
 		t.Fatalf("%s: node count %d vs %d", label, got.N(), want.N())
@@ -49,6 +76,9 @@ func requireSameOutcome(t *testing.T, label string, want *Outcome, got *DeltaOut
 	if want.PollutedCount() != got.PollutedCount() {
 		t.Fatalf("%s: polluted %d vs full %d", label, got.PollutedCount(), want.PollutedCount())
 	}
+	requirePollutedWeight(t, label+"/full", weights, want)
+	requirePollutedWeight(t, label+"/delta", weights, got)
+	requirePollutedWeight(t, label+"/clone", weights, want.Clone())
 }
 
 // TestDeltaSolveMatchesFull pins the delta repair against a from-scratch
@@ -69,6 +99,10 @@ func TestDeltaSolveMatchesFull(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			pol := deltaTestPolicy(t, cfg.n, cfg.seed, cfg.opts...)
 			n := pol.N()
+			weights := pol.Graph().AddrWeights()
+			if weights == nil {
+				t.Fatal("generated topology carries no address weights; the weighted pass would go untested")
+			}
 			full := NewSolver(pol)
 			ds := NewDeltaSolver(pol)
 			rng := rand.New(rand.NewSource(cfg.seed * 1000003))
@@ -113,7 +147,7 @@ func TestDeltaSolveMatchesFull(t *testing.T) {
 								t.Fatal(err)
 							}
 							label := kind.String()
-							requireSameOutcome(t, label+"/def"+string(rune('0'+di)), want, got)
+							requireSameOutcome(t, label+"/def"+string(rune('0'+di)), weights, want, got)
 						}
 					}
 				}
@@ -152,7 +186,7 @@ func TestDeltaSolveSubPrefixFallsBack(t *testing.T) {
 	if got.UsedDelta() {
 		t.Fatal("sub-prefix attack must fall back to a full solve")
 	}
-	requireSameOutcome(t, "subprefix", want, got)
+	requireSameOutcome(t, "subprefix", pol.Graph().AddrWeights(), want, got)
 	if ds.Stats().FullFallbacks != 1 {
 		t.Fatalf("stats = %+v, want one full fallback", ds.Stats())
 	}
@@ -229,6 +263,7 @@ func TestDeltaSolveLeakNoRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requirePollutedWeight(t, "no-op leak on a unit-weight graph", gr.AddrWeights(), got)
 	if len(got.Changed()) != 0 || got.PollutedCount() != 0 {
 		t.Fatalf("no-op leak changed %d nodes, polluted %d", len(got.Changed()), got.PollutedCount())
 	}

@@ -141,11 +141,9 @@ type engineRun struct {
 	ribPeer []map[int32]ribEntry
 	ribProv []map[int32]ribEntry
 
-	has     []bool
-	class   []RouteClass
-	dist    []int16
-	nexthop []int32
-	origin  []int8
+	// Selected routes, in the packed record Outcome reads; the run is the
+	// only epoch, so stamp 1 means "has a route".
+	nodes []nodeRec
 
 	queue []message
 	next  []message
@@ -191,11 +189,7 @@ func (e *Engine) RunDefense(at Attack, def Defense, collectTrace bool) (*Outcome
 		ribCust:    make([]map[int32]ribEntry, n),
 		ribPeer:    make([]map[int32]ribEntry, n),
 		ribProv:    make([]map[int32]ribEntry, n),
-		has:        make([]bool, n),
-		class:      make([]RouteClass, n),
-		dist:       make([]int16, n),
-		nexthop:    make([]int32, n),
-		origin:     make([]int8, n),
+		nodes:      make([]nodeRec, n),
 		secure:     make([]bool, n),
 	}
 	if e.SecureMode != SecureOff {
@@ -210,11 +204,7 @@ func (e *Engine) RunDefense(at Attack, def Defense, collectTrace bool) (*Outcome
 	// route's real length for a leak); a leak with no route to leak never
 	// announces at all.
 	originate := func(node int, org int8, d int16) {
-		r.has[node] = true
-		r.class[node] = ClassOrigin
-		r.dist[node] = d
-		r.nexthop[node] = -1
-		r.origin[node] = org
+		r.nodes[node] = nodeRec{stamp: 1, nexthop: -1, dist: d, class: ClassOrigin, origin: org}
 		// Only the legitimate origin can produce a route-origin signature
 		// for the victim's prefix; a deployed attacker still cannot.
 		r.secure[node] = r.secureMode != SecureOff && org == OriginTarget &&
@@ -243,17 +233,7 @@ func (e *Engine) RunDefense(at Attack, def Defense, collectTrace bool) (*Outcome
 		}
 	}
 
-	stamp := make([]int32, n)
-	for i := 0; i < n; i++ {
-		if r.has[i] {
-			stamp[i] = 1
-		}
-	}
-	out := &Outcome{
-		Target: at.Target, Attacker: at.Attacker,
-		n: n, epoch: 1,
-		stamp: stamp, class: r.class, dist: r.dist, nexthop: r.nexthop, origin: r.origin,
-	}
+	out := &Outcome{Target: at.Target, Attacker: at.Attacker, epoch: 1, nodes: r.nodes}
 	if r.trace != nil {
 		r.trace.Generations = r.gen
 	}
@@ -343,7 +323,7 @@ func (r *engineRun) recomputeAll(touched map[int32]bool) {
 		start := len(r.trace.Events) - len(r.queue)
 		for i := start; i < len(r.trace.Events); i++ {
 			ev := &r.trace.Events[i]
-			if !ev.Withdraw && r.has[ev.To] && r.nexthop[ev.To] == ev.From && r.origin[ev.To] == ev.Origin {
+			if to := r.nodes[ev.To]; !ev.Withdraw && to.stamp == 1 && to.nexthop == ev.From && to.origin == ev.Origin {
 				ev.Accepted = true
 			}
 		}
@@ -351,7 +331,8 @@ func (r *engineRun) recomputeAll(touched map[int32]bool) {
 }
 
 func (r *engineRun) recompute(v int32) {
-	oldHas, oldClass, oldDist, oldNH, oldOrigin := r.has[v], r.class[v], r.dist[v], r.nexthop[v], r.origin[v]
+	old := r.nodes[v]
+	oldHas, oldClass, oldDist, oldNH, oldOrigin := old.stamp == 1, old.class, old.dist, old.nexthop, old.origin
 
 	// Origin nodes never change their mind.
 	if oldHas && oldClass == ClassOrigin {
@@ -394,11 +375,10 @@ func (r *engineRun) recompute(v int32) {
 		bestOrigin == oldOrigin && bestSecure == oldSecure {
 		return
 	}
-	r.has[v] = newHas
-	r.class[v] = bestClass
-	r.dist[v] = bestDist
-	r.nexthop[v] = bestNH
-	r.origin[v] = bestOrigin
+	r.nodes[v] = nodeRec{nexthop: bestNH, dist: bestDist, class: bestClass, origin: bestOrigin}
+	if newHas {
+		r.nodes[v].stamp = 1
+	}
 	r.secure[v] = bestSecure
 	if !oldHas {
 		oldClass, oldNH = ClassNone, -1
@@ -453,18 +433,19 @@ func boolRank(secure bool) int {
 // after its best route changed from (oldClass, oldNH) to the current one.
 // Split horizon: a route is never advertised back to its next hop.
 func (r *engineRun) enqueueUpdates(v int32, oldClass RouteClass, oldNH int32) {
+	cur := r.nodes[v]
 	newClass, newNH := ClassNone, int32(-1)
-	if r.has[v] {
-		newClass, newNH = r.class[v], r.nexthop[v]
+	if cur.stamp == 1 {
+		newClass, newNH = cur.class, cur.nexthop
 	}
 	// An advert stays inside the secure chain only if this hop also signs
 	// it (selected route secure AND this AS deploys S*BGP).
-	advSecure := r.has[v] && r.secure[v] &&
+	advSecure := cur.stamp == 1 && r.secure[v] &&
 		r.secureDeployed != nil && r.secureDeployed.Contains(int(v))
 	send := func(to int32, wasExporting, nowExporting bool) {
 		switch {
 		case nowExporting:
-			r.next = append(r.next, message{from: v, to: to, dist: r.dist[v], origin: r.origin[v], secure: advSecure})
+			r.next = append(r.next, message{from: v, to: to, dist: cur.dist, origin: cur.origin, secure: advSecure})
 		case wasExporting:
 			r.next = append(r.next, message{from: v, to: to, withdraw: true})
 		}

@@ -1,0 +1,178 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/bgpsim/bgpsim/internal/asn"
+)
+
+// kernelCells is a fixed cell list for the kernel tests: a few attackers
+// against one target (callers set the Kind), to be solved under no
+// defense and under a mixed ROV+ASPA+Peerlock deployment.
+func kernelCells(pol *Policy) (cells []Attack, defs []Defense) {
+	n := pol.N()
+	rng := rand.New(rand.NewSource(12))
+	some := asn.NewIndexSet(n)
+	for i := 0; i < n/5; i++ {
+		some.Add(rng.Intn(n))
+	}
+	defs = []Defense{{}, {Blocked: some, ASPA: some, Peerlock: true}}
+	target := n / 2
+	for len(cells) < 6 {
+		if a := rng.Intn(n); a != target {
+			cells = append(cells, Attack{Target: target, Attacker: a})
+		}
+	}
+	return cells, defs
+}
+
+// TestWarmSolveAllocs pins the kernel's steady state: once a solver has
+// seen a cell, solving it again allocates nothing — the bucket arenas,
+// candidate list and returned Outcome are all retained. Route leaks solve
+// a baseline on the lazily built secondary solver, which is the one
+// allocation they are allowed.
+func TestWarmSolveAllocs(t *testing.T) {
+	pol := deltaTestPolicy(t, 2000, 42)
+	cells, defs := kernelCells(pol)
+	for _, tc := range []struct {
+		kind AttackKind
+		max  float64
+	}{
+		{KindOrigin, 0},
+		{KindForgedOrigin, 0},
+		{KindRouteLeak, 1},
+	} {
+		s := NewSolver(pol)
+		pass := func() {
+			for _, at := range cells {
+				at.Kind = tc.kind
+				for _, def := range defs {
+					if _, err := s.SolveDefense(at, def); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		pass() // warm: grow every buffer to this cell list's high-water mark
+		if got := testing.AllocsPerRun(5, pass); got > tc.max {
+			t.Errorf("%v: warm pass of %d solves allocates %.1f times, want at most %.0f",
+				tc.kind, len(cells)*len(defs), got, tc.max)
+		}
+	}
+}
+
+// TestNoTentativeStampSurvives checks the commit rule from the outside: a
+// tentative record (negative stamp) exists only inside a BFS level or the
+// peer-fill pass, so after any Solve or BuildSnapshot — on a solver reused
+// across kinds, defenses and snapshot builds — none is left.
+func TestNoTentativeStampSurvives(t *testing.T) {
+	pol := deltaTestPolicy(t, 600, 11)
+	cells, defs := kernelCells(pol)
+	s := NewSolver(pol)
+	check := func(label string) {
+		t.Helper()
+		for i, r := range s.nodes {
+			if r.stamp < 0 {
+				t.Fatalf("%s: node %d still carries tentative stamp %d (epoch %d)", label, i, r.stamp, s.epoch)
+			}
+		}
+	}
+	for _, at := range cells {
+		for _, kind := range Kinds() {
+			at.Kind = kind
+			for _, def := range defs {
+				if _, err := s.SolveDefense(at, def); err != nil {
+					t.Fatal(err)
+				}
+				check("solve " + kind.String())
+			}
+		}
+		if _, err := s.BuildSnapshot(at.Attacker); err != nil {
+			t.Fatal(err)
+		}
+		check("snapshot")
+	}
+}
+
+// TestEpochWraparound drives both epoch counters across the top of the
+// int32 range: three solves at epochs 1–3 leave stamps with exactly the
+// post-wrap values behind, the counters are set to MaxInt32-2, and each of
+// five more solves must match a fresh solver. Without the clear at
+// MaxInt32 the stale stamps read as routed (or already queued) nodes once
+// counting restarts.
+func TestEpochWraparound(t *testing.T) {
+	pol := deltaTestPolicy(t, 600, 11)
+	n := pol.N()
+	cells, defs := kernelCells(pol)
+
+	t.Run("solver", func(t *testing.T) {
+		// A full-plane solve rewrites almost every record, which would
+		// hide a missing clear; a sub-prefix hijack that everyone filters
+		// routes only the attacker and leaves the stale stamps in place.
+		all := asn.NewIndexSet(n)
+		for i := 0; i < n; i++ {
+			all.Add(i)
+		}
+		s := NewSolver(pol)
+		for _, at := range cells[:3] {
+			if _, err := s.SolveDefense(at, defs[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.epoch = math.MaxInt32 - 2
+		for i := 0; i < 5; i++ {
+			at := cells[i%len(cells)]
+			at.SubPrefix = true
+			want, err := NewSolver(pol).Solve(at, all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Solve(at, all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if why, ok := outcomesEqual(want, got); !ok {
+				t.Fatalf("solve %d (epoch %d): reused solver diverged from a fresh one: %s", i, s.epoch, why)
+			}
+		}
+		if s.epoch != 3 {
+			t.Fatalf("epoch after five solves from MaxInt32-2 = %d, want 3", s.epoch)
+		}
+	})
+
+	t.Run("delta", func(t *testing.T) {
+		weights := pol.Graph().AddrWeights()
+		snap, err := BuildSnapshot(pol, cells[0].Target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := NewDeltaSolver(pol)
+		for _, at := range cells[:3] {
+			if _, err := ds.SolveDelta(snap, at, defs[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ds.qe = math.MaxInt32 - 2
+		ds.we = math.MaxInt32 - 2 // bumped per stage, so it wraps a query earlier
+		full := NewSolver(pol)
+		for i := 0; i < 5; i++ {
+			at := cells[(i+3)%len(cells)]
+			at.Kind = Kinds()[i%len(Kinds())]
+			def := defs[i%len(defs)]
+			want, err := full.SolveDefense(at, def)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ds.SolveDelta(snap, at, def)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameOutcome(t, "delta solve across the wrap", weights, want, got)
+		}
+		if ds.qe != 3 {
+			t.Fatalf("query epoch after five solves from MaxInt32-2 = %d, want 3", ds.qe)
+		}
+	})
+}

@@ -17,7 +17,10 @@ type Snapshot struct {
 	target int
 
 	// Final converged baseline per node. class ClassNone ⇒ no route.
-	// Origin is implicitly OriginTarget for every routed node.
+	// Origin is implicitly OriginTarget for every routed node. Kept as
+	// three compact arrays rather than the solver's 12-byte record: a
+	// query service holds many snapshots resident, so their footprint
+	// (7 bytes per node) matters more than their read locality.
 	class   []RouteClass
 	dist    []int16
 	nexthop []int32
@@ -51,8 +54,7 @@ func (s *Solver) BuildSnapshot(target int) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: target %d out of range (n %d)", target, n)
 	}
 	sc := &scenario{}
-	s.epoch++
-	s.maxDist = 0
+	s.nextEpoch()
 	s.frontier = s.frontier[:0]
 	s.assign(target, ClassOrigin, 0, -1, OriginTarget)
 	s.frontier = append(s.frontier, int32(target))
@@ -64,16 +66,11 @@ func (s *Solver) BuildSnapshot(target int) (*Snapshot, error) {
 			if !s.pol.tier1[i] {
 				continue
 			}
+			r := s.detached(i)
 			snap.t1Nodes = append(snap.t1Nodes, int32(i))
-			if s.assigned(int32(i)) {
-				snap.t1Class = append(snap.t1Class, s.class[i])
-				snap.t1Dist = append(snap.t1Dist, s.dist[i])
-				snap.t1NH = append(snap.t1NH, s.nexthop[i])
-			} else {
-				snap.t1Class = append(snap.t1Class, ClassNone)
-				snap.t1Dist = append(snap.t1Dist, 0)
-				snap.t1NH = append(snap.t1NH, -1)
-			}
+			snap.t1Class = append(snap.t1Class, r.class)
+			snap.t1Dist = append(snap.t1Dist, r.dist)
+			snap.t1NH = append(snap.t1NH, r.nexthop)
 		}
 	}
 
@@ -84,16 +81,19 @@ func (s *Solver) BuildSnapshot(target int) (*Snapshot, error) {
 	snap.dist = make([]int16, n)
 	snap.nexthop = make([]int32, n)
 	for i := 0; i < n; i++ {
-		if s.assigned(int32(i)) {
-			snap.class[i] = s.class[i]
-			snap.dist[i] = s.dist[i]
-			snap.nexthop[i] = s.nexthop[i]
-		} else {
-			snap.class[i] = ClassNone
-			snap.nexthop[i] = -1
-		}
+		r := s.detached(i)
+		snap.class[i], snap.dist[i], snap.nexthop[i] = r.class, r.dist, r.nexthop
 	}
 	return snap, nil
+}
+
+// detached returns node i's record as a Snapshot stores it: an unrouted
+// node normalised to (ClassNone, dist 0, nexthop -1).
+func (s *Solver) detached(i int) nodeRec {
+	if r := s.nodes[i]; r.stamp == s.epoch {
+		return r
+	}
+	return nodeRec{class: ClassNone, nexthop: -1}
 }
 
 // Target returns the node whose announcement the baseline converged on.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
 )
@@ -24,6 +25,26 @@ type Attack struct {
 	Kind AttackKind
 }
 
+// nodeRec is one node's packed route state: the 12 bytes a relaxed edge
+// reads and writes sit in one record (and so one cache line) instead of
+// one n-sized array per field. stamp says what the rest means for the
+// solver whose epoch it is compared against:
+//
+//	stamp ==  epoch  committed: the node's selected route this solve
+//	stamp == -epoch  tentative: the best candidate of the BFS level (or
+//	                 peer-fill pass) in flight, not yet visible as a route
+//	anything else    stale: no route this solve
+//
+// Epochs are positive, so the three cases are disjoint and a zeroed
+// record is stale under every epoch.
+type nodeRec struct {
+	stamp   int32
+	nexthop int32
+	dist    int16
+	class   RouteClass
+	origin  int8
+}
+
 // Solver computes the converged routing outcome of an attack in O(V+E)
 // using the three-stage customer/peer/provider BFS. A Solver's buffers are
 // reused across calls: the Outcome returned by Solve is only valid until
@@ -33,23 +54,14 @@ type Attack struct {
 type Solver struct {
 	pol *Policy
 
-	epoch   int32
-	stamp   []int32 // stamp[i] == epoch ⇒ node i has a route this run
-	class   []RouteClass
-	dist    []int16
-	nexthop []int32
-	origin  []int8
-
-	candStamp []int32 // per-level candidate marks
-	candNH    []int32
-	candDist  []int16
-	candOrig  []int8
+	epoch int32
+	nodes []nodeRec
+	out   Outcome // the view Solve returns, rebound every solve
 
 	frontier []int32
 	candList []int32
 	buckets  [][]int32
 	tier1Buf []t1sel // stagePeer's SPF worklist, reused across Solve calls
-	maxDist  int
 
 	// base lazily holds a second solver for the defense-free baseline
 	// solves route leaks need (the leaked route's real length), so the
@@ -66,19 +78,7 @@ type t1sel struct {
 
 // NewSolver returns a Solver over the policy.
 func NewSolver(pol *Policy) *Solver {
-	n := pol.N()
-	return &Solver{
-		pol:       pol,
-		stamp:     make([]int32, n),
-		class:     make([]RouteClass, n),
-		dist:      make([]int16, n),
-		nexthop:   make([]int32, n),
-		origin:    make([]int8, n),
-		candStamp: make([]int32, n),
-		candNH:    make([]int32, n),
-		candDist:  make([]int16, n),
-		candOrig:  make([]int8, n),
-	}
+	return &Solver{pol: pol, nodes: make([]nodeRec, pol.N())}
 }
 
 // Outcome is a view of one converged routing state. It remains valid only
@@ -87,20 +87,15 @@ type Outcome struct {
 	Target   int
 	Attacker int
 
-	n       int
-	epoch   int32
-	stamp   []int32
-	class   []RouteClass
-	dist    []int16
-	nexthop []int32
-	origin  []int8
+	epoch int32
+	nodes []nodeRec // nodes[i].stamp == epoch ⇒ node i has a route
 }
 
 // N returns the node count.
-func (o *Outcome) N() int { return o.n }
+func (o *Outcome) N() int { return len(o.nodes) }
 
 // HasRoute reports whether node i selected any route.
-func (o *Outcome) HasRoute(i int) bool { return o.stamp[i] == o.epoch }
+func (o *Outcome) HasRoute(i int) bool { return o.nodes[i].stamp == o.epoch }
 
 // Origin returns which origin node i routes to (OriginTarget,
 // OriginAttacker, or OriginNone).
@@ -108,7 +103,7 @@ func (o *Outcome) Origin(i int) int8 {
 	if !o.HasRoute(i) {
 		return OriginNone
 	}
-	return o.origin[i]
+	return o.nodes[i].origin
 }
 
 // Class returns the route class node i selected.
@@ -116,7 +111,7 @@ func (o *Outcome) Class(i int) RouteClass {
 	if !o.HasRoute(i) {
 		return ClassNone
 	}
-	return o.class[i]
+	return o.nodes[i].class
 }
 
 // Dist returns node i's AS-path length to its selected origin (0 at the
@@ -125,39 +120,67 @@ func (o *Outcome) Dist(i int) int16 {
 	if !o.HasRoute(i) {
 		return -1
 	}
-	return o.dist[i]
+	return o.nodes[i].dist
 }
 
 // NextHop returns the neighbor node i forwards through, or -1 at an origin
 // or unrouted node.
 func (o *Outcome) NextHop(i int) int32 {
-	if !o.HasRoute(i) || o.class[i] == ClassOrigin {
+	if !o.HasRoute(i) || o.nodes[i].class == ClassOrigin {
 		return -1
 	}
-	return o.nexthop[i]
+	return o.nodes[i].nexthop
 }
 
 // Polluted reports whether node i selected a route to the attacker.
 // Origin nodes themselves are never counted as polluted.
 func (o *Outcome) Polluted(i int) bool {
-	return i != o.Attacker && o.HasRoute(i) && o.origin[i] == OriginAttacker
+	return i != o.Attacker && o.HasRoute(i) && o.nodes[i].origin == OriginAttacker
 }
 
 // PollutedCount returns the number of polluted ASes — the paper's core
 // vulnerability measurement.
 func (o *Outcome) PollutedCount() int {
-	c := 0
-	for i := 0; i < o.n; i++ {
-		if o.Polluted(i) {
-			c++
+	count, _ := o.PollutedWeight(nil)
+	return count
+}
+
+// PollutedWeight returns the number of polluted ASes and the sum of their
+// weights in one pass over the packed records. weights is indexed by node;
+// nil means every node weighs 1 (topology.Graph.AddrWeights' convention).
+func (o *Outcome) PollutedWeight(weights []int64) (count int, weight int64) {
+	// Whether a node is polluted is close to a coin flip, so the loops are
+	// branch-free: hit is 0 or 1 and masks the node's weight.
+	if weights == nil {
+		for i := range o.nodes {
+			count += int(o.nodes[i].toAttacker(o.epoch))
 		}
+		// The attacker's own origination is not pollution.
+		count -= int(o.nodes[o.Attacker].toAttacker(o.epoch))
+		return count, int64(count)
 	}
-	return c
+	weights = weights[:len(o.nodes)]
+	for i := range o.nodes {
+		hit := o.nodes[i].toAttacker(o.epoch)
+		count += int(hit)
+		weight += weights[i] & -hit
+	}
+	hit := o.nodes[o.Attacker].toAttacker(o.epoch)
+	return count - int(hit), weight - weights[o.Attacker]&-hit
+}
+
+// toAttacker is 1 when the record is a route to the attacker committed
+// under epoch, else 0.
+func (r *nodeRec) toAttacker(epoch int32) int64 {
+	if (r.stamp^epoch)|int32(r.origin^OriginAttacker) == 0 {
+		return 1
+	}
+	return 0
 }
 
 // PollutedNodes appends all polluted node indices to dst.
 func (o *Outcome) PollutedNodes(dst []int) []int {
-	for i := 0; i < o.n; i++ {
+	for i := range o.nodes {
 		if o.Polluted(i) {
 			dst = append(dst, i)
 		}
@@ -167,19 +190,11 @@ func (o *Outcome) PollutedNodes(dst []int) []int {
 
 // Clone returns a detached copy that survives further Solver runs.
 func (o *Outcome) Clone() *Outcome {
-	c := &Outcome{Target: o.Target, Attacker: o.Attacker, n: o.n, epoch: 1}
-	c.stamp = make([]int32, o.n)
-	c.class = make([]RouteClass, o.n)
-	c.dist = make([]int16, o.n)
-	c.nexthop = make([]int32, o.n)
-	c.origin = make([]int8, o.n)
-	for i := 0; i < o.n; i++ {
-		if o.HasRoute(i) {
-			c.stamp[i] = 1
-			c.class[i] = o.class[i]
-			c.dist[i] = o.dist[i]
-			c.nexthop[i] = o.nexthop[i]
-			c.origin[i] = o.origin[i]
+	c := &Outcome{Target: o.Target, Attacker: o.Attacker, epoch: 1, nodes: make([]nodeRec, len(o.nodes))}
+	for i, r := range o.nodes {
+		if r.stamp == o.epoch {
+			r.stamp = 1
+			c.nodes[i] = r
 		}
 	}
 	return c
@@ -193,10 +208,10 @@ func (o *Outcome) Path(i int) []int {
 	}
 	path := []int{i}
 	cur := i
-	for o.class[cur] != ClassOrigin {
-		cur = int(o.nexthop[cur])
+	for o.nodes[cur].class != ClassOrigin {
+		cur = int(o.nodes[cur].nexthop)
 		path = append(path, cur)
-		if len(path) > o.n {
+		if len(path) > len(o.nodes) {
 			return nil // defensive: cycles cannot happen in converged state
 		}
 	}
@@ -258,9 +273,7 @@ func (s *Solver) baselineDist(at Attack) (int16, bool) {
 // solveScenario runs the three stages under a resolved scenario. The
 // attack must already be validated.
 func (s *Solver) solveScenario(at Attack, sc *scenario) *Outcome {
-	n := s.pol.N()
-	s.epoch++
-	s.maxDist = 0
+	s.nextEpoch()
 
 	// Seed the origins. In a sub-prefix hijack only the attacker's
 	// more-specific announcement exists in this prefix's routing plane.
@@ -290,43 +303,56 @@ func (s *Solver) solveScenario(at Attack, sc *scenario) *Outcome {
 	s.stagePeer(sc)
 	s.stageProvider(sc)
 
-	return &Outcome{
-		Target: at.Target, Attacker: at.Attacker,
-		n: n, epoch: s.epoch,
-		stamp: s.stamp, class: s.class, dist: s.dist, nexthop: s.nexthop, origin: s.origin,
+	s.out = Outcome{Target: at.Target, Attacker: at.Attacker, epoch: s.epoch, nodes: s.nodes}
+	return &s.out
+}
+
+// nextEpoch invalidates every record for a new solve. Stamps are compared
+// against ±epoch, so the counter must stay positive: at the top of the
+// int32 range the records are cleared and counting restarts at 1 (once per
+// 2^31 solves — a long-lived hijackd worker gets there).
+func (s *Solver) nextEpoch() {
+	if s.epoch == math.MaxInt32 {
+		clear(s.nodes)
+		s.epoch = 0
 	}
+	s.epoch++
 }
 
 func (s *Solver) assign(i int, c RouteClass, d int16, nh int32, org int8) {
-	s.stamp[i] = s.epoch
-	s.class[i] = c
-	s.dist[i] = d
-	s.nexthop[i] = nh
-	s.origin[i] = org
-	if int(d) > s.maxDist {
-		s.maxDist = int(d)
-	}
+	s.nodes[i] = nodeRec{stamp: s.epoch, nexthop: nh, dist: d, class: c, origin: org}
 }
 
-func (s *Solver) assigned(i int32) bool { return s.stamp[i] == s.epoch }
+func (s *Solver) assigned(i int32) bool { return s.nodes[i].stamp == s.epoch }
 
-// propose records a candidate (d, nh, org) for node i within the current
-// BFS level, keeping the lowest next-hop on ties. All candidates within a
-// level share the same distance.
-func (s *Solver) propose(i int32, d int16, nh int32, org int8) {
-	if s.candStamp[i] != s.epoch {
-		s.candStamp[i] = s.epoch
-		s.candNH[i] = nh
-		s.candDist[i] = d
-		s.candOrig[i] = org
+// propose offers node i the candidate route (c, d, nh, org) within the
+// current BFS level. The first offer of the level is written into i's
+// record under the tentative stamp and i joins s.candList; a later offer
+// replaces it only when its next hop wins the policy's tie-break. All
+// offers within a level share class and distance, so the record ends the
+// level holding exactly the route a collect-then-pick pass would select.
+// The caller has already checked that i is not assigned.
+func (s *Solver) propose(i int32, c RouteClass, d int16, nh int32, org int8) {
+	r := &s.nodes[i]
+	if r.stamp != -s.epoch {
+		*r = nodeRec{stamp: -s.epoch, nexthop: nh, dist: d, class: c, origin: org}
 		s.candList = append(s.candList, i)
 		return
 	}
-	if s.pol.betterNH(nh, s.candNH[i]) {
-		s.candNH[i] = nh
-		s.candDist[i] = d
-		s.candOrig[i] = org
+	if s.pol.betterNH(nh, r.nexthop) {
+		r.nexthop = nh
+		r.origin = org
 	}
+}
+
+// commit turns every tentative record of s.candList into the node's
+// selected route by flipping its stamp — the candidate already sits in
+// the record, nothing is copied — and empties the list.
+func (s *Solver) commit() {
+	for _, i := range s.candList {
+		s.nodes[i].stamp = s.epoch
+	}
+	s.candList = s.candList[:0]
 }
 
 // stageCustomer floods customer-learned routes up provider links through
@@ -339,47 +365,13 @@ func (s *Solver) propose(i int32, d int16, nh int32, org int8) {
 //
 //bgplint:hotpath runs once per (target, attacker, policy) cell of a sweep
 func (s *Solver) stageCustomer(sc *scenario) {
-	s.resetBuckets()
+	s.buckets = s.buckets[:0]
 	for _, v := range s.frontier {
-		d := int(s.dist[v])
+		d := int(s.nodes[v].dist)
 		s.growBuckets(d + 1)
 		s.buckets[d] = append(s.buckets[d], v)
 	}
-	for d := 0; d < len(s.buckets); d++ {
-		if len(s.buckets[d]) == 0 {
-			continue
-		}
-		s.candList = s.candList[:0]
-		for _, v := range s.buckets[d] {
-			org := s.origin[v]
-			for _, p := range s.pol.Providers(int(v)) {
-				if s.assigned(p) || sc.rejects(s.pol, p, org) {
-					continue
-				}
-				s.propose(p, int16(d+1), v, org)
-			}
-		}
-		if len(s.candList) == 0 {
-			continue
-		}
-		s.growBuckets(d + 2)
-		for _, i := range s.candList {
-			s.assign(int(i), ClassCustomer, s.candDist[i], s.candNH[i], s.candOrig[i])
-			s.buckets[d+1] = append(s.buckets[d+1], i)
-		}
-		// Invalidate candidate marks for the next level.
-		s.epochBumpCands()
-	}
-}
-
-// epochBumpCands clears per-level candidate marks without touching route
-// assignments: candidate stamps use the same epoch but are reset by
-// re-stamping the processed entries.
-func (s *Solver) epochBumpCands() {
-	for _, i := range s.candList {
-		s.candStamp[i] = 0
-	}
-	s.candList = s.candList[:0]
+	s.flood(sc, s.pol.provOff, s.pol.provAdj, ClassCustomer)
 }
 
 // stagePeer hands customer routes across single peer hops. Tier-1 nodes
@@ -404,7 +396,7 @@ func (s *Solver) stagePeer(sc *scenario) {
 			if pol.tier1[i] {
 				d := int16(1) << 14 // effectively infinite
 				if s.assigned(int32(i)) {
-					d = s.dist[i]
+					d = s.nodes[i].dist
 				}
 				s.tier1Buf = append(s.tier1Buf, t1sel{int32(i), d})
 			}
@@ -420,73 +412,54 @@ func (s *Solver) stagePeer(sc *scenario) {
 		for _, t := range tier1s {
 			w := t.node
 			// Best peer offer among peers still offering customer routes.
-			bestD, bestNH, bestOrg := int16(0), int32(-1), OriginNone
-			for _, v := range pol.Peers(int(w)) {
-				if !s.assigned(v) || !s.offersToPeers(v) {
-					continue
-				}
-				org := s.origin[v]
-				if sc.rejects(s.pol, w, org) {
-					continue
-				}
-				cd := s.dist[v] + 1
-				if bestNH == -1 || cd < bestD || cd == bestD && s.pol.betterNH(v, bestNH) {
-					bestD, bestNH, bestOrg = cd, v, org
-				}
-			}
+			bestD, bestNH, bestOrg := s.bestPeerOffer(sc, w)
 			if bestNH == -1 {
 				continue
 			}
-			if !s.assigned(w) {
-				s.assign(int(w), ClassPeer, bestD, bestNH, bestOrg)
-				continue
-			}
-			if s.pol.better(int(w), ClassPeer, bestD, bestNH, s.class[w], s.dist[w], s.nexthop[w]) {
+			if cur := s.nodes[w]; cur.stamp != s.epoch ||
+				pol.better(int(w), ClassPeer, bestD, bestNH, cur.class, cur.dist, cur.nexthop) {
 				s.assign(int(w), ClassPeer, bestD, bestNH, bestOrg)
 			}
 		}
 	}
 
 	// Everyone else: peer routes only fill gaps (customer class wins), and
-	// they do not cascade, so one pass suffices. Collect candidates first
-	// so freshly assigned peer routes cannot masquerade as donors.
-	s.candList = s.candList[:0]
+	// they do not cascade, so one pass suffices. Fills stay tentative
+	// until the pass ends so freshly filled nodes cannot masquerade as
+	// donors.
 	for w := 0; w < n; w++ {
 		if s.assigned(int32(w)) || pol.tier1SPF && pol.tier1[w] {
 			continue
 		}
-		bestD, bestNH, bestOrg := int16(0), int32(-1), OriginNone
-		for _, v := range pol.Peers(w) {
-			if !s.assigned(v) || !s.offersToPeers(v) {
-				continue
-			}
-			org := s.origin[v]
-			if sc.rejects(s.pol, int32(w), org) {
-				continue
-			}
-			cd := s.dist[v] + 1
-			if bestNH == -1 || cd < bestD || cd == bestD && s.pol.betterNH(v, bestNH) {
-				bestD, bestNH, bestOrg = cd, v, org
-			}
-		}
-		if bestNH != -1 {
-			s.candStamp[w] = s.epoch
-			s.candNH[w] = bestNH
-			s.candDist[w] = bestD
-			s.candOrig[w] = bestOrg
-			s.candList = append(s.candList, int32(w))
+		if bestD, bestNH, bestOrg := s.bestPeerOffer(sc, int32(w)); bestNH != -1 {
+			s.propose(int32(w), ClassPeer, bestD, bestNH, bestOrg)
 		}
 	}
-	for _, i := range s.candList {
-		s.assign(int(i), ClassPeer, s.candDist[i], s.candNH[i], s.candOrig[i])
-	}
-	s.epochBumpCands()
+	s.commit()
 }
 
-// offersToPeers reports whether routed node v exports its best route to
-// peers (true only for origin/customer-class selections).
-func (s *Solver) offersToPeers(v int32) bool {
-	return s.class[v] == ClassOrigin || s.class[v] == ClassCustomer
+// bestPeerOffer returns the route w would pick among its peers' current
+// offers (shortest, then the policy's next-hop tie-break), or nexthop -1
+// when no peer offers one that w accepts.
+func (s *Solver) bestPeerOffer(sc *scenario, w int32) (bestD int16, bestNH int32, bestOrg int8) {
+	bestNH, bestOrg = -1, OriginNone
+	for _, v := range s.pol.Peers(int(w)) {
+		r := s.nodes[v]
+		if r.stamp != s.epoch || !offersToPeers(r.class) || sc.rejects(s.pol, w, r.origin) {
+			continue
+		}
+		cd := r.dist + 1
+		if bestNH == -1 || cd < bestD || cd == bestD && s.pol.betterNH(v, bestNH) {
+			bestD, bestNH, bestOrg = cd, v, r.origin
+		}
+	}
+	return bestD, bestNH, bestOrg
+}
+
+// offersToPeers reports whether a node whose best route has class c
+// exports it to peers (true only for origin/customer-class selections).
+func offersToPeers(c RouteClass) bool {
+	return c == ClassOrigin || c == ClassCustomer
 }
 
 // stageProvider floods every selected route down customer links using
@@ -495,59 +468,58 @@ func (s *Solver) offersToPeers(v int32) bool {
 //
 //bgplint:hotpath runs once per (target, attacker, policy) cell of a sweep
 func (s *Solver) stageProvider(sc *scenario) {
-	n := s.pol.N()
-	s.resetBuckets()
-	for i := 0; i < n; i++ {
+	s.buckets = s.buckets[:0]
+	for i := range s.nodes {
 		if s.assigned(int32(i)) {
-			d := int(s.dist[i])
+			d := int(s.nodes[i].dist)
 			s.growBuckets(d + 1)
 			s.buckets[d] = append(s.buckets[d], int32(i))
 		}
 	}
+	s.flood(sc, s.pol.custOff, s.pol.custAdj, ClassProvider)
+}
+
+// flood runs the bucketed BFS both flooding stages share: s.buckets[d]
+// holds the routed nodes at distance d, and every bucket in ascending
+// order offers its nodes' routes along the CSR adjacency (off, adj) to
+// still-unrouted neighbors, which join bucket d+1 with class c.
+//
+//bgplint:hotpath the edge-relaxation loop: ~60% of sweep CPU
+func (s *Solver) flood(sc *scenario, off, adj []int32, c RouteClass) {
 	for d := 0; d < len(s.buckets); d++ {
-		if len(s.buckets[d]) == 0 {
-			continue
-		}
-		s.candList = s.candList[:0]
 		for _, v := range s.buckets[d] {
-			org := s.origin[v]
-			for _, c := range s.pol.Customers(int(v)) {
-				if s.assigned(c) || sc.rejects(s.pol, c, org) {
+			org := s.nodes[v].origin
+			for _, w := range adj[off[v]:off[v+1]] {
+				if s.assigned(w) || sc.rejects(s.pol, w, org) {
 					continue
 				}
-				s.propose(c, int16(d+1), v, org)
+				s.propose(w, c, int16(d+1), v, org)
 			}
 		}
 		if len(s.candList) == 0 {
 			continue
 		}
 		s.growBuckets(d + 2)
-		for _, i := range s.candList {
-			s.assign(int(i), ClassProvider, s.candDist[i], s.candNH[i], s.candOrig[i])
-			s.buckets[d+1] = append(s.buckets[d+1], i)
-		}
-		s.epochBumpCands()
+		s.buckets[d+1] = append(s.buckets[d+1], s.candList...)
+		s.commit()
 	}
 }
 
+// growBuckets extends the distance-bucket array to size by re-slicing
+// within capacity, so each inner bucket keeps the arena it grew in earlier
+// stages and solves; only its length is reset. (Appending nil here would
+// drop those arenas and re-grow every deep bucket from zero each solve.)
+//
+//bgplint:hotpath runs per bucket of every stage
 func (s *Solver) growBuckets(size int) {
-	for len(s.buckets) < size {
-		s.buckets = append(s.buckets, nil)
+	if size > cap(s.buckets) {
+		grown := make([][]int32, 2*size+8)
+		copy(grown, s.buckets[:cap(s.buckets)])
+		s.buckets = grown[:len(s.buckets)]
 	}
-}
-
-// resetBuckets readies the shared distance-bucket array for a stage:
-// sized to the current max distance plus headroom, every bucket emptied.
-// Upper bound on final distances: current max + longest chain is bounded
-// by n; allocation grows lazily via growBuckets.
-func (s *Solver) resetBuckets() {
-	if cap(s.buckets) < s.maxDist+2 {
-		s.buckets = make([][]int32, s.maxDist+2, 2*(s.maxDist+2)+8)
-	} else {
-		s.buckets = s.buckets[:s.maxDist+2]
-		for i := range s.buckets {
-			s.buckets[i] = s.buckets[i][:0]
-		}
+	for i := len(s.buckets); i < size; i++ {
+		s.buckets = s.buckets[:i+1]
+		s.buckets[i] = s.buckets[i][:0]
 	}
 }
 

@@ -25,6 +25,10 @@ type OutcomeView interface {
 	Polluted(i int) bool
 	// PollutedCount returns the number of polluted ASes.
 	PollutedCount() int
+	// PollutedWeight returns the number of polluted ASes and the sum of
+	// weights[i] over them, in one bulk pass (no per-node calls through
+	// the interface). A nil weights weighs every node 1.
+	PollutedWeight(weights []int64) (count int, weight int64)
 }
 
 // Both solve paths expose the measurement surface.

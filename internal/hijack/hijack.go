@@ -149,14 +149,7 @@ var (
 // and a delta repair of the same attack measure identically (the weight
 // accumulator is an integer, so the sum is order-free).
 func Measure(g *topology.Graph, totalWeight int64, o core.OutcomeView) Record {
-	count := 0
-	var weight int64
-	for v := 0; v < o.N(); v++ {
-		if o.Polluted(v) {
-			count++
-			weight += g.AddrWeight(v)
-		}
-	}
+	count, weight := o.PollutedWeight(g.AddrWeights())
 	rec := Record{Pollution: count}
 	if totalWeight > 0 {
 		rec.WeightFrac = float64(weight) / float64(totalWeight)

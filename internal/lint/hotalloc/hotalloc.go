@@ -15,7 +15,15 @@
 //   - append to a slice declared in the function without
 //     make-with-capacity — the growth reallocates every few iterations;
 //     appends to reused struct-field buffers and to slices the caller
-//     owns stay allowed.
+//     owns stay allowed,
+//
+// and, anywhere in the function, append(xs, nil) / append(xs, []T{})
+// where xs is a slice of slices: growing a truncated bucket array that
+// way overwrites the inner slices parked beyond its length, so every
+// bucket re-grows from zero on each use. That shape was 82% of a Fig2
+// sweep's allocated objects (core.Solver's growBuckets) while every
+// per-loop rule above stayed silent — the allocation happens later, in
+// an append the rules rightly allow.
 //
 // The check is the enforcement half of the dense-core rewrite contract:
 // annotate the kernel now, and any future change that sneaks an
@@ -35,7 +43,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: "flags per-iteration allocation patterns (fmt.Sprintf, map/slice " +
 		"literals, make, append without preallocated cap) in loops of " +
-		"//bgplint:hotpath functions",
+		"//bgplint:hotpath functions, and appends of an empty slice to a " +
+		"slice of slices anywhere in them",
 	Run: run,
 }
 
@@ -68,11 +77,14 @@ func checkHotpath(pass *analysis.Pass, fn *ast.FuncDecl, params map[types.Object
 	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		var body *ast.BlockStmt
-		switch loop := n.(type) {
+		switch x := n.(type) {
 		case *ast.ForStmt:
-			body = loop.Body
+			body = x.Body
 		case *ast.RangeStmt:
-			body = loop.Body
+			body = x.Body
+		case *ast.CallExpr:
+			checkArenaDrop(pass, x)
+			return true
 		default:
 			return true
 		}
@@ -191,6 +203,46 @@ func checkAppend(pass *analysis.Pass, call *ast.CallExpr, prealloc map[types.Obj
 	}
 	pass.Reportf(call.Pos(),
 		"append to %s grows an unpreallocated local slice inside a hotpath loop; make(..., 0, cap) it or reuse a field buffer", id.Name)
+}
+
+// checkArenaDrop flags append(xs, nil) and append(xs, []T{}) where xs is
+// a slice of slices: the appended element replaces whatever inner slice
+// sat at that position of xs's backing array, capacity included.
+func checkArenaDrop(pass *analysis.Pass, call *ast.CallExpr) {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || id.Name != "append" || len(call.Args) < 2 || call.Ellipsis.IsValid() {
+		return
+	}
+	if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); !isBuiltin {
+		return
+	}
+	outer, ok := pass.TypesInfo.Types[call.Args[0]].Type.Underlying().(*types.Slice)
+	if !ok {
+		return
+	}
+	if _, ok := outer.Elem().Underlying().(*types.Slice); !ok {
+		return
+	}
+	for _, arg := range call.Args[1:] {
+		if !emptySlice(pass, arg) {
+			continue
+		}
+		pass.Reportf(arg.Pos(),
+			"append of an empty slice to a slice of slices drops the inner buffer retained at that position; re-slice within capacity and reset the element's length instead")
+	}
+}
+
+// emptySlice reports whether e is the nil identifier or a slice literal
+// with no elements.
+func emptySlice(pass *analysis.Pass, e ast.Expr) bool {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		_, isNil := pass.TypesInfo.Uses[x].(*types.Nil)
+		return isNil
+	case *ast.CompositeLit:
+		return len(x.Elts) == 0
+	}
+	return false
 }
 
 // paramObjs collects every object declared by a function parameter or

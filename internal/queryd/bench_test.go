@@ -13,8 +13,9 @@ import (
 )
 
 // benchWorld is the serving benchmark fixture: the same scale and seed
-// as the core delta benchmarks, so BENCH_hijackd.json and
-// BENCH_core.json describe one workload.
+// as the core delta benchmarks (internal/core/delta_bench_test.go), so
+// every row of BENCH_hijackd.json — which records both — describes one
+// workload.
 var (
 	benchWorldOnce sync.Once
 	benchWorldVal  *experiments.World

@@ -1,7 +1,7 @@
 // Readers, three tiers of them. Decode/DecodeColumns are the strict
 // paths (any body damage is an error — the merge contract must never
 // silently drop records), and go parallel over the index trailer when
-// one is present. Recover is the v1-compatible resume path (the clean
+// one is present. Recover is the scanning resume path (the clean
 // prefix's records are inflated and returned). RecoverStats is the seek
 // path: with a usable trailer it counts and CRC-verifies the clean
 // prefix without inflating a single segment; without one it degrades to
@@ -34,8 +34,8 @@ func ReadHeader(data []byte) (Header, int64, error) {
 		return hdr, 0, ErrMagic
 	}
 	version := int(data[len(magic)-1])
-	if version != formatV1 && version != formatVersion {
-		return hdr, 0, fmt.Errorf("%w %d (this build reads %d and %d)", ErrVersion, version, formatV1, formatVersion)
+	if version != formatVersion {
+		return hdr, 0, fmt.Errorf("%w %d (this build reads %d)", ErrVersion, version, formatVersion)
 	}
 	hj, off, err := parseFrame(data, len(magic))
 	if err != nil {
@@ -382,13 +382,13 @@ type scanResult struct {
 	segs      []SegmentInfo
 	cleanSize int64
 	// complete is true when the body ended legitimately: at EOF on a
-	// segment boundary, or at a v2 trailer sentinel. False means the
+	// segment boundary, or at the trailer sentinel. False means the
 	// tail is damaged (crash truncation or corruption).
 	complete bool
 }
 
-// scanBody walks segments sequentially — the v1 path, and the fallback
-// whenever no usable trailer exists. fields is nil for row layouts.
+// scanBody walks segments sequentially — the fallback whenever no
+// usable trailer exists. fields is nil for row layouts.
 // Damage stops the walk; everything before it stays valid.
 func scanBody(data []byte, hdr Header, headerEnd int64, fields []Field) scanResult {
 	sc := scanResult{cleanSize: headerEnd}
@@ -407,9 +407,7 @@ func scanBody(data []byte, hdr Header, headerEnd int64, fields []Field) scanResu
 			return sc
 		}
 		if clen == 0 {
-			// v2 trailer sentinel; v1 files never contain one, so there
-			// it is damage.
-			sc.complete = hdr.Format >= formatVersion
+			sc.complete = true // trailer sentinel: the body ends here
 			return sc
 		}
 		if clen > maxSegment || off+int64(width)+int64(clen) > int64(len(data)) {

@@ -33,8 +33,7 @@
 // jump straight to the segments covering a cell range. The trailer is
 // advisory: it is rewritten at every checkpoint (on seekable
 // destinations) and on Close, and a missing or damaged trailer simply
-// degrades every reader to the v1 scan path. Version-1 files, which
-// never carry a trailer, keep reading through that same scan path.
+// degrades every reader to the sequential scan path.
 //
 // The package is pure I/O: payloads are opaque bytes, and the sweep
 // layer owns what a record means (internal/sweep codecs).
@@ -51,16 +50,11 @@ import (
 // version and changes whenever the frame layout does.
 var magic = []byte{'r', 'e', 'c', 'i', 'o', formatVersion}
 
-// Format versions. Version 1 files are plain row-layout bodies with no
-// trailer; version 2 adds the index trailer, the recorded compression
-// level, and the columnar body layout. The writer always produces
-// version 2 (except when resuming a version-1 file, which stays
-// version 1 so its declared format keeps telling the truth); the
-// readers accept both.
-const (
-	formatV1      = 1
-	formatVersion = 2
-)
+// formatVersion is the one format this build writes and reads: row or
+// columnar bodies, the recorded compression level and the index trailer.
+// Version 1 (row bodies, no trailer) never left a developer's scratch
+// directory and is rejected with ErrVersion like any other foreign byte.
+const formatVersion = 2
 
 // MaxPayload bounds a single frame payload (header or record). A
 // decoder never allocates more than this for one frame, no matter what
@@ -91,7 +85,7 @@ var (
 )
 
 // LayoutColumns marks a columnar-body file in Header.Layout; the empty
-// string (and any v1 header) means the row layout.
+// string means the row layout.
 const LayoutColumns = "columns"
 
 // Options configure a Writer. The zero value is ready to use.

@@ -210,10 +210,14 @@ func TestBadMagic(t *testing.T) {
 	if _, _, err := Decode([]byte(`{"experiment":"fig2"}`)); !errors.Is(err, ErrMagic) {
 		t.Fatalf("got %v, want ErrMagic", err)
 	}
-	bad := append([]byte{}, magic...)
-	bad[len(bad)-1] = 99
-	if _, _, err := Decode(append(bad, 0)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("got %v, want ErrVersion", err)
+	// Version 1 (the retired trailer-less row format) is as foreign as
+	// any unknown version byte.
+	for _, version := range []byte{1, 99} {
+		bad := append([]byte{}, magic...)
+		bad[len(bad)-1] = version
+		if _, _, err := Decode(append(bad, 0)); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: got %v, want ErrVersion", version, err)
+		}
 	}
 }
 
@@ -346,7 +350,7 @@ func TestTrailerSeekRecovery(t *testing.T) {
 
 // TestDamagedTrailerDegrades pins the back-compat contract of satellite
 // concern #4: any damage confined to the trailer region must degrade
-// every reader to the v1 scan path — full strict decode still succeeds,
+// every reader to the scan path — full strict decode still succeeds,
 // recovery still counts every record — and must never surface as an
 // error.
 func TestDamagedTrailerDegrades(t *testing.T) {

@@ -53,10 +53,9 @@ type segJob struct {
 // explicit checkpoints. Not safe for concurrent use — the parallelism
 // lives behind Flush, not in the caller's API.
 type Writer struct {
-	dst     io.Writer
-	opts    Options
-	fields  []Field // non-nil ⇒ columnar layout
-	trailer bool    // v2 streams index themselves; resumed v1 files stay v1
+	dst    io.Writer
+	opts   Options
+	fields []Field // non-nil ⇒ columnar layout
 
 	raw   []byte     // rows: framed records of the open segment
 	spare [][]byte   // segment buffers back from the pool, ready to reuse
@@ -109,7 +108,7 @@ func NewWriter(dst io.Writer, hdr Header, opts Options) (*Writer, error) {
 	if _, err := dst.Write(head); err != nil {
 		return nil, fmt.Errorf("recio: write header: %w", err)
 	}
-	w := newBodyWriter(dst, opts, fields, int64(len(head)), nil, true)
+	w := newBodyWriter(dst, opts, fields, int64(len(head)), nil)
 	if err := w.sync(); err != nil {
 		return nil, err
 	}
@@ -122,8 +121,7 @@ func NewWriter(dst io.Writer, hdr Header, opts Options) (*Writer, error) {
 // which excludes any trailer (the writer regrows it). No header is
 // written; appended records extend the recovered ones, and rec's
 // segment list seeds the trailer so the index keeps covering the whole
-// body. A version-1 file stays version 1: no trailer is ever appended
-// to it, preserving what its magic byte promises.
+// body.
 func ResumeWriter(dst io.Writer, opts Options, rec *Recovery) (*Writer, error) {
 	opts, err := opts.normalize()
 	if err != nil {
@@ -136,15 +134,14 @@ func ResumeWriter(dst io.Writer, opts Options, rec *Recovery) (*Writer, error) {
 		}
 	}
 	opts.CellBase = rec.Header.CellLo + rec.Records
-	return newBodyWriter(dst, opts, fields, rec.CleanSize, rec.Segments, rec.Header.Format >= formatVersion), nil
+	return newBodyWriter(dst, opts, fields, rec.CleanSize, rec.Segments), nil
 }
 
-func newBodyWriter(dst io.Writer, opts Options, fields []Field, off int64, segs []SegmentInfo, trailer bool) *Writer {
+func newBodyWriter(dst io.Writer, opts Options, fields []Field, off int64, segs []SegmentInfo) *Writer {
 	w := &Writer{
 		dst:      dst,
 		opts:     opts,
 		fields:   fields,
-		trailer:  trailer,
 		nextCell: opts.CellBase,
 		sem:      make(chan struct{}, opts.Workers),
 		segs:     segs,
@@ -370,11 +367,9 @@ func (w *Writer) Checkpoint() error {
 	if !w.dirty {
 		return nil
 	}
-	if w.trailer {
-		if _, ok := w.dst.(rewinder); ok {
-			if err := w.writeTrailer(); err != nil {
-				return err
-			}
+	if _, ok := w.dst.(rewinder); ok {
+		if err := w.writeTrailer(); err != nil {
+			return err
 		}
 	}
 	if err := w.sync(); err != nil {
@@ -391,7 +386,7 @@ func (w *Writer) Close() error {
 	if err := w.Checkpoint(); err != nil {
 		return err
 	}
-	if w.trailer && !w.trailerAt {
+	if !w.trailerAt {
 		if err := w.writeTrailer(); err != nil {
 			return err
 		}

@@ -311,3 +311,18 @@ func TestReadShardDirMixedFormats(t *testing.T) {
 		t.Fatal("empty directory produced no error")
 	}
 }
+
+// TestColumnarCodecRejectsUncolumnarType: record types carrying
+// variable-width fields have no column mapping; selecting recio-col for
+// them must fail at codec selection with a clear diagnosis.
+func TestColumnarCodecRejectsUncolumnarType(t *testing.T) {
+	type triggers struct {
+		Hits []int `json:"hits"`
+	}
+	if _, err := CodecFor[triggers](FormatRecioCol, 0); err == nil {
+		t.Fatal("recio-col accepted a record type with no columnar mapping")
+	}
+	if _, err := CodecFor[benchRecord](FormatRecioCol, 0); err != nil {
+		t.Fatalf("recio-col rejected a columnar record type: %v", err)
+	}
+}

@@ -61,7 +61,7 @@ type ShardReport struct {
 	Solved  int
 	// SeekResume reports that the resumed prefix was counted and
 	// CRC-verified through the file's index trailer (a seek) rather than
-	// by inflating and replaying it (the v1 scan).
+	// by inflating and replaying it (the scan path).
 	SeekResume bool
 }
 
@@ -142,8 +142,8 @@ func persistRecio[T any](m Matrix, opts MatrixOptions, experiment string, extrac
 	if store.Resume {
 		// RecoverStats seeks: with an intact index trailer the clean
 		// prefix is counted and CRC-verified without inflating a segment;
-		// v1 files (and files whose trailer a crash damaged) fall back to
-		// the scan the old replay path performed.
+		// files whose trailer a crash damaged fall back to the scan the
+		// old replay path performed.
 		rec, err := recio.RecoverStatsFile(rep.Path)
 		switch {
 		case errors.Is(err, fs.ErrNotExist):

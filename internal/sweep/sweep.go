@@ -88,10 +88,10 @@ func MapLocal[W any](n int, opts Options, local func() W, fn func(w W, i int) er
 
 	var (
 		next atomic.Int64 // next index to hand out
-		done atomic.Int64 // completed items, for Progress
 		stop atomic.Bool  // set on first error: cancel unstarted work
 
-		mu       sync.Mutex // guards firstErr/errIdx and serializes Progress
+		mu       sync.Mutex // guards firstErr/errIdx/done and serializes Progress
+		done     int        // completed items, for Progress
 		firstErr error
 		errIdx   int
 		wg       sync.WaitGroup
@@ -118,9 +118,11 @@ func MapLocal[W any](n int, opts Options, local func() W, fn func(w W, i int) er
 					return
 				}
 				if opts.Progress != nil {
-					d := int(done.Add(1))
+					// Count under the lock: a count taken before it could be
+					// overtaken on the way in and reported out of order.
 					mu.Lock()
-					opts.Progress(d, n)
+					done++
+					opts.Progress(done, n)
 					mu.Unlock()
 				}
 			}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/bgpsim/bgpsim/internal/core"
 	"github.com/bgpsim/bgpsim/internal/topology"
@@ -86,6 +87,12 @@ func TestMapFirstErrorCancels(t *testing.T) {
 		if i == 5 {
 			return fmt.Errorf("item %d: %w", i, wantErr)
 		}
+		// Give every other item a little duration: with none, the other
+		// workers can drain all n items inside the one OS time slice the
+		// worker that drew item 5 may lose between returning its error and
+		// raising the stop flag (1–2% of runs on a 2-CPU box). A cancelled
+		// run still ends after a handful of items.
+		time.Sleep(10 * time.Microsecond)
 		return nil
 	})
 	if !errors.Is(err, wantErr) {
@@ -114,21 +121,28 @@ func TestMapSerialErrorShortCircuits(t *testing.T) {
 // TestMapProgress checks the callback fires once per item with a monotone
 // completion count.
 func TestMapProgress(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, workers := range []int{1, 4} {
 		n := 200
 		calls, last := 0, 0
+		// Progress runs on worker goroutines (serialized by Map), so it
+		// only records the first violation; the test goroutine fails.
+		var violation string
 		err := Map(n, Options{Workers: workers, Progress: func(done, total int) {
 			calls++
-			if total != n {
-				t.Fatalf("total = %d, want %d", total, n)
+			if violation == "" && total != n {
+				violation = fmt.Sprintf("total = %d, want %d", total, n)
 			}
-			if done <= last {
-				t.Fatalf("progress not monotone: %d after %d", done, last)
+			if violation == "" && done != last+1 {
+				violation = fmt.Sprintf("progress out of order: %d after %d", done, last)
 			}
 			last = done
 		}}, func(i int) error { return nil })
 		if err != nil {
 			t.Fatal(err)
+		}
+		if violation != "" {
+			t.Fatalf("workers=%d: %s", workers, violation)
 		}
 		if calls != n || last != n {
 			t.Fatalf("workers=%d: %d progress calls ending at %d, want %d", workers, calls, last, n)

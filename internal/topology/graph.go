@@ -168,6 +168,11 @@ func (g *Graph) AddrWeight(i int) int64 {
 	return g.addrWeight[i]
 }
 
+// AddrWeights returns every node's address weight indexed by node, for
+// bulk accounting loops; nil means every node weighs 1. The slice is the
+// graph's own storage: callers must not modify it.
+func (g *Graph) AddrWeights() []int64 { return g.addrWeight }
+
 // TotalAddrWeight returns the sum of all address weights.
 func (g *Graph) TotalAddrWeight() int64 {
 	var total int64
