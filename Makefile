@@ -72,6 +72,7 @@ vulncheck:
 # Short fuzz pass over every parser (CI-friendly).
 fuzz:
 	$(GO) test ./internal/bgpwire -fuzz FuzzUnmarshal -fuzztime 15s
+	$(GO) test ./internal/bgpwire -fuzz FuzzFrameReader -fuzztime 10s
 	$(GO) test ./internal/prefix  -fuzz FuzzParse     -fuzztime 10s
 	$(GO) test ./internal/topology -fuzz FuzzParse    -fuzztime 10s
 	$(GO) test ./internal/irr     -fuzz FuzzParse     -fuzztime 10s

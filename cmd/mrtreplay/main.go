@@ -197,8 +197,12 @@ func run() error {
 				select {
 				case <-ticker.C:
 					s := e.Snapshot()
-					logf("progress: %d updates dispatched over %d sessions, %d sent, %d shed, %d skipped",
-						s.Updates, s.Sessions, s.Sent, s.Shed, s.Skipped)
+					logf("progress: %d updates dispatched over %d sessions, %d sent in %d writes, %d shed, %d skipped",
+						s.Updates, s.Sessions, s.Sent, s.Writes, s.Shed, s.Skipped)
+					if collector != nil {
+						cs := collector.Stats()
+						logf("progress: collector received %d updates in %d reads", cs.Updates, cs.Reads)
+					}
 				case <-ctx.Done():
 					return
 				}
@@ -221,15 +225,16 @@ func run() error {
 		scancel()
 		<-serveErr
 		cs := collector.Stats()
-		logf("collector: %d sessions, %d malformed messages, %d hold expiries", cs.Sessions, cs.MalformedMessages, cs.HoldExpiries)
+		logf("collector: %d sessions, %d updates in %d reads, %d malformed messages, %d hold expiries",
+			cs.Sessions, cs.Updates, cs.Reads, cs.MalformedMessages, cs.HoldExpiries)
 	}
 
 	var reconnects int
 	for _, r := range stats.Runners {
 		reconnects += r.Stats.Reconnects
 	}
-	logf("replay: %d RIB routes, %d updates from %d peers over %d sessions (%d reconnects); %d sent, %d shed, %d records skipped",
-		stats.RIBRoutes, stats.Updates, stats.Peers, stats.Sessions, reconnects, stats.Sent, stats.Shed, stats.Skipped)
+	logf("replay: %d RIB routes, %d updates from %d peers over %d sessions (%d reconnects); %d sent in %d writes, %d shed, %d records skipped",
+		stats.RIBRoutes, stats.Updates, stats.Peers, stats.Sessions, reconnects, stats.Sent, stats.Writes, stats.Shed, stats.Skipped)
 	if stats.Truncated {
 		logf("input truncated mid-record; the replay covered its intact prefix")
 	}

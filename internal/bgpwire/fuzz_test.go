@@ -54,3 +54,22 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFrameReader feeds arbitrary bytes in arbitrary chunk sizes to the
+// read-ahead frame reader and requires the frames, and the class of the
+// error that ends the stream — io.EOF on a clean boundary,
+// io.ErrUnexpectedEOF inside a header, "short body" inside a body,
+// "invalid framed length" — to be those of ReadFrame over the unsplit
+// stream. Neither may panic or fail any other way.
+func FuzzFrameReader(f *testing.F) {
+	stream := testStream(f)
+	f.Add(stream, []byte{})
+	f.Add(stream, []byte{0, 1, 2})
+	f.Add(stream[:len(stream)-7], []byte{1})
+	f.Add(stream[:len(stream)-HeaderLen-4], []byte{255})
+	f.Add(append(append([]byte(nil), stream...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 2), []byte{4})
+	f.Add(bytes.Repeat(stream, 1500), []byte{240, 7}) // spans several buffer refills
+	f.Fuzz(func(t *testing.T, data, sizes []byte) {
+		checkFraming(t, data, sizes)
+	})
+}

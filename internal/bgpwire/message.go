@@ -8,10 +8,8 @@
 package bgpwire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
 	"github.com/bgpsim/bgpsim/internal/prefix"
@@ -95,150 +93,147 @@ type Notification struct {
 // Keepalive is a BGP KEEPALIVE message (header only).
 type Keepalive struct{}
 
-// Marshal encodes a message with its BGP header. Supported payload types:
-// *Open, *Update, *Notification, Keepalive.
-func Marshal(msg any) ([]byte, error) {
-	var body []byte
-	var typ uint8
-	switch m := msg.(type) {
-	case *Open:
-		typ = TypeOpen
-		body = marshalOpen(m)
-	case *Update:
-		typ = TypeUpdate
-		var err error
-		body, err = marshalUpdate(m)
-		if err != nil {
-			return nil, err
-		}
-	case *Notification:
-		typ = TypeNotification
-		body = append([]byte{m.Code, m.Subcode}, m.Data...)
-	case Keepalive, *Keepalive:
-		typ = TypeKeepalive
-	default:
-		return nil, fmt.Errorf("bgpwire: cannot marshal %T", msg)
-	}
-	total := HeaderLen + len(body)
-	if total > MaxMessageLen {
-		return nil, fmt.Errorf("bgpwire: message length %d exceeds %d", total, MaxMessageLen)
-	}
-	out := make([]byte, total)
-	for i := 0; i < markerLen; i++ {
-		out[i] = 0xff
-	}
-	binary.BigEndian.PutUint16(out[16:18], uint16(total))
-	out[18] = typ
-	copy(out[HeaderLen:], body)
-	return out, nil
+// header is a message header with the length and type still to fill in.
+var header = [HeaderLen]byte{
+	0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+	0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
 }
 
-func marshalOpen(o *Open) []byte {
-	body := make([]byte, 10)
-	body[0] = o.Version
+// Marshal encodes a message with its BGP header into a fresh buffer. See
+// AppendMessage for the supported payload types.
+func Marshal(msg any) ([]byte, error) {
+	return AppendMessage(nil, msg)
+}
+
+// AppendMessage appends the wire encoding of msg, BGP header included,
+// to dst and returns the extended slice — the package's one encoder: a
+// caller that keeps dst across calls encodes without allocating, and a
+// caller that appends several messages gets one buffer to write at once.
+// Supported payload types: *Open, *Update, *Notification, Keepalive.
+// On error dst comes back at its original length.
+//
+//bgplint:hotpath runs once per UPDATE on every live session and per MRT record written
+func AppendMessage(dst []byte, msg any) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, header[:]...)
+	var err error
+	switch m := msg.(type) {
+	case *Open:
+		dst[start+18] = TypeOpen
+		dst = appendOpen(dst, m)
+	case *Update:
+		dst[start+18] = TypeUpdate
+		dst, err = appendUpdate(dst, m)
+	case *Notification:
+		dst[start+18] = TypeNotification
+		dst = append(dst, m.Code, m.Subcode)
+		dst = append(dst, m.Data...)
+	case Keepalive, *Keepalive:
+		dst[start+18] = TypeKeepalive
+	default:
+		err = fmt.Errorf("bgpwire: cannot marshal %T", msg)
+	}
+	total := len(dst) - start
+	if err == nil && total > MaxMessageLen {
+		err = fmt.Errorf("bgpwire: message length %d exceeds %d", total, MaxMessageLen)
+	}
+	if err != nil {
+		return dst[:start], err
+	}
+	binary.BigEndian.PutUint16(dst[start+16:], uint16(total))
+	return dst, nil
+}
+
+func appendOpen(dst []byte, o *Open) []byte {
 	// RFC 6793: a four-octet speaker puts AS_TRANS (23456) here when its
 	// ASN does not fit; we encode the low 16 bits or AS_TRANS.
 	my16 := uint16(23456)
 	if o.AS <= 0xffff {
 		my16 = uint16(o.AS.Uint32())
 	}
-	binary.BigEndian.PutUint16(body[1:3], my16)
-	binary.BigEndian.PutUint16(body[3:5], o.HoldTime)
-	binary.BigEndian.PutUint32(body[5:9], o.RouterID)
-	// Optional-parameters: one capability-style parameter carrying the
+	dst = append(dst, o.Version)
+	dst = binary.BigEndian.AppendUint16(dst, my16)
+	dst = binary.BigEndian.AppendUint16(dst, o.HoldTime)
+	dst = binary.BigEndian.AppendUint32(dst, o.RouterID)
+	// Optional parameters: one capability-style parameter carrying the
 	// four-octet ASN (simplified capability 65, RFC 6793).
-	opt := make([]byte, 0, 8)
-	opt = append(opt, 2 /* param type: capability */, 6, 65, 4)
-	var as4 [4]byte
-	binary.BigEndian.PutUint32(as4[:], o.AS.Uint32())
-	opt = append(opt, as4[:]...)
-	body[9] = byte(len(opt))
-	return append(body, opt...)
+	dst = append(dst, 8 /* parameters length */, 2 /* param type: capability */, 6, 65, 4)
+	return binary.BigEndian.AppendUint32(dst, o.AS.Uint32())
 }
 
-func marshalUpdate(u *Update) ([]byte, error) {
-	var buf bytes.Buffer
-	withdrawn, err := marshalNLRI(u.Withdrawn)
+func appendUpdate(dst []byte, u *Update) ([]byte, error) {
+	wAt := len(dst)
+	dst, err := appendNLRI(append(dst, 0, 0), u.Withdrawn)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	var lenBuf [2]byte
-	binary.BigEndian.PutUint16(lenBuf[:], uint16(len(withdrawn)))
-	buf.Write(lenBuf[:])
-	buf.Write(withdrawn)
-
-	var attrs bytes.Buffer
+	binary.BigEndian.PutUint16(dst[wAt:], uint16(len(dst)-wAt-2))
+	aAt := len(dst)
+	dst = append(dst, 0, 0)
 	if len(u.NLRI) > 0 {
-		if u.Origin > OriginIncomplete {
-			return nil, fmt.Errorf("bgpwire: invalid ORIGIN %d", u.Origin)
+		if dst, err = AppendAttributes(dst, u.Origin, u.ASPath, u.NextHop); err != nil {
+			return dst, err
 		}
-		writeAttr(&attrs, AttrOrigin, []byte{u.Origin})
-		writeAttr(&attrs, AttrASPath, marshalASPath(u.ASPath))
-		var nh [4]byte
-		binary.BigEndian.PutUint32(nh[:], u.NextHop)
-		writeAttr(&attrs, AttrNextHop, nh[:])
 	}
-	binary.BigEndian.PutUint16(lenBuf[:], uint16(attrs.Len()))
-	buf.Write(lenBuf[:])
-	buf.Write(attrs.Bytes())
-
-	nlri, err := marshalNLRI(u.NLRI)
-	if err != nil {
-		return nil, err
-	}
-	buf.Write(nlri)
-	return buf.Bytes(), nil
+	binary.BigEndian.PutUint16(dst[aAt:], uint16(len(dst)-aAt-2))
+	return appendNLRI(dst, u.NLRI)
 }
 
-// writeAttr emits one path attribute with flags chosen automatically
-// (well-known transitive, extended length when needed).
-func writeAttr(w *bytes.Buffer, typ uint8, val []byte) {
-	flags := uint8(0x40) // transitive
-	if len(val) > 255 {
-		flags |= 0x10 // extended length
-		w.WriteByte(flags)
-		w.WriteByte(typ)
-		var l [2]byte
-		binary.BigEndian.PutUint16(l[:], uint16(len(val)))
-		w.Write(l[:])
-	} else {
-		w.WriteByte(flags)
-		w.WriteByte(typ)
-		w.WriteByte(uint8(len(val)))
+// appendAttrHeader emits one path attribute's flags, type and length,
+// with flags chosen automatically (well-known transitive, extended
+// length when needed).
+func appendAttrHeader(dst []byte, typ uint8, valLen int) []byte {
+	if valLen > 255 {
+		return append(dst, 0x40|0x10 /* transitive, extended length */, typ, byte(valLen>>8), byte(valLen))
 	}
-	w.Write(val)
+	return append(dst, 0x40 /* transitive */, typ, byte(valLen))
 }
 
-// marshalASPath encodes one AS_SEQUENCE with four-octet ASNs (RFC 6793
-// "new speaker" encoding).
-func marshalASPath(path []asn.ASN) []byte {
-	if len(path) == 0 {
-		return nil
+// maxSegmentASNs is the most ASNs one AS_PATH segment's count octet can
+// announce; longer paths continue in further AS_SEQUENCE segments.
+const maxSegmentASNs = 255
+
+// AppendAttributes appends the ORIGIN/AS_PATH/NEXT_HOP path-attribute
+// block as it appears in UPDATE messages and MRT RIB entries. The AS_PATH
+// is AS_SEQUENCE segments of four-octet ASNs (RFC 6793 "new speaker"
+// encoding).
+//
+//bgplint:hotpath runs once per announcing UPDATE and per MRT RIB entry
+func AppendAttributes(dst []byte, origin uint8, asPath []asn.ASN, nextHop uint32) ([]byte, error) {
+	if origin > OriginIncomplete {
+		return dst, fmt.Errorf("bgpwire: invalid ORIGIN %d", origin)
 	}
-	out := make([]byte, 2+4*len(path))
-	out[0] = SegmentSequence
-	out[1] = uint8(len(path))
-	for i, a := range path {
-		binary.BigEndian.PutUint32(out[2+4*i:], a.Uint32())
+	dst = append(appendAttrHeader(dst, AttrOrigin, 1), origin)
+	segments := (len(asPath) + maxSegmentASNs - 1) / maxSegmentASNs
+	dst = appendAttrHeader(dst, AttrASPath, 2*segments+4*len(asPath))
+	for len(asPath) > 0 {
+		seg := asPath[:min(len(asPath), maxSegmentASNs)]
+		dst = append(dst, SegmentSequence, uint8(len(seg)))
+		for _, a := range seg {
+			dst = binary.BigEndian.AppendUint32(dst, a.Uint32())
+		}
+		asPath = asPath[len(seg):]
 	}
-	return out
+	return binary.BigEndian.AppendUint32(appendAttrHeader(dst, AttrNextHop, 4), nextHop), nil
 }
 
-// marshalNLRI encodes prefixes in the (length, truncated address) NLRI
+// appendNLRI encodes prefixes in the (length, truncated address) NLRI
 // form.
-func marshalNLRI(ps []prefix.Prefix) ([]byte, error) {
-	var buf bytes.Buffer
+//
+//bgplint:hotpath runs once per UPDATE; the error is built out of line
+func appendNLRI(dst []byte, ps []prefix.Prefix) ([]byte, error) {
 	for _, p := range ps {
 		if p.Len > 32 {
-			return nil, fmt.Errorf("bgpwire: prefix length %d invalid", p.Len)
+			return dst, errPrefixLen(p.Len)
 		}
-		buf.WriteByte(p.Len)
-		nBytes := int(p.Len+7) / 8
-		var addr [4]byte
-		binary.BigEndian.PutUint32(addr[:], p.Addr)
-		buf.Write(addr[:nBytes])
+		addr := [4]byte{byte(p.Addr >> 24), byte(p.Addr >> 16), byte(p.Addr >> 8), byte(p.Addr)}
+		dst = append(append(dst, p.Len), addr[:(p.Len+7)/8]...)
 	}
-	return buf.Bytes(), nil
+	return dst, nil
+}
+
+func errPrefixLen(l uint8) error {
+	return fmt.Errorf("bgpwire: prefix length %d invalid", l)
 }
 
 // Unmarshal decodes one full BGP message (header included) and returns the
@@ -386,39 +381,60 @@ func (u *Update) unmarshalAttrs(data []byte) error {
 	return nil
 }
 
+// unmarshalASPath flattens every segment into one path. It walks the
+// segment headers once to validate and size the result, then fills it.
 func unmarshalASPath(data []byte) ([]asn.ASN, error) {
-	var path []asn.ASN
-	for len(data) > 0 {
-		if len(data) < 2 {
+	total := 0
+	for rest := data; len(rest) > 0; {
+		if len(rest) < 2 {
 			return nil, fmt.Errorf("bgpwire: truncated AS_PATH segment")
 		}
-		segType, count := data[0], int(data[1])
+		segType, count := rest[0], int(rest[1])
 		if segType != SegmentSequence && segType != SegmentSet {
 			return nil, fmt.Errorf("bgpwire: unknown AS_PATH segment type %d", segType)
 		}
-		need := 2 + 4*count
-		if len(data) < need {
+		if len(rest) < 2+4*count {
 			return nil, fmt.Errorf("bgpwire: AS_PATH segment overruns")
 		}
+		total += count
+		rest = rest[2+4*count:]
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	path := make([]asn.ASN, 0, total)
+	for len(data) > 0 {
+		count := int(data[1])
 		for i := 0; i < count; i++ {
 			path = append(path, asn.FromUint32(binary.BigEndian.Uint32(data[2+4*i:])))
 		}
-		data = data[need:]
+		data = data[2+4*count:]
 	}
 	return path, nil
 }
 
+// unmarshalNLRI decodes a run of (length, truncated address) prefixes,
+// sizing the result from a first pass over the length octets.
 func unmarshalNLRI(data []byte) ([]prefix.Prefix, error) {
-	var out []prefix.Prefix
-	for len(data) > 0 {
-		l := data[0]
+	n := 0
+	for rest := data; len(rest) > 0; n++ {
+		l := rest[0]
 		if l > 32 {
 			return nil, fmt.Errorf("bgpwire: NLRI length %d invalid", l)
 		}
 		nBytes := int(l+7) / 8
-		if len(data) < 1+nBytes {
+		if len(rest) < 1+nBytes {
 			return nil, fmt.Errorf("bgpwire: truncated NLRI")
 		}
+		rest = rest[1+nBytes:]
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]prefix.Prefix, 0, n)
+	for len(data) > 0 {
+		l := data[0]
+		nBytes := int(l+7) / 8
 		var addr [4]byte
 		copy(addr[:], data[1:1+nBytes])
 		p := prefix.New(binary.BigEndian.Uint32(addr[:]), l)
@@ -431,46 +447,12 @@ func unmarshalNLRI(data []byte) ([]prefix.Prefix, error) {
 	return out, nil
 }
 
-// EncodeAttributes encodes the ORIGIN/AS_PATH/NEXT_HOP path-attribute
-// block as it appears in UPDATE messages and MRT RIB entries.
-func EncodeAttributes(origin uint8, asPath []asn.ASN, nextHop uint32) ([]byte, error) {
-	if origin > OriginIncomplete {
-		return nil, fmt.Errorf("bgpwire: invalid ORIGIN %d", origin)
-	}
-	var attrs bytes.Buffer
-	writeAttr(&attrs, AttrOrigin, []byte{origin})
-	writeAttr(&attrs, AttrASPath, marshalASPath(asPath))
-	var nh [4]byte
-	binary.BigEndian.PutUint32(nh[:], nextHop)
-	writeAttr(&attrs, AttrNextHop, nh[:])
-	return attrs.Bytes(), nil
-}
-
 // DecodeAttributes parses a path-attribute block (the inverse of
-// EncodeAttributes; unknown attributes are skipped).
+// AppendAttributes; unknown attributes are skipped).
 func DecodeAttributes(data []byte) (origin uint8, asPath []asn.ASN, nextHop uint32, err error) {
 	var u Update
 	if err := u.unmarshalAttrs(data); err != nil {
 		return 0, nil, 0, err
 	}
 	return u.Origin, u.ASPath, u.NextHop, nil
-}
-
-// ReadMessage reads exactly one framed BGP message from r.
-func ReadMessage(r io.Reader) (any, error) {
-	frame, err := ReadFrame(r)
-	if err != nil {
-		return nil, err
-	}
-	return Unmarshal(frame)
-}
-
-// WriteMessage marshals and writes one message to w.
-func WriteMessage(w io.Writer, msg any) error {
-	data, err := Marshal(msg)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
 }

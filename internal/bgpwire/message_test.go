@@ -149,7 +149,7 @@ func mutate(data []byte, at int, v byte) []byte {
 
 func TestAnnouncementRequiresASPath(t *testing.T) {
 	// Hand-craft an UPDATE with NLRI but no attributes.
-	nlri, err := marshalNLRI([]prefix.Prefix{mp("10.0.0.0/8")})
+	nlri, err := appendNLRI(nil, []prefix.Prefix{mp("10.0.0.0/8")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestASSetSegment(t *testing.T) {
 // TestEncodeDecodeAttributesHelpers covers the exported helpers used by
 // the MRT codec.
 func TestEncodeDecodeAttributesHelpers(t *testing.T) {
-	attrs, err := EncodeAttributes(OriginEGP, []asn.ASN{1, 2, 3}, 42)
+	attrs, err := AppendAttributes(nil, OriginEGP, []asn.ASN{1, 2, 3}, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestEncodeDecodeAttributesHelpers(t *testing.T) {
 	if origin != OriginEGP || nh != 42 || len(path) != 3 {
 		t.Errorf("decoded %d/%v/%d", origin, path, nh)
 	}
-	if _, err := EncodeAttributes(9, nil, 0); err == nil {
+	if _, err := AppendAttributes(nil, 9, nil, 0); err == nil {
 		t.Error("invalid origin accepted")
 	}
 	if _, _, _, err := DecodeAttributes([]byte{0x40}); err == nil {

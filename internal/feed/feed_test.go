@@ -426,6 +426,10 @@ func TestCollectorFailureInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Close()
+	// An accepted garbage session may not have reached register yet, and
+	// Shutdown (correctly) refuses, uncounted, one that arrives after it:
+	// wait for all three to be counted before closing.
+	waitFor(t, "all three sessions to be counted", func() bool { return collector.Sessions() >= 3 })
 	l.Close()
 	_ = collector.Shutdown(context.Background())
 	<-serveDone

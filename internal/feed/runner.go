@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
@@ -30,6 +31,10 @@ type RunnerStats struct {
 	// Sent counts UPDATE writes that succeeded, retransmissions
 	// included.
 	Sent int
+	// Writes counts transport Write calls issued — handshakes, update
+	// batches, keepalives, closing NOTIFICATIONs; Sent/Writes is what one
+	// write syscall carries.
+	Writes int
 	// Shed counts updates dropped by the bounded pending queue
 	// (MaxPending) before they were ever written.
 	Shed int
@@ -91,11 +96,18 @@ type ProbeRunner struct {
 	mu       sync.Mutex
 	queue    []*bgpwire.Update
 	next     int // queue[next:] not yet written on the current session
-	inflight bool
+	inflight int // queue[next:next+inflight] is the batch being written
 	drainReq bool
 	stats    RunnerStats
 	notify   chan struct{}
+	writes   atomic.Int64 // RunnerStats.Writes, bumped by the session's Probe
 }
+
+// maxBatchUpdates caps how many pending updates one write coalesces. The
+// session takes what is pending now and never waits to fill a batch, so
+// the cap only bounds how long a burst holds the session loop away from
+// its reader and timers.
+const maxBatchUpdates = 256
 
 // CloseWhenDrained switches a running probe into drain mode: once every
 // queued update has been written on a live session, the session closes
@@ -114,18 +126,6 @@ func (r *ProbeRunner) CloseWhenDrained() {
 	}
 }
 
-// draining reports whether the runner should behave as if started by
-// RunDrain: either statically (the static flag from run) or because
-// CloseWhenDrained was called.
-func (r *ProbeRunner) draining(static bool) bool {
-	if static {
-		return true
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.drainReq
-}
-
 // Enqueue adds one update to the runner's table, shedding the oldest
 // unsent updates when MaxPending is exceeded. Safe from any goroutine,
 // before or during Run.
@@ -141,8 +141,16 @@ func (r *ProbeRunner) Enqueue(u *bgpwire.Update) {
 	}
 }
 
+// lowPending is the effective low watermark a shed drains the queue to.
+func (r *ProbeRunner) lowPending() int {
+	if r.LowPending <= 0 || r.LowPending > r.MaxPending {
+		return r.MaxPending / 2
+	}
+	return r.LowPending
+}
+
 // shedLocked enforces MaxPending: above the high watermark it drops the
-// oldest unsent updates down to the low watermark. The update a Send has
+// oldest unsent updates down to the low watermark. The batch a write has
 // in flight and the newest update are never shed, so the session loop's
 // position stays coherent and fresh data always wins over stale.
 func (r *ProbeRunner) shedLocked() {
@@ -153,15 +161,8 @@ func (r *ProbeRunner) shedLocked() {
 	if pending <= r.MaxPending {
 		return
 	}
-	low := r.LowPending
-	if low <= 0 || low > r.MaxPending {
-		low = r.MaxPending / 2
-	}
-	drop := pending - low
-	lo := r.next
-	if r.inflight {
-		lo++
-	}
+	drop := pending - r.lowPending()
+	lo := r.next + r.inflight
 	if max := len(r.queue) - 1 - lo; drop > max {
 		drop = max
 	}
@@ -192,29 +193,53 @@ func (r *ProbeRunner) Stats() RunnerStats {
 	defer r.mu.Unlock()
 	s := r.stats
 	s.Pending = len(r.queue) - r.next
+	s.Writes = int(r.writes.Load())
 	return s
 }
 
-// peek returns the next unwritten update, or nil. A non-nil return marks
-// the update in flight, which pins it against shedding until advance or
-// rewind.
-func (r *ProbeRunner) peek() *bgpwire.Update {
+// take claims the next batch to write: everything pending now, up to
+// the batch cap. The batch stays in the queue, pinned against shedding
+// until advance or rewind (shedLocked only moves what lies beyond it, so
+// the returned slice stays valid outside the lock). With nothing pending
+// it reports whether the runner has drained — static drain mode, or
+// CloseWhenDrained called — as one decision under one lock hold, so a
+// CloseWhenDrained that follows the last Enqueue can never be seen
+// without that Enqueue.
+//
+// Under MaxPending a batch takes at most low−1 updates. A shed fires at
+// pending = MaxPending+1 and owes pending−low drops; it may touch
+// neither the newest update nor the k in flight, which leaves
+// pending−1−k candidates — enough exactly when k ≤ low−1. So every shed
+// drops pending−low whatever the session was doing, and shed counts stay
+// independent of how sender and dispatcher interleave.
+func (r *ProbeRunner) take(drain bool) (batch []*bgpwire.Update, drained bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.next < len(r.queue) {
-		r.inflight = true
-		return r.queue[r.next]
+	limit := maxBatchUpdates
+	if r.MaxPending > 0 {
+		limit = min(limit, max(1, r.lowPending()-1))
 	}
-	r.inflight = false
-	return nil
+	r.inflight = min(len(r.queue)-r.next, limit)
+	if r.inflight == 0 {
+		return nil, r.drainedLocked(drain)
+	}
+	return r.queue[r.next : r.next+r.inflight], false
 }
 
-// advance marks the head update written.
-func (r *ProbeRunner) advance() {
+// drainedLocked reports whether the runner is in drain mode — statically
+// (RunDrain) or because CloseWhenDrained was called — with nothing left
+// to write.
+func (r *ProbeRunner) drainedLocked(drain bool) bool {
+	return (drain || r.drainReq) && r.next == len(r.queue)
+}
+
+// advance marks the first n updates of the batch in flight written and
+// unpins the rest.
+func (r *ProbeRunner) advance(n int) {
 	r.mu.Lock()
-	r.next++
-	r.inflight = false
-	r.stats.Sent++
+	r.next += n
+	r.inflight = 0
+	r.stats.Sent += n
 	r.mu.Unlock()
 }
 
@@ -222,7 +247,7 @@ func (r *ProbeRunner) advance() {
 func (r *ProbeRunner) rewind() {
 	r.mu.Lock()
 	r.next = 0
-	r.inflight = false
+	r.inflight = 0
 	r.mu.Unlock()
 }
 
@@ -284,7 +309,10 @@ func (r *ProbeRunner) run(ctx context.Context, drain bool) error {
 	clock := r.clock()
 	fails := 0
 	for {
-		if r.draining(drain) && r.Pending() == 0 {
+		r.mu.Lock()
+		drained := r.drainedLocked(drain)
+		r.mu.Unlock()
+		if drained {
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -332,7 +360,7 @@ func (r *ProbeRunner) run(ctx context.Context, drain bool) error {
 // drain mode finished the table.
 func (r *ProbeRunner) session(ctx context.Context, conn io.ReadWriteCloser, drain bool) (established bool, err error) {
 	clock := r.clock()
-	p := &Probe{AS: r.AS, RouterID: r.RouterID, HoldTime: r.HoldTime, Clock: clock}
+	p := &Probe{AS: r.AS, RouterID: r.RouterID, HoldTime: r.HoldTime, Clock: clock, writes: &r.writes}
 	if err := p.Dial(conn); err != nil {
 		return false, err // Dial closed conn
 	}
@@ -348,10 +376,10 @@ func (r *ProbeRunner) session(ctx context.Context, conn io.ReadWriteCloser, drai
 	defer r.setConnected(false)
 
 	hold := p.NegotiatedHold()
-	readCh := make(chan readResult)
+	readCh := make(chan []readResult)
 	readerDone := make(chan struct{})
 	defer close(readerDone)
-	go readLoop(conn, clock, hold, readCh, readerDone)
+	go readLoop(p.in, readCh, readerDone)
 
 	var holdT, kaT tick.Timer
 	var holdC, kaC <-chan time.Time
@@ -364,37 +392,42 @@ func (r *ProbeRunner) session(ctx context.Context, conn io.ReadWriteCloser, drai
 		defer kaT.Stop()
 	}
 
-	// handleRead processes one collector-to-probe message; a non-nil
-	// return ends the session.
-	handleRead := func(rr readResult) error {
-		if rr.err != nil {
-			return fmt.Errorf("probe %v: read: %w", r.AS, rr.err)
-		}
-		if hold > 0 {
+	// handleRead processes one batch of collector-to-probe messages; a
+	// non-nil return ends the session.
+	handleRead := func(batch []readResult) error {
+		if hold > 0 && batch[0].err == nil {
 			tick.Rearm(holdT, hold)
 		}
-		if rr.malformed != nil {
-			return fmt.Errorf("probe %v: malformed message from collector: %w", r.AS, rr.malformed)
+		for _, rr := range batch {
+			if rr.err != nil {
+				return fmt.Errorf("probe %v: read: %w", r.AS, rr.err)
+			}
+			if rr.malformed != nil {
+				return fmt.Errorf("probe %v: malformed message from collector: %w", r.AS, rr.malformed)
+			}
+			if n, ok := rr.msg.(*bgpwire.Notification); ok {
+				return fmt.Errorf("probe %v: collector closed session (NOTIFICATION code %d)", r.AS, n.Code)
+			}
+			// Keepalives (and any stray updates) just refresh the hold timer.
 		}
-		if n, ok := rr.msg.(*bgpwire.Notification); ok {
-			return fmt.Errorf("probe %v: collector closed session (NOTIFICATION code %d)", r.AS, n.Code)
-		}
-		return nil // keepalives (and any stray updates) just refresh the hold timer
+		return nil
 	}
 
 	for {
-		if u := r.peek(); u != nil {
-			if err := p.Send(u); err != nil {
+		batch, drained := r.take(drain)
+		if len(batch) > 0 {
+			n, err := p.sendBatch(batch)
+			if err != nil {
 				return true, err
 			}
-			r.advance()
+			r.advance(n)
 			if hold > 0 {
 				tick.Rearm(kaT, hold/3) // our write already proved liveness to the peer
 			}
-			// Drain reader/timer events without blocking between sends.
+			// Drain reader/timer events without blocking between writes.
 			select {
-			case rr := <-readCh:
-				if err := handleRead(rr); err != nil {
+			case b := <-readCh:
+				if err := handleRead(b); err != nil {
 					return true, err
 				}
 			case <-ctx.Done():
@@ -404,23 +437,23 @@ func (r *ProbeRunner) session(ctx context.Context, conn io.ReadWriteCloser, drai
 			}
 			continue
 		}
-		if r.draining(drain) {
+		if drained {
 			_ = p.Close() // Cease; the table is fully written
 			return true, nil
 		}
 		select {
 		case <-notify:
-		case rr := <-readCh:
-			if err := handleRead(rr); err != nil {
+		case b := <-readCh:
+			if err := handleRead(b); err != nil {
 				return true, err
 			}
 		case <-kaC:
-			if err := bgpwire.WriteMessageDeadline(conn, bgpwire.Keepalive{}, clock.Now().Add(hold)); err != nil {
+			if err := p.send(bgpwire.Keepalive{}, hold); err != nil {
 				return true, fmt.Errorf("probe %v: send KEEPALIVE: %w", r.AS, err)
 			}
 			tick.Rearm(kaT, hold/3)
 		case <-holdC:
-			_ = bgpwire.WriteMessageDeadline(conn, &bgpwire.Notification{Code: 4 /* hold timer expired */}, clock.Now().Add(hold))
+			_ = p.send(&bgpwire.Notification{Code: 4 /* hold timer expired */}, hold)
 			return true, fmt.Errorf("probe %v: hold timer (%v) expired: collector silent", r.AS, hold)
 		case <-ctx.Done():
 			_ = p.Close()

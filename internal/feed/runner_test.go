@@ -227,17 +227,23 @@ type stalledConn struct {
 	closeOnce sync.Once
 }
 
-func newStalledConn(t *testing.T) *stalledConn {
+// collectorScript is the collector half of a handshake as wire bytes:
+// OPEN (hold 30s) then KEEPALIVE.
+func collectorScript(t *testing.T) []byte {
 	t.Helper()
 	var script bytes.Buffer
-	if err := bgpwire.WriteMessage(&script, &bgpwire.Open{Version: 4, AS: 65535, HoldTime: 30, RouterID: 1}); err != nil {
-		t.Fatal(err)
+	for _, msg := range []any{&bgpwire.Open{Version: 4, AS: 65535, HoldTime: 30, RouterID: 1}, bgpwire.Keepalive{}} {
+		if err := bgpwire.WriteMessage(&script, msg); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := bgpwire.WriteMessage(&script, bgpwire.Keepalive{}); err != nil {
-		t.Fatal(err)
-	}
+	return script.Bytes()
+}
+
+func newStalledConn(t *testing.T) *stalledConn {
+	t.Helper()
 	return &stalledConn{
-		script:  script.Bytes(),
+		script:  collectorScript(t),
 		stalled: make(chan struct{}),
 		closed:  make(chan struct{}),
 	}

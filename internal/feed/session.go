@@ -20,28 +20,33 @@ type readResult struct {
 	malformed error
 }
 
-// readLoop pulls frames off conn and ships them to out until a fatal
-// error or done closes. It arms conn's read deadline (real sockets
-// only) with the hold time as a backstop for the select-based timer in
-// the session loop, so both enforcement paths the transport contract
-// promises are active.
-func readLoop(conn io.ReadWriteCloser, clock tick.Clock, hold time.Duration, out chan<- readResult, done <-chan struct{}) {
-	for {
-		var deadline time.Time
-		if hold > 0 {
-			deadline = clock.Now().Add(hold)
-		}
-		frame, err := bgpwire.ReadFrameDeadline(conn, deadline)
+// readLoop frames and decodes what the peer sends and ships it to out
+// one batch per channel send: the message a blocking transport read
+// completes plus every message that read already buffered, so the
+// session loop wakes (and re-arms its hold timer) once per read, not
+// once per message. A fatal error is the last result of its batch. The
+// two batch slices alternate: out is unbuffered, so by the time a send
+// completes the receiver is done with the slice it took before.
+//
+//bgplint:hotpath the frame-decode loop runs once per received message
+func readLoop(in *bgpwire.FrameReader, out chan<- []readResult, done <-chan struct{}) {
+	var batches [2][]readResult
+	for i := 0; ; i ^= 1 {
+		batches[i] = batches[i][:0]
 		var rr readResult
-		if err != nil {
-			rr = readResult{err: err}
-		} else if msg, uerr := bgpwire.Unmarshal(frame); uerr != nil {
-			rr = readResult{malformed: uerr}
-		} else {
-			rr = readResult{msg: msg}
+		for more := true; more; more = rr.err == nil && in.Buffered() {
+			rr = readResult{}
+			if frame, err := in.Next(); err != nil {
+				rr.err = err
+			} else if msg, uerr := bgpwire.Unmarshal(frame); uerr != nil {
+				rr.malformed = uerr
+			} else {
+				rr.msg = msg
+			}
+			batches[i] = append(batches[i], rr)
 		}
 		select {
-		case out <- rr:
+		case out <- batches[i]:
 		case <-done:
 			return
 		}
@@ -67,7 +72,11 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 	clock := c.clock()
 	localHold := time.Duration(c.holdTime()) * time.Second
 	handshakeDeadline := clock.Now().Add(localHold)
-	msg, err := bgpwire.ReadMessageDeadline(conn, handshakeDeadline)
+	// One frame reader for the whole session, handshake included: what it
+	// reads ahead of the OPEN is the start of the update stream.
+	dr := &deadlineReader{conn: conn, clock: clock, hold: localHold, reads: &c.reads}
+	in := bgpwire.NewFrameReader(dr)
+	msg, err := in.ReadMessage()
 	if err != nil {
 		return fmt.Errorf("collector: read OPEN: %w", err)
 	}
@@ -89,11 +98,12 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 		return fmt.Errorf("collector: send KEEPALIVE: %w", err)
 	}
 	hold := negotiateHold(c.holdTime(), open.HoldTime)
+	dr.setHold(hold)
 
-	readCh := make(chan readResult)
+	readCh := make(chan []readResult)
 	readerDone := make(chan struct{})
 	defer close(readerDone)
-	go readLoop(conn, clock, hold, readCh, readerDone)
+	go readLoop(in, readCh, readerDone)
 
 	// A negotiated hold of 0 disables both timers; nil channels keep
 	// those select arms permanently silent.
@@ -117,58 +127,71 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 
 	var seq uint32
 	malformed := 0
+	// handle processes one reader event; done ends the session with err
+	// (nil for a clean close).
+	handle := func(rr readResult) (done bool, err error) {
+		if rr.err != nil {
+			// A read error on a conn that load shedding closed is the
+			// shed itself, not a transport fault.
+			if c.wasShed(conn) {
+				return true, fmt.Errorf("collector: session with %v: %w", open.AS, ErrSessionShed)
+			}
+			if errors.Is(rr.err, io.EOF) {
+				return true, nil
+			}
+			return true, fmt.Errorf("collector: session with %v: %w", open.AS, rr.err)
+		}
+		if rr.malformed != nil {
+			malformed++
+			c.mu.Lock()
+			c.stats.MalformedMessages++
+			c.mu.Unlock()
+			if malformed > c.maxMalformed() {
+				c.logf("collector: closing %v after %d malformed messages (last: %v)", open.AS, malformed, rr.malformed)
+				_ = bgpwire.WriteMessageDeadline(conn, &bgpwire.Notification{Code: 1 /* message header error */}, writeDeadline())
+				return true, fmt.Errorf("collector: session with %v: malformed budget exhausted: %w", open.AS, rr.malformed)
+			}
+			return false, nil
+		}
+		switch m := rr.msg.(type) {
+		case *bgpwire.Update:
+			if c.noteUpdate(conn) {
+				// This session is the load-shed victim: the crossing
+				// update is dropped, the peer gets a Cease.
+				_ = bgpwire.WriteMessageDeadline(conn, &bgpwire.Notification{Code: 6 /* cease */}, writeDeadline())
+				return true, fmt.Errorf("collector: session with %v: %w", open.AS, ErrSessionShed)
+			}
+			seq++
+			c.record(open, m, seq)
+			if c.Validator != nil {
+				c.Validator.Observe(open.AS, m)
+			}
+			if c.Detector != nil {
+				c.Detector.Process(TimedUpdate{Time: seq, PeerAS: open.AS, Update: m})
+			}
+		case bgpwire.Keepalive:
+			// Its arrival refreshed the hold timer; nothing else to do.
+		case *bgpwire.Notification:
+			return true, nil // peer is closing the session
+		default:
+			_ = bgpwire.WriteMessageDeadline(conn, &bgpwire.Notification{Code: 5 /* FSM error */}, writeDeadline())
+			return true, fmt.Errorf("collector: unexpected %T mid-session", rr.msg)
+		}
+		return false, nil
+	}
+
 	for {
 		select {
-		case rr := <-readCh:
-			if rr.err != nil {
-				// A read error on a conn that load shedding closed is the
-				// shed itself, not a transport fault.
-				if c.wasShed(conn) {
-					return fmt.Errorf("collector: session with %v: %w", open.AS, ErrSessionShed)
-				}
-				if errors.Is(rr.err, io.EOF) {
-					return nil
-				}
-				return fmt.Errorf("collector: session with %v: %w", open.AS, rr.err)
-			}
-			if hold > 0 {
+		case batch := <-readCh:
+			// Any received message, even a malformed one, proves liveness:
+			// one re-arm covers the whole batch.
+			if hold > 0 && batch[0].err == nil {
 				tick.Rearm(holdT, hold)
 			}
-			if rr.malformed != nil {
-				malformed++
-				c.mu.Lock()
-				c.stats.MalformedMessages++
-				c.mu.Unlock()
-				if malformed > c.maxMalformed() {
-					c.logf("collector: closing %v after %d malformed messages (last: %v)", open.AS, malformed, rr.malformed)
-					_ = bgpwire.WriteMessageDeadline(conn, &bgpwire.Notification{Code: 1 /* message header error */}, writeDeadline())
-					return fmt.Errorf("collector: session with %v: malformed budget exhausted: %w", open.AS, rr.malformed)
+			for _, rr := range batch {
+				if done, err := handle(rr); done {
+					return err
 				}
-				continue
-			}
-			switch m := rr.msg.(type) {
-			case *bgpwire.Update:
-				if c.noteUpdate(conn) {
-					// This session is the load-shed victim: the crossing
-					// update is dropped, the peer gets a Cease.
-					_ = bgpwire.WriteMessageDeadline(conn, &bgpwire.Notification{Code: 6 /* cease */}, writeDeadline())
-					return fmt.Errorf("collector: session with %v: %w", open.AS, ErrSessionShed)
-				}
-				seq++
-				c.record(open, m, seq)
-				if c.Validator != nil {
-					c.Validator.Observe(open.AS, m)
-				}
-				if c.Detector != nil {
-					c.Detector.Process(TimedUpdate{Time: seq, PeerAS: open.AS, Update: m})
-				}
-			case bgpwire.Keepalive:
-				// Hold-timer refresh happened above; nothing else to do.
-			case *bgpwire.Notification:
-				return nil // peer is closing the session
-			default:
-				_ = bgpwire.WriteMessageDeadline(conn, &bgpwire.Notification{Code: 5 /* FSM error */}, writeDeadline())
-				return fmt.Errorf("collector: unexpected %T mid-session", rr.msg)
 			}
 		case <-kaC:
 			if err := bgpwire.WriteMessageDeadline(conn, bgpwire.Keepalive{}, writeDeadline()); err != nil {

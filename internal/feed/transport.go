@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
@@ -62,6 +63,10 @@ type CollectorStats struct {
 	// LoadSheds counts sessions closed because the aggregate update rate
 	// crossed MaxLoad.
 	LoadSheds int
+	// Reads counts transport Read calls issued across all sessions,
+	// handshakes included; Updates/Reads is what one read syscall
+	// delivers.
+	Reads int
 }
 
 // SessionLoad is one session's read-rate accounting snapshot.
@@ -147,6 +152,7 @@ type Collector struct {
 	loadList    []*sessLoad // registration order
 	windowStart time.Time
 	windowCount int
+	reads       atomic.Int64 // CollectorStats.Reads, bumped by session reader goroutines
 }
 
 // Serve accepts sessions on l until l is closed. It returns the listener's
@@ -193,6 +199,7 @@ func (c *Collector) Stats() CollectorStats {
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Sessions = c.sessions
+	s.Reads = int(c.reads.Load())
 	return s
 }
 
@@ -390,6 +397,42 @@ func negotiateHold(local, peer uint16) time.Duration {
 	return time.Duration(h) * time.Second
 }
 
+// deadlineReader is the transport under a session's frame reader. Every
+// Read first arms conn's read deadline (real sockets only) one hold
+// period ahead on the injected clock — the kernel-level backstop for the
+// select-based hold timer, paid once per transport read rather than once
+// per frame.
+type deadlineReader struct {
+	conn  io.Reader
+	clock tick.Clock
+	hold  time.Duration // 0 reads without a deadline
+	reads *atomic.Int64 // transport reads issued; nil when nobody counts
+}
+
+func (d *deadlineReader) Read(p []byte) (int, error) {
+	if dl, ok := d.conn.(bgpwire.ReadDeadliner); ok && d.hold > 0 {
+		// A deadline-set failure (typically a conn the peer already
+		// closed) is deliberately not surfaced: the read below reports
+		// the true condition — io.EOF for a clean remote close — which
+		// callers must be able to tell apart from a fault.
+		_ = dl.SetReadDeadline(d.clock.Now().Add(d.hold))
+	}
+	if d.reads != nil {
+		d.reads.Add(1)
+	}
+	return d.conn.Read(p)
+}
+
+// setHold switches from the handshake bound to the negotiated hold time.
+// A negotiated 0 disables the timer, so the deadline the handshake left
+// armed is cleared.
+func (d *deadlineReader) setHold(hold time.Duration) {
+	d.hold = hold
+	if dl, ok := d.conn.(bgpwire.ReadDeadliner); ok && hold == 0 {
+		_ = dl.SetReadDeadline(time.Time{})
+	}
+}
+
 // Probe is the router side of a collector session: it opens the session
 // and streams updates. For automatic reconnection with backoff, wrap it
 // in a ProbeRunner.
@@ -405,8 +448,16 @@ type Probe struct {
 	Clock tick.Clock
 
 	conn io.ReadWriteCloser
+	// in frames everything the collector sends, handshake included: the
+	// session's one reader, so nothing it read ahead is ever stranded.
+	in   *bgpwire.FrameReader
 	hold time.Duration
 	peer bgpwire.Open
+	// out is the encode buffer every write reuses.
+	out []byte
+	// writes, when non-nil, counts transport Write calls (the runner's
+	// RunnerStats.Writes).
+	writes *atomic.Int64
 }
 
 func (p *Probe) holdTime() uint16 {
@@ -420,50 +471,95 @@ func (p *Probe) clock() tick.Clock {
 	return tick.Or(p.Clock)
 }
 
-// handshakeDeadline bounds each handshake read/write by the local hold
-// offer, so a silent peer cannot hang Dial forever on a real socket.
-func (p *Probe) handshakeDeadline() time.Time {
-	return p.clock().Now().Add(time.Duration(p.holdTime()) * time.Second)
+// flush issues p.out as one transport write under a write deadline
+// timeout ahead (0 = none), so a peer that stops reading cannot block
+// the session goroutine forever.
+func (p *Probe) flush(timeout time.Duration) error {
+	if d, ok := p.conn.(bgpwire.WriteDeadliner); ok && timeout > 0 {
+		// As with reads: let the write itself report a closed conn.
+		_ = d.SetWriteDeadline(p.clock().Now().Add(timeout))
+	}
+	if p.writes != nil {
+		p.writes.Add(1)
+	}
+	_, err := p.conn.Write(p.out)
+	return err
+}
+
+// send writes one message.
+func (p *Probe) send(msg any, timeout time.Duration) (err error) {
+	if p.out, err = bgpwire.AppendMessage(p.out[:0], msg); err != nil {
+		return err
+	}
+	return p.flush(timeout)
+}
+
+// maxBatchBytes bounds one coalesced write (and so the encode buffer a
+// session keeps): the frame reader's buffer on the other side.
+const maxBatchBytes = 64 << 10
+
+// sendBatch encodes a prefix of batch — all of it unless maxBatchBytes
+// cuts it short — into one buffer and issues it as one transport write.
+// It returns how many updates that write carried.
+//
+//bgplint:hotpath the batch-encode loop runs once per UPDATE sent
+func (p *Probe) sendBatch(batch []*bgpwire.Update) (n int, err error) {
+	p.out = p.out[:0]
+	for _, u := range batch {
+		if len(p.out)+bgpwire.MaxMessageLen > maxBatchBytes {
+			break
+		}
+		if p.out, err = bgpwire.AppendMessage(p.out, u); err != nil {
+			return 0, err
+		}
+		n++
+	}
+	return n, p.flush(p.hold)
 }
 
 // Dial performs the BGP handshake over an established connection,
 // validating the peer's OPEN (version 4, non-zero hold time of at least
 // 3s per RFC 4271 §6.2) and recording the negotiated hold time — the
-// minimum of both offers — for NegotiatedHold.
-func (p *Probe) Dial(conn io.ReadWriteCloser) error {
-	if err := bgpwire.WriteMessageDeadline(conn, &bgpwire.Open{
+// minimum of both offers — for NegotiatedHold. Each handshake read and
+// write is bounded by the local hold offer, so a silent peer cannot hang
+// Dial forever on a real socket. A failed Dial closes conn.
+func (p *Probe) Dial(conn io.ReadWriteCloser) (err error) {
+	offer := time.Duration(p.holdTime()) * time.Second
+	dr := &deadlineReader{conn: conn, clock: p.clock(), hold: offer}
+	p.conn, p.in = conn, bgpwire.NewFrameReader(dr)
+	defer func() {
+		if err != nil {
+			conn.Close()
+			p.conn, p.in = nil, nil
+		}
+	}()
+	if err := p.send(&bgpwire.Open{
 		Version: 4, AS: p.AS, HoldTime: p.holdTime(), RouterID: p.RouterID,
-	}, p.handshakeDeadline()); err != nil {
-		conn.Close()
+	}, offer); err != nil {
 		return fmt.Errorf("probe %v: send OPEN: %w", p.AS, err)
 	}
-	msg, err := bgpwire.ReadMessageDeadline(conn, p.handshakeDeadline())
+	msg, err := p.in.ReadMessage()
 	if err != nil {
-		conn.Close()
 		return fmt.Errorf("probe %v: read OPEN: %w", p.AS, err)
 	}
 	open, ok := msg.(*bgpwire.Open)
 	if !ok {
-		conn.Close()
 		return fmt.Errorf("probe %v: expected OPEN, got %T", p.AS, msg)
 	}
 	if err := validateOpen(open, false); err != nil {
 		// Best-effort OPEN error NOTIFICATION before teardown.
-		_ = bgpwire.WriteMessageDeadline(conn, &bgpwire.Notification{Code: 2, Subcode: openErrSubcode(open)}, p.handshakeDeadline())
-		conn.Close()
+		_ = p.send(&bgpwire.Notification{Code: 2, Subcode: openErrSubcode(open)}, offer)
 		return fmt.Errorf("probe %v: %w", p.AS, err)
 	}
-	if msg, err = bgpwire.ReadMessageDeadline(conn, p.handshakeDeadline()); err != nil {
-		conn.Close()
+	if msg, err = p.in.ReadMessage(); err != nil {
 		return fmt.Errorf("probe %v: read KEEPALIVE: %w", p.AS, err)
 	}
 	if _, ok := msg.(bgpwire.Keepalive); !ok {
-		conn.Close()
 		return fmt.Errorf("probe %v: expected KEEPALIVE, got %T", p.AS, msg)
 	}
-	p.conn = conn
 	p.peer = *open
 	p.hold = negotiateHold(p.holdTime(), open.HoldTime)
+	dr.setHold(p.hold)
 	return nil
 }
 
@@ -498,16 +594,12 @@ func (p *Probe) NegotiatedHold() time.Duration { return p.hold }
 // PeerOpen returns the collector's OPEN as received during Dial.
 func (p *Probe) PeerOpen() bgpwire.Open { return p.peer }
 
-// Send streams one UPDATE on the session.
+// Send streams one UPDATE on the session: a batch of one.
 func (p *Probe) Send(u *bgpwire.Update) error {
 	if p.conn == nil {
 		return fmt.Errorf("probe %v: session not established", p.AS)
 	}
-	var deadline time.Time
-	if p.hold > 0 {
-		deadline = p.clock().Now().Add(p.hold)
-	}
-	return bgpwire.WriteMessageDeadline(p.conn, u, deadline)
+	return p.send(u, p.hold)
 }
 
 // Close ends the session with a Cease NOTIFICATION.
@@ -515,7 +607,7 @@ func (p *Probe) Close() error {
 	if p.conn == nil {
 		return nil
 	}
-	_ = bgpwire.WriteMessage(p.conn, &bgpwire.Notification{Code: 6 /* cease */})
+	_ = p.send(&bgpwire.Notification{Code: 6 /* cease */}, p.hold)
 	err := p.conn.Close()
 	p.conn = nil
 	p.hold = 0

@@ -114,6 +114,9 @@ type Stats struct {
 	// counters.
 	Sent int
 	Shed int
+	// Writes aggregates the per-session transport Write calls;
+	// Sent/Writes is updates per write syscall.
+	Writes int
 	// Runners holds each slot's final accounting, in slot order.
 	Runners []RunnerReport
 }
@@ -171,6 +174,7 @@ func (e *Engine) collect() Stats {
 		rs := r.Stats()
 		s.Sent += rs.Sent
 		s.Shed += rs.Shed
+		s.Writes += rs.Writes
 		s.Runners = append(s.Runners, RunnerReport{AS: r.AS, Stats: rs})
 	}
 	return s

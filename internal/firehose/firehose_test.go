@@ -347,6 +347,46 @@ func (c *sinkConn) Close() error {
 	return nil
 }
 
+// TestReplayDrainNeverStrands: the drain request lands right behind the
+// last Enqueue while sessions that keep up with dispatch sit on empty
+// queues — the window in which a runner that decided "empty" and
+// "draining" under separate lock holds closed its session over pending
+// updates and reported success. Hundreds of short replays (this is a
+// -race test) must each write everything they dispatched.
+func TestReplayDrainNeverStrands(t *testing.T) {
+	var buf bytes.Buffer
+	mw := mrt.NewWriter(&buf, 0)
+	for i := 0; i < 120; i++ {
+		err := mw.WriteBGP4MP(&mrt.BGP4MPMessage{
+			PeerAS: asn.FromUint32(uint32(65001 + i%3)), LocalAS: 65535, PeerAddr: 1, LocalAddr: 2,
+			Message: &bgpwire.Update{
+				Origin: bgpwire.OriginIGP, ASPath: []asn.ASN{asn.FromUint32(uint32(65001 + i%3)), 100}, NextHop: 1,
+				NLRI: []prefix.Prefix{prefix.New(uint32(0x0A000000+i*256), 24)},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		e := firehose.New(firehose.Config{
+			Updates: bytes.NewReader(buf.Bytes()),
+			Dial:    func() (io.ReadWriteCloser, error) { return newSinkConn(t), nil },
+			Clock:   tick.NewFake(),
+		})
+		stats, err := e.Run(context.Background())
+		if err != nil {
+			t.Fatalf("replay %d: %v", i, err)
+		}
+		if stats.Updates != 120 || stats.Sent != stats.Updates || stats.Shed != 0 {
+			t.Fatalf("replay %d: dispatched %d, sent %d, shed %d; runners %+v", i, stats.Updates, stats.Sent, stats.Shed, stats.Runners)
+		}
+	}
+}
+
 // stallConn scripts the collector half of a handshake and then stops
 // reading forever: the probe's OPEN write succeeds, every later write
 // blocks until Close. It deliberately implements no deadline methods, so

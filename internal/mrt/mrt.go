@@ -9,7 +9,6 @@ package mrt
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -87,6 +86,9 @@ func (*BGP4MPMessage) mrtRecord() {}
 type Writer struct {
 	w   *bufio.Writer
 	now uint32
+	// body is the record-body scratch every Write* call appends into and
+	// hands to writeRecord, kept so a stream of records reuses one buffer.
+	body []byte
 }
 
 // NewWriter wraps w; timestamp stamps every record (collectors use the
@@ -95,7 +97,10 @@ func NewWriter(w io.Writer, timestamp uint32) *Writer {
 	return &Writer{w: bufio.NewWriter(w), now: timestamp}
 }
 
+// writeRecord emits one record whose body is body, and keeps body's
+// storage as the scratch for the next record.
 func (w *Writer) writeRecord(typ, subtype uint16, body []byte) error {
+	w.body = body[:0]
 	var hdr [12]byte
 	binary.BigEndian.PutUint32(hdr[0:4], w.now)
 	binary.BigEndian.PutUint16(hdr[4:6], typ)
@@ -111,81 +116,56 @@ func (w *Writer) writeRecord(typ, subtype uint16, body []byte) error {
 // WritePeerIndexTable emits the peer directory; call it before any RIB
 // records, as RFC 6396 requires.
 func (w *Writer) WritePeerIndexTable(t *PeerIndexTable) error {
-	var buf bytes.Buffer
-	var b4 [4]byte
-	binary.BigEndian.PutUint32(b4[:], t.CollectorBGPID)
-	buf.Write(b4[:])
-	var b2 [2]byte
-	binary.BigEndian.PutUint16(b2[:], uint16(len(t.ViewName)))
-	buf.Write(b2[:])
-	buf.WriteString(t.ViewName)
-	binary.BigEndian.PutUint16(b2[:], uint16(len(t.Peers)))
-	buf.Write(b2[:])
+	be := binary.BigEndian
+	b := be.AppendUint32(w.body[:0], t.CollectorBGPID)
+	b = be.AppendUint16(b, uint16(len(t.ViewName)))
+	b = append(b, t.ViewName...)
+	b = be.AppendUint16(b, uint16(len(t.Peers)))
 	for _, p := range t.Peers {
-		// Peer type 0x06: AS4 + IPv4 address.
-		buf.WriteByte(0x06)
-		binary.BigEndian.PutUint32(b4[:], p.BGPID)
-		buf.Write(b4[:])
-		binary.BigEndian.PutUint32(b4[:], p.Addr)
-		buf.Write(b4[:])
-		binary.BigEndian.PutUint32(b4[:], p.AS.Uint32())
-		buf.Write(b4[:])
+		b = append(b, 0x06) // peer type: AS4 + IPv4 address
+		b = be.AppendUint32(b, p.BGPID)
+		b = be.AppendUint32(b, p.Addr)
+		b = be.AppendUint32(b, p.AS.Uint32())
 	}
-	return w.writeRecord(TypeTableDumpV2, SubtypePeerIndexTable, buf.Bytes())
+	return w.writeRecord(TypeTableDumpV2, SubtypePeerIndexTable, b)
 }
 
 // WriteRIB emits one RIB_IPV4_UNICAST record.
 func (w *Writer) WriteRIB(r *RIBIPv4Unicast) error {
-	var buf bytes.Buffer
-	var b4 [4]byte
-	var b2 [2]byte
-	binary.BigEndian.PutUint32(b4[:], r.SequenceNumber)
-	buf.Write(b4[:])
+	be := binary.BigEndian
+	b := be.AppendUint32(w.body[:0], r.SequenceNumber)
 	// NLRI: length byte + truncated prefix.
-	buf.WriteByte(r.Prefix.Len)
-	binary.BigEndian.PutUint32(b4[:], r.Prefix.Addr)
-	buf.Write(b4[:int(r.Prefix.Len+7)/8])
-	binary.BigEndian.PutUint16(b2[:], uint16(len(r.Entries)))
-	buf.Write(b2[:])
+	var addr [4]byte
+	be.PutUint32(addr[:], r.Prefix.Addr)
+	b = append(append(b, r.Prefix.Len), addr[:int(r.Prefix.Len+7)/8]...)
+	b = be.AppendUint16(b, uint16(len(r.Entries)))
 	for _, e := range r.Entries {
-		binary.BigEndian.PutUint16(b2[:], e.PeerIndex)
-		buf.Write(b2[:])
-		binary.BigEndian.PutUint32(b4[:], e.OriginatedTime)
-		buf.Write(b4[:])
-		attrs, err := bgpwire.EncodeAttributes(e.Origin, e.ASPath, e.NextHop)
-		if err != nil {
+		b = be.AppendUint16(b, e.PeerIndex)
+		b = be.AppendUint32(b, e.OriginatedTime)
+		at := len(b)
+		var err error
+		if b, err = bgpwire.AppendAttributes(append(b, 0, 0), e.Origin, e.ASPath, e.NextHop); err != nil {
 			return fmt.Errorf("mrt: rib entry: %w", err)
 		}
-		binary.BigEndian.PutUint16(b2[:], uint16(len(attrs)))
-		buf.Write(b2[:])
-		buf.Write(attrs)
+		be.PutUint16(b[at:], uint16(len(b)-at-2))
 	}
-	return w.writeRecord(TypeTableDumpV2, SubtypeRIBIPv4Unicast, buf.Bytes())
+	return w.writeRecord(TypeTableDumpV2, SubtypeRIBIPv4Unicast, b)
 }
 
 // WriteBGP4MP emits one BGP4MP MESSAGE_AS4 record.
 func (w *Writer) WriteBGP4MP(m *BGP4MPMessage) error {
-	msg, err := bgpwire.Marshal(m.Message)
+	be := binary.BigEndian
+	b := be.AppendUint32(w.body[:0], m.PeerAS.Uint32())
+	b = be.AppendUint32(b, m.LocalAS.Uint32())
+	b = be.AppendUint16(b, 0) // interface index
+	b = be.AppendUint16(b, 1) // AFI IPv4
+	b = be.AppendUint32(b, m.PeerAddr)
+	b = be.AppendUint32(b, m.LocalAddr)
+	b, err := bgpwire.AppendMessage(b, m.Message)
 	if err != nil {
 		return fmt.Errorf("mrt: bgp4mp: %w", err)
 	}
-	var buf bytes.Buffer
-	var b4 [4]byte
-	var b2 [2]byte
-	binary.BigEndian.PutUint32(b4[:], m.PeerAS.Uint32())
-	buf.Write(b4[:])
-	binary.BigEndian.PutUint32(b4[:], m.LocalAS.Uint32())
-	buf.Write(b4[:])
-	binary.BigEndian.PutUint16(b2[:], 0) // interface index
-	buf.Write(b2[:])
-	binary.BigEndian.PutUint16(b2[:], 1) // AFI IPv4
-	buf.Write(b2[:])
-	binary.BigEndian.PutUint32(b4[:], m.PeerAddr)
-	buf.Write(b4[:])
-	binary.BigEndian.PutUint32(b4[:], m.LocalAddr)
-	buf.Write(b4[:])
-	buf.Write(msg)
-	return w.writeRecord(TypeBGP4MP, SubtypeMessageAS4, buf.Bytes())
+	return w.writeRecord(TypeBGP4MP, SubtypeMessageAS4, b)
 }
 
 // Flush flushes buffered records.
