@@ -69,7 +69,8 @@ vulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# Short fuzz pass over every parser (CI-friendly).
+# Short fuzz pass over every parser, and the differential target that
+# holds Solver, Engine and DeltaSolver to one answer (CI-friendly).
 fuzz:
 	$(GO) test ./internal/bgpwire -fuzz FuzzUnmarshal -fuzztime 15s
 	$(GO) test ./internal/bgpwire -fuzz FuzzFrameReader -fuzztime 10s
@@ -78,6 +79,7 @@ fuzz:
 	$(GO) test ./internal/irr     -fuzz FuzzParse     -fuzztime 10s
 	$(GO) test ./internal/recio   -fuzz FuzzDecode    -fuzztime 10s
 	$(GO) test ./internal/mrt     -fuzz FuzzMRTReader -fuzztime 10s
+	$(GO) test ./internal/core    -fuzz FuzzSolverEquivalence -fuzztime 10s
 
 # One benchmark per paper table/figure; metrics double as reproduction
 # evidence (see EXPERIMENTS.md).

@@ -145,20 +145,22 @@ func NewDeltaSolver(pol *Policy) *DeltaSolver {
 		qDist:   make([]int16, n),
 		fStamp:  make([]int32, n),
 	}
-	slot := int32(0)
-	for i := 0; i < n; i++ {
+	for i := range ds.t1Slot {
 		ds.t1Slot[i] = -1
-		if pol.tier1SPF && pol.tier1[i] {
-			ds.t1Slot[i] = slot
-			slot++
-			ds.t1Touch[i] = true
-			for _, p := range pol.Peers(i) {
-				ds.t1Touch[p] = true
-			}
+	}
+	var club []int32
+	if pol.tier1SPF {
+		club = pol.tier1List
+	}
+	for slot, i := range club {
+		ds.t1Slot[i] = int32(slot)
+		ds.t1Touch[i] = true
+		for _, p := range pol.Peers(int(i)) {
+			ds.t1Touch[p] = true
 		}
 	}
-	ds.t1Work = make([]rv, slot)
-	ds.t1Sel = make([]t1sel, 0, slot)
+	ds.t1Work = make([]rv, len(club))
+	ds.t1Sel = make([]t1sel, 0, len(club))
 	return ds
 }
 

@@ -1,0 +1,360 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"github.com/bgpsim/bgpsim/internal/asn"
+	"github.com/bgpsim/bgpsim/internal/topology"
+)
+
+// fuzzCase is one differential-fuzz input: a small relationship graph, the
+// policy options, and two (attack, defense) cells — prev is solved first on
+// the reused solver so the cell under test runs on warm buffers, level
+// arenas and (for leaks) a cached baseline left by another cell.
+type fuzzCase struct {
+	n      int      // candidate ASNs 1..n; the ones no link names do not exist
+	ranks  []byte   // per candidate: the higher (rank, lower ASN) end of a transit link is the provider
+	links  [][3]int // (a, b, kind) over candidates; kind 0 transit, 1 peer
+	tier1  uint32   // bit i: node i has tier-1 import policy
+	noSPF  bool
+	tieHi  bool
+	snap   bool // BuildSnapshot on the reused solver between the two cells
+	at     fuzzCell
+	prev   fuzzCell
+	seeded string // set on hand-written seeds, for failure messages
+}
+
+// fuzzCell is an attack and defense in index-free form: node numbers are
+// reduced modulo the built graph's size, set bit i selects node i.
+type fuzzCell struct {
+	target, attacker int
+	kind             AttackKind
+	subPrefix        bool
+	rov, aspa        uint32
+	peerlock         bool
+}
+
+// fuzzWorld is a fuzzCase resolved against the graph it built.
+type fuzzWorld struct {
+	pol          *Policy
+	at, prev     Attack
+	def, prevDef Defense
+}
+
+// fuzzMaxNodes bounds the graph so one input solves in microseconds and a
+// bitmask per node set fits a uint32.
+const fuzzMaxNodes = 32
+
+// byteReader hands out the fuzz input byte by byte; an exhausted input
+// reads as zeros, so every prefix of an input is itself an input.
+type byteReader struct{ b []byte }
+
+func (r *byteReader) byte() byte {
+	if len(r.b) == 0 {
+		return 0
+	}
+	c := r.b[0]
+	r.b = r.b[1:]
+	return c
+}
+
+func (r *byteReader) mask() uint32 {
+	return uint32(r.byte()) | uint32(r.byte())<<8 | uint32(r.byte())<<16 | uint32(r.byte())<<24
+}
+
+func (r *byteReader) cell() fuzzCell {
+	flags := r.byte()
+	return fuzzCell{
+		target:    int(r.byte()),
+		attacker:  int(r.byte()),
+		kind:      AttackKind(flags & 0x0f % 3),
+		subPrefix: flags&0x10 != 0,
+		peerlock:  flags&0x20 != 0,
+		rov:       r.mask(),
+		aspa:      r.mask(),
+	}
+}
+
+func decodeFuzzCase(data []byte) fuzzCase {
+	r := &byteReader{data}
+	c := fuzzCase{n: 2 + int(r.byte())%(fuzzMaxNodes-1)}
+	opts := r.byte()
+	c.noSPF, c.tieHi, c.snap = opts&1 != 0, opts&2 != 0, opts&4 != 0
+	c.tier1 = r.mask()
+	c.at = r.cell()
+	c.prev = r.cell()
+	c.ranks = make([]byte, c.n)
+	for i := range c.ranks {
+		c.ranks[i] = r.byte()
+	}
+	for len(r.b) >= 3 {
+		c.links = append(c.links, [3]int{int(r.byte()) % c.n, int(r.byte()) % c.n, int(r.byte()) % 2})
+	}
+	return c
+}
+
+// encode is decodeFuzzCase's inverse, used to write the seed corpus as
+// graphs rather than as byte strings.
+func (c fuzzCase) encode() []byte {
+	mask := func(m uint32) []byte { return []byte{byte(m), byte(m >> 8), byte(m >> 16), byte(m >> 24)} }
+	cell := func(x fuzzCell) []byte {
+		flags := byte(x.kind)
+		if x.subPrefix {
+			flags |= 0x10
+		}
+		if x.peerlock {
+			flags |= 0x20
+		}
+		out := []byte{flags, byte(x.target), byte(x.attacker)}
+		return append(append(out, mask(x.rov)...), mask(x.aspa)...)
+	}
+	var opts byte
+	for bit, on := range []bool{c.noSPF, c.tieHi, c.snap} {
+		if on {
+			opts |= 1 << bit
+		}
+	}
+	out := []byte{byte(c.n - 2), opts}
+	out = append(out, mask(c.tier1)...)
+	out = append(out, cell(c.at)...)
+	out = append(out, cell(c.prev)...)
+	ranks := make([]byte, c.n)
+	copy(ranks, c.ranks)
+	out = append(out, ranks...)
+	for _, l := range c.links {
+		out = append(out, byte(l[0]), byte(l[1]), byte(l[2]))
+	}
+	return out
+}
+
+// build materialises the case. Transit links are oriented by (rank, lower
+// ASN first), a strict total order, so the provider hierarchy is acyclic
+// whatever the bytes say. topology.Graph derives its node set from its
+// links, so a degree-0 node cannot exist; components cut off from both
+// origins, peer-only nodes and origins whose whole component is one link
+// are the unreachable shapes the fuzzer can and does produce. It returns
+// nil when fewer than two nodes are linked.
+func (c fuzzCase) build() *fuzzWorld {
+	b := topology.NewBuilder()
+	linked := make(map[[2]int]bool)
+	for _, l := range c.links {
+		x, y := l[0], l[1]
+		if x > y {
+			x, y = y, x
+		}
+		if x == y || linked[[2]int{x, y}] {
+			continue
+		}
+		linked[[2]int{x, y}] = true
+		rel := topology.RelPeer
+		if l[2] == 0 {
+			// x has the lower ASN, so it provides unless y outranks it.
+			rel = topology.RelCustomer
+			if c.ranks[y] > c.ranks[x] {
+				rel = topology.RelProvider
+			}
+		}
+		if err := b.AddLink(asn.ASN(x+1), asn.ASN(y+1), rel); err != nil {
+			panic(err) // distinct pairs, valid relationships: cannot conflict
+		}
+	}
+	g := b.Build()
+	n := g.N()
+	if n < 2 {
+		return nil
+	}
+	// Shortest-path-first import is defined for provider-free nodes (what
+	// topology.Classify calls tier-1): the Engine's SPF compare would also
+	// weigh a provider route against a customer route, an offer the staged
+	// solvers never make to a routed node. So under SPF the mask selects
+	// among provider-free nodes only; with SPF off membership matters to
+	// Peerlock alone and any node may have it.
+	var tier1 []int
+	for i := 0; i < n; i++ {
+		if c.tier1&(1<<i) != 0 && (c.noSPF || g.CountRel(i, topology.RelProvider) == 0) {
+			tier1 = append(tier1, i)
+		}
+	}
+	pol, err := NewPolicy(g, tier1, WithTier1ShortestPath(!c.noSPF), WithPreferHighNextHop(c.tieHi))
+	if err != nil {
+		panic(err) // in-range tier-1s, no sibling links
+	}
+	resolve := func(x fuzzCell) (Attack, Defense) {
+		set := func(m uint32) *asn.IndexSet {
+			if m == 0 {
+				return nil
+			}
+			s := asn.NewIndexSet(n)
+			for i := 0; i < n; i++ {
+				if m&(1<<i) != 0 {
+					s.Add(i)
+				}
+			}
+			return s
+		}
+		return Attack{Target: x.target % n, Attacker: x.attacker % n, Kind: x.kind, SubPrefix: x.subPrefix},
+			Defense{Blocked: set(x.rov), ASPA: set(x.aspa), Peerlock: x.peerlock}
+	}
+	w := &fuzzWorld{pol: pol}
+	w.at, w.def = resolve(c.at)
+	w.prev, w.prevDef = resolve(c.prev)
+	return w
+}
+
+// fuzzSeeds is the checked-in corpus: shapes the ordered-level solver's
+// correctness argument leans on.
+func fuzzSeeds() []fuzzCase {
+	const transit, peer = 0, 1
+	// The diamond of policy_test.go on candidates 0..7: T1a=0 T1b=1, A=2
+	// B=3 C=4, stubs a=5 b=6 c=7.
+	diamond := fuzzCase{
+		seeded: "diamond", n: 8, tier1: 0b11,
+		ranks: []byte{9, 9, 5, 5, 5, 1, 1, 1},
+		links: [][3]int{{0, 1, peer}, {0, 2, transit}, {0, 3, transit}, {1, 4, transit},
+			{2, 3, peer}, {2, 5, transit}, {3, 6, transit}, {4, 7, transit}},
+		at:   fuzzCell{target: 5, attacker: 7},
+		prev: fuzzCell{target: 7, attacker: 5, kind: KindRouteLeak},
+	}
+	// Tier-1 0 sits on top of the customer chain 0←2←3←4←5 and peers with
+	// tier-1 1, whose customer target 5 also is. Attacker 4 hands 0 a
+	// customer route of length 3; the peer route to the target has length
+	// 2, so the SPF pass replaces it, and 0's customer 6 must see the flood
+	// from the new distance.
+	reroute := fuzzCase{
+		seeded: "tier-1 re-routed to a shorter peer route", n: 7, tier1: 0b11,
+		ranks: []byte{9, 9, 7, 6, 5, 1, 1},
+		links: [][3]int{{0, 1, peer}, {0, 2, transit}, {2, 3, transit}, {3, 4, transit},
+			{4, 5, transit}, {1, 5, transit}, {0, 6, transit}},
+		at:   fuzzCell{target: 5, attacker: 4},
+		prev: fuzzCell{target: 5, attacker: 3, kind: KindForgedOrigin},
+	}
+	// Attacker 3's only link is a peering with 2, which has no route to
+	// target 1 to hand it: the leak has nothing to leak.
+	noLeak := fuzzCase{
+		seeded: "leak with no route to leak", n: 4, snap: true,
+		ranks: []byte{9, 1, 9, 9},
+		links: [][3]int{{0, 1, transit}, {2, 3, peer}},
+		at:    fuzzCell{target: 1, attacker: 3, kind: KindRouteLeak, peerlock: true, aspa: 0b0101},
+		prev:  fuzzCell{target: 1, attacker: 0, kind: KindRouteLeak},
+	}
+	everyoneTier1 := diamond
+	everyoneTier1.seeded, everyoneTier1.tier1, everyoneTier1.tieHi = "whole-graph tier-1 set", ^uint32(0), true
+	noTier1 := reroute
+	noTier1.seeded, noTier1.tier1, noTier1.noSPF = "empty tier-1 set", 0, true
+	return []fuzzCase{diamond, reroute, noLeak, everyoneTier1, noTier1}
+}
+
+// rootCause unwraps err to the innermost error's text: the three solvers
+// prefix a shared validation error with their own name.
+func rootCause(err error) string {
+	for {
+		inner := errors.Unwrap(err)
+		if inner == nil {
+			return err.Error()
+		}
+		err = inner
+	}
+}
+
+// viewDiff returns the first node at which two converged states disagree
+// on (has-route, class, dist, nexthop, origin), or "".
+func viewDiff(want, got OutcomeView) string {
+	if want.N() != got.N() {
+		return fmt.Sprintf("node count %d vs %d", want.N(), got.N())
+	}
+	for i := 0; i < want.N(); i++ {
+		if want.HasRoute(i) != got.HasRoute(i) || want.Class(i) != got.Class(i) || want.Dist(i) != got.Dist(i) ||
+			want.NextHop(i) != got.NextHop(i) || want.Origin(i) != got.Origin(i) {
+			return fmt.Sprintf("node %d: want (route=%v class=%v dist=%d nh=%d org=%d) got (route=%v class=%v dist=%d nh=%d org=%d)", i,
+				want.HasRoute(i), want.Class(i), want.Dist(i), want.NextHop(i), want.Origin(i),
+				got.HasRoute(i), got.Class(i), got.Dist(i), got.NextHop(i), got.Origin(i))
+		}
+	}
+	return ""
+}
+
+// checkSolverEquivalence holds a fresh Solver, a Solver reused from another
+// cell, the message Engine and the DeltaSolver to one answer: the same
+// route at every node, or the same rejection.
+func checkSolverEquivalence(t *testing.T, c fuzzCase) {
+	t.Helper()
+	w := c.build()
+	if w == nil {
+		return
+	}
+	pol, at, def := w.pol, w.at, w.def
+	want, wantErr := NewSolver(pol).SolveDefense(at, def)
+
+	reused := NewSolver(pol)
+	// prev may itself be invalid; the solver must come through that too.
+	_, _ = reused.SolveDefense(w.prev, w.prevDef)
+	if c.snap {
+		if _, err := reused.BuildSnapshot(w.prev.Attacker); err != nil {
+			t.Fatalf("snapshot on reused solver: %v", err)
+		}
+		requireLevelSets(t, reused)
+	}
+	warm, warmErr := reused.SolveDefense(at, def)
+	eng, _, engErr := NewEngine(pol).RunDefense(at, def, false)
+	snap, err := BuildSnapshot(pol, at.Target)
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	delta, deltaErr := NewDeltaSolver(pol).SolveDelta(snap, at, def)
+
+	if wantErr != nil {
+		for name, err := range map[string]error{"reused solver": warmErr, "engine": engErr, "delta solver": deltaErr} {
+			if err == nil {
+				t.Fatalf("%s accepted %+v, fresh solver rejects it: %v", name, at, wantErr)
+			}
+			if rootCause(err) != rootCause(wantErr) {
+				t.Fatalf("%s rejects %+v with %q, fresh solver with %q", name, at, rootCause(err), rootCause(wantErr))
+			}
+		}
+		return
+	}
+	for _, other := range []struct {
+		name string
+		view OutcomeView
+		err  error
+	}{{"reused solver", warm, warmErr}, {"engine", eng, engErr}, {"delta solver", delta, deltaErr}} {
+		if other.err != nil {
+			t.Fatalf("%s rejects %+v (%v), fresh solver accepts it", other.name, at, other.err)
+		}
+		if d := viewDiff(want, other.view); d != "" {
+			t.Fatalf("%s diverges from a fresh solver on %+v under %+v (spf=%v tiehigh=%v): %s",
+				other.name, at, c.at, !c.noSPF, c.tieHi, d)
+		}
+	}
+	requireLevelSets(t, reused)
+}
+
+// FuzzSolverEquivalence is the differential fuzz target across the three
+// propagation kernels. Bytes decode to a relationship graph of at most 32
+// nodes, policy options, a tier-1 set (empty and whole-graph included) and
+// two attack × defense cells; see fuzzCase.
+func FuzzSolverEquivalence(f *testing.F) {
+	for _, c := range fuzzSeeds() {
+		f.Add(c.encode())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSolverEquivalence(t, decodeFuzzCase(data))
+	})
+}
+
+// TestFuzzSeedsRoundTrip keeps the seed corpus meaning what its comments
+// say: each seed survives encode/decode and builds the graph it names.
+func TestFuzzSeedsRoundTrip(t *testing.T) {
+	for _, c := range fuzzSeeds() {
+		got := decodeFuzzCase(c.encode())
+		got.seeded = c.seeded
+		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", c) {
+			t.Errorf("%s: round trip changed the case:\n got %+v\nwant %+v", c.seeded, got, c)
+		}
+		if w := c.build(); w == nil || w.pol.N() != c.n {
+			t.Errorf("%s: the graph does not link all %d candidates", c.seeded, c.n)
+		}
+	}
+}

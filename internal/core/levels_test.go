@@ -1,0 +1,288 @@
+package core
+
+import (
+	"testing"
+
+	"github.com/bgpsim/bgpsim/internal/asn"
+	"github.com/bgpsim/bgpsim/internal/topology"
+)
+
+// Tests for the ordering rules the ordered-level solver relies on: each
+// hand-built graph isolates one rule, states the converged routes by hand
+// and also holds them to the message Engine.
+
+// handPolicy builds a policy over links with an explicit tier-1 set, and
+// returns the ASN → node index lookup.
+func handPolicy(t *testing.T, links []link, tier1 []asn.ASN, opts ...PolicyOption) (*Policy, func(asn.ASN) int) {
+	t.Helper()
+	g := buildGraph(t, links)
+	ix := func(a asn.ASN) int { return nodeIx(t, g, a) }
+	var t1 []int
+	for _, a := range tier1 {
+		t1 = append(t1, ix(a))
+	}
+	pol, err := NewPolicy(g, t1, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pol, ix
+}
+
+// wantRoute is a hand-derived converged route; nh 0 means none (an origin),
+// class ClassNone means unrouted.
+type wantRoute struct {
+	class  RouteClass
+	dist   int16
+	nh     asn.ASN
+	origin int8
+}
+
+// requireRoutes solves the cell on s, compares the named nodes against
+// the hand-derived routes and every node against the Engine, and checks
+// the level sets the solve left behind.
+func requireRoutes(t *testing.T, s *Solver, ix func(asn.ASN) int, at Attack, def Defense, want map[asn.ASN]wantRoute) {
+	t.Helper()
+	o, err := s.SolveDefense(at, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a, w := range want {
+		i := ix(a)
+		if w.class == ClassNone {
+			if o.HasRoute(i) {
+				t.Errorf("AS%v: class=%v dist=%d nh=%d, want no route", a, o.Class(i), o.Dist(i), o.NextHop(i))
+			}
+			continue
+		}
+		nh := int32(-1)
+		if w.nh != 0 {
+			nh = int32(ix(w.nh))
+		}
+		if o.Class(i) != w.class || o.Dist(i) != w.dist || o.NextHop(i) != nh || o.Origin(i) != w.origin {
+			t.Errorf("AS%v: class=%v dist=%d nh=%d origin=%d, want class=%v dist=%d nh=%d (AS%v) origin=%d",
+				a, o.Class(i), o.Dist(i), o.NextHop(i), o.Origin(i), w.class, w.dist, nh, w.nh, w.origin)
+		}
+	}
+	eng, _, err := NewEngine(s.pol).RunDefense(at, def, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := viewDiff(eng, o); d != "" {
+		t.Errorf("solver diverges from the engine: %s", d)
+	}
+	requireLevelSets(t, s)
+}
+
+// TestSPFRerouteFloodsFromNewLevel: tier-1 AS1 learns target AS50 over a
+// four-hop customer chain and over its peer AS2, whose customer the target
+// is. The SPF pass replaces the customer route (dist 4) with the peer route
+// (dist 2), and stage 3 must flood AS1 from level 2 — and from level 2
+// only. AS60, a customer of both AS1 and AS10 (dist 3), tells the two
+// apart: flooded from the stale level it would hear AS10 first (dist 4).
+func TestSPFRerouteFloodsFromNewLevel(t *testing.T) {
+	pol, ix := handPolicy(t, []link{
+		{1, 2, topology.RelPeer},
+		{1, 10, topology.RelCustomer}, {10, 11, topology.RelCustomer},
+		{11, 12, topology.RelCustomer}, {12, 50, topology.RelCustomer},
+		{2, 50, topology.RelCustomer},
+		{1, 60, topology.RelCustomer}, {10, 60, topology.RelCustomer},
+		{2, 61, topology.RelCustomer}, // the attacker, filtered everywhere
+	}, []asn.ASN{1, 2})
+	everyone := asn.NewIndexSet(pol.N())
+	for i := 0; i < pol.N(); i++ {
+		everyone.Add(i)
+	}
+	s := NewSolver(pol)
+	requireRoutes(t, s, ix, Attack{Target: ix(50), Attacker: ix(61)}, RovOnly(everyone), map[asn.ASN]wantRoute{
+		50: {ClassOrigin, 0, 0, OriginTarget},
+		12: {ClassCustomer, 1, 50, OriginTarget},
+		2:  {ClassCustomer, 1, 50, OriginTarget},
+		11: {ClassCustomer, 2, 12, OriginTarget},
+		10: {ClassCustomer, 3, 11, OriginTarget},
+		1:  {ClassPeer, 2, 2, OriginTarget},
+		60: {ClassProvider, 3, 1, OriginTarget},
+		61: {ClassOrigin, 0, 0, OriginAttacker},
+	})
+	// Every routed node with customers floods exactly once: 1, 2, 10, 11
+	// and 12. A tier-1 left in its stale level as well would make it six.
+	if got := s.Stats().Sources[2]; got != 5 {
+		t.Errorf("stage 3 visited %d sources, want 5", got)
+	}
+}
+
+// TestPeerFillOrder: the pushed peer fill must hand each unrouted node the
+// offer a pull over all its peers would pick — nearest donor first, the
+// next-hop tie-break among equals, skipping offers the node's defense
+// rejects — and a node filled this way must not donate.
+func TestPeerFillOrder(t *testing.T) {
+	// AS40 peers with AS20 (the attacker's provider, dist 1) and with AS10
+	// (two hops above the target, dist 2, but the lower index). AS50 peers
+	// with AS40 only.
+	links := []link{
+		{20, 200, topology.RelCustomer},
+		{10, 30, topology.RelCustomer}, {30, 100, topology.RelCustomer},
+		{40, 20, topology.RelPeer}, {40, 10, topology.RelPeer},
+		{50, 40, topology.RelPeer},
+	}
+	pol, ix := handPolicy(t, links, nil)
+	s := NewSolver(pol)
+	at := Attack{Target: ix(100), Attacker: ix(200)}
+
+	// Different distances: the nearer donor wins although the farther one
+	// would win the tie-break; the filled AS40 hands AS50 nothing.
+	requireRoutes(t, s, ix, at, Defense{}, map[asn.ASN]wantRoute{
+		20: {ClassCustomer, 1, 200, OriginAttacker},
+		10: {ClassCustomer, 2, 30, OriginTarget},
+		40: {ClassPeer, 2, 20, OriginAttacker},
+		50: {},
+	})
+	// The nearer donor's offer is rejected by AS40's origin validation: the
+	// farther donor's is the first it accepts.
+	rov := asn.NewIndexSet(pol.N())
+	rov.Add(ix(40))
+	requireRoutes(t, s, ix, at, RovOnly(rov), map[asn.ASN]wantRoute{
+		40: {ClassPeer, 3, 10, OriginTarget},
+		50: {},
+	})
+
+	// Equal distances, both tie-break directions: AS10 and AS20 are both
+	// providers of the target.
+	tie := []link{
+		{10, 100, topology.RelCustomer}, {20, 100, topology.RelCustomer},
+		{40, 10, topology.RelPeer}, {40, 20, topology.RelPeer},
+		{30, 200, topology.RelCustomer},
+	}
+	for _, tc := range []struct {
+		high bool
+		nh   asn.ASN
+	}{{false, 10}, {true, 20}} {
+		pol, ix := handPolicy(t, tie, nil, WithPreferHighNextHop(tc.high))
+		requireRoutes(t, NewSolver(pol), ix, Attack{Target: ix(100), Attacker: ix(200)}, Defense{}, map[asn.ASN]wantRoute{
+			40: {ClassPeer, 2, tc.nh, OriginTarget},
+		})
+	}
+}
+
+// TestLeakBaselinePerTarget: the leak baseline is kept per target, so a
+// solver that alternates targets, kinds and defenses — with a snapshot
+// build and a sub-prefix solve in between, both of which run on the main
+// solver's buffers — must answer every cell as a fresh solver does.
+func TestLeakBaselinePerTarget(t *testing.T) {
+	pol := deltaTestPolicy(t, 600, 11)
+	n := pol.N()
+	cells, defs := kernelCells(pol)
+	targets := []int{cells[0].Target, (cells[0].Target + n/3) % n}
+	s := NewSolver(pol)
+	for round, at := range cells {
+		for _, target := range targets {
+			if at.Attacker == target {
+				continue
+			}
+			at.Target = target
+			for _, kind := range Kinds() {
+				at.Kind = kind
+				for _, def := range defs {
+					want, err := NewSolver(pol).SolveDefense(at, def)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := s.SolveDefense(at, def)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := viewDiff(want, got); d != "" {
+						t.Fatalf("round %d, %+v: reused solver diverged from a fresh one: %s", round, at, d)
+					}
+				}
+			}
+			if _, err := s.BuildSnapshot(at.Attacker); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Solve(Attack{Target: target, Attacker: at.Attacker, SubPrefix: true}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Two leaks (one per defense) per target visit; the second reuses the
+	// first one's baseline.
+	visits := 0
+	for _, at := range cells {
+		for _, target := range targets {
+			if at.Attacker != target {
+				visits++
+			}
+		}
+	}
+	if got := s.Stats().BaselineSolves; got != int64(visits) {
+		t.Errorf("%d baseline solves over %d target visits, want one each", got, visits)
+	}
+}
+
+// TestSolverStats pins the work counters on the seed-42 2,000-AS world with
+// exact, machine-independent values: each stage's sources are the routed
+// nodes that have someone to offer to, each visited once, and a ladder's
+// leaks share one baseline per target.
+func TestSolverStats(t *testing.T) {
+	pol := deltaTestPolicy(t, 2000, 42)
+	n := pol.N()
+	cells, defs := kernelCells(pol)
+
+	// One undefended solve, counted against the outcome it produced.
+	s := NewSolver(pol)
+	o, err := s.SolveDefense(cells[0], Defense{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var withCustomers, custEdges, peerEdges, stage1 int64
+	for i := 0; i < n; i++ {
+		if !o.HasRoute(i) {
+			continue
+		}
+		if c := len(pol.Customers(i)); c > 0 {
+			withCustomers++
+			custEdges += int64(c)
+		}
+		// Origin and customer-class nodes were routed by stage 1 and offer
+		// over every peer link; so was a tier-1 that stage 2 re-routed, which
+		// then offers over none.
+		if offersToPeers(o.Class(i)) {
+			peerEdges += int64(len(pol.Peers(i)))
+			stage1++
+		} else if pol.IsTier1(i) {
+			stage1++
+		}
+	}
+	st := s.Stats()
+	if st.Solves != 1 || st.BaselineSolves != 0 {
+		t.Errorf("after one origin-hijack solve: %d solves, %d baseline solves", st.Solves, st.BaselineSolves)
+	}
+	if st.Sources[2] != withCustomers || st.Offers[2] != custEdges {
+		t.Errorf("stage 3 visited %d sources offering over %d edges, want the %d routed nodes with customers and their %d customer edges",
+			st.Sources[2], st.Offers[2], withCustomers, custEdges)
+	}
+	if st.Offers[1] != peerEdges {
+		t.Errorf("peer stage offered over %d edges, want the %d peer edges of origin/customer-class nodes", st.Offers[1], peerEdges)
+	}
+	if st.Sources[0] > stage1 || st.Sources[0] == 0 {
+		t.Errorf("stage 1 visited %d sources, want 1..%d (nodes routed by stage 1)", st.Sources[0], stage1)
+	}
+
+	// A ladder: every rung (defense) × kind × attacker against one target.
+	s = NewSolver(pol)
+	solves := int64(0)
+	for _, def := range defs {
+		for _, kind := range Kinds() {
+			for _, at := range cells {
+				at.Kind = kind
+				if _, err := s.SolveDefense(at, def); err != nil {
+					t.Fatal(err)
+				}
+				solves++
+			}
+		}
+	}
+	if st := s.Stats(); st.Solves != solves || st.BaselineSolves != 1 {
+		t.Errorf("ladder of %d cells on one target: %d solves, %d baseline solves, want %d and 1",
+			solves, st.Solves, st.BaselineSolves, solves)
+	}
+}

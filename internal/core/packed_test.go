@@ -29,10 +29,11 @@ func kernelCells(pol *Policy) (cells []Attack, defs []Defense) {
 }
 
 // TestWarmSolveAllocs pins the kernel's steady state: once a solver has
-// seen a cell, solving it again allocates nothing — the bucket arenas,
-// candidate list and returned Outcome are all retained. Route leaks solve
-// a baseline on the lazily built secondary solver, which is the one
-// allocation they are allowed.
+// seen a cell, solving it again allocates nothing — the level arena and the
+// returned Outcome are retained. Route leaks solve a baseline on the lazily
+// built secondary solver, which is the one allocation they are allowed.
+// BuildSnapshot runs the same stages; all it may allocate is the detached
+// Snapshot it returns.
 func TestWarmSolveAllocs(t *testing.T) {
 	pol := deltaTestPolicy(t, 2000, 42)
 	cells, defs := kernelCells(pol)
@@ -61,38 +62,69 @@ func TestWarmSolveAllocs(t *testing.T) {
 				tc.kind, len(cells)*len(defs), got, tc.max)
 		}
 	}
-}
 
-// TestNoTentativeStampSurvives checks the commit rule from the outside: a
-// tentative record (negative stamp) exists only inside a BFS level or the
-// peer-fill pass, so after any Solve or BuildSnapshot — on a solver reused
-// across kinds, defenses and snapshot builds — none is left.
-func TestNoTentativeStampSurvives(t *testing.T) {
-	pol := deltaTestPolicy(t, 600, 11)
-	cells, defs := kernelCells(pol)
+	// The Snapshot struct, its three per-node arrays and its three tier-1
+	// arrays.
+	const snapshotObjects = 7
 	s := NewSolver(pol)
-	check := func(label string) {
-		t.Helper()
-		for i, r := range s.nodes {
-			if r.stamp < 0 {
-				t.Fatalf("%s: node %d still carries tentative stamp %d (epoch %d)", label, i, r.stamp, s.epoch)
-			}
-		}
-	}
-	for _, at := range cells {
-		for _, kind := range Kinds() {
-			at.Kind = kind
-			for _, def := range defs {
-				if _, err := s.SolveDefense(at, def); err != nil {
-					t.Fatal(err)
-				}
-				check("solve " + kind.String())
-			}
-		}
-		if _, err := s.BuildSnapshot(at.Attacker); err != nil {
+	build := func() {
+		if _, err := s.BuildSnapshot(cells[0].Attacker); err != nil {
 			t.Fatal(err)
 		}
-		check("snapshot")
+	}
+	build()
+	if got := testing.AllocsPerRun(5, build); got > snapshotObjects {
+		t.Errorf("warm BuildSnapshot allocates %.1f times, want the Snapshot's own %d", got, snapshotObjects)
+	}
+}
+
+// requireLevelSets checks the invariant every stage relies on and leaves
+// behind: the level sets are disjoint, their union is exactly the routed
+// nodes, and a routed node sits in the level of its distance.
+func requireLevelSets(t *testing.T, s *Solver) {
+	t.Helper()
+	levels := len(s.levels) / s.words
+	for i, r := range s.nodes {
+		routed := r.stamp == s.epoch
+		member := 0
+		for d := 0; d < levels; d++ {
+			if s.level(d)[i>>6]&(1<<(i&63)) == 0 {
+				continue
+			}
+			member++
+			if !routed || int(r.dist) != d || d > s.top {
+				t.Fatalf("node %d (routed=%v dist=%d) is in level %d (top %d)", i, routed, r.dist, d, s.top)
+			}
+		}
+		if routed && member != 1 {
+			t.Fatalf("routed node %d (dist %d) is in %d levels, want exactly 1", i, r.dist, member)
+		}
+	}
+}
+
+// TestLevelSetsPartitionRoutedNodes holds the level-set invariant after
+// every Solve and BuildSnapshot on a solver reused across kinds, defenses,
+// tie-break directions and snapshot builds.
+func TestLevelSetsPartitionRoutedNodes(t *testing.T) {
+	for _, opts := range [][]PolicyOption{nil, {WithTier1ShortestPath(false)}, {WithPreferHighNextHop(true)}} {
+		pol := deltaTestPolicy(t, 600, 11, opts...)
+		cells, defs := kernelCells(pol)
+		s := NewSolver(pol)
+		for _, at := range cells {
+			for _, kind := range Kinds() {
+				at.Kind = kind
+				for _, def := range defs {
+					if _, err := s.SolveDefense(at, def); err != nil {
+						t.Fatal(err)
+					}
+					requireLevelSets(t, s)
+				}
+			}
+			if _, err := s.BuildSnapshot(at.Attacker); err != nil {
+				t.Fatal(err)
+			}
+			requireLevelSets(t, s)
+		}
 	}
 }
 

@@ -68,11 +68,19 @@ type Policy struct {
 	g     *topology.Graph
 	n     int
 	tier1 []bool
+	// tier1List is the tier-1 set as an ascending node list, for the
+	// passes that visit the club instead of testing membership.
+	tier1List []int32
 
 	// Per-relationship CSR adjacency. providers[i] = nodes that provide
 	// transit to i, etc.
 	provOff, custOff, peerOff []int32
 	provAdj, custAdj, peerAdj []int32
+	// Bitmaps (bit i%64 of word i/64) of the nodes with at least one
+	// provider / peer / customer. The solver ANDs them into a level set
+	// before walking it, so a node with nobody to offer a route to — a
+	// stub, in the provider flood — is never visited as a source.
+	hasProv, hasPeer, hasCust []uint64
 
 	// tier1SPF enables the paper's tier-1 policy: "Tier-1 routers always
 	// accept shortest path" regardless of neighbor class.
@@ -142,6 +150,10 @@ func NewPolicy(g *topology.Graph, tier1 []int, opts ...PolicyOption) (*Policy, e
 	p.provOff = make([]int32, n+1)
 	p.custOff = make([]int32, n+1)
 	p.peerOff = make([]int32, n+1)
+	words := (n + 63) / 64
+	p.hasProv = make([]uint64, words)
+	p.hasPeer = make([]uint64, words)
+	p.hasCust = make([]uint64, words)
 	p.provAdj = make([]int32, nProv)
 	p.custAdj = make([]int32, nCust)
 	p.peerAdj = make([]int32, nPeer)
@@ -161,6 +173,19 @@ func NewPolicy(g *topology.Graph, tier1 []int, opts ...PolicyOption) (*Policy, e
 				p.peerAdj[cr] = nb
 				cr++
 			}
+		}
+		bit := uint64(1) << (i & 63)
+		if cp > p.provOff[i] {
+			p.hasProv[i>>6] |= bit
+		}
+		if cr > p.peerOff[i] {
+			p.hasPeer[i>>6] |= bit
+		}
+		if cc > p.custOff[i] {
+			p.hasCust[i>>6] |= bit
+		}
+		if p.tier1[i] {
+			p.tier1List = append(p.tier1List, int32(i))
 		}
 	}
 	p.provOff[n], p.custOff[n], p.peerOff[n] = cp, cc, cr

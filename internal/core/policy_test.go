@@ -11,19 +11,25 @@ import (
 // tier-1s inferred by Classify.
 func buildPolicy(t *testing.T, links []link, opts ...PolicyOption) (*Policy, *topology.Graph) {
 	t.Helper()
-	b := topology.NewBuilder()
-	for _, l := range links {
-		if err := b.AddLink(l.a, l.b, l.rel); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := b.Build()
+	g := buildGraph(t, links)
 	c := topology.Classify(g, topology.ClassifyOptions{Tier2MinCustomers: 1})
 	pol, err := NewPolicy(g, c.Tier1, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return pol, g
+}
+
+// buildGraph builds the topology the links describe.
+func buildGraph(t *testing.T, links []link) *topology.Graph {
+	t.Helper()
+	b := topology.NewBuilder()
+	for _, l := range links {
+		if err := b.AddLink(l.a, l.b, l.rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Build()
 }
 
 type link struct {

@@ -54,23 +54,19 @@ func (s *Solver) BuildSnapshot(target int) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: target %d out of range (n %d)", target, n)
 	}
 	sc := &scenario{}
-	s.nextEpoch()
-	s.frontier = s.frontier[:0]
-	s.assign(target, ClassOrigin, 0, -1, OriginTarget)
-	s.frontier = append(s.frontier, int32(target))
+	s.begin()
+	s.place(int32(target), ClassOrigin, 0, -1, OriginTarget)
 	s.stageCustomer(sc)
 
 	snap := &Snapshot{pol: s.pol, target: target}
-	if s.pol.tier1SPF {
-		for i := 0; i < n; i++ {
-			if !s.pol.tier1[i] {
-				continue
-			}
-			r := s.detached(i)
-			snap.t1Nodes = append(snap.t1Nodes, int32(i))
-			snap.t1Class = append(snap.t1Class, r.class)
-			snap.t1Dist = append(snap.t1Dist, r.dist)
-			snap.t1NH = append(snap.t1NH, r.nexthop)
+	if t1 := s.pol.tier1List; s.pol.tier1SPF {
+		snap.t1Nodes = t1
+		snap.t1Class = make([]RouteClass, len(t1))
+		snap.t1Dist = make([]int16, len(t1))
+		snap.t1NH = make([]int32, len(t1))
+		for k, i := range t1 {
+			r := s.detached(int(i))
+			snap.t1Class[k], snap.t1Dist[k], snap.t1NH[k] = r.class, r.dist, r.nexthop
 		}
 	}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
 )
@@ -27,16 +28,12 @@ type Attack struct {
 
 // nodeRec is one node's packed route state: the 12 bytes a relaxed edge
 // reads and writes sit in one record (and so one cache line) instead of
-// one n-sized array per field. stamp says what the rest means for the
-// solver whose epoch it is compared against:
-//
-//	stamp ==  epoch  committed: the node's selected route this solve
-//	stamp == -epoch  tentative: the best candidate of the BFS level (or
-//	                 peer-fill pass) in flight, not yet visible as a route
-//	anything else    stale: no route this solve
-//
-// Epochs are positive, so the three cases are disjoint and a zeroed
-// record is stale under every epoch.
+// one n-sized array per field. stamp == the solver's epoch means the rest
+// is the node's selected route this solve; any other stamp is stale — no
+// route this solve. Epochs are positive, so a zeroed record is stale under
+// every epoch. A record is written at most once per solve (twice for a
+// tier-1 the shortest-path-first pass re-routes): every stage offers
+// routes in preference order, so the first offer a node accepts is final.
 type nodeRec struct {
 	stamp   int32
 	nexthop int32
@@ -58,15 +55,41 @@ type Solver struct {
 	nodes []nodeRec
 	out   Outcome // the view Solve returns, rebound every solve
 
-	frontier []int32
-	candList []int32
-	buckets  [][]int32
+	// Level sets: level d is the bitmap (bit i%64 of word i/64) of the
+	// nodes routed at distance d this solve. They are filled by the seeds
+	// and kept through all three stages — each stage walks the levels it is
+	// handed and adds the nodes it routes — and live back to back in one
+	// arena that is retained across solves: levels[d*words:(d+1)*words].
+	levels []uint64
+	words  int // uint64s per level
+	top    int // highest level that has had a member this solve
+
 	tier1Buf []t1sel // stagePeer's SPF worklist, reused across Solve calls
 
 	// base lazily holds a second solver for the defense-free baseline
 	// solves route leaks need (the leaked route's real length), so the
-	// main solve's buffers stay untouched.
+	// main solve's buffers stay untouched. Its records keep the baseline
+	// of base.out.Target until a leak against another target arrives.
 	base *Solver
+
+	stats SolverStats
+}
+
+// SolverStats counts what a Solver did, for observability and for tests
+// pinning that each stage costs what it routes. Sources and Offers are
+// indexed by stage: 0 customer, 1 peer fill, 2 provider.
+type SolverStats struct {
+	// Solves counts three-stage runs on this solver (Solve, SolveDefense
+	// and BuildSnapshot).
+	Solves int64
+	// BaselineSolves counts the extra defense-free solves run for route
+	// leaks: one per change of target, not one per leak.
+	BaselineSolves int64
+	// Sources counts the routed nodes the Solves runs visited to offer their
+	// route on, and Offers the edges they offered it over (each source's
+	// whole adjacency row, whether or not the neighbor took the route).
+	Sources [3]int64
+	Offers  [3]int64
 }
 
 // t1sel is one tier-1 node with its customer-route distance, the sort key
@@ -78,8 +101,11 @@ type t1sel struct {
 
 // NewSolver returns a Solver over the policy.
 func NewSolver(pol *Policy) *Solver {
-	return &Solver{pol: pol, nodes: make([]nodeRec, pol.N())}
+	return &Solver{pol: pol, nodes: make([]nodeRec, pol.N()), words: len(pol.hasCust)}
 }
+
+// Stats returns cumulative work counters for this solver.
+func (s *Solver) Stats() SolverStats { return s.stats }
 
 // Outcome is a view of one converged routing state. It remains valid only
 // until the owning Solver/Engine runs again; call Clone to detach it.
@@ -256,14 +282,21 @@ func validateAttack(pol *Policy, at Attack) error {
 	return nil
 }
 
-// baselineDist solves the defense-free no-attack state (target announcing
-// alone) on the lazily-built secondary solver and returns the attacker's
-// converged route distance to the target, or ok=false if it has none.
+// baselineDist returns the attacker's converged route distance to the
+// target in the defense-free no-attack state (target announcing alone), or
+// ok=false if it has none. That state is a function of the target only, so
+// the lazily-built secondary solver keeps its last outcome and solves again
+// only when the target changes: a sweep's leaks against one target share
+// one baseline.
 func (s *Solver) baselineDist(at Attack) (int16, bool) {
-	if s.base == nil {
-		s.base = NewSolver(s.pol)
+	if s.base == nil || s.base.out.Target != at.Target {
+		if s.base == nil {
+			s.base = NewSolver(s.pol)
+		}
+		s.base.solveScenario(Attack{Target: at.Target, Attacker: at.Attacker}, &scenario{})
+		s.stats.BaselineSolves++
 	}
-	o := s.base.solveScenario(Attack{Target: at.Target, Attacker: at.Attacker}, &scenario{})
+	o := &s.base.out
 	if !o.HasRoute(at.Attacker) {
 		return 0, false
 	}
@@ -273,30 +306,17 @@ func (s *Solver) baselineDist(at Attack) (int16, bool) {
 // solveScenario runs the three stages under a resolved scenario. The
 // attack must already be validated.
 func (s *Solver) solveScenario(at Attack, sc *scenario) *Outcome {
-	s.nextEpoch()
+	s.begin()
 
 	// Seed the origins. In a sub-prefix hijack only the attacker's
 	// more-specific announcement exists in this prefix's routing plane.
 	// The attacker's advertised path starts at the scenario's seed depth
 	// (0 for an origin hijack, deeper for prepends and leaks).
-	s.frontier = s.frontier[:0]
-	if at.SubPrefix {
-		s.assign(at.Attacker, ClassOrigin, sc.seedDist, -1, OriginAttacker)
-		s.frontier = append(s.frontier, int32(at.Attacker))
-	} else {
-		s.assign(at.Target, ClassOrigin, 0, -1, OriginTarget)
-		if sc.seedAttacker {
-			s.assign(at.Attacker, ClassOrigin, sc.seedDist, -1, OriginAttacker)
-		}
-		// Deterministic seed order: lower node index first.
-		switch {
-		case !sc.seedAttacker:
-			s.frontier = append(s.frontier, int32(at.Target))
-		case at.Target < at.Attacker:
-			s.frontier = append(s.frontier, int32(at.Target), int32(at.Attacker))
-		default:
-			s.frontier = append(s.frontier, int32(at.Attacker), int32(at.Target))
-		}
+	if !at.SubPrefix {
+		s.place(int32(at.Target), ClassOrigin, 0, -1, OriginTarget)
+	}
+	if at.SubPrefix || sc.seedAttacker {
+		s.place(int32(at.Attacker), ClassOrigin, sc.seedDist, -1, OriginAttacker)
 	}
 
 	s.stageCustomer(sc)
@@ -307,71 +327,102 @@ func (s *Solver) solveScenario(at Attack, sc *scenario) *Outcome {
 	return &s.out
 }
 
-// nextEpoch invalidates every record for a new solve. Stamps are compared
-// against ±epoch, so the counter must stay positive: at the top of the
-// int32 range the records are cleared and counting restarts at 1 (once per
-// 2^31 solves — a long-lived hijackd worker gets there).
-func (s *Solver) nextEpoch() {
+// begin invalidates every record and empties the level sets for a new
+// solve. Stamps are compared against the epoch and a zeroed record must
+// stay stale, so the counter stays positive: at the top of the int32 range
+// the records are cleared and counting restarts at 1 (once per 2^31 solves
+// — a long-lived hijackd worker gets there).
+func (s *Solver) begin() {
 	if s.epoch == math.MaxInt32 {
 		clear(s.nodes)
 		s.epoch = 0
 	}
 	s.epoch++
+	s.levels = s.levels[:0]
+	s.top = 0
+	s.stats.Solves++
 }
 
-func (s *Solver) assign(i int, c RouteClass, d int16, nh int32, org int8) {
+// place routes node i outside a flood — a seed, or a tier-1 the
+// shortest-path-first pass re-routes — and enters it into level d.
+func (s *Solver) place(i int32, c RouteClass, d int16, nh int32, org int8) {
 	s.nodes[i] = nodeRec{stamp: s.epoch, nexthop: nh, dist: d, class: c, origin: org}
+	s.growLevels(int(d) + 1)
+	s.level(int(d))[i>>6] |= 1 << (i & 63)
+	s.top = max(s.top, int(d))
 }
 
-func (s *Solver) assigned(i int32) bool { return s.nodes[i].stamp == s.epoch }
+// level returns level d's bitmap; growLevels must have covered d.
+func (s *Solver) level(d int) []uint64 { return s.levels[d*s.words : (d+1)*s.words] }
 
-// propose offers node i the candidate route (c, d, nh, org) within the
-// current BFS level. The first offer of the level is written into i's
-// record under the tentative stamp and i joins s.candList; a later offer
-// replaces it only when its next hop wins the policy's tie-break. All
-// offers within a level share class and distance, so the record ends the
-// level holding exactly the route a collect-then-pick pass would select.
-// The caller has already checked that i is not assigned.
-func (s *Solver) propose(i int32, c RouteClass, d int16, nh int32, org int8) {
-	r := &s.nodes[i]
-	if r.stamp != -s.epoch {
-		*r = nodeRec{stamp: -s.epoch, nexthop: nh, dist: d, class: c, origin: org}
-		s.candList = append(s.candList, i)
+// growLevels makes levels [0, size) addressable, emptying the ones it
+// exposes. It re-slices within the retained arena, so a warm solve
+// allocates nothing. Growing past capacity moves the arena: bitmaps from
+// level taken before the call go stale.
+//
+//bgplint:hotpath runs per level of every stage
+func (s *Solver) growLevels(size int) {
+	need := size * s.words
+	if need <= len(s.levels) {
 		return
 	}
-	if s.pol.betterNH(nh, r.nexthop) {
-		r.nexthop = nh
-		r.origin = org
+	if need > cap(s.levels) {
+		grown := make([]uint64, len(s.levels), need+8*s.words)
+		copy(grown, s.levels)
+		s.levels = grown
 	}
+	fresh := s.levels[len(s.levels):need]
+	clear(fresh)
+	s.levels = s.levels[:need]
 }
 
-// commit turns every tentative record of s.candList into the node's
-// selected route by flipping its stamp — the candidate already sits in
-// the record, nothing is copied — and empties the list.
-func (s *Solver) commit() {
-	for _, i := range s.candList {
-		s.nodes[i].stamp = s.epoch
-	}
-	s.candList = s.candList[:0]
+// levelWalk visits the members of one level set that are also in a static
+// mask, in the order the policy breaks next-hop ties: ascending node index,
+// descending under WithPreferHighNextHop. A node that takes the first
+// offer it accepts from sources visited in that order has taken the offer
+// of its most preferred next hop.
+type levelWalk struct {
+	lvl, mask []uint64
+	wi, step  int    // current word, and +1 or -1
+	bits      uint64 // members of word wi not yet visited
 }
 
-// stageCustomer floods customer-learned routes up provider links through
-// distance buckets: seeds may start at different depths (a forged-origin
-// prepend or a leaked route starts deeper than the victim's own
-// origination), and processing buckets in ascending distance keeps the
+func (s *Solver) walk(d int, mask []uint64) levelWalk {
+	if s.pol.tieHigh {
+		return levelWalk{lvl: s.level(d), mask: mask, wi: s.words, step: -1}
+	}
+	return levelWalk{lvl: s.level(d), mask: mask, wi: -1, step: 1}
+}
+
+// next returns the next member, or -1 when the level is exhausted.
+//
+//bgplint:hotpath runs once per flood source
+func (w *levelWalk) next() int32 {
+	for w.bits == 0 {
+		w.wi += w.step
+		if uint(w.wi) >= uint(len(w.lvl)) {
+			return -1
+		}
+		w.bits = w.lvl[w.wi] & w.mask[w.wi]
+	}
+	b := bits.TrailingZeros64(w.bits)
+	if w.step < 0 {
+		b = 63 - bits.LeadingZeros64(w.bits)
+	}
+	w.bits &^= 1 << b
+	return int32(w.wi<<6 | b)
+}
+
+// stageCustomer floods customer-learned routes up provider links, level by
+// level from the seeds: seeds may start at different depths (a
+// forged-origin prepend or a leaked route starts deeper than the victim's
+// own origination), and walking the levels in ascending distance keeps the
 // flood level-synchronous per distance, so equal-length ties resolve to
-// the lowest next-hop exactly as the message engine does. With all seeds
-// at distance 0 this degenerates to the original level-synchronous BFS.
+// the preferred next-hop exactly as the message engine does.
 //
 //bgplint:hotpath runs once per (target, attacker, policy) cell of a sweep
 func (s *Solver) stageCustomer(sc *scenario) {
-	s.buckets = s.buckets[:0]
-	for _, v := range s.frontier {
-		d := int(s.nodes[v].dist)
-		s.growBuckets(d + 1)
-		s.buckets[d] = append(s.buckets[d], v)
-	}
-	s.flood(sc, s.pol.provOff, s.pol.provAdj, ClassCustomer)
+	s.flood(sc, s.pol.provOff, s.pol.provAdj, s.pol.hasProv, ClassCustomer)
 }
 
 // stagePeer hands customer routes across single peer hops. Tier-1 nodes
@@ -379,27 +430,27 @@ func (s *Solver) stageCustomer(sc *scenario) {
 // with a shorter peer route, in which case they stop offering a route to
 // their peers (peer-learned routes are not exported to peers); processing
 // tier-1s in ascending customer-route distance resolves that dependency in
-// one pass.
+// one pass. A tier-1 re-routed here moves to the level of its new distance,
+// which is where stage 3 must flood it from.
+//
+// Everyone else: peer routes only fill gaps (customer class wins), and
+// they do not cascade, so one push from the stage-1 levels suffices. A
+// filled node lands one level above its donor with ClassPeer, which
+// flood never takes as a peer-stage source: it cannot masquerade as a
+// donor. The push touches the peer links of routed donors only, where a
+// pull would ask every unrouted node to scan its peers.
 //
 //bgplint:hotpath runs once per (target, attacker, policy) cell of a sweep
 func (s *Solver) stagePeer(sc *scenario) {
 	pol := s.pol
-	n := pol.N()
-
-	// offers(v): v's best route is customer-class (or origination), so v
-	// exports it to peers. Initially true for every routed node, because
-	// stage 1 assigned only origin/customer classes; tier-1 SPF decisions
-	// below may turn individual tier-1s off.
-	s.tier1Buf = s.tier1Buf[:0]
 	if pol.tier1SPF {
-		for i := 0; i < n; i++ {
-			if pol.tier1[i] {
-				d := int16(1) << 14 // effectively infinite
-				if s.assigned(int32(i)) {
-					d = s.nodes[i].dist
-				}
-				s.tier1Buf = append(s.tier1Buf, t1sel{int32(i), d})
+		s.tier1Buf = s.tier1Buf[:0]
+		for _, w := range pol.tier1List {
+			d := int16(1) << 14 // effectively infinite
+			if s.nodes[w].stamp == s.epoch {
+				d = s.nodes[w].dist
 			}
+			s.tier1Buf = append(s.tier1Buf, t1sel{w, d})
 		}
 		tier1s := s.tier1Buf
 		// Ascending customer-route distance, node id breaking ties.
@@ -416,26 +467,17 @@ func (s *Solver) stagePeer(sc *scenario) {
 			if bestNH == -1 {
 				continue
 			}
-			if cur := s.nodes[w]; cur.stamp != s.epoch ||
-				pol.better(int(w), ClassPeer, bestD, bestNH, cur.class, cur.dist, cur.nexthop) {
-				s.assign(int(w), ClassPeer, bestD, bestNH, bestOrg)
+			cur := s.nodes[w]
+			if cur.stamp == s.epoch {
+				if !pol.better(int(w), ClassPeer, bestD, bestNH, cur.class, cur.dist, cur.nexthop) {
+					continue
+				}
+				s.level(int(cur.dist))[w>>6] &^= 1 << (w & 63)
 			}
+			s.place(w, ClassPeer, bestD, bestNH, bestOrg)
 		}
 	}
-
-	// Everyone else: peer routes only fill gaps (customer class wins), and
-	// they do not cascade, so one pass suffices. Fills stay tentative
-	// until the pass ends so freshly filled nodes cannot masquerade as
-	// donors.
-	for w := 0; w < n; w++ {
-		if s.assigned(int32(w)) || pol.tier1SPF && pol.tier1[w] {
-			continue
-		}
-		if bestD, bestNH, bestOrg := s.bestPeerOffer(sc, int32(w)); bestNH != -1 {
-			s.propose(int32(w), ClassPeer, bestD, bestNH, bestOrg)
-		}
-	}
-	s.commit()
+	s.flood(sc, pol.peerOff, pol.peerAdj, pol.hasPeer, ClassPeer)
 }
 
 // bestPeerOffer returns the route w would pick among its peers' current
@@ -462,65 +504,73 @@ func offersToPeers(c RouteClass) bool {
 	return c == ClassOrigin || c == ClassCustomer
 }
 
-// stageProvider floods every selected route down customer links using
-// distance buckets (sources start at different depths), assigning
-// provider-class routes to still-unrouted nodes level by level.
+// stageProvider floods every selected route down customer links, from the
+// level sets the first two stages leave behind (sources start at
+// different depths), assigning provider-class routes to still-unrouted
+// nodes level by level.
 //
 //bgplint:hotpath runs once per (target, attacker, policy) cell of a sweep
 func (s *Solver) stageProvider(sc *scenario) {
-	s.buckets = s.buckets[:0]
-	for i := range s.nodes {
-		if s.assigned(int32(i)) {
-			d := int(s.nodes[i].dist)
-			s.growBuckets(d + 1)
-			s.buckets[d] = append(s.buckets[d], int32(i))
-		}
-	}
-	s.flood(sc, s.pol.custOff, s.pol.custAdj, ClassProvider)
+	s.flood(sc, s.pol.custOff, s.pol.custAdj, s.pol.hasCust, ClassProvider)
 }
 
-// flood runs the bucketed BFS both flooding stages share: s.buckets[d]
-// holds the routed nodes at distance d, and every bucket in ascending
-// order offers its nodes' routes along the CSR adjacency (off, adj) to
-// still-unrouted neighbors, which join bucket d+1 with class c.
+// flood is the level-synchronous BFS all three stages share: every level
+// in ascending distance offers its members' routes along the CSR adjacency
+// (off, adj) to still-unrouted neighbors, which join level d+1 with class
+// c. mask is the static set of nodes with a non-empty adjacency row.
 //
-//bgplint:hotpath the edge-relaxation loop: ~60% of sweep CPU
-func (s *Solver) flood(sc *scenario, off, adj []int32, c RouteClass) {
-	for d := 0; d < len(s.buckets); d++ {
-		for _, v := range s.buckets[d] {
-			org := s.nodes[v].origin
-			for _, w := range adj[off[v]:off[v+1]] {
-				if s.assigned(w) || sc.rejects(s.pol, w, org) {
+// Levels ascend in distance and levelWalk visits a level in next-hop
+// tie-break order, so offers reach a node best first: the first one it
+// accepts is its selected route and is written once, committed. Routing a
+// node only ever adds to level d+1, never to the level being walked.
+//
+// Across peer links (c == ClassPeer) the export rule bites: only origin
+// and customer-class routes are offered, which also keeps a node this
+// stage filled from donating. A tier-1 under shortest-path-first import
+// needs no special case: if it is still unrouted, stagePeer's SPF pass
+// showed it every offer this push can make — donors only lose that status
+// during the pass — and it accepted none.
+//
+//bgplint:hotpath the edge-relaxation loop: most of a sweep's CPU
+func (s *Solver) flood(sc *scenario, off, adj []int32, mask []uint64, c RouteClass) {
+	pol, nodes, epoch := s.pol, s.nodes, s.epoch
+	peer := c == ClassPeer
+	var sources, offers int64
+	for d := 0; d <= s.top; d++ {
+		s.growLevels(d + 2)
+		next := s.level(d + 1)
+		grew := false
+		for wk := s.walk(d, mask); ; {
+			v := wk.next()
+			if v < 0 {
+				break
+			}
+			src := nodes[v]
+			if peer && !offersToPeers(src.class) {
+				continue
+			}
+			row := adj[off[v]:off[v+1]]
+			sources++
+			offers += int64(len(row))
+			for _, w := range row {
+				r := &nodes[w]
+				if r.stamp == epoch || sc.rejects(pol, w, src.origin) {
 					continue
 				}
-				s.propose(w, c, int16(d+1), v, org)
+				// Field by field: a composite literal is built on the stack
+				// with narrow stores and read back wide, a store-forwarding
+				// stall per routed node.
+				r.stamp, r.nexthop, r.dist, r.class, r.origin = epoch, v, int16(d+1), c, src.origin
+				next[w>>6] |= 1 << (w & 63)
+				grew = true
 			}
 		}
-		if len(s.candList) == 0 {
-			continue
+		if grew {
+			s.top = max(s.top, d+1)
 		}
-		s.growBuckets(d + 2)
-		s.buckets[d+1] = append(s.buckets[d+1], s.candList...)
-		s.commit()
 	}
-}
-
-// growBuckets extends the distance-bucket array to size by re-slicing
-// within capacity, so each inner bucket keeps the arena it grew in earlier
-// stages and solves; only its length is reset. (Appending nil here would
-// drop those arenas and re-grow every deep bucket from zero each solve.)
-//
-//bgplint:hotpath runs per bucket of every stage
-func (s *Solver) growBuckets(size int) {
-	if size > cap(s.buckets) {
-		grown := make([][]int32, 2*size+8)
-		copy(grown, s.buckets[:cap(s.buckets)])
-		s.buckets = grown[:len(s.buckets)]
-	}
-	for i := len(s.buckets); i < size; i++ {
-		s.buckets = s.buckets[:i+1]
-		s.buckets[i] = s.buckets[i][:0]
-	}
+	s.stats.Sources[c-ClassCustomer] += sources
+	s.stats.Offers[c-ClassCustomer] += offers
 }
 
 // ReceivedAttackerRoute computes, for every node, whether at least one

@@ -21,7 +21,7 @@
 // where xs is a slice of slices: growing a truncated bucket array that
 // way overwrites the inner slices parked beyond its length, so every
 // bucket re-grows from zero on each use. That shape was 82% of a Fig2
-// sweep's allocated objects (core.Solver's growBuckets) while every
+// sweep's allocated objects (core.Solver's since-removed growBuckets) while every
 // per-loop rule above stayed silent — the allocation happens later, in
 // an append the rules rightly allow.
 //
