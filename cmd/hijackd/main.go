@@ -1,9 +1,9 @@
 // Command hijackd serves what-if hijack queries over a loaded world:
 // the long-running form of the scan tools, for interactive and
-// operational use. It loads one topology, precomputes baseline route
-// snapshots on demand, and answers per-attack queries via delta repair
-// against them — orders of magnitude less work per query than a cold
-// solve (see DESIGN.md §11 for the serving contract).
+// operational use. It loads one topology, keeps baseline route
+// snapshots for the targets queries return to, and answers each
+// per-attack query with the cheaper of a delta repair against one and a
+// warm full solve (see DESIGN.md §11 for the serving contract).
 //
 // Usage:
 //

@@ -25,6 +25,53 @@
 // Defense mechanism filters only attacker-origin routes
 // (scenario.rejects is false for any other origin), so the cached
 // no-attack baseline is the correct starting state under any Defense.
+//
+// # Which kernel answers
+//
+// Repair is not always the cheaper kernel: one worklist examination costs
+// about 90 ns where the full solve costs about 19 ns per node, so repair
+// wins only while it examines fewer than roughly N/5 nodes, and an attack
+// that nothing stops rewrites far more than that. SolveDelta therefore
+// chooses, from what the resolved scenario already says:
+//
+//   - If no deployment filters this attack (scenario.unfiltered: no
+//     defense; ROV against a forged origin or a leak; ASPA against a forged
+//     origin whose attacker is a registered provider), or the attack is a
+//     sub-prefix hijack, it runs the full solver — on the scenario resolved
+//     from the snapshot. The snapshot is the defense-free no-attack state,
+//     which is exactly what a leak's baselineDist solve computes, so a
+//     leak's seed distance is read from it and the leak costs one solve
+//     where a bare Solver pays two.
+//   - Anything else is repaired under a budget of repairBudget(N) = N/32+64
+//     examinations. A repair that spends it drains its worklist and falls
+//     back to the same full solve.
+//
+// The budget is calibrated, not guessed. 300 uniform (target, attacker)
+// pairs on the 42,680-node paper-scale world, warm solvers, mean µs per
+// query on a 2-vCPU 2.10 GHz Xeon (repaired queries of 300 in brackets):
+//
+//	class                 repair   full   as served with budget
+//	                    unbounded  warm   N/32+64     N/64+64     N/128+64
+//	origin, no defense      2467    824    823          796         791
+//	origin, ROV top 50       348    754    342 [218]    378 [206]   336 [197]
+//	origin, ROV top 10      1935    823   1070 [31]     999 [29]    978 [27]
+//	forged, ROV top 50      1465    805    795          794         782
+//	leak, no defense         932   1762    810          780         786
+//
+// The rows without brackets never enter the repair: the chooser sends them
+// to the full solver, and "as served" equals "full" (half of it for the
+// leak, whose bare-Solver cost includes the baseline solve). Examined
+// counts are bimodal — under ROV at the top 50, 207 of 300 unbounded
+// repairs examine at most 1,000 nodes and 49 more than 8,000 — so the
+// budget's job is to cut the long mode early, and any of the three does.
+// They differ in what a bail wastes — about 15%, 8% and 4% of a full
+// solve — and in how many repairs they let finish: the worst class (ROV at
+// the top 10, which confines almost nothing) reads +30%, +21% and +19%
+// over a warm full solve, while the class where repair wins finishes 218,
+// 206 and 197 repairs of 300 and times the same within noise. N/32 is the
+// most generous of the three that keeps the worst class within a third of
+// a full solve; a mix dominated by deployments that confine nothing would
+// prefer N/128.
 package core
 
 import (
@@ -69,11 +116,15 @@ type DeltaStats struct {
 	// EmptyDeltas counts queries whose attack is a no-op (a route leak
 	// with nothing to leak): the outcome is the baseline itself.
 	EmptyDeltas int64
-	// FullFallbacks counts queries answered by a full solve (sub-prefix
-	// hijacks, which converge on a different routing plane, and repairs
-	// that blew the examination budget).
+	// FullFallbacks counts queries answered by a full solve: sub-prefix
+	// hijacks, attacks nothing deployed filters, and repairs that spent
+	// the examination budget.
 	FullFallbacks int64
-	// Examined is the cumulative number of worklist node examinations.
+	// Bailed counts the FullFallbacks that spent the examination budget
+	// on a repair first.
+	Bailed int64
+	// Examined is the cumulative number of worklist node examinations,
+	// those of bailed repairs included.
 	Examined int64
 }
 
@@ -82,13 +133,14 @@ type DeltaStats struct {
 // by SolveDelta is only valid until the next call on the same solver.
 type DeltaSolver struct {
 	pol  *Policy
-	full *Solver // fallback path; also serves sub-prefix queries
+	full *Solver      // answers whatever the repair does not
+	out  DeltaOutcome // the view SolveDelta returns, rebound every query
 
 	t1Slot  []int32 // node → index into the snapshot's tier-1 store, -1 otherwise
 	t1Touch []bool  // node is a tier-1 or peers with one
 
 	snap *Snapshot // snapshot bound for the current query
-	sc   *scenario // resolved scenario for the current query
+	sc   scenario  // resolved scenario for the current query
 
 	qe      int32 // query epoch for overlay stamps
 	tStamp  []int32
@@ -167,6 +219,12 @@ func NewDeltaSolver(pol *Policy) *DeltaSolver {
 // Stats returns cumulative counters for this solver.
 func (ds *DeltaSolver) Stats() DeltaStats { return ds.stats }
 
+// Solver returns the full solver this delta solver falls back to, for
+// callers that answer snapshot-less queries or build snapshots on the same
+// goroutine: one record array per lane instead of two. A run on it
+// invalidates the last DeltaOutcome if that was a full-solve answer.
+func (ds *DeltaSolver) Solver() *Solver { return ds.full }
+
 // DeltaOutcome is the converged outcome of one attack query, represented
 // as the baseline Snapshot plus the set of nodes whose route changed.
 // It satisfies the same read contract as Outcome and is valid until the
@@ -178,16 +236,22 @@ type DeltaOutcome struct {
 	snap *Snapshot
 	ds   *DeltaSolver
 	qe   int32
-	full *Outcome // non-nil when the query fell back to a full solve
+	full *Outcome // non-nil when the query was answered by a full solve
 
 	changed  []int32
 	sorted   bool
 	polluted int
+	examined int64
 }
 
 // UsedDelta reports whether the query was answered by delta repair
-// (false: full-solve fallback).
+// (false: full solve).
 func (o *DeltaOutcome) UsedDelta() bool { return o.full == nil }
+
+// Examined returns the worklist node examinations this query spent. A
+// full-solve answer that examined anything is a repair that ran out of
+// budget; one the chooser sent straight to the full solver examined none.
+func (o *DeltaOutcome) Examined() int64 { return o.examined }
 
 // N returns the node count.
 func (o *DeltaOutcome) N() int {
@@ -325,39 +389,69 @@ func (o *DeltaOutcome) PollutedNodes(dst []int) []int {
 	return dst
 }
 
+// repairBudget is the number of worklist examinations a repair may spend
+// before SolveDelta gives up on it and solves in full: N/32 + 64. See the
+// calibration table in the file header.
+func repairBudget(n int) int64 { return int64(n/32 + 64) }
+
 // SolveDelta computes the converged outcome of the attack under the
 // defense, against the snapshot's baseline. The snapshot must have been
-// built for at.Target over the same Policy. Sub-prefix attacks converge
-// on a separate routing plane that does not decompose against the
-// baseline, so they (and repairs that exceed the examination budget)
-// fall back to a full solve — still correct, just not incremental.
+// built for at.Target over the same Policy. It answers with the cheaper
+// kernel: an attack that nothing deployed filters, and a sub-prefix attack
+// (which converges on a separate routing plane that does not decompose
+// against the baseline), go to the full solver; anything else is repaired
+// under repairBudget and solved in full only if the budget runs out.
 func (ds *DeltaSolver) SolveDelta(snap *Snapshot, at Attack, def Defense) (*DeltaOutcome, error) {
+	if err := ds.resolve(snap, at, def); err != nil {
+		return nil, err
+	}
+	if at.SubPrefix || ds.sc.seedAttacker && ds.sc.unfiltered() {
+		return ds.solveFull(at, 0), nil
+	}
+	return ds.repair(at, repairBudget(ds.pol.N())), nil
+}
+
+// resolve validates the query and binds the snapshot and the resolved
+// scenario for it. The scenario comes from the snapshot, not from a solve:
+// the snapshot is exactly the defense-free no-attack state a route leak's
+// baseline solve would compute, so whichever kernel answers, a leak costs
+// no second solve.
+func (ds *DeltaSolver) resolve(snap *Snapshot, at Attack, def Defense) error {
 	if err := validateAttack(ds.pol, at); err != nil {
-		return nil, fmt.Errorf("delta solve: %w", err)
+		return fmt.Errorf("delta solve: %w", err)
 	}
 	if snap == nil || snap.pol != ds.pol {
-		return nil, fmt.Errorf("delta solve: snapshot policy mismatch")
+		return fmt.Errorf("delta solve: snapshot policy mismatch")
 	}
 	if snap.target != at.Target {
-		return nil, fmt.Errorf("delta solve: snapshot is for target %d, attack targets %d", snap.target, at.Target)
-	}
-	if at.SubPrefix {
-		return ds.fallback(at, def)
+		return fmt.Errorf("delta solve: snapshot is for target %d, attack targets %d", snap.target, at.Target)
 	}
 	sc, err := buildScenario(ds.pol, at, def, func() (int16, bool) {
-		// The snapshot is exactly the defense-free no-attack state a
-		// route leak's baseline solve would compute.
 		if snap.class[at.Attacker] == ClassNone {
 			return 0, false
 		}
 		return snap.dist[at.Attacker], true
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
+	ds.snap, ds.sc = snap, sc
+	return nil
+}
 
-	ds.snap = snap
-	ds.sc = &sc
+// solveFull answers the resolved query with the full solver, after a
+// repair that examined that many nodes (none: the repair was not tried).
+func (ds *DeltaSolver) solveFull(at Attack, examined int64) *DeltaOutcome {
+	o := ds.full.solveScenario(at, &ds.sc)
+	ds.stats.FullFallbacks++
+	ds.out = DeltaOutcome{Target: at.Target, Attacker: at.Attacker, full: o, examined: examined}
+	return &ds.out
+}
+
+// repair answers the resolved exact-prefix query by repairing the bound
+// snapshot, examining at most budget nodes; past that it drops the
+// half-done repair and solves in full.
+func (ds *DeltaSolver) repair(at Attack, budget int64) *DeltaOutcome {
 	ds.qe = nextStamp(ds.qe, ds.tStamp, ds.d1Stamp, ds.d2Stamp, ds.fStamp)
 	ds.touched = ds.touched[:0]
 	ds.d1 = ds.d1[:0]
@@ -366,39 +460,29 @@ func (ds *DeltaSolver) SolveDelta(snap *Snapshot, at Attack, def Defense) (*Delt
 	ds.polluted = 0
 	ds.exam = 0
 
-	out := &DeltaOutcome{Target: at.Target, Attacker: at.Attacker, snap: snap, ds: ds, qe: ds.qe}
-	if !sc.seedAttacker {
+	ds.out = DeltaOutcome{Target: at.Target, Attacker: at.Attacker, snap: ds.snap, ds: ds, qe: ds.qe}
+	if !ds.sc.seedAttacker {
 		// A leak with no route to leak: the converged state is the
 		// baseline itself.
 		ds.stats.EmptyDeltas++
-		return out, nil
+		return &ds.out
 	}
 
-	budget := int64(8*ds.pol.N() + 64)
 	ok := ds.stage1Delta(at, budget)
 	if ok {
 		ds.stage2Delta(at)
 		ok = ds.stage3Delta(at, budget)
 	}
+	ds.stats.Examined += ds.exam
 	if !ok {
-		ds.stats.Examined += ds.exam
-		return ds.fallback(at, def)
+		ds.drainWorklist()
+		ds.stats.Bailed++
+		return ds.solveFull(at, ds.exam)
 	}
 	ds.collectChanged(at)
-	ds.stats.Examined += ds.exam
 	ds.stats.DeltaSolves++
-	out.changed = ds.changed
-	out.polluted = ds.polluted
-	return out, nil
-}
-
-func (ds *DeltaSolver) fallback(at Attack, def Defense) (*DeltaOutcome, error) {
-	o, err := ds.full.SolveDefense(at, def)
-	if err != nil {
-		return nil, err
-	}
-	ds.stats.FullFallbacks++
-	return &DeltaOutcome{Target: at.Target, Attacker: at.Attacker, full: o}, nil
+	ds.out.changed, ds.out.polluted, ds.out.examined = ds.changed, ds.polluted, ds.exam
+	return &ds.out
 }
 
 // ---- baseline readers -------------------------------------------------
@@ -476,10 +560,18 @@ func (ds *DeltaSolver) setOverlay(v int32, stage int8, val rv) {
 
 func (ds *DeltaSolver) resetWorklist() {
 	ds.we = nextStamp(ds.we, ds.qStamp)
-	// Buckets are fully drained by each stage's loop, so only capacity
-	// management remains.
+	// A stage that runs to completion drains every bucket and one that
+	// bails calls drainWorklist, so only capacity management remains.
 	if ds.buckets == nil {
 		ds.buckets = make([][]int32, 0, 64)
+	}
+}
+
+// drainWorklist empties the buckets a stage left behind when it ran out of
+// budget; the next query's worklist must start from its own seeds only.
+func (ds *DeltaSolver) drainWorklist() {
+	for d := range ds.buckets {
+		ds.buckets[d] = ds.buckets[d][:0]
 	}
 }
 
@@ -544,7 +636,7 @@ func notifyBucket(old, val rv) int {
 // examination budget is exhausted (caller falls back to a full solve).
 func (ds *DeltaSolver) stage1Delta(at Attack, budget int64) bool {
 	pol := ds.pol
-	sc := ds.sc
+	sc := &ds.sc
 	ds.resetWorklist()
 
 	seedVal := rv{ClassOrigin, sc.seedDist, -1, OriginAttacker}
@@ -639,7 +731,7 @@ func (ds *DeltaSolver) mark2(v int32) {
 // nodes recorded (informational; the d2 list itself drives stage 3).
 func (ds *DeltaSolver) stage2Delta(at Attack) int {
 	pol := ds.pol
-	sc := ds.sc
+	sc := &ds.sc
 
 	runT1 := false
 	if pol.tier1SPF {
@@ -800,7 +892,7 @@ func (ds *DeltaSolver) fillDonor(v int32) rv {
 // set. Returns false when the examination budget is exhausted.
 func (ds *DeltaSolver) stage3Delta(at Attack, budget int64) bool {
 	pol := ds.pol
-	sc := ds.sc
+	sc := &ds.sc
 	ds.resetWorklist()
 
 	// Carry stage-2 changes into the stage-3 state and seed the

@@ -276,8 +276,10 @@ func viewDiff(want, got OutcomeView) string {
 }
 
 // checkSolverEquivalence holds a fresh Solver, a Solver reused from another
-// cell, the message Engine and the DeltaSolver to one answer: the same
-// route at every node, or the same rejection.
+// cell, the message Engine and the DeltaSolver — through SolveDelta, whichever
+// kernel it chooses, through the unbounded repair, and through a repair that
+// bails after one examination — to one answer: the same route at every node,
+// or the same rejection.
 func checkSolverEquivalence(t *testing.T, c fuzzCase) {
 	t.Helper()
 	w := c.build()
@@ -303,9 +305,12 @@ func checkSolverEquivalence(t *testing.T, c fuzzCase) {
 		t.Fatalf("snapshot: %v", err)
 	}
 	delta, deltaErr := NewDeltaSolver(pol).SolveDelta(snap, at, def)
+	repair, repairErr := repairWithBudget(NewDeltaSolver(pol), snap, at, def, unbounded)
+	bail, bailErr := repairWithBudget(NewDeltaSolver(pol), snap, at, def, 1)
 
 	if wantErr != nil {
-		for name, err := range map[string]error{"reused solver": warmErr, "engine": engErr, "delta solver": deltaErr} {
+		for name, err := range map[string]error{"reused solver": warmErr, "engine": engErr,
+			"delta solver": deltaErr, "delta repair": repairErr, "bailed repair": bailErr} {
 			if err == nil {
 				t.Fatalf("%s accepted %+v, fresh solver rejects it: %v", name, at, wantErr)
 			}
@@ -319,7 +324,8 @@ func checkSolverEquivalence(t *testing.T, c fuzzCase) {
 		name string
 		view OutcomeView
 		err  error
-	}{{"reused solver", warm, warmErr}, {"engine", eng, engErr}, {"delta solver", delta, deltaErr}} {
+	}{{"reused solver", warm, warmErr}, {"engine", eng, engErr}, {"delta solver", delta, deltaErr},
+		{"delta repair", repair, repairErr}, {"bailed repair", bail, bailErr}} {
 		if other.err != nil {
 			t.Fatalf("%s rejects %+v (%v), fresh solver accepts it", other.name, at, other.err)
 		}

@@ -33,7 +33,7 @@ func kernelCells(pol *Policy) (cells []Attack, defs []Defense) {
 // returned Outcome are retained. Route leaks solve a baseline on the lazily
 // built secondary solver, which is the one allocation they are allowed.
 // BuildSnapshot runs the same stages; all it may allocate is the detached
-// Snapshot it returns.
+// Snapshot it returns. SolveDelta allocates nothing on either kernel.
 func TestWarmSolveAllocs(t *testing.T) {
 	pol := deltaTestPolicy(t, 2000, 42)
 	cells, defs := kernelCells(pol)
@@ -75,6 +75,33 @@ func TestWarmSolveAllocs(t *testing.T) {
 	build()
 	if got := testing.AllocsPerRun(5, build); got > snapshotObjects {
 		t.Errorf("warm BuildSnapshot allocates %.1f times, want the Snapshot's own %d", got, snapshotObjects)
+	}
+
+	// SolveDelta returns a view the solver owns and reads a leak's seed
+	// from the snapshot, so neither kernel allocates, leaks included.
+	snap, err := BuildSnapshot(pol, cells[0].Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := NewDeltaSolver(pol)
+	deltaPass := func() {
+		for _, at := range cells {
+			for _, kind := range Kinds() {
+				at.Kind = kind
+				for _, def := range defs {
+					if _, err := ds.SolveDelta(snap, at, def); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	deltaPass()
+	if st := ds.Stats(); st.DeltaSolves == 0 || st.FullFallbacks == st.Bailed || st.Bailed == 0 {
+		t.Fatalf("the SolveDelta pass must repair some cells, send some to the full solver and bail on some: stats %+v", st)
+	}
+	if got := testing.AllocsPerRun(5, deltaPass); got > 0 {
+		t.Errorf("warm pass of %d SolveDelta calls allocates %.1f times, want 0", len(cells)*len(Kinds())*len(defs), got)
 	}
 }
 
@@ -180,31 +207,48 @@ func TestEpochWraparound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds := NewDeltaSolver(pol)
-		for _, at := range cells[:3] {
-			if _, err := ds.SolveDelta(snap, at, defs[0]); err != nil {
-				t.Fatal(err)
+		// Both entries cross the wrap: the unbounded repair under either
+		// defense, and SolveDelta under the deployed one — an attack nothing
+		// filters goes to the full solver and would not advance the delta
+		// solver's epochs.
+		for _, entry := range []struct {
+			name  string
+			solve func(*DeltaSolver, Attack, Defense) (*DeltaOutcome, error)
+			defs  []Defense
+		}{
+			{"repair", func(ds *DeltaSolver, at Attack, def Defense) (*DeltaOutcome, error) {
+				return repairWithBudget(ds, snap, at, def, unbounded)
+			}, defs},
+			{"SolveDelta", func(ds *DeltaSolver, at Attack, def Defense) (*DeltaOutcome, error) {
+				return ds.SolveDelta(snap, at, def)
+			}, defs[1:]},
+		} {
+			ds := NewDeltaSolver(pol)
+			for _, at := range cells[:3] {
+				if _, err := entry.solve(ds, at, entry.defs[0]); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		ds.qe = math.MaxInt32 - 2
-		ds.we = math.MaxInt32 - 2 // bumped per stage, so it wraps a query earlier
-		full := NewSolver(pol)
-		for i := 0; i < 5; i++ {
-			at := cells[(i+3)%len(cells)]
-			at.Kind = Kinds()[i%len(Kinds())]
-			def := defs[i%len(defs)]
-			want, err := full.SolveDefense(at, def)
-			if err != nil {
-				t.Fatal(err)
+			ds.qe = math.MaxInt32 - 2
+			ds.we = math.MaxInt32 - 2 // bumped per stage, so it wraps a query earlier
+			full := NewSolver(pol)
+			for i := 0; i < 5; i++ {
+				at := cells[(i+3)%len(cells)]
+				at.Kind = Kinds()[i%len(Kinds())]
+				def := entry.defs[i%len(entry.defs)]
+				want, err := full.SolveDefense(at, def)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := entry.solve(ds, at, def)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameOutcome(t, entry.name+" across the wrap", weights, want, got)
 			}
-			got, err := ds.SolveDelta(snap, at, def)
-			if err != nil {
-				t.Fatal(err)
+			if ds.qe != 3 {
+				t.Fatalf("%s: query epoch after five solves from MaxInt32-2 = %d, want 3", entry.name, ds.qe)
 			}
-			requireSameOutcome(t, "delta solve across the wrap", weights, want, got)
-		}
-		if ds.qe != 3 {
-			t.Fatalf("query epoch after five solves from MaxInt32-2 = %d, want 3", ds.qe)
 		}
 	})
 }

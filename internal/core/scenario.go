@@ -209,6 +209,15 @@ func (sc *scenario) rejects(pol *Policy, i int32, org int8) bool {
 	return sc.peerlock && pol.tier1[i]
 }
 
+// unfiltered reports whether no deployment filters this attack's
+// announcement anywhere: rejects is false at every node. That is the case
+// with no defense, under ROV against a forged origin or a leak (the origin
+// looks legitimate), and under ASPA against a forged origin whose attacker
+// really is one of the victim's providers.
+func (sc *scenario) unfiltered() bool {
+	return sc.blocked == nil && sc.aspa == nil && !sc.peerlock
+}
+
 // FiltersImport reports whether node would drop the attack's bogus
 // announcement under the deployed defense — the same static import
 // predicate both engines apply during a solve, exposed for post-hoc

@@ -73,7 +73,12 @@ type AttackRequest struct {
 
 // AttackResponse answers it. Estimate is always present; Pollution and
 // WeightFrac only on the exact tier. Path records which machinery
-// produced the exact answer: "estimate", "delta" or "full".
+// produced the answer: "estimate", "delta" (the repair) or "full". An
+// exact answer also says why it cost what it did: Snapshot is "hit"
+// (the target's baseline was cached), "built" (this query built it) or
+// "miss" (none: one warm full solve), and Examined is the number of
+// nodes the repair examined — on a "full" answer, the budget a repair
+// spent before giving up, 0 when none was tried.
 type AttackResponse struct {
 	Epoch      int64    `json:"epoch"`
 	Target     int      `json:"target"`
@@ -81,6 +86,8 @@ type AttackResponse struct {
 	Kind       string   `json:"kind"`
 	Exact      bool     `json:"exact"`
 	Path       string   `json:"path"`
+	Snapshot   string   `json:"snapshot,omitempty"`
+	Examined   *int64   `json:"examined,omitempty"`
 	Estimate   Estimate `json:"estimate"`
 	Pollution  *int     `json:"pollution,omitempty"`
 	WeightFrac *float64 `json:"weight_frac,omitempty"`

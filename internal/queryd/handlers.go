@@ -146,7 +146,8 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 	defer s.met.inflight.Add(-1)
 	start := s.clock.Now()
 	resp.Epoch = st.epoch
-	snap, err := s.snapshotFor(st, wk, req.Target, true)
+	// One cell cannot repay a baseline build; a target that returns can.
+	snap, use, err := s.snapshotFor(st, wk, req.Target, admitReturning)
 	if err == nil {
 		var o core.OutcomeView
 		o, err = wk.solveCell(s, snap, at, def)
@@ -154,9 +155,12 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 			rec := hijack.Measure(s.world.Graph, s.totalWeight, o)
 			resp.Pollution = &rec.Pollution
 			resp.WeightFrac = &rec.WeightFrac
-			resp.Path = "full"
-			if d, ok := o.(*core.DeltaOutcome); ok && d.UsedDelta() {
-				resp.Path = "delta"
+			resp.Path, resp.Snapshot, resp.Examined = "full", use, new(int64)
+			if d, ok := o.(*core.DeltaOutcome); ok {
+				*resp.Examined = d.Examined()
+				if d.UsedDelta() {
+					resp.Path = "delta"
+				}
 			}
 		}
 	}
@@ -215,7 +219,7 @@ func (s *Server) vulnerabilityQuery(st *epochState, wk *worker, r *http.Request)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := s.snapshotFor(st, wk, req.Target, true)
+	snap, _, err := s.snapshotFor(st, wk, req.Target, admitNow)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +274,7 @@ func (s *Server) deploymentQuery(st *epochState, wk *worker, r *http.Request) (a
 	}
 	// One baseline serves the whole ladder: the snapshot is
 	// defense-independent, so every rung's delta runs against it.
-	snap, err := s.snapshotFor(st, wk, req.Target, true)
+	snap, _, err := s.snapshotFor(st, wk, req.Target, admitNow)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +359,7 @@ func (s *Server) detectionQuery(st *epochState, wk *worker, r *http.Request) (an
 	// the point-query entries.
 	out, red := detect.Results(sets, attacks)
 	for i, at := range attacks {
-		snap, err := s.snapshotFor(st, wk, at.Target, false)
+		snap, _, err := s.snapshotFor(st, wk, at.Target, admitNever)
 		if err != nil {
 			return nil, err
 		}

@@ -59,18 +59,20 @@ type endpointMetrics struct {
 // metrics is the server's observability state, all atomics: the
 // /metrics handler snapshots it without stopping the serving path.
 type metrics struct {
-	attack      endpointMetrics
-	vulnerab    endpointMetrics
-	deployment  endpointMetrics
-	detection   endpointMetrics
-	reloads     atomic.Int64
-	snapHits    atomic.Int64
-	snapMisses  atomic.Int64
-	snapBuilds  atomic.Int64
-	deltaSolves atomic.Int64
-	fullSolves  atomic.Int64
-	estimates   atomic.Int64
-	inflight    atomic.Int64
+	attack        endpointMetrics
+	vulnerab      endpointMetrics
+	deployment    endpointMetrics
+	detection     endpointMetrics
+	reloads       atomic.Int64
+	snapHits      atomic.Int64
+	snapMisses    atomic.Int64
+	snapBuilds    atomic.Int64
+	snapEvictions atomic.Int64
+	deltaSolves   atomic.Int64
+	fullSolves    atomic.Int64
+	bailedSolves  atomic.Int64 // the fullSolves that spent a repair budget first
+	estimates     atomic.Int64
+	inflight      atomic.Int64
 }
 
 func newMetrics() *metrics { return &metrics{} }
@@ -128,15 +130,17 @@ type metricsSnapshot struct {
 	Reloads  int64 `json:"reloads"`
 
 	Snapshots struct {
-		Cached int   `json:"cached"`
-		Hits   int64 `json:"hits"`
-		Misses int64 `json:"misses"`
-		Builds int64 `json:"builds"`
+		Cached    int   `json:"cached"`
+		Hits      int64 `json:"hits"`
+		Misses    int64 `json:"misses"`
+		Builds    int64 `json:"builds"`
+		Evictions int64 `json:"evictions"`
 	} `json:"snapshots"`
 
 	Solves struct {
 		Delta     int64 `json:"delta"`
 		Full      int64 `json:"full"`
+		Bailed    int64 `json:"bailed"`
 		Estimates int64 `json:"estimates"`
 	} `json:"solves"`
 
@@ -156,8 +160,10 @@ func (s *Server) snapshotMetrics() metricsSnapshot {
 	out.Snapshots.Hits = s.met.snapHits.Load()
 	out.Snapshots.Misses = s.met.snapMisses.Load()
 	out.Snapshots.Builds = s.met.snapBuilds.Load()
+	out.Snapshots.Evictions = s.met.snapEvictions.Load()
 	out.Solves.Delta = s.met.deltaSolves.Load()
 	out.Solves.Full = s.met.fullSolves.Load()
+	out.Solves.Bailed = s.met.bailedSolves.Load()
 	out.Solves.Estimates = s.met.estimates.Load()
 	out.Endpoints = map[string]endpointSnapshot{
 		"attack":        s.met.attack.snapshot(),

@@ -1,11 +1,13 @@
 // Package queryd is the hijackd serving layer: a long-running what-if
 // query service over one loaded world. Where the batch scan tools
 // (vulnscan, deployscan, detectscan) re-solve every cell from scratch,
-// queryd precomputes converged baseline RIB snapshots (core.Snapshot,
-// one per target, valid under every defense config) and answers
-// per-attack queries with a delta repair that revisits only the ASes
-// whose best route the attacker can change — falling back to a full
-// core.Solver run on snapshot-cache misses.
+// queryd keeps converged baseline RIB snapshots (core.Snapshot, one per
+// target, valid under every defense config) for the targets queries
+// return to, and answers a cell against one with core.SolveDelta: a
+// repair that revisits only the ASes whose best route the attacker can
+// change where a deployed defense confines it, a warm full solve where
+// nothing does. A target sighted once is answered by one warm
+// core.Solver run and builds nothing.
 //
 // The serving contract (DESIGN.md §11):
 //
@@ -49,8 +51,8 @@ type Config struct {
 	// World is the loaded topology + policy the server answers over.
 	World *experiments.World
 	// Workers bounds concurrent solves; 0 means GOMAXPROCS. Each worker
-	// owns a reusable DeltaSolver/Solver pair (the sweep runtime's
-	// per-worker arena reuse, kept alive across queries).
+	// owns a reusable DeltaSolver (the sweep runtime's per-worker arena
+	// reuse, kept alive across queries).
 	Workers int
 	// Backlog is how many admitted queries may wait for a worker beyond
 	// the Workers already solving; 0 means 2×Workers, negative means no
@@ -121,13 +123,10 @@ func New(cfg Config) (*Server, error) {
 		started:     clock.Now(),
 		pool:        make(chan *worker, workers),
 		slots:       make(chan struct{}, workers+backlog),
-		st:          newEpochState(1, snapCap),
+		st:          newEpochState(1, snapCap, cfg.World.Policy.N()),
 	}
 	for i := 0; i < workers; i++ {
-		s.pool <- &worker{
-			ds:   core.NewDeltaSolver(cfg.World.Policy),
-			full: core.NewSolver(cfg.World.Policy),
-		}
+		s.pool <- &worker{ds: core.NewDeltaSolver(cfg.World.Policy)}
 	}
 	s.mux = http.NewServeMux()
 	s.routes()
@@ -157,13 +156,13 @@ func (s *Server) acquireState() *epochState {
 }
 
 // Reload installs a fresh snapshot epoch — dropping every cached
-// baseline — and returns the new epoch once all old-epoch queries have
-// drained. The world itself is immutable for the server's lifetime;
+// baseline and starting a clean admission window — and returns the new
+// epoch once all old-epoch queries have drained. The world itself is immutable for the server's lifetime;
 // reload re-derives the state built from it.
 func (s *Server) Reload() int64 {
 	s.mu.Lock()
 	old := s.st
-	next := newEpochState(old.epoch+1, s.snapCap)
+	next := newEpochState(old.epoch+1, s.snapCap, s.world.Policy.N())
 	s.st = next
 	s.mu.Unlock()
 	// Drain: no new queries can register on old (the swap is done), so
@@ -184,12 +183,11 @@ func (s *Server) Drain() {
 	st.inflight.Wait()
 }
 
-// worker is one solver lane: a DeltaSolver for warm snapshot queries
-// and a full Solver for cache misses, both reused across every query
-// the lane serves.
+// worker is one solver lane: a DeltaSolver, reused across every query
+// the lane serves. Cells without a snapshot, and snapshot builds, run on
+// the full solver the DeltaSolver falls back to.
 type worker struct {
-	ds   *core.DeltaSolver
-	full *core.Solver
+	ds *core.DeltaSolver
 }
 
 // admit tries to take an admission slot (non-blocking) and then a
@@ -210,50 +208,63 @@ func (s *Server) release(wk *worker) {
 	<-s.slots
 }
 
-// snapshotFor returns the cached baseline for target, building (and
-// caching) it on this worker when build is true. With build=false a
-// cache miss returns nil — the caller answers with a full solve — which
-// keeps scattershot-target workloads (detection sweeps) from thrashing
-// the cache that point-target queries rely on.
-func (s *Server) snapshotFor(st *epochState, wk *worker, target int, build bool) (*core.Snapshot, error) {
-	e, ok := st.lookup(target, build)
-	if e == nil {
-		s.met.snapMisses.Add(1)
-		return nil, nil
+// How a query came by its baseline, as exact /v1/attack answers report
+// it.
+const (
+	snapshotHit   = "hit"   // the baseline was cached
+	snapshotBuilt = "built" // the query admitted the target and built it
+	snapshotMiss  = "miss"  // no baseline: the cell is a warm full solve
+)
+
+// snapshotFor returns the cached baseline for target. When it is not
+// cached, how decides whether to build (and cache) it on this worker;
+// otherwise the snapshot is nil and the caller's cells are full solves.
+func (s *Server) snapshotFor(st *epochState, wk *worker, target int, how admission) (snap *core.Snapshot, use string, err error) {
+	e, hit, evicted := st.lookup(target, how)
+	if evicted {
+		s.met.snapEvictions.Add(1)
 	}
-	if ok {
+	use = snapshotBuilt
+	if hit {
 		s.met.snapHits.Add(1)
+		use = snapshotHit
 	} else {
 		s.met.snapMisses.Add(1)
 	}
+	if e == nil {
+		return nil, snapshotMiss, nil
+	}
 	e.once.Do(func() {
-		e.snap, e.err = wk.full.BuildSnapshot(target)
+		e.snap, e.err = wk.ds.Solver().BuildSnapshot(target)
 		s.met.snapBuilds.Add(1)
 	})
-	return e.snap, e.err
+	return e.snap, use, e.err
 }
 
-// solveCell answers one (attack, defense) cell: the delta path against
-// snap when available, a full solve otherwise. The returned view is
+// solveCell answers one (attack, defense) cell: SolveDelta against snap
+// when there is one, a full solve otherwise. The returned view is
 // transient — it belongs to the worker and is only valid until its next
 // solve.
 func (wk *worker) solveCell(s *Server, snap *core.Snapshot, at core.Attack, def core.Defense) (core.OutcomeView, error) {
-	if snap != nil {
-		o, err := wk.ds.SolveDelta(snap, at, def)
+	if snap == nil {
+		o, err := wk.ds.Solver().SolveDefense(at, def)
 		if err != nil {
 			return nil, err
 		}
-		if o.UsedDelta() {
-			s.met.deltaSolves.Add(1)
-		} else {
-			s.met.fullSolves.Add(1)
-		}
+		s.met.fullSolves.Add(1)
 		return o, nil
 	}
-	o, err := wk.full.SolveDefense(at, def)
+	o, err := wk.ds.SolveDelta(snap, at, def)
 	if err != nil {
 		return nil, err
 	}
+	if o.UsedDelta() {
+		s.met.deltaSolves.Add(1)
+		return o, nil
+	}
 	s.met.fullSolves.Add(1)
+	if o.Examined() > 0 {
+		s.met.bailedSolves.Add(1)
+	}
 	return o, nil
 }

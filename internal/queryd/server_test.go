@@ -3,6 +3,7 @@ package queryd
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -92,17 +93,32 @@ func TestHealthzAndUptime(t *testing.T) {
 	}
 }
 
-func TestReloadBumpsEpochAndDropsCache(t *testing.T) {
-	s := mustServer(t, Config{Workers: 1})
-	// Warm the snapshot cache with an exact query.
-	rec := do(t, s, "POST", "/v1/attack", `{"target": 5, "attacker": 9, "exact": true}`)
+// exactAttack posts one exact /v1/attack query and returns the answer and
+// the server's counters after it.
+func exactAttack(t testing.TB, s *Server, body string) (AttackResponse, metricsSnapshot) {
+	t.Helper()
+	rec := do(t, s, "POST", "/v1/attack", body)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("attack status %d: %s", rec.Code, rec.Body.String())
+		t.Fatalf("attack %s: status %d: %s", body, rec.Code, rec.Body.String())
+	}
+	var a AttackResponse
+	decodeInto(t, rec, &a)
+	if a.Examined == nil {
+		t.Fatalf("attack %s: exact answer carries no \"examined\": %s", body, rec.Body.String())
 	}
 	var m metricsSnapshot
 	decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
+	return a, m
+}
+
+func TestReloadBumpsEpochAndDropsCache(t *testing.T) {
+	s := mustServer(t, Config{Workers: 1})
+	// Warm the snapshot cache: a target's second sighting builds it.
+	const q = `{"target": 5, "attacker": 9, "exact": true}`
+	exactAttack(t, s, q)
+	_, m := exactAttack(t, s, q)
 	if m.Snapshots.Cached != 1 || m.Snapshots.Builds != 1 {
-		t.Fatalf("after warm query: cached=%d builds=%d, want 1/1", m.Snapshots.Cached, m.Snapshots.Builds)
+		t.Fatalf("after the warm queries: cached=%d builds=%d, want 1/1", m.Snapshots.Cached, m.Snapshots.Builds)
 	}
 
 	var r struct {
@@ -118,6 +134,12 @@ func TestReloadBumpsEpochAndDropsCache(t *testing.T) {
 	decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
 	if m.Epoch != 2 || m.Reloads != 1 || m.Snapshots.Cached != 0 {
 		t.Fatalf("after reload: epoch=%d reloads=%d cached=%d, want 2/1/0", m.Epoch, m.Reloads, m.Snapshots.Cached)
+	}
+	// The new epoch starts a clean admission window too: the target is a
+	// first sighting again.
+	a, m := exactAttack(t, s, q)
+	if a.Snapshot != snapshotMiss || m.Snapshots.Cached != 0 || m.Snapshots.Builds != 1 {
+		t.Fatalf("first query after reload: snapshot=%q cached=%d builds=%d, want a miss that builds nothing", a.Snapshot, m.Snapshots.Cached, m.Snapshots.Builds)
 	}
 }
 
@@ -211,8 +233,7 @@ func TestShedUnderOverload(t *testing.T) {
 
 func TestMetricsCountSolvePaths(t *testing.T) {
 	s := mustServer(t, Config{Workers: 1})
-	// Exact query builds the snapshot and answers via delta (or full
-	// fallback — either way it is counted once).
+	// An exact query is one solve, whichever kernel answers it.
 	if rec := do(t, s, "POST", "/v1/attack", `{"target": 5, "attacker": 9, "exact": true}`); rec.Code != http.StatusOK {
 		t.Fatalf("attack status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -284,13 +305,15 @@ func TestBadRequests(t *testing.T) {
 	_ = n
 }
 
-// TestSnapshotCacheEviction pins the FIFO bound: the cache never holds
-// more than SnapshotCap entries, and evicted targets rebuild on return.
+// TestSnapshotCacheEviction pins the bound: the cache never holds more
+// than SnapshotCap entries, and evicted targets rebuild on return.
+// Multi-cell requests admit their target at once, so each one here is an
+// admission.
 func TestSnapshotCacheEviction(t *testing.T) {
 	s := mustServer(t, Config{Workers: 1, SnapshotCap: 2})
 	for _, target := range []int{1, 2, 3, 1} {
-		body := `{"target": ` + string(rune('0'+target)) + `, "attacker": 9, "exact": true}`
-		if rec := do(t, s, "POST", "/v1/attack", body); rec.Code != http.StatusOK {
+		body := fmt.Sprintf(`{"target": %d, "attackers": [9, 10]}`, target)
+		if rec := do(t, s, "POST", "/v1/vulnerability", body); rec.Code != http.StatusOK {
 			t.Fatalf("target %d: status %d", target, rec.Code)
 		}
 	}
@@ -299,10 +322,168 @@ func TestSnapshotCacheEviction(t *testing.T) {
 	if m.Snapshots.Cached != 2 {
 		t.Fatalf("cached = %d, want cap 2", m.Snapshots.Cached)
 	}
-	// Four queries, four distinct builds: target 1 was evicted by 3 and
-	// rebuilt on its second visit.
-	if m.Snapshots.Builds != 4 {
-		t.Fatalf("builds = %d, want 4 (eviction forces a rebuild)", m.Snapshots.Builds)
+	// Four requests, four distinct builds: target 1 was evicted by 3 and
+	// rebuilt on its second visit, which in turn evicted 2.
+	if m.Snapshots.Builds != 4 || m.Snapshots.Evictions != 2 {
+		t.Fatalf("builds = %d, evictions = %d, want 4 and 2 (eviction forces a rebuild)", m.Snapshots.Builds, m.Snapshots.Evictions)
+	}
+}
+
+// TestClockSecondChance pins the eviction order: FIFO drops an entry at
+// the cap-th admission after its own, hit or not; CLOCK passes over an
+// entry hit since the hand last reached it — once — and drops the un-hit
+// ones.
+func TestClockSecondChance(t *testing.T) {
+	const cap = 3
+	st := newEpochState(1, cap, 64)
+	// has reads the map directly: a lookup would set the reference bit.
+	has := func(target int) bool {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.snaps[target] != nil
+	}
+	for target := 1; target <= cap; target++ {
+		if _, hit, evicted := st.lookup(target, admitNow); hit || evicted {
+			t.Fatalf("filling the cache: target %d hit=%v evicted=%v", target, hit, evicted)
+		}
+	}
+	if _, hit, _ := st.lookup(1, admitNever); !hit { // the oldest entry is hit
+		t.Fatal("target 1 not cached after its admission")
+	}
+	// cap admissions after target 1's own, it is still there; target 2,
+	// admitted later but never hit, is not.
+	if _, _, evicted := st.lookup(4, admitNow); !evicted {
+		t.Fatal("admission into a full cache evicted nothing")
+	}
+	if !has(1) || has(2) || st.cached() != cap {
+		t.Fatalf("after one admission: hit target 1 cached=%v, un-hit target 2 cached=%v, %d cached; want true/false/%d", has(1), has(2), st.cached(), cap)
+	}
+	// The second chance is one chance: without another hit, target 1 goes
+	// when the hand comes round again (after 3, the remaining un-hit entry).
+	st.lookup(5, admitNow)
+	st.lookup(6, admitNow)
+	if has(1) || has(3) || !has(4) || !has(5) || !has(6) {
+		t.Fatalf("after the hand came round: cached 1=%v 3=%v 4=%v 5=%v 6=%v, want only the three newest", has(1), has(3), has(4), has(5), has(6))
+	}
+}
+
+// TestAttackAdmission pins who builds a snapshot: a single-cell query
+// builds on its target's second sighting, not its first; a multi-cell
+// request builds at once. The query deploys ROV at the attacker alone,
+// which stops nothing but is a deployed filter: with a baseline to repair
+// the repair is tried, spends its budget, and the answer and /metrics say
+// so.
+func TestAttackAdmission(t *testing.T) {
+	s := mustServer(t, Config{Workers: 1})
+	const q = `{"target": 5, "attacker": 9, "exact": true, "defense": {"rov": [9]}}`
+	budget := int64(s.world.Policy.N()/32 + 64)
+	for i, want := range []struct {
+		snapshot string
+		builds   int64
+		examined int64
+	}{{snapshotMiss, 0, 0}, {snapshotBuilt, 1, budget + 1}, {snapshotHit, 1, budget + 1}} {
+		a, m := exactAttack(t, s, q)
+		if a.Snapshot != want.snapshot || m.Snapshots.Builds != want.builds {
+			t.Fatalf("sighting %d: snapshot=%q builds=%d, want %q/%d", i+1, a.Snapshot, m.Snapshots.Builds, want.snapshot, want.builds)
+		}
+		if a.Path != "full" || *a.Examined != want.examined {
+			t.Fatalf("sighting %d: answered via %q after %d examinations, want a full solve after %d", i+1, a.Path, *a.Examined, want.examined)
+		}
+		if m.Snapshots.Hits+m.Snapshots.Misses != int64(i+1) {
+			t.Fatalf("sighting %d: hits=%d misses=%d do not add up", i+1, m.Snapshots.Hits, m.Snapshots.Misses)
+		}
+		if m.Solves.Full != int64(i+1) || m.Solves.Bailed != int64(i) || m.Solves.Delta != 0 {
+			t.Fatalf("sighting %d: solves full=%d bailed=%d delta=%d, want %d/%d/0", i+1, m.Solves.Full, m.Solves.Bailed, m.Solves.Delta, i+1, i)
+		}
+	}
+	// The estimator tier consults nothing and says nothing about it.
+	rec := do(t, s, "POST", "/v1/attack", `{"target": 5, "attacker": 9}`)
+	if body := rec.Body.String(); rec.Code != http.StatusOK || strings.Contains(body, `"snapshot"`) || strings.Contains(body, `"examined"`) {
+		t.Fatalf("estimate answer: status %d, body %s, want neither \"snapshot\" nor \"examined\"", rec.Code, body)
+	}
+
+	if rec := do(t, s, "POST", "/v1/vulnerability", `{"target": 6, "attackers": [9, 10]}`); rec.Code != http.StatusOK {
+		t.Fatalf("vulnerability: status %d", rec.Code)
+	}
+	var m metricsSnapshot
+	decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
+	if m.Snapshots.Builds != 2 || m.Snapshots.Cached != 2 {
+		t.Fatalf("after a multi-cell request on a new target: builds=%d cached=%d, want 2/2", m.Snapshots.Builds, m.Snapshots.Cached)
+	}
+	if rec := do(t, s, "POST", "/v1/deployment", `{"target": 7, "attackers": [9], "strategies": [{"tier1": true}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("deployment: status %d", rec.Code)
+	}
+	decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
+	if m.Snapshots.Builds != 3 {
+		t.Fatalf("after a deployment request on a new target: builds=%d, want 3", m.Snapshots.Builds)
+	}
+	// Detection only consults: a new target builds nothing, now or later.
+	const det = `{"probes": [{"name": "x", "probes": [1]}], "attacks": [{"target": 8, "attacker": 9}, {"target": 8, "attacker": 10}]}`
+	if rec := do(t, s, "POST", "/v1/detection", det); rec.Code != http.StatusOK {
+		t.Fatalf("detection: status %d", rec.Code)
+	}
+	decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
+	if m.Snapshots.Builds != 3 || m.Snapshots.Cached != 3 {
+		t.Fatalf("after a detection request on a new target: builds=%d cached=%d, want 3/3", m.Snapshots.Builds, m.Snapshots.Cached)
+	}
+}
+
+// TestAdmissionWindowClears pins the window: "sighted before" is forgotten
+// after 8·cap first sightings, so a long-running server does not end up
+// having seen every target once and admitting them all.
+func TestAdmissionWindowClears(t *testing.T) {
+	const cap = 2
+	s := mustServer(t, Config{Workers: 1, SnapshotCap: cap})
+	sight := func(target int) string {
+		a, _ := exactAttack(t, s, fmt.Sprintf(`{"target": %d, "attacker": 40, "exact": true}`, target))
+		return a.Snapshot
+	}
+	for target := 1; target < 8*cap; target++ {
+		if got := sight(target); got != snapshotMiss {
+			t.Fatalf("first sighting of target %d: snapshot=%q", target, got)
+		}
+	}
+	// 8·cap−1 sightings in: the window still remembers the first.
+	if got := sight(1); got != snapshotBuilt {
+		t.Fatalf("second sighting of target 1 inside the window: snapshot=%q, want built", got)
+	}
+	// The 8·cap-th first sighting ends the window; target 2, sighted in
+	// the old one, is new again.
+	if got := sight(8 * cap); got != snapshotMiss {
+		t.Fatalf("first sighting of target %d: snapshot=%q", 8*cap, got)
+	}
+	if got := sight(2); got != snapshotMiss {
+		t.Fatalf("target 2 after the window cleared: snapshot=%q, want miss", got)
+	}
+	if got := sight(2); got != snapshotBuilt {
+		t.Fatalf("target 2 sighted twice in the new window: snapshot=%q, want built", got)
+	}
+}
+
+// TestConcurrentFirstSightingsBuildOnce: of two queries racing on a target
+// nobody has seen, the lookup lock makes one the first sighting and the
+// other the second, which admits the target — one build, never two, and
+// never a solve against a half-built baseline (run under -race).
+func TestConcurrentFirstSightingsBuildOnce(t *testing.T) {
+	s := mustServer(t, Config{Workers: 2})
+	for target := 1; target <= 20; target++ {
+		body := fmt.Sprintf(`{"target": %d, "attacker": 40, "exact": true}`, target)
+		var wg sync.WaitGroup
+		for c := 0; c < 2; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if rec := do(t, s, "POST", "/v1/attack", body); rec.Code != http.StatusOK {
+					t.Errorf("target %d: status %d: %s", target, rec.Code, rec.Body.String())
+				}
+			}()
+		}
+		wg.Wait()
+		var m metricsSnapshot
+		decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
+		if m.Snapshots.Builds != int64(target) || m.Snapshots.Cached != target {
+			t.Fatalf("after two concurrent queries on each of %d targets: builds=%d cached=%d, want one build each", target, m.Snapshots.Builds, m.Snapshots.Cached)
+		}
 	}
 }
 

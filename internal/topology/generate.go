@@ -501,25 +501,23 @@ func (s *genState) buildSiblings() {
 }
 
 func (s *genState) assignWeights() {
-	weight := func(id int) int64 {
-		switch {
-		case containsInt(s.tier1, id):
-			return 1 << 16
-		case containsInt(s.tier2, id):
-			return 1 << 14
-		case containsInt(s.mid, id):
-			return 1 << 10
-		case containsInt(s.small, id):
-			return 1 << 8
-		default:
-			return 1 << uint(4+s.rng.Intn(5))
+	// One weight per id, filled from the layer lists lowest layer first so
+	// that an id listed in two layers keeps the higher layer's weight. The
+	// ids no layer marks are the stubs, which draw theirs in id order.
+	weights := make([]int64, len(s.asns))
+	for _, layer := range []struct {
+		ids    []int
+		weight int64
+	}{{s.small, 1 << 8}, {s.mid, 1 << 10}, {s.tier2, 1 << 14}, {s.tier1, 1 << 16}} {
+		for _, id := range layer.ids {
+			weights[id] = layer.weight
 		}
 	}
-	// Layer membership is contiguous by construction, so a binary check on
-	// ranges would do; the explicit contains keeps this honest if layout
-	// ever changes.
-	for id := range s.asns {
-		s.b.SetAddrWeight(s.asns[id], weight(id))
+	for id, w := range weights {
+		if w == 0 {
+			w = 1 << uint(4+s.rng.Intn(5))
+		}
+		s.b.SetAddrWeight(s.asns[id], w)
 	}
 }
 
@@ -528,15 +526,6 @@ func (b *Builder) linkExists(a, c asn.ASN) bool {
 	key, _ := orderLink(a, c, RelPeer)
 	_, ok := b.links[key]
 	return ok
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 func maxInt(a, b int) int {
