@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race worktree-check chaos replay-check serve-check vulncheck fuzz bench bench-json bench-trend reproduce reproduce-paper-scale clean
+.PHONY: all build test vet lint race stress worktree-check chaos replay-check serve-check vulncheck fuzz bench bench-json bench-trend reproduce reproduce-paper-scale clean
 
 all: build test
 
@@ -31,6 +31,13 @@ lint:
 # sweep are the concurrent subsystems of record).
 race:
 	$(GO) test -race ./...
+
+# Stress lane for the sweep runtime's concurrent surface — the reorder
+# window sized in whole lane batches, per-cell progress from per-batch
+# workers, lowest-cell-first errors — where a scheduling-dependent bug
+# shows once in many runs (.github/workflows/stress.yml runs it weekly).
+stress:
+	$(GO) test -race -count=50 ./internal/sweep ./internal/hijack
 
 # Tier-1 verify (build + tests) in a fresh git worktree of HEAD, where
 # only committed files exist — catches fixtures hidden by .gitignore.

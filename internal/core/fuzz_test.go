@@ -10,9 +10,10 @@ import (
 )
 
 // fuzzCase is one differential-fuzz input: a small relationship graph, the
-// policy options, and two (attack, defense) cells — prev is solved first on
+// policy options, two (attack, defense) cells — prev is solved first on
 // the reused solver so the cell under test runs on warm buffers, level
-// arenas and (for leaks) a cached baseline left by another cell.
+// arenas and (for leaks) a cached baseline left by another cell — and a
+// lane batch around the cell under test.
 type fuzzCase struct {
 	n      int      // candidate ASNs 1..n; the ones no link names do not exist
 	ranks  []byte   // per candidate: the higher (rank, lower ASN) end of a transit link is the provider
@@ -23,7 +24,38 @@ type fuzzCase struct {
 	snap   bool // BuildSnapshot on the reused solver between the two cells
 	at     fuzzCell
 	prev   fuzzCell
+	lanes  fuzzLanes
 	seeded string // set on hand-written seeds, for failure messages
+}
+
+// fuzzLanes shapes the SolveLanes batch the reused solver also runs: width
+// lanes sharing the cell under test's target, kind, sub-prefix flag and
+// defense, that cell in lane pos, and in lane i ≠ pos attacker
+// base[i%8] + i/8·step — duplicates whenever step is 0 or the width
+// exceeds the graph. late runs the batch after the snapshot build instead
+// of before it.
+type fuzzLanes struct {
+	width, pos int
+	late       bool
+	base       [8]byte
+	step       byte
+}
+
+// attackers resolves the batch against an n-node graph. Only the cell
+// under test may attack its own target (and must then fail the batch as it
+// fails the scalar solve); a drawn attacker that lands on the target moves
+// on by one.
+func (l fuzzLanes) attackers(at Attack, n int) []int {
+	out := make([]int, l.width)
+	for i := range out {
+		a := (int(l.base[i%8]) + i/8*int(l.step)) % n
+		if a == at.Target {
+			a = (a + 1) % n
+		}
+		out[i] = a
+	}
+	out[l.pos] = at.Attacker
+	return out
 }
 
 // fuzzCell is an attack and defense in index-free form: node numbers are
@@ -81,10 +113,16 @@ func decodeFuzzCase(data []byte) fuzzCase {
 	r := &byteReader{data}
 	c := fuzzCase{n: 2 + int(r.byte())%(fuzzMaxNodes-1)}
 	opts := r.byte()
-	c.noSPF, c.tieHi, c.snap = opts&1 != 0, opts&2 != 0, opts&4 != 0
+	c.noSPF, c.tieHi, c.snap, c.lanes.late = opts&1 != 0, opts&2 != 0, opts&4 != 0, opts&8 != 0
 	c.tier1 = r.mask()
 	c.at = r.cell()
 	c.prev = r.cell()
+	c.lanes.width = 1 + int(r.byte())%LaneWidth
+	c.lanes.pos = int(r.byte()) % c.lanes.width
+	c.lanes.step = r.byte()
+	for i := range c.lanes.base {
+		c.lanes.base[i] = r.byte()
+	}
 	c.ranks = make([]byte, c.n)
 	for i := range c.ranks {
 		c.ranks[i] = r.byte()
@@ -111,7 +149,7 @@ func (c fuzzCase) encode() []byte {
 		return append(append(out, mask(x.rov)...), mask(x.aspa)...)
 	}
 	var opts byte
-	for bit, on := range []bool{c.noSPF, c.tieHi, c.snap} {
+	for bit, on := range []bool{c.noSPF, c.tieHi, c.snap, c.lanes.late} {
 		if on {
 			opts |= 1 << bit
 		}
@@ -120,6 +158,8 @@ func (c fuzzCase) encode() []byte {
 	out = append(out, mask(c.tier1)...)
 	out = append(out, cell(c.at)...)
 	out = append(out, cell(c.prev)...)
+	out = append(out, byte(c.lanes.width-1), byte(c.lanes.pos), c.lanes.step)
+	out = append(out, c.lanes.base[:]...)
 	ranks := make([]byte, c.n)
 	copy(ranks, c.ranks)
 	out = append(out, ranks...)
@@ -214,8 +254,9 @@ func fuzzSeeds() []fuzzCase {
 		ranks: []byte{9, 9, 5, 5, 5, 1, 1, 1},
 		links: [][3]int{{0, 1, peer}, {0, 2, transit}, {0, 3, transit}, {1, 4, transit},
 			{2, 3, peer}, {2, 5, transit}, {3, 6, transit}, {4, 7, transit}},
-		at:   fuzzCell{target: 5, attacker: 7},
-		prev: fuzzCell{target: 7, attacker: 5, kind: KindRouteLeak},
+		at:    fuzzCell{target: 5, attacker: 7},
+		prev:  fuzzCell{target: 7, attacker: 5, kind: KindRouteLeak},
+		lanes: fuzzLanes{width: LaneWidth, pos: 17, base: [8]byte{0, 1, 2, 3, 4, 6, 7, 7}, step: 1},
 	}
 	// Tier-1 0 sits on top of the customer chain 0←2←3←4←5 and peers with
 	// tier-1 1, whose customer target 5 also is. Attacker 4 hands 0 a
@@ -227,8 +268,9 @@ func fuzzSeeds() []fuzzCase {
 		ranks: []byte{9, 9, 7, 6, 5, 1, 1},
 		links: [][3]int{{0, 1, peer}, {0, 2, transit}, {2, 3, transit}, {3, 4, transit},
 			{4, 5, transit}, {1, 5, transit}, {0, 6, transit}},
-		at:   fuzzCell{target: 5, attacker: 4},
-		prev: fuzzCell{target: 5, attacker: 3, kind: KindForgedOrigin},
+		at:    fuzzCell{target: 5, attacker: 4},
+		prev:  fuzzCell{target: 5, attacker: 3, kind: KindForgedOrigin},
+		lanes: fuzzLanes{width: 1},
 	}
 	// Attacker 3's only link is a peering with 2, which has no route to
 	// target 1 to hand it: the leak has nothing to leak.
@@ -238,12 +280,38 @@ func fuzzSeeds() []fuzzCase {
 		links: [][3]int{{0, 1, transit}, {2, 3, peer}},
 		at:    fuzzCell{target: 1, attacker: 3, kind: KindRouteLeak, peerlock: true, aspa: 0b0101},
 		prev:  fuzzCell{target: 1, attacker: 0, kind: KindRouteLeak},
+		lanes: fuzzLanes{width: 5, pos: 4, late: true, base: [8]byte{0, 2, 3, 3}},
+	}
+	// Tier-1 0 has no customer route and two peers that both originate: the
+	// target 1 and the attacker 2, each an offer of length 1. Under
+	// WithPreferHighNextHop it takes the attacker's, and its customer 3
+	// with it — a lane pull that walks the peer row forwards regardless
+	// takes the target's.
+	pullTie := fuzzCase{
+		seeded: "tier-1 pulls a tie under the flipped tie-break", n: 4, tier1: 0b1, tieHi: true,
+		ranks: []byte{9, 1, 1, 1},
+		links: [][3]int{{0, 1, peer}, {0, 2, peer}, {0, 3, transit}},
+		at:    fuzzCell{target: 1, attacker: 2},
+		prev:  fuzzCell{target: 2, attacker: 1, subPrefix: true},
+		lanes: fuzzLanes{width: 3, pos: 1, base: [8]byte{3, 0, 3}},
+	}
+	// 1 fills its gap with target 0's route across their peering and must
+	// not hand it on across its other peering, to 2, which stays unrouted:
+	// the attacker's component (3, 4) is out of reach.
+	noPeerTransit := fuzzCase{
+		seeded: "a peer route is not offered to peers", n: 5, noSPF: true,
+		ranks: []byte{1, 1, 1, 1, 1},
+		links: [][3]int{{0, 1, peer}, {1, 2, peer}, {3, 4, peer}},
+		at:    fuzzCell{target: 0, attacker: 3},
+		prev:  fuzzCell{target: 0, attacker: 4},
+		lanes: fuzzLanes{width: 9, pos: 8, base: [8]byte{1, 2, 3, 4, 4, 3, 2, 1}, step: 2},
 	}
 	everyoneTier1 := diamond
 	everyoneTier1.seeded, everyoneTier1.tier1, everyoneTier1.tieHi = "whole-graph tier-1 set", ^uint32(0), true
 	noTier1 := reroute
 	noTier1.seeded, noTier1.tier1, noTier1.noSPF = "empty tier-1 set", 0, true
-	return []fuzzCase{diamond, reroute, noLeak, everyoneTier1, noTier1}
+	noTier1.lanes = fuzzLanes{width: 12, pos: 0, late: true, base: [8]byte{4, 3, 2, 6, 0, 1, 4, 4}, step: 3}
+	return []fuzzCase{diamond, reroute, noLeak, pullTie, noPeerTransit, everyoneTier1, noTier1}
 }
 
 // rootCause unwraps err to the innermost error's text: the three solvers
@@ -279,7 +347,9 @@ func viewDiff(want, got OutcomeView) string {
 // cell, the message Engine and the DeltaSolver — through SolveDelta, whichever
 // kernel it chooses, through the unbounded repair, and through a repair that
 // bails after one examination — to one answer: the same route at every node,
-// or the same rejection.
+// or the same rejection. The reused solver also runs a lane batch around
+// the cell, before or after its snapshot build, every lane of which must
+// answer as a fresh Solver does on that lane's cell (requireLanes).
 func checkSolverEquivalence(t *testing.T, c fuzzCase) {
 	t.Helper()
 	w := c.build()
@@ -292,11 +362,18 @@ func checkSolverEquivalence(t *testing.T, c fuzzCase) {
 	reused := NewSolver(pol)
 	// prev may itself be invalid; the solver must come through that too.
 	_, _ = reused.SolveDefense(w.prev, w.prevDef)
+	batch := c.lanes.attackers(at, pol.N())
+	if !c.lanes.late {
+		requireLanes(t, reused, at.Target, batch, at.Kind, at.SubPrefix, def)
+	}
 	if c.snap {
 		if _, err := reused.BuildSnapshot(w.prev.Attacker); err != nil {
 			t.Fatalf("snapshot on reused solver: %v", err)
 		}
 		requireLevelSets(t, reused)
+	}
+	if c.lanes.late {
+		requireLanes(t, reused, at.Target, batch, at.Kind, at.SubPrefix, def)
 	}
 	warm, warmErr := reused.SolveDefense(at, def)
 	eng, _, engErr := NewEngine(pol).RunDefense(at, def, false)

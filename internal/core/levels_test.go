@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
@@ -220,8 +221,9 @@ func TestLeakBaselinePerTarget(t *testing.T) {
 
 // TestSolverStats pins the work counters on the seed-42 2,000-AS world with
 // exact, machine-independent values: each stage's sources are the routed
-// nodes that have someone to offer to, each visited once, and a ladder's
-// leaks share one baseline per target.
+// nodes that have someone to offer to, each visited once, a ladder's leaks
+// share one baseline per target, and a lane solve is one pass however many
+// lanes it carries.
 func TestSolverStats(t *testing.T) {
 	pol := deltaTestPolicy(t, 2000, 42)
 	n := pol.N()
@@ -284,5 +286,77 @@ func TestSolverStats(t *testing.T) {
 	if st := s.Stats(); st.Solves != solves || st.BaselineSolves != 1 {
 		t.Errorf("ladder of %d cells on one target: %d solves, %d baseline solves, want %d and 1",
 			solves, st.Solves, st.BaselineSolves, solves)
+	}
+
+	// A sweep group as the matrix runtime solves it: 60 attackers on one
+	// target are one lane solve and no scalar work, whatever the extractor
+	// reads off the lane words; the leak group shares one baseline.
+	rng := rand.New(rand.NewSource(60))
+	target := cells[0].Target
+	group := make([]int, 60)
+	for i := range group {
+		for group[i] = rng.Intn(n); group[i] == target; {
+			group[i] = rng.Intn(n)
+		}
+	}
+	weights := pol.Graph().AddrWeights()
+	s = NewSolver(pol)
+	for round, kind := range []AttackKind{KindOrigin, KindRouteLeak} {
+		outs, err := s.SolveLanes(target, group, kind, false, defs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range outs {
+			outs[i].PollutedWeight(weights)
+			outs[i].Polluted(i)
+		}
+		want := SolverStats{LaneSolves: int64(round + 1), Lanes: int64(60 * (round + 1)), BaselineSolves: int64(round)}
+		got := s.Stats()
+		want.Sources, want.Offers = got.Sources, got.Offers
+		if got != want {
+			t.Errorf("after %d 60-attacker groups: stats %+v, want %+v", round+1, got, want)
+		}
+	}
+	// An extractor that walks every path (ribcompare.FromOutcome) costs one
+	// scalar solve per lane, once.
+	outs, err := s.SolveLanes(target, group, KindOrigin, false, Defense{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	for i := range outs {
+		for v := 0; v < n; v++ {
+			outs[i].Path(v)
+		}
+	}
+	if st := s.Stats(); st.Materialized != 60 || st.Solves != before.Solves+60 {
+		t.Errorf("walking every path of 60 lanes: %d materialized, %d scalar solves, want 60 each", st.Materialized, st.Solves-before.Solves)
+	}
+
+	// A flood visits a source once for all the lanes it carries: a batch of
+	// one costs exactly what the scalar solve of that cell costs, and 60
+	// lanes visit and offer less than 60 solves do.
+	one, sixty, scalar := NewSolver(pol), NewSolver(pol), NewSolver(pol)
+	if _, err := one.SolveLanes(target, group[:1], KindOrigin, false, defs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sixty.SolveLanes(target, group, KindOrigin, false, defs[1]); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range group {
+		if _, err := scalar.SolveDefense(Attack{Target: target, Attacker: a}, defs[1]); err != nil {
+			t.Fatal(err)
+		}
+		if st := scalar.Stats(); i == 0 && (one.Stats().Sources != st.Sources || one.Stats().Offers != st.Offers) {
+			t.Errorf("a one-lane batch visited %v sources over %v edges, the scalar solve %v over %v",
+				one.Stats().Sources, one.Stats().Offers, st.Sources, st.Offers)
+		}
+	}
+	for stage := range scalar.Stats().Sources {
+		l, sc := sixty.Stats(), scalar.Stats()
+		if l.Sources[stage] == 0 || l.Sources[stage] >= sc.Sources[stage] || l.Offers[stage] >= sc.Offers[stage] {
+			t.Errorf("stage %d: 60 lanes visited %d sources over %d edges, 60 scalar solves %d over %d",
+				stage, l.Sources[stage], l.Offers[stage], sc.Sources[stage], sc.Offers[stage])
+		}
 	}
 }

@@ -33,7 +33,8 @@ func kernelCells(pol *Policy) (cells []Attack, defs []Defense) {
 // returned Outcome are retained. Route leaks solve a baseline on the lazily
 // built secondary solver, which is the one allocation they are allowed.
 // BuildSnapshot runs the same stages; all it may allocate is the detached
-// Snapshot it returns. SolveDelta allocates nothing on either kernel.
+// Snapshot it returns. SolveDelta allocates nothing on either kernel, and
+// neither does SolveLanes, reading its lanes and materializing one included.
 func TestWarmSolveAllocs(t *testing.T) {
 	pol := deltaTestPolicy(t, 2000, 42)
 	cells, defs := kernelCells(pol)
@@ -60,6 +61,34 @@ func TestWarmSolveAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(5, pass); got > tc.max {
 			t.Errorf("%v: warm pass of %d solves allocates %.1f times, want at most %.0f",
 				tc.kind, len(cells)*len(defs), got, tc.max)
+		}
+	}
+
+	// A lane solve retains its per-node words, distance planes and lane
+	// outcomes like the scalar arenas; the pollution totals come off the
+	// stack. Materializing a lane is a scalar solve on the same buffers.
+	attackers := make([]int, len(cells))
+	for i, at := range cells {
+		attackers[i] = at.Attacker
+	}
+	weights := oddWeights(pol.N())
+	for _, kind := range Kinds() {
+		s := NewSolver(pol)
+		pass := func() {
+			for _, def := range defs {
+				outs, err := s.SolveLanes(cells[0].Target, attackers, kind, false, def)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range outs {
+					outs[i].PollutedWeight(weights)
+				}
+				outs[1].NextHop(cells[0].Target)
+			}
+		}
+		pass()
+		if got := testing.AllocsPerRun(5, pass); got > 0 {
+			t.Errorf("%v: warm pass of %d lane solves allocates %.1f times, want 0", kind, len(defs), got)
 		}
 	}
 

@@ -72,6 +72,10 @@ type Solver struct {
 	// of base.out.Target until a leak against another target arrives.
 	base *Solver
 
+	// ln is the lane-mode state, allocated by the first SolveLanes: a solver
+	// that only ever runs scalar solves (a hijackd worker) pays nothing.
+	ln *laneState
+
 	stats SolverStats
 }
 
@@ -79,15 +83,20 @@ type Solver struct {
 // pinning that each stage costs what it routes. Sources and Offers are
 // indexed by stage: 0 customer, 1 peer fill, 2 provider.
 type SolverStats struct {
-	// Solves counts three-stage runs on this solver (Solve, SolveDefense
-	// and BuildSnapshot).
+	// Solves counts scalar three-stage runs on this solver (Solve,
+	// SolveDefense, BuildSnapshot, and each lane materialized).
 	Solves int64
+	// LaneSolves counts SolveLanes batches, Lanes the cells they served and
+	// Materialized the lanes whose Class, NextHop, Path or Clone was read
+	// and cost a scalar solve of that cell on top.
+	LaneSolves, Lanes, Materialized int64
 	// BaselineSolves counts the extra defense-free solves run for route
 	// leaks: one per change of target, not one per leak.
 	BaselineSolves int64
-	// Sources counts the routed nodes the Solves runs visited to offer their
+	// Sources counts the routed nodes the solves visited to offer their
 	// route on, and Offers the edges they offered it over (each source's
-	// whole adjacency row, whether or not the neighbor took the route).
+	// whole adjacency row, whether or not the neighbor took the route). A
+	// lane flood visits a source once for all the lanes it carries.
 	Sources [3]int64
 	Offers  [3]int64
 }
@@ -109,25 +118,48 @@ func (s *Solver) Stats() SolverStats { return s.stats }
 
 // Outcome is a view of one converged routing state. It remains valid only
 // until the owning Solver/Engine runs again; call Clone to detach it.
+//
+// One lane of a SolveLanes batch is an Outcome too. It answers what every
+// lane has — whether a node is routed, to which origin, how far, and the
+// pollution totals — from the batch's lane words, and what only a scalar
+// solve has (Class, NextHop, Path, Clone) by running that one cell on the
+// owning Solver the first time it is asked: no reader can tell which mode
+// solved its cell.
 type Outcome struct {
 	Target   int
 	Attacker int
 
 	epoch int32
 	nodes []nodeRec // nodes[i].stamp == epoch ⇒ node i has a route
+
+	lanes *Solver // non-nil: lane `lane` of lanes' current batch
+	lane  uint
 }
 
 // N returns the node count.
-func (o *Outcome) N() int { return len(o.nodes) }
+func (o *Outcome) N() int {
+	if o.lanes != nil {
+		return o.lanes.pol.n
+	}
+	return len(o.nodes)
+}
 
 // HasRoute reports whether node i selected any route.
-func (o *Outcome) HasRoute(i int) bool { return o.nodes[i].stamp == o.epoch }
+func (o *Outcome) HasRoute(i int) bool {
+	if o.lanes != nil {
+		return o.lanes.ln.routed[i]>>o.lane&1 != 0
+	}
+	return o.nodes[i].stamp == o.epoch
+}
 
 // Origin returns which origin node i routes to (OriginTarget,
 // OriginAttacker, or OriginNone).
 func (o *Outcome) Origin(i int) int8 {
 	if !o.HasRoute(i) {
 		return OriginNone
+	}
+	if o.lanes != nil {
+		return int8(o.lanes.ln.att[i] >> o.lane & 1) // OriginTarget is 0, OriginAttacker 1
 	}
 	return o.nodes[i].origin
 }
@@ -137,6 +169,7 @@ func (o *Outcome) Class(i int) RouteClass {
 	if !o.HasRoute(i) {
 		return ClassNone
 	}
+	o.materialize()
 	return o.nodes[i].class
 }
 
@@ -146,13 +179,20 @@ func (o *Outcome) Dist(i int) int16 {
 	if !o.HasRoute(i) {
 		return -1
 	}
+	if o.lanes != nil {
+		return o.lanes.ln.dist(i, o.lane)
+	}
 	return o.nodes[i].dist
 }
 
 // NextHop returns the neighbor node i forwards through, or -1 at an origin
 // or unrouted node.
 func (o *Outcome) NextHop(i int) int32 {
-	if !o.HasRoute(i) || o.nodes[i].class == ClassOrigin {
+	if !o.HasRoute(i) {
+		return -1
+	}
+	o.materialize()
+	if o.nodes[i].class == ClassOrigin {
 		return -1
 	}
 	return o.nodes[i].nexthop
@@ -161,7 +201,7 @@ func (o *Outcome) NextHop(i int) int32 {
 // Polluted reports whether node i selected a route to the attacker.
 // Origin nodes themselves are never counted as polluted.
 func (o *Outcome) Polluted(i int) bool {
-	return i != o.Attacker && o.HasRoute(i) && o.nodes[i].origin == OriginAttacker
+	return i != o.Attacker && o.Origin(i) == OriginAttacker
 }
 
 // PollutedCount returns the number of polluted ASes — the paper's core
@@ -175,6 +215,9 @@ func (o *Outcome) PollutedCount() int {
 // weights in one pass over the packed records. weights is indexed by node;
 // nil means every node weighs 1 (topology.Graph.AddrWeights' convention).
 func (o *Outcome) PollutedWeight(weights []int64) (count int, weight int64) {
+	if o.lanes != nil {
+		return o.lanes.ln.polluted(o.lane, weights)
+	}
 	// Whether a node is polluted is close to a coin flip, so the loops are
 	// branch-free: hit is 0 or 1 and masks the node's weight.
 	if weights == nil {
@@ -206,7 +249,7 @@ func (r *nodeRec) toAttacker(epoch int32) int64 {
 
 // PollutedNodes appends all polluted node indices to dst.
 func (o *Outcome) PollutedNodes(dst []int) []int {
-	for i := range o.nodes {
+	for i, n := 0, o.N(); i < n; i++ {
 		if o.Polluted(i) {
 			dst = append(dst, i)
 		}
@@ -216,6 +259,7 @@ func (o *Outcome) PollutedNodes(dst []int) []int {
 
 // Clone returns a detached copy that survives further Solver runs.
 func (o *Outcome) Clone() *Outcome {
+	o.materialize()
 	c := &Outcome{Target: o.Target, Attacker: o.Attacker, epoch: 1, nodes: make([]nodeRec, len(o.nodes))}
 	for i, r := range o.nodes {
 		if r.stamp == o.epoch {
@@ -232,6 +276,7 @@ func (o *Outcome) Path(i int) []int {
 	if !o.HasRoute(i) {
 		return nil
 	}
+	o.materialize()
 	path := []int{i}
 	cur := i
 	for o.nodes[cur].class != ClassOrigin {
@@ -347,9 +392,14 @@ func (s *Solver) begin() {
 // shortest-path-first pass re-routes — and enters it into level d.
 func (s *Solver) place(i int32, c RouteClass, d int16, nh int32, org int8) {
 	s.nodes[i] = nodeRec{stamp: s.epoch, nexthop: nh, dist: d, class: c, origin: org}
-	s.growLevels(int(d) + 1)
-	s.level(int(d))[i>>6] |= 1 << (i & 63)
-	s.top = max(s.top, int(d))
+	s.enter(i, int(d))
+}
+
+// enter adds node i to level d outside a flood.
+func (s *Solver) enter(i int32, d int) {
+	s.growLevels(d + 1)
+	s.level(d)[i>>6] |= 1 << (i & 63)
+	s.top = max(s.top, d)
 }
 
 // level returns level d's bitmap; growLevels must have covered d.
@@ -362,18 +412,22 @@ func (s *Solver) level(d int) []uint64 { return s.levels[d*s.words : (d+1)*s.wor
 //
 //bgplint:hotpath runs per level of every stage
 func (s *Solver) growLevels(size int) {
-	need := size * s.words
-	if need <= len(s.levels) {
-		return
+	s.levels = growArena(s.levels, size*s.words, 8*s.words)
+}
+
+// growArena extends a retained arena to need words, zeroing the ones it
+// exposes, with slack words of headroom when it has to move.
+func growArena(a []uint64, need, slack int) []uint64 {
+	if need <= len(a) {
+		return a
 	}
-	if need > cap(s.levels) {
-		grown := make([]uint64, len(s.levels), need+8*s.words)
-		copy(grown, s.levels)
-		s.levels = grown
+	if need > cap(a) {
+		grown := make([]uint64, len(a), need+slack)
+		copy(grown, a)
+		a = grown
 	}
-	fresh := s.levels[len(s.levels):need]
-	clear(fresh)
-	s.levels = s.levels[:need]
+	clear(a[len(a):need])
+	return a[:need]
 }
 
 // levelWalk visits the members of one level set that are also in a static
@@ -571,6 +625,482 @@ func (s *Solver) flood(sc *scenario, off, adj []int32, mask []uint64, c RouteCla
 	}
 	s.stats.Sources[c-ClassCustomer] += sources
 	s.stats.Offers[c-ClassCustomer] += offers
+}
+
+// ---- Lane mode -------------------------------------------------------
+//
+// A sweep is many attackers against one target under one deployment, and
+// its consumers read one bit per node and cell: does the node route to the
+// attacker. SolveLanes runs up to LaneWidth such cells through the three
+// stages at once, in the manner of multi-source BFS (Then et al., VLDB
+// 2014): a lane is one attacker, and a node's state is one uint64 per
+// predicate — bit i speaks for lane i — so an edge relaxation serves every
+// lane for one cache miss. DESIGN.md §5 carries the argument that lane i
+// converges to exactly what the scalar stages compute for cell i.
+
+// LaneWidth is the most cells one SolveLanes carries: one bit of a word
+// each.
+const LaneWidth = 64
+
+// LaneError is SolveLanes rejecting the cell in one of its lanes; Err is
+// what SolveDefense returns for that cell.
+type LaneError struct {
+	Lane int
+	Err  error
+}
+
+func (e *LaneError) Error() string { return fmt.Sprintf("lane %d: %v", e.Lane, e.Err) }
+func (e *LaneError) Unwrap() error { return e.Err }
+
+// laneState is a Solver's lane-mode state: the last batch, retained.
+type laneState struct {
+	n     int
+	width int
+	full  uint64 // the batch's lanes, bits [0, width)
+
+	kind      AttackKind
+	subPrefix bool
+	attackers [LaneWidth]int32
+	// sc is each lane's resolved scenario: its seed here, and what
+	// materializing the lane solves under.
+	sc [LaneWidth]scenario
+	// rej is the deployment that filters the bogus route in the lanes of
+	// rejLanes (they all resolve to the same one); the other lanes' attacks
+	// nothing filters.
+	rej      scenario
+	rejLanes uint64
+
+	// Per node, one word each (words backs all three): the lanes in which
+	// it has a route, in which that route leads to the attacker, and in
+	// which it is of origin or customer class — may be offered to peers.
+	// donor cannot be derived from routed afterwards: the peer stage routes
+	// nodes that must not donate, and re-routes tier-1s that no longer may.
+	words, routed, att, donor []uint64
+	// A lane's distance at a node is bit-sliced: plane p (planes[p*n:],
+	// grown on demand like the level sets) holds bit p of it, zero in the
+	// lanes the node is unrouted in.
+	planes  []uint64
+	nplanes int
+
+	// Pollution totals of every lane, made by one pass on first use.
+	counted bool
+	wkey    *int64 // &weights[0] of the weights the sums were taken under
+	count   [LaneWidth]int
+	weight  [LaneWidth]int64
+
+	outs [LaneWidth]Outcome
+}
+
+// SolveLanes computes the converged outcomes of len(attackers) ≤ LaneWidth
+// attacks on one target that share kind, sub-prefix flag and defense, in
+// one pass over the topology: lane i of the returned slice is the outcome
+// SolveDefense computes for attackers[i], node for node (duplicates are
+// fine). The slice and its outcomes belong to the solver and are valid
+// until its next solve; an invalid cell fails the batch with a *LaneError
+// naming the lowest such lane.
+func (s *Solver) SolveLanes(target int, attackers []int, kind AttackKind, subPrefix bool, def Defense) ([]Outcome, error) {
+	if len(attackers) == 0 || len(attackers) > LaneWidth {
+		return nil, fmt.Errorf("solve: %d lanes, want 1..%d", len(attackers), LaneWidth)
+	}
+	if s.ln == nil {
+		n := s.pol.n
+		w := make([]uint64, 3*n)
+		s.ln = &laneState{n: n, words: w, routed: w[:n:n], att: w[n : 2*n : 2*n], donor: w[2*n:]}
+	}
+	ln := s.ln
+	ln.width, ln.full = len(attackers), ^uint64(0)>>(LaneWidth-len(attackers))
+	ln.kind, ln.subPrefix = kind, subPrefix
+	ln.rej, ln.rejLanes = scenario{}, 0
+	for i, a := range attackers {
+		at := Attack{Target: target, Attacker: a, SubPrefix: subPrefix, Kind: kind}
+		if err := validateAttack(s.pol, at); err != nil {
+			return nil, &LaneError{Lane: i, Err: fmt.Errorf("solve: %w", err)}
+		}
+		sc, err := buildScenario(s.pol, at, def, func() (int16, bool) { return s.baselineDist(at) })
+		if err != nil {
+			return nil, &LaneError{Lane: i, Err: err}
+		}
+		ln.attackers[i], ln.sc[i] = int32(a), sc
+		if !sc.unfiltered() {
+			ln.rej, ln.rejLanes = sc, ln.rejLanes|1<<i
+		}
+	}
+
+	clear(ln.words)
+	ln.planes, ln.nplanes = ln.planes[:0], 0
+	ln.counted, ln.wkey = false, nil
+	s.levels, s.top = s.levels[:0], 0
+	s.stats.LaneSolves++
+	s.stats.Lanes += int64(ln.width)
+
+	// Seeds, as solveScenario places them: the target in every lane, each
+	// attacker in its own lane at its scenario's depth.
+	if !subPrefix {
+		ln.routed[target], ln.donor[target] = ln.full, ln.full
+		s.enter(int32(target), 0)
+	}
+	for i := 0; i < ln.width; i++ {
+		if sc := &ln.sc[i]; subPrefix || sc.seedAttacker {
+			a, bit := ln.attackers[i], uint64(1)<<i
+			ln.routed[a] |= bit
+			ln.att[a] |= bit
+			ln.donor[a] |= bit
+			ln.setDist(a, bit, int(sc.seedDist))
+			s.enter(a, int(sc.seedDist))
+		}
+	}
+
+	pol := s.pol
+	s.floodLanes(pol.provOff, pol.provAdj, pol.hasProv, ClassCustomer)
+	if pol.tier1SPF {
+		s.pullTier1Lanes()
+	}
+	s.floodLanes(pol.peerOff, pol.peerAdj, pol.hasPeer, ClassPeer)
+	s.floodLanes(pol.custOff, pol.custAdj, pol.hasCust, ClassProvider)
+
+	for i, a := range attackers {
+		ln.outs[i] = Outcome{Target: target, Attacker: a, lanes: s, lane: uint(i)}
+	}
+	return ln.outs[:ln.width], nil
+}
+
+// growPlanes makes every distance up to d representable.
+func (ln *laneState) growPlanes(d int) {
+	for d>>ln.nplanes != 0 {
+		ln.nplanes++
+		ln.planes = growArena(ln.planes, ln.nplanes*ln.n, ln.n)
+	}
+}
+
+// at returns the lanes in which node v is routed at distance d, which the
+// planes must cover.
+func (ln *laneState) at(v int32, d int) uint64 {
+	m := ln.routed[v]
+	for p, i := 0, int(v); p < ln.nplanes; p, i = p+1, i+ln.n {
+		x := ln.planes[i]
+		if d>>p&1 == 0 {
+			x = ^x
+		}
+		m &= x
+	}
+	return m
+}
+
+// setDist records distance d for lanes m of node v, whose plane bits must
+// be zero: the lanes were unrouted, or have just been cleared.
+func (ln *laneState) setDist(v int32, m uint64, d int) {
+	ln.growPlanes(d)
+	for i := int(v); d != 0; d, i = d>>1, i+ln.n {
+		if d&1 != 0 {
+			ln.planes[i] |= m
+		}
+	}
+}
+
+// dist gathers one lane's distance at node i.
+func (ln *laneState) dist(i int, lane uint) int16 {
+	var d int16
+	for p := 0; p < ln.nplanes; p, i = p+1, i+ln.n {
+		d |= int16(ln.planes[i]>>lane&1) << p
+	}
+	return d
+}
+
+// floodLanes is flood for every lane at once. Level d is the union over
+// lanes of the nodes routed at distance d — a superset for any one lane,
+// walked in the same tie-break order — and a source offers in exactly the
+// lanes it holds that distance in (and, across peer links, is a donor in).
+// A neighbor takes the offer in the lanes it is still unrouted in, minus
+// the attacker-bound lanes a validator drops, all in one store: a later
+// source of the level finds those lanes routed, so within each lane the
+// first accepted offer is final, as in flood.
+//
+//bgplint:hotpath the lane edge-relaxation loop: most of a batched sweep's CPU
+func (s *Solver) floodLanes(off, adj []int32, mask []uint64, c RouteClass) {
+	pol, ln := s.pol, s.ln
+	n, routed, att, donor := ln.n, ln.routed, ln.att, ln.donor
+	var sources, offers int64
+	for d := 0; d <= s.top; d++ {
+		s.growLevels(d + 2)
+		ln.growPlanes(d + 1)
+		next := s.level(d + 1)
+		// The planes of the set bits of d+1, the distance this level hands out.
+		var set [16][]uint64
+		nset := 0
+		for x, p := d+1, 0; x != 0; x, p = x>>1, p+1 {
+			if x&1 != 0 {
+				set[nset], nset = ln.planes[p*n:(p+1)*n], nset+1
+			}
+		}
+		grew := false
+		for wk := s.walk(d, mask); ; {
+			v := wk.next()
+			if v < 0 {
+				break
+			}
+			m := ln.at(v, d)
+			if c == ClassPeer {
+				m &= donor[v]
+			}
+			if m == 0 {
+				continue // a tier-1 the pull moved off this level, or no donor
+			}
+			bogus := m & att[v]
+			drop := bogus & ln.rejLanes
+			row := adj[off[v]:off[v+1]]
+			sources++
+			offers += int64(len(row))
+			for _, w := range row {
+				take := m &^ routed[w]
+				if take == 0 {
+					continue
+				}
+				if take&drop != 0 && ln.rej.rejects(pol, w, OriginAttacker) {
+					if take &^= drop; take == 0 {
+						continue
+					}
+				}
+				routed[w] |= take
+				att[w] |= take & bogus
+				if c == ClassCustomer {
+					donor[w] |= take
+				}
+				for _, plane := range set[:nset] {
+					plane[w] |= take
+				}
+				next[w>>6] |= 1 << (w & 63)
+				grew = true
+			}
+		}
+		if grew {
+			s.top = max(s.top, d+1)
+		}
+	}
+	s.stats.Sources[c-ClassCustomer] += sources
+	s.stats.Offers[c-ClassCustomer] += offers
+}
+
+// pullTier1Lanes is stagePeer's shortest-path-first pass for every lane at
+// once. The scalar pass visits the tier-1s by (customer-route distance D,
+// node) ascending; visiting (D, node) over the union of lanes and handling
+// at each visit the lanes in which that tier-1 sits at D is, restricted to
+// any one lane, that lane's own order. A tier-1 at D only ever takes a
+// strictly shorter peer route, so it looks no further than level D-2; an
+// unrouted one (last, as in the scalar order) takes whatever is offered.
+//
+//bgplint:hotpath runs once per batch over the tier-1 club's peer links
+func (s *Solver) pullTier1Lanes() {
+	ln, top := s.ln, s.top
+	// A pull places at most one level above the levels it reads.
+	s.growLevels(top + 2)
+	ln.growPlanes(top + 1)
+	for d := 2; d <= top; d++ {
+		lvl := s.level(d)
+		for _, w := range s.pol.tier1List {
+			if lvl[w>>6]>>(w&63)&1 == 0 {
+				continue
+			}
+			// The lanes re-routed at a lower d have lost donor[w] with it.
+			if lanes := ln.at(w, d) & ln.donor[w]; lanes != 0 {
+				s.pullLanes(w, lanes, d-2)
+			}
+		}
+	}
+	for _, w := range s.pol.tier1List {
+		if lanes := ln.full &^ ln.routed[w]; lanes != 0 {
+			s.pullLanes(w, lanes, top)
+		}
+	}
+}
+
+// pullLanes gives tier-1 w, in each of lanes, its best peer offer among
+// levels [0, last]: levels ascending and, within one, peers in next-hop
+// tie-break order (a CSR row ascends by node index, so that is the row
+// forwards, or backwards under WithPreferHighNextHop), the first donor
+// whose route w does not reject. The lanes that take one move to the level
+// above the donor's and stop donating: a peer route is not exported to
+// peers.
+//
+//bgplint:hotpath runs per tier-1 and distance of pullTier1Lanes
+func (s *Solver) pullLanes(w int32, lanes uint64, last int) {
+	pol, ln := s.pol, s.ln
+	peers := pol.Peers(int(w))
+	drop := uint64(0)
+	if ln.rejLanes != 0 && ln.rej.rejects(pol, w, OriginAttacker) {
+		drop = ln.rejLanes
+	}
+	for e := 0; e <= last; e++ {
+		lvl := s.level(e)
+		for k := range peers {
+			v := peers[k]
+			if pol.tieHigh {
+				v = peers[len(peers)-1-k]
+			}
+			m := lanes & ln.donor[v]
+			if m == 0 || lvl[v>>6]>>(v&63)&1 == 0 {
+				continue
+			}
+			if m = m & ln.at(v, e) &^ (ln.att[v] & drop); m == 0 {
+				continue
+			}
+			for i := int(w); i < len(ln.planes); i += ln.n {
+				ln.planes[i] &^= m
+			}
+			ln.setDist(w, m, e+1)
+			ln.routed[w] |= m
+			ln.att[w] = ln.att[w]&^m | ln.att[v]&m
+			ln.donor[w] &^= m
+			s.enter(w, e+1)
+			if lanes &^= m; lanes == 0 {
+				return
+			}
+		}
+	}
+}
+
+// polluted returns one lane's PollutedWeight, tallying every lane's on the
+// batch's first call (and again should the weights change).
+func (ln *laneState) polluted(lane uint, weights []int64) (int, int64) {
+	if !ln.counted || weights != nil && ln.wkey != &weights[0] {
+		ln.tally(weights)
+	}
+	if weights == nil {
+		return ln.count[lane], int64(ln.count[lane])
+	}
+	return ln.count[lane], ln.weight[lane]
+}
+
+// tally counts the polluted nodes of every lane, and sums their weights, in
+// one pass over att with bit-sliced counters: plane k of a laneSum holds bit
+// k of all 64 running totals. A node's lane word goes to the count, and once
+// per set bit b of its weight to the weight sum scaled by 2^b. Sums wrap at
+// 64 bits, as the scalar accumulator does.
+//
+//bgplint:hotpath one pass per batch over every node's lane word
+func (ln *laneState) tally(weights []int64) {
+	var cnt, sum laneSum
+	for v, a := range ln.att {
+		if a == 0 {
+			continue
+		}
+		cnt.add(a, 0)
+		if weights == nil {
+			continue
+		}
+		for wt := uint64(weights[v]); wt != 0; wt &= wt - 1 {
+			sum.add(a, bits.TrailingZeros64(wt))
+		}
+	}
+	cnt.flush()
+	sum.flush()
+	for i := 0; i < ln.width; i++ {
+		// The attacker's own origination is not pollution.
+		a := ln.attackers[i]
+		own := int64(ln.att[a] >> i & 1)
+		ln.count[i] = int(cnt.lane(i) - own)
+		if weights != nil {
+			ln.weight[i] = sum.lane(i) - own*weights[a]
+		}
+	}
+	ln.counted = true
+	if weights != nil {
+		ln.wkey = &weights[0]
+	}
+}
+
+// laneSum is 64 bit-sliced accumulators, one per lane. A ripple-carry add
+// of one lane word runs as far as the longest carry chain among 64 lanes —
+// about seven planes, every time — so words wait in a per-scale block and
+// go in sixteen at a time through a carry-save adder tree (Harley-Seal),
+// which costs fifteen fixed adder steps and one ripple.
+type laneSum struct {
+	planes [64]uint64
+	block  [64][16]uint64 // words waiting to be added at scale 2^b
+	held   [64]uint8
+}
+
+// add adds 2^b to every lane of word.
+func (z *laneSum) add(word uint64, b int) {
+	z.block[b][z.held[b]] = word
+	if z.held[b]++; z.held[b] == 16 {
+		z.reduce(b)
+	}
+}
+
+// flush adds the partly filled blocks.
+func (z *laneSum) flush() {
+	for b := range z.held {
+		if z.held[b] != 0 {
+			z.reduce(b)
+		}
+	}
+}
+
+// csa is a carry-save adder: three words in, their per-lane sum out as a
+// sum word and a carry word of twice the weight.
+func csa(a, b, c uint64) (sum, carry uint64) {
+	u := a ^ b
+	return u ^ c, a&b | u&c
+}
+
+// reduce adds block b into the planes and empties it.
+func (z *laneSum) reduce(b int) {
+	x := &z.block[b]
+	clear(x[z.held[b]:])
+	z.held[b] = 0
+	var ones [5]uint64
+	var twos [8]uint64
+	var fours [4]uint64
+	for i := 0; i < 5; i++ { // 15 words → 5 ones, 5 twos
+		ones[i], twos[i] = csa(x[3*i], x[3*i+1], x[3*i+2])
+	}
+	ones[0], twos[5] = csa(ones[0], ones[1], ones[2])
+	ones[0], twos[6] = csa(ones[0], ones[3], ones[4])
+	ones[0], twos[7] = csa(ones[0], x[15], 0)
+	twos[0], fours[0] = csa(twos[0], twos[1], twos[2])
+	twos[1], fours[1] = csa(twos[3], twos[4], twos[5])
+	twos[0], fours[2] = csa(twos[0], twos[1], twos[6])
+	twos[0], fours[3] = csa(twos[0], twos[7], 0)
+	var eights [2]uint64
+	fours[0], eights[0] = csa(fours[0], fours[1], fours[2])
+	fours[0], eights[1] = csa(fours[0], fours[3], 0)
+	var sixteens uint64
+	eights[0], sixteens = csa(eights[0], eights[1], 0)
+	// The block's per-lane total, 0..16, is the five-plane number (ones[0],
+	// twos[0], fours[0], eights[0], sixteens): add it in at plane b.
+	carry := uint64(0)
+	for k, d := range [5]uint64{ones[0], twos[0], fours[0], eights[0], sixteens} {
+		if b+k < len(z.planes) {
+			z.planes[b+k], carry = csa(z.planes[b+k], d, carry)
+		}
+	}
+	for k := b + 5; carry != 0 && k < len(z.planes); k++ {
+		z.planes[k], carry = z.planes[k]^carry, z.planes[k]&carry
+	}
+}
+
+// lane gathers one lane's total.
+func (z *laneSum) lane(i int) int64 {
+	var total uint64
+	for k, p := range z.planes {
+		total |= (p >> i & 1) << k
+	}
+	return int64(total)
+}
+
+// materialize backs a lane outcome with the scalar records of its cell, by
+// solving that cell on the owning solver — once, unless another lane's
+// materialization has taken the records since.
+func (o *Outcome) materialize() {
+	s := o.lanes
+	if s == nil || o.nodes != nil && o.epoch == s.epoch {
+		return
+	}
+	ln := s.ln
+	at := Attack{Target: o.Target, Attacker: o.Attacker, SubPrefix: ln.subPrefix, Kind: ln.kind}
+	so := s.solveScenario(at, &ln.sc[o.lane])
+	o.nodes, o.epoch = so.nodes, so.epoch
+	s.stats.Materialized++
 }
 
 // ReceivedAttackerRoute computes, for every node, whether at least one

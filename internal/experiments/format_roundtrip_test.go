@@ -12,9 +12,11 @@ import (
 	"os"
 	"testing"
 
+	"github.com/bgpsim/bgpsim/internal/core"
 	"github.com/bgpsim/bgpsim/internal/detect"
 	"github.com/bgpsim/bgpsim/internal/hijack"
 	"github.com/bgpsim/bgpsim/internal/sweep"
+	"github.com/bgpsim/bgpsim/internal/topology"
 )
 
 // formatCase wires one scan tool's experiment into the generic
@@ -210,7 +212,9 @@ func TestFormatShardMergeStdoutIdentity(t *testing.T) {
 // TestRecioResumeStdoutIdentity is the crash acceptance test at the
 // tool level: a recio shard run killed mid-run (file truncated inside a
 // segment, i.e. after N checkpointed records) and restarted with resume
-// must merge to stdout byte-identical to an uninterrupted full run.
+// must merge to stdout byte-identical to an uninterrupted full run. The
+// shard cut and the resume point both fall mid-batch: the restarted run
+// forms its lane batches over the cells that are left.
 func TestRecioResumeStdoutIdentity(t *testing.T) {
 	w := world(t)
 	tc := formatCases(t, w)[0] // Figure 2
@@ -237,6 +241,24 @@ func TestRecioResumeStdoutIdentity(t *testing.T) {
 	}
 	if rep2.Solved == 0 {
 		t.Fatal("restart solved nothing — truncation should have lost the open segment")
+	}
+	// Both cuts must fall inside what the unsharded run solves as one lane
+	// batch (a Figure 2 group shares one target: its batches start every
+	// core.LaneWidth cells), or this test stops showing that batches are
+	// re-formed inside [resume point, shard end).
+	_, wl, err := vulnerabilityWorkload(w, VulnerabilityConfig{AttackerSample: 150, Seed: 3}, topology.UnderTier1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cell := range map[string]int{"shard cut": rep.CellHi, "resume point": rep2.CellLo + rep2.Resumed} {
+		g := 0
+		for cell >= wl.Matrix.Size(g) {
+			cell -= wl.Matrix.Size(g)
+			g++
+		}
+		if cell%core.LaneWidth == 0 {
+			t.Fatalf("the %s falls on a batch boundary (cell %d of group %d); move it", name, cell, g)
+		}
 	}
 	// Shard 1 never crashed; -resume on a missing file is a fresh run.
 	tc.shard(t, w, 4, sweep.OneShard(1, 2), store)

@@ -193,8 +193,8 @@ func TestSweepAllSerialEquivalence(t *testing.T) {
 	}
 }
 
-// TestSweepRunDeterminism drives the sweep.Run kernel directly from this
-// package's workload shape and requires identical observer-visible outcome
+// TestSweepRunDeterminism drives sweep.RunReduce directly from this
+// package's workload shape and requires identical extracted-record
 // digests at worker counts 1, 4, and GOMAXPROCS.
 func TestSweepRunDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
@@ -206,18 +206,18 @@ func TestSweepRunDeterminism(t *testing.T) {
 	attackers := g.TransitNodes()
 
 	digest := func(workers int) [sha256.Size]byte {
-		polluted := make([]int64, len(attackers))
-		err := sweep.Run(pol, len(attackers),
+		var polluted sweep.Collect[int64]
+		err := sweep.RunReduce(pol, len(attackers),
 			func(i int) (core.Attack, core.Defense) {
 				return core.Attack{Target: target, Attacker: attackers[i]}, core.Defense{}
 			},
 			sweep.Options{Workers: workers},
-			func(i int, o *core.Outcome) { polluted[i] = int64(o.PollutedCount()) })
+			func(_ int, o *core.Outcome) int64 { return int64(o.PollutedCount()) }, &polluted)
 		if err != nil {
 			t.Fatal(err)
 		}
 		h := sha256.New()
-		for _, p := range polluted {
+		for _, p := range polluted.Records {
 			binary.Write(h, binary.BigEndian, p) //nolint:errcheck // hash.Hash cannot fail
 		}
 		var out [sha256.Size]byte
@@ -228,7 +228,7 @@ func TestSweepRunDeterminism(t *testing.T) {
 	want := digest(1)
 	for _, workers := range []int{4, 0} {
 		if got := digest(workers); got != want {
-			t.Errorf("sweep.Run workers=%d digest %x != serial %x", workers, got[:8], want[:8])
+			t.Errorf("sweep.RunReduce workers=%d digest %x != serial %x", workers, got[:8], want[:8])
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/bgpsim/bgpsim/internal/asn"
 	"github.com/bgpsim/bgpsim/internal/core"
+	"github.com/bgpsim/bgpsim/internal/sweep"
 	"github.com/bgpsim/bgpsim/internal/topology"
 )
 
@@ -50,6 +51,72 @@ func TestForgedOriginWorkerInvariance(t *testing.T) {
 		if d != ref {
 			t.Errorf("workers=%d: forged-origin sweep digest %x diverges from serial %x",
 				workers, d[:8], ref[:8])
+		}
+	}
+}
+
+// TestScenarioLaneEquivalence holds the matrix runtime's lane batches to a
+// serial loop of scalar solves on the shapes the scenario studies sweep:
+// every attack kind, defended by ROV + ASPA + Peerlock and not, 300
+// attackers a configuration (so a configuration is several full batches and
+// a ragged one), at workers ∈ {1, 8} × shards ∈ {1, 3}, where the shard
+// cuts fall inside batches.
+func TestScenarioLaneEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	pol, g, c := testWorld(t, 300)
+	target, err := topology.FindTarget(g, c, topology.TargetQuery{Depth: 2, Stub: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := asn.NewIndexSet(g.N())
+	for i := 0; i < g.N(); i += 4 {
+		set.Add(i)
+	}
+	var cfgs []SweepConfig
+	for _, kind := range core.Kinds() {
+		cfgs = append(cfgs,
+			SweepConfig{Target: target, Attackers: AllNodes(g.N()), Kind: kind},
+			SweepConfig{Target: target, Attackers: AllNodes(g.N()), Kind: kind,
+				Defense: (core.MechROV | core.MechASPA | core.MechPeerlock).Deploy(set)})
+	}
+
+	totalWeight := g.TotalAddrWeight()
+	solver := core.NewSolver(pol)
+	refs := make([]*SweepResult, len(cfgs))
+	for ci, cfg := range cfgs {
+		ref := &SweepResult{Target: cfg.Target}
+		for _, a := range cfg.Attackers {
+			if a == cfg.Target {
+				continue
+			}
+			o, err := solver.SolveDefense(core.Attack{Target: cfg.Target, Attacker: a, Kind: cfg.Kind}, cfg.Defense)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := Measure(g, totalWeight, o)
+			ref.Attackers = append(ref.Attackers, a)
+			ref.Pollution = append(ref.Pollution, rec.Pollution)
+			ref.WeightFrac = append(ref.WeightFrac, rec.WeightFrac)
+		}
+		refs[ci] = ref
+	}
+
+	for _, workers := range []int{1, 8} {
+		for _, shards := range []int{1, 3} {
+			opts := sweep.MatrixOptions{Workers: workers}
+			if shards > 1 {
+				opts.Sel = sweep.AllShards(shards)
+			}
+			results, err := SweepMatrix(pol, cfgs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci := range cfgs {
+				if got, want := sweepDigest(results[ci]), sweepDigest(refs[ci]); got != want {
+					t.Errorf("workers=%d shards=%d cfg=%d (%v): digest %x != serial reference %x",
+						workers, shards, ci, cfgs[ci].Kind, got[:8], want[:8])
+				}
+			}
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package obsappend implements the bgplint analyzer that guards the sweep
 // kernel's ordering contract at its call sites.
 //
-// Callbacks that receive a *core.Outcome — sweep.Observer implementations
-// and matrix extract functions — run on worker goroutines in COMPLETION
+// Callbacks that receive a *core.Outcome — the sweep runtime's extract
+// functions — run on worker goroutines in COMPLETION
 // order, which varies with the worker count. Appending to a slice captured
 // from an enclosing scope inside such a callback therefore records results
 // in a nondeterministic order (and, on the matrix paths, races outright):

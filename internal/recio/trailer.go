@@ -195,13 +195,18 @@ func findIndex(data []byte, headerEnd int64) []SegmentInfo {
 	return segs
 }
 
-// verifySegment reports whether the segment's compressed bytes match
-// the CRC its index entry recorded — the integrity check of the seek
-// path, run without inflating anything.
+// verifySegment reports whether the segment's length prefix and
+// compressed bytes are what its index entry recorded — the integrity
+// check of the seek path, run without inflating anything. The prefix is
+// outside the CRC, and the scan path reads the segment through it: with
+// a damaged one the index would vouch for records no reader can reach.
 func verifySegment(data []byte, s SegmentInfo) bool {
 	start := s.Offset + int64(uvarintLen(uint64(s.CLen)))
 	end := start + s.CLen
-	if start < 0 || end > int64(len(data)) {
+	if s.Offset < 0 || start < 0 || end > int64(len(data)) {
+		return false
+	}
+	if clen, width := binary.Uvarint(data[s.Offset:start]); width <= 0 || clen != uint64(s.CLen) {
 		return false
 	}
 	return crc32.Checksum(data[start:end], castagnoli) == s.CRC

@@ -254,32 +254,70 @@ func unwrapShardErr(err error) error {
 	return err
 }
 
+// batchKey is what the cells of one lane solve share: a group (hence a
+// policy) and everything of the cell but its attacker.
+type batchKey struct {
+	group, target int
+	kind          core.AttackKind
+	subPrefix     bool
+	def           core.Defense
+}
+
+// batchStarts cuts cells [lo, hi) into the runs runShard solves at once:
+// maximal runs of at most core.LaneWidth consecutive cells with one
+// batchKey. Run b is [starts[b], starts[b+1]); widest is the longest.
+func batchStarts(m Matrix, off []int, lo, hi int) (starts []int, widest int) {
+	var cur batchKey
+	g := sort.SearchInts(off, lo+1) - 1
+	for cell := lo; cell < hi; cell++ {
+		for cell >= off[g+1] {
+			g++
+		}
+		at, def := m.Job(g, cell-off[g])
+		key := batchKey{g, at.Target, at.Kind, at.SubPrefix, def}
+		if len(starts) == 0 || key != cur || cell-starts[len(starts)-1] == core.LaneWidth {
+			starts, cur = append(starts, cell), key
+		}
+	}
+	starts = append(starts, hi)
+	for b := 1; b < len(starts); b++ {
+		widest = max(widest, starts[b]-starts[b-1])
+	}
+	return starts, widest
+}
+
 // runShard solves cells [lo, hi) and delivers them in order to red
 // through a bounded reorder window; on success it also calls red.Finish.
-// A solve failure aborts the window before returning so workers blocked
-// on a full window are released (cancellation never deadlocks).
+// Workers take whole batches (batchStarts): a run of two or more cells is
+// one core.Solver.SolveLanes whose lanes go to extract one by one, a lone
+// cell one SolveDefense — extract cannot tell which. A solve failure
+// aborts the window before returning so workers blocked on a full window
+// are released (cancellation never deadlocks).
 func runShard[T any](m Matrix, off []int, lo, hi, workers, window int, prog func(done, total int), red Reducer[T], extract func(g, k int, o *core.Outcome) T) error {
 	n := hi - lo
 	if n <= 0 {
 		red.Finish()
 		return nil
 	}
-	opts := Options{Workers: workers, Progress: prog}
+	starts, widest := batchStarts(m, off, lo, hi)
+	opts := Options{Workers: workers}
 	cap := window
 	if cap <= 0 {
-		cap = defaultWindow(opts.workers(n))
+		// Room for whole batches: a worker puts a batch's records back to
+		// back, and would otherwise wait on the head's worker mid-batch.
+		cap = widest * defaultWindow(opts.workers(len(starts)-1))
 	}
 	if cap > n {
 		cap = n
 	}
 	win := NewWindow(lo, hi, cap, red.Emit)
-	err := MapLocal(n, opts,
+	err := MapLocal(len(starts)-1, opts,
 		// Per-worker solver cache keyed by policy identity: a worker that
 		// crosses a group boundary keeps one warm solver per distinct
 		// policy instead of re-deriving routing state per cell.
 		func() map[*core.Policy]*core.Solver { return make(map[*core.Policy]*core.Solver, 2) },
-		func(cache map[*core.Policy]*core.Solver, i int) error {
-			cell := lo + i
+		func(cache map[*core.Policy]*core.Solver, b int) error {
+			cell, width := starts[b], starts[b+1]-starts[b]
 			g := sort.SearchInts(off, cell+1) - 1
 			k := cell - off[g]
 			pol := m.Policy(g)
@@ -289,13 +327,39 @@ func runShard[T any](m Matrix, off []int, lo, hi, workers, window int, prog func
 				cache[pol] = s
 			}
 			at, def := m.Job(g, k)
-			o, err := s.SolveDefense(at, def)
-			if err != nil {
+			fail := func(lane int, err error) error {
 				win.Abort()
-				return &shardError{cell: cell, err: fmt.Errorf("matrix cell %d (group %d attack %d, attacker %d → target %d): %w",
-					cell, g, k, at.Attacker, at.Target, err)}
+				at, _ := m.Job(g, k+lane)
+				return &shardError{cell: cell + lane, err: fmt.Errorf("matrix cell %d (group %d attack %d, attacker %d → target %d): %w",
+					cell+lane, g, k+lane, at.Attacker, at.Target, err)}
 			}
-			win.Put(cell, extract(g, k, o))
+			if width == 1 {
+				o, err := s.SolveDefense(at, def)
+				if err != nil {
+					return fail(0, err)
+				}
+				win.Put(cell, extract(g, k, o))
+			} else {
+				var attackers [core.LaneWidth]int
+				for i := range attackers[:width] {
+					a, _ := m.Job(g, k+i)
+					attackers[i] = a.Attacker
+				}
+				outs, err := s.SolveLanes(at.Target, attackers[:width], at.Kind, at.SubPrefix, def)
+				if err != nil {
+					var le *core.LaneError
+					if errors.As(err, &le) {
+						return fail(le.Lane, le.Err)
+					}
+					return fail(0, err)
+				}
+				for i := range outs {
+					win.Put(cell+i, extract(g, k+i, &outs[i]))
+				}
+			}
+			for i := 0; prog != nil && i < width; i++ {
+				prog(0, 0) // RunMatrix's counter, once per cell
+			}
 			return nil
 		})
 	if err != nil {

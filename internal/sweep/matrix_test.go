@@ -169,8 +169,9 @@ func TestMergeShardsValidation(t *testing.T) {
 	}
 }
 
-// TestRunReduceMatchesRun pins the streaming single-policy path against
-// the observer path on the same workload.
+// TestRunReduceMatchesRun pins the streaming single-policy path — one
+// group on one target, so the runtime solves it in lane batches — against
+// a loop of scalar solves, one fresh solver per cell.
 func TestRunReduceMatchesRun(t *testing.T) {
 	pol, g := testPolicy(t, 300)
 	n := g.N() - 1
@@ -178,11 +179,14 @@ func TestRunReduceMatchesRun(t *testing.T) {
 		return core.Attack{Target: 0, Attacker: i + 1}, core.Defense{}
 	}
 
-	buffered := make([]int, n)
-	if err := Run(pol, n, job, Options{Workers: 4}, func(i int, o *core.Outcome) {
-		buffered[i] = o.PollutedCount()
-	}); err != nil {
-		t.Fatal(err)
+	scalar := make([]int, n)
+	for i := range scalar {
+		at, def := job(i)
+		o, err := core.NewSolver(pol).SolveDefense(at, def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalar[i] = o.PollutedCount()
 	}
 
 	for _, workers := range []int{1, 4} {
@@ -193,8 +197,8 @@ func TestRunReduceMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if runDigest(streamed) != runDigest(buffered) {
-			t.Errorf("workers=%d: streamed digest diverges from buffered reference", workers)
+		if runDigest(streamed) != runDigest(scalar) {
+			t.Errorf("workers=%d: streamed digest diverges from the scalar reference", workers)
 		}
 	}
 }

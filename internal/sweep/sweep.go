@@ -9,16 +9,16 @@
 //
 // Determinism contract (DESIGN.md §5 "Sweep runtime", §7): a run's results
 // are a pure function of its inputs, bit-identical at any worker count and
-// any GOMAXPROCS. The kernel guarantees this by construction — observers
-// receive each index exactly once and write into pre-sized, index-disjoint
-// slots, so goroutine scheduling never orders anything observable. Callers
-// keep their side of the contract by doing all order-sensitive aggregation
-// (histograms, appends, map updates) in a serial pass over the index-ordered
-// slices after Run returns.
+// any GOMAXPROCS. The kernel guarantees this by construction — Map hands
+// each index out exactly once and callers write into pre-sized,
+// index-disjoint slots; the solver-owning runs (matrix.go) extract one
+// record per cell on the workers and deliver the records to a Reducer in
+// cell order through a bounded window — so goroutine scheduling never
+// orders anything observable, and order-sensitive aggregation (histograms,
+// appends, map updates) belongs in the reducer.
 package sweep
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -136,31 +136,3 @@ func MapLocal[W any](n int, opts Options, local func() W, fn func(w W, i int) er
 // runs under (the zero Defense = no prevention deployed). Job is called
 // from multiple workers and must be a pure read.
 type Job func(idx int) (core.Attack, core.Defense)
-
-// Observer consumes one solved outcome. The outcome is transient — it
-// belongs to the worker's solver and is only valid for the duration of the
-// call (Clone it to keep it). Observers run concurrently across indices;
-// each must confine its writes to index-disjoint slots of pre-sized slices
-// and leave order-sensitive aggregation to a serial pass after Run.
-type Observer func(idx int, o *core.Outcome)
-
-// Run solves n attacks in parallel and fans each converged outcome out to
-// every observer before the solver's buffers are recycled — so one solve
-// serves all consumers (pollution accounting, several probe sets, miss
-// analysis, hole classification) instead of one solve per consumer.
-func Run(pol *core.Policy, n int, job Job, opts Options, observers ...Observer) error {
-	return MapLocal(n, opts,
-		func() *core.Solver { return core.NewSolver(pol) },
-		func(s *core.Solver, i int) error {
-			at, def := job(i)
-			o, err := s.SolveDefense(at, def)
-			if err != nil {
-				return fmt.Errorf("sweep attack %d (attacker %d → target %d): %w",
-					i, at.Attacker, at.Target, err)
-			}
-			for _, ob := range observers {
-				ob(i, o)
-			}
-			return nil
-		})
-}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -167,21 +168,19 @@ func runDigest(v []int) [sha256.Size]byte {
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	pol, g := testPolicy(t, 300)
-	target := 0
 	n := g.N() - 1
 	job := func(i int) (core.Attack, core.Defense) {
-		return core.Attack{Target: target, Attacker: i + 1}, core.Defense{}
+		return core.Attack{Target: 0, Attacker: i + 1}, core.Defense{}
 	}
 	var ref [sha256.Size]byte
 	for run, workers := range []int{1, 1, 2, 4, 13} {
-		pollution := make([]int, n)
-		err := Run(pol, n, func(i int) (core.Attack, core.Defense) { return job(i) },
-			Options{Workers: workers},
-			func(i int, o *core.Outcome) { pollution[i] = o.PollutedCount() })
+		var pollution Collect[int]
+		err := RunReduce(pol, n, job, Options{Workers: workers},
+			func(_ int, o *core.Outcome) int { return o.PollutedCount() }, &pollution)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := runDigest(pollution)
+		d := runDigest(pollution.Records)
 		if run == 0 {
 			ref = d
 			continue
@@ -192,28 +191,24 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestRunFanOut checks one solve feeds every observer with the same
-// outcome.
+// TestRunFanOut checks one solve feeds every reducer with the same record.
 func TestRunFanOut(t *testing.T) {
 	pol, g := testPolicy(t, 200)
 	n := g.N() - 1
-	a := make([]int, n)
-	b := make([]int, n)
-	err := Run(pol, n,
+	var solved atomic.Int32
+	var a, b Collect[int]
+	err := RunReduce(pol, n,
 		func(i int) (core.Attack, core.Defense) {
 			return core.Attack{Target: 0, Attacker: i + 1}, core.Defense{}
 		},
 		Options{Workers: 4},
-		func(i int, o *core.Outcome) { a[i] = o.PollutedCount() },
-		func(i int, o *core.Outcome) { b[i] = o.PollutedCount() + o.N() },
-	)
+		func(_ int, o *core.Outcome) int { solved.Add(1); return o.PollutedCount() },
+		&a, &b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a {
-		if b[i]-a[i] != g.N() {
-			t.Fatalf("observers disagree at %d: %d vs %d", i, a[i], b[i])
-		}
+	if int(solved.Load()) != n || len(a.Records) != n || runDigest(a.Records) != runDigest(b.Records) {
+		t.Fatalf("%d extractions fed %d and %d records to two reducers over %d cells", solved.Load(), len(a.Records), len(b.Records), n)
 	}
 }
 
@@ -221,18 +216,18 @@ func TestRunFanOut(t *testing.T) {
 // descriptive error.
 func TestRunSolveErrorPropagates(t *testing.T) {
 	pol, g := testPolicy(t, 200)
-	err := Run(pol, g.N(),
+	err := RunReduce(pol, g.N()-1,
 		// Index 7 is target==attacker, which the solver rejects.
 		func(i int) (core.Attack, core.Defense) {
-			a := i
+			a := i + 1
 			if i == 7 {
 				a = 0
 			}
 			return core.Attack{Target: 0, Attacker: a}, core.Defense{}
 		},
 		Options{Workers: 4},
-		func(i int, o *core.Outcome) {})
-	if err == nil {
-		t.Fatal("expected solve error")
+		func(int, *core.Outcome) int { return 0 }, &Collect[int]{})
+	if err == nil || !strings.Contains(err.Error(), "matrix cell 7 (group 0 attack 7, attacker 0 → target 0)") {
+		t.Fatalf("err = %v, want cell 7's solve error", err)
 	}
 }

@@ -79,7 +79,7 @@ mkdir -p "$SHARDS"
 if go run ./cmd/vulnscan -scale 42697 -sample 2000 -shard 0/8 \
 		-shard-dir "$SHARDS" -format recio \
 	&& go run ./cmd/vulnscan -scale 42697 -sample 2000 -shard 0/8 \
-		-shard-dir "$SHARDS" -format recio -resume 2>&1 | grep -q "resumed from checkpoint" \
+		-shard-dir "$SHARDS" -format recio -resume 2>&1 | grep -q "records resumed via" \
 	&& [ -s "$SHARDS/fig2.0of8.rec" ]; then
 	echo "ok: recio shard written and resumed at paper scale ($(wc -c < "$SHARDS/fig2.0of8.rec") bytes)"
 else
