@@ -32,12 +32,13 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# Stress lane for the sweep runtime's concurrent surface — the reorder
+# Stress lane for the concurrent surfaces — the sweep runtime's reorder
 # window sized in whole lane batches, per-cell progress from per-batch
-# workers, lowest-cell-first errors — where a scheduling-dependent bug
-# shows once in many runs (.github/workflows/stress.yml runs it weekly).
+# workers, lowest-cell-first errors, and hijackd's worker pool and epoch
+# drain — where a scheduling-dependent bug shows once in many runs
+# (.github/workflows/stress.yml runs it weekly).
 stress:
-	$(GO) test -race -count=50 ./internal/sweep ./internal/hijack
+	$(GO) test -race -count=50 ./internal/sweep ./internal/hijack ./internal/queryd
 
 # Tier-1 verify (build + tests) in a fresh git worktree of HEAD, where
 # only committed files exist — catches fixtures hidden by .gitignore.

@@ -1,9 +1,9 @@
 // Command hijackd serves what-if hijack queries over a loaded world:
 // the long-running form of the scan tools, for interactive and
-// operational use. It loads one topology, keeps baseline route
-// snapshots for the targets queries return to, and answers each
-// per-attack query with the cheaper of a delta repair against one and a
-// warm full solve (see DESIGN.md §11 for the serving contract).
+// operational use. It loads one topology once, answers each exact
+// per-attack query with one warm solve, and runs sweep, deployment and
+// detection queries on the scan tools' own sweep runtime (see DESIGN.md
+// §11 for the serving contract).
 //
 // Usage:
 //
@@ -15,7 +15,8 @@
 // Endpoints: GET /healthz, GET /metrics, POST /reload, POST
 // /v1/attack, /v1/vulnerability, /v1/deployment, /v1/detection.
 //
-// Signals: SIGHUP reloads the snapshot epoch (as does POST /reload);
+// Signals: SIGHUP starts a new epoch once in-flight queries drain (as
+// does POST /reload);
 // SIGTERM/SIGINT stop intake, drain in-flight queries and exit 0.
 package main
 
@@ -60,12 +61,7 @@ func run(args []string) error {
 		return err
 	}
 	cli.Describe(w)
-	s, err := queryd.New(queryd.Config{
-		World:       w,
-		Workers:     *workers,
-		Backlog:     *sv.Backlog,
-		SnapshotCap: *sv.SnapCache,
-	})
+	s, err := queryd.New(queryd.Config{World: w, Workers: *workers, Backlog: *sv.Backlog})
 	if err != nil {
 		return err
 	}

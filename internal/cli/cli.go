@@ -43,17 +43,15 @@ func AddWorkersFlag(fs *flag.FlagSet) *int {
 
 // ServeFlags configures a long-running query service (cmd/hijackd).
 type ServeFlags struct {
-	Listen    *string
-	Backlog   *int
-	SnapCache *int
+	Listen  *string
+	Backlog *int
 }
 
-// AddServeFlags registers -listen, -backlog and -snapshot-cache.
+// AddServeFlags registers -listen and -backlog.
 func AddServeFlags(fs *flag.FlagSet) *ServeFlags {
 	return &ServeFlags{
-		Listen:    fs.String("listen", "127.0.0.1:8642", "address to serve the query API on (host:0 picks a free port)"),
-		Backlog:   fs.Int("backlog", 0, "admitted queries that may wait beyond the solving workers before shedding (0 = 2×workers, negative = none)"),
-		SnapCache: fs.Int("snapshot-cache", 0, "baseline snapshots cached per epoch (0 = 64)"),
+		Listen:  fs.String("listen", "127.0.0.1:8642", "address to serve the query API on (host:0 picks a free port)"),
+		Backlog: fs.Int("backlog", 0, "admitted queries that may wait beyond the solving workers before shedding (0 = 2×workers, negative = none)"),
 	}
 }
 

@@ -34,14 +34,6 @@ func (s Strategy) Blocked(n int) *asn.IndexSet {
 	return set
 }
 
-// Defense materializes the strategy as a deployed-defense model with the
-// given mechanisms — the query-shaped form of ConfigsScenario's per-rung
-// deployment, for callers that solve cells one at a time instead of
-// through the matrix runtime.
-func (s Strategy) Defense(n int, mechs core.DefenseMech) core.Defense {
-	return mechs.Deploy(s.Blocked(n))
-}
-
 // None is the undefended baseline.
 func None() Strategy { return Strategy{Name: "baseline (no filters)"} }
 

@@ -2,6 +2,7 @@ package queryd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -72,13 +73,8 @@ type AttackRequest struct {
 }
 
 // AttackResponse answers it. Estimate is always present; Pollution and
-// WeightFrac only on the exact tier. Path records which machinery
-// produced the answer: "estimate", "delta" (the repair) or "full". An
-// exact answer also says why it cost what it did: Snapshot is "hit"
-// (the target's baseline was cached), "built" (this query built it) or
-// "miss" (none: one warm full solve), and Examined is the number of
-// nodes the repair examined — on a "full" answer, the budget a repair
-// spent before giving up, 0 when none was tried.
+// WeightFrac only on the exact tier. Path records which tier produced
+// the answer: "estimate", or "full" (one solve).
 type AttackResponse struct {
 	Epoch      int64    `json:"epoch"`
 	Target     int      `json:"target"`
@@ -86,8 +82,6 @@ type AttackResponse struct {
 	Kind       string   `json:"kind"`
 	Exact      bool     `json:"exact"`
 	Path       string   `json:"path"`
-	Snapshot   string   `json:"snapshot,omitempty"`
-	Examined   *int64   `json:"examined,omitempty"`
 	Estimate   Estimate `json:"estimate"`
 	Pollution  *int     `json:"pollution,omitempty"`
 	WeightFrac *float64 `json:"weight_frac,omitempty"`
@@ -252,11 +246,17 @@ func parseSemantics(s string) (detect.Semantics, error) {
 	}
 }
 
-// decodeBody strictly decodes a JSON request body into dst.
+// decodeBody strictly decodes a JSON request body into dst. A body the
+// handler capped with http.MaxBytesReader and that runs past the cap is
+// refused with 413.
 func decodeBody(r *http.Request, dst any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return &apiError{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
+		}
 		return badRequest("bad request body: %v", err)
 	}
 	return nil

@@ -12,10 +12,7 @@ import (
 	"github.com/bgpsim/bgpsim/internal/experiments"
 )
 
-// benchWorld is the serving benchmark fixture: the same scale and seed
-// as the core delta benchmarks (internal/core/delta_bench_test.go), so
-// every row of BENCH_hijackd.json — which records both — describes one
-// workload.
+// benchWorld is the serving benchmark fixture: 2,000 ASes, seed 42.
 var (
 	benchWorldOnce sync.Once
 	benchWorldVal  *experiments.World
@@ -48,9 +45,8 @@ func benchAttackBody(n, i int) []byte {
 }
 
 // BenchmarkAttackQuery measures the exact tier end to end — HTTP
-// decode, admission, snapshot lookup, SolveDelta, measurement, JSON
-// encode — and reports the server's own latency quantiles alongside
-// ns/op (bench_json.sh derives queries/s from ns/op).
+// decode, admission, one warm solve, measurement, JSON encode — and
+// reports the server's own latency quantiles alongside ns/op.
 func BenchmarkAttackQuery(b *testing.B) {
 	w := benchWorld(b)
 	s, err := New(Config{World: w, Workers: 1})
@@ -59,19 +55,6 @@ func BenchmarkAttackQuery(b *testing.B) {
 	}
 	h := s.Handler()
 	n := w.Policy.N()
-	// The target's second sighting builds its snapshot; warm past it so
-	// the steady state is measured.
-	for i := 0; i < 2; i++ {
-		warm := httptest.NewRequest("POST", "/v1/attack", bytes.NewReader(benchAttackBody(n, 0)))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, warm)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("warm query: status %d: %s", rec.Code, rec.Body.String())
-		}
-	}
-	if got := s.st.cached(); got != 1 {
-		b.Fatalf("%d snapshots cached after the warm queries, want the target's", got)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := httptest.NewRequest("POST", "/v1/attack", bytes.NewReader(benchAttackBody(n, i)))

@@ -110,16 +110,26 @@ func sampleAttackers(n, k, stride int) []int {
 
 // TestVulnerabilityMatchesBatch pins /v1/vulnerability against
 // hijack.SweepAll for every attack kind, defended and not, with the
-// batch side run at workers 1 and 8.
+// batch side run at workers 1 and 8. The wide cases send 140 attackers,
+// so one request spans two full lane batches and a partial one, with
+// and without sub-prefix hijacks.
 func TestVulnerabilityMatchesBatch(t *testing.T) {
 	w := testWorld(t)
 	n := w.Policy.N()
 	target := n / 3
-	attackers := sampleAttackers(n, 40, 7)
 	rov := []int{1, 5, 9, 20, 33, 47, 60}
 	set := asn.NewIndexSet(n)
 	for _, i := range rov {
 		set.Add(i)
+	}
+	shapes := []struct {
+		suffix    string
+		attackers []int
+		subPrefix bool
+	}{
+		{"", sampleAttackers(n, 40, 7), false},
+		{"/wide", sampleAttackers(n, 140, 1), false},
+		{"/wide/sub-prefix", sampleAttackers(n, 140, 1), true},
 	}
 
 	for _, serverWorkers := range []int{1, 8} {
@@ -127,46 +137,54 @@ func TestVulnerabilityMatchesBatch(t *testing.T) {
 		h := srv.Handler()
 		for _, kind := range core.Kinds() {
 			for _, defended := range []bool{false, true} {
-				name := fmt.Sprintf("sw%d/%s/def=%v", serverWorkers, kind, defended)
-				t.Run(name, func(t *testing.T) {
-					cfg := hijack.SweepConfig{Target: target, Attackers: attackers, Kind: kind}
-					req := queryd.VulnerabilityRequest{Target: target, Attackers: attackers, Kind: kind.String()}
-					if defended {
-						cfg.Defense = core.Defense{Blocked: set, ASPA: set, Peerlock: true}
-						req.Defense = queryd.DefenseSpec{ROV: rov, ASPA: rov, Peerlock: true}
+				for _, sh := range shapes {
+					if sh.subPrefix && kind == core.KindRouteLeak {
+						continue // no such scenario; TestBadRequests pins the 400
 					}
-					var got queryd.VulnerabilityResponse
-					if rec := postJSON(t, h, "/v1/vulnerability", req, &got); rec.Code != http.StatusOK {
-						t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-					}
-					for _, batchWorkers := range []int{1, 8} {
-						res, err := hijack.SweepAll(w.Policy, []hijack.SweepConfig{cfg}, sweep.Options{Workers: batchWorkers})
-						if err != nil {
-							t.Fatal(err)
+					attackers := sh.attackers
+					name := fmt.Sprintf("sw%d/%s/def=%v%s", serverWorkers, kind, defended, sh.suffix)
+					t.Run(name, func(t *testing.T) {
+						cfg := hijack.SweepConfig{Target: target, Attackers: attackers, Kind: kind, SubPrefix: sh.subPrefix}
+						req := queryd.VulnerabilityRequest{Target: target, Attackers: attackers, Kind: kind.String(), SubPrefix: sh.subPrefix}
+						if defended {
+							cfg.Defense = core.Defense{Blocked: set, ASPA: set, Peerlock: true}
+							req.Defense = queryd.DefenseSpec{ROV: rov, ASPA: rov, Peerlock: true}
 						}
-						want := res[0]
-						wantDig := digest(t, struct {
-							A []int
-							P []int
-							W []float64
-						}{want.Attackers, want.Pollution, want.WeightFrac})
-						gotDig := digest(t, struct {
-							A []int
-							P []int
-							W []float64
-						}{got.Attackers, got.Pollution, got.WeightFrac})
-						if wantDig != gotDig {
-							t.Fatalf("batch workers=%d digest mismatch:\nbatch %s\nquery %s", batchWorkers, wantDig, gotDig)
+						var got queryd.VulnerabilityResponse
+						if rec := postJSON(t, h, "/v1/vulnerability", req, &got); rec.Code != http.StatusOK {
+							t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 						}
-					}
-				})
+						for _, batchWorkers := range []int{1, 8} {
+							res, err := hijack.SweepAll(w.Policy, []hijack.SweepConfig{cfg}, sweep.Options{Workers: batchWorkers})
+							if err != nil {
+								t.Fatal(err)
+							}
+							want := res[0]
+							wantDig := digest(t, struct {
+								A []int
+								P []int
+								W []float64
+							}{want.Attackers, want.Pollution, want.WeightFrac})
+							gotDig := digest(t, struct {
+								A []int
+								P []int
+								W []float64
+							}{got.Attackers, got.Pollution, got.WeightFrac})
+							if wantDig != gotDig {
+								t.Fatalf("batch workers=%d digest mismatch:\nbatch %s\nquery %s", batchWorkers, wantDig, gotDig)
+							}
+						}
+					})
+				}
 			}
 		}
 	}
 }
 
 // TestDeploymentMatchesBatch pins /v1/deployment against
-// deploy.Evaluate over a mixed strategy ladder.
+// deploy.Evaluate over a mixed strategy ladder, and against
+// hijack.SweepAll over deploy.ConfigsScenario for every attack kind and
+// mechanism set.
 func TestDeploymentMatchesBatch(t *testing.T) {
 	w := testWorld(t)
 	n := w.Policy.N()
@@ -217,6 +235,52 @@ func TestDeploymentMatchesBatch(t *testing.T) {
 			}
 		}
 	}
+
+	// Every kind under both mechanism sets, 140 attackers per rung: each
+	// rung spans two full lane batches and a partial one.
+	wide := sampleAttackers(n, 140, 1)
+	for _, kind := range core.Kinds() {
+		for _, mechStr := range []string{"rov", "rov+aspa+peerlock"} {
+			t.Run(fmt.Sprintf("%s/%s", kind, mechStr), func(t *testing.T) {
+				mechs, err := core.ParseDefenseMech(mechStr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got queryd.DeploymentResponse
+				req := queryd.DeploymentRequest{Target: target, Attackers: wide, Kind: kind.String(), Mechs: mechStr, Strategies: specs}
+				if rec := postJSON(t, srv.Handler(), "/v1/deployment", req, &got); rec.Code != http.StatusOK {
+					t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+				}
+				if got.Mechs != mechs.String() || len(got.Strategies) != len(strategies) {
+					t.Fatalf("mechs %q with %d rungs, want %q with %d", got.Mechs, len(got.Strategies), mechs.String(), len(strategies))
+				}
+				for _, batchWorkers := range []int{1, 8} {
+					res, err := hijack.SweepAll(w.Policy, deploy.ConfigsScenario(w.Policy, target, wide, strategies, kind, mechs), sweep.Options{Workers: batchWorkers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, want := range res {
+						wantDig := digest(t, struct {
+							A []int
+							P []int
+							W []float64
+						}{want.Attackers, want.Pollution, want.WeightFrac})
+						gotDig := digest(t, struct {
+							A []int
+							P []int
+							W []float64
+						}{got.Attackers, got.Strategies[i].Pollution, got.Strategies[i].WeightFrac})
+						if wantDig != gotDig {
+							t.Fatalf("batch workers=%d rung %q: digest mismatch", batchWorkers, strategies[i].Name)
+						}
+						if g := got.Strategies[i]; g.Name != strategies[i].Name || g.Deployed != len(strategies[i].Nodes) {
+							t.Fatalf("rung %d: %q deploying %d, want %q deploying %d", i, g.Name, g.Deployed, strategies[i].Name, len(strategies[i].Nodes))
+						}
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestDetectionMatchesBatch pins /v1/detection against
@@ -237,7 +301,7 @@ func TestDetectionMatchesBatch(t *testing.T) {
 		rov.Add(i)
 	}
 
-	srv := newTestServer(t, queryd.Config{Workers: 4, SnapshotCap: 8})
+	srv := newTestServer(t, queryd.Config{Workers: 4})
 	h := srv.Handler()
 	for _, kind := range core.Kinds() {
 		attacks, err := detect.GenerateAttacksOfKind(pool, 60, kind, rng)
@@ -297,8 +361,7 @@ func TestDetectionMatchesBatch(t *testing.T) {
 }
 
 // TestAttackMatchesDirectSolve pins the exact tier of /v1/attack
-// against a direct solver run, sub-prefix (full-solve fallback)
-// included.
+// against a direct solver run, sub-prefix included.
 func TestAttackMatchesDirectSolve(t *testing.T) {
 	w := testWorld(t)
 	n := w.Policy.N()

@@ -4,57 +4,76 @@ import (
 	"net/http"
 
 	"github.com/bgpsim/bgpsim/internal/core"
+	"github.com/bgpsim/bgpsim/internal/deploy"
 	"github.com/bgpsim/bgpsim/internal/detect"
 	"github.com/bgpsim/bgpsim/internal/hijack"
+	"github.com/bgpsim/bgpsim/internal/sweep"
 )
+
+// maxBodyBytes caps every request body. An all-AS attacker list at paper
+// scale is ~300 KB, so the cap is far above any honest request.
+const maxBodyBytes = 8 << 20
+
+// batch runs a multi-cell query on the sweep runtime's calling
+// goroutine: the query already holds one admitted worker, so it solves
+// no wider than one.
+var batch = sweep.Options{Workers: 1}
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("POST /reload", s.handleReload)
 	s.mux.HandleFunc("POST /v1/attack", s.handleAttack)
-	s.mux.HandleFunc("POST /v1/vulnerability", s.query("vulnerability", s.vulnerabilityQuery))
-	s.mux.HandleFunc("POST /v1/deployment", s.query("deployment", s.deploymentQuery))
-	s.mux.HandleFunc("POST /v1/detection", s.query("detection", s.detectionQuery))
+	s.mux.HandleFunc("POST /v1/vulnerability", s.query(&s.met.vulnerab, s.vulnerabilityQuery))
+	s.mux.HandleFunc("POST /v1/deployment", s.query(&s.met.deployment, s.deploymentQuery))
+	s.mux.HandleFunc("POST /v1/detection", s.query(&s.met.detection, s.detectionQuery))
 }
 
-// query wraps a solver-tier endpoint with the serving machinery:
-// bounded admission (shed with 429 + Retry-After when full), epoch
-// registration, latency observation and JSON rendering.
-func (s *Server) query(name string, fn func(st *epochState, wk *worker, r *http.Request) (any, error)) http.HandlerFunc {
-	ep := s.met.endpoint(name)
+// query wraps a multi-cell endpoint with the body cap and the solver
+// tier's serving machinery.
+func (s *Server) query(ep *endpointMetrics, fn func(epoch int64, r *http.Request) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		wk, ok := s.admit()
-		if !ok {
-			ep.shed.Add(1)
-			s.shedResponse(w)
-			return
-		}
-		defer s.release(wk)
-		st := s.acquireState()
-		defer st.inflight.Done()
-		s.met.inflight.Add(1)
-		defer s.met.inflight.Add(-1)
-		start := s.clock.Now()
-		resp, err := fn(st, wk, r)
-		if err != nil {
-			ep.errs.Add(1)
-			code := http.StatusInternalServerError
-			if ae, ok := err.(*apiError); ok {
-				code = ae.code
-			}
-			writeJSON(w, code, map[string]string{"error": err.Error()})
-			return
-		}
-		ep.lat.observe(s.clock.Now().Sub(start).Nanoseconds())
-		ep.served.Add(1)
-		writeJSON(w, http.StatusOK, resp)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		s.solve(w, ep, func(epoch int64, _ *worker) (any, error) { return fn(epoch, r) })
 	}
 }
 
-func (s *Server) shedResponse(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "server overloaded, retry later"})
+// solve runs fn on the solver tier: bounded admission (shed with 429 +
+// Retry-After when full), epoch registration, latency observation and
+// JSON rendering. fn holds its admitted worker for its whole run.
+func (s *Server) solve(w http.ResponseWriter, ep *endpointMetrics, fn func(epoch int64, wk *worker) (any, error)) {
+	wk, ok := s.admit()
+	if !ok {
+		ep.shed.Add(1)
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": "server overloaded, retry later"})
+		return
+	}
+	defer s.release(wk)
+	st := s.acquireState()
+	defer st.inflight.Done()
+	s.met.inflight.Add(1)
+	defer s.met.inflight.Add(-1)
+	start := s.clock.Now()
+	resp, err := fn(st.epoch, wk)
+	if err != nil {
+		fail(w, ep, err)
+		return
+	}
+	ep.lat.observe(s.clock.Now().Sub(start).Nanoseconds())
+	ep.served.Add(1)
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// fail counts and renders an endpoint error: an apiError's own status,
+// 500 for anything else.
+func fail(w http.ResponseWriter, ep *endpointMetrics, err error) {
+	ep.errs.Add(1)
+	code := http.StatusInternalServerError
+	if ae, ok := err.(*apiError); ok {
+		code = ae.code
+	}
+	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -69,9 +88,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.snapshotMetrics())
 }
 
-// handleReload installs a fresh snapshot epoch. It deliberately does
-// NOT register on the current epoch: the reload waits for old-epoch
-// queries to drain, and registering would deadlock it against itself.
+// handleReload installs a fresh epoch. It deliberately does NOT register
+// on the current epoch: the reload waits for old-epoch queries to drain,
+// and registering would deadlock it against itself.
 func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 	epoch := s.Reload()
 	writeJSON(w, http.StatusOK, map[string]any{"epoch": epoch})
@@ -82,40 +101,16 @@ func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 // overload; only "exact": true competes for a solver.
 func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 	ep := &s.met.attack
-	var req AttackRequest
-	if err := decodeBody(r, &req); err != nil {
-		ep.errs.Add(1)
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	n := s.world.Policy.N()
-	kind, err := core.ParseAttackKind(req.Kind)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	req, at, def, err := s.parseAttack(r)
 	if err != nil {
-		ep.errs.Add(1)
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		fail(w, ep, err)
 		return
 	}
-	if req.Target < 0 || req.Target >= n || req.Attacker < 0 || req.Attacker >= n {
-		ep.errs.Add(1)
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "target or attacker out of range"})
-		return
-	}
-	if req.Target == req.Attacker {
-		ep.errs.Add(1)
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "attacker must differ from target"})
-		return
-	}
-	def, err := req.Defense.resolve(n)
-	if err != nil {
-		ep.errs.Add(1)
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	at := core.Attack{Target: req.Target, Attacker: req.Attacker, Kind: kind, SubPrefix: req.SubPrefix}
-	resp := AttackResponse{
+	resp := &AttackResponse{
 		Target:   req.Target,
 		Attacker: req.Attacker,
-		Kind:     kind.String(),
+		Kind:     at.Kind.String(),
 		Exact:    req.Exact,
 		Estimate: s.est.estimate(at),
 		Path:     "estimate",
@@ -124,89 +119,84 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 
 	if !req.Exact {
 		start := s.clock.Now()
-		st := s.acquireState()
-		resp.Epoch = st.epoch
-		st.inflight.Done()
+		resp.Epoch = s.Epoch()
 		ep.lat.observe(s.clock.Now().Sub(start).Nanoseconds())
 		ep.served.Add(1)
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-
-	wk, ok := s.admit()
-	if !ok {
-		ep.shed.Add(1)
-		s.shedResponse(w)
-		return
-	}
-	defer s.release(wk)
-	st := s.acquireState()
-	defer st.inflight.Done()
-	s.met.inflight.Add(1)
-	defer s.met.inflight.Add(-1)
-	start := s.clock.Now()
-	resp.Epoch = st.epoch
-	// One cell cannot repay a baseline build; a target that returns can.
-	snap, use, err := s.snapshotFor(st, wk, req.Target, admitReturning)
-	if err == nil {
-		var o core.OutcomeView
-		o, err = wk.solveCell(s, snap, at, def)
-		if err == nil {
-			rec := hijack.Measure(s.world.Graph, s.totalWeight, o)
-			resp.Pollution = &rec.Pollution
-			resp.WeightFrac = &rec.WeightFrac
-			resp.Path, resp.Snapshot, resp.Examined = "full", use, new(int64)
-			if d, ok := o.(*core.DeltaOutcome); ok {
-				*resp.Examined = d.Examined()
-				if d.UsedDelta() {
-					resp.Path = "delta"
-				}
-			}
+	s.solve(w, ep, func(epoch int64, wk *worker) (any, error) {
+		o, err := wk.solver.SolveDefense(at, def)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if err != nil {
-		ep.errs.Add(1)
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	ep.lat.observe(s.clock.Now().Sub(start).Nanoseconds())
-	ep.served.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+		s.met.solves.Add(1)
+		rec := hijack.Measure(s.world.Graph, s.totalWeight, o)
+		resp.Epoch, resp.Path = epoch, "full"
+		resp.Pollution, resp.WeightFrac = &rec.Pollution, &rec.WeightFrac
+		return resp, nil
+	})
 }
 
-// attackerPopulation resolves a request's attacker list (all ASes when
-// empty), dropping the target exactly as the batch workload builder
-// does.
-func (s *Server) attackerPopulation(target int, attackers []int) ([]int, error) {
+// parseAttack decodes and validates one /v1/attack request.
+func (s *Server) parseAttack(r *http.Request) (req AttackRequest, at core.Attack, def core.Defense, err error) {
+	if err = decodeBody(r, &req); err != nil {
+		return
+	}
+	n := s.world.Policy.N()
+	if at.Kind, err = parseKind(req.Kind, req.SubPrefix); err != nil {
+		return
+	}
+	if req.Target < 0 || req.Target >= n || req.Attacker < 0 || req.Attacker >= n {
+		err = badRequest("target or attacker out of range")
+		return
+	}
+	if req.Target == req.Attacker {
+		err = badRequest("attacker must differ from target")
+		return
+	}
+	at.Target, at.Attacker, at.SubPrefix = req.Target, req.Attacker, req.SubPrefix
+	def, err = req.Defense.resolve(n)
+	return
+}
+
+// parseKind resolves a request's attack kind, rejecting the one
+// combination no scenario defines.
+func parseKind(kind string, subPrefix bool) (core.AttackKind, error) {
+	k, err := core.ParseAttackKind(kind)
+	if err != nil {
+		return k, badRequest("%v", err)
+	}
+	if k == core.KindRouteLeak && subPrefix {
+		return k, badRequest("a route leak re-announces the real prefix; sub-prefix route leaks are invalid")
+	}
+	return k, nil
+}
+
+// attackerList resolves a request's attacker list (all ASes when empty),
+// checking every index; the sweep runtime drops the target itself.
+func (s *Server) attackerList(attackers []int) ([]int, error) {
 	n := s.world.Policy.N()
 	if len(attackers) == 0 {
-		attackers = hijack.AllNodes(n)
+		return hijack.AllNodes(n), nil
 	}
-	out := make([]int, 0, len(attackers))
 	for _, a := range attackers {
-		if a == target {
-			continue
-		}
 		if a < 0 || a >= n {
 			return nil, badRequest("attacker %d out of range (n=%d)", a, n)
 		}
-		out = append(out, a)
 	}
-	return out, nil
+	return attackers, nil
 }
 
-func (s *Server) vulnerabilityQuery(st *epochState, wk *worker, r *http.Request) (any, error) {
+func (s *Server) vulnerabilityQuery(epoch int64, r *http.Request) (any, error) {
 	var req VulnerabilityRequest
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
 	n := s.world.Policy.N()
-	kind, err := core.ParseAttackKind(req.Kind)
+	kind, err := parseKind(req.Kind, req.SubPrefix)
 	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	if kind == core.KindRouteLeak && req.SubPrefix {
-		return nil, badRequest("a route leak re-announces the real prefix; sub-prefix route leaks are invalid")
+		return nil, err
 	}
 	if req.Target < 0 || req.Target >= n {
 		return nil, badRequest("target %d out of range (n=%d)", req.Target, n)
@@ -215,44 +205,35 @@ func (s *Server) vulnerabilityQuery(st *epochState, wk *worker, r *http.Request)
 	if err != nil {
 		return nil, err
 	}
-	attackers, err := s.attackerPopulation(req.Target, req.Attackers)
+	attackers, err := s.attackerList(req.Attackers)
 	if err != nil {
 		return nil, err
 	}
-	snap, _, err := s.snapshotFor(st, wk, req.Target, admitNow)
+	cfg := hijack.SweepConfig{Target: req.Target, Attackers: attackers, Kind: kind, SubPrefix: req.SubPrefix, Defense: def}
+	res, err := hijack.SweepAll(s.world.Policy, []hijack.SweepConfig{cfg}, batch)
 	if err != nil {
 		return nil, err
 	}
-	resp := &VulnerabilityResponse{
-		Epoch:      st.epoch,
+	s.met.solves.Add(int64(len(res[0].Attackers)))
+	return &VulnerabilityResponse{
+		Epoch:      epoch,
 		Target:     req.Target,
 		Kind:       kind.String(),
-		Attackers:  attackers,
-		Pollution:  make([]int, 0, len(attackers)),
-		WeightFrac: make([]float64, 0, len(attackers)),
-	}
-	for _, a := range attackers {
-		at := core.Attack{Target: req.Target, Attacker: a, Kind: kind, SubPrefix: req.SubPrefix}
-		o, err := wk.solveCell(s, snap, at, def)
-		if err != nil {
-			return nil, err
-		}
-		rec := hijack.Measure(s.world.Graph, s.totalWeight, o)
-		resp.Pollution = append(resp.Pollution, rec.Pollution)
-		resp.WeightFrac = append(resp.WeightFrac, rec.WeightFrac)
-	}
-	return resp, nil
+		Attackers:  res[0].Attackers,
+		Pollution:  res[0].Pollution,
+		WeightFrac: res[0].WeightFrac,
+	}, nil
 }
 
-func (s *Server) deploymentQuery(st *epochState, wk *worker, r *http.Request) (any, error) {
+func (s *Server) deploymentQuery(epoch int64, r *http.Request) (any, error) {
 	var req DeploymentRequest
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
 	n := s.world.Policy.N()
-	kind, err := core.ParseAttackKind(req.Kind)
+	kind, err := parseKind(req.Kind, false)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return nil, err
 	}
 	mechStr := req.Mechs
 	if mechStr == "" {
@@ -268,59 +249,48 @@ func (s *Server) deploymentQuery(st *epochState, wk *worker, r *http.Request) (a
 	if len(req.Strategies) == 0 {
 		return nil, badRequest("deployment query needs at least one strategy")
 	}
-	attackers, err := s.attackerPopulation(req.Target, req.Attackers)
+	attackers, err := s.attackerList(req.Attackers)
 	if err != nil {
 		return nil, err
 	}
-	// One baseline serves the whole ladder: the snapshot is
-	// defense-independent, so every rung's delta runs against it.
-	snap, _, err := s.snapshotFor(st, wk, req.Target, admitNow)
+	strats := make([]deploy.Strategy, len(req.Strategies))
+	for i, spec := range req.Strategies {
+		if strats[i], err = spec.resolve(s.world.Graph, s.world.Class); err != nil {
+			return nil, err
+		}
+	}
+	res, err := hijack.SweepAll(s.world.Policy, deploy.ConfigsScenario(s.world.Policy, req.Target, attackers, strats, kind, mechs), batch)
 	if err != nil {
 		return nil, err
 	}
 	resp := &DeploymentResponse{
-		Epoch:     st.epoch,
+		Epoch:     epoch,
 		Target:    req.Target,
 		Kind:      kind.String(),
 		Mechs:     mechs.String(),
-		Attackers: attackers,
+		Attackers: res[0].Attackers,
 	}
-	for _, spec := range req.Strategies {
-		strat, err := spec.resolve(s.world.Graph, s.world.Class)
-		if err != nil {
-			return nil, err
-		}
-		def := strat.Defense(n, mechs)
-		sr := StrategyResult{
-			Name:       strat.Name,
-			Deployed:   len(strat.Nodes),
-			Pollution:  make([]int, 0, len(attackers)),
-			WeightFrac: make([]float64, 0, len(attackers)),
-		}
-		for _, a := range attackers {
-			at := core.Attack{Target: req.Target, Attacker: a, Kind: kind}
-			o, err := wk.solveCell(s, snap, at, def)
-			if err != nil {
-				return nil, err
-			}
-			rec := hijack.Measure(s.world.Graph, s.totalWeight, o)
-			sr.Pollution = append(sr.Pollution, rec.Pollution)
-			sr.WeightFrac = append(sr.WeightFrac, rec.WeightFrac)
-		}
-		resp.Strategies = append(resp.Strategies, sr)
+	for i, st := range strats {
+		resp.Strategies = append(resp.Strategies, StrategyResult{
+			Name:       st.Name,
+			Deployed:   len(st.Nodes),
+			Pollution:  res[i].Pollution,
+			WeightFrac: res[i].WeightFrac,
+		})
 	}
+	s.met.solves.Add(int64(len(strats) * len(resp.Attackers)))
 	return resp, nil
 }
 
-func (s *Server) detectionQuery(st *epochState, wk *worker, r *http.Request) (any, error) {
+func (s *Server) detectionQuery(epoch int64, r *http.Request) (any, error) {
 	var req DetectionRequest
 	if err := decodeBody(r, &req); err != nil {
 		return nil, err
 	}
 	n := s.world.Policy.N()
-	kind, err := core.ParseAttackKind(req.Kind)
+	kind, err := parseKind(req.Kind, false)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return nil, err
 	}
 	sem, err := parseSemantics(req.Semantics)
 	if err != nil {
@@ -352,25 +322,12 @@ func (s *Server) detectionQuery(st *epochState, wk *worker, r *http.Request) (an
 		}
 		attacks[i] = core.Attack{Target: a.Target, Attacker: a.Attacker, Kind: kind}
 	}
-	// Reuse the batch reducers verbatim so histograms, bucket means and
-	// miss lists assemble exactly as detectscan's do. Detection targets
-	// scatter, so the snapshot cache is consulted read-only: a hit rides
-	// the delta path, a miss answers with a full solve without evicting
-	// the point-query entries.
-	out, red := detect.Results(sets, attacks)
-	for i, at := range attacks {
-		snap, _, err := s.snapshotFor(st, wk, at.Target, admitNever)
-		if err != nil {
-			return nil, err
-		}
-		o, err := wk.solveCell(s, snap, at, def)
-		if err != nil {
-			return nil, err
-		}
-		red.Emit(i, detect.MeasureRecord(s.world.Policy, sets, sem, o))
+	out, err := detect.EvaluateAll(s.world.Policy, sets, attacks, sem, def, batch.Workers)
+	if err != nil {
+		return nil, err
 	}
-	red.Finish()
-	resp := &DetectionResponse{Epoch: st.epoch, Kind: kind.String()}
+	s.met.solves.Add(int64(len(attacks)))
+	resp := &DetectionResponse{Epoch: epoch, Kind: kind.String()}
 	for _, res := range out {
 		dr := DetectionResult{
 			Name:                    res.ProbeSet.Name,

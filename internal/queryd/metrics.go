@@ -59,38 +59,17 @@ type endpointMetrics struct {
 // metrics is the server's observability state, all atomics: the
 // /metrics handler snapshots it without stopping the serving path.
 type metrics struct {
-	attack        endpointMetrics
-	vulnerab      endpointMetrics
-	deployment    endpointMetrics
-	detection     endpointMetrics
-	reloads       atomic.Int64
-	snapHits      atomic.Int64
-	snapMisses    atomic.Int64
-	snapBuilds    atomic.Int64
-	snapEvictions atomic.Int64
-	deltaSolves   atomic.Int64
-	fullSolves    atomic.Int64
-	bailedSolves  atomic.Int64 // the fullSolves that spent a repair budget first
-	estimates     atomic.Int64
-	inflight      atomic.Int64
+	attack     endpointMetrics
+	vulnerab   endpointMetrics
+	deployment endpointMetrics
+	detection  endpointMetrics
+	reloads    atomic.Int64
+	solves     atomic.Int64 // exact cells solved, every endpoint
+	estimates  atomic.Int64
+	inflight   atomic.Int64
 }
 
 func newMetrics() *metrics { return &metrics{} }
-
-// endpoint maps a handler name to its counters.
-func (m *metrics) endpoint(name string) *endpointMetrics {
-	switch name {
-	case "attack":
-		return &m.attack
-	case "vulnerability":
-		return &m.vulnerab
-	case "deployment":
-		return &m.deployment
-	case "detection":
-		return &m.detection
-	}
-	return nil
-}
 
 // endpointSnapshot is the rendered form of one endpoint's counters.
 type endpointSnapshot struct {
@@ -129,18 +108,8 @@ type metricsSnapshot struct {
 	Inflight int64 `json:"inflight"`
 	Reloads  int64 `json:"reloads"`
 
-	Snapshots struct {
-		Cached    int   `json:"cached"`
-		Hits      int64 `json:"hits"`
-		Misses    int64 `json:"misses"`
-		Builds    int64 `json:"builds"`
-		Evictions int64 `json:"evictions"`
-	} `json:"snapshots"`
-
 	Solves struct {
-		Delta     int64 `json:"delta"`
 		Full      int64 `json:"full"`
-		Bailed    int64 `json:"bailed"`
 		Estimates int64 `json:"estimates"`
 	} `json:"solves"`
 
@@ -148,22 +117,12 @@ type metricsSnapshot struct {
 }
 
 func (s *Server) snapshotMetrics() metricsSnapshot {
-	s.mu.RLock()
-	st := s.st
-	s.mu.RUnlock()
 	var out metricsSnapshot
-	out.Epoch = st.epoch
+	out.Epoch = s.Epoch()
 	out.UptimeNs = s.clock.Now().Sub(s.started).Nanoseconds()
 	out.Inflight = s.met.inflight.Load()
 	out.Reloads = s.met.reloads.Load()
-	out.Snapshots.Cached = st.cached()
-	out.Snapshots.Hits = s.met.snapHits.Load()
-	out.Snapshots.Misses = s.met.snapMisses.Load()
-	out.Snapshots.Builds = s.met.snapBuilds.Load()
-	out.Snapshots.Evictions = s.met.snapEvictions.Load()
-	out.Solves.Delta = s.met.deltaSolves.Load()
-	out.Solves.Full = s.met.fullSolves.Load()
-	out.Solves.Bailed = s.met.bailedSolves.Load()
+	out.Solves.Full = s.met.solves.Load()
 	out.Solves.Estimates = s.met.estimates.Load()
 	out.Endpoints = map[string]endpointSnapshot{
 		"attack":        s.met.attack.snapshot(),

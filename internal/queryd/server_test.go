@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -93,32 +94,11 @@ func TestHealthzAndUptime(t *testing.T) {
 	}
 }
 
-// exactAttack posts one exact /v1/attack query and returns the answer and
-// the server's counters after it.
-func exactAttack(t testing.TB, s *Server, body string) (AttackResponse, metricsSnapshot) {
-	t.Helper()
-	rec := do(t, s, "POST", "/v1/attack", body)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("attack %s: status %d: %s", body, rec.Code, rec.Body.String())
-	}
-	var a AttackResponse
-	decodeInto(t, rec, &a)
-	if a.Examined == nil {
-		t.Fatalf("attack %s: exact answer carries no \"examined\": %s", body, rec.Body.String())
-	}
-	var m metricsSnapshot
-	decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
-	return a, m
-}
-
 func TestReloadBumpsEpochAndDropsCache(t *testing.T) {
 	s := mustServer(t, Config{Workers: 1})
-	// Warm the snapshot cache: a target's second sighting builds it.
 	const q = `{"target": 5, "attacker": 9, "exact": true}`
-	exactAttack(t, s, q)
-	_, m := exactAttack(t, s, q)
-	if m.Snapshots.Cached != 1 || m.Snapshots.Builds != 1 {
-		t.Fatalf("after the warm queries: cached=%d builds=%d, want 1/1", m.Snapshots.Cached, m.Snapshots.Builds)
+	if rec := do(t, s, "POST", "/v1/attack", q); rec.Code != http.StatusOK {
+		t.Fatalf("attack: status %d: %s", rec.Code, rec.Body.String())
 	}
 
 	var r struct {
@@ -131,15 +111,17 @@ func TestReloadBumpsEpochAndDropsCache(t *testing.T) {
 	if got := s.Epoch(); got != 2 {
 		t.Fatalf("server epoch = %d, want 2", got)
 	}
+	var m metricsSnapshot
 	decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
-	if m.Epoch != 2 || m.Reloads != 1 || m.Snapshots.Cached != 0 {
-		t.Fatalf("after reload: epoch=%d reloads=%d cached=%d, want 2/1/0", m.Epoch, m.Reloads, m.Snapshots.Cached)
+	if m.Epoch != 2 || m.Reloads != 1 {
+		t.Fatalf("after reload: epoch=%d reloads=%d, want 2/1", m.Epoch, m.Reloads)
 	}
-	// The new epoch starts a clean admission window too: the target is a
-	// first sighting again.
-	a, m := exactAttack(t, s, q)
-	if a.Snapshot != snapshotMiss || m.Snapshots.Cached != 0 || m.Snapshots.Builds != 1 {
-		t.Fatalf("first query after reload: snapshot=%q cached=%d builds=%d, want a miss that builds nothing", a.Snapshot, m.Snapshots.Cached, m.Snapshots.Builds)
+	// Queries after the reload answer on the new epoch.
+	rec := do(t, s, "POST", "/v1/attack", q)
+	var a AttackResponse
+	decodeInto(t, rec, &a)
+	if rec.Code != http.StatusOK || a.Epoch != 2 {
+		t.Fatalf("first query after reload: status %d epoch %d, want 200 on epoch 2", rec.Code, a.Epoch)
 	}
 }
 
@@ -182,6 +164,81 @@ func TestReloadDrainsInflight(t *testing.T) {
 		t.Fatal("Reload did not return after the last old-epoch query finished")
 	}
 	s.Drain() // no queries in flight: must not block
+}
+
+// TestConcurrentQueriesAcrossReload drives the concurrent surface the
+// server has: clients share a two-worker pool, single-cell and
+// multi-cell queries interleave on it, and reloads drain underneath
+// them. Every answer must equal its sequential one (run under -race;
+// make stress repeats it).
+func TestConcurrentQueriesAcrossReload(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s := mustServer(t, Config{Workers: 2}) // 6 slots: the 6 clients are never shed
+	queries := []struct{ path, body string }{
+		{"/v1/attack", `{"target": 5, "attacker": 9, "exact": true, "defense": {"rov": [1, 2, 3]}}`},
+		{"/v1/attack", `{"target": 40, "attacker": 7, "exact": true, "kind": "route-leak"}`},
+		{"/v1/vulnerability", `{"target": 5, "attackers": [1, 9, 40, 77, 120]}`},
+		{"/v1/deployment", `{"target": 40, "attackers": [5, 9, 77], "strategies": [{"tier1": true}, {"top_degree": 5}]}`},
+		{"/v1/detection", `{"probes": [{"name": "x", "probes": [1, 2]}], "attacks": [{"target": 5, "attacker": 9}, {"target": 40, "attacker": 7}]}`},
+	}
+	// answer is a response body without its epoch, which reloads change.
+	answer := func(i int) (string, error) {
+		rec := do(t, s, "POST", queries[i].path, queries[i].body)
+		if rec.Code != http.StatusOK {
+			return "", fmt.Errorf("%s: status %d: %s", queries[i].path, rec.Code, rec.Body.String())
+		}
+		var body map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			return "", err
+		}
+		delete(body, "epoch")
+		out, err := json.Marshal(body)
+		return string(out), err
+	}
+	want := make([]string, len(queries))
+	for i := range queries {
+		var err error
+		if want[i], err = answer(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const clients, rounds, reloads = 6, 20, 5
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				i := (c + k) % len(queries)
+				got, err := answer(i)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want[i] {
+					t.Errorf("%s concurrently: %s, sequentially: %s", queries[i].path, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 0; k < reloads; k++ {
+			s.Reload()
+		}
+	}()
+	wg.Wait()
+	if got := s.Epoch(); got != 1+reloads {
+		t.Fatalf("epoch %d after %d reloads, want %d", got, reloads, 1+reloads)
+	}
+	var m metricsSnapshot
+	decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
+	if m.Inflight != 0 {
+		t.Fatalf("inflight gauge = %d after quiesce", m.Inflight)
+	}
 }
 
 // TestShedUnderOverload pins the load-shedding contract: with every
@@ -233,14 +290,14 @@ func TestShedUnderOverload(t *testing.T) {
 
 func TestMetricsCountSolvePaths(t *testing.T) {
 	s := mustServer(t, Config{Workers: 1})
-	// An exact query is one solve, whichever kernel answers it.
+	// An exact query is one solve.
 	if rec := do(t, s, "POST", "/v1/attack", `{"target": 5, "attacker": 9, "exact": true}`); rec.Code != http.StatusOK {
 		t.Fatalf("attack status %d: %s", rec.Code, rec.Body.String())
 	}
 	var m metricsSnapshot
 	decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
-	if m.Solves.Delta+m.Solves.Full != 1 {
-		t.Fatalf("solve counters delta=%d full=%d, want exactly one solve", m.Solves.Delta, m.Solves.Full)
+	if m.Solves.Full != 1 {
+		t.Fatalf("solve counter full=%d, want exactly one solve", m.Solves.Full)
 	}
 	if m.Solves.Estimates != 1 {
 		t.Fatalf("estimates = %d, want 1 (every attack answer carries one)", m.Solves.Estimates)
@@ -265,6 +322,8 @@ func TestBadRequests(t *testing.T) {
 		{"self attack", "/v1/attack", `{"target": 3, "attacker": 3}`, "differ"},
 		{"unknown field", "/v1/attack", `{"target": 1, "attacker": 2, "bogus": true}`, "bogus"},
 		{"defense range", "/v1/attack", `{"target": 1, "attacker": 2, "defense": {"rov": [-4]}}`, "defense.rov"},
+		{"leak subprefix exact", "/v1/attack", `{"target": 1, "attacker": 2, "kind": "route-leak", "sub_prefix": true, "exact": true}`, "sub-prefix"},
+		{"leak subprefix estimate", "/v1/attack", `{"target": 1, "attacker": 2, "kind": "route-leak", "sub_prefix": true}`, "sub-prefix"},
 		{"leak subprefix", "/v1/vulnerability", `{"target": 1, "kind": "route-leak", "sub_prefix": true}`, "sub-prefix"},
 		{"attacker range", "/v1/vulnerability", `{"target": 1, "attackers": [5, 700000]}`, "out of range"},
 		{"no strategies", "/v1/deployment", `{"target": 1}`, "at least one strategy"},
@@ -305,184 +364,26 @@ func TestBadRequests(t *testing.T) {
 	_ = n
 }
 
-// TestSnapshotCacheEviction pins the bound: the cache never holds more
-// than SnapshotCap entries, and evicted targets rebuild on return.
-// Multi-cell requests admit their target at once, so each one here is an
-// admission.
-func TestSnapshotCacheEviction(t *testing.T) {
-	s := mustServer(t, Config{Workers: 1, SnapshotCap: 2})
-	for _, target := range []int{1, 2, 3, 1} {
-		body := fmt.Sprintf(`{"target": %d, "attackers": [9, 10]}`, target)
-		if rec := do(t, s, "POST", "/v1/vulnerability", body); rec.Code != http.StatusOK {
-			t.Fatalf("target %d: status %d", target, rec.Code)
-		}
-	}
-	var m metricsSnapshot
-	decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
-	if m.Snapshots.Cached != 2 {
-		t.Fatalf("cached = %d, want cap 2", m.Snapshots.Cached)
-	}
-	// Four requests, four distinct builds: target 1 was evicted by 3 and
-	// rebuilt on its second visit, which in turn evicted 2.
-	if m.Snapshots.Builds != 4 || m.Snapshots.Evictions != 2 {
-		t.Fatalf("builds = %d, evictions = %d, want 4 and 2 (eviction forces a rebuild)", m.Snapshots.Builds, m.Snapshots.Evictions)
-	}
-}
-
-// TestClockSecondChance pins the eviction order: FIFO drops an entry at
-// the cap-th admission after its own, hit or not; CLOCK passes over an
-// entry hit since the hand last reached it — once — and drops the un-hit
-// ones.
-func TestClockSecondChance(t *testing.T) {
-	const cap = 3
-	st := newEpochState(1, cap, 64)
-	// has reads the map directly: a lookup would set the reference bit.
-	has := func(target int) bool {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return st.snaps[target] != nil
-	}
-	for target := 1; target <= cap; target++ {
-		if _, hit, evicted := st.lookup(target, admitNow); hit || evicted {
-			t.Fatalf("filling the cache: target %d hit=%v evicted=%v", target, hit, evicted)
-		}
-	}
-	if _, hit, _ := st.lookup(1, admitNever); !hit { // the oldest entry is hit
-		t.Fatal("target 1 not cached after its admission")
-	}
-	// cap admissions after target 1's own, it is still there; target 2,
-	// admitted later but never hit, is not.
-	if _, _, evicted := st.lookup(4, admitNow); !evicted {
-		t.Fatal("admission into a full cache evicted nothing")
-	}
-	if !has(1) || has(2) || st.cached() != cap {
-		t.Fatalf("after one admission: hit target 1 cached=%v, un-hit target 2 cached=%v, %d cached; want true/false/%d", has(1), has(2), st.cached(), cap)
-	}
-	// The second chance is one chance: without another hit, target 1 goes
-	// when the hand comes round again (after 3, the remaining un-hit entry).
-	st.lookup(5, admitNow)
-	st.lookup(6, admitNow)
-	if has(1) || has(3) || !has(4) || !has(5) || !has(6) {
-		t.Fatalf("after the hand came round: cached 1=%v 3=%v 4=%v 5=%v 6=%v, want only the three newest", has(1), has(3), has(4), has(5), has(6))
-	}
-}
-
-// TestAttackAdmission pins who builds a snapshot: a single-cell query
-// builds on its target's second sighting, not its first; a multi-cell
-// request builds at once. The query deploys ROV at the attacker alone,
-// which stops nothing but is a deployed filter: with a baseline to repair
-// the repair is tried, spends its budget, and the answer and /metrics say
-// so.
-func TestAttackAdmission(t *testing.T) {
+// TestOversizedBody pins the body cap: a valid request padded past it
+// is refused with 413 before it decodes, on the estimator tier and the
+// solver tier alike, and counted as an endpoint error.
+func TestOversizedBody(t *testing.T) {
 	s := mustServer(t, Config{Workers: 1})
-	const q = `{"target": 5, "attacker": 9, "exact": true, "defense": {"rov": [9]}}`
-	budget := int64(s.world.Policy.N()/32 + 64)
-	for i, want := range []struct {
-		snapshot string
-		builds   int64
-		examined int64
-	}{{snapshotMiss, 0, 0}, {snapshotBuilt, 1, budget + 1}, {snapshotHit, 1, budget + 1}} {
-		a, m := exactAttack(t, s, q)
-		if a.Snapshot != want.snapshot || m.Snapshots.Builds != want.builds {
-			t.Fatalf("sighting %d: snapshot=%q builds=%d, want %q/%d", i+1, a.Snapshot, m.Snapshots.Builds, want.snapshot, want.builds)
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for _, tc := range []struct{ path, endpoint, body string }{
+		{"/v1/attack", "attack", `{"target": 5, "attacker": 9}`},
+		{"/v1/vulnerability", "vulnerability", `{"target": 5, "attackers": [9]}`},
+	} {
+		if rec := do(t, s, "POST", tc.path, tc.body); rec.Code != http.StatusOK {
+			t.Fatalf("%s unpadded: status %d, want 200", tc.path, rec.Code)
 		}
-		if a.Path != "full" || *a.Examined != want.examined {
-			t.Fatalf("sighting %d: answered via %q after %d examinations, want a full solve after %d", i+1, a.Path, *a.Examined, want.examined)
+		if rec := do(t, s, "POST", tc.path, pad+tc.body); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s padded past %d bytes: status %d, want 413 (body %s)", tc.path, maxBodyBytes, rec.Code, rec.Body.String())
 		}
-		if m.Snapshots.Hits+m.Snapshots.Misses != int64(i+1) {
-			t.Fatalf("sighting %d: hits=%d misses=%d do not add up", i+1, m.Snapshots.Hits, m.Snapshots.Misses)
-		}
-		if m.Solves.Full != int64(i+1) || m.Solves.Bailed != int64(i) || m.Solves.Delta != 0 {
-			t.Fatalf("sighting %d: solves full=%d bailed=%d delta=%d, want %d/%d/0", i+1, m.Solves.Full, m.Solves.Bailed, m.Solves.Delta, i+1, i)
-		}
-	}
-	// The estimator tier consults nothing and says nothing about it.
-	rec := do(t, s, "POST", "/v1/attack", `{"target": 5, "attacker": 9}`)
-	if body := rec.Body.String(); rec.Code != http.StatusOK || strings.Contains(body, `"snapshot"`) || strings.Contains(body, `"examined"`) {
-		t.Fatalf("estimate answer: status %d, body %s, want neither \"snapshot\" nor \"examined\"", rec.Code, body)
-	}
-
-	if rec := do(t, s, "POST", "/v1/vulnerability", `{"target": 6, "attackers": [9, 10]}`); rec.Code != http.StatusOK {
-		t.Fatalf("vulnerability: status %d", rec.Code)
-	}
-	var m metricsSnapshot
-	decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
-	if m.Snapshots.Builds != 2 || m.Snapshots.Cached != 2 {
-		t.Fatalf("after a multi-cell request on a new target: builds=%d cached=%d, want 2/2", m.Snapshots.Builds, m.Snapshots.Cached)
-	}
-	if rec := do(t, s, "POST", "/v1/deployment", `{"target": 7, "attackers": [9], "strategies": [{"tier1": true}]}`); rec.Code != http.StatusOK {
-		t.Fatalf("deployment: status %d", rec.Code)
-	}
-	decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
-	if m.Snapshots.Builds != 3 {
-		t.Fatalf("after a deployment request on a new target: builds=%d, want 3", m.Snapshots.Builds)
-	}
-	// Detection only consults: a new target builds nothing, now or later.
-	const det = `{"probes": [{"name": "x", "probes": [1]}], "attacks": [{"target": 8, "attacker": 9}, {"target": 8, "attacker": 10}]}`
-	if rec := do(t, s, "POST", "/v1/detection", det); rec.Code != http.StatusOK {
-		t.Fatalf("detection: status %d", rec.Code)
-	}
-	decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
-	if m.Snapshots.Builds != 3 || m.Snapshots.Cached != 3 {
-		t.Fatalf("after a detection request on a new target: builds=%d cached=%d, want 3/3", m.Snapshots.Builds, m.Snapshots.Cached)
-	}
-}
-
-// TestAdmissionWindowClears pins the window: "sighted before" is forgotten
-// after 8·cap first sightings, so a long-running server does not end up
-// having seen every target once and admitting them all.
-func TestAdmissionWindowClears(t *testing.T) {
-	const cap = 2
-	s := mustServer(t, Config{Workers: 1, SnapshotCap: cap})
-	sight := func(target int) string {
-		a, _ := exactAttack(t, s, fmt.Sprintf(`{"target": %d, "attacker": 40, "exact": true}`, target))
-		return a.Snapshot
-	}
-	for target := 1; target < 8*cap; target++ {
-		if got := sight(target); got != snapshotMiss {
-			t.Fatalf("first sighting of target %d: snapshot=%q", target, got)
-		}
-	}
-	// 8·cap−1 sightings in: the window still remembers the first.
-	if got := sight(1); got != snapshotBuilt {
-		t.Fatalf("second sighting of target 1 inside the window: snapshot=%q, want built", got)
-	}
-	// The 8·cap-th first sighting ends the window; target 2, sighted in
-	// the old one, is new again.
-	if got := sight(8 * cap); got != snapshotMiss {
-		t.Fatalf("first sighting of target %d: snapshot=%q", 8*cap, got)
-	}
-	if got := sight(2); got != snapshotMiss {
-		t.Fatalf("target 2 after the window cleared: snapshot=%q, want miss", got)
-	}
-	if got := sight(2); got != snapshotBuilt {
-		t.Fatalf("target 2 sighted twice in the new window: snapshot=%q, want built", got)
-	}
-}
-
-// TestConcurrentFirstSightingsBuildOnce: of two queries racing on a target
-// nobody has seen, the lookup lock makes one the first sighting and the
-// other the second, which admits the target — one build, never two, and
-// never a solve against a half-built baseline (run under -race).
-func TestConcurrentFirstSightingsBuildOnce(t *testing.T) {
-	s := mustServer(t, Config{Workers: 2})
-	for target := 1; target <= 20; target++ {
-		body := fmt.Sprintf(`{"target": %d, "attacker": 40, "exact": true}`, target)
-		var wg sync.WaitGroup
-		for c := 0; c < 2; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if rec := do(t, s, "POST", "/v1/attack", body); rec.Code != http.StatusOK {
-					t.Errorf("target %d: status %d: %s", target, rec.Code, rec.Body.String())
-				}
-			}()
-		}
-		wg.Wait()
 		var m metricsSnapshot
 		decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
-		if m.Snapshots.Builds != int64(target) || m.Snapshots.Cached != target {
-			t.Fatalf("after two concurrent queries on each of %d targets: builds=%d cached=%d, want one build each", target, m.Snapshots.Builds, m.Snapshots.Cached)
+		if ep := m.Endpoints[tc.endpoint]; ep.Errors != 1 || ep.Served != 1 {
+			t.Fatalf("%s counters: errors=%d served=%d, want 1/1", tc.path, ep.Errors, ep.Served)
 		}
 	}
 }

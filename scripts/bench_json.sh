@@ -5,10 +5,8 @@
 # the shard-codec benchmarks (json vs recio encode/decode throughput,
 # bytes on disk, and resume-replay cost) into a second JSON file.
 # Then run the firehose replay-throughput benchmark (MRT updates
-# through probe sessions into a TCP collector) into a third JSON file,
-# and the hijackd serving benchmarks (query latency quantiles,
-# delta-vs-full solve speedup, overload shedding) into a fourth.
-# Usage: scripts/bench_json.sh [outfile] [recio-outfile] [firehose-outfile] [hijackd-outfile]
+# through probe sessions into a TCP collector) into a third JSON file.
+# Usage: scripts/bench_json.sh [outfile] [recio-outfile] [firehose-outfile]
 # Output: outfile is one JSON array; each element carries the benchmark
 # name, the worker count (0 when the benchmark does not parameterize
 # workers), the shard count (0 likewise), ns/op, B/op, allocs/op, and
@@ -26,7 +24,6 @@ set -eu
 OUT="${1:-BENCH_sweep.json}"
 RECOUT="${2:-BENCH_recio.json}"
 FHOUT="${3:-BENCH_firehose.json}"
-HJOUT="${4:-BENCH_hijackd.json}"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
@@ -159,56 +156,3 @@ END {
 ' "$RAW" > "$FHOUT"
 
 echo "wrote $FHOUT"
-
-# hijackd section: the serving stack end to end. BenchmarkAttackQuery
-# drives exact what-if queries through the HTTP handler against a warm
-# snapshot and reports p50/p99 latency from the server's own histogram;
-# BenchmarkOverloadShed saturates a one-worker server and reports the
-# shed fraction; the two core solver benchmarks supply the delta-vs-full
-# speedup the snapshot cache exists for.
-go test -run '^$' \
-  -bench '^(BenchmarkDeltaSolve|BenchmarkFullSolveCold|BenchmarkAttackQuery|BenchmarkOverloadShed)$' \
-  -benchtime 2000x ./internal/core ./internal/queryd | tee "$RAW"
-
-# Benchmark lines look like:
-#   BenchmarkDeltaSolve-8      2000   8408 ns/op
-#   BenchmarkAttackQuery-8     2000 147080 ns/op  131071 p50_ns  262143 p99_ns
-#   BenchmarkOverloadShed-8    2000  23564 ns/op  0.935 shed_frac  1870 shed_total
-awk -v ncpu="$(nproc 2>/dev/null || echo 1)" '
-BEGIN { print "{"; print "  \"benchmarks\": ["; first = 1 }
-/^Benchmark/ {
-    name = $1
-    ns = ""; p50 = "0"; p99 = "0"; sfrac = "0"; stot = "0"
-    for (i = 2; i < NF; i++) {
-        if ($(i + 1) == "ns/op") ns = $i
-        if ($(i + 1) == "p50_ns") p50 = $i
-        if ($(i + 1) == "p99_ns") p99 = $i
-        if ($(i + 1) == "shed_frac") sfrac = $i
-        if ($(i + 1) == "shed_total") stot = $i
-    }
-    if ($NF == "shed_total") stot = $(NF - 1)
-    if (ns == "") next
-    if (!first) printf ",\n"
-    first = 0
-    printf "    {\"name\": \"%s\", \"ns_per_op\": %s}", name, ns
-    if (name ~ /^BenchmarkDeltaSolve(-[0-9]+)?$/)    delta_ns = ns
-    if (name ~ /^BenchmarkFullSolveCold(-[0-9]+)?$/) full_ns = ns
-    if (name ~ /^BenchmarkAttackQuery(-[0-9]+)?$/)   { q_ns = ns; q_p50 = p50; q_p99 = p99 }
-    if (name ~ /^BenchmarkOverloadShed(-[0-9]+)?$/)  { shed_frac = sfrac; shed_total = stot }
-}
-END {
-    print "\n  ],"
-    speedup = (delta_ns + 0 > 0) ? (full_ns + 0) / (delta_ns + 0) : 0
-    qps = (q_ns + 0 > 0) ? 1e9 / (q_ns + 0) : 0
-    printf "  \"gomaxprocs\": %d,\n", ncpu
-    printf "  \"queries_per_s\": %.1f,\n", qps
-    printf "  \"p50_latency_ns\": %s,\n", (q_p50 == "" ? "0" : q_p50)
-    printf "  \"p99_latency_ns\": %s,\n", (q_p99 == "" ? "0" : q_p99)
-    printf "  \"delta_vs_full_speedup\": %.2f,\n", speedup
-    printf "  \"shed_frac_under_overload\": %s,\n", (shed_frac == "" ? "0" : shed_frac)
-    printf "  \"shed_total_under_overload\": %s\n", (shed_total == "" ? "0" : shed_total)
-    print "}"
-}
-' "$RAW" > "$HJOUT"
-
-echo "wrote $HJOUT"
