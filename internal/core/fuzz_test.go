@@ -306,12 +306,41 @@ func fuzzSeeds() []fuzzCase {
 		prev:  fuzzCell{target: 0, attacker: 4},
 		lanes: fuzzLanes{width: 9, pos: 8, base: [8]byte{1, 2, 3, 4, 4, 3, 2, 1}, step: 2},
 	}
+	// Stub 5 has two providers: 0 reaches target 3 down the chain 0→2→3
+	// (an offer of length 3), 1 is attacker 4's provider (length 2). The
+	// lane stub pass must keep the shorter offer, not the first in the row;
+	// stub 6, 1's only customer, is the single-provider copy at +1.
+	shortest := fuzzCase{
+		seeded: "a stub keeps its shortest provider offer", n: 7,
+		ranks: []byte{9, 9, 5, 1, 1, 1, 1},
+		links: [][3]int{{0, 2, transit}, {2, 3, transit}, {1, 4, transit}, {0, 5, transit},
+			{1, 5, transit}, {1, 6, transit}},
+		at:    fuzzCell{target: 3, attacker: 4},
+		prev:  fuzzCell{target: 4, attacker: 3},
+		lanes: fuzzLanes{width: 4, pos: 0, base: [8]byte{4, 6, 5, 2}},
+	}
+	// The same stubs validating: 5 drops 1's attacker offer and takes 0's
+	// target route instead, 6 drops its only offer and stays unrouted.
+	validating := shortest
+	validating.seeded, validating.at.rov = "validating stubs drop the attacker's offer", 0b1100000
+	// Stub 4's providers 0 and 1 offer length 2 each, 0 the route to target
+	// 2, 1 the route to attacker 3. Under WithPreferHighNextHop the stub
+	// takes 1's: read forwards, or with a later equal offer replacing the
+	// kept one, it takes 0's.
+	stubTie := fuzzCase{
+		seeded: "a stub breaks a provider tie under the flipped tie-break", n: 5, tieHi: true,
+		ranks: []byte{9, 9, 1, 1, 1},
+		links: [][3]int{{0, 2, transit}, {1, 3, transit}, {0, 4, transit}, {1, 4, transit}},
+		at:    fuzzCell{target: 2, attacker: 3},
+		prev:  fuzzCell{target: 3, attacker: 2},
+		lanes: fuzzLanes{width: 3, pos: 0, base: [8]byte{3, 4, 0}},
+	}
 	everyoneTier1 := diamond
 	everyoneTier1.seeded, everyoneTier1.tier1, everyoneTier1.tieHi = "whole-graph tier-1 set", ^uint32(0), true
 	noTier1 := reroute
 	noTier1.seeded, noTier1.tier1, noTier1.noSPF = "empty tier-1 set", 0, true
 	noTier1.lanes = fuzzLanes{width: 12, pos: 0, late: true, base: [8]byte{4, 3, 2, 6, 0, 1, 4, 4}, step: 3}
-	return []fuzzCase{diamond, reroute, noLeak, pullTie, noPeerTransit, everyoneTier1, noTier1}
+	return []fuzzCase{diamond, reroute, noLeak, pullTie, noPeerTransit, everyoneTier1, noTier1, shortest, validating, stubTie}
 }
 
 // rootCause unwraps err to the innermost error's text: the three solvers

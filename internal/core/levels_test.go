@@ -312,7 +312,7 @@ func TestSolverStats(t *testing.T) {
 		}
 		want := SolverStats{LaneSolves: int64(round + 1), Lanes: int64(60 * (round + 1)), BaselineSolves: int64(round)}
 		got := s.Stats()
-		want.Sources, want.Offers = got.Sources, got.Offers
+		want.Sources, want.Offers, want.Pulled = got.Sources, got.Offers, got.Pulled
 		if got != want {
 			t.Errorf("after %d 60-attacker groups: stats %+v, want %+v", round+1, got, want)
 		}
@@ -334,23 +334,65 @@ func TestSolverStats(t *testing.T) {
 	}
 
 	// A flood visits a source once for all the lanes it carries: a batch of
-	// one costs exactly what the scalar solve of that cell costs, and 60
-	// lanes visit and offer less than 60 solves do.
+	// one visits exactly the sources the scalar solve of that cell visits,
+	// and offers over the same edges in the first two stages; 60 lanes visit
+	// and offer less than 60 solves do.
 	one, sixty, scalar := NewSolver(pol), NewSolver(pol), NewSolver(pol)
 	if _, err := one.SolveLanes(target, group[:1], KindOrigin, false, defs[1]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sixty.SolveLanes(target, group, KindOrigin, false, defs[1]); err != nil {
+	outs, err = sixty.SolveLanes(target, group, KindOrigin, false, defs[1])
+	if err != nil {
 		t.Fatal(err)
 	}
+	// The stubs some lane reaches stage 3 without a route at: the cells in
+	// which a stub ends up unrouted or provider-class.
+	open := make([]bool, n)
 	for i, a := range group {
-		if _, err := scalar.SolveDefense(Attack{Target: target, Attacker: a}, defs[1]); err != nil {
+		o, err := scalar.SolveDefense(Attack{Target: target, Attacker: a}, defs[1])
+		if err != nil {
 			t.Fatal(err)
 		}
-		if st := scalar.Stats(); i == 0 && (one.Stats().Sources != st.Sources || one.Stats().Offers != st.Offers) {
-			t.Errorf("a one-lane batch visited %v sources over %v edges, the scalar solve %v over %v",
-				one.Stats().Sources, one.Stats().Offers, st.Sources, st.Offers)
+		for w := 0; w < n; w++ {
+			if len(pol.Customers(w)) == 0 && (!o.HasRoute(w) || o.Class(w) == ClassProvider) {
+				open[w] = true
+			}
 		}
+		if l, st := one.Stats(), scalar.Stats(); i == 0 && (l.Sources != st.Sources || l.Offers[0] != st.Offers[0] || l.Offers[1] != st.Offers[1]) {
+			t.Errorf("a one-lane batch visited %v sources over %v edges, the scalar solve %v over %v",
+				l.Sources, l.Offers, st.Sources, st.Offers)
+		}
+	}
+	// Stage 3 of the 60-lane batch, exactly: a routed node with customers is
+	// a source once per distinct distance among its lanes and offers over its
+	// transit-customer edges, and the stub pass reads every provider edge of
+	// the stubs left open.
+	var sources, transit, pulled int64
+	for v := 0; v < n; v++ {
+		if len(pol.Customers(v)) == 0 {
+			if open[v] {
+				pulled += int64(len(pol.Providers(v)))
+			}
+			continue
+		}
+		var tc int64
+		for _, c := range pol.Customers(v) {
+			if len(pol.Customers(int(c))) > 0 {
+				tc++
+			}
+		}
+		dists := map[int16]bool{}
+		for i := range outs {
+			if outs[i].HasRoute(v) {
+				dists[outs[i].Dist(v)] = true
+			}
+		}
+		sources += int64(len(dists))
+		transit += int64(len(dists)) * tc
+	}
+	if st := sixty.Stats(); st.Sources[2] != sources || st.Offers[2] != transit || st.Pulled != pulled {
+		t.Errorf("60-lane stage 3: %d sources over %d edges, %d provider edges pulled; want %d over %d transit-customer edges, %d",
+			st.Sources[2], st.Offers[2], st.Pulled, sources, transit, pulled)
 	}
 	for stage := range scalar.Stats().Sources {
 		l, sc := sixty.Stats(), scalar.Stats()

@@ -76,10 +76,15 @@ type Policy struct {
 	// transit to i, etc.
 	provOff, custOff, peerOff []int32
 	provAdj, custAdj, peerAdj []int32
+	// tranOff/tranAdj is custAdj restricted to transit customers, those
+	// with customers of their own: the rows the lane provider flood offers
+	// over, which leaves the stubs to pullStubLanes.
+	tranOff, tranAdj []int32
 	// Bitmaps (bit i%64 of word i/64) of the nodes with at least one
-	// provider / peer / customer. The solver ANDs them into a level set
-	// before walking it, so a node with nobody to offer a route to — a
-	// stub, in the provider flood — is never visited as a source.
+	// provider / peer / customer. levelWalk masks each level word with one
+	// of them, so a node with nobody to offer a route to in a stage is
+	// never visited as that stage's source: a customer-less node (a stub,
+	// when it has a provider) never sources in the provider stage.
 	hasProv, hasPeer, hasCust []uint64
 
 	// tier1SPF enables the paper's tier-1 policy: "Tier-1 routers always
@@ -189,6 +194,16 @@ func NewPolicy(g *topology.Graph, tier1 []int, opts ...PolicyOption) (*Policy, e
 		}
 	}
 	p.provOff[n], p.custOff[n], p.peerOff[n] = cp, cc, cr
+	p.tranOff = make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		p.tranOff[i] = int32(len(p.tranAdj))
+		for _, c := range p.Customers(i) {
+			if p.hasCust[c>>6]>>(c&63)&1 != 0 {
+				p.tranAdj = append(p.tranAdj, c)
+			}
+		}
+	}
+	p.tranOff[n] = int32(len(p.tranAdj))
 	return p, nil
 }
 

@@ -96,9 +96,14 @@ type SolverStats struct {
 	// Sources counts the routed nodes the solves visited to offer their
 	// route on, and Offers the edges they offered it over (each source's
 	// whole adjacency row, whether or not the neighbor took the route). A
-	// lane flood visits a source once for all the lanes it carries.
+	// lane flood visits a source once for all the lanes it carries, and its
+	// provider stage offers over transit-customer edges only.
 	Sources [3]int64
 	Offers  [3]int64
+	// Pulled counts the provider edges the lane stub pass read: every
+	// provider link of each stub still unrouted in some lane after the lane
+	// provider flood.
+	Pulled int64
 }
 
 // t1sel is one tier-1 node with its customer-route distance, the sort key
@@ -756,7 +761,8 @@ func (s *Solver) SolveLanes(target int, attackers []int, kind AttackKind, subPre
 		s.pullTier1Lanes()
 	}
 	s.floodLanes(pol.peerOff, pol.peerAdj, pol.hasPeer, ClassPeer)
-	s.floodLanes(pol.custOff, pol.custAdj, pol.hasCust, ClassProvider)
+	s.floodLanes(pol.tranOff, pol.tranAdj, pol.hasCust, ClassProvider)
+	s.pullStubLanes()
 
 	for i, a := range attackers {
 		ln.outs[i] = Outcome{Target: target, Attacker: a, lanes: s, lane: uint(i)}
@@ -956,6 +962,102 @@ func (s *Solver) pullLanes(w int32, lanes uint64, last int) {
 			}
 		}
 	}
+}
+
+// pullStubLanes ends the lane provider stage at the stubs — the nodes with
+// a provider and no customer — which floodLanes offers nothing to. A stub
+// never sources in that stage, so the route the flood would hand it in a
+// lane is its first accepted offer in (level, betterNH) order: the shortest
+// offer among its providers' final routes, the first in betterNH order
+// among equals (the row forwards, or backwards under
+// WithPreferHighNextHop). One ascending pass pulls that, in the lanes the
+// stub is still unrouted in, from the providers' lane words; a validating
+// stub drops att[v] & rejLanes, as the flood does. Stubs are not entered
+// into the level sets: nothing walks them after the last stage.
+//
+//bgplint:hotpath one pass per batch over the stubs' provider links
+func (s *Solver) pullStubLanes() {
+	pol, ln := s.pol, s.ln
+	// A pulled route is one hop longer than the longest provider's.
+	ln.growPlanes(s.top + 1)
+	n, np := ln.n, ln.nplanes
+	routed, att, planes := ln.routed, ln.att, ln.planes
+	var pulled int64
+	for wi, prov := range pol.hasProv {
+		for stubs := prov &^ pol.hasCust[wi]; stubs != 0; stubs &= stubs - 1 {
+			w := int32(wi<<6 | bits.TrailingZeros64(stubs))
+			open := ln.full &^ routed[w]
+			if open == 0 {
+				continue
+			}
+			drop := uint64(0)
+			if ln.rejLanes != 0 && ln.rej.rejects(pol, w, OriginAttacker) {
+				drop = ln.rejLanes
+			}
+			provs := pol.provAdj[pol.provOff[w]:pol.provOff[w+1]]
+			pulled += int64(len(provs))
+			// The planes of w are zero in the lanes it is unrouted in, so a
+			// route is written by ORing in the provider's distance +1, carried
+			// up the planes; growPlanes above leaves no carry out.
+			if len(provs) == 1 {
+				v := provs[0]
+				take := open & routed[v] &^ (att[v] & drop)
+				if take == 0 {
+					continue
+				}
+				routed[w] |= take
+				att[w] |= att[v] & take
+				carry := take
+				for p, i, j := 0, int(v), int(w); p < np; p, i, j = p+1, i+n, j+n {
+					x := planes[i] & take
+					planes[j] |= x ^ carry
+					carry &= x
+				}
+				continue
+			}
+			// The kept offer per lane: its provider's distance, bit-sliced,
+			// and whether it leads to the attacker.
+			var best [16]uint64
+			var have, bogus uint64
+			for k := range provs {
+				v := provs[k]
+				if pol.tieHigh {
+					v = provs[len(provs)-1-k]
+				}
+				take := open & routed[v] &^ (att[v] & drop)
+				if take&have != 0 {
+					// Of the lanes that hold an offer, v takes those it beats
+					// strictly: compare from the top plane down.
+					lt, eq := uint64(0), ^uint64(0)
+					for p, i := np-1, int(v)+(np-1)*n; p >= 0; p, i = p-1, i-n {
+						x := planes[i]
+						lt |= eq & best[p] &^ x
+						eq &^= best[p] ^ x
+					}
+					take &^= have &^ lt
+				}
+				if take == 0 {
+					continue
+				}
+				for p, i := 0, int(v); p < np; p, i = p+1, i+n {
+					best[p] = best[p]&^take | planes[i]&take
+				}
+				have |= take
+				bogus = bogus&^take | att[v]&take
+			}
+			if have == 0 {
+				continue
+			}
+			routed[w] |= have
+			att[w] |= bogus
+			carry := have
+			for p, j := 0, int(w); p < np; p, j = p+1, j+n {
+				planes[j] |= best[p] ^ carry
+				carry &= best[p]
+			}
+		}
+	}
+	s.stats.Pulled += pulled
 }
 
 // polluted returns one lane's PollutedWeight, tallying every lane's on the

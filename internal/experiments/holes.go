@@ -203,7 +203,7 @@ func (s *holeStudy) reduce(w *World) (*HoleResult, sweep.Reducer[HoleRecord]) {
 			s.cfg.Kind, s.mechs, s.filters.Name, s.probes.Name)
 	}
 	res := &HoleResult{
-		Title: title,
+		Title:             title,
 		Attacks:           s.cfg.Attacks,
 		AttackerDepthHist: make(map[int]int),
 		ReasonTotals:      make(map[MissReason]int),

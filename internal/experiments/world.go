@@ -176,7 +176,7 @@ func rngFor(seed int64, purpose string) *rand.Rand {
 	h := fnv.New64a()
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], uint64(seed))
-	h.Write(b[:])          //nolint:errcheck // hash.Hash cannot fail
+	h.Write(b[:])            //nolint:errcheck // hash.Hash cannot fail
 	h.Write([]byte(purpose)) //nolint:errcheck
 	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
