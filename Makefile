@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race stress worktree-check chaos replay-check serve-check vulncheck fuzz bench bench-json bench-trend reproduce reproduce-paper-scale clean
+.PHONY: all build test vet lint race stress worktree-check chaos replay-check serve-check vulncheck fuzz bench reproduce reproduce-paper-scale clean
 
 all: build test
 
@@ -94,18 +94,6 @@ fuzz:
 # evidence (see EXPERIMENTS.md).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable sweep benchmarks (Figures 2/5/7 plus the kernel scaling
-# micro-benchmark) → BENCH_sweep.json with ns/op, allocs/op and workers.
-bench-json:
-	scripts/bench_json.sh BENCH_sweep.json
-
-# Throughput gates: fail if recio encode or firehose replay regressed
-# more than 20% against the committed BENCH_recio.json /
-# BENCH_firehose.json baselines (each gate skips on machines with a
-# different core count — throughput baselines don't transfer).
-bench-trend:
-	scripts/check_bench_trend.sh BENCH_recio.json 20 BENCH_firehose.json
 
 # Every figure and table at the default working scale.
 reproduce:

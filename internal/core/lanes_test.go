@@ -150,6 +150,37 @@ func TestSolveLanesEquivalence(t *testing.T) {
 	}
 }
 
+// TestLaneOnlySolverSkipsScalarArena: a solver that only runs lane batches
+// and reads their lane words never allocates the scalar records; reading a
+// lane's Class does, and answers as a scalar solve of that cell.
+func TestLaneOnlySolverSkipsScalarArena(t *testing.T) {
+	pol := deltaTestPolicy(t, 300, 3)
+	s := NewSolver(pol)
+	attackers := []int{1, 2, 3, 4}
+	outs, err := s.SolveLanes(5, attackers, KindOrigin, false, Defense{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range outs {
+		outs[i].PollutedWeight(oddWeights(pol.N()))
+	}
+	if s.nodes != nil {
+		t.Fatalf("a lane-only solver holds %d scalar records", len(s.nodes))
+	}
+	want, err := NewSolver(pol).SolveDefense(Attack{Target: 5, Attacker: attackers[2]}, Defense{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < pol.N(); v++ {
+		if got := outs[2].Class(v); got != want.Class(v) {
+			t.Fatalf("lane 2: node %d has class %v, want %v", v, got, want.Class(v))
+		}
+	}
+	if len(s.nodes) != pol.N() {
+		t.Fatalf("materializing a lane left %d scalar records, want %d", len(s.nodes), pol.N())
+	}
+}
+
 // TestSolveLanesRejects: a batch fails as its lowest invalid cell does.
 func TestSolveLanesRejects(t *testing.T) {
 	pol := deltaTestPolicy(t, 300, 3)

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/bgpsim/bgpsim/internal/topology"
 )
@@ -61,9 +62,10 @@ const (
 	OriginAttacker int8 = 1
 )
 
-// Policy is the immutable routing-policy context for a topology: per-class
-// adjacency in CSR form plus the tier-1 set. Build once, share across any
-// number of Solvers and Engines.
+// Policy is the immutable routing state of a topology — per-class
+// adjacency in CSR form plus the tier-1 set — plus the idle list of the
+// Solvers built over it. Build once, share across any number of Solvers
+// and Engines.
 type Policy struct {
 	g     *topology.Graph
 	n     int
@@ -93,6 +95,40 @@ type Policy struct {
 	// tieHigh flips the deterministic next-hop tie-break (see
 	// WithPreferHighNextHop).
 	tieHigh bool
+
+	// idle holds the Solvers handed back by ReleaseSolver, warm arenas and
+	// all, for AcquireSolver to hand out again. It never holds more than
+	// were in use at once, and it is freed with the policy.
+	idleMu sync.Mutex
+	idle   []*Solver
+}
+
+// AcquireSolver returns an idle Solver over the policy, most recently
+// released first, or a new one when none is idle. Hand it back with
+// ReleaseSolver once done; a Solver never released is simply collected.
+func (p *Policy) AcquireSolver() *Solver {
+	p.idleMu.Lock()
+	k := len(p.idle) - 1
+	if k < 0 {
+		p.idleMu.Unlock()
+		return NewSolver(p)
+	}
+	s := p.idle[k]
+	p.idle[k] = nil
+	p.idle = p.idle[:k]
+	p.idleMu.Unlock()
+	return s
+}
+
+// ReleaseSolver hands a Solver built over the policy back to its idle
+// list. The caller must not use it, or any Outcome it returned, again.
+func (p *Policy) ReleaseSolver(s *Solver) {
+	if s.pol != p {
+		panic("core: ReleaseSolver of a solver built over another policy")
+	}
+	p.idleMu.Lock()
+	p.idle = append(p.idle, s)
+	p.idleMu.Unlock()
 }
 
 // PolicyOption customizes Policy construction.

@@ -182,3 +182,33 @@ func TestBetterOrderingTier1Disabled(t *testing.T) {
 		t.Error("Tier1ShortestPath should report false")
 	}
 }
+
+// TestPolicyIdleList: AcquireSolver hands back released solvers, most
+// recent first, builds a new one only when none is idle, and refuses a
+// solver built over another policy.
+func TestPolicyIdleList(t *testing.T) {
+	pol, _ := buildPolicy(t, diamond)
+	a, b := pol.AcquireSolver(), pol.AcquireSolver()
+	if a == b {
+		t.Fatal("two acquires returned one solver")
+	}
+	pol.ReleaseSolver(a)
+	pol.ReleaseSolver(b)
+	if got := pol.AcquireSolver(); got != b {
+		t.Error("the last solver released is not the first handed out")
+	}
+	if got := pol.AcquireSolver(); got != a {
+		t.Error("the first solver released is not handed out second")
+	}
+	if c := pol.AcquireSolver(); c == a || c == b {
+		t.Error("an empty idle list handed out a solver in use")
+	}
+
+	other, _ := buildPolicy(t, diamond)
+	defer func() {
+		if recover() == nil {
+			t.Error("releasing another policy's solver did not panic")
+		}
+	}()
+	pol.ReleaseSolver(NewSolver(other))
+}

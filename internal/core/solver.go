@@ -46,8 +46,8 @@ type nodeRec struct {
 // using the three-stage customer/peer/provider BFS. A Solver's buffers are
 // reused across calls: the Outcome returned by Solve is only valid until
 // the next Solve on the same Solver (Clone it to keep it). Solvers are not
-// safe for concurrent use; create one per goroutine (they share the
-// Policy).
+// safe for concurrent use; create one per goroutine, or take one from the
+// Policy's idle list (AcquireSolver) and hand it back when done.
 type Solver struct {
 	pol *Policy
 
@@ -113,9 +113,12 @@ type t1sel struct {
 	d    int16
 }
 
-// NewSolver returns a Solver over the policy.
+// NewSolver returns a Solver over the policy. Its arenas are allocated by
+// the first solve that needs them: the scalar records by the first scalar
+// solve, lane materialization or leak baseline, the lane words by the first
+// SolveLanes. Policy.AcquireSolver hands out warm ones.
 func NewSolver(pol *Policy) *Solver {
-	return &Solver{pol: pol, nodes: make([]nodeRec, pol.N()), words: len(pol.hasCust)}
+	return &Solver{pol: pol, words: len(pol.hasCust)}
 }
 
 // Stats returns cumulative work counters for this solver.
@@ -378,12 +381,15 @@ func (s *Solver) solveScenario(at Attack, sc *scenario) *Outcome {
 }
 
 // begin invalidates every record and empties the level sets for a new
-// solve. Stamps are compared against the epoch and a zeroed record must
-// stay stale, so the counter stays positive: at the top of the int32 range
-// the records are cleared and counting restarts at 1 (once per 2^31 solves
-// — a long-lived hijackd worker gets there).
+// scalar solve, allocating the records on the first. Stamps are compared
+// against the epoch and a zeroed record must stay stale, so the counter
+// stays positive: at the top of the int32 range the records are cleared
+// and counting restarts at 1 (once per 2^31 solves — a long-lived hijackd
+// worker gets there).
 func (s *Solver) begin() {
-	if s.epoch == math.MaxInt32 {
+	if s.nodes == nil {
+		s.nodes = make([]nodeRec, s.pol.n)
+	} else if s.epoch == math.MaxInt32 {
 		clear(s.nodes)
 		s.epoch = 0
 	}

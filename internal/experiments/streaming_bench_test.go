@@ -1,7 +1,7 @@
 package experiments
 
-// BenchmarkVulnerabilityReduction backs the BENCH_sweep.json comparison of
-// the buffered reference against the streaming reducer: same workload,
+// BenchmarkVulnerabilityReduction compares the buffered reference against
+// the streaming reducer: same workload,
 // same curves, different reduction memory. bytes/op comes from -benchmem;
 // peak RSS is sampled from the kernel per sub-benchmark (Linux only).
 

@@ -51,8 +51,8 @@ func benchUpdates(b *testing.B, n, peers int) []byte {
 // BenchmarkReplayThroughput replays b.N synthetic updates over 8 probe
 // sessions through a real TCP collector with the route-server validator
 // at the boundary, timing the full pipeline — dispatch, session writes,
-// collector reads, validation — and reporting updates/s.
-// scripts/bench_json.sh collects it into BENCH_firehose.json.
+// collector reads, validation — and reporting updates/s. The end-to-end
+// number is updates_per_s on `go run ./bench -workload firehose_replay`.
 func BenchmarkReplayThroughput(b *testing.B) {
 	const peers = 8
 	data := benchUpdates(b, b.N, peers)

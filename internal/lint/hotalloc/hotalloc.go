@@ -5,8 +5,8 @@
 // The solve loop runs once per (target, attacker, policy) cell — tens of
 // millions of iterations in a full-topology sweep — so a single
 // per-iteration allocation multiplies into gigabytes of garbage and
-// dominates the profile (BENCH_sweep.json's allocs/op column is the
-// scoreboard). Annotating a function with //bgplint:hotpath in its doc
+// dominates the profile (`go run ./bench -trace 1` reports it as
+// core.solve_full.allocs_per_op and hijack.measure.allocs_per_op). Annotating a function with //bgplint:hotpath in its doc
 // comment opts its loops into the budget; inside those loop bodies the
 // analyzer flags
 //

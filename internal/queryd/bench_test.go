@@ -19,7 +19,7 @@ var (
 	benchWorldErr  error
 )
 
-func benchWorld(b *testing.B) *experiments.World {
+func benchWorld(b testing.TB) *experiments.World {
 	b.Helper()
 	benchWorldOnce.Do(func() {
 		benchWorldVal, benchWorldErr = experiments.NewWorld(2000, 42)

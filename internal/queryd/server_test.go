@@ -310,6 +310,37 @@ func TestMetricsCountSolvePaths(t *testing.T) {
 	}
 }
 
+// TestVulnerabilityWarmAllocs: a multi-cell endpoint solves on the
+// policy's idle solvers, so on the 2,000-AS bench world, once one
+// 60-attacker /v1/vulnerability has warmed them, the next identical request
+// allocates less than one solver's lane words (three per node).
+func TestVulnerabilityWarmAllocs(t *testing.T) {
+	w := benchWorld(t)
+	s := mustServer(t, Config{World: w, Workers: 1})
+	n := w.Policy.N()
+	target := n / 7
+	attackers := make([]string, 0, 60)
+	for i := 0; len(attackers) < cap(attackers); i++ {
+		if a := (i*31 + 1) % n; a != target {
+			attackers = append(attackers, fmt.Sprint(a))
+		}
+	}
+	body := fmt.Sprintf(`{"target": %d, "attackers": [%s]}`, target, strings.Join(attackers, ","))
+	if rec := do(t, s, "POST", "/v1/vulnerability", body); rec.Code != http.StatusOK {
+		t.Fatalf("warm-up status %d: %s", rec.Code, rec.Body.String())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := do(t, s, "POST", "/v1/vulnerability", body)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got, arena := after.TotalAlloc-before.TotalAlloc, uint64(24*n); got >= arena {
+		t.Fatalf("a warm request allocated %d bytes, want less than one lane arena (%d)", got, arena)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	s := mustServer(t, Config{Workers: 1})
 	n := serverWorld(t).Policy.N()

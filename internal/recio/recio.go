@@ -67,8 +67,9 @@ const maxSegment = 1 << 30
 
 // DefaultLevel is the gzip level used when Options.Level is zero.
 // Shard files are transport between a shard run and its merge, not
-// archives: BestSpeed keeps the encoder off the critical path (the
-// committed BENCH_recio.json has the measurements) and `-level 9`
+// archives: BestSpeed keeps the encoder off the critical path (`go run
+// ./bench -workload shard_merge` measures it as records_per_s_write) and
+// `-level 9`
 // remains available when bytes on the wire matter more than time.
 const DefaultLevel = gzip.BestSpeed
 

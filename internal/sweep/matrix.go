@@ -1,11 +1,12 @@
 // The matrix runtime: target×attack×policy workloads flattened into one
 // global cell index space, sharded into contiguous index ranges, solved
-// in parallel with per-worker solver reuse, and reduced as an in-order
-// stream. A shard is the unit of both in-process concurrency and
-// multi-process splitting (`-shard i/n` on the scan CLIs); because shard
-// outputs are index-ordered record slices over an exact tiling of the
-// cell space, merging them reproduces the unsharded stream bit-for-bit —
-// the SHA-256 digest contract holds at any worker AND shard count.
+// in parallel on solvers taken from the policies' idle lists (warm across
+// runs), and reduced as an in-order stream. A shard is the unit of both
+// in-process concurrency and multi-process splitting (`-shard i/n` on the
+// scan CLIs); because shard outputs are index-ordered record slices over
+// an exact tiling of the cell space, merging them reproduces the unsharded
+// stream bit-for-bit — the SHA-256 digest contract holds at any worker
+// AND shard count.
 package sweep
 
 import (
@@ -290,9 +291,11 @@ func batchStarts(m Matrix, off []int, lo, hi int) (starts []int, widest int) {
 // through a bounded reorder window; on success it also calls red.Finish.
 // Workers take whole batches (batchStarts): a run of two or more cells is
 // one core.Solver.SolveLanes whose lanes go to extract one by one, a lone
-// cell one SolveDefense — extract cannot tell which. A solve failure
-// aborts the window before returning so workers blocked on a full window
-// are released (cancellation never deadlocks).
+// cell one SolveDefense — extract cannot tell which. Each worker takes its
+// solvers from the policies' idle lists, and every one goes back once the
+// workers are done, failed run or not. A solve failure aborts the window
+// before returning so workers blocked on a full window are released
+// (cancellation never deadlocks).
 func runShard[T any](m Matrix, off []int, lo, hi, workers, window int, prog func(done, total int), red Reducer[T], extract func(g, k int, o *core.Outcome) T) error {
 	n := hi - lo
 	if n <= 0 {
@@ -311,11 +314,21 @@ func runShard[T any](m Matrix, off []int, lo, hi, workers, window int, prog func
 		cap = n
 	}
 	win := NewWindow(lo, hi, cap, red.Emit)
+	var (
+		cachesMu sync.Mutex
+		caches   []map[*core.Policy]*core.Solver
+	)
 	err := MapLocal(len(starts)-1, opts,
 		// Per-worker solver cache keyed by policy identity: a worker that
 		// crosses a group boundary keeps one warm solver per distinct
-		// policy instead of re-deriving routing state per cell.
-		func() map[*core.Policy]*core.Solver { return make(map[*core.Policy]*core.Solver, 2) },
+		// policy, taken from that policy's idle list on first use.
+		func() map[*core.Policy]*core.Solver {
+			cache := make(map[*core.Policy]*core.Solver, 2)
+			cachesMu.Lock()
+			caches = append(caches, cache)
+			cachesMu.Unlock()
+			return cache
+		},
 		func(cache map[*core.Policy]*core.Solver, b int) error {
 			cell, width := starts[b], starts[b+1]-starts[b]
 			g := sort.SearchInts(off, cell+1) - 1
@@ -323,7 +336,7 @@ func runShard[T any](m Matrix, off []int, lo, hi, workers, window int, prog func
 			pol := m.Policy(g)
 			s := cache[pol]
 			if s == nil {
-				s = core.NewSolver(pol)
+				s = pol.AcquireSolver()
 				cache[pol] = s
 			}
 			at, def := m.Job(g, k)
@@ -362,6 +375,11 @@ func runShard[T any](m Matrix, off []int, lo, hi, workers, window int, prog func
 			}
 			return nil
 		})
+	for _, cache := range caches {
+		for pol, s := range cache { //bgplint:ignore maporder idle solvers are interchangeable; release order cannot change a result
+			pol.ReleaseSolver(s)
+		}
+	}
 	if err != nil {
 		return err
 	}
