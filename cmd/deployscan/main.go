@@ -26,23 +26,22 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/bgpsim/bgpsim/internal/cli"
-	"github.com/bgpsim/bgpsim/internal/core"
 	"github.com/bgpsim/bgpsim/internal/experiments"
 	"github.com/bgpsim/bgpsim/internal/hijack"
-	"github.com/bgpsim/bgpsim/internal/sweep"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "deployscan:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("deployscan", flag.ContinueOnError)
 	wf := cli.AddWorldFlags(fs)
 	target := fs.String("target", "both", "which target panel to run: depth1 | deep | both")
@@ -58,7 +57,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, sel, err := sh.Mode()
+	mode, _, err := sh.Mode()
 	if err != nil {
 		return err
 	}
@@ -75,7 +74,13 @@ func run(args []string) error {
 	}
 	cli.Describe(w)
 	if *rank {
-		return runRanking(w, sh, mode, sel, *sample, *wf.Seed, mechs, *workers)
+		// mechs = 0 keeps the study's own rov+aspa default.
+		cfg := experiments.ScenarioRankingConfig{AttackerSample: *sample, Seed: *wf.Seed, Mechs: mechs, Workers: *workers}
+		res, ok, err := cli.RunStudy(sh, w, experiments.ScenarioRankingStudy(cfg), "deployscan", *wf.Seed)
+		if !ok {
+			return err
+		}
+		return res.WriteText(stdout)
 	}
 	// The ladder defends each rung's node set with the -defense
 	// mechanisms (empty = ROV, the paper's model) against -scenario
@@ -90,141 +95,56 @@ func run(args []string) error {
 	if !runDepth1 && !runDeep {
 		return fmt.Errorf("unknown -target %q (want depth1, deep or both)", *target)
 	}
-	if mode == cli.RunShard {
-		store := sh.Store("deployscan", *wf.Seed, *workers)
-		if runDepth1 {
-			rep, err := experiments.Fig5ShardTo(w, cfg, sel, store)
-			if err != nil {
-				return err
-			}
-			cli.NoteShard(rep)
-		}
-		if runDeep {
-			rep, err := experiments.Fig6ShardTo(w, cfg, sel, store)
-			if err != nil {
-				return err
-			}
-			cli.NoteShard(rep)
-		}
-		return nil
+	panels := []struct {
+		run   bool
+		name  string
+		study experiments.Study[hijack.Record, *experiments.DeploymentResult]
+	}{
+		{runDepth1, "depth1", experiments.Fig5Study(cfg)},
+		{runDeep, "deep", experiments.Fig6Study(cfg)},
 	}
-
-	emit := func(res *experiments.DeploymentResult, tag string) error {
-		if err := res.WriteText(os.Stdout); err != nil {
+	for _, p := range panels {
+		if !p.run {
+			continue
+		}
+		res, ok, err := cli.RunStudy(sh, w, p.study, "deployscan", *wf.Seed)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		if err := res.WriteText(stdout); err != nil {
 			return err
 		}
 		if *svgPrefix != "" {
-			name := *svgPrefix + "-" + tag + ".svg"
-			fh, err := os.Create(name)
-			if err != nil {
-				return err
-			}
-			defer fh.Close()
-			if err := res.RenderSVG(fh); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "chart written to %s\n", name)
-		}
-		return nil
-	}
-	if runDepth1 {
-		var res *experiments.DeploymentResult
-		if mode == cli.RunMerge {
-			files, err := cli.ReadShards[hijack.Record](*sh.Dir, experiments.TagFig5)
-			if err != nil {
-				return err
-			}
-			res, err = experiments.Fig5Merge(w, cfg, files)
-			if err != nil {
-				return err
-			}
-		} else {
-			res, err = experiments.Fig5(w, cfg)
-			if err != nil {
+			if err := cli.WriteChart(*svgPrefix+"-"+p.name+".svg", res.RenderSVG); err != nil {
 				return err
 			}
 		}
-		if err := emit(res, "depth1"); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	if runDeep {
-		var res *experiments.DeploymentResult
-		if mode == cli.RunMerge {
-			files, err := cli.ReadShards[hijack.Record](*sh.Dir, experiments.TagFig6)
-			if err != nil {
-				return err
-			}
-			res, err = experiments.Fig6Merge(w, cfg, files)
-			if err != nil {
-				return err
-			}
-		} else {
-			res, err = experiments.Fig6(w, cfg)
-			if err != nil {
-				return err
-			}
-		}
-		if err := emit(res, "deep"); err != nil {
-			return err
+		if p.name == "depth1" {
+			fmt.Fprintln(stdout)
 		}
 	}
 	if *subprefix {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		res, err := experiments.SubPrefixStudy(w, cfg)
 		if err != nil {
 			return err
 		}
-		if err := res.WriteText(os.Stdout); err != nil {
+		if err := res.WriteText(stdout); err != nil {
 			return err
 		}
 	}
 	if *sbgpStudy {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		res, err := experiments.SBGPStudy(w, cfg)
 		if err != nil {
 			return err
 		}
-		if err := res.WriteText(os.Stdout); err != nil {
+		if err := res.WriteText(stdout); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// runRanking runs the scenario-ranking study in whichever shard mode the
-// flags selected. mechs = 0 keeps the study's own rov+aspa default.
-func runRanking(w *experiments.World, sh *cli.ShardFlags, mode cli.ShardMode, sel sweep.ShardSel, sample int, seed int64, mechs core.DefenseMech, workers int) error {
-	cfg := experiments.ScenarioRankingConfig{
-		AttackerSample: sample,
-		Seed:           seed,
-		Mechs:          mechs,
-		Workers:        workers,
-	}
-	switch mode {
-	case cli.RunShard:
-		rep, err := experiments.ScenarioRankingShardTo(w, cfg, sel, sh.Store("deployscan", seed, workers))
-		if err != nil {
-			return err
-		}
-		cli.NoteShard(rep)
-		return nil
-	case cli.RunMerge:
-		files, err := cli.ReadShards[hijack.Record](*sh.Dir, experiments.TagScenario)
-		if err != nil {
-			return err
-		}
-		res, err := experiments.ScenarioRankingMerge(w, cfg, files)
-		if err != nil {
-			return err
-		}
-		return res.WriteText(os.Stdout)
-	default:
-		res, err := experiments.ScenarioRanking(w, cfg)
-		if err != nil {
-			return err
-		}
-		return res.WriteText(os.Stdout)
-	}
 }

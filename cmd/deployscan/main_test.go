@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -10,7 +12,7 @@ import (
 // the flag.
 func TestLevelFlagRejectedAtParse(t *testing.T) {
 	for _, bad := range []string{"0", "10", "-2", "best"} {
-		err := run([]string{"-level", bad, "-format", "recio", "-shard", "0/2", "-shard-dir", t.TempDir()})
+		err := run([]string{"-level", bad, "-format", "recio", "-shard", "0/2", "-shard-dir", t.TempDir()}, io.Discard)
 		if err == nil {
 			t.Fatalf("-level %q accepted", bad)
 		}
@@ -24,8 +26,45 @@ func TestLevelFlagRejectedAtParse(t *testing.T) {
 // validation (the run then fails on the deliberately missing
 // -shard-dir, proving it got past the flag layer).
 func TestLevelFlagAccepted(t *testing.T) {
-	err := run([]string{"-level", "9", "-format", "recio", "-shard", "0/2"})
+	err := run([]string{"-level", "9", "-format", "recio", "-shard", "0/2"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "-shard-dir") {
 		t.Fatalf("want the -shard-dir mode error after accepting -level 9, got: %v", err)
+	}
+}
+
+// TestShardMergeStdoutIdentity: both Figure 5/6 panels and the
+// scenario ranking split into two shards and merged print exactly what
+// the full run prints.
+func TestShardMergeStdoutIdentity(t *testing.T) {
+	for _, study := range [][]string{{"-target", "both"}, {"-rank"}} {
+		checkShardMerge(t, append([]string{"-scale", "600", "-seed", "3", "-sample", "40"}, study...)...)
+	}
+}
+
+// stdoutOf runs the tool and returns what it printed on stdout.
+func stdoutOf(t *testing.T, args ...string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	return out.String()
+}
+
+// checkShardMerge holds `-shard 1/2` + `-shard 0/2` + `-merge`, in json
+// and in recio, to the stdout of the full run with the same flags.
+func checkShardMerge(t *testing.T, args ...string) {
+	t.Helper()
+	want := stdoutOf(t, args...)
+	for _, format := range []string{"json", "recio"} {
+		shardArgs := append([]string{"-format", format, "-shard-dir", t.TempDir()}, args...)
+		for _, sel := range []string{"1/2", "0/2"} {
+			if out := stdoutOf(t, append(shardArgs, "-shard", sel)...); out != "" {
+				t.Errorf("%v -format %s -shard %s printed %q; a shard run renders nothing", args, format, sel, out)
+			}
+		}
+		if got := stdoutOf(t, append(shardArgs, "-merge")...); got != want {
+			t.Errorf("%v -format %s: merged stdout differs from the full run\ngot:\n%s\nwant:\n%s", args, format, got, want)
+		}
 	}
 }

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/bgpsim/bgpsim/internal/cli"
@@ -28,13 +29,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "detectscan:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("detectscan", flag.ContinueOnError)
 	wf := cli.AddWorldFlags(fs)
 	attacks := fs.Int("attacks", 2000, "random attack workload size (paper: 8000)")
@@ -49,7 +50,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, sel, err := sh.Mode()
+	mode, _, err := sh.Mode()
 	if err != nil {
 		return err
 	}
@@ -89,57 +90,28 @@ func run(args []string) error {
 	if mechs != 0 {
 		cfg.Defense = mechs.Deploy(deploy.TopDegree(w.Graph, w.ScaledCoreK()).Blocked(w.Graph.N()))
 	}
-	var res *experiments.DetectionResult
-	switch mode {
-	case cli.RunShard:
-		rep, err := experiments.Fig7ShardTo(w, cfg, sel, sh.Store("detectscan", *wf.Seed, *workers))
-		if err != nil {
-			return err
-		}
-		cli.NoteShard(rep)
-		return nil
-	case cli.RunMerge:
-		files, err := cli.ReadShards[detect.Record](*sh.Dir, experiments.TagFig7)
-		if err != nil {
-			return err
-		}
-		res, err = experiments.Fig7Merge(w, cfg, files)
-		if err != nil {
-			return err
-		}
-	default:
-		res, err = experiments.Fig7(w, cfg)
-		if err != nil {
-			return err
-		}
+	res, ok, err := cli.RunStudy(sh, w, experiments.Fig7Study(cfg), "detectscan", *wf.Seed)
+	if !ok {
+		return err
 	}
-	if err := res.WriteText(os.Stdout, func(node int) string { return w.Graph.ASN(node).String() }); err != nil {
+	if err := res.WriteText(stdout, func(node int) string { return w.Graph.ASN(node).String() }); err != nil {
 		return err
 	}
 	if *svgPrefix != "" {
 		for i := range res.Cases {
 			name := fmt.Sprintf("%s-case%d.svg", *svgPrefix, i+1)
-			fh, err := os.Create(name)
-			if err != nil {
+			if err := cli.WriteChart(name, func(out io.Writer) error { return res.RenderSVG(out, i) }); err != nil {
 				return err
 			}
-			if err := res.RenderSVG(fh, i); err != nil {
-				fh.Close()
-				return err
-			}
-			if err := fh.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "chart written to %s\n", name)
 		}
 	}
 	if *falseAlarms {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		fa, err := experiments.FalseAlarmStudy(w, experiments.FalseAlarmConfig{Seed: *wf.Seed, Workers: *workers})
 		if err != nil {
 			return err
 		}
-		if err := fa.WriteText(os.Stdout); err != nil {
+		if err := fa.WriteText(stdout); err != nil {
 			return err
 		}
 	}

@@ -18,7 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
 
 	"github.com/bgpsim/bgpsim/internal/cli"
@@ -28,13 +28,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "holescan:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("holescan", flag.ContinueOnError)
 	wf := cli.AddWorldFlags(fs)
 	attacks := fs.Int("attacks", 2000, "random attack workload size")
@@ -47,8 +47,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, sel, err := sh.Mode()
-	if err != nil {
+	if _, _, err := sh.Mode(); err != nil {
 		return err
 	}
 	kind, mechs, err := sc.Parse()
@@ -61,7 +60,6 @@ func run(args []string) error {
 	}
 	cli.Describe(w)
 
-	coreK := w.ScaledCoreK()
 	cfg := experiments.HoleConfig{
 		Attacks:      *attacks,
 		Seed:         *wf.Seed,
@@ -73,7 +71,7 @@ func run(args []string) error {
 	}
 	switch *filtersKind {
 	case "core":
-		f := deploy.TopDegree(w.Graph, coreK)
+		f := deploy.TopDegree(w.Graph, w.ScaledCoreK())
 		cfg.Filters = &f
 	case "tier1":
 		f := deploy.Tier1(w.Class)
@@ -84,43 +82,28 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown -filters %q", *filtersKind)
 	}
-	switch *probesKind {
-	case "core":
-		p := detect.TopDegreeProbes(w.Graph, coreK)
-		cfg.Probes = &p
-	case "tier1":
-		p := detect.Tier1Probes(w.Class)
-		cfg.Probes = &p
-	case "bgpmon":
-		p := detect.BGPmonLikeProbes(w.Graph, w.Class, 24, rand.New(rand.NewSource(*wf.Seed)))
-		cfg.Probes = &p
-	default:
-		return fmt.Errorf("unknown -probes %q", *probesKind)
+	probes, err := probeSet(w, *probesKind, *wf.Seed)
+	if err != nil {
+		return err
 	}
+	cfg.Probes = &probes
+	res, ok, err := cli.RunStudy(sh, w, experiments.HoleStudy(cfg), "holescan", *wf.Seed)
+	if !ok {
+		return err
+	}
+	return res.WriteText(stdout, func(n int) string { return w.Graph.ASN(n).String() })
+}
 
-	var res *experiments.HoleResult
-	switch mode {
-	case cli.RunShard:
-		rep, err := experiments.HoleShardTo(w, cfg, sel, sh.Store("holescan", *wf.Seed, *workers))
-		if err != nil {
-			return err
-		}
-		cli.NoteShard(rep)
-		return nil
-	case cli.RunMerge:
-		files, err := cli.ReadShards[experiments.HoleRecord](*sh.Dir, experiments.TagHoles)
-		if err != nil {
-			return err
-		}
-		res, err = experiments.HoleMerge(w, cfg, files)
-		if err != nil {
-			return err
-		}
-	default:
-		res, err = experiments.HoleAnalysis(w, cfg)
-		if err != nil {
-			return err
-		}
+// probeSet resolves -probes; the bgpmon set is Figure 7's case 2 at the
+// same seed.
+func probeSet(w *experiments.World, kind string, seed int64) (detect.ProbeSet, error) {
+	switch kind {
+	case "core":
+		return detect.TopDegreeProbes(w.Graph, w.ScaledCoreK()), nil
+	case "tier1":
+		return detect.Tier1Probes(w.Class), nil
+	case "bgpmon":
+		return experiments.BGPmonProbes(w, 24, seed), nil
 	}
-	return res.WriteText(os.Stdout, func(n int) string { return w.Graph.ASN(n).String() })
+	return detect.ProbeSet{}, fmt.Errorf("unknown -probes %q", kind)
 }

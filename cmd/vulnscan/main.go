@@ -23,23 +23,23 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/bgpsim/bgpsim/internal/cli"
 	"github.com/bgpsim/bgpsim/internal/deploy"
 	"github.com/bgpsim/bgpsim/internal/experiments"
 	"github.com/bgpsim/bgpsim/internal/hijack"
-	"github.com/bgpsim/bgpsim/internal/sweep"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "vulnscan:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("vulnscan", flag.ContinueOnError)
 	wf := cli.AddWorldFlags(fs)
 	hierarchy := fs.String("hierarchy", "tier1", "target hierarchy for the depth panel: tier1 | tier2")
@@ -52,8 +52,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, sel, err := sh.Mode()
-	if err != nil {
+	if _, _, err := sh.Mode(); err != nil {
 		return err
 	}
 	kind, mechs, err := sc.Parse()
@@ -72,90 +71,31 @@ func run(args []string) error {
 	if mechs != 0 {
 		cfg.Defense = mechs.Deploy(deploy.TopDegree(w.Graph, w.ScaledCoreK()).Blocked(w.Graph.N()))
 	}
-	store := sh.Store("vulnscan", *wf.Seed, *workers)
 	if *stubFilter {
-		switch mode {
-		case cli.RunShard:
-			rep, err := experiments.Fig4ShardTo(w, cfg, sel, store)
-			if err != nil {
-				return err
-			}
-			cli.NoteShard(rep)
-			return nil
-		case cli.RunMerge:
-			files, err := cli.ReadShards[hijack.Record](*sh.Dir, experiments.TagFig4)
-			if err != nil {
-				return err
-			}
-			res, err := experiments.Fig4Merge(w, cfg, files)
-			if err != nil {
-				return err
-			}
-			return res.WriteText(os.Stdout)
-		}
-		res, err := experiments.Fig4(w, cfg)
-		if err != nil {
+		res, ok, err := cli.RunStudy(sh, w, experiments.Fig4Study(cfg), "vulnscan", *wf.Seed)
+		if !ok {
 			return err
 		}
-		return res.WriteText(os.Stdout)
+		return res.WriteText(stdout)
 	}
 
-	var tag string
+	var study experiments.Study[hijack.Record, *experiments.VulnerabilityResult]
 	switch *hierarchy {
 	case "tier1":
-		tag = experiments.TagFig2
+		study = experiments.Fig2Study(cfg)
 	case "tier2":
-		tag = experiments.TagFig3
+		study = experiments.Fig3Study(cfg)
 	default:
 		return fmt.Errorf("unknown -hierarchy %q (want tier1 or tier2)", *hierarchy)
 	}
-	var res *experiments.VulnerabilityResult
-	switch mode {
-	case cli.RunShard:
-		var rep sweep.ShardReport
-		if tag == experiments.TagFig2 {
-			rep, err = experiments.Fig2ShardTo(w, cfg, sel, store)
-		} else {
-			rep, err = experiments.Fig3ShardTo(w, cfg, sel, store)
-		}
-		if err != nil {
-			return err
-		}
-		cli.NoteShard(rep)
-		return nil
-	case cli.RunMerge:
-		files, err := cli.ReadShards[hijack.Record](*sh.Dir, tag)
-		if err != nil {
-			return err
-		}
-		if tag == experiments.TagFig2 {
-			res, err = experiments.Fig2Merge(w, cfg, files)
-		} else {
-			res, err = experiments.Fig3Merge(w, cfg, files)
-		}
-		if err != nil {
-			return err
-		}
-	default:
-		if tag == experiments.TagFig2 {
-			res, err = experiments.Fig2(w, cfg)
-		} else {
-			res, err = experiments.Fig3(w, cfg)
-		}
-		if err != nil {
-			return err
-		}
+	res, ok, err := cli.RunStudy(sh, w, study, "vulnscan", *wf.Seed)
+	if !ok {
+		return err
 	}
 	if *svgOut != "" {
-		fh, err := os.Create(*svgOut)
-		if err != nil {
+		if err := cli.WriteChart(*svgOut, res.RenderSVG); err != nil {
 			return err
 		}
-		defer fh.Close()
-		if err := res.RenderSVG(fh); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "chart written to %s\n", *svgOut)
 	}
-	return res.WriteText(os.Stdout)
+	return res.WriteText(stdout)
 }

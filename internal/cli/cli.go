@@ -7,6 +7,7 @@ import (
 	"compress/gzip"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 
@@ -229,11 +230,53 @@ func NoteShard(rep sweep.ShardReport) {
 		rep.CellLo, rep.CellHi, rep.Solved, rep.Path)
 }
 
-// ReadShards loads every shard file of one experiment tag from dir —
-// JSON and recio alike; MergeShards validates the set tiles the
-// experiment's cell space and carries one matrix digest.
-func ReadShards[T any](dir, tag string) ([]*sweep.ShardFile[T], error) {
-	return sweep.ReadShardDir[T](dir, tag)
+// RunStudy runs the study in the shape the shard flags select. A -shard
+// run persists its slice into -shard-dir, notes it on stderr and returns
+// ok = false: there is nothing to render. A full or -merge run returns
+// the result for the tool to render. tool and seed are provenance for
+// the shard-file header.
+func RunStudy[R, Out any](sh *ShardFlags, w *experiments.World, study experiments.Study[R, Out], tool string, seed int64) (Out, bool, error) {
+	var zero Out
+	mode, sel, err := sh.Mode()
+	if err != nil {
+		return zero, false, err
+	}
+	switch mode {
+	case RunShard:
+		rep, err := study.Persist(w, sel, sh.Store(tool, seed, study.Workers()))
+		if err != nil {
+			return zero, false, err
+		}
+		NoteShard(rep)
+		return zero, false, nil
+	case RunMerge:
+		files, err := sweep.ReadShardDir[R](*sh.Dir, study.Tag())
+		if err != nil {
+			return zero, false, err
+		}
+		out, err := study.Merge(w, files)
+		return out, err == nil, err
+	}
+	out, err := study.Run(w)
+	return out, err == nil, err
+}
+
+// WriteChart creates path, renders a chart into it and closes it, then
+// notes the file on stderr. A failed render or close is returned.
+func WriteChart(path string, render func(io.Writer) error) error {
+	fh, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(fh); err != nil {
+		fh.Close()
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if err := fh.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "chart written to %s\n", path)
+	return nil
 }
 
 // BuildWorld materializes the World the flags describe.

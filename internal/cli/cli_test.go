@@ -1,13 +1,17 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/bgpsim/bgpsim/internal/experiments"
 )
 
 func TestBuildWorldGenerated(t *testing.T) {
@@ -144,5 +148,62 @@ func TestBuildWorldErrors(t *testing.T) {
 	}
 	if _, err := wf2.BuildWorld(); err == nil {
 		t.Error("malformed topo file accepted")
+	}
+}
+
+// TestRunStudyShapes: a full run and the merge of two -shard runs return
+// the same result; a shard run returns ok = false and renders nothing.
+func TestRunStudyShapes(t *testing.T) {
+	w, err := experiments.NewWorld(400, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	study := experiments.HoleStudy(experiments.HoleConfig{Attacks: 60, Seed: 4})
+	runWith := func(args ...string) (*experiments.HoleResult, bool) {
+		t.Helper()
+		fs, sh := shardFlagSet()
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		res, ok, err := RunStudy(sh, w, study, "t", 2)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return res, ok
+	}
+	full, ok := runWith()
+	if !ok || full == nil {
+		t.Fatal("full run returned nothing to render")
+	}
+	dir := t.TempDir()
+	for _, sel := range []string{"1/2", "0/2"} {
+		if res, ok := runWith("-shard", sel, "-shard-dir", dir); ok || res != nil {
+			t.Fatalf("-shard %s returned a result to render", sel)
+		}
+	}
+	merged, ok := runWith("-merge", "-shard-dir", dir)
+	if !ok || !reflect.DeepEqual(merged, full) {
+		t.Error("merged result differs from the full run")
+	}
+}
+
+// TestWriteChartErrors: an unwritable path and a failing render both
+// come back as errors; a good render leaves the chart on disk.
+func TestWriteChartErrors(t *testing.T) {
+	dir := t.TempDir()
+	ok := func(w io.Writer) error { _, err := io.WriteString(w, "<svg/>"); return err }
+	if err := WriteChart(filepath.Join(dir, "missing", "c.svg"), ok); err == nil {
+		t.Error("unwritable path accepted")
+	}
+	boom := errors.New("render failed")
+	if err := WriteChart(filepath.Join(dir, "bad.svg"), func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+		t.Errorf("failing render: got %v, want %v", err, boom)
+	}
+	path := filepath.Join(dir, "good.svg")
+	if err := WriteChart(path, ok); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "<svg/>" {
+		t.Errorf("chart on disk = %q, %v", b, err)
 	}
 }

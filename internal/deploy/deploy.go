@@ -135,21 +135,20 @@ type Evaluation struct {
 // parallel run on the shared sweep kernel; workers bounds solve parallelism
 // (0 = GOMAXPROCS) and results are bit-identical at any worker count.
 func Evaluate(pol *core.Policy, target int, attackers []int, strategies []Strategy, workers int) ([]Evaluation, error) {
-	return EvaluateMatrix(pol, target, attackers, strategies, sweep.MatrixOptions{Workers: workers})
+	results, err := hijack.SweepAll(pol,
+		ConfigsScenario(pol, target, attackers, strategies, core.KindOrigin, core.MechROV),
+		sweep.Options{Workers: workers})
+	if err != nil {
+		return nil, fmt.Errorf("evaluate deployment ladder: %w", err)
+	}
+	return Evaluations(strategies, results), nil
 }
 
-// Configs flattens a strategy ladder into the hijack sweep-configuration
-// list the matrix runtime runs: same target, same attacker population,
-// one deployment set per rung. Exposed so shard CLIs can build the exact
-// workload a full run would solve.
-func Configs(pol *core.Policy, target int, attackers []int, strategies []Strategy) []hijack.SweepConfig {
-	return ConfigsScenario(pol, target, attackers, strategies, core.KindOrigin, core.MechROV)
-}
-
-// ConfigsScenario is Configs with an explicit attack kind and deployed
-// mechanism set: every rung deploys mechs at its strategy's node set and
-// is swept with kind attacks. KindOrigin + MechROV reproduces Configs
-// (and its workload digests) exactly.
+// ConfigsScenario flattens a strategy ladder into the hijack
+// sweep-configuration list the matrix runtime runs: same target, same
+// attacker population, one deployment set per rung. Every rung deploys
+// mechs at its strategy's node set and is swept with kind attacks;
+// KindOrigin + MechROV is the paper's model.
 func ConfigsScenario(pol *core.Policy, target int, attackers []int, strategies []Strategy, kind core.AttackKind, mechs core.DefenseMech) []hijack.SweepConfig {
 	cfgs := make([]hijack.SweepConfig, len(strategies))
 	for i, st := range strategies {
@@ -165,18 +164,8 @@ func ConfigsScenario(pol *core.Policy, target int, attackers []int, strategies [
 	return cfgs
 }
 
-// EvaluateMatrix is Evaluate under full matrix options (in-process shard
-// selections included).
-func EvaluateMatrix(pol *core.Policy, target int, attackers []int, strategies []Strategy, opts sweep.MatrixOptions) ([]Evaluation, error) {
-	results, err := hijack.SweepMatrix(pol, Configs(pol, target, attackers, strategies), opts)
-	if err != nil {
-		return nil, fmt.Errorf("evaluate deployment ladder: %w", err)
-	}
-	return Evaluations(strategies, results), nil
-}
-
 // Evaluations pairs each ladder rung with its sweep result — the assembly
-// step shared by EvaluateMatrix and merged shard runs.
+// step shared by Evaluate and the Figure 5/6 studies.
 func Evaluations(strategies []Strategy, results []*hijack.SweepResult) []Evaluation {
 	out := make([]Evaluation, len(strategies))
 	for i, st := range strategies {

@@ -320,8 +320,8 @@ func Results(sets []ProbeSet, attacks []core.Attack) ([]*Result, sweep.Reducer[R
 	}
 }
 
-// validateSets rejects empty workload descriptions before solving starts.
-func validateSets(sets []ProbeSet) error {
+// ValidateSets rejects empty workload descriptions before solving starts.
+func ValidateSets(sets []ProbeSet) error {
 	if len(sets) == 0 {
 		return fmt.Errorf("evaluate detection: no probe sets")
 	}
@@ -339,18 +339,11 @@ func validateSets(sets []ProbeSet) error {
 // incrementally. workers bounds solve parallelism (0 = GOMAXPROCS);
 // results are bit-identical at any worker count.
 func EvaluateAll(pol *core.Policy, sets []ProbeSet, attacks []core.Attack, sem Semantics, def core.Defense, workers int) ([]*Result, error) {
-	return EvaluateMatrix(pol, sets, attacks, sem, def, sweep.MatrixOptions{Workers: workers})
-}
-
-// EvaluateMatrix is EvaluateAll under full matrix options (in-process
-// shard selections). Partial `-shard i/n` runs use MatrixFor + Extractor
-// with sweep.RunShard and merge through Results' reducer.
-func EvaluateMatrix(pol *core.Policy, sets []ProbeSet, attacks []core.Attack, sem Semantics, def core.Defense, opts sweep.MatrixOptions) ([]*Result, error) {
-	if err := validateSets(sets); err != nil {
+	if err := ValidateSets(sets); err != nil {
 		return nil, err
 	}
 	out, red := Results(sets, attacks)
-	if err := sweep.RunMatrixReduce(MatrixFor(pol, attacks, def), opts, Extractor(pol, sets, sem), red); err != nil {
+	if err := sweep.RunMatrixReduce(MatrixFor(pol, attacks, def), sweep.MatrixOptions{Workers: workers}, Extractor(pol, sets, sem), red); err != nil {
 		return nil, fmt.Errorf("evaluate detection: %w", err)
 	}
 	return out, nil

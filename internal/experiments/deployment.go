@@ -8,7 +8,6 @@ import (
 	"github.com/bgpsim/bgpsim/internal/core"
 	"github.com/bgpsim/bgpsim/internal/deploy"
 	"github.com/bgpsim/bgpsim/internal/hijack"
-	"github.com/bgpsim/bgpsim/internal/sweep"
 	"github.com/bgpsim/bgpsim/internal/viz"
 )
 
@@ -59,104 +58,81 @@ func (c DeploymentConfig) withDefaults() DeploymentConfig {
 // Fig5 reproduces Figure 5: incremental defense deployment against the
 // relatively attack-resistant depth-1 target (the paper's AS98).
 func Fig5(w *World, cfg DeploymentConfig) (*DeploymentResult, error) {
-	t, title, err := fig5Panel(w)
-	if err != nil {
-		return nil, err
-	}
-	return deploymentPanel(w, cfg, t, title)
+	return Fig5Study(cfg).Run(w)
 }
 
 // Fig6 reproduces Figure 6: the same ladder against the very vulnerable
 // deep target (the paper's AS55857).
 func Fig6(w *World, cfg DeploymentConfig) (*DeploymentResult, error) {
-	t, title, err := fig6Panel(w)
-	if err != nil {
-		return nil, err
-	}
-	return deploymentPanel(w, cfg, t, title)
+	return Fig6Study(cfg).Run(w)
 }
 
-func fig5Panel(w *World) (Target, string, error) {
-	node, ok := w.Depth1Target()
-	if !ok {
-		return Target{}, "", fmt.Errorf("fig5: no depth-1 target")
-	}
-	t := Target{Name: "depth-1 stub (AS98 analog)", Node: node, Depth: w.Class.Depth[node]}
-	return t, "Figure 5: incremental filtering, resistant target", nil
+// Fig5Study is Figure 5 in every run shape.
+func Fig5Study(cfg DeploymentConfig) Study[hijack.Record, *DeploymentResult] {
+	return deploymentStudy(cfg, TagFig5, "Figure 5: incremental filtering, resistant target",
+		func(w *World) (Target, error) {
+			node, ok := w.Depth1Target()
+			if !ok {
+				return Target{}, fmt.Errorf("no depth-1 target")
+			}
+			return Target{Name: "depth-1 stub (AS98 analog)", Node: node, Depth: w.Class.Depth[node]}, nil
+		})
 }
 
-func fig6Panel(w *World) (Target, string, error) {
-	node, ok := w.DeepTarget()
-	if !ok {
-		return Target{}, "", fmt.Errorf("fig6: no deep target")
-	}
-	t := Target{
-		Name:  fmt.Sprintf("depth-%d stub (AS55857 analog)", w.Class.Depth[node]),
-		Node:  node,
-		Depth: w.Class.Depth[node],
-	}
-	return t, "Figure 6: incremental filtering, vulnerable target", nil
+// Fig6Study is Figure 6 in every run shape.
+func Fig6Study(cfg DeploymentConfig) Study[hijack.Record, *DeploymentResult] {
+	return deploymentStudy(cfg, TagFig6, "Figure 6: incremental filtering, vulnerable target",
+		func(w *World) (Target, error) {
+			node, ok := w.DeepTarget()
+			if !ok {
+				return Target{}, fmt.Errorf("no deep target")
+			}
+			return Target{
+				Name:  fmt.Sprintf("depth-%d stub (AS55857 analog)", w.Class.Depth[node]),
+				Node:  node,
+				Depth: w.Class.Depth[node],
+			}, nil
+		})
 }
 
-// deploymentStudy is one prepared Figure 5/6 panel: the defaulted config
-// plus the derived attacker sample and strategy ladder, so full, shard,
-// and merge runs all solve the same workload.
-type deploymentStudy struct {
-	cfg       DeploymentConfig
-	target    Target
-	title     string
-	attackers []int
-	ladder    []deploy.Strategy
-}
-
-func newDeploymentStudy(w *World, cfg DeploymentConfig, target Target, title string) *deploymentStudy {
+// deploymentStudy flattens the paper ladder against one target into one
+// matrix and derives the residual-attack tables from its strongest rung.
+func deploymentStudy(cfg DeploymentConfig, tag, title string, target func(*World) (Target, error)) Study[hijack.Record, *DeploymentResult] {
 	cfg = cfg.withDefaults()
-	return &deploymentStudy{
-		cfg:       cfg,
-		target:    target,
-		title:     title,
-		attackers: SampleAttackers(w.Graph.TransitNodes(), cfg.AttackerSample, rngFor(cfg.Seed, "attackers")),
-		ladder:    deploy.PaperLadder(w.Graph, w.Class, cfg.Seed),
-	}
-}
-
-// workload flattens the ladder into the hijack matrix a full run solves.
-func (s *deploymentStudy) workload(w *World) (*hijack.Workload, error) {
-	return hijack.NewWorkload(w.Policy,
-		deploy.ConfigsScenario(w.Policy, s.target.Node, s.attackers, s.ladder, s.cfg.Kind, s.cfg.Mechs))
-}
-
-// assemble derives the residual-attack tables from the strongest rung.
-func (s *deploymentStudy) assemble(w *World, evals []deploy.Evaluation) *DeploymentResult {
-	last := evals[len(evals)-1]
-	residual := last.ResidualAttacks(len(s.attackers), w.Graph, w.Class)
-	var outsiders []hijack.AttackerStat
-	for _, a := range residual {
-		if !a.Deployed && len(outsiders) < s.cfg.ResidualTop {
-			outsiders = append(outsiders, a)
-		}
-	}
-	if len(residual) > s.cfg.ResidualTop {
-		residual = residual[:s.cfg.ResidualTop]
-	}
-	return &DeploymentResult{
-		Title:             s.title,
-		Target:            s.target,
-		Rungs:             evals,
-		Residual:          residual,
-		ResidualOutsiders: outsiders,
-	}
-}
-
-func deploymentPanel(w *World, cfg DeploymentConfig, target Target, title string) (*DeploymentResult, error) {
-	s := newDeploymentStudy(w, cfg, target, title)
-	results, err := hijack.SweepMatrix(w.Policy,
-		deploy.ConfigsScenario(w.Policy, target.Node, s.attackers, s.ladder, s.cfg.Kind, s.cfg.Mechs),
-		sweep.MatrixOptions{Workers: s.cfg.Workers})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", title, err)
-	}
-	return s.assemble(w, deploy.Evaluations(s.ladder, results)), nil
+	return Study[hijack.Record, *DeploymentResult]{tag: tag, workers: cfg.Workers,
+		plan: func(w *World) (*studyPlan[hijack.Record, *DeploymentResult], error) {
+			t, err := target(w)
+			if err != nil {
+				return nil, err
+			}
+			attackers := SampleAttackers(w.Graph.TransitNodes(), cfg.AttackerSample, rngFor(cfg.Seed, "attackers"))
+			ladder := deploy.PaperLadder(w.Graph, w.Class, cfg.Seed)
+			wl, err := hijack.NewWorkload(w.Policy,
+				deploy.ConfigsScenario(w.Policy, t.Node, attackers, ladder, cfg.Kind, cfg.Mechs))
+			if err != nil {
+				return nil, err
+			}
+			return sweepPlan(wl, func(results []*hijack.SweepResult) *DeploymentResult {
+				evals := deploy.Evaluations(ladder, results)
+				residual := evals[len(evals)-1].ResidualAttacks(len(attackers), w.Graph, w.Class)
+				var outsiders []hijack.AttackerStat
+				for _, a := range residual {
+					if !a.Deployed && len(outsiders) < cfg.ResidualTop {
+						outsiders = append(outsiders, a)
+					}
+				}
+				if len(residual) > cfg.ResidualTop {
+					residual = residual[:cfg.ResidualTop]
+				}
+				return &DeploymentResult{
+					Title:             title,
+					Target:            t,
+					Rungs:             evals,
+					Residual:          residual,
+					ResidualOutsiders: outsiders,
+				}
+			}), nil
+		}}
 }
 
 // WriteText renders the ladder summary plus the residual-attack table.

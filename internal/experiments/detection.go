@@ -7,6 +7,7 @@ import (
 
 	"github.com/bgpsim/bgpsim/internal/core"
 	"github.com/bgpsim/bgpsim/internal/detect"
+	"github.com/bgpsim/bgpsim/internal/sweep"
 	"github.com/bgpsim/bgpsim/internal/viz"
 )
 
@@ -62,59 +63,59 @@ func (c DetectionConfig) withDefaults() DetectionConfig {
 	return c
 }
 
-// detectionParts builds the Figure 7 workload: the paper's three probe
-// configurations plus the shared random transit-pair attack list. cfg must
-// already be defaulted; the same (world, config) pair always yields the
-// same parts, which is what lets shard and merge runs rebuild the exact
-// workload a full run would solve.
-func detectionParts(w *World, cfg DetectionConfig) ([]detect.ProbeSet, []core.Attack, error) {
-	transit := w.Graph.TransitNodes()
-	attacks, err := detect.GenerateAttacksOfKind(transit, cfg.Attacks, cfg.Kind, rngFor(cfg.Seed, "attacks"))
-	if err != nil {
-		return nil, nil, err
-	}
-	// Case 3's probe count scales the paper's 62-of-42697 core.
-	coreK := w.ScaledCoreK()
-	sets := []detect.ProbeSet{
-		detect.Tier1Probes(w.Class),
-		detect.BGPmonLikeProbes(w.Graph, w.Class, cfg.BGPmonProbes, rngFor(cfg.Seed, "probes")),
-		detect.TopDegreeProbes(w.Graph, coreK),
-	}
-	return sets, attacks, nil
-}
-
-// assembleDetection wraps the per-configuration results with their
-// top-miss tables.
-func assembleDetection(cfg DetectionConfig, results []*detect.Result) *DetectionResult {
-	res := &DetectionResult{
-		Title:   "Figure 7: detector configurations vs random transit attacks",
-		Attacks: cfg.Attacks,
-	}
-	for _, r := range results {
-		res.Cases = append(res.Cases, DetectionCase{
-			Result:    r,
-			TopMisses: r.TopMisses(cfg.TopMisses),
-		})
-	}
-	return res
+// BGPmonProbes is Figure 7's case-2 probe set: k BGPmon-like volunteer
+// probes drawn from the seed's own "probes" stream, never from the
+// topology generator's.
+func BGPmonProbes(w *World, k int, seed int64) detect.ProbeSet {
+	return detect.BGPmonLikeProbes(w.Graph, w.Class, k, rngFor(seed, "probes"))
 }
 
 // Fig7 reproduces Figure 7 and the Section VI tables: three detector
 // configurations — all tier-1s, a BGPmon-like volunteer set, and the
 // high-degree core — against one shared random transit-pair workload.
 func Fig7(w *World, cfg DetectionConfig) (*DetectionResult, error) {
+	return Fig7Study(cfg).Run(w)
+}
+
+// Fig7Study is Figure 7 in every run shape. Each attack is solved once
+// and fanned out to all three probe configurations (3× fewer solves than
+// per-set evaluation). Every shape rejects an empty probe set before
+// solving.
+func Fig7Study(cfg DetectionConfig) Study[detect.Record, *DetectionResult] {
 	cfg = cfg.withDefaults()
-	sets, attacks, err := detectionParts(w, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("fig7: %w", err)
-	}
-	// One parallel pass: each attack is solved once and fanned out to all
-	// three probe configurations (3× fewer solves than per-set evaluation).
-	results, err := detect.EvaluateAll(w.Policy, sets, attacks, cfg.Semantics, cfg.Defense, cfg.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("fig7: %w", err)
-	}
-	return assembleDetection(cfg, results), nil
+	return Study[detect.Record, *DetectionResult]{tag: TagFig7, workers: cfg.Workers,
+		plan: func(w *World) (*studyPlan[detect.Record, *DetectionResult], error) {
+			attacks, err := detect.GenerateAttacksOfKind(w.Graph.TransitNodes(), cfg.Attacks, cfg.Kind, rngFor(cfg.Seed, "attacks"))
+			if err != nil {
+				return nil, err
+			}
+			sets := []detect.ProbeSet{
+				detect.Tier1Probes(w.Class),
+				BGPmonProbes(w, cfg.BGPmonProbes, cfg.Seed),
+				// Case 3's probe count scales the paper's 62-of-42697 core.
+				detect.TopDegreeProbes(w.Graph, w.ScaledCoreK()),
+			}
+			if err := detect.ValidateSets(sets); err != nil {
+				return nil, err
+			}
+			return &studyPlan[detect.Record, *DetectionResult]{
+				matrix:  detect.MatrixFor(w.Policy, attacks, cfg.Defense),
+				extract: detect.Extractor(w.Policy, sets, cfg.Semantics),
+				reduce: func() (sweep.Reducer[detect.Record], func() *DetectionResult) {
+					results, red := detect.Results(sets, attacks)
+					return red, func() *DetectionResult {
+						res := &DetectionResult{
+							Title:   "Figure 7: detector configurations vs random transit attacks",
+							Attacks: cfg.Attacks,
+						}
+						for _, r := range results {
+							res.Cases = append(res.Cases, DetectionCase{Result: r, TopMisses: r.TopMisses(cfg.TopMisses)})
+						}
+						return res
+					}
+				},
+			}, nil
+		}}
 }
 
 // RenderSVG draws one Figure 7 panel (bars of attack counts per trigger

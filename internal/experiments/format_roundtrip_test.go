@@ -64,7 +64,7 @@ func formatCases(t *testing.T, w *World) []formatCase {
 				return render(t, res.WriteText(&buf), &buf)
 			},
 			shard: func(t *testing.T, w *World, workers int, sel sweep.ShardSel, store sweep.ShardStore) sweep.ShardReport {
-				rep, err := Fig2ShardTo(w, vulnCfg(workers), sel, store)
+				rep, err := Fig2Study(vulnCfg(workers)).Persist(w, sel, store)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -75,7 +75,7 @@ func formatCases(t *testing.T, w *World) []formatCase {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := Fig2Merge(w, vulnCfg(0), files)
+				res, err := Fig2Study(vulnCfg(0)).Merge(w, files)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -94,7 +94,7 @@ func formatCases(t *testing.T, w *World) []formatCase {
 				return render(t, res.WriteText(&buf), &buf)
 			},
 			shard: func(t *testing.T, w *World, workers int, sel sweep.ShardSel, store sweep.ShardStore) sweep.ShardReport {
-				rep, err := Fig5ShardTo(w, deployCfg(workers), sel, store)
+				rep, err := Fig5Study(deployCfg(workers)).Persist(w, sel, store)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,7 +105,7 @@ func formatCases(t *testing.T, w *World) []formatCase {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := Fig5Merge(w, deployCfg(0), files)
+				res, err := Fig5Study(deployCfg(0)).Merge(w, files)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -124,7 +124,7 @@ func formatCases(t *testing.T, w *World) []formatCase {
 				return render(t, res.WriteText(&buf, asnOf), &buf)
 			},
 			shard: func(t *testing.T, w *World, workers int, sel sweep.ShardSel, store sweep.ShardStore) sweep.ShardReport {
-				rep, err := Fig7ShardTo(w, detectCfg(workers), sel, store)
+				rep, err := Fig7Study(detectCfg(workers)).Persist(w, sel, store)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,7 +135,7 @@ func formatCases(t *testing.T, w *World) []formatCase {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := Fig7Merge(w, detectCfg(0), files)
+				res, err := Fig7Study(detectCfg(0)).Merge(w, files)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -154,7 +154,7 @@ func formatCases(t *testing.T, w *World) []formatCase {
 				return render(t, res.WriteText(&buf, asnOf), &buf)
 			},
 			shard: func(t *testing.T, w *World, workers int, sel sweep.ShardSel, store sweep.ShardStore) sweep.ShardReport {
-				rep, err := HoleShardTo(w, holeCfg(workers), sel, store)
+				rep, err := HoleStudy(holeCfg(workers)).Persist(w, sel, store)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -165,7 +165,7 @@ func formatCases(t *testing.T, w *World) []formatCase {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := HoleMerge(w, holeCfg(0), files)
+				res, err := HoleStudy(holeCfg(0)).Merge(w, files)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -144,7 +144,7 @@ func newHoleStudy(w *World, cfg HoleConfig) (*holeStudy, error) {
 	}
 	attacks, err := detect.GenerateAttacksOfKind(w.Graph.TransitNodes(), cfg.Attacks, cfg.Kind, rngFor(cfg.Seed, "attacks"))
 	if err != nil {
-		return nil, fmt.Errorf("hole analysis: %w", err)
+		return nil, err
 	}
 	mechs := cfg.Mechs
 	if mechs == 0 {
@@ -252,15 +252,26 @@ func (s *holeStudy) reduce(w *World) (*HoleResult, sweep.Reducer[HoleRecord]) {
 // pass: per-attack records are extracted on the workers and reduced in
 // workload order, with no per-attack observation buffer.
 func HoleAnalysis(w *World, cfg HoleConfig) (*HoleResult, error) {
-	s, err := newHoleStudy(w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, red := s.reduce(w)
-	if err := sweep.RunMatrixReduce(s.matrix(w), sweep.MatrixOptions{Workers: cfg.Workers}, s.extract(w), red); err != nil {
-		return nil, fmt.Errorf("hole analysis: %w", err)
-	}
-	return res, nil
+	return HoleStudy(cfg).Run(w)
+}
+
+// HoleStudy is the hole analysis in every run shape.
+func HoleStudy(cfg HoleConfig) Study[HoleRecord, *HoleResult] {
+	return Study[HoleRecord, *HoleResult]{tag: TagHoles, workers: cfg.Workers,
+		plan: func(w *World) (*studyPlan[HoleRecord, *HoleResult], error) {
+			s, err := newHoleStudy(w, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return &studyPlan[HoleRecord, *HoleResult]{
+				matrix:  s.matrix(w),
+				extract: s.extract(w),
+				reduce: func() (sweep.Reducer[HoleRecord], func() *HoleResult) {
+					res, red := s.reduce(w)
+					return red, func() *HoleResult { return res }
+				},
+			}, nil
+		}}
 }
 
 // explainMisses classifies, for each probe, why it did not select the

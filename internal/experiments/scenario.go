@@ -22,9 +22,6 @@ import (
 // sweeps every (kind × strategy family × size) cell against the deep
 // target and ranks the families per scenario.
 
-// TagScenario tags scenario-ranking shard files.
-const TagScenario = "scenario"
-
 // ScenarioRankingConfig tunes the per-scenario deployment ranking study.
 type ScenarioRankingConfig struct {
 	// AttackerSample caps the transit-attacker population (0 = all).
@@ -116,7 +113,7 @@ func newScenarioStudy(w *World, cfg ScenarioRankingConfig) (*scenarioStudy, erro
 	cfg = cfg.withDefaults(w)
 	node, ok := w.DeepTarget()
 	if !ok {
-		return nil, fmt.Errorf("scenario ranking: no deep target")
+		return nil, fmt.Errorf("no deep target")
 	}
 	target := Target{
 		Name:  fmt.Sprintf("depth-%d stub", w.Class.Depth[node]),
@@ -173,73 +170,42 @@ func (s *scenarioStudy) assemble(results []*hijack.SweepResult) *ScenarioRanking
 	return res
 }
 
+// ScenarioRankingStudy is the study in every run shape, as one flattened
+// matrix.
+func ScenarioRankingStudy(cfg ScenarioRankingConfig) Study[hijack.Record, *ScenarioRankingResult] {
+	return Study[hijack.Record, *ScenarioRankingResult]{tag: TagScenario, workers: cfg.Workers,
+		plan: func(w *World) (*studyPlan[hijack.Record, *ScenarioRankingResult], error) {
+			s, err := newScenarioStudy(w, cfg)
+			if err != nil {
+				return nil, err
+			}
+			wl, err := s.workload(w)
+			if err != nil {
+				return nil, err
+			}
+			return sweepPlan(wl, s.assemble), nil
+		}}
+}
+
 // ScenarioRanking runs the full study as one flattened matrix run.
 func ScenarioRanking(w *World, cfg ScenarioRankingConfig) (*ScenarioRankingResult, error) {
-	s, err := newScenarioStudy(w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	wl, err := s.workload(w)
-	if err != nil {
-		return nil, fmt.Errorf("scenario ranking: %w", err)
-	}
-	results, red := wl.Results()
-	if err := sweep.RunMatrixReduce(wl.Matrix, sweep.MatrixOptions{Workers: s.cfg.Workers}, wl.Extract(), red); err != nil {
-		return nil, fmt.Errorf("scenario ranking: %w", err)
-	}
-	return s.assemble(results), nil
+	return ScenarioRankingStudy(cfg).Run(w)
 }
 
 // ScenarioRankingShard solves one shard of the study's matrix in memory.
 func ScenarioRankingShard(w *World, cfg ScenarioRankingConfig, sel sweep.ShardSel) (*sweep.ShardFile[hijack.Record], error) {
-	s, err := newScenarioStudy(w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	wl, err := s.workload(w)
-	if err != nil {
-		return nil, fmt.Errorf("scenario shard: %w", err)
-	}
-	sf, err := sweep.RunShard(wl.Matrix, sweep.MatrixOptions{Workers: s.cfg.Workers, Sel: sel}, TagScenario, wl.Extract())
-	if err != nil {
-		return nil, fmt.Errorf("scenario shard: %w", err)
-	}
-	return sf, nil
+	return ScenarioRankingStudy(cfg).Shard(w, sel)
 }
 
 // ScenarioRankingShardTo solves one shard of the study's matrix and
 // persists it into the store.
 func ScenarioRankingShardTo(w *World, cfg ScenarioRankingConfig, sel sweep.ShardSel, store sweep.ShardStore) (sweep.ShardReport, error) {
-	s, err := newScenarioStudy(w, cfg)
-	if err != nil {
-		return sweep.ShardReport{}, err
-	}
-	wl, err := s.workload(w)
-	if err != nil {
-		return sweep.ShardReport{}, fmt.Errorf("scenario shard: %w", err)
-	}
-	rep, err := sweep.PersistShard(wl.Matrix, sweep.MatrixOptions{Workers: s.cfg.Workers, Sel: sel}, TagScenario, wl.Extract(), store)
-	if err != nil {
-		return rep, fmt.Errorf("scenario shard: %w", err)
-	}
-	return rep, nil
+	return ScenarioRankingStudy(cfg).Persist(w, sel, store)
 }
 
 // ScenarioRankingMerge merges shard files into the full study result.
 func ScenarioRankingMerge(w *World, cfg ScenarioRankingConfig, files []*sweep.ShardFile[hijack.Record]) (*ScenarioRankingResult, error) {
-	s, err := newScenarioStudy(w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	wl, err := s.workload(w)
-	if err != nil {
-		return nil, fmt.Errorf("scenario merge: %w", err)
-	}
-	results, red := wl.Results()
-	if err := sweep.MergeShards(files, TagScenario, sweep.MatrixDigest(wl.Matrix), red); err != nil {
-		return nil, err
-	}
-	return s.assemble(results), nil
+	return ScenarioRankingStudy(cfg).Merge(w, files)
 }
 
 // WriteText renders per-scenario ladders plus the best-first ranking line

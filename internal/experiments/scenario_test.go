@@ -82,13 +82,13 @@ func TestScenarioRankingWorkerInvariance(t *testing.T) {
 			} else {
 				var files []*sweep.ShardFile[hijack.Record]
 				for _, sh := range []int{2, 0, 1} {
-					sf, err := ScenarioRankingShard(w, cfg, sweep.OneShard(sh, shards))
+					sf, err := ScenarioRankingStudy(cfg).Shard(w, sweep.OneShard(sh, shards))
 					if err != nil {
 						t.Fatalf("shard %d: %v", sh, err)
 					}
 					files = append(files, shardRoundTrip(t, dir, sf))
 				}
-				res, err = ScenarioRankingMerge(w, cfg, files)
+				res, err = ScenarioRankingStudy(cfg).Merge(w, files)
 				if err != nil {
 					t.Fatal(err)
 				}

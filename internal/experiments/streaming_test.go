@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/bgpsim/bgpsim/internal/detect"
@@ -99,13 +100,13 @@ func TestFig2ShardMergeMatchesFull(t *testing.T) {
 	dir := t.TempDir()
 	var files []*sweep.ShardFile[hijack.Record]
 	for _, sh := range shardOrder {
-		sf, err := Fig2Shard(w, cfg, sweep.ShardSel{Shard: sh, Shards: len(shardOrder)})
+		sf, err := Fig2Study(cfg).Shard(w, sweep.ShardSel{Shard: sh, Shards: len(shardOrder)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, shardRoundTrip(t, dir, sf))
 	}
-	got, err := Fig2Merge(w, cfg, files)
+	got, err := Fig2Study(cfg).Merge(w, files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +128,13 @@ func TestFig7ShardMergeMatchesFull(t *testing.T) {
 	dir := t.TempDir()
 	var files []*sweep.ShardFile[detect.Record]
 	for _, sh := range shardOrder {
-		sf, err := Fig7Shard(w, cfg, sweep.ShardSel{Shard: sh, Shards: len(shardOrder)})
+		sf, err := Fig7Study(cfg).Shard(w, sweep.ShardSel{Shard: sh, Shards: len(shardOrder)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, shardRoundTrip(t, dir, sf))
 	}
-	got, err := Fig7Merge(w, cfg, files)
+	got, err := Fig7Study(cfg).Merge(w, files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,17 +156,44 @@ func TestHoleShardMergeMatchesFull(t *testing.T) {
 	dir := t.TempDir()
 	var files []*sweep.ShardFile[HoleRecord]
 	for _, sh := range shardOrder {
-		sf, err := HoleShard(w, cfg, sweep.ShardSel{Shard: sh, Shards: len(shardOrder)})
+		sf, err := HoleStudy(cfg).Shard(w, sweep.ShardSel{Shard: sh, Shards: len(shardOrder)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, shardRoundTrip(t, dir, sf))
 	}
-	got, err := HoleMerge(w, cfg, files)
+	got, err := HoleStudy(cfg).Merge(w, files)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := holeDigest(got); d != want {
 		t.Errorf("merged hole digest %x != full run %x", d[:8], want[:8])
+	}
+}
+
+// TestFig7EmptyProbeSetRejectedOnEveryPath: an empty probe set fails the
+// full run, both shard shapes and the merge — the merge even when handed
+// valid shards of the same attack matrix, which would otherwise render a
+// 100 % miss row for the empty set.
+func TestFig7EmptyProbeSetRejectedOnEveryPath(t *testing.T) {
+	w := world(t)
+	valid := Fig7Study(DetectionConfig{Attacks: 40, Seed: 9})
+	var files []*sweep.ShardFile[detect.Record]
+	for sh := 0; sh < 2; sh++ {
+		sf, err := valid.Shard(w, sweep.OneShard(sh, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, sf)
+	}
+	empty := Fig7Study(DetectionConfig{Attacks: 40, Seed: 9, BGPmonProbes: -1})
+	_, errRun := empty.Run(w)
+	_, errShard := empty.Shard(w, sweep.OneShard(0, 2))
+	_, errPersist := empty.Persist(w, sweep.OneShard(0, 2), sweep.ShardStore{Dir: t.TempDir()})
+	_, errMerge := empty.Merge(w, files)
+	for name, err := range map[string]error{"Run": errRun, "Shard": errShard, "Persist": errPersist, "Merge": errMerge} {
+		if err == nil || !strings.Contains(err.Error(), "is empty") {
+			t.Errorf("%s: want the empty-probe-set error, got %v", name, err)
+		}
 	}
 }

@@ -271,9 +271,7 @@ func SweepAll(pol *core.Policy, cfgs []SweepConfig, opts sweep.Options) ([]*Swee
 }
 
 // SweepMatrix is SweepAll under full matrix options: shard selections
-// (in-process concurrent shards) included. Partial `-shard i/n` runs go
-// through NewWorkload + sweep.RunShard instead, and their merged record
-// stream through Results' reducer — same digests either way.
+// (in-process concurrent shards) included.
 func SweepMatrix(pol *core.Policy, cfgs []SweepConfig, opts sweep.MatrixOptions) ([]*SweepResult, error) {
 	w, err := NewWorkload(pol, cfgs)
 	if err != nil {
