@@ -55,6 +55,21 @@ func TestEmptyProbeSetFailsEveryShape(t *testing.T) {
 	}
 }
 
+// TestMergeRejectsOtherProbeSets: shards solved under -bgpmon-probes 24
+// and 30 count triggers against different probe sets, so their merge
+// fails on the matrix digest instead of printing a mixed table.
+func TestMergeRejectsOtherProbeSets(t *testing.T) {
+	base := []string{"-scale", "600", "-seed", "3", "-attacks", "50", "-format", "recio", "-shard-dir", t.TempDir()}
+	stdoutOf(t, append(base, "-shard", "0/2", "-bgpmon-probes", "24")...)
+	stdoutOf(t, append(base, "-shard", "1/2", "-bgpmon-probes", "30")...)
+	for _, probes := range []string{"24", "30"} {
+		err := run(append(base, "-merge", "-bgpmon-probes", probes), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "digest") {
+			t.Errorf("merge at -bgpmon-probes %s: want a matrix digest mismatch, got %v", probes, err)
+		}
+	}
+}
+
 // stdoutOf runs the tool and returns what it printed on stdout.
 func stdoutOf(t *testing.T, args ...string) string {
 	t.Helper()

@@ -63,6 +63,21 @@ func TestBGPmonProbesAreFig7Case2(t *testing.T) {
 	}
 }
 
+// TestMergeRejectsOtherProbes: shards solved under -probes tier1 and
+// -probes bgpmon judge detection by different probes, so their merge
+// fails on the matrix digest instead of printing a mixed analysis.
+func TestMergeRejectsOtherProbes(t *testing.T) {
+	base := []string{"-scale", "600", "-seed", "3", "-attacks", "50", "-shard-dir", t.TempDir()}
+	stdoutOf(t, append(base, "-shard", "0/2", "-probes", "tier1")...)
+	stdoutOf(t, append(base, "-shard", "1/2", "-probes", "bgpmon")...)
+	for _, probes := range []string{"tier1", "bgpmon"} {
+		err := run(append(base, "-merge", "-probes", probes), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "digest") {
+			t.Errorf("merge at -probes %s: want a matrix digest mismatch, got %v", probes, err)
+		}
+	}
+}
+
 // stdoutOf runs the tool and returns what it printed on stdout.
 func stdoutOf(t *testing.T, args ...string) string {
 	t.Helper()

@@ -88,7 +88,7 @@ func (f *ScenarioFlags) Parse() (core.AttackKind, core.DefenseMech, error) {
 
 // ShardFlags is the multi-process matrix plumbing shared by the scan
 // tools: `-shard i/n -shard-dir d` solves one cell-range slice of every
-// experiment the invocation covers and writes it as a JSON shard file;
+// experiment the invocation covers and writes it as a -format shard file;
 // `-merge -shard-dir d` loads all slices back and reduces them into the
 // exact result a single-process run would print. World and experiment
 // flags must match across the shard and merge invocations.
@@ -136,7 +136,7 @@ func AddShardFlags(fs *flag.FlagSet) *ShardFlags {
 		Spec:   fs.String("shard", "", `solve only shard "i/n" of each sweep, writing records to -shard-dir instead of rendering results`),
 		Dir:    fs.String("shard-dir", "", "directory holding shard files (written with -shard, read with -merge)"),
 		Merge:  fs.Bool("merge", false, "merge the shard files in -shard-dir instead of solving"),
-		Format: fs.String("format", sweep.FormatJSON, `shard file format: "json" (indented, human-readable), "recio" (compressed binary, checkpointed) or "recio-col" (recio with per-field columns)`),
+		Format: fs.String("format", sweep.FormatJSON, `shard file format: "json" (indented, human-readable) or "recio" (compressed binary columns, checkpointed, resumable)`),
 		Resume: fs.Bool("resume", false, "continue an interrupted -shard run from its last checkpoint (recio format only)"),
 		Level:  new(GzipLevel),
 	}
@@ -162,8 +162,8 @@ func (f *ShardFlags) Mode() (ShardMode, sweep.ShardSel, error) {
 	if err := sweep.CheckFormat(*f.Format); err != nil {
 		return RunFull, sweep.ShardSel{}, err
 	}
-	if *f.Level != 0 && (*f.Format == "" || *f.Format == sweep.FormatJSON) {
-		return RunFull, sweep.ShardSel{}, fmt.Errorf("-level only applies to the recio formats; json shards are not compressed")
+	if *f.Level != 0 && *f.Format == sweep.FormatJSON {
+		return RunFull, sweep.ShardSel{}, fmt.Errorf("-level only applies to the recio format; json shards are not compressed")
 	}
 	switch {
 	case *f.Merge && *f.Spec != "":

@@ -106,7 +106,7 @@ func TestLevelFlagValidation(t *testing.T) {
 }
 
 // TestLevelFlagModeChecks: -level with the uncompressed json format is
-// a mode error; with recio formats it passes.
+// a mode error; with recio it passes. Only json and recio are formats.
 func TestLevelFlagModeChecks(t *testing.T) {
 	fs, sf := shardFlagSet()
 	if err := fs.Parse([]string{"-level", "5"}); err != nil {
@@ -115,14 +115,20 @@ func TestLevelFlagModeChecks(t *testing.T) {
 	if _, _, err := sf.Mode(); err == nil {
 		t.Error("-level with the default json format accepted")
 	}
-	for _, format := range []string{"recio", "recio-col"} {
-		fs, sf := shardFlagSet()
-		if err := fs.Parse([]string{"-level", "5", "-format", format, "-shard", "0/2", "-shard-dir", t.TempDir()}); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := sf.Mode(); err != nil {
-			t.Errorf("-level 5 -format %s rejected: %v", format, err)
-		}
+	fs, sf = shardFlagSet()
+	if err := fs.Parse([]string{"-level", "5", "-format", "recio", "-shard", "0/2", "-shard-dir", t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sf.Mode(); err != nil {
+		t.Errorf("-level 5 -format recio rejected: %v", err)
+	}
+	// recio-col was folded into recio; the name is gone.
+	fs, sf = shardFlagSet()
+	if err := fs.Parse([]string{"-format", "recio-col", "-shard", "0/2", "-shard-dir", t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sf.Mode(); err == nil {
+		t.Error("-format recio-col accepted")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"github.com/bgpsim/bgpsim/internal/core"
+	"github.com/bgpsim/bgpsim/internal/recio"
 	"github.com/bgpsim/bgpsim/internal/sweep"
 	"github.com/bgpsim/bgpsim/internal/topology"
 )
@@ -226,6 +227,39 @@ type Record struct {
 	Pollution int   `json:"pollution"`
 	Triggers  []int `json:"triggers"`
 }
+
+// ColumnFields implements sweep.ColumnarRecord: the pollution count,
+// then one "triggers.<j>" count per probe set, all small integers
+// (delta-encoded). The width follows the record's own set count, so one
+// shard — one list of sets — maps every record to the same columns.
+func (r Record) ColumnFields() []recio.Field {
+	fields := []recio.Field{{Name: "pollution", Kind: recio.KindDelta}}
+	for j := range r.Triggers {
+		fields = append(fields, recio.Field{Name: fmt.Sprintf("triggers.%d", j), Kind: recio.KindDelta})
+	}
+	return fields
+}
+
+// ColumnValues implements sweep.ColumnarRecord.
+func (r Record) ColumnValues() []uint64 {
+	vals := make([]uint64, 1+len(r.Triggers))
+	vals[0] = uint64(r.Pollution)
+	for j, n := range r.Triggers {
+		vals[1+j] = uint64(n)
+	}
+	return vals
+}
+
+// SetColumnValues implements sweep.ColumnarRecord.
+func (r *Record) SetColumnValues(vals []uint64) {
+	r.Pollution = int(vals[0])
+	r.Triggers = make([]int, len(vals)-1)
+	for j := range r.Triggers {
+		r.Triggers[j] = int(vals[1+j])
+	}
+}
+
+var _ sweep.ColumnarRecord = (*Record)(nil)
 
 // MatrixFor flattens a detection workload into a single-group matrix:
 // one cell per attack, all under one policy. Sharding splits by cells,

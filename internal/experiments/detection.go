@@ -98,8 +98,10 @@ func Fig7Study(cfg DetectionConfig) Study[detect.Record, *DetectionResult] {
 			if err := detect.ValidateSets(sets); err != nil {
 				return nil, err
 			}
+			m := detect.MatrixFor(w.Policy, attacks, cfg.Defense)
+			m.Ident = probeIdent(int(cfg.Semantics), sets...)
 			return &studyPlan[detect.Record, *DetectionResult]{
-				matrix:  detect.MatrixFor(w.Policy, attacks, cfg.Defense),
+				matrix:  m,
 				extract: detect.Extractor(w.Policy, sets, cfg.Semantics),
 				reduce: func() (sweep.Reducer[detect.Record], func() *DetectionResult) {
 					results, red := detect.Results(sets, attacks)

@@ -10,6 +10,9 @@ package experiments
 import (
 	"bytes"
 	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/bgpsim/bgpsim/internal/core"
@@ -210,42 +213,61 @@ func TestFormatShardMergeStdoutIdentity(t *testing.T) {
 }
 
 // TestRecioResumeStdoutIdentity is the crash acceptance test at the
-// tool level: a recio shard run killed mid-run (file truncated inside a
-// segment, i.e. after N checkpointed records) and restarted with resume
-// must merge to stdout byte-identical to an uninterrupted full run. The
-// shard cut and the resume point both fall mid-batch: the restarted run
-// forms its lane batches over the cells that are left.
+// tool level, for every scan tool's record type: a recio shard run
+// killed mid-run (file truncated inside a segment, i.e. after N
+// checkpointed records) and restarted with resume must merge to stdout
+// byte-identical to an uninterrupted full run. For Figure 2 the shard
+// cut and the resume point both fall mid-batch: the restarted run forms
+// its lane batches over the cells that are left.
 func TestRecioResumeStdoutIdentity(t *testing.T) {
 	w := world(t)
-	tc := formatCases(t, w)[0] // Figure 2
-	want := tc.full(t, w, 4)
+	for _, tc := range formatCases(t, w) {
+		t.Run(tc.name, func(t *testing.T) {
+			want := tc.full(t, w, 4)
 
-	dir := t.TempDir()
-	store := sweep.ShardStore{Dir: dir, Format: sweep.FormatRecio, CheckpointEvery: 8}
+			dir := t.TempDir()
+			store := sweep.ShardStore{Dir: dir, Format: sweep.FormatRecio, CheckpointEvery: 8}
 
-	// Solve shard 0 fully, then truncate its file mid-segment to
-	// simulate the process dying between two checkpoints.
-	rep := tc.shard(t, w, 4, sweep.OneShard(0, 2), store)
-	data, err := os.ReadFile(rep.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(rep.Path, data[:len(data)*55/100], 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// Solve shard 0 fully, then truncate its file mid-segment to
+			// simulate the process dying between two checkpoints.
+			rep := tc.shard(t, w, 4, sweep.OneShard(0, 2), store)
+			data, err := os.ReadFile(rep.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(rep.Path, data[:len(data)*55/100], 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	store.Resume = true
-	rep2 := tc.shard(t, w, 4, sweep.OneShard(0, 2), store)
-	if rep2.Resumed == 0 {
-		t.Fatal("restart recovered nothing — the truncated file should retain checkpointed records")
+			store.Resume = true
+			rep2 := tc.shard(t, w, 4, sweep.OneShard(0, 2), store)
+			if rep2.Resumed == 0 {
+				t.Fatal("restart recovered nothing — the truncated file should retain checkpointed records")
+			}
+			if rep2.Solved == 0 {
+				t.Fatal("restart solved nothing — truncation should have lost the open segment")
+			}
+			if tc.tag == TagFig2 {
+				checkMidBatch(t, w, rep, rep2)
+			}
+			// Shard 1 never crashed; -resume on a missing file is a fresh run.
+			tc.shard(t, w, 4, sweep.OneShard(1, 2), store)
+
+			got := tc.merge(t, w, dir)
+			if !bytes.Equal(got, want) {
+				t.Errorf("resumed merge stdout differs from full run (%d vs %d bytes)", len(got), len(want))
+			}
+		})
 	}
-	if rep2.Solved == 0 {
-		t.Fatal("restart solved nothing — truncation should have lost the open segment")
-	}
-	// Both cuts must fall inside what the unsharded run solves as one lane
-	// batch (a Figure 2 group shares one target: its batches start every
-	// core.LaneWidth cells), or this test stops showing that batches are
-	// re-formed inside [resume point, shard end).
+}
+
+// checkMidBatch holds Figure 2's shard cut and resume point inside what
+// the unsharded run solves as one lane batch (a Figure 2 group shares
+// one target: its batches start every core.LaneWidth cells), or the
+// resume test stops showing that batches are re-formed inside [resume
+// point, shard end).
+func checkMidBatch(t *testing.T, w *World, rep, rep2 sweep.ShardReport) {
+	t.Helper()
 	_, wl, err := vulnerabilityWorkload(w, VulnerabilityConfig{AttackerSample: 150, Seed: 3}, topology.UnderTier1)
 	if err != nil {
 		t.Fatal(err)
@@ -260,11 +282,63 @@ func TestRecioResumeStdoutIdentity(t *testing.T) {
 			t.Fatalf("the %s falls on a batch boundary (cell %d of group %d); move it", name, cell, g)
 		}
 	}
-	// Shard 1 never crashed; -resume on a missing file is a fresh run.
-	tc.shard(t, w, 4, sweep.OneShard(1, 2), store)
+}
 
-	got := tc.merge(t, w, dir)
-	if !bytes.Equal(got, want) {
-		t.Errorf("resumed merge stdout differs from full run (%d vs %d bytes)", len(got), len(want))
+// TestRecordColumnsRoundTrip: Figure 7's detect.Record (one and three
+// probe sets, and an empty shard) and the hole analysis's HoleRecord (no
+// hole, a detected success, a hole with every miss reason) come back
+// from a shard file equal to what went in, in both formats, and a recio
+// column read returns the field's values alone.
+func TestRecordColumnsRoundTrip(t *testing.T) {
+	roundTrip(t, []detect.Record{{Pollution: 5, Triggers: []int{0}}, {Pollution: 900, Triggers: []int{3}}},
+		"triggers.0", []uint64{0, 3})
+	roundTrip(t, []detect.Record{{Pollution: 7, Triggers: []int{0, 2, 24}}, {Pollution: 0, Triggers: []int{1, 0, 0}}},
+		"triggers.2", []uint64{24, 0})
+	roundTrip(t, []detect.Record{}, "pollution", nil)
+	// The shard's first record fixes the width; any other is refused.
+	mixed := &sweep.ShardFile[detect.Record]{Experiment: "rt", Cells: 2, Groups: 1, Shards: 1, CellHi: 2,
+		MatrixDigest: "d", Records: []detect.Record{{Triggers: []int{1}}, {Triggers: []int{1, 2, 3}}}}
+	if err := (sweep.ColumnarCodec[detect.Record]{}).WriteShard(filepath.Join(t.TempDir(), "mixed.rec"), mixed); err == nil ||
+		!strings.Contains(err.Error(), "4 values for 2 fields") {
+		t.Errorf("records of two widths in one shard: err = %v, want the width refusal", err)
+	}
+	why := map[MissReason]int{}
+	for i, m := range missReasons {
+		why[m] = i + 1
+	}
+	roundTrip(t, []HoleRecord{{Pollution: 3}, {Pollution: 812, Succeeded: true, Triggered: true}, {Pollution: 640, Succeeded: true, Why: why}},
+		"why."+string(MissTieBreak), []uint64{0, 0, 5})
+}
+
+// roundTrip writes recs as one shard in each format, reads it back and
+// reads one recio column.
+func roundTrip[R any](t *testing.T, recs []R, column string, want []uint64) {
+	t.Helper()
+	sf := &sweep.ShardFile[R]{Experiment: "rt", Cells: len(recs), Groups: 1, Shards: 1, CellHi: len(recs),
+		MatrixDigest: "d", Records: recs}
+	dir := t.TempDir()
+	for _, format := range []string{sweep.FormatJSON, sweep.FormatRecio} {
+		codec, err := sweep.CodecFor[R](format, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := sweep.ShardPath(dir, "rt", 0, 1, codec.Ext())
+		if err := codec.WriteShard(path, sf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := codec.ReadShard(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Records, recs) {
+			t.Errorf("%s: %T records came back as %+v, want %+v", format, recs, got.Records, recs)
+		}
+		if format != sweep.FormatRecio {
+			continue
+		}
+		col, err := sweep.ReadShardColumn(path, column)
+		if err != nil || !reflect.DeepEqual(col, want) {
+			t.Errorf("%T column %q = %v (err %v), want %v", recs, column, col, err, want)
+		}
 	}
 }

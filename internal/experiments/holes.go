@@ -9,6 +9,7 @@ import (
 	"github.com/bgpsim/bgpsim/internal/core"
 	"github.com/bgpsim/bgpsim/internal/deploy"
 	"github.com/bgpsim/bgpsim/internal/detect"
+	"github.com/bgpsim/bgpsim/internal/recio"
 	"github.com/bgpsim/bgpsim/internal/sweep"
 	"github.com/bgpsim/bgpsim/internal/topology"
 	"github.com/bgpsim/bgpsim/internal/xmaps"
@@ -44,6 +45,9 @@ const (
 	// analysis's sharpest findings.
 	MissFiltered MissReason = "probe-filters-route"
 )
+
+// missReasons lists every MissReason in report and column order.
+var missReasons = []MissReason{MissNeverReached, MissFiltered, MissLocalPref, MissShorterPath, MissTieBreak}
 
 // Hole is one successful-yet-undetected attack.
 type Hole struct {
@@ -109,6 +113,53 @@ type HoleRecord struct {
 	Why       map[MissReason]int `json:"why,omitempty"`
 }
 
+// ColumnFields implements sweep.ColumnarRecord: pollution, the two
+// flags, and one count per MissReason ("why.<reason>"), zero in every
+// record but a hole's.
+func (HoleRecord) ColumnFields() []recio.Field {
+	fields := []recio.Field{
+		{Name: "pollution", Kind: recio.KindDelta},
+		{Name: "succeeded", Kind: recio.KindRLE},
+		{Name: "triggered", Kind: recio.KindRLE},
+	}
+	for _, m := range missReasons {
+		fields = append(fields, recio.Field{Name: "why." + string(m), Kind: recio.KindRLE})
+	}
+	return fields
+}
+
+// ColumnValues implements sweep.ColumnarRecord.
+func (r HoleRecord) ColumnValues() []uint64 {
+	bit := func(b bool) uint64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	vals := []uint64{uint64(r.Pollution), bit(r.Succeeded), bit(r.Triggered)}
+	for _, m := range missReasons {
+		vals = append(vals, uint64(r.Why[m]))
+	}
+	return vals
+}
+
+// SetColumnValues implements sweep.ColumnarRecord. Why keeps only the
+// reasons with a nonzero count and stays nil when none has one — what a
+// JSON round trip of explainMisses' output yields.
+func (r *HoleRecord) SetColumnValues(vals []uint64) {
+	*r = HoleRecord{Pollution: int(vals[0]), Succeeded: vals[1] != 0, Triggered: vals[2] != 0}
+	for i, m := range missReasons {
+		if n := vals[3+i]; n > 0 {
+			if r.Why == nil {
+				r.Why = make(map[MissReason]int)
+			}
+			r.Why[m] = int(n)
+		}
+	}
+}
+
+var _ sweep.ColumnarRecord = (*HoleRecord)(nil)
+
 // holeStudy is a prepared hole analysis: defaulted configuration plus the
 // derived workload, deployment, and detector.
 type holeStudy struct {
@@ -167,6 +218,7 @@ func (s *holeStudy) matrix(w *World) sweep.Matrix {
 		Size:   func(int) int { return len(s.attacks) },
 		Policy: func(int) *core.Policy { return w.Policy },
 		Job:    func(_, k int) (core.Attack, core.Defense) { return s.attacks[k], s.def },
+		Ident:  probeIdent(s.cfg.MinPollution, s.probes),
 	}
 }
 
@@ -363,7 +415,7 @@ func (r *HoleResult) WriteText(out io.Writer, asnOf func(node int) string) error
 		fmt.Fprintf(out, "  depth %d: %d holes\n", d, r.AttackerDepthHist[d])
 	}
 	fmt.Fprintln(out, "\nwhy probes stayed blind (per-probe reasons over all holes):")
-	for _, reason := range []MissReason{MissNeverReached, MissFiltered, MissLocalPref, MissShorterPath, MissTieBreak} {
+	for _, reason := range missReasons {
 		if n := r.ReasonTotals[reason]; n > 0 {
 			fmt.Fprintf(out, "  %-24s %d\n", reason, n)
 		}

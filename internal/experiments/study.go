@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/bgpsim/bgpsim/internal/core"
+	"github.com/bgpsim/bgpsim/internal/detect"
 	"github.com/bgpsim/bgpsim/internal/hijack"
 	"github.com/bgpsim/bgpsim/internal/sweep"
 )
@@ -26,8 +28,9 @@ const (
 // shape rebuilds the same plan from the world and the experiment's
 // config — same seeds, same defaulting, same matrix digest — so a merged
 // result is bit-identical to Run at any worker and shard count. World and
-// config must match between the shard and merge invocations; MergeShards
-// rejects slices of any other matrix.
+// config must match between the shard and merge invocations: the matrix
+// digest covers the cells and whatever else the extractor reads
+// (sweep.Matrix.Ident), and MergeShards rejects slices of any other.
 //
 // R is the per-cell record a shard file carries, Out the rendered result.
 type Study[R, Out any] struct {
@@ -56,6 +59,20 @@ func sweepPlan[Out any](wl *hijack.Workload, assemble func([]*hijack.SweepResult
 			return red, func() Out { return assemble(results) }
 		},
 	}
+}
+
+// probeIdent encodes, for sweep.Matrix.Ident, what a detection
+// extractor reads beyond its cells: one setting (trigger semantics, a
+// success threshold) and the probes of every set it counts.
+func probeIdent(setting int, sets ...detect.ProbeSet) []byte {
+	b := binary.AppendVarint(nil, int64(setting))
+	for _, s := range sets {
+		b = binary.AppendUvarint(b, uint64(len(s.Probes)))
+		for _, p := range s.Probes {
+			b = binary.AppendVarint(b, int64(p))
+		}
+	}
+	return b
 }
 
 // Tag names the study's shard files.

@@ -6,7 +6,6 @@
 package hijack
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -64,8 +63,9 @@ type SweepResult struct {
 
 // Record is one attack's self-contained measurement: the two numbers
 // every downstream curve and table is built from. It is the matrix
-// runtime's stream element and the shard-file payload — JSON round-trips
-// preserve it exactly (Go prints float64 at shortest-exact precision).
+// runtime's stream element and the shard-file payload — JSON and
+// columnar round trips preserve it exactly (Go prints float64 at
+// shortest-exact precision; columns carry its bits).
 type Record struct {
 	Pollution  int     `json:"pollution"`
 	WeightFrac float64 `json:"weight_frac"`
@@ -73,8 +73,7 @@ type Record struct {
 
 // ColumnFields implements sweep.ColumnarRecord: pollution counts are
 // small and slowly-moving (delta-encoded), weight fractions are raw
-// float64 bits. The names are the JSON tags, so the columnar layout
-// carries exactly the row layout's fields.
+// float64 bits. The names are the JSON tags.
 func (Record) ColumnFields() []recio.Field {
 	return []recio.Field{
 		{Name: "pollution", Kind: recio.KindDelta},
@@ -93,55 +92,8 @@ func (r *Record) SetColumnValues(vals []uint64) {
 	r.WeightFrac = math.Float64frombits(vals[1])
 }
 
-// AppendJSON implements sweep.JSONAppender: shard encoding marshals
-// every record once, and this append path produces json.Marshal's exact
-// bytes without its reflection cost (pinned by TestRecordAppendJSON).
-func (r Record) AppendJSON(dst []byte) ([]byte, error) {
-	dst = append(dst, `{"pollution":`...)
-	dst = sweep.AppendJSONInt(dst, r.Pollution)
-	dst = append(dst, `,"weight_frac":`...)
-	dst, err := sweep.AppendJSONFloat(dst, r.WeightFrac)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, '}'), nil
-}
-
-// ParseJSON implements sweep.JSONParser, the decode twin of AppendJSON:
-// strict shard reads unmarshal every record once, and this parse path
-// decodes AppendJSON's exact byte shape without reflection (pinned
-// bit-identical to json.Unmarshal by TestRecordParseJSON). Any other
-// payload shape — whitespace, reordered fields, foreign writers — falls
-// back to encoding/json, errors and all.
-func (r *Record) ParseJSON(p []byte) error {
-	const pre = `{"pollution":`
-	const mid = `,"weight_frac":`
-	if len(p) > len(pre)+len(mid)+2 && string(p[:len(pre)]) == pre {
-		i := len(pre)
-		pol, n, ok := sweep.ParseJSONInt(p[i:])
-		if ok {
-			i += n
-			if len(p)-i > len(mid) && string(p[i:i+len(mid)]) == mid {
-				i += len(mid)
-				wf, n, ok := sweep.ParseJSONFloat(p[i:])
-				if ok && i+n+1 == len(p) && p[len(p)-1] == '}' {
-					r.Pollution = pol
-					r.WeightFrac = wf
-					return nil
-				}
-			}
-		}
-	}
-	return json.Unmarshal(p, r)
-}
-
-// Record's column mapping and fast marshal/unmarshal paths must keep
-// satisfying the codec seams they ride.
-var (
-	_ sweep.ColumnarRecord = (*Record)(nil)
-	_ sweep.JSONAppender   = Record{}
-	_ sweep.JSONParser     = (*Record)(nil)
-)
+// Record's column mapping must keep satisfying the codec seam it rides.
+var _ sweep.ColumnarRecord = (*Record)(nil)
 
 // Measure compresses a transient outcome into a Record. totalWeight is
 // g.TotalAddrWeight(), hoisted by the caller so per-attack extraction

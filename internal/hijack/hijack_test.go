@@ -1,8 +1,6 @@
 package hijack
 
 import (
-	"encoding/json"
-	"math"
 	"testing"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
@@ -229,92 +227,4 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// TestRecordAppendJSON pins Record's fast-marshal path to
-// encoding/json byte for byte: shard files must carry identical
-// payloads whichever path encoded them.
-func TestRecordAppendJSON(t *testing.T) {
-	for i := 0; i < 5000; i++ {
-		r := Record{Pollution: i*13 - 7, WeightFrac: float64(i%617) / 617}
-		want, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := r.AppendJSON(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("AppendJSON(%+v) = %q, json.Marshal = %q", r, got, want)
-		}
-	}
-	for _, wf := range []float64{0, 1e-7, 1e21, 1e22, -3.5e-300, math.MaxFloat64} {
-		r := Record{Pollution: 1, WeightFrac: wf}
-		want, _ := json.Marshal(r)
-		got, err := r.AppendJSON(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("AppendJSON at %v = %q, want %q", wf, got, want)
-		}
-	}
-	if _, err := (Record{WeightFrac: math.NaN()}).AppendJSON(nil); err == nil {
-		t.Fatal("AppendJSON accepted NaN")
-	}
-}
-
-// TestRecordParseJSON pins the decode twin: every payload AppendJSON
-// produces must parse back bit-identically through the fast path, and
-// every shape it does not produce must decode exactly as encoding/json
-// would — values and errors both.
-func TestRecordParseJSON(t *testing.T) {
-	check := func(t *testing.T, payload []byte) {
-		t.Helper()
-		var want Record
-		wantErr := json.Unmarshal(payload, &want)
-		var got Record
-		gotErr := got.ParseJSON(payload)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("%s: error mismatch: json=%v parse=%v", payload, wantErr, gotErr)
-		}
-		if wantErr == nil && (got.Pollution != want.Pollution ||
-			math.Float64bits(got.WeightFrac) != math.Float64bits(want.WeightFrac)) {
-			t.Fatalf("%s: ParseJSON = %+v, json.Unmarshal = %+v", payload, got, want)
-		}
-	}
-	// Round trip: AppendJSON's own output across magnitude extremes.
-	for i := 0; i < 5000; i++ {
-		r := Record{Pollution: i*13 - 7, WeightFrac: float64(i%617) / 617}
-		enc, err := r.AppendJSON(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, enc)
-	}
-	for _, wf := range []float64{0, math.Copysign(0, -1), 1e-7, 1e-6, 1e21, 1e22,
-		-3.5e-300, math.MaxFloat64, math.SmallestNonzeroFloat64, 0.6372549019607843} {
-		enc, err := Record{Pollution: 42, WeightFrac: wf}.AppendJSON(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, enc)
-	}
-	// Shapes the fast path must hand to encoding/json, not mis-parse.
-	for _, payload := range []string{
-		`{ "pollution": 5, "weight_frac": 0.25 }`,
-		`{"weight_frac":0.5,"pollution":9}`,
-		`{"pollution":7}`,
-		`{"pollution":7,"weight_frac":0.5,"extra":1}`,
-		`{"pollution":01,"weight_frac":0.5}`,
-		`{"pollution":1.5,"weight_frac":0.5}`,
-		`{"pollution":2,"weight_frac":"0.5"}`,
-		`{"pollution":3,"weight_frac":0.5`,
-		`{"pollution":4,"weight_frac":1e999}`,
-		`null`,
-		`{}`,
-	} {
-		check(t, []byte(payload))
-	}
 }

@@ -173,7 +173,7 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 
 // ErrTruncated marks a file that ends mid-record. The records decoded
 // before it form a clean prefix of the stream (the recovery model of
-// recio.RecoverFile): Offset reports where that prefix ends.
+// recio.Recover): Offset reports where that prefix ends.
 var ErrTruncated = errors.New("mrt: truncated record")
 
 // ErrBudgetExhausted ends a stream whose skippable-record count exceeded

@@ -24,6 +24,16 @@ import (
 //     path it agrees with Recover exactly; through the index it may
 //     stop earlier (the segment CRC is stricter than gzip's own
 //     redundancy) but never claims more than the scan proves.
+//
+// Columnar files — the layout shard files use — get their own party,
+// between the strict DecodeColumns and the resume path's RecoverStats:
+//
+//  6. DecodeColumns succeeds only where RecoverStats does, and then
+//     RecoverStats reports the same header and exactly its record count.
+//  7. RecoverStats' clean size lies within the input, and the clean
+//     prefix is a fixed point: recovering data[:clean] reports the same
+//     header, records and clean size, and strictly decodes to that many
+//     records.
 func FuzzDecode(f *testing.F) {
 	// Valid small file: header plus two checkpointed segments, ending in
 	// a v2 index trailer.
@@ -74,7 +84,43 @@ func FuzzDecode(f *testing.F) {
 	huge = append(huge, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f) // 2^62-byte header claim
 	f.Add(huge)
 
+	// Valid columnar file: the same two checkpointed segments, as columns.
+	buf.Reset()
+	w, err = NewWriter(&buf, columnarHeader(), Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := w.AppendRow([]uint64{uint64(i * 7), uint64(i) << 52}); err != nil {
+			f.Fatal(err)
+		}
+		if i == 1 {
+			if err := w.Checkpoint(); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	cols := buf.Bytes()
+	crec, err := RecoverStats(cols)
+	if err != nil || !crec.ViaIndex {
+		f.Fatalf("columnar seed file has no usable index: %v", err)
+	}
+	f.Add(cols)
+	f.Add(cols[:crec.CleanSize])   // trailer stripped
+	f.Add(cols[:crec.CleanSize-4]) // truncated mid-segment
+	f.Add(cols[:crec.CleanSize+3]) // truncated mid-index-frame
+	colCorrupt := append([]byte(nil), cols...)
+	colCorrupt[crec.CleanSize-3] ^= 0xff // damage in the last segment's columns
+	f.Add(colCorrupt)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if hdr, _, err := ReadHeader(data); err == nil && hdr.Layout == LayoutColumns {
+			fuzzColumns(t, data)
+			return
+		}
 		hdr, recs, decodeErr := Decode(data)
 		rhdr, rrecs, clean, recoverErr := Recover(data)
 		if (recoverErr == nil) != (decodeErr == nil) && decodeErr == nil {
@@ -119,4 +165,39 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzColumns checks properties 6 and 7 on one columnar input.
+func fuzzColumns(t *testing.T, data []byte) {
+	hdr, cols, decodeErr := DecodeColumns(data)
+	stats, err := RecoverStats(data)
+	if err != nil {
+		if decodeErr == nil {
+			t.Fatalf("DecodeColumns ok but RecoverStats failed: %v", err)
+		}
+		return
+	}
+	if stats.CleanSize < 0 || stats.CleanSize > int64(len(data)) {
+		t.Fatalf("clean size %d outside [0,%d]", stats.CleanSize, len(data))
+	}
+	if decodeErr == nil && (stats.Header != hdr || stats.Records != rows(cols)) {
+		t.Fatalf("DecodeColumns and RecoverStats disagree on a valid file: records=%d/%d",
+			rows(cols), stats.Records)
+	}
+	again, err := RecoverStats(data[:stats.CleanSize])
+	if err != nil || again.Header != stats.Header || again.Records != stats.Records || again.CleanSize != stats.CleanSize {
+		t.Fatalf("clean prefix not a fixed point: err=%v records=%d→%d clean=%d→%d",
+			err, stats.Records, again.Records, stats.CleanSize, again.CleanSize)
+	}
+	if _, prefix, err := DecodeColumns(data[:stats.CleanSize]); err != nil || rows(prefix) != stats.Records {
+		t.Fatalf("clean prefix does not decode strictly: err=%v records=%d/%d", err, rows(prefix), stats.Records)
+	}
+}
+
+// rows counts the records in decoded columns.
+func rows(cols [][]uint64) int {
+	if len(cols) == 0 {
+		return 0
+	}
+	return len(cols[0])
 }

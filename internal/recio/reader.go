@@ -1,12 +1,13 @@
 // Readers, three tiers of them. Decode/DecodeColumns are the strict
 // paths (any body damage is an error — the merge contract must never
 // silently drop records), and go parallel over the index trailer when
-// one is present. Recover is the scanning resume path (the clean
-// prefix's records are inflated and returned). RecoverStats is the seek
-// path: with a usable trailer it counts and CRC-verifies the clean
-// prefix without inflating a single segment; without one it degrades to
-// the same scan Recover does. A missing or damaged trailer is never an
-// error anywhere — the trailer is an index, the body is the truth.
+// one is present. RecoverStats is the resume path: with a usable trailer
+// it counts and CRC-verifies the clean prefix without inflating a single
+// segment; without one it scans, inflating and checking each segment in
+// turn. Recover is that scan for row-layout files with the records
+// returned (the fuzz oracle RecoverStats is held to). A missing or
+// damaged trailer is never an error anywhere — the trailer is an index,
+// the body is the truth.
 
 package recio
 
@@ -91,19 +92,6 @@ func Decode(data []byte) (Header, [][]byte, error) {
 	return hdr, sc.payloads, nil
 }
 
-// DecodeFile is Decode over a file path.
-func DecodeFile(path string) (Header, [][]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	hdr, payloads, err := Decode(data)
-	if err != nil {
-		return hdr, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return hdr, payloads, nil
-}
-
 // DecodeColumns strictly parses a whole columnar recio file, returning
 // the header and one value slice per field (in header-field order),
 // each holding every record's value for that field.
@@ -165,19 +153,6 @@ func Recover(data []byte) (hdr Header, payloads [][]byte, cleanSize int64, err e
 	return hdr, sc.payloads, sc.cleanSize, nil
 }
 
-// RecoverFile is Recover over a file path.
-func RecoverFile(path string) (Header, [][]byte, int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Header{}, nil, 0, err
-	}
-	hdr, payloads, clean, err := Recover(data)
-	if err != nil {
-		return hdr, nil, 0, fmt.Errorf("%s: %w", path, err)
-	}
-	return hdr, payloads, clean, nil
-}
-
 // RecoverStats is the seek-resume path: it learns the clean prefix's
 // record count and extent without returning (or, trailer permitting,
 // even inflating) the records themselves. With a usable trailer the
@@ -185,11 +160,17 @@ func RecoverFile(path string) (Header, [][]byte, int64, error) {
 // sub-millisecond where the scan path decompresses megabytes — and a
 // damaged trailer, or a trailer whose segments no longer checksum,
 // degrades to exactly the scan Recover performs. Only an unreadable
-// magic or header is an error.
+// magic or header (a columnar field map included) is an error.
 func RecoverStats(data []byte) (*Recovery, error) {
 	hdr, headerEnd, err := ReadHeader(data)
 	if err != nil {
 		return nil, err
+	}
+	var fields []Field
+	if hdr.Layout == LayoutColumns {
+		if fields, err = ParseFields(hdr.Fields); err != nil {
+			return nil, err
+		}
 	}
 	rec := &Recovery{Header: hdr, CleanSize: headerEnd}
 	if segs := findIndex(data, headerEnd); segs != nil {
@@ -205,12 +186,6 @@ func RecoverStats(data []byte) (*Recovery, error) {
 			rec.CleanSize = s.end()
 		}
 		return rec, nil
-	}
-	var fields []Field
-	if hdr.Layout == LayoutColumns {
-		if fields, err = ParseFields(hdr.Fields); err != nil {
-			return nil, err
-		}
 	}
 	sc := scanBody(data, hdr, headerEnd, fields)
 	rec.Records = sc.records
@@ -230,63 +205,6 @@ func RecoverStatsFile(path string) (*Recovery, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return rec, nil
-}
-
-// ReadCells returns the record payloads covering absolute cells
-// [lo, hi) of a row-layout file, clamped to what the file holds, plus
-// the cell index of the first returned payload. With a trailer only the
-// overlapping segments inflate; without one the body is scanned whole —
-// the result is identical either way. The file must be strictly intact
-// across the segments read.
-func ReadCells(data []byte, lo, hi int) (Header, [][]byte, int, error) {
-	hdr, headerEnd, err := ReadHeader(data)
-	if err != nil {
-		return hdr, nil, 0, err
-	}
-	if hdr.Layout == LayoutColumns {
-		return hdr, nil, 0, fmt.Errorf("%w: columnar file", ErrLayout)
-	}
-	if segs := findIndex(data, headerEnd); segs != nil {
-		var picked []SegmentInfo
-		for _, s := range segs {
-			if s.LastCell >= lo && s.FirstCell < hi {
-				picked = append(picked, s)
-			}
-		}
-		if len(picked) == 0 {
-			return hdr, nil, lo, nil
-		}
-		payloads, err := inflateRowSegments(data, picked, 0)
-		if err != nil {
-			return hdr, nil, 0, err
-		}
-		first := picked[0].FirstCell
-		effLo, effHi := max(lo, first), min(hi, picked[len(picked)-1].LastCell+1)
-		return hdr, payloads[effLo-first : effHi-first], effLo, nil
-	}
-	_, payloads, err2 := Decode(data)
-	if err2 != nil {
-		return hdr, nil, 0, err2
-	}
-	effLo := max(lo, hdr.CellLo)
-	effHi := min(hi, hdr.CellLo+len(payloads))
-	if effLo >= effHi {
-		return hdr, nil, lo, nil
-	}
-	return hdr, payloads[effLo-hdr.CellLo : effHi-hdr.CellLo], effLo, nil
-}
-
-// ReadCellsFile is ReadCells over a file path.
-func ReadCellsFile(path string, lo, hi int) (Header, [][]byte, int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Header{}, nil, 0, err
-	}
-	hdr, payloads, first, err := ReadCells(data, lo, hi)
-	if err != nil {
-		return hdr, nil, 0, fmt.Errorf("%s: %w", path, err)
-	}
-	return hdr, payloads, first, nil
 }
 
 // ReadColumn returns every record's value for one named field of a

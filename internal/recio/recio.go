@@ -3,21 +3,23 @@
 // CRC-32C integrity, a gzip-compressed stream body, a self-describing
 // header carrying the workload's identity (experiment tag, matrix
 // dimensions, shard selector, matrix digest) plus run provenance (tool,
-// seed, workers), and — since format version 2 — a seekable per-segment
-// index trailer and an optional per-field columnar body layout.
+// seed, workers), a seekable per-segment index trailer and two body
+// layouts. Shard files use the per-field columnar layout; the row layout
+// (opaque payload frames) stays for the checkpoint benchmark that drives
+// Writer.Append.
 //
 // On-disk layout (DESIGN.md §9):
 //
-//	magic   "recio" + one format-version byte (1 or 2)
+//	magic   "recio" + one format-version byte (2)
 //	header  frame: uvarint(len) ++ len bytes of JSON ++ CRC-32C(payload)
 //	body    zero or more segments, each
-//	        uvarint(clen) ++ clen bytes (row layout: one gzip member;
-//	        column layout: uvarint(records) ++ per-field gzip members)
-//	trailer (v2, optional) uvarint(0) sentinel ++ index frame ++ footer
+//	        uvarint(clen) ++ clen bytes (column layout: uvarint(records)
+//	        ++ per-field gzip members; row layout: one gzip member)
+//	trailer (optional) uvarint(0) sentinel ++ index frame ++ footer
 //
 // Row-layout gzip members inflate to a run of record frames with the
 // same shape as the header frame (uvarint length, payload, CRC-32C).
-// A segment is the checkpoint unit: the Writer buffers frames into an
+// A segment is the checkpoint unit: the Writer buffers records into an
 // in-memory segment, compresses sealed segments on a worker pool (gzip
 // members concatenate legally, so parallel compression of consecutive
 // segments written back in order is byte-equivalent to sequential
@@ -26,17 +28,17 @@
 // segments not yet checkpointed, and every byte before the last
 // checkpoint is a valid prefix of the file.
 //
-// The v2 trailer makes that prefix seekable: one index entry per
-// segment (byte offset, compressed length, record count, first/last
-// cell index, CRC-32C of the compressed bytes) lets Recover count and
-// verify records without inflating a single segment, and lets readers
-// jump straight to the segments covering a cell range. The trailer is
-// advisory: it is rewritten at every checkpoint (on seekable
-// destinations) and on Close, and a missing or damaged trailer simply
-// degrades every reader to the sequential scan path.
+// The trailer makes that prefix seekable: one index entry per segment
+// (byte offset, compressed length, record count, first/last cell index,
+// CRC-32C of the compressed bytes) lets RecoverStats count and verify
+// records without inflating a single segment, and lets the strict
+// decoders inflate segments in parallel. The trailer is advisory: it is
+// rewritten at every checkpoint (on seekable destinations) and on Close,
+// and a missing or damaged trailer simply degrades every reader to the
+// sequential scan path.
 //
-// The package is pure I/O: payloads are opaque bytes, and the sweep
-// layer owns what a record means (internal/sweep codecs).
+// The package is pure I/O: values and payloads are opaque, and the
+// sweep layer owns what a record means (internal/sweep codecs).
 package recio
 
 import (
@@ -106,11 +108,6 @@ type Options struct {
 	// plus the recovered record count for a resumed one); it anchors the
 	// trailer's per-segment cell ranges.
 	CellBase int
-	// NoSync skips every fsync. For whole-shard writes the durability
-	// contract is the caller's (the json codec never syncs either);
-	// checkpointed incremental writers must leave this false — without
-	// the sync, Checkpoint no longer bounds what a crash can lose.
-	NoSync bool
 }
 
 // normalize validates the level and fills defaults.

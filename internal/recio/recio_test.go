@@ -262,7 +262,11 @@ func TestResumeWriter(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	hdr, got, err := DecodeFile(path)
+	resumed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, got, err := Decode(resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,42 +494,6 @@ func TestWriterLevelValidation(t *testing.T) {
 	hdr, _, err := Decode(buf.Bytes())
 	if err != nil || hdr.Level != 9 {
 		t.Fatalf("header level %d (err=%v), want 9", hdr.Level, err)
-	}
-}
-
-// TestReadCells: a cell-range read answers identically through the
-// index and through the scan fallback, and matches the full decode.
-func TestReadCells(t *testing.T) {
-	const n, every = 60, 7
-	path, want := writeDiskFile(t, n, every, Options{})
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noIdx := append([]byte(nil), data...)
-	noIdx[len(noIdx)-1] ^= 0xff // break the footer magic: scan fallback
-	lo := testHeader().CellLo
-	for _, span := range [][2]int{{lo, lo + n}, {lo + 10, lo + 24}, {lo - 5, lo + 3}, {lo + n - 2, lo + n + 9}, {lo + n + 1, lo + n + 4}} {
-		hdr, got, first, err := ReadCells(data, span[0], span[1])
-		if err != nil {
-			t.Fatalf("span %v: %v", span, err)
-		}
-		if hdr.Experiment != "fig2" {
-			t.Fatalf("span %v: header %+v", span, hdr)
-		}
-		effLo, effHi := max(span[0], lo), min(span[1], lo+n)
-		if effLo >= effHi {
-			if len(got) != 0 {
-				t.Fatalf("span %v: %d payloads for an empty range", span, len(got))
-			}
-		} else if first != effLo || !samePayloads(got, want[effLo-lo:effHi-lo]) {
-			t.Fatalf("span %v: first=%d len=%d, want first=%d len=%d", span, first, len(got), effLo, effHi-effLo)
-		}
-		_, got2, first2, err := ReadCells(noIdx, span[0], span[1])
-		if err != nil || first2 != first || !samePayloads(got2, got) {
-			t.Fatalf("span %v: scan fallback disagrees with index (err=%v first=%d/%d len=%d/%d)",
-				span, err, first2, first, len(got2), len(got))
-		}
 	}
 }
 

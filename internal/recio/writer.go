@@ -415,9 +415,6 @@ func (w *Writer) writeTrailer() error {
 }
 
 func (w *Writer) sync() error {
-	if w.opts.NoSync {
-		return nil
-	}
 	if s, ok := w.dst.(syncer); ok {
 		if err := s.Sync(); err != nil {
 			return w.fail(fmt.Errorf("recio: sync: %w", err))

@@ -1,12 +1,12 @@
 // Pluggable shard-file formats. A Codec turns one ShardFile into bytes
-// on disk and back; the CLI's -format flag selects one by name. Three
-// codecs exist: "json" (the original human-readable indented form),
-// "recio" (the compressed binary record store, internal/recio) and
-// "recio-col" (its per-field columnar variant, columnar.go). All
-// round-trip records exactly — json and recio through encoding/json
-// marshaling of T, recio-col through the type's own column mapping — so
-// the merged stream, and therefore every digest the tools print, is
-// bit-identical whichever format carried the shards.
+// on disk and back; the CLI's -format flag selects one by name. Two
+// codecs exist: "json" (the human-readable indented interchange form)
+// and "recio" (the compressed, checkpointed binary record store of
+// internal/recio, one column per record field: columnar.go). Both
+// round-trip records exactly — json through encoding/json marshaling of
+// T, recio through the type's own column mapping — so the merged stream,
+// and therefore every digest the tools print, is bit-identical whichever
+// format carried the shards.
 package sweep
 
 import (
@@ -16,22 +16,22 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-
-	"github.com/bgpsim/bgpsim/internal/recio"
 )
 
-// Shard format names accepted by CodecByName and the tools' -format
-// flag.
+// Shard format names accepted by CodecFor and the tools' -format flag.
 const (
-	FormatJSON     = "json"
-	FormatRecio    = "recio"
-	FormatRecioCol = "recio-col"
+	FormatJSON  = "json"
+	FormatRecio = "recio"
 )
 
-// wholeShardSegment is the records-per-segment cadence for complete
-// shard writes, where no checkpoint durability is at stake: small
-// enough to keep the writer's compression pool fed with independent
-// segments, large enough that gzip still sees long runs.
+// wholeShardSegment is the records-per-segment cadence of every recio
+// write: small enough to keep the writer's compression pool fed with
+// independent segments, large enough that gzip still sees long runs. A
+// persisted shard checkpoints (writes and fsyncs) each segment as it
+// seals, so a kill loses at most one segment of solving — about 1.5 s of
+// paper-scale Figure 7 on one worker. Measured on the 2,000-AS persisted
+// ladder (2 vCPUs), 256-record checkpoints cost a fifth of its
+// throughput; 2,048-record ones stay within run-to-run noise.
 const wholeShardSegment = 2048
 
 // Codec is one named on-disk shard-file format.
@@ -46,14 +46,8 @@ type Codec[T any] interface {
 	ReadShard(path string) (*ShardFile[T], error)
 }
 
-// CodecByName resolves a -format flag value ("" means json) at the
-// default compression level.
-func CodecByName[T any](name string) (Codec[T], error) {
-	return CodecFor[T](name, 0)
-}
-
 // CodecFor resolves a -format flag value with an explicit gzip level
-// (0 = recio.DefaultLevel; json ignores it). The columnar format
+// (0 = recio.DefaultLevel; json ignores it). The recio format
 // additionally requires T to carry a column mapping — rejected here, at
 // selection time, rather than when the first shard hits the disk.
 func CodecFor[T any](name string, level int) (Codec[T], error) {
@@ -61,28 +55,23 @@ func CodecFor[T any](name string, level int) (Codec[T], error) {
 	case "", FormatJSON:
 		return JSONCodec[T]{}, nil
 	case FormatRecio:
-		return RecioCodec[T]{Level: level}, nil
-	case FormatRecioCol:
 		var z T
 		if _, err := columnarOf(&z); err != nil {
 			return nil, fmt.Errorf("format %q: %w", name, err)
 		}
 		return ColumnarCodec[T]{Level: level}, nil
 	}
-	return nil, fmt.Errorf("unknown shard format %q (want %q, %q or %q)",
-		name, FormatJSON, FormatRecio, FormatRecioCol)
+	return nil, CheckFormat(name)
 }
 
 // CheckFormat validates a -format flag value by name alone, without
 // binding a record type — the CLI's flag check, where T is not yet in
 // scope and per-type constraints (columnar mappings) cannot apply.
 func CheckFormat(name string) error {
-	switch name {
-	case "", FormatJSON, FormatRecio, FormatRecioCol:
+	if name == FormatJSON || name == FormatRecio {
 		return nil
 	}
-	return fmt.Errorf("unknown shard format %q (want %q, %q or %q)",
-		name, FormatJSON, FormatRecio, FormatRecioCol)
+	return fmt.Errorf("unknown shard format %q (want %q or %q)", name, FormatJSON, FormatRecio)
 }
 
 // ShardPath names shard files "<tag>.<i>of<n>.<ext>" inside dir — the
@@ -143,142 +132,8 @@ func digestLine(data []byte) int {
 	return lineAt(data, int64(idx))
 }
 
-// RecioCodec stores shards in the compressed binary record format of
-// internal/recio: one header frame carrying the ShardFile metadata,
-// then every record as a compact-JSON payload inside checksummed,
-// gzip-compressed frames.
-type RecioCodec[T any] struct {
-	// Level is the gzip compression level (0 = recio.DefaultLevel).
-	Level int
-}
-
-// Name implements Codec.
-func (RecioCodec[T]) Name() string { return FormatRecio }
-
-// Ext implements Codec.
-func (RecioCodec[T]) Ext() string { return "rec" }
-
-// WriteShard implements Codec.
-func (c RecioCodec[T]) WriteShard(path string, f *ShardFile[T]) error {
-	if len(f.Records) != f.CellHi-f.CellLo {
-		return fmt.Errorf("shard %d/%d: %d records for cell range [%d,%d)",
-			f.Shard, f.Shards, len(f.Records), f.CellLo, f.CellHi)
-	}
-	// NoSync: a whole-shard write has no checkpoint to make durable —
-	// its durability contract matches the json codec's (none beyond the
-	// OS page cache).
-	w, fh, err := recio.Create(path, recioHeader(f), recio.Options{Level: c.Level, NoSync: true})
-	if err != nil {
-		return err
-	}
-	var p []byte
-	for i := range f.Records {
-		p, err = appendRecordJSON(p[:0], f.Records[i])
-		if err != nil {
-			fh.Close()
-			return fmt.Errorf("%s: encode record %d: %w", path, i, err)
-		}
-		if err := w.Append(p); err != nil {
-			fh.Close()
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		// Segment whole-shard writes too, so writer memory stays bounded
-		// and a truncated file still recovers a prefix. Flush (not
-		// Checkpoint): there is no crash to survive mid-write, so sealed
-		// segments just feed the compression pool and Close barriers once.
-		if w.Pending() >= wholeShardSegment {
-			if err := w.Flush(); err != nil {
-				fh.Close()
-				return fmt.Errorf("%s: %w", path, err)
-			}
-		}
-	}
-	if err := w.Close(); err != nil {
-		fh.Close()
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return fh.Close()
-}
-
-// ReadShard implements Codec, via the strict decoder: a recio shard
-// with any damaged byte is an error, never a silently shorter stream.
-func (RecioCodec[T]) ReadShard(path string) (*ShardFile[T], error) {
-	return readRecShard[T](path)
-}
-
-// readRecShard loads any .rec shard file, row or columnar — the
-// header's layout field, not the codec the caller happened to hold,
-// decides how the body decodes. Mixed-layout merges fall out of this
-// for free.
-func readRecShard[T any](path string) (*ShardFile[T], error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	hdr, _, err := recio.ReadHeader(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if hdr.Layout == recio.LayoutColumns {
-		hdr, cols, err := recio.DecodeColumns(data)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return readColumnarShard[T](path, hdr, cols)
-	}
-	hdr, payloads, err := recio.Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	f := shardFileOf[T](path, hdr, len(payloads))
-	for i, p := range payloads {
-		var v T
-		if err := parseRecordJSON(p, &v); err != nil {
-			return nil, fmt.Errorf("%s:1: decode record %d: %w", path, i, err)
-		}
-		f.Records = append(f.Records, v)
-	}
-	if err := f.validate(); err != nil {
-		return nil, fmt.Errorf("%s:1: %w", path, err)
-	}
-	return f, nil
-}
-
-// shardFileOf maps a recio header back onto ShardFile metadata, with
-// capacity for n records.
-func shardFileOf[T any](path string, hdr recio.Header, n int) *ShardFile[T] {
-	return &ShardFile[T]{
-		Experiment:   hdr.Experiment,
-		Cells:        hdr.Cells,
-		Groups:       hdr.Groups,
-		Shard:        hdr.Shard,
-		Shards:       hdr.Shards,
-		CellLo:       hdr.CellLo,
-		CellHi:       hdr.CellHi,
-		MatrixDigest: hdr.MatrixDigest,
-		Path:         path,
-		Line:         1, // the header frame opens the file
-		Records:      make([]T, 0, n),
-	}
-}
-
-// recioHeader maps ShardFile metadata onto the recio file header.
-func recioHeader[T any](f *ShardFile[T]) recio.Header {
-	return recio.Header{
-		Experiment:   f.Experiment,
-		Cells:        f.Cells,
-		Groups:       f.Groups,
-		Shard:        f.Shard,
-		Shards:       f.Shards,
-		CellLo:       f.CellLo,
-		CellHi:       f.CellHi,
-		MatrixDigest: f.MatrixDigest,
-	}
-}
-
 // ReadShardAuto loads one shard file, dispatching on its extension:
-// ".rec" is recio (row or columnar, per its header), everything else
-// the JSON codec.
+// ".rec" is recio, everything else the JSON codec.
 func ReadShardAuto[T any](path string) (*ShardFile[T], error) {
 	if filepath.Ext(path) == ".rec" {
 		return readRecShard[T](path)

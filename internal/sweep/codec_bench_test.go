@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,9 +11,8 @@ import (
 
 // benchRecord mirrors the shape of the scan tools' records (see
 // hijack.Record): one small int plus one float64 whose JSON text
-// repeats field names every record — the redundancy recio's gzip body
-// exists to remove. It carries the columnar mapping so the recio-col
-// codec benchmarks on the same shard.
+// repeats field names every record, which recio's columns drop. It
+// carries the columnar mapping recio needs.
 type benchRecord struct {
 	Pollution  int     `json:"pollution"`
 	WeightFrac float64 `json:"weight_frac"`
@@ -34,39 +32,6 @@ func (r benchRecord) ColumnValues() []uint64 {
 func (r *benchRecord) SetColumnValues(vals []uint64) {
 	r.Pollution = int(vals[0])
 	r.WeightFrac = math.Float64frombits(vals[1])
-}
-
-func (r benchRecord) AppendJSON(dst []byte) ([]byte, error) {
-	dst = append(dst, `{"pollution":`...)
-	dst = AppendJSONInt(dst, r.Pollution)
-	dst = append(dst, `,"weight_frac":`...)
-	dst, err := AppendJSONFloat(dst, r.WeightFrac)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, '}'), nil
-}
-
-func (r *benchRecord) ParseJSON(p []byte) error {
-	const pre = `{"pollution":`
-	const mid = `,"weight_frac":`
-	if len(p) > len(pre)+len(mid)+2 && string(p[:len(pre)]) == pre {
-		i := len(pre)
-		pol, n, ok := ParseJSONInt(p[i:])
-		if ok {
-			i += n
-			if len(p)-i > len(mid) && string(p[i:i+len(mid)]) == mid {
-				i += len(mid)
-				wf, n, ok := ParseJSONFloat(p[i:])
-				if ok && i+n+1 == len(p) && p[len(p)-1] == '}' {
-					r.Pollution = pol
-					r.WeightFrac = wf
-					return nil
-				}
-			}
-		}
-	}
-	return json.Unmarshal(p, r)
 }
 
 const benchRecords = 20000
@@ -96,9 +61,9 @@ func benchShard() *ShardFile[benchRecord] {
 // read straight off the two sub-benchmarks.
 func BenchmarkShardEncode(b *testing.B) {
 	sf := benchShard()
-	for _, name := range []string{FormatJSON, FormatRecio, FormatRecioCol} {
+	for _, name := range []string{FormatJSON, FormatRecio} {
 		b.Run(name, func(b *testing.B) {
-			codec, err := CodecByName[benchRecord](name)
+			codec, err := CodecFor[benchRecord](name, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -125,9 +90,9 @@ func BenchmarkShardEncode(b *testing.B) {
 // BenchmarkShardDecode measures each codec reading the same shard back.
 func BenchmarkShardDecode(b *testing.B) {
 	sf := benchShard()
-	for _, name := range []string{FormatJSON, FormatRecio, FormatRecioCol} {
+	for _, name := range []string{FormatJSON, FormatRecio} {
 		b.Run(name, func(b *testing.B) {
-			codec, err := CodecByName[benchRecord](name)
+			codec, err := CodecFor[benchRecord](name, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -154,12 +119,13 @@ func BenchmarkShardDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkShardResumeReplay measures the resume path's fixed cost:
-// recovering a truncated recio shard's clean prefix (decompress +
-// re-frame every checkpointed record) before any solving starts.
+// BenchmarkShardResumeReplay measures the resume path's fixed cost when
+// a crash took the index trailer with it: recovering a truncated recio
+// shard's clean prefix by inflating and re-checking every segment before
+// any solving starts.
 func BenchmarkShardResumeReplay(b *testing.B) {
 	sf := benchShard()
-	codec := RecioCodec[benchRecord]{}
+	codec := ColumnarCodec[benchRecord]{}
 	path := filepath.Join(b.TempDir(), "shard."+codec.Ext())
 	if err := codec.WriteShard(path, sf); err != nil {
 		b.Fatal(err)
@@ -168,7 +134,7 @@ func BenchmarkShardResumeReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Slice mid-file so Recover walks a damaged tail like a real crash.
+	// Slice mid-file so the scan walks a damaged tail like a real crash.
 	cut := path + ".cut"
 	if err := os.WriteFile(cut, data[:len(data)*9/10], 0o644); err != nil {
 		b.Fatal(err)
@@ -176,24 +142,24 @@ func BenchmarkShardResumeReplay(b *testing.B) {
 	b.SetBytes(int64(len(data) * 9 / 10))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, payloads, _, err := recio.RecoverFile(cut)
+		rec, err := recio.RecoverStatsFile(cut)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(payloads) == 0 || len(payloads) >= benchRecords {
-			b.Fatalf("recovered %d records from a truncated file", len(payloads))
+		if rec.ViaIndex || rec.Records == 0 || rec.Records >= benchRecords {
+			b.Fatalf("recovered %d records (via index %v) from a truncated file", rec.Records, rec.ViaIndex)
 		}
 	}
 }
 
-// BenchmarkShardSeekResume measures the v2 resume path over the same
+// BenchmarkShardSeekResume measures the seek resume path over the same
 // shard: with an intact index trailer, counting and CRC-verifying the
 // clean prefix is a seek plus a checksum sweep — no segment inflates,
 // no record replays. Compare against BenchmarkShardResumeReplay, the
 // scan path's cost on the same data.
 func BenchmarkShardSeekResume(b *testing.B) {
 	sf := benchShard()
-	codec := RecioCodec[benchRecord]{}
+	codec := ColumnarCodec[benchRecord]{}
 	path := filepath.Join(b.TempDir(), "shard."+codec.Ext())
 	if err := codec.WriteShard(path, sf); err != nil {
 		b.Fatal(err)
@@ -216,7 +182,7 @@ func BenchmarkShardSeekResume(b *testing.B) {
 }
 
 // BenchmarkShardColumnRead measures the columnar layout's selling
-// point: folding one field of a recio-col shard without inflating its
+// point: folding one field of a recio shard without inflating its
 // siblings.
 func BenchmarkShardColumnRead(b *testing.B) {
 	sf := benchShard()

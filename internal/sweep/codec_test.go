@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,7 +9,31 @@ import (
 
 	"github.com/bgpsim/bgpsim/internal/asn"
 	"github.com/bgpsim/bgpsim/internal/core"
+	"github.com/bgpsim/bgpsim/internal/recio"
 )
+
+// count is the codec tests' record: one polluted-AS count, with the
+// one-column mapping the recio format needs.
+type count int
+
+func (count) ColumnFields() []recio.Field {
+	return []recio.Field{{Name: "polluted", Kind: recio.KindDelta}}
+}
+
+func (c count) ColumnValues() []uint64 { return []uint64{uint64(c)} }
+
+func (c *count) SetColumnValues(vals []uint64) { *c = count(vals[0]) }
+
+func extractCount(_, _ int, o *core.Outcome) count { return count(o.PollutedCount()) }
+
+// countDigest is runDigest over a count stream.
+func countDigest(v []count) [32]byte {
+	ints := make([]int, len(v))
+	for i, c := range v {
+		ints[i] = int(c)
+	}
+	return runDigest(ints)
+}
 
 // TestMatrixDigestIdentity: the digest is deterministic for one
 // workload and moves when the workload does — a different attack set, a
@@ -51,6 +76,12 @@ func TestMatrixDigestIdentity(t *testing.T) {
 	if MatrixDigest(swapped) == d1 {
 		t.Error("different policy assignment, same digest")
 	}
+
+	probed, reprobed := m, m
+	probed.Ident, reprobed.Ident = []byte{1, 2}, []byte{1, 3}
+	if dp := MatrixDigest(probed); dp == d1 || dp == MatrixDigest(reprobed) {
+		t.Error("a different Ident left the digest unchanged")
+	}
 }
 
 // TestCodecRoundTrip: both codecs reproduce a solved shard exactly —
@@ -58,7 +89,7 @@ func TestMatrixDigestIdentity(t *testing.T) {
 // the right one by extension.
 func TestCodecRoundTrip(t *testing.T) {
 	m, _ := testMatrix(t)
-	extract := func(_, _ int, o *core.Outcome) int { return o.PollutedCount() }
+	extract := extractCount
 	sf, err := RunShard(m, MatrixOptions{Workers: 4, Sel: OneShard(1, 3)}, "codec-test", extract)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +99,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for _, name := range []string{FormatJSON, FormatRecio} {
-		codec, err := CodecByName[int](name)
+		codec, err := CodecFor[count](name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +107,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err := codec.WriteShard(path, sf); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		rt, err := ReadShardAuto[int](path)
+		rt, err := ReadShardAuto[count](path)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -104,11 +135,11 @@ func TestCodecRoundTrip(t *testing.T) {
 // split.
 func TestPersistShardBothFormats(t *testing.T) {
 	m, cells := testMatrix(t)
-	extract := func(_, _ int, o *core.Outcome) int { return o.PollutedCount() }
+	extract := extractCount
 
-	want := make([]int, 0, cells)
-	if err := RunMatrixReduce(m, MatrixOptions{Workers: 4}, extract, ReduceFunc[int]{
-		EmitFn: func(_ int, v int) { want = append(want, v) },
+	want := make([]count, 0, cells)
+	if err := RunMatrixReduce(m, MatrixOptions{Workers: 4}, extract, ReduceFunc[count]{
+		EmitFn: func(_ int, v count) { want = append(want, v) },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -127,17 +158,17 @@ func TestPersistShardBothFormats(t *testing.T) {
 				t.Fatalf("%s shard %d: report %+v, want %d solved", format, s, rep, hi-lo)
 			}
 		}
-		files, err := ReadShardDir[int](dir, "persist-test")
+		files, err := ReadShardDir[count](dir, "persist-test")
 		if err != nil {
 			t.Fatalf("%s: %v", format, err)
 		}
-		got := make([]int, 0, cells)
-		if err := MergeShards(files, "persist-test", MatrixDigest(m), ReduceFunc[int]{
-			EmitFn: func(_ int, v int) { got = append(got, v) },
+		got := make([]count, 0, cells)
+		if err := MergeShards(files, "persist-test", MatrixDigest(m), ReduceFunc[count]{
+			EmitFn: func(_ int, v count) { got = append(got, v) },
 		}); err != nil {
 			t.Fatalf("%s: %v", format, err)
 		}
-		if runDigest(got) != runDigest(want) {
+		if countDigest(got) != countDigest(want) {
 			t.Fatalf("%s: merged stream diverges from unsharded run", format)
 		}
 	}
@@ -150,7 +181,7 @@ func TestPersistShardBothFormats(t *testing.T) {
 // uninterrupted run.
 func TestPersistShardResume(t *testing.T) {
 	m, cells := testMatrix(t)
-	extract := func(_, _ int, o *core.Outcome) int { return o.PollutedCount() }
+	extract := extractCount
 	dir := t.TempDir()
 	store := ShardStore{Dir: dir, Format: FormatRecio, CheckpointEvery: 16}
 
@@ -163,7 +194,7 @@ func TestPersistShardResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := ReadShardAuto[int](rep.Path)
+	ref, err := ReadShardAuto[count](rep.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +214,7 @@ func TestPersistShardResume(t *testing.T) {
 	if rep2.Resumed+rep2.Solved != ref.CellHi-ref.CellLo {
 		t.Fatalf("resumed %d + solved %d != %d cells", rep2.Resumed, rep2.Solved, ref.CellHi-ref.CellLo)
 	}
-	got, err := ReadShardAuto[int](rep2.Path)
+	got, err := ReadShardAuto[count](rep2.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +242,7 @@ func TestPersistShardResume(t *testing.T) {
 // workload must refuse to resume, naming the digest mismatch.
 func TestPersistShardResumeWrongWorkload(t *testing.T) {
 	m, _ := testMatrix(t)
-	extract := func(_, _ int, o *core.Outcome) int { return o.PollutedCount() }
+	extract := extractCount
 	dir := t.TempDir()
 	store := ShardStore{Dir: dir, Format: FormatRecio}
 	if _, err := PersistShard(m, MatrixOptions{Workers: 2}, "wrong-world", extract, store); err != nil {
@@ -232,7 +263,7 @@ func TestPersistShardResumeWrongWorkload(t *testing.T) {
 // TestPersistShardResumeNeedsRecio: json shards cannot resume.
 func TestPersistShardResumeNeedsRecio(t *testing.T) {
 	m, _ := testMatrix(t)
-	extract := func(_, _ int, o *core.Outcome) int { return o.PollutedCount() }
+	extract := extractCount
 	_, err := PersistShard(m, MatrixOptions{}, "x", extract,
 		ShardStore{Dir: t.TempDir(), Format: FormatJSON, Resume: true})
 	if err == nil || !strings.Contains(err.Error(), "recio") {
@@ -280,7 +311,7 @@ func TestMergeShardsDigestMismatch(t *testing.T) {
 // different formats from different machines and still merge.
 func TestReadShardDirMixedFormats(t *testing.T) {
 	m, cells := testMatrix(t)
-	extract := func(_, _ int, o *core.Outcome) int { return o.PollutedCount() }
+	extract := extractCount
 	dir := t.TempDir()
 	formats := []string{FormatJSON, FormatRecio}
 	for s := 0; s < 2; s++ {
@@ -290,7 +321,7 @@ func TestReadShardDirMixedFormats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	files, err := ReadShardDir[int](dir, "mixed")
+	files, err := ReadShardDir[count](dir, "mixed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +329,8 @@ func TestReadShardDirMixedFormats(t *testing.T) {
 		t.Fatalf("found %d shard files, want 2", len(files))
 	}
 	n := 0
-	if err := MergeShards(files, "mixed", MatrixDigest(m), ReduceFunc[int]{
-		EmitFn: func(int, int) { n++ },
+	if err := MergeShards(files, "mixed", MatrixDigest(m), ReduceFunc[count]{
+		EmitFn: func(int, count) { n++ },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -307,22 +338,116 @@ func TestReadShardDirMixedFormats(t *testing.T) {
 		t.Fatalf("merged %d records, want %d", n, cells)
 	}
 
-	if _, err := ReadShardDir[int](filepath.Join(dir, "empty"), "mixed"); err == nil {
+	if _, err := ReadShardDir[count](filepath.Join(dir, "empty"), "mixed"); err == nil {
 		t.Fatal("empty directory produced no error")
 	}
 }
 
-// TestColumnarCodecRejectsUncolumnarType: record types carrying
-// variable-width fields have no column mapping; selecting recio-col for
-// them must fail at codec selection with a clear diagnosis.
+// TestColumnarCodecRejectsUncolumnarType: a record type without a
+// column mapping cannot ride recio; selecting it must fail at codec
+// selection with a clear diagnosis, and json must still take it.
 func TestColumnarCodecRejectsUncolumnarType(t *testing.T) {
 	type triggers struct {
 		Hits []int `json:"hits"`
 	}
-	if _, err := CodecFor[triggers](FormatRecioCol, 0); err == nil {
-		t.Fatal("recio-col accepted a record type with no columnar mapping")
+	if _, err := CodecFor[triggers](FormatRecio, 0); err == nil || !strings.Contains(err.Error(), "columnar mapping") {
+		t.Fatalf("recio accepted a record type with no columnar mapping: %v", err)
 	}
-	if _, err := CodecFor[benchRecord](FormatRecioCol, 0); err != nil {
-		t.Fatalf("recio-col rejected a columnar record type: %v", err)
+	if _, err := CodecFor[triggers](FormatJSON, 0); err != nil {
+		t.Fatalf("json rejected a plain record type: %v", err)
+	}
+	if _, err := CodecFor[benchRecord](FormatRecio, 0); err != nil {
+		t.Fatalf("recio rejected a columnar record type: %v", err)
+	}
+	for _, name := range []string{"", "recio-col", "JSON"} {
+		if CheckFormat(name) == nil {
+			t.Errorf("CheckFormat(%q) accepted", name)
+		}
+	}
+}
+
+// TestPersistedShardMatchesWholeWrite: a persisted recio shard
+// checkpoints at the segment a whole-shard write seals, so the two leave
+// the same bytes on disk — across more than one segment.
+func TestPersistedShardMatchesWholeWrite(t *testing.T) {
+	m, _ := testMatrix(t)
+	wide := m
+	wide.Groups = 8
+	wide.Policy = func(g int) *core.Policy { return m.Policy(g % 2) }
+	if wide.Cells() <= wholeShardSegment {
+		t.Fatalf("%d cells fit in one segment", wide.Cells())
+	}
+	rep, err := PersistShard(wide, MatrixOptions{Workers: 2}, "whole", extractCount, ShardStore{Dir: t.TempDir(), Format: FormatRecio})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, err := RunShard(wide, MatrixOptions{Workers: 2}, "whole", extractCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "whole.rec")
+	if err := (ColumnarCodec[count]{}).WriteShard(path, sf); err != nil {
+		t.Fatal(err)
+	}
+	persisted, err := os.ReadFile(rep.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(persisted, whole) {
+		t.Fatalf("persisted shard (%d bytes) differs from the whole-shard write (%d bytes)", len(persisted), len(whole))
+	}
+	rec, err := recio.RecoverStatsFile(rep.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (wide.Cells() + wholeShardSegment - 1) / wholeShardSegment; len(rec.Segments) != want {
+		t.Fatalf("%d segments, want %d", len(rec.Segments), want)
+	}
+}
+
+// TestRowLayoutRecRefused: a .rec in the row layout older builds wrote
+// is refused by name — by -resume before any cell is solved or the file
+// touched, and by a merge.
+func TestRowLayoutRecRefused(t *testing.T) {
+	m, cells := testMatrix(t)
+	dir := t.TempDir()
+	path := ShardPath(dir, "rows", 0, 1, "rec")
+	w, fh, err := recio.Create(path, recio.Header{Experiment: "rows", Cells: cells, Groups: m.Groups,
+		Shards: 1, CellHi: cells, MatrixDigest: MatrixDigest(m)}, recio.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := w.Append([]byte(`{"polluted":1}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	solved := 0
+	opts := MatrixOptions{Workers: 2, Progress: func(int, int) { solved++ }}
+	_, err = PersistShard(m, opts, "rows", extractCount, ShardStore{Dir: dir, Format: FormatRecio, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), "row-layout") || !strings.Contains(err.Error(), "cannot resume") {
+		t.Fatalf("resume onto a row-layout shard: err = %v, want the up-front row-layout refusal", err)
+	}
+	if after, _ := os.ReadFile(path); solved != 0 || !bytes.Equal(after, before) {
+		t.Fatalf("refused resume solved %d cells or touched the file", solved)
+	}
+
+	if _, err := ReadShardDir[count](dir, "rows"); err == nil || !strings.Contains(err.Error(), "row-layout") {
+		t.Fatalf("merge of a row-layout shard: err = %v, want the row-layout refusal", err)
 	}
 }

@@ -1,13 +1,14 @@
 // Workload identity: MatrixDigest hashes the exact cell space a matrix
 // describes — every attack (scenario kind included), every deployed
 // defense (ROV blocked set, ASPA validator set, Peerlock), the policy's
-// routing graph — into one SHA-256 value. Two processes that rebuild the same
-// workload from the same flags (world scale, seeds, defaults) compute
-// the same digest, and any divergence (different topology seed, a
-// changed sample size, -no-tier1-spf toggled) changes it. Shard files
-// embed the digest at write time; resume and merge validate it against
-// the freshly rebuilt workload, so records can never be silently
-// replayed into the wrong experiment.
+// routing graph, plus the matrix's Ident — into one SHA-256 value. Two
+// processes that rebuild the same workload from the same flags (world
+// scale, seeds, defaults) compute the same digest, and any divergence
+// (different topology seed, a changed sample size or probe set,
+// -no-tier1-spf toggled) changes it. Shard files embed the digest at
+// write time; resume and merge validate it against the freshly rebuilt
+// workload, so records can never be silently replayed into the wrong
+// experiment.
 package sweep
 
 import (
@@ -86,6 +87,10 @@ func MatrixDigest(m Matrix) string {
 			bfp := setFingerprint(def.Blocked)
 			h.Write(bfp[:])
 		}
+	}
+	if len(m.Ident) > 0 {
+		put(int64(len(m.Ident)))
+		h.Write(m.Ident)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -33,6 +33,11 @@ type Matrix struct {
 	Size   func(g int) int
 	Policy func(g int) *core.Policy
 	Job    func(g, k int) (core.Attack, core.Defense)
+	// Ident is what the extractor reads beyond the cells — probe sets,
+	// thresholds — encoded by the experiment. MatrixDigest covers it, so
+	// shards measured differently refuse to merge; a matrix without one
+	// hashes exactly as its cells alone do.
+	Ident []byte
 }
 
 // offsets returns the group→first-cell prefix sums (length Groups+1);

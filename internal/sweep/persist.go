@@ -1,11 +1,11 @@
 // Checkpointed shard persistence: PersistShard is the write side of a
 // multi-process matrix run. In the json format it solves the shard in
-// memory and writes one indented file at the end (the historical
-// behaviour). In the recio format it streams records into the shard
-// file as cells complete, checkpointing every CheckpointEvery records —
-// and with Resume set it recovers the clean prefix of a crashed run,
-// validates the file's header against the freshly rebuilt workload, and
-// continues solving from the first missing cell instead of from zero.
+// memory and writes one indented file at the end. In the recio format it
+// streams records into a columnar shard file as cells complete,
+// checkpointing each segment as it seals — and with Resume set it
+// recovers the clean prefix of a crashed run, validates the file's header
+// against the freshly rebuilt workload, and continues solving from the
+// first missing cell instead of from zero.
 package sweep
 
 import (
@@ -21,11 +21,6 @@ import (
 	"github.com/bgpsim/bgpsim/internal/recio"
 )
 
-// defaultCheckpointEvery is the records-per-fsync cadence when the
-// store does not set one: frequent enough that a kill loses seconds of
-// solving, rare enough that sync cost stays invisible next to BFS time.
-const defaultCheckpointEvery = 256
-
 // ShardStore says where and how PersistShard writes its shard file.
 type ShardStore struct {
 	// Dir is the shard directory (created if missing).
@@ -36,10 +31,10 @@ type ShardStore struct {
 	// starting over. Invalid with the json format — json shards are
 	// written whole at the end and leave nothing to resume.
 	Resume bool
-	// CheckpointEvery is the recio checkpoint cadence in records;
-	// 0 means defaultCheckpointEvery.
+	// CheckpointEvery is the recio checkpoint cadence in records; 0
+	// means one checkpoint per whole-shard segment (wholeShardSegment).
 	CheckpointEvery int
-	// Level is the gzip compression level for recio formats,
+	// Level is the gzip compression level for the recio format,
 	// gzip.BestSpeed (1) through gzip.BestCompression (9); 0 means
 	// recio.DefaultLevel. The json format ignores it.
 	Level int
@@ -82,7 +77,7 @@ func PersistShard[T any](m Matrix, opts MatrixOptions, experiment string, extrac
 		return rep, fmt.Errorf("sweep: -resume needs the recio format: %s shards are written whole at the end and leave nothing to resume", codec.Name())
 	}
 	if store.Level != 0 && codec.Name() == FormatJSON {
-		return rep, fmt.Errorf("sweep: -level only applies to the recio formats; json shards are not compressed")
+		return rep, fmt.Errorf("sweep: -level only applies to the recio format; json shards are not compressed")
 	}
 	if err := os.MkdirAll(store.Dir, 0o755); err != nil {
 		return rep, err
@@ -116,29 +111,35 @@ func PersistShard[T any](m Matrix, opts MatrixOptions, experiment string, extrac
 	return rep, nil
 }
 
-// persistRecio streams the shard's records into a checkpointed recio
-// file, optionally resuming a crashed run's clean prefix.
+// persistRecio streams the shard's records into a checkpointed columnar
+// recio file, optionally resuming a crashed run's clean prefix.
 func persistRecio[T any](m Matrix, opts MatrixOptions, experiment string, extract func(g, k int, o *core.Outcome) T, store ShardStore, rep ShardReport, shard, shards int) (ShardReport, error) {
 	lo, hi := rep.CellLo, rep.CellHi
-	hdr := recio.Header{
-		Experiment:   experiment,
-		Cells:        m.Cells(),
-		Groups:       m.Groups,
-		Shard:        shard,
-		Shards:       shards,
-		CellLo:       lo,
-		CellHi:       hi,
-		MatrixDigest: MatrixDigest(m),
-		Tool:         store.Tool,
-		Seed:         store.Seed,
-		Workers:      store.Workers,
+	every := store.CheckpointEvery
+	if every <= 0 {
+		every = wholeShardSegment
+	}
+	sw := &shardWriter[T]{
+		path: rep.Path,
+		hdr: recio.Header{
+			Experiment:   experiment,
+			Cells:        m.Cells(),
+			Groups:       m.Groups,
+			Shard:        shard,
+			Shards:       shards,
+			CellLo:       lo,
+			CellHi:       hi,
+			MatrixDigest: MatrixDigest(m),
+			Tool:         store.Tool,
+			Seed:         store.Seed,
+			Workers:      store.Workers,
+		},
+		opts:    recio.Options{Level: store.Level},
+		every:   every,
+		durable: true,
 	}
 
-	var (
-		w    *recio.Writer
-		fh   *os.File
-		done int
-	)
+	done := 0
 	if store.Resume {
 		// RecoverStats seeks: with an intact index trailer the clean
 		// prefix is counted and CRC-verified without inflating a segment;
@@ -152,8 +153,10 @@ func persistRecio[T any](m Matrix, opts MatrixOptions, experiment string, extrac
 			// Unreadable magic or header: the previous run died before
 			// its first sync, so there is provably nothing to keep.
 			// Starting fresh is exactly what the crashed run would redo.
-		case !rec.Header.SameWorkload(hdr):
-			return rep, fmt.Errorf("%s:1: cannot resume: %s", rep.Path, rec.Header.DescribeMismatch(hdr))
+		case rec.Header.Layout != recio.LayoutColumns:
+			return rep, fmt.Errorf("%s:1: cannot resume: %w", rep.Path, errRowLayout)
+		case !rec.Header.SameWorkload(sw.hdr):
+			return rep, fmt.Errorf("%s:1: cannot resume: %s", rep.Path, rec.Header.DescribeMismatch(sw.hdr))
 		case rec.Records > hi-lo:
 			return rep, fmt.Errorf("%s:1: cannot resume: %d recovered records exceed the %d-cell range [%d,%d)",
 				rep.Path, rec.Records, hi-lo, lo, hi)
@@ -165,37 +168,27 @@ func persistRecio[T any](m Matrix, opts MatrixOptions, experiment string, extrac
 		default:
 			done = rec.Records
 			rep.SeekResume = rec.ViaIndex
-			fh, err = os.OpenFile(rep.Path, os.O_RDWR, 0)
-			if err != nil {
+			if sw.fh, err = os.OpenFile(rep.Path, os.O_RDWR, 0); err != nil {
 				return rep, err
 			}
-			if err := fh.Truncate(rec.CleanSize); err != nil {
-				fh.Close()
+			if err := sw.fh.Truncate(rec.CleanSize); err != nil {
+				sw.abort()
 				return rep, fmt.Errorf("%s: truncate to clean prefix: %w", rep.Path, err)
 			}
-			if _, err := fh.Seek(rec.CleanSize, io.SeekStart); err != nil {
-				fh.Close()
+			if _, err := sw.fh.Seek(rec.CleanSize, io.SeekStart); err != nil {
+				sw.abort()
 				return rep, fmt.Errorf("%s: %w", rep.Path, err)
 			}
-			if w, err = recio.ResumeWriter(fh, recio.Options{Level: store.Level}, rec); err != nil {
-				fh.Close()
+			// The recovered header's field map keeps governing the file:
+			// AppendRow rejects a record of any other width.
+			if sw.w, err = recio.ResumeWriter(sw.fh, sw.opts, rec); err != nil {
+				sw.abort()
 				return rep, fmt.Errorf("%s: %w", rep.Path, err)
 			}
-		}
-	}
-	if w == nil {
-		var err error
-		w, fh, err = recio.Create(rep.Path, hdr, recio.Options{Level: store.Level})
-		if err != nil {
-			return rep, err
 		}
 	}
 	rep.Resumed = done
 
-	every := store.CheckpointEvery
-	if every <= 0 {
-		every = defaultCheckpointEvery
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -216,27 +209,14 @@ func persistRecio[T any](m Matrix, opts MatrixOptions, experiment string, extrac
 
 	// The reducer is the file: records arrive in cell order from the
 	// reorder window and append straight into the open segment, which is
-	// checkpointed (written + fsynced) every `every` records.
+	// checkpointed (written + fsynced) as it seals.
 	var ioErr error
-	var p []byte
 	red := ReduceFunc[T]{EmitFn: func(_ int, v T) {
 		if ioErr != nil {
 			return
 		}
-		var err error
-		p, err = appendRecordJSON(p[:0], v)
-		if err != nil {
-			ioErr = fmt.Errorf("%s: encode record: %w", rep.Path, err)
-			return
-		}
-		if err := w.Append(p); err != nil {
+		if err := sw.append(&v); err != nil {
 			ioErr = fmt.Errorf("%s: %w", rep.Path, err)
-			return
-		}
-		if w.Pending() >= every {
-			if err := w.Checkpoint(); err != nil {
-				ioErr = fmt.Errorf("%s: %w", rep.Path, err)
-			}
 		}
 	}}
 	err := unwrapShardErr(runShard(m, m.offsets(), lo+done, hi, workers, opts.Window, prog, red, extract))
@@ -246,18 +226,14 @@ func persistRecio[T any](m Matrix, opts MatrixOptions, experiment string, extrac
 	if err != nil {
 		// Best effort: the records already emitted are an in-order
 		// prefix, so checkpointing them preserves the work for -resume.
-		if ioErr == nil {
-			_ = w.Checkpoint()
+		if ioErr == nil && sw.w != nil {
+			_ = sw.w.Checkpoint()
 		}
-		fh.Close()
+		sw.abort()
 		return rep, err
 	}
-	if err := w.Close(); err != nil {
-		fh.Close()
+	if err := sw.close(); err != nil {
 		return rep, fmt.Errorf("%s: %w", rep.Path, err)
-	}
-	if err := fh.Close(); err != nil {
-		return rep, err
 	}
 	rep.Solved = hi - lo - done
 	return rep, nil

@@ -70,22 +70,29 @@ expect holes.txt '531 succeed \(pollution ≥ 426\) despite filters; 531 of thos
 expect holes.txt 'AS137971 +AS114132 +9044 +0 ' "holes: worst hole pollutes 9,044 from depth 0"
 
 # Exercise the compressed shard path at full topology scale: solve one
-# eighth of the Figure 2 cell space into a recio shard, then rerun the
+# eighth of a study's cell space into a recio shard, then rerun the
 # identical command with -resume — a complete shard must resume to a
 # no-op, proving the on-disk file recovers and matches the rebuilt
-# workload (digest and all) at 42,697 ASes.
+# workload (digest and all) at 42,697 ASes. Figure 2 runs the two-column
+# hijack records; Figure 7 runs detection records, one column per probe
+# set, over its 8,000-attack workload.
 SHARDS="$OUT/recio-shards"
 mkdir -p "$SHARDS"
-if go run ./cmd/vulnscan -scale 42697 -sample 2000 -shard 0/8 \
-		-shard-dir "$SHARDS" -format recio \
-	&& go run ./cmd/vulnscan -scale 42697 -sample 2000 -shard 0/8 \
-		-shard-dir "$SHARDS" -format recio -resume 2>&1 | grep -q "records resumed via" \
-	&& [ -s "$SHARDS/fig2.0of8.rec" ]; then
-	echo "ok: recio shard written and resumed at paper scale ($(wc -c < "$SHARDS/fig2.0of8.rec") bytes)"
-else
-	echo "FAILED: recio-format paper-scale shard run"
-	fail=1
-fi
+shard_and_resume() { # shard_and_resume <tool> <shard file> <tool args...>
+	tool="$1" file="$SHARDS/$2"
+	shift 2
+	if go run "./cmd/$tool" -scale 42697 "$@" -shard 0/8 -shard-dir "$SHARDS" -format recio \
+		&& go run "./cmd/$tool" -scale 42697 "$@" -shard 0/8 -shard-dir "$SHARDS" -format recio -resume 2>&1 \
+			| grep -q "records resumed via" \
+		&& [ -s "$file" ]; then
+		echo "ok: $tool recio shard written and resumed at paper scale ($(wc -c < "$file") bytes)"
+	else
+		echo "FAILED: $tool recio-format paper-scale shard run"
+		fail=1
+	fi
+}
+shard_and_resume vulnscan fig2.0of8.rec -sample 2000
+shard_and_resume detectscan fig7.0of8.rec -attacks 8000
 
 if [ "$fail" -ne 0 ]; then
 	echo "paper-scale check FAILED: metrics drifted from EXPERIMENTS.md"
