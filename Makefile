@@ -78,13 +78,15 @@ vulncheck:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# Short fuzz pass over every parser, and the differential target that
-# holds Solver, Engine and DeltaSolver to one answer (CI-friendly).
+# Short fuzz pass over every parser, and the differential targets that
+# hold the sibling contraction to its map-based reference and Solver,
+# Engine and DeltaSolver to one answer (CI-friendly).
 fuzz:
 	$(GO) test ./internal/bgpwire -fuzz FuzzUnmarshal -fuzztime 15s
 	$(GO) test ./internal/bgpwire -fuzz FuzzFrameReader -fuzztime 10s
 	$(GO) test ./internal/prefix  -fuzz FuzzParse     -fuzztime 10s
 	$(GO) test ./internal/topology -fuzz FuzzParse    -fuzztime 10s
+	$(GO) test ./internal/topology -fuzz FuzzContractSiblings -fuzztime 10s
 	$(GO) test ./internal/irr     -fuzz FuzzParse     -fuzztime 10s
 	$(GO) test ./internal/recio   -fuzz FuzzDecode    -fuzztime 10s
 	$(GO) test ./internal/mrt     -fuzz FuzzMRTReader -fuzztime 10s

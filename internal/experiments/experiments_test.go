@@ -35,6 +35,27 @@ func TestNewWorld(t *testing.T) {
 	}
 }
 
+// TestNewWorldAllocs guards the paper-scale world build's allocation
+// count, a machine-independent proxy for its cost: the build draws every
+// attachment from Fenwick trees and assembles the generated and the
+// contracted graph straight into CSR slices, so its objects are per-stage
+// arrays, not per-link map entries.
+func TestNewWorldAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale world build")
+	}
+	const measured = 1192 // NewWorld(42697, 1) when the guard was set
+	got := testing.AllocsPerRun(1, func() {
+		if _, err := NewWorld(42697, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if max := measured * 1.25; got > max {
+		t.Errorf("NewWorld(42697) allocates %.0f times, want at most %.0f", got, max)
+	}
+	t.Logf("NewWorld(42697) allocates %.0f times", got)
+}
+
 func TestScenarioTargets(t *testing.T) {
 	w := world(t)
 	targets, err := w.ScenarioTargets(topology.UnderTier1)

@@ -1,8 +1,9 @@
 package topology
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+
+	"github.com/bgpsim/bgpsim/internal/asn"
 )
 
 // Contraction is the result of merging sibling groups: the contracted
@@ -19,140 +20,156 @@ type Contraction struct {
 	Groups [][]int
 }
 
+// rankedRels lists the external relationships from most to least
+// preferred by a merged group: customer > peer > provider, because the
+// merged organization will use the most preferred of its sessions.
+var rankedRels = [3]Rel{RelCustomer, RelPeer, RelProvider}
+
+// relRank is r's position in rankedRels.
+func relRank(r Rel) int {
+	return slices.Index(rankedRels[:], r)
+}
+
 // ContractSiblings merges every connected component of sibling links into a
 // single logical AS carrying the lowest member ASN. External relationships
 // are unioned; when two members disagree about an external AS the most
 // customer-like relationship wins (customer > peer > provider), because the
 // merged organization will use the most preferred of its sessions.
 func ContractSiblings(g *Graph) (*Contraction, error) {
+	n := g.N()
 	// Union-find over sibling links.
-	parent := make([]int, g.N())
+	parent := make([]int32, n)
 	for i := range parent {
-		parent[i] = i
+		parent[i] = int32(i)
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
-	for i := 0; i < g.N(); i++ {
+	for i := 0; i < n; i++ {
 		nbrs, rels := g.Neighbors(i)
 		for k, nb := range nbrs {
 			if rels[k] == RelSibling {
-				union(i, int(nb))
+				if ra, rb := find(int32(i)), find(nb); ra != rb {
+					parent[rb] = ra
+				}
 			}
 		}
 	}
 
 	// Representative per group: lowest ASN member. Node indices ascend with
-	// ASN, so the lowest index is the lowest ASN.
-	repOf := make(map[int]int) // root -> representative index
-	members := make(map[int][]int)
-	for i := 0; i < g.N(); i++ {
-		r := find(i)
-		members[r] = append(members[r], i)
-		if cur, ok := repOf[r]; !ok || i < cur {
-			repOf[r] = i
+	// ASN, so the lowest index is the lowest ASN, and scanning in index
+	// order meets each group's representative first. A group's root
+	// records its representative in repOfRoot; size counts members per
+	// representative.
+	rep := make([]int32, n)
+	repOfRoot := make([]int32, n)
+	size := make([]int32, n)
+	for i := range repOfRoot {
+		repOfRoot[i] = -1
+	}
+	for i := 0; i < n; i++ {
+		r := find(int32(i))
+		if repOfRoot[r] < 0 {
+			repOfRoot[r] = int32(i)
 		}
+		rep[i] = repOfRoot[r]
+		size[rep[i]]++
 	}
 
-	b := NewBuilder()
-	repIdx := func(i int) int { return repOf[find(i)] }
-
-	type pair [2]int
-	merged := make(map[pair]Rel)
-	relRank := func(r Rel) int { // lower = more preferred for the merged AS
-		switch r {
-		case RelCustomer:
-			return 0
-		case RelPeer:
-			return 1
-		default:
-			return 2
-		}
-	}
-	for i := 0; i < g.N(); i++ {
+	// External links between representatives, each link once (from its
+	// lower-indexed end), keyed (lo, hi, rank) so that sorting brings every
+	// pair's most customer-like relationship to the front of its run.
+	// Conflicting relationships between two merged groups are thereby
+	// resolved from the lower-indexed group's perspective.
+	keys := make([]uint64, 0, g.Edges())
+	for i := 0; i < n; i++ {
 		nbrs, rels := g.Neighbors(i)
-		ri := repIdx(i)
 		for k, nb := range nbrs {
-			if rels[k] == RelSibling {
+			if int(nb) <= i || rels[k] == RelSibling {
 				continue
 			}
-			rj := repIdx(int(nb))
-			if ri == rj {
+			lo, hi, rel := rep[i], rep[nb], rels[k]
+			if lo == hi {
 				continue // internal to a merged group
 			}
-			lo, hi, rel := ri, rj, rels[k]
 			if lo > hi {
 				lo, hi, rel = hi, lo, rel.invert()
 			}
-			key := pair{lo, hi}
-			// Conflicting relationships between two merged groups are
-			// resolved deterministically from the lower-indexed group's
-			// perspective, preferring the most customer-like session.
-			if prev, ok := merged[key]; !ok || relRank(rel) < relRank(prev) {
-				merged[key] = rel
+			keys = append(keys, linkKey(lo, hi)|uint64(relRank(rel)))
+		}
+	}
+	slices.Sort(keys)
+	keys = slices.CompactFunc(keys, func(a, b uint64) bool { return a>>2 == b>>2 })
+
+	// The contracted graph holds the representatives with an external
+	// link (marked 0 here, the rest -1), numbered in index (so ASN) order.
+	nodeOf := make([]int32, n)
+	for i := range nodeOf {
+		nodeOf[i] = -1
+	}
+	for _, key := range keys {
+		lo, hi, _ := unpackLink(key)
+		nodeOf[lo], nodeOf[hi] = 0, 0
+	}
+	var asns []asn.ASN
+	for i := 0; i < n; i++ {
+		if nodeOf[i] == 0 {
+			nodeOf[i] = int32(len(asns))
+			asns = append(asns, g.ASN(i))
+		}
+	}
+	for j, key := range keys {
+		lo, hi, _ := unpackLink(key)
+		keys[j] = packLink(nodeOf[lo], nodeOf[hi], rankedRels[key&3])
+	}
+	cg := newGraph(asns, keys)
+
+	// Attributes: the representative keeps its region; address weight sums
+	// over the group. A group without external links vanishes from the
+	// contracted graph and maps to -1. As when the graph went through a
+	// Builder, the weight column exists for any non-empty input and the
+	// region column when some representative has a region.
+	nodeMap := make([]int, n)
+	if n > 0 {
+		cg.addrWeight = make([]int64, len(asns))
+	}
+	for i := 0; i < n; i++ {
+		ni := nodeOf[rep[i]]
+		nodeMap[i] = int(ni)
+		if ni >= 0 {
+			cg.addrWeight[ni] += g.AddrWeight(i)
+		}
+		if int(rep[i]) == i && g.Region(i) >= 0 {
+			if cg.region == nil {
+				cg.region = make([]int32, len(asns))
+				for k := range cg.region {
+					cg.region[k] = -1
+				}
+			}
+			if ni >= 0 {
+				cg.region[ni] = int32(g.Region(i))
 			}
 		}
 	}
-	keys := make([]pair, 0, len(merged))
-	for k := range merged { //bgplint:ignore maporder keys are sorted immediately below
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	for _, key := range keys {
-		if err := b.AddLink(g.ASN(key[0]), g.ASN(key[1]), merged[key]); err != nil {
-			return nil, fmt.Errorf("contract: %w", err)
-		}
-	}
-	// Attributes: the representative keeps its region; address weight sums
-	// over the group.
-	groupWeight := make(map[int]int64)
-	for i := 0; i < g.N(); i++ {
-		groupWeight[repIdx(i)] += g.AddrWeight(i)
-	}
-	//bgplint:ignore maporder keyed per-rep writes; each representative is visited once
-	for rep, w := range groupWeight {
-		b.SetAddrWeight(g.ASN(rep), w)
-		if r := g.Region(rep); r >= 0 {
-			b.SetRegion(g.ASN(rep), r)
-		}
-	}
 
-	cg := b.Build()
-	nodeMap := make([]int, g.N())
-	for i := 0; i < g.N(); i++ {
-		ni, ok := cg.Index(g.ASN(repIdx(i)))
-		if !ok {
-			// A fully isolated sibling group (no external links) vanishes
-			// from the contracted graph; map it to -1.
-			ni = -1
-		}
-		nodeMap[i] = ni
-	}
+	// Groups: members in index order, groups in representative order. A
+	// representative is its group's first member, so it opens the group.
 	var groups [][]int
-	//bgplint:ignore maporder groups are sorted immediately below
-	for root, ms := range members {
-		if len(ms) > 1 {
-			sort.Ints(ms)
-			groups = append(groups, ms)
+	groupOf := make([]int32, n) // representative -> its index in groups
+	for i := 0; i < n; i++ {
+		r := rep[i]
+		if size[r] < 2 {
+			continue
 		}
-		_ = root
+		if int(r) == i {
+			groupOf[r] = int32(len(groups))
+			groups = append(groups, make([]int, 0, size[r]))
+		}
+		groups[groupOf[r]] = append(groups[groupOf[r]], i)
 	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a][0] < groups[b][0] })
 	return &Contraction{Graph: cg, NodeMap: nodeMap, Groups: groups}, nil
 }

@@ -1,8 +1,10 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
 )
@@ -105,17 +107,32 @@ func DefaultParams(n int) GenParams {
 type genState struct {
 	p   GenParams
 	rng *rand.Rand
-	b   *Builder
 
 	asns   []asn.ASN // node id (generation order) -> ASN
 	region []int     // node id -> region, -1 global
+	weight []int64   // node id -> address weight
 
-	tier1, tier2, mid, small, stub []int // node ids per layer
-	degree                         []int // running degree, for preferential attachment
+	tier1, tier2, mid, small *drawList // node ids per transit layer
+	degree                   []int     // running degree, for preferential attachment
+
+	// Mids and smalls per region, in layer order; built when the stubs
+	// attach, once every transit has its region.
+	midByRegion, smallByRegion []*drawList
+
+	// links in creation order; head and next thread each node's half of
+	// them (half 2k is link k at a, 2k+1 at b) into its adjacency list.
+	links      []genLink
+	head, next []int32
 
 	islandHub    int   // node id of the island's hub transit
 	islandTrans  []int // island-internal transit ASes
 	islandRegion int
+}
+
+// genLink is one generated link: rel is b's role from a's perspective.
+type genLink struct {
+	a, b int32
+	rel  Rel
 }
 
 // Generate builds a synthetic Internet-like AS graph. The same parameters
@@ -127,7 +144,6 @@ func Generate(p GenParams) (*Graph, error) {
 	s := &genState{
 		p:            p,
 		rng:          rand.New(rand.NewSource(p.Seed)),
-		b:            NewBuilder(),
 		islandRegion: p.Regions - 1,
 	}
 	s.assignASNs()
@@ -138,7 +154,7 @@ func Generate(p GenParams) (*Graph, error) {
 	s.buildStubs()
 	s.buildSiblings()
 	s.assignWeights()
-	g := s.b.Build()
+	g := s.graph()
 	if g.N() == 0 {
 		return nil, fmt.Errorf("generate: empty graph")
 	}
@@ -164,132 +180,194 @@ func (s *genState) assignASNs() {
 		s.asns[i] = asn.FromUint32(uint32(pool[i] + 100))
 	}
 	s.region = make([]int, n)
+	s.head = make([]int32, n)
 	for i := range s.region {
 		s.region[i] = -1
+		s.head[i] = -1
 	}
 	s.degree = make([]int, n)
+	// The transit layers are consecutive id ranges in layer order.
+	next := 0
+	layer := func(size int) *drawList {
+		ids := make([]int, size)
+		for i := range ids {
+			ids[i] = next + i
+		}
+		next += size
+		return s.newDrawList(ids)
+	}
+	s.tier1 = layer(s.p.Tier1)
+	s.tier2 = layer(s.p.Tier2)
+	s.mid = layer(s.p.Mid)
+	s.small = layer(s.p.Small)
 }
 
 func (s *genState) link(a, b int, rel Rel) {
-	// Generator invariants make conflicts impossible: every link is created
-	// exactly once between nodes of distinct layers or deduplicated peers.
-	if err := s.b.AddLink(s.asns[a], s.asns[b], rel); err != nil {
-		panic(fmt.Sprintf("generate: %v", err))
+	k := int32(len(s.links))
+	s.links = append(s.links, genLink{int32(a), int32(b), rel})
+	s.next = append(s.next, s.head[a], s.head[b])
+	s.head[a], s.head[b] = 2*k, 2*k+1
+	s.bump(a)
+	s.bump(b)
+}
+
+// bump raises id's degree, and with it its weight in the draw lists
+// holding it: its layer's and, once built, its region's.
+func (s *genState) bump(id int) {
+	s.degree[id]++
+	layer, byRegion := s.drawLists(id)
+	if layer == nil {
+		return // a stub: never a candidate
 	}
-	s.degree[a]++
-	s.degree[b]++
+	layer.add(id, 1)
+	if r := s.region[id]; r >= 0 && r < len(byRegion) {
+		byRegion[r].add(id, 1)
+	}
+}
+
+// drawLists returns the layer list holding id and that layer's lists
+// per region (nil until built); both are nil for a stub.
+func (s *genState) drawLists(id int) (*drawList, []*drawList) {
+	p := s.p
+	switch {
+	case id < p.Tier1:
+		return s.tier1, nil
+	case id < p.Tier1+p.Tier2:
+		return s.tier2, nil
+	case id < p.Tier1+p.Tier2+p.Mid:
+		return s.mid, s.midByRegion
+	case id < p.Tier1+p.Tier2+p.Mid+p.Small:
+		return s.small, s.smallByRegion
+	}
+	return nil, nil
+}
+
+// linkExists reports whether a and b are already linked, walking the
+// adjacency of the lower-degree end.
+func (s *genState) linkExists(a, b int) bool {
+	if s.degree[a] > s.degree[b] {
+		a, b = b, a
+	}
+	for e := s.head[a]; e >= 0; e = s.next[e] {
+		if l := s.links[e>>1]; int(l.a) == b || int(l.b) == b {
+			return true
+		}
+	}
+	return false
 }
 
 // pickWeighted selects one candidate with probability proportional to
-// degree+1 (preferential attachment), excluding ids in `used`.
-func (s *genState) pickWeighted(candidates []int, used map[int]bool) int {
-	total := 0
-	for _, c := range candidates {
-		if !used[c] {
-			total += s.degree[c] + 1
+// degree+1 (preferential attachment), excluding the ids in used (which
+// may repeat, or lie outside the list). It draws rng.Intn over the same
+// total, and returns the same candidate, as a walk down the list
+// subtracting each unused weight until the draw goes negative.
+func (s *genState) pickWeighted(l *drawList, used []int) int {
+	var excl [4]int // positions in l of the used ids, ascending
+	ex := excl[:0]
+	total := l.tree.total
+	for _, id := range used {
+		if i, ok := l.pos(id); ok && !slices.Contains(ex, i) {
+			ex = append(ex, i)
+			total -= s.degree[id] + 1
 		}
 	}
 	if total == 0 {
 		return -1
 	}
+	slices.Sort(ex)
+	// The walk returns the first position whose prefix of unused weights
+	// exceeds r. Below the first excluded position that is the first
+	// position whose full prefix exceeds r; past it, r grows by the
+	// excluded weight.
 	r := s.rng.Intn(total)
-	for _, c := range candidates {
-		if used[c] {
-			continue
+	i := l.tree.search(r)
+	for _, x := range ex {
+		if i < x {
+			break
 		}
-		r -= s.degree[c] + 1
-		if r < 0 {
-			return c
-		}
+		r += s.degree[l.ids[x]] + 1
+		i = l.tree.search(r)
 	}
-	return -1
+	return l.ids[i]
 }
 
 func (s *genState) buildTier1() {
-	n := s.p.Tier1
-	for i := 0; i < n; i++ {
-		s.tier1 = append(s.tier1, i)
-	}
+	t1 := s.tier1.ids
 	// Full peering clique.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			s.link(s.tier1[i], s.tier1[j], RelPeer)
+	for i := range t1 {
+		for j := i + 1; j < len(t1); j++ {
+			s.link(t1[i], t1[j], RelPeer)
 		}
 	}
 }
 
 func (s *genState) buildTier2() {
-	base := s.p.Tier1
-	for i := 0; i < s.p.Tier2; i++ {
-		s.tier2 = append(s.tier2, base+i)
-	}
-	for _, t2 := range s.tier2 {
+	t2s := s.tier2.ids
+	for _, t2 := range t2s {
 		// 1–3 tier-1 providers, degree-weighted.
 		n := 1 + s.rng.Intn(3)
-		used := map[int]bool{}
+		used := make([]int, 0, 3)
 		for k := 0; k < n; k++ {
 			p := s.pickWeighted(s.tier1, used)
 			if p < 0 {
 				break
 			}
-			used[p] = true
+			used = append(used, p)
 			s.link(p, t2, RelCustomer)
 		}
 	}
 	// Dense tier-2 peering mesh (~55 %), mirroring the highly
 	// inter-connected degree≥500 backbone class in the paper.
-	for i := 0; i < len(s.tier2); i++ {
-		for j := i + 1; j < len(s.tier2); j++ {
+	for i := range t2s {
+		for j := i + 1; j < len(t2s); j++ {
 			if s.rng.Float64() < 0.55 {
-				s.link(s.tier2[i], s.tier2[j], RelPeer)
+				s.link(t2s[i], t2s[j], RelPeer)
 			}
 		}
 	}
 }
 
 func (s *genState) buildMid() {
-	base := s.p.Tier1 + s.p.Tier2
-	for i := 0; i < s.p.Mid; i++ {
-		id := base + i
-		s.mid = append(s.mid, id)
+	mids := s.mid.ids
+	for _, id := range mids {
 		s.region[id] = s.rng.Intn(maxInt(1, s.p.Regions-1)) // not the island
 	}
 	// The island hub is a dedicated mid transit homed to tier-2s.
-	if len(s.mid) > 0 {
-		s.islandHub = s.mid[len(s.mid)-1]
+	if len(mids) > 0 {
+		s.islandHub = mids[len(mids)-1]
 		s.region[s.islandHub] = s.islandRegion
 	}
-	for _, m := range s.mid {
+	for _, m := range mids {
 		nProv := 1 + s.rng.Intn(2)
 		if s.rng.Float64() < 0.25 {
 			nProv++
 		}
-		used := map[int]bool{}
+		used := make([]int, 0, 3)
 		for k := 0; k < nProv; k++ {
 			layer := s.tier2
-			if len(layer) == 0 || s.rng.Float64() < 0.2 {
+			if len(layer.ids) == 0 || s.rng.Float64() < 0.2 {
 				layer = s.tier1
 			}
 			p := s.pickWeighted(layer, used)
 			if p < 0 {
 				continue
 			}
-			used[p] = true
+			used = append(used, p)
 			s.link(p, m, RelCustomer)
 		}
 	}
 	// Sparse regional peering among mids.
-	for i := 0; i < len(s.mid); i++ {
+	for i := range mids {
 		for k := 0; k < 2; k++ {
 			if s.rng.Float64() > 0.08 {
 				continue
 			}
-			j := s.rng.Intn(len(s.mid))
-			a, b := s.mid[i], s.mid[j]
+			j := s.rng.Intn(len(mids))
+			a, b := mids[i], mids[j]
 			if a == b || s.region[a] != s.region[b] {
 				continue
 			}
-			if s.b.linkExists(s.asns[a], s.asns[b]) {
+			if s.linkExists(a, b) {
 				continue
 			}
 			s.link(a, b, RelPeer)
@@ -298,24 +376,21 @@ func (s *genState) buildMid() {
 }
 
 func (s *genState) buildSmall() {
-	base := s.p.Tier1 + s.p.Tier2 + s.p.Mid
-	for i := 0; i < s.p.Small; i++ {
-		s.small = append(s.small, base+i)
-	}
+	smalls, mids := s.small.ids, s.mid.ids
 	// Reserve a slice of smalls as island-internal transits, arranged as a
 	// two-level hierarchy below the hub so the island has depth of its own
 	// (the paper's NZ region holds ASes at several depths). One first-level
 	// transit gets a backup provider outside the island, mirroring a
 	// regional ISP with its own international transit.
-	nIslandTrans := minInt(len(s.small)/8, maxInt(4, s.p.IslandSize/8))
+	nIslandTrans := minInt(len(smalls)/8, maxInt(4, s.p.IslandSize/8))
 	idx := 0
-	for ; idx < nIslandTrans && idx < len(s.small); idx++ {
-		sm := s.small[idx]
+	for ; idx < nIslandTrans && idx < len(smalls); idx++ {
+		sm := smalls[idx]
 		s.region[sm] = s.islandRegion
 		s.islandTrans = append(s.islandTrans, sm)
 		if k := len(s.islandTrans); k <= maxInt(2, nIslandTrans/2) {
 			s.link(s.islandHub, sm, RelCustomer) // first level: under the hub
-			if k == 2 && len(s.tier2) > 0 {
+			if k == 2 && len(s.tier2.ids) > 0 {
 				out := s.pickWeighted(s.tier2, nil)
 				if out >= 0 {
 					s.link(out, sm, RelCustomer)
@@ -331,22 +406,22 @@ func (s *genState) buildSmall() {
 	// Deep chains: consume groups of 2–4 smalls as provider chains below a
 	// mid, producing transit ASes at depths 2–4 (and stub targets below
 	// them at depths 3–5+).
-	nChain := int(s.p.ChainFraction * float64(len(s.small)-idx))
-	for idx < len(s.small) && nChain > 0 {
+	nChain := int(s.p.ChainFraction * float64(len(smalls)-idx))
+	for idx < len(smalls) && nChain > 0 {
 		chainLen := 2 + s.rng.Intn(3)
 		if chainLen > nChain {
 			chainLen = nChain
 		}
-		if idx+chainLen > len(s.small) {
-			chainLen = len(s.small) - idx
+		if idx+chainLen > len(smalls) {
+			chainLen = len(smalls) - idx
 		}
-		parent := s.mid[s.rng.Intn(len(s.mid))]
-		if parent == s.islandHub && len(s.mid) > 1 {
-			parent = s.mid[0]
+		parent := mids[s.rng.Intn(len(mids))]
+		if parent == s.islandHub && len(mids) > 1 {
+			parent = mids[0]
 		}
 		region := s.region[parent]
 		for k := 0; k < chainLen; k++ {
-			sm := s.small[idx]
+			sm := smalls[idx]
 			s.region[sm] = region
 			s.link(parent, sm, RelCustomer)
 			parent = sm
@@ -357,29 +432,27 @@ func (s *genState) buildSmall() {
 
 	// Remaining smalls: ordinary single/dual-homed transits under mids
 	// (mostly) or tier-2s.
-	for ; idx < len(s.small); idx++ {
-		sm := s.small[idx]
-		var parentLayer []int
-		if s.rng.Float64() < 0.7 && len(s.mid) > 0 {
+	for ; idx < len(smalls); idx++ {
+		sm := smalls[idx]
+		var parentLayer *drawList
+		if s.rng.Float64() < 0.7 && len(mids) > 0 {
 			parentLayer = s.mid
-		} else if len(s.tier2) > 0 {
+		} else if len(s.tier2.ids) > 0 {
 			parentLayer = s.tier2
 		} else {
 			parentLayer = s.tier1
 		}
-		used := map[int]bool{s.islandHub: true}
-		p := s.pickWeighted(parentLayer, used)
+		p := s.pickWeighted(parentLayer, []int{s.islandHub})
 		if p < 0 {
-			p = s.tier1[0]
+			p = s.tier1.ids[0]
 		}
-		used[p] = true
 		s.region[sm] = s.region[p]
 		if s.region[sm] < 0 {
 			s.region[sm] = s.rng.Intn(maxInt(1, s.p.Regions-1))
 		}
 		s.link(p, sm, RelCustomer)
 		if s.rng.Float64() < 0.3 {
-			if q := s.pickWeighted(parentLayer, used); q >= 0 {
+			if q := s.pickWeighted(parentLayer, []int{s.islandHub, p}); q >= 0 {
 				s.link(q, sm, RelCustomer)
 			}
 		}
@@ -388,43 +461,56 @@ func (s *genState) buildSmall() {
 
 // providerPool returns attachment candidates for a stub in a region,
 // preferring transit ASes of that region.
-func (s *genState) providerPool(region int, roll float64) []int {
+func (s *genState) providerPool(region int, roll float64) *drawList {
 	switch {
 	case roll < 0.03:
 		return s.tier1
-	case roll < 0.30 && len(s.tier2) > 0:
+	case roll < 0.30 && len(s.tier2.ids) > 0:
 		return s.tier2
-	case roll < 0.72 && len(s.mid) > 0:
-		return s.regionFiltered(s.mid, region)
-	case len(s.small) > 0:
-		return s.regionFiltered(s.small, region)
+	case roll < 0.72 && len(s.mid.ids) > 0:
+		return s.regionFiltered(s.mid, s.midByRegion, region)
+	case len(s.small.ids) > 0:
+		return s.regionFiltered(s.small, s.smallByRegion, region)
 	default:
 		return s.tier1
 	}
 }
 
-func (s *genState) regionFiltered(layer []int, region int) []int {
+// regionFiltered returns, most of the time, the layer's candidates in the
+// given region (byRegion[region]), or else the whole layer.
+func (s *genState) regionFiltered(layer *drawList, byRegion []*drawList, region int) *drawList {
 	if region < 0 || s.rng.Float64() > 0.8 {
 		return layer
 	}
-	var out []int
-	for _, v := range layer {
-		if s.region[v] == region {
-			out = append(out, v)
+	if l := byRegion[region]; len(l.ids) > 0 {
+		return l
+	}
+	return layer
+}
+
+// byRegion splits a layer's draw list into one list per region, each in
+// layer order.
+func (s *genState) byRegion(layer *drawList) []*drawList {
+	ids := make([][]int, s.p.Regions)
+	for _, id := range layer.ids {
+		if r := s.region[id]; r >= 0 {
+			ids[r] = append(ids[r], id)
 		}
 	}
-	if len(out) == 0 {
-		return layer
+	lists := make([]*drawList, len(ids))
+	for r := range ids {
+		lists[r] = s.newDrawList(ids[r])
 	}
-	return out
+	return lists
 }
 
 func (s *genState) buildStubs() {
+	s.midByRegion = s.byRegion(s.mid)
+	s.smallByRegion = s.byRegion(s.small)
 	base := s.p.Tier1 + s.p.Tier2 + s.p.Mid + s.p.Small
 	nIslandStubs := maxInt(0, s.p.IslandSize-len(s.islandTrans)-1)
 	for i := 0; i < s.p.Stub; i++ {
 		id := base + i
-		s.stub = append(s.stub, id)
 		if i < nIslandStubs {
 			// Island stubs attach inside the island, with a deep bias so
 			// the region has its own vulnerable tail; ~12 % also multihome
@@ -440,8 +526,8 @@ func (s *genState) buildStubs() {
 			p := pool[s.rng.Intn(len(pool))]
 			s.link(p, id, RelCustomer)
 			switch {
-			case s.rng.Float64() < 0.12 && len(s.mid) > 1:
-				if out := s.pickWeighted(s.mid, map[int]bool{s.islandHub: true, p: true}); out >= 0 {
+			case s.rng.Float64() < 0.12 && len(s.mid.ids) > 1:
+				if out := s.pickWeighted(s.mid, []int{s.islandHub, p}); out >= 0 {
 					s.link(out, id, RelCustomer)
 				}
 			case s.rng.Float64() < 0.2 && len(s.islandTrans) > 1:
@@ -455,44 +541,39 @@ func (s *genState) buildStubs() {
 		region := s.rng.Intn(maxInt(1, s.p.Regions-1))
 		s.region[id] = region
 		pool := s.providerPool(region, s.rng.Float64())
-		used := map[int]bool{}
-		p := s.pickWeighted(pool, used)
+		p := s.pickWeighted(pool, nil)
 		if p < 0 {
-			p = s.tier1[0]
+			p = s.tier1.ids[0]
 		}
-		used[p] = true
 		s.link(p, id, RelCustomer)
 		if s.rng.Float64() < s.p.MultihomeFraction {
 			pool2 := s.providerPool(region, s.rng.Float64())
-			if q := s.pickWeighted(pool2, used); q >= 0 {
-				used[q] = true
+			if q := s.pickWeighted(pool2, []int{p}); q >= 0 {
 				s.link(q, id, RelCustomer)
 				if s.rng.Float64() < 1.0/6 {
-					if r := s.pickWeighted(pool2, used); r >= 0 {
+					if r := s.pickWeighted(pool2, []int{p, q}); r >= 0 {
 						s.link(r, id, RelCustomer)
 					}
 				}
 			}
 		}
 	}
-	for i := range s.asns {
-		s.b.SetRegion(s.asns[i], s.region[i])
-	}
 }
 
 func (s *genState) buildSiblings() {
 	// Pair up mids from the same region as sibling organizations.
+	mids := s.mid.ids
 	made := 0
 	for attempt := 0; attempt < s.p.SiblingGroups*20 && made < s.p.SiblingGroups; attempt++ {
-		if len(s.mid) < 2 {
+		if len(mids) < 2 {
 			return
 		}
-		a := s.mid[s.rng.Intn(len(s.mid))]
-		b := s.mid[s.rng.Intn(len(s.mid))]
+		a := mids[s.rng.Intn(len(mids))]
+		b := mids[s.rng.Intn(len(mids))]
 		if a == b || a == s.islandHub || b == s.islandHub {
 			continue
 		}
-		if s.b.linkExists(s.asns[a], s.asns[b]) {
+		if s.linkExists(a, b) {
 			continue
 		}
 		s.link(a, b, RelSibling)
@@ -501,31 +582,68 @@ func (s *genState) buildSiblings() {
 }
 
 func (s *genState) assignWeights() {
-	// One weight per id, filled from the layer lists lowest layer first so
-	// that an id listed in two layers keeps the higher layer's weight. The
-	// ids no layer marks are the stubs, which draw theirs in id order.
-	weights := make([]int64, len(s.asns))
+	// Layer weights by id; the ids no layer marks are the stubs, which
+	// draw theirs in id order.
+	s.weight = make([]int64, len(s.asns))
 	for _, layer := range []struct {
 		ids    []int
 		weight int64
-	}{{s.small, 1 << 8}, {s.mid, 1 << 10}, {s.tier2, 1 << 14}, {s.tier1, 1 << 16}} {
+	}{{s.small.ids, 1 << 8}, {s.mid.ids, 1 << 10}, {s.tier2.ids, 1 << 14}, {s.tier1.ids, 1 << 16}} {
 		for _, id := range layer.ids {
-			weights[id] = layer.weight
+			s.weight[id] = layer.weight
 		}
 	}
-	for id, w := range weights {
+	for id, w := range s.weight {
 		if w == 0 {
-			w = 1 << uint(4+s.rng.Intn(5))
+			s.weight[id] = 1 << uint(4+s.rng.Intn(5))
 		}
-		s.b.SetAddrWeight(s.asns[id], w)
 	}
 }
 
-// linkExists reports whether the builder already has any link between a and b.
-func (b *Builder) linkExists(a, c asn.ASN) bool {
-	key, _ := orderLink(a, c, RelPeer)
-	_, ok := b.links[key]
-	return ok
+// graph assembles the generated links into the CSR Graph. As in
+// Builder.Build, the linked nodes are numbered in ascending ASN order, a
+// link repeated with the same relationship counts once and a conflicting
+// one is an error (which the generator's invariants rule out: every
+// link is created once, between nodes of distinct layers or checked
+// peers).
+func (s *genState) graph() *Graph {
+	ids := make([]int32, 0, len(s.asns))
+	for id, d := range s.degree {
+		if d > 0 {
+			ids = append(ids, int32(id))
+		}
+	}
+	slices.SortFunc(ids, func(a, b int32) int { return cmp.Compare(s.asns[a], s.asns[b]) })
+	node := make([]int32, len(s.asns)) // id -> node index
+	asns := make([]asn.ASN, len(ids))
+	for i, id := range ids {
+		node[id] = int32(i)
+		asns[i] = s.asns[id]
+	}
+	keys := make([]uint64, len(s.links))
+	for k, l := range s.links {
+		a, b, rel := node[l.a], node[l.b], l.rel
+		if a > b {
+			a, b, rel = b, a, rel.invert()
+		}
+		keys[k] = packLink(a, b, rel)
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	for k := 1; k < len(keys); k++ {
+		if keys[k]>>2 == keys[k-1]>>2 {
+			lo, hi, _ := unpackLink(keys[k])
+			panic(fmt.Sprintf("generate: link %v-%v: conflicting relationships", asns[lo], asns[hi]))
+		}
+	}
+	g := newGraph(asns, keys)
+	g.region = make([]int32, len(ids))
+	g.addrWeight = make([]int64, len(ids))
+	for i, id := range ids {
+		g.region[i] = int32(s.region[id])
+		g.addrWeight[i] = s.weight[id]
+	}
+	return g
 }
 
 func maxInt(a, b int) int {

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -237,6 +238,79 @@ func TestGraphSymmetryProperty(t *testing.T) {
 		}
 		if total != 2*g.Edges() {
 			t.Fatalf("graph %d: degree sum %d != 2×edges %d", gi, total, 2*g.Edges())
+		}
+	}
+}
+
+// TestPickWeightedMatchesScan holds the Fenwick draw to the linear scan
+// it replaced: from the same RNG state both must return the same
+// candidate and consume the same draw, with exclusions that repeat, lie
+// outside the list or cover all of it.
+func TestPickWeightedMatchesScan(t *testing.T) {
+	scan := func(rng *rand.Rand, degree, candidates []int, used map[int]bool) int {
+		total := 0
+		for _, c := range candidates {
+			if !used[c] {
+				total += degree[c] + 1
+			}
+		}
+		if total == 0 {
+			return -1
+		}
+		r := rng.Intn(total)
+		for _, c := range candidates {
+			if used[c] {
+				continue
+			}
+			r -= degree[c] + 1
+			if r < 0 {
+				return c
+			}
+		}
+		return -1
+	}
+	src := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + src.Intn(40)
+		s := &genState{degree: make([]int, 2*n)}
+		for i := range s.degree {
+			s.degree[i] = src.Intn(50)
+		}
+		var ids []int
+		for id := 0; id < 2*n; id++ {
+			if src.Intn(2) == 0 {
+				ids = append(ids, id)
+			}
+		}
+		l := s.newDrawList(ids)
+		// Raise some weights after the build, as link does.
+		for k := src.Intn(5); k > 0; k-- {
+			id := src.Intn(2 * n)
+			s.degree[id]++
+			l.add(id, 1)
+		}
+		used := make([]int, src.Intn(4))
+		usedSet := map[int]bool{}
+		for k := range used {
+			used[k] = src.Intn(2 * n)
+			usedSet[used[k]] = true
+		}
+		if trial%50 == 0 {
+			used = ids // everything excluded
+			usedSet = map[int]bool{}
+			for _, id := range ids {
+				usedSet[id] = true
+			}
+		}
+		seed := src.Int63()
+		s.rng = rand.New(rand.NewSource(seed))
+		ref := rand.New(rand.NewSource(seed))
+		got, want := s.pickWeighted(l, used), scan(ref, s.degree, ids, usedSet)
+		if got != want {
+			t.Fatalf("trial %d: pickWeighted = %d, scan = %d (ids %v, used %v, degree %v)", trial, got, want, ids, used, s.degree)
+		}
+		if a, b := s.rng.Int63(), ref.Int63(); a != b {
+			t.Fatalf("trial %d: RNG streams diverged after the draw", trial)
 		}
 	}
 }

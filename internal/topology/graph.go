@@ -10,9 +10,10 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
+	"github.com/bgpsim/bgpsim/internal/xmaps"
 )
 
 // Rel describes the role a neighbor plays from a node's own perspective.
@@ -184,15 +185,14 @@ func (g *Graph) TotalAddrWeight() int64 {
 
 // Builder accumulates relationship links and produces an immutable Graph.
 type Builder struct {
-	links      map[[2]asn.ASN]Rel // key is ordered (low, high); rel from low's perspective
-	order      [][2]asn.ASN       // insertion order for deterministic builds
+	links      map[uint64]Rel // key packs (low ASN)<<32 | high ASN; rel is high's role from low's perspective
 	regions    map[asn.ASN]int32
 	addrWeight map[asn.ASN]int64
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{links: make(map[[2]asn.ASN]Rel)}
+	return &Builder{links: make(map[uint64]Rel)}
 }
 
 // AddLink records a relationship between a and b, where rel is b's role
@@ -214,17 +214,22 @@ func (b *Builder) AddLink(a, c asn.ASN, rel Rel) error {
 		return nil
 	}
 	b.links[key] = r
-	b.order = append(b.order, key)
 	return nil
 }
 
-// orderLink normalizes a link to (low ASN, high ASN) with the relationship
-// expressed as the high node's role from the low node's perspective.
-func orderLink(a, c asn.ASN, rel Rel) ([2]asn.ASN, Rel) {
-	if a <= c {
-		return [2]asn.ASN{a, c}, rel
+// orderLink normalizes a link to the key (low ASN)<<32 | high ASN with the
+// relationship expressed as the high node's role from the low node's
+// perspective.
+func orderLink(a, c asn.ASN, rel Rel) (uint64, Rel) {
+	if a > c {
+		a, c, rel = c, a, rel.invert()
 	}
-	return [2]asn.ASN{c, a}, rel.invert()
+	return uint64(a.Uint32())<<32 | uint64(c.Uint32()), rel
+}
+
+// linkASNs returns the (low, high) ASNs of an orderLink key.
+func linkASNs(key uint64) (asn.ASN, asn.ASN) {
+	return asn.FromUint32(uint32(key >> 32)), asn.FromUint32(uint32(key))
 }
 
 // SetRegion labels an AS with a region identifier.
@@ -247,83 +252,98 @@ func (b *Builder) SetAddrWeight(a asn.ASN, weight int64) {
 // ascending ASN order, so builds are deterministic regardless of insertion
 // order.
 func (b *Builder) Build() *Graph {
-	seen := make(map[asn.ASN]struct{}, len(b.links)*2)
-	for key := range b.links {
-		seen[key[0]] = struct{}{}
-		seen[key[1]] = struct{}{}
-	}
-	asns := make([]asn.ASN, 0, len(seen))
-	for a := range seen { //bgplint:ignore maporder asns are sorted immediately below
-		asns = append(asns, a)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-
-	index := make(map[asn.ASN]int, len(asns))
-	for i, a := range asns {
-		index[a] = i
-	}
-
-	n := len(asns)
-	deg := make([]int32, n)
-	for key := range b.links {
-		deg[index[key[0]]]++
-		deg[index[key[1]]]++
-	}
-	off := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		off[i+1] = off[i] + deg[i]
-	}
-	nbr := make([]int32, off[n])
-	rel := make([]Rel, off[n])
-	cursor := make([]int32, n)
-	copy(cursor, off[:n])
-
-	// Deterministic edge order: sort link keys.
-	keys := make([][2]asn.ASN, 0, len(b.links))
-	for key := range b.links { //bgplint:ignore maporder keys are sorted immediately below
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
+	keys := xmaps.SortedKeys(b.links)
+	asns := make([]asn.ASN, 0, 2*len(keys))
 	for _, key := range keys {
-		r := b.links[key]
-		lo, hi := index[key[0]], index[key[1]]
-		nbr[cursor[lo]], rel[cursor[lo]] = int32(hi), r
-		cursor[lo]++
-		nbr[cursor[hi]], rel[cursor[hi]] = int32(lo), r.invert()
-		cursor[hi]++
+		a, c := linkASNs(key)
+		asns = append(asns, a, c)
 	}
+	slices.Sort(asns)
+	asns = slices.Clone(slices.Compact(asns))
 
-	g := &Graph{asns: asns, index: index, off: off, nbr: nbr, rel: rel}
+	// Index order is ASN order, so the keys stay sorted once rewritten
+	// over node indices.
+	links := make([]uint64, len(keys))
+	for j, key := range keys {
+		a, c := linkASNs(key)
+		lo, _ := slices.BinarySearch(asns, a)
+		hi, _ := slices.BinarySearch(asns, c)
+		links[j] = packLink(int32(lo), int32(hi), b.links[key])
+	}
+	g := newGraph(asns, links)
 	if b.regions != nil {
-		g.region = make([]int32, n)
-		for i := range g.region {
+		g.region = make([]int32, len(asns))
+		for i, a := range asns {
 			g.region[i] = -1
-		}
-		//bgplint:ignore maporder keyed writes into distinct indices; each ASN is visited once
-		for a, r := range b.regions {
-			if i, ok := index[a]; ok {
+			if r, ok := b.regions[a]; ok {
 				g.region[i] = r
 			}
 		}
 	}
 	if b.addrWeight != nil {
-		g.addrWeight = make([]int64, n)
-		for i := range g.addrWeight {
+		g.addrWeight = make([]int64, len(asns))
+		for i, a := range asns {
 			g.addrWeight[i] = 1
-		}
-		//bgplint:ignore maporder keyed writes into distinct indices; each ASN is visited once
-		for a, w := range b.addrWeight {
-			if i, ok := index[a]; ok {
+			if w, ok := b.addrWeight[a]; ok {
 				g.addrWeight[i] = w
 			}
 		}
 	}
 	return g
+}
+
+// linkKey packs the node pair lo < hi into one word: lo in the top 31
+// bits, hi in the next 31, leaving the low two bits for a relationship
+// code. Ascending words order links by (lo, hi), and a run of equal
+// (lo, hi) by code.
+func linkKey(lo, hi int32) uint64 {
+	return uint64(lo)<<33 | uint64(hi)<<2
+}
+
+// packLink is linkKey carrying rel-1 as the code, where rel is hi's role
+// from lo's perspective.
+func packLink(lo, hi int32, rel Rel) uint64 {
+	return linkKey(lo, hi) | uint64(rel-1)
+}
+
+// unpackLink is packLink's inverse.
+func unpackLink(key uint64) (lo, hi int32, rel Rel) {
+	return int32(key >> 33), int32(key>>2) & (1<<31 - 1), Rel(key&3) + 1
+}
+
+// newGraph assembles the CSR graph over asns (ascending, one per node)
+// from packLink words sorted ascending with no (lo, hi) pair twice.
+// Filling in link order leaves every node's adjacency in ascending
+// neighbor order: its links to lower nodes come first, sorted by the
+// lower end, then its links to higher nodes, sorted by the higher end.
+// Regions and address weights are left for the caller.
+func newGraph(asns []asn.ASN, links []uint64) *Graph {
+	n := len(asns)
+	index := make(map[asn.ASN]int, n)
+	for i, a := range asns {
+		index[a] = i
+	}
+	off := make([]int32, n+1)
+	for _, key := range links {
+		lo, hi, _ := unpackLink(key)
+		off[lo+1]++
+		off[hi+1]++
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	nbr := make([]int32, off[n])
+	rel := make([]Rel, off[n])
+	cursor := make([]int32, n)
+	copy(cursor, off[:n])
+	for _, key := range links {
+		lo, hi, r := unpackLink(key)
+		nbr[cursor[lo]], rel[cursor[lo]] = hi, r
+		cursor[lo]++
+		nbr[cursor[hi]], rel[cursor[hi]] = lo, r.invert()
+		cursor[hi]++
+	}
+	return &Graph{asns: asns, index: index, off: off, nbr: nbr, rel: rel}
 }
 
 // Clone returns a Builder pre-populated with all of g's links and
