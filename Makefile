@@ -79,14 +79,16 @@ vulncheck:
 	fi
 
 # Short fuzz pass over every parser, and the differential targets that
-# hold the sibling contraction to its map-based reference and Solver,
-# Engine and DeltaSolver to one answer (CI-friendly).
+# hold the sibling contraction to its map-based reference, the buffered
+# matrix digest to its unbuffered reference, and Solver, Engine and
+# DeltaSolver to one answer (CI-friendly).
 fuzz:
 	$(GO) test ./internal/bgpwire -fuzz FuzzUnmarshal -fuzztime 15s
 	$(GO) test ./internal/bgpwire -fuzz FuzzFrameReader -fuzztime 10s
 	$(GO) test ./internal/prefix  -fuzz FuzzParse     -fuzztime 10s
 	$(GO) test ./internal/topology -fuzz FuzzParse    -fuzztime 10s
 	$(GO) test ./internal/topology -fuzz FuzzContractSiblings -fuzztime 10s
+	$(GO) test ./internal/sweep    -fuzz FuzzMatrixDigest -fuzztime 10s
 	$(GO) test ./internal/irr     -fuzz FuzzParse     -fuzztime 10s
 	$(GO) test ./internal/recio   -fuzz FuzzDecode    -fuzztime 10s
 	$(GO) test ./internal/mrt     -fuzz FuzzMRTReader -fuzztime 10s

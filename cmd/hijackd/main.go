@@ -48,6 +48,31 @@ func main() {
 // per-query solve time is milliseconds, so this is generous.
 const drainTimeout = 30 * time.Second
 
+// Connection deadlines. A client has readHeaderTimeout to send its
+// request header and readTimeout for the whole request, which lets the
+// largest body queryd accepts (8 MiB) arrive at ~300 KiB/s; a keep-alive
+// connection idle for idleTimeout is closed. Responses are not bounded:
+// a deployment sweep may legitimately compute for longer. Nor does the
+// read deadline cancel such a handler's r.Context(): net/http clears it
+// once the whole request is read, before its background read of the
+// connection starts.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the HTTP server around h with the given header
+// deadline and the package's read and idle deadlines.
+func newServer(h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: headerTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("hijackd", flag.ContinueOnError)
 	wf := cli.AddWorldFlags(fs)
@@ -73,7 +98,7 @@ func run(args []string) error {
 	// listeners stay scriptable.
 	fmt.Fprintf(os.Stderr, "hijackd: listening on http://%s\n", ln.Addr())
 
-	srv := &http.Server{Handler: s.Handler()}
+	srv := newServer(s.Handler(), readHeaderTimeout)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -30,6 +30,9 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(ka)
+	// An UPDATE from inside a confederation (RFC 5065): the confed
+	// segments drop out of the path, so its re-marshal is shorter.
+	f.Add(confedUpdate([]uint32{SegmentConfedSequence, 64512}, []uint32{SegmentSequence, 7018, 12145}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := Unmarshal(data)

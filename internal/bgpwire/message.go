@@ -44,10 +44,13 @@ const (
 	OriginIncomplete = 2
 )
 
-// AS_PATH segment types.
+// AS_PATH segment types. The confederation segments (RFC 5065) carry
+// member-AS hops inside a confederation; they are not counted as path.
 const (
-	SegmentSet      = 1
-	SegmentSequence = 2
+	SegmentSet            = 1
+	SegmentSequence       = 2
+	SegmentConfedSequence = 3
+	SegmentConfedSet      = 4
 )
 
 // Open is a BGP OPEN message (RFC 4271 §4.2). Optional parameters are
@@ -381,8 +384,11 @@ func (u *Update) unmarshalAttrs(data []byte) error {
 	return nil
 }
 
-// unmarshalASPath flattens every segment into one path. It walks the
-// segment headers once to validate and size the result, then fills it.
+// unmarshalASPath flattens every AS_SEQUENCE and AS_SET segment into one
+// path, skipping confederation segments (RFC 5065 §5.3: they do not count
+// toward the path), so a path of confederation segments alone flattens
+// to empty. It walks the segment headers once to validate and size the
+// result, then fills it.
 func unmarshalASPath(data []byte) ([]asn.ASN, error) {
 	total := 0
 	for rest := data; len(rest) > 0; {
@@ -390,13 +396,15 @@ func unmarshalASPath(data []byte) ([]asn.ASN, error) {
 			return nil, fmt.Errorf("bgpwire: truncated AS_PATH segment")
 		}
 		segType, count := rest[0], int(rest[1])
-		if segType != SegmentSequence && segType != SegmentSet {
+		if segType < SegmentSet || segType > SegmentConfedSet {
 			return nil, fmt.Errorf("bgpwire: unknown AS_PATH segment type %d", segType)
 		}
 		if len(rest) < 2+4*count {
 			return nil, fmt.Errorf("bgpwire: AS_PATH segment overruns")
 		}
-		total += count
+		if !confedSegment(segType) {
+			total += count
+		}
 		rest = rest[2+4*count:]
 	}
 	if total == 0 {
@@ -405,12 +413,18 @@ func unmarshalASPath(data []byte) ([]asn.ASN, error) {
 	path := make([]asn.ASN, 0, total)
 	for len(data) > 0 {
 		count := int(data[1])
-		for i := 0; i < count; i++ {
-			path = append(path, asn.FromUint32(binary.BigEndian.Uint32(data[2+4*i:])))
+		if !confedSegment(data[0]) {
+			for i := 0; i < count; i++ {
+				path = append(path, asn.FromUint32(binary.BigEndian.Uint32(data[2+4*i:])))
+			}
 		}
 		data = data[2+4*count:]
 	}
 	return path, nil
+}
+
+func confedSegment(segType byte) bool {
+	return segType == SegmentConfedSequence || segType == SegmentConfedSet
 }
 
 // unmarshalNLRI decodes a run of (length, truncated address) prefixes,

@@ -2,8 +2,10 @@ package bgpwire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
@@ -304,6 +306,66 @@ func TestASSetSegment(t *testing.T) {
 	// Truncated segment rejected.
 	if _, err := unmarshalASPath([]byte{SegmentSequence, 2, 0, 0, 0, 1}); err == nil {
 		t.Error("truncated segment accepted")
+	}
+}
+
+// confedUpdate hand-builds an UPDATE for 10.1.0.0/16 whose AS_PATH is
+// the given segments (type, then ASNs), framed as a sender would.
+func confedUpdate(segs ...[]uint32) []byte {
+	var path []byte
+	for _, seg := range segs {
+		path = append(path, byte(seg[0]), byte(len(seg)-1))
+		for _, a := range seg[1:] {
+			path = binary.BigEndian.AppendUint32(path, a)
+		}
+	}
+	attrs := []byte{0x40, AttrOrigin, 1, OriginIGP}
+	attrs = append(append(attrs, 0x40, AttrASPath, byte(len(path))), path...)
+	attrs = append(attrs, 0x40, AttrNextHop, 4, 10, 0, 0, 1)
+	body := []byte{0, 0} // no withdrawn routes
+	body = binary.BigEndian.AppendUint16(body, uint16(len(attrs)))
+	body = append(append(body, attrs...), 16, 10, 1)
+	msg := bytes.Repeat([]byte{0xff}, 16)
+	msg = binary.BigEndian.AppendUint16(msg, uint16(HeaderLen+len(body)))
+	return append(append(msg, TypeUpdate), body...)
+}
+
+// TestConfedSegmentsSkipped: an UPDATE from inside a confederation
+// (RFC 5065) decodes, with its AS_CONFED_SEQUENCE and AS_CONFED_SET
+// segments left out of the flattened path.
+func TestConfedSegmentsSkipped(t *testing.T) {
+	msg, err := Unmarshal(confedUpdate(
+		[]uint32{SegmentConfedSequence, 64512, 64513},
+		[]uint32{SegmentSequence, 7018, 12145},
+		[]uint32{SegmentConfedSet, 64514},
+		[]uint32{SegmentSet, 3356},
+	))
+	if err != nil {
+		t.Fatalf("UPDATE with confederation segments rejected: %v", err)
+	}
+	u := msg.(*Update)
+	if want := []asn.ASN{7018, 12145, 3356}; !reflect.DeepEqual(u.ASPath, want) {
+		t.Errorf("path = %v, want %v", u.ASPath, want)
+	}
+	if len(u.NLRI) != 1 || u.NLRI[0] != mp("10.1.0.0/16") || u.NextHop != 10<<24|1 {
+		t.Errorf("decoded NLRI %v next hop %x", u.NLRI, u.NextHop)
+	}
+	// A path of confederation segments alone flattens to empty, so an
+	// UPDATE announcing with it names no origin and is refused as such.
+	path, err := unmarshalASPath([]byte{SegmentConfedSequence, 1, 0, 0, 252, 0, SegmentConfedSet, 0})
+	if err != nil || len(path) != 0 {
+		t.Errorf("confederation-only path = %v, %v; want empty", path, err)
+	}
+	_, err = Unmarshal(confedUpdate([]uint32{SegmentConfedSequence, 64512}, []uint32{SegmentConfedSet}))
+	if err == nil || !strings.Contains(err.Error(), "without AS_PATH") {
+		t.Errorf("confederation-only announcement: err = %v, want the empty-path refusal", err)
+	}
+	// A truncated confederation segment is still malformed.
+	if _, err := unmarshalASPath([]byte{SegmentConfedSequence, 2, 0, 0, 0, 1}); err == nil {
+		t.Error("truncated confederation segment accepted")
+	}
+	if _, err := unmarshalASPath([]byte{5, 0}); err == nil {
+		t.Error("segment type 5 accepted")
 	}
 }
 

@@ -7,7 +7,6 @@ package deploy
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
 	"github.com/bgpsim/bgpsim/internal/core"
@@ -75,7 +74,12 @@ func DegreeAtLeast(g *topology.Graph, min int) Strategy {
 // scale this is the shape-preserving equivalent of the paper's absolute
 // degree thresholds.
 func TopDegree(g *topology.Graph, k int) Strategy {
-	order := topology.NodesByDegree(g)
+	return topOf(topology.NodesByDegree(g), k)
+}
+
+// topOf is TopDegree over a precomputed NodesByDegree order, so a ladder
+// of rungs ranks the graph once.
+func topOf(order []int, k int) Strategy {
 	if k > len(order) {
 		k = len(order)
 	}
@@ -91,24 +95,37 @@ func TopDegree(g *topology.Graph, k int) Strategy {
 // paths, so depth ranking is the path-coverage counterpart of the paper's
 // degree ranking; the scenario study contrasts the two per attack kind.
 func DepthRanked(g *topology.Graph, c *topology.Classification, k int) Strategy {
-	nodes := append([]int(nil), g.TransitNodes()...)
-	sort.SliceStable(nodes, func(i, j int) bool {
-		di, dj := c.Depth[nodes[i]], c.Depth[nodes[j]]
-		// Unreachable (depth -1) sorts after every finite depth.
-		if di == topology.DepthUnreachable {
-			di = int(^uint(0) >> 1)
+	// NodesByDegree lists nodes by (-degree, index); one stable counting
+	// pass by depth over its transit nodes makes the order (depth,
+	// -degree, index), in linear time.
+	var transit []int
+	maxDepth := 0
+	for _, v := range topology.NodesByDegree(g) {
+		if g.IsTransit(v) {
+			transit = append(transit, v)
+			maxDepth = max(maxDepth, c.Depth[v])
 		}
-		if dj == topology.DepthUnreachable {
-			dj = int(^uint(0) >> 1)
+	}
+	// Unreachable (depth -1) sorts after every finite depth.
+	bucket := func(v int) int {
+		if d := c.Depth[v]; d != topology.DepthUnreachable {
+			return d
 		}
-		if di != dj {
-			return di < dj
-		}
-		if gi, gj := g.Degree(nodes[i]), g.Degree(nodes[j]); gi != gj {
-			return gi > gj
-		}
-		return nodes[i] < nodes[j]
-	})
+		return maxDepth + 1
+	}
+	start := make([]int, maxDepth+3)
+	for _, v := range transit {
+		start[bucket(v)+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	nodes := make([]int, len(transit))
+	for _, v := range transit {
+		b := bucket(v)
+		nodes[start[b]] = v
+		start[b]++
+	}
 	if k > len(nodes) {
 		k = len(nodes)
 	}
@@ -210,6 +227,7 @@ func PaperLadder(g *topology.Graph, c *topology.Classification, seed int64) []St
 		}
 		return v
 	}
+	order := topology.NodesByDegree(g)
 	// Each rung gets its own generator (seed, seed+1) so the two random
 	// deployment sets stay independent draws, exactly as published runs
 	// produced them.
@@ -218,9 +236,9 @@ func PaperLadder(g *topology.Graph, c *topology.Classification, seed int64) []St
 		Random(g, scaleT(100), rand.New(rand.NewSource(seed))),
 		Random(g, scaleT(500), rand.New(rand.NewSource(seed+1))),
 		Tier1(c),
-		TopDegree(g, scaleAll(62)),
-		TopDegree(g, scaleAll(124)),
-		TopDegree(g, scaleAll(166)),
-		TopDegree(g, scaleAll(299)),
+		topOf(order, scaleAll(62)),
+		topOf(order, scaleAll(124)),
+		topOf(order, scaleAll(166)),
+		topOf(order, scaleAll(299)),
 	}
 }

@@ -26,37 +26,25 @@ import (
 // plus one adjacency walk per distinct policy — cheap next to solving
 // (no BFS runs), so shard and merge invocations recompute it freely.
 func MatrixDigest(m Matrix) string {
-	h := sha256.New()
-	buf := make([]byte, binary.MaxVarintLen64)
-	put := func(v int64) {
-		n := binary.PutVarint(buf, v)
-		h.Write(buf[:n])
-	}
-	put(int64(m.Groups))
+	d := newDigester()
+	d.varint(int64(m.Groups))
 	// Policies and deployment sets repeat across cells; fingerprint each
 	// distinct pointer once and feed the cached value per use. Pointers
 	// never enter the hash — only content does — so the digest is
 	// stable across processes and machines.
 	polFP := make(map[*core.Policy][sha256.Size]byte, 2)
-	setFP := make(map[*asn.IndexSet][sha256.Size]byte, 2)
-	setFingerprint := func(s *asn.IndexSet) [sha256.Size]byte {
-		fp, ok := setFP[s]
-		if !ok {
-			fp = blockedFingerprint(s)
-			setFP[s] = fp
-		}
-		return fp
-	}
+	blocked, aspa := newSetFingerprints(), newSetFingerprints()
 	for g := 0; g < m.Groups; g++ {
 		size := m.Size(g)
-		put(int64(size))
+		d.varint(int64(size))
 		pol := m.Policy(g)
 		fp, ok := polFP[pol]
 		if !ok {
 			fp = policyFingerprint(pol)
 			polFP[pol] = fp
 		}
-		h.Write(fp[:])
+		d.write(fp[:])
+		d.spill()
 		for k := 0; k < size; k++ {
 			at, def := m.Job(g, k)
 			// The original cell encoding covered (target, attacker,
@@ -67,32 +55,103 @@ func MatrixDigest(m Matrix) string {
 			// Exact-origin blocked-only workloads therefore hash exactly
 			// as they did before the scenario layer existed.
 			if at.Kind != core.KindOrigin || def.ASPA != nil || def.Peerlock {
-				put(-1)
-				put(int64(at.Kind))
-				if def.Peerlock {
-					put(1)
-				} else {
-					put(0)
-				}
-				afp := setFingerprint(def.ASPA)
-				h.Write(afp[:])
+				d.varint(-1)
+				d.varint(int64(at.Kind))
+				d.flag(def.Peerlock)
+				d.write(aspa.of(def.ASPA))
 			}
-			put(int64(at.Target))
-			put(int64(at.Attacker))
-			if at.SubPrefix {
-				put(1)
-			} else {
-				put(0)
-			}
-			bfp := setFingerprint(def.Blocked)
-			h.Write(bfp[:])
+			d.varint(int64(at.Target))
+			d.varint(int64(at.Attacker))
+			d.flag(at.SubPrefix)
+			d.write(blocked.of(def.Blocked))
+			d.spill()
 		}
 	}
 	if len(m.Ident) > 0 {
-		put(int64(len(m.Ident)))
-		h.Write(m.Ident)
+		d.varint(int64(len(m.Ident)))
+		d.write(m.Ident)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(d.sum(nil))
+}
+
+// digestBlock is how many bytes a digester gathers before each hash
+// write: varints are one to three bytes, and feeding them one Write at a
+// time costs more than hashing them.
+const digestBlock = 32 << 10
+
+// digester feeds a SHA-256 through a buffer flushed in digestBlock
+// chunks. SHA-256 is a stream hash, so the sum is the same as writing
+// every piece straight through.
+type digester struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func newDigester() *digester {
+	return &digester{h: sha256.New(), buf: make([]byte, 0, 2*digestBlock)}
+}
+
+func (d *digester) varint(v int64) { d.buf = binary.AppendVarint(d.buf, v) }
+
+// flag hashes a boolean as the varint 1 or 0.
+func (d *digester) flag(on bool) {
+	if on {
+		d.varint(1)
+	} else {
+		d.varint(0)
+	}
+}
+
+func (d *digester) write(p []byte) { d.buf = append(d.buf, p...) }
+
+// spill hashes the buffer once it holds a block. Callers spill once per
+// cell or node, so a block overshoots by at most one cell's or node's
+// bytes.
+func (d *digester) spill() {
+	if len(d.buf) >= digestBlock {
+		d.flush()
+	}
+}
+
+func (d *digester) flush() {
+	d.h.Write(d.buf)
+	d.buf = d.buf[:0]
+}
+
+// sum flushes the buffer and appends the hash to b.
+func (d *digester) sum(b []byte) []byte {
+	d.flush()
+	return d.h.Sum(b)
+}
+
+// setFingerprints memoizes blockedFingerprint per set pointer for one
+// digest. Consecutive cells almost always share their set (over 99.6% of
+// cells in the paper's studies), so the last pointer is checked before
+// the map; that check takes a sixth off a scenario ladder's digest.
+type setFingerprints struct {
+	last   *asn.IndexSet
+	lastFP [sha256.Size]byte
+	seen   map[*asn.IndexSet][sha256.Size]byte
+}
+
+func newSetFingerprints() *setFingerprints {
+	s := &setFingerprints{seen: make(map[*asn.IndexSet][sha256.Size]byte, 2)}
+	s.lastFP = blockedFingerprint(nil)
+	return s
+}
+
+// of returns the set's fingerprint; the slice aliases the memo and is
+// valid until the next call.
+func (s *setFingerprints) of(set *asn.IndexSet) []byte {
+	if set != s.last {
+		fp, ok := s.seen[set]
+		if !ok {
+			fp = blockedFingerprint(set)
+			s.seen[set] = fp
+		}
+		s.last, s.lastFP = set, fp
+	}
+	return s.lastFP[:]
 }
 
 // policyFingerprint hashes the routing substrate a policy solves over:
@@ -100,48 +159,33 @@ func MatrixDigest(m Matrix) string {
 // adjacency, and each node's ASN — everything that makes two "same
 // scale" worlds genuinely the same world.
 func policyFingerprint(pol *core.Policy) [sha256.Size]byte {
-	h := sha256.New()
-	buf := make([]byte, binary.MaxVarintLen64)
-	put := func(v int64) {
-		n := binary.PutVarint(buf, v)
-		h.Write(buf[:n])
-	}
 	if pol == nil {
 		return sha256.Sum256(nil)
 	}
+	d := newDigester()
 	n := pol.N()
-	put(int64(n))
-	if pol.Tier1ShortestPath() {
-		put(1)
-	} else {
-		put(0)
-	}
-	if pol.PreferHighNextHop() {
-		put(1)
-	} else {
-		put(0)
-	}
+	d.varint(int64(n))
+	d.flag(pol.Tier1ShortestPath())
+	d.flag(pol.PreferHighNextHop())
 	g := pol.Graph()
 	for i := 0; i < n; i++ {
-		put(int64(g.ASN(i).Uint32()))
-		if pol.IsTier1(i) {
-			put(1)
-		} else {
-			put(0)
-		}
-		putAdj(h, put, pol.Providers(i))
-		putAdj(h, put, pol.Customers(i))
-		putAdj(h, put, pol.Peers(i))
+		d.varint(int64(g.ASN(i).Uint32()))
+		d.flag(pol.IsTier1(i))
+		d.adjacency(pol.Providers(i))
+		d.adjacency(pol.Customers(i))
+		d.adjacency(pol.Peers(i))
+		d.spill()
 	}
 	var out [sha256.Size]byte
-	h.Sum(out[:0])
+	d.sum(out[:0])
 	return out
 }
 
-func putAdj(h hash.Hash, put func(int64), adj []int32) {
-	put(int64(len(adj)))
+// adjacency hashes a neighbor list, length first.
+func (d *digester) adjacency(adj []int32) {
+	d.varint(int64(len(adj)))
 	for _, v := range adj {
-		put(int64(v))
+		d.varint(int64(v))
 	}
 }
 
@@ -151,15 +195,11 @@ func blockedFingerprint(s *asn.IndexSet) [sha256.Size]byte {
 	if s == nil {
 		return sha256.Sum256(nil)
 	}
-	h := sha256.New()
-	buf := make([]byte, binary.MaxVarintLen64)
-	n := binary.PutVarint(buf, int64(s.Len()))
-	h.Write(buf[:n])
-	for _, i := range s.Members(nil) {
-		n := binary.PutVarint(buf, int64(i))
-		h.Write(buf[:n])
+	members := s.Members(nil)
+	b := make([]byte, 0, (1+len(members))*binary.MaxVarintLen32)
+	b = binary.AppendVarint(b, int64(s.Len()))
+	for _, i := range members {
+		b = binary.AppendVarint(b, int64(i))
 	}
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(b)
 }

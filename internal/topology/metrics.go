@@ -235,19 +235,30 @@ func CustomerCone(g *Graph, i int) int {
 }
 
 // NodesByDegree returns all node indices sorted by descending degree
-// (ties broken by ascending ASN for determinism).
+// (ties broken by ascending ASN for determinism). It is a stable counting
+// sort over degree buckets fed in index order, O(n + max degree): index
+// order is ASN order, since newGraph — behind every constructor — takes
+// its ASNs ascending.
 func NodesByDegree(g *Graph) []int {
-	nodes := make([]int, g.N())
-	for i := range nodes {
-		nodes[i] = i
+	n := g.N()
+	maxDeg := 0
+	for i := 0; i < n; i++ {
+		maxDeg = max(maxDeg, g.Degree(i))
 	}
-	sort.Slice(nodes, func(a, b int) bool {
-		da, db := g.Degree(nodes[a]), g.Degree(nodes[b])
-		if da != db {
-			return da > db
-		}
-		return g.ASN(nodes[a]) < g.ASN(nodes[b])
-	})
+	// Bucket b holds degree maxDeg-b; start[b] is its next free slot.
+	start := make([]int, maxDeg+2)
+	for i := 0; i < n; i++ {
+		start[maxDeg-g.Degree(i)+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	nodes := make([]int, n)
+	for i := 0; i < n; i++ {
+		b := maxDeg - g.Degree(i)
+		nodes[start[b]] = i
+		start[b]++
+	}
 	return nodes
 }
 
