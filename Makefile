@@ -35,11 +35,12 @@ race:
 # Stress lane for the concurrent surfaces — the sweep runtime's reorder
 # window sized in whole lane batches, per-cell progress from per-batch
 # workers, lowest-cell-first errors, hijackd's worker pool and epoch
-# drain, and the live feed's sessions and firehose backpressure — where
-# a scheduling-dependent bug shows once in many runs
+# drain, the live feed's sessions and firehose backpressure, and the
+# recio decoders' pooled inflaters shared by parallel segment workers —
+# where a scheduling-dependent bug shows once in many runs
 # (.github/workflows/stress.yml runs it weekly).
 stress:
-	$(GO) test -race -count=50 ./internal/sweep ./internal/hijack ./internal/queryd ./internal/feed ./internal/firehose
+	$(GO) test -race -count=50 ./internal/sweep ./internal/hijack ./internal/queryd ./internal/feed ./internal/firehose ./internal/recio
 
 # Tier-1 verify (build + tests) in a fresh git worktree of HEAD, where
 # only committed files exist — catches fixtures hidden by .gitignore.

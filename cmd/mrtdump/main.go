@@ -82,7 +82,7 @@ func inspect(path string) error {
 		}
 	}
 	if n := r.Skipped(); n > 0 {
-		fmt.Printf("skipped %d unknown/malformed records\n", n)
+		fmt.Printf("skipped %d unsupported, unknown or malformed records\n", n)
 	}
 	fmt.Printf("update log: %d BGP4MP records\n", updates)
 	return nil

@@ -58,9 +58,10 @@ type Config struct {
 	// feed.ProbeRunner); 0 MaxPending means unbounded.
 	MaxPending int
 	LowPending int
-	// MalformedBudget caps skippable (unknown or undecodable) records
-	// per input file; 0 means mrt.DefaultMalformedBudget, negative means
-	// unlimited.
+	// MalformedBudget caps unknown-type and undecodable records per
+	// input file; 0 means mrt.DefaultMalformedBudget, negative means
+	// unlimited. RFC 6396 records the reader does not decode are
+	// skipped without spending it.
 	MalformedBudget int
 	// MaxAttempts caps consecutive failed connect attempts per session;
 	// 0 retries forever.
@@ -104,8 +105,8 @@ type Stats struct {
 	// Updates counts updates dispatched to session queues (baseline
 	// routes included).
 	Updates int
-	// Skipped counts unknown/malformed MRT records skipped across both
-	// inputs.
+	// Skipped counts unknown, unsupported and malformed MRT records
+	// skipped across both inputs.
 	Skipped int
 	// Truncated reports whether an input ended mid-record; the replay
 	// covered its clean prefix.

@@ -14,9 +14,10 @@ import (
 // progress invariants every step: Offset never runs backwards or past
 // the input, and every call either yields a record, a skippable error,
 // or ends the stream. Returns the record count, the reader's skip
-// count, the clean-prefix offset and the terminal error (io.EOF for a
-// clean end).
-func drainStream(t *testing.T, data []byte, budget int) (recs, skipped int, off int64, term error) {
+// count, how many of those skips spent the malformed budget (all but
+// unsupported records), the clean-prefix offset and the terminal error
+// (io.EOF for a clean end).
+func drainStream(t *testing.T, data []byte, budget int) (recs, skipped, spent int, off int64, term error) {
 	t.Helper()
 	r := mrt.NewReader(bytes.NewReader(data))
 	r.SetMalformedBudget(budget)
@@ -39,9 +40,12 @@ func drainStream(t *testing.T, data []byte, budget int) (recs, skipped int, off 
 			}
 			recs++
 		case mrt.Skippable(err):
-			continue
+			var unsupported *mrt.ErrUnsupportedRecord
+			if !errors.As(err, &unsupported) {
+				spent++
+			}
 		default:
-			return recs, r.Skipped(), off, err
+			return recs, r.Skipped(), spent, off, err
 		}
 	}
 }
@@ -73,9 +77,12 @@ func FuzzMRTReader(f *testing.F) {
 	corrupt := append([]byte(nil), upd.Bytes()...)
 	corrupt[20] ^= 0xff
 	f.Add(corrupt)
+	// RFC 6396 records the reader does not decode, between IPv4 updates.
+	unsupported, _ := rfcDefinedStream(f, 3, 2, 2)
+	f.Add(unsupported)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, skipped, off, term := drainStream(t, data, -1)
+		recs, skipped, spent, off, term := drainStream(t, data, -1)
 		if errors.Is(term, mrt.ErrBudgetExhausted) {
 			t.Fatalf("unlimited budget exhausted after %d skips", skipped)
 		}
@@ -83,7 +90,7 @@ func FuzzMRTReader(f *testing.F) {
 			// The clean prefix must re-parse to the same stream and end
 			// cleanly: Offset is the contract the replay engine trusts
 			// when it reports "replayed the intact prefix".
-			recs2, skipped2, off2, term2 := drainStream(t, data[:off], -1)
+			recs2, skipped2, _, off2, term2 := drainStream(t, data[:off], -1)
 			if term2 != io.EOF {
 				t.Fatalf("clean prefix [:%d] did not end cleanly: %v", off, term2)
 			}
@@ -94,17 +101,18 @@ func FuzzMRTReader(f *testing.F) {
 		}
 
 		// A budgeted reader sees a prefix of the unlimited reader's
-		// stream and trips after exactly budget+1 skippable records.
+		// stream and trips after exactly budget+1 unknown or malformed
+		// records, however many unsupported ones it skipped.
 		const budget = 2
-		brecs, bskipped, boff, bterm := drainStream(t, data, budget)
+		brecs, _, bspent, boff, bterm := drainStream(t, data, budget)
 		if boff > off || brecs > recs {
 			t.Fatalf("budgeted run overran unlimited run: offset %d>%d, records %d>%d", boff, off, brecs, recs)
 		}
-		if errors.Is(bterm, mrt.ErrBudgetExhausted) != (skipped > budget) {
-			t.Fatalf("budget %d with %d skippable records ended with %v", budget, skipped, bterm)
+		if errors.Is(bterm, mrt.ErrBudgetExhausted) != (spent > budget) {
+			t.Fatalf("budget %d with %d unknown or malformed records ended with %v", budget, spent, bterm)
 		}
-		if errors.Is(bterm, mrt.ErrBudgetExhausted) && bskipped != budget+1 {
-			t.Fatalf("budget %d tripped after %d skips, want %d", budget, bskipped, budget+1)
+		if errors.Is(bterm, mrt.ErrBudgetExhausted) && bspent != budget {
+			t.Fatalf("budget %d tripped after %d budgeted skips, want %d", budget, bspent, budget)
 		}
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
 	"github.com/bgpsim/bgpsim/internal/bgpwire"
@@ -27,6 +28,12 @@ const (
 	SubtypePeerIndexTable = 1
 	SubtypeRIBIPv4Unicast = 2
 	SubtypeMessageAS4     = 4
+)
+
+// Address families of a BGP4MP record's session (RFC 6396 §4.4).
+const (
+	afiIPv4 = 1
+	afiIPv6 = 2
 )
 
 // Record is one decoded MRT record.
@@ -158,7 +165,7 @@ func (w *Writer) WriteBGP4MP(m *BGP4MPMessage) error {
 	b := be.AppendUint32(w.body[:0], m.PeerAS.Uint32())
 	b = be.AppendUint32(b, m.LocalAS.Uint32())
 	b = be.AppendUint16(b, 0) // interface index
-	b = be.AppendUint16(b, 1) // AFI IPv4
+	b = be.AppendUint16(b, afiIPv4)
 	b = be.AppendUint32(b, m.PeerAddr)
 	b = be.AppendUint32(b, m.LocalAddr)
 	b, err := bgpwire.AppendMessage(b, m.Message)
@@ -194,6 +201,22 @@ func (e *ErrUnknownRecord) Error() string {
 	return fmt.Sprintf("mrt: unknown record type %d subtype %d (%d bytes)", e.Type, e.Subtype, e.Length)
 }
 
+// ErrUnsupportedRecord reports a record RFC 6396 defines that this
+// package does not decode: an IPv6 or multicast RIB, a BGP4MP state
+// change, an extended-timestamp record, a BGP4MP message on an IPv6
+// session. Real collector dumps carry such records by the thousand, so
+// unlike unknown types and damaged bodies they do not spend the reader's
+// malformed budget. The reader stays aligned on the following record.
+type ErrUnsupportedRecord struct {
+	Type    uint16
+	Subtype uint16
+	Length  uint32
+}
+
+func (e *ErrUnsupportedRecord) Error() string {
+	return fmt.Sprintf("mrt: unsupported record type %d subtype %d (%d bytes)", e.Type, e.Subtype, e.Length)
+}
+
 // ErrMalformedRecord reports a record of a known type whose body failed to
 // decode. The whole body was consumed, so the reader stays aligned and
 // callers can skip it by calling Next again.
@@ -209,25 +232,45 @@ func (e *ErrMalformedRecord) Error() string {
 
 func (e *ErrMalformedRecord) Unwrap() error { return e.Err }
 
-// Skippable reports whether err marks exactly one damaged or foreign
-// record after which the stream remains record-aligned, so the caller may
-// keep reading. Truncation and budget exhaustion are not skippable.
+// Skippable reports whether err marks exactly one damaged, foreign or
+// unsupported record after which the stream remains record-aligned, so
+// the caller may keep reading. Truncation and budget exhaustion are not
+// skippable.
 func Skippable(err error) bool {
 	var unknown *ErrUnknownRecord
+	var unsupported *ErrUnsupportedRecord
 	var malformed *ErrMalformedRecord
-	return errors.As(err, &unknown) || errors.As(err, &malformed)
+	return errors.As(err, &unknown) || errors.As(err, &unsupported) || errors.As(err, &malformed)
 }
 
-// DefaultMalformedBudget is the per-file cap on skippable records a Reader
-// tolerates before Next turns fatal, mirroring the per-session malformed
-// budget in the feed collector.
+// DefaultMalformedBudget is the per-file cap on unknown and malformed
+// records a Reader tolerates before Next turns fatal, mirroring the
+// per-session malformed budget in the feed collector.
 const DefaultMalformedBudget = 64
+
+// rfc6396Subtypes lists, per record type, the subtypes RFC 6396 defines.
+var rfc6396Subtypes = map[uint16][]uint16{
+	11: {0},                // OSPFv2
+	12: {1, 2},             // TABLE_DUMP: AFI_IPv4, AFI_IPv6
+	13: {1, 2, 3, 4, 5, 6}, // TABLE_DUMP_V2
+	16: {0, 1, 4, 5, 6, 7}, // BGP4MP
+	17: {0, 1, 4, 5, 6, 7}, // BGP4MP_ET
+	32: {0},                // ISIS
+	33: {0},                // ISIS_ET
+	48: {0},                // OSPFv3
+	49: {0},                // OSPFv3_ET
+}
+
+// bgp4mpIPv6Header is the BGP4MP_MESSAGE_AS4 header length on an IPv6
+// session: two 4-byte ASNs, interface index, AFI, two 16-byte addresses.
+const bgp4mpIPv6Header = 4 + 4 + 2 + 2 + 16 + 16
 
 // Reader decodes MRT records sequentially.
 type Reader struct {
 	r       *bufio.Reader
 	off     int64
 	skipped int
+	spent   int // unknown and malformed records, against budget
 	budget  int
 }
 
@@ -236,9 +279,9 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReader(r), budget: DefaultMalformedBudget}
 }
 
-// SetMalformedBudget caps how many skippable records (unknown type or
-// malformed body) Next tolerates before failing with ErrBudgetExhausted.
-// Negative means unlimited.
+// SetMalformedBudget caps how many unknown-type or malformed-body
+// records Next tolerates before failing with ErrBudgetExhausted;
+// unsupported records do not count. Negative means unlimited.
 func (r *Reader) SetMalformedBudget(n int) { r.budget = n }
 
 // Offset is the byte offset of the clean prefix read so far: the end of
@@ -246,26 +289,35 @@ func (r *Reader) SetMalformedBudget(n int) { r.budget = n }
 // header starts. After ErrTruncated it is the safe re-write point.
 func (r *Reader) Offset() int64 { return r.off }
 
-// Skipped counts the skippable records surfaced so far.
+// Skipped counts the skippable records surfaced so far, unsupported
+// ones included.
 func (r *Reader) Skipped() int { return r.skipped }
 
-// skip accounts one skippable record against the malformed budget and
+// skip accounts one unknown or malformed record against the budget and
 // returns either the typed error or, over budget, a fatal one.
 func (r *Reader) skip(err error) error {
 	r.skipped++
-	if r.budget >= 0 && r.skipped > r.budget {
-		return fmt.Errorf("%w after %d skippable records, last: %v", ErrBudgetExhausted, r.skipped, err)
+	r.spent++
+	if r.budget >= 0 && r.spent > r.budget {
+		return fmt.Errorf("%w after %d unknown or malformed records, last: %v", ErrBudgetExhausted, r.spent, err)
 	}
 	return err
 }
 
+// unsupported counts one RFC-defined record this package does not decode.
+func (r *Reader) unsupported(typ, subtype uint16, length uint32) error {
+	r.skipped++
+	return &ErrUnsupportedRecord{Type: typ, Subtype: subtype, Length: length}
+}
+
 // Next returns the next record, or io.EOF at a clean end of stream.
-// Unknown record types and undecodable bodies come back as typed
-// *ErrUnknownRecord / *ErrMalformedRecord errors with the stream still
-// aligned — call Next again to continue past them (subject to the
-// malformed budget). A stream ending mid-record yields an error wrapping
-// ErrTruncated; the records already returned are a clean prefix ending at
-// Offset.
+// Unknown record types, RFC-defined records this package does not decode
+// and undecodable bodies come back as typed *ErrUnknownRecord /
+// *ErrUnsupportedRecord / *ErrMalformedRecord errors with the stream
+// still aligned — call Next again to continue past them (unknown and
+// malformed ones subject to the malformed budget). A stream ending
+// mid-record yields an error wrapping ErrTruncated; the records already
+// returned are a clean prefix ending at Offset.
 func (r *Reader) Next() (Record, error) {
 	var hdr [12]byte
 	if n, err := io.ReadFull(r.r, hdr[:]); err != nil {
@@ -297,8 +349,13 @@ func (r *Reader) Next() (Record, error) {
 		rec, err = parsePeerIndexTable(body)
 	case typ == TypeTableDumpV2 && subtype == SubtypeRIBIPv4Unicast:
 		rec, err = parseRIB(body)
+	case typ == TypeBGP4MP && subtype == SubtypeMessageAS4 && len(body) >= bgp4mpIPv6Header &&
+		binary.BigEndian.Uint16(body[10:12]) == afiIPv6:
+		return nil, r.unsupported(typ, subtype, length)
 	case typ == TypeBGP4MP && subtype == SubtypeMessageAS4:
 		rec, err = parseBGP4MP(ts, body)
+	case slices.Contains(rfc6396Subtypes[typ], subtype):
+		return nil, r.unsupported(typ, subtype, length)
 	default:
 		return nil, r.skip(&ErrUnknownRecord{Type: typ, Subtype: subtype, Length: length})
 	}
@@ -389,7 +446,7 @@ func parseBGP4MP(ts uint32, body []byte) (*BGP4MPMessage, error) {
 		return nil, fmt.Errorf("mrt: short BGP4MP record")
 	}
 	afi := binary.BigEndian.Uint16(body[10:12])
-	if afi != 1 {
+	if afi != afiIPv4 {
 		return nil, fmt.Errorf("mrt: BGP4MP AFI %d unsupported", afi)
 	}
 	m := &BGP4MPMessage{

@@ -137,49 +137,84 @@ func appendColumn(dst []byte, kind FieldKind, vals []uint64) []byte {
 	return dst
 }
 
-// decodeColumn inverts appendColumn: data must hold exactly n values.
-func decodeColumn(data []byte, kind FieldKind, n int) ([]uint64, error) {
-	vals := make([]uint64, 0, n)
+// columnLen counts the values an encoded column holds, from its bytes
+// alone: eight bytes per float, one terminal (high-bit-clear) byte per
+// delta uvarint, the run lengths summed for RLE. A reader sizes storage
+// by this count, never by a length a segment or index merely claims.
+func columnLen(data []byte, kind FieldKind) (int, error) {
 	switch kind {
 	case KindDelta:
-		prev := int64(0)
-		for pos := 0; pos < len(data); {
-			u, w := binary.Uvarint(data[pos:])
-			if w <= 0 {
-				return nil, fmt.Errorf("recio: malformed delta column at byte %d", pos)
-			}
-			pos += w
-			prev += unzigzag(u)
-			vals = append(vals, uint64(prev))
+		if len(data) > 0 && data[len(data)-1] >= 0x80 {
+			return 0, fmt.Errorf("recio: delta column ends mid-value")
 		}
+		n := 0
+		for _, b := range data {
+			if b < 0x80 {
+				n++
+			}
+		}
+		return n, nil
 	case KindRLE:
+		n := uint64(0)
 		for pos := 0; pos < len(data); {
-			v, w := binary.Uvarint(data[pos:])
+			_, w := binary.Uvarint(data[pos:])
 			if w <= 0 {
-				return nil, fmt.Errorf("recio: malformed RLE column at byte %d", pos)
+				return 0, fmt.Errorf("recio: malformed RLE column at byte %d", pos)
 			}
 			pos += w
 			run, w := binary.Uvarint(data[pos:])
-			if w <= 0 || run == 0 || run > uint64(n-len(vals)) {
-				return nil, fmt.Errorf("recio: malformed RLE run at byte %d", pos)
+			if w <= 0 || run == 0 || run > maxSegment-n {
+				return 0, fmt.Errorf("recio: malformed RLE run at byte %d", pos)
 			}
 			pos += w
-			for i := uint64(0); i < run; i++ {
-				vals = append(vals, v)
+			n += run
+		}
+		return int(n), nil
+	case KindFloat:
+		if len(data)%8 != 0 {
+			return 0, fmt.Errorf("recio: float column holds %d bytes, not a multiple of 8", len(data))
+		}
+		return len(data) / 8, nil
+	}
+	return 0, fmt.Errorf("recio: unknown column kind %d", kind)
+}
+
+// decodeColumn inverts appendColumn into dst, which the caller sized by
+// columnLen: data must hold exactly len(dst) values.
+func decodeColumn(dst []uint64, data []byte, kind FieldKind) error {
+	switch kind {
+	case KindDelta:
+		prev, i := int64(0), 0
+		for pos := 0; pos < len(data); i++ {
+			u, w := uint64(data[pos]), 1
+			if u >= 0x80 {
+				if u, w = binary.Uvarint(data[pos:]); w <= 0 {
+					return fmt.Errorf("recio: malformed delta column at byte %d", pos)
+				}
 			}
+			pos += w
+			prev += unzigzag(u)
+			dst[i] = uint64(prev)
+		}
+	case KindRLE:
+		i := 0
+		for pos := 0; pos < len(data); {
+			v, w := binary.Uvarint(data[pos:])
+			pos += w
+			run, w := binary.Uvarint(data[pos:])
+			pos += w
+			fill := dst[i : i+int(run)]
+			for j := range fill {
+				fill[j] = v
+			}
+			i += int(run)
 		}
 	case KindFloat:
-		if len(data) != 8*n {
-			return nil, fmt.Errorf("recio: float column holds %d bytes for %d values", len(data), n)
-		}
-		for pos := 0; pos < len(data); pos += 8 {
-			vals = append(vals, binary.LittleEndian.Uint64(data[pos:]))
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint64(data[8*i:])
 		}
 	default:
-		return nil, fmt.Errorf("recio: unknown column kind %d", kind)
+		return fmt.Errorf("recio: unknown column kind %d", kind)
 	}
-	if len(vals) != n {
-		return nil, fmt.Errorf("recio: column decoded %d values, segment declares %d", len(vals), n)
-	}
-	return vals, nil
+	return nil
 }

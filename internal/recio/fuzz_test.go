@@ -3,6 +3,7 @@ package recio
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -34,6 +35,9 @@ import (
 //     prefix is a fixed point: recovering data[:clean] reports the same
 //     header, records and clean size, and strictly decodes to that many
 //     records.
+//  8. ReadColumn never panics, and where DecodeColumns succeeds it
+//     returns exactly each decoded column (for a repeated name, the
+//     last column of that name, which is the one it reads).
 func FuzzDecode(f *testing.F) {
 	// Valid small file: header plus two checkpointed segments, ending in
 	// a v2 index trailer.
@@ -115,6 +119,11 @@ func FuzzDecode(f *testing.F) {
 	colCorrupt := append([]byte(nil), cols...)
 	colCorrupt[crec.CleanSize-3] ^= 0xff // damage in the last segment's columns
 	f.Add(colCorrupt)
+	// Record counts no inflated member backs: a scan segment declaring
+	// 2^27 records in under 100 bytes, and an index entry claiming 2^27
+	// for a two-record segment.
+	f.Add(scanCountCrasher(f))
+	f.Add(indexCountCrasher(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if hdr, _, err := ReadHeader(data); err == nil && hdr.Layout == LayoutColumns {
@@ -167,9 +176,18 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// fuzzColumns checks properties 6 and 7 on one columnar input.
+// fuzzColumns checks properties 6 to 8 on one columnar input.
 func fuzzColumns(t *testing.T, data []byte) {
 	hdr, cols, decodeErr := DecodeColumns(data)
+	if fields, err := ParseFields(hdr.Fields); err == nil {
+		for i, f := range fields {
+			vals, err := ReadColumn(data, f.Name)
+			last := !slices.ContainsFunc(fields[i+1:], func(g Field) bool { return g.Name == f.Name })
+			if decodeErr == nil && last && (err != nil || !slices.Equal(vals, cols[i])) {
+				t.Fatalf("ReadColumn(%q) disagrees with DecodeColumns: %v", f.Name, err)
+			}
+		}
+	}
 	stats, err := RecoverStats(data)
 	if err != nil {
 		if decodeErr == nil {

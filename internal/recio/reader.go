@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -108,7 +109,7 @@ func DecodeColumns(data []byte) (Header, [][]uint64, error) {
 		return hdr, nil, err
 	}
 	if segs := findIndex(data, headerEnd); segs != nil {
-		cols, err := inflateColSegments(data, segs, fields)
+		cols, err := inflateColSegments(data, segs, fields, 0)
 		if err != nil {
 			return hdr, nil, err
 		}
@@ -119,7 +120,7 @@ func DecodeColumns(data []byte) (Header, [][]uint64, error) {
 		return hdr, nil, fmt.Errorf("recio: damaged tail after byte %d (%d clean records): %w",
 			sc.cleanSize, sc.records, ErrTruncated)
 	}
-	return hdr, sc.cols, nil
+	return hdr, concatColumns(sc.segCols, len(fields)), nil
 }
 
 // DecodeColumnsFile is DecodeColumns over a file path.
@@ -176,9 +177,10 @@ func RecoverStats(data []byte) (*Recovery, error) {
 	if segs := findIndex(data, headerEnd); segs != nil {
 		rec.ViaIndex = true
 		for _, s := range segs {
-			if !verifySegment(data, s) {
-				// Bit rot inside an indexed segment: everything before it
-				// is still provably clean; resume re-solves the rest.
+			if !verifySegment(data, s) || (fields != nil && declaredRecords(data, s) != s.Records) {
+				// Bit rot inside an indexed segment, or an entry its
+				// segment contradicts: everything before it is still
+				// provably clean; resume re-solves the rest.
 				break
 			}
 			rec.Segments = append(rec.Segments, s)
@@ -231,7 +233,9 @@ func ReadColumn(data []byte, name string) ([]uint64, error) {
 	if want < 0 {
 		return nil, fmt.Errorf("recio: no column %q (file has %s)", name, hdr.Fields)
 	}
-	var vals []uint64
+	z := getInflater()
+	defer z.release()
+	var per [][]uint64
 	off := headerEnd
 	for off < int64(len(data)) {
 		clen, width := binary.Uvarint(data[off:])
@@ -245,14 +249,14 @@ func ReadColumn(data []byte, name string) ([]uint64, error) {
 			return nil, fmt.Errorf("recio: damaged segment at byte %d: %w", off, ErrTruncated)
 		}
 		seg := data[off+int64(width) : off+int64(width)+int64(clen)]
-		segVals, err := decodeOneColumn(seg, fields, want)
+		segVals, err := decodeOneColumn(z, seg, fields, want)
 		if err != nil {
 			return nil, err
 		}
-		vals = append(vals, segVals...)
+		per = append(per, segVals)
 		off += int64(width) + int64(clen)
 	}
-	return vals, nil
+	return slices.Concat(per...), nil
 }
 
 // ReadColumnFile is ReadColumn over a file path.
@@ -269,33 +273,48 @@ func ReadColumnFile(path, name string) ([]uint64, error) {
 }
 
 // decodeOneColumn extracts field `want` from one columnar segment body.
-func decodeOneColumn(seg []byte, fields []Field, want int) ([]uint64, error) {
+func decodeOneColumn(z *inflater, seg []byte, fields []Field, want int) ([]uint64, error) {
 	recs, pos := binary.Uvarint(seg)
 	if pos <= 0 || recs > maxSegment {
 		return nil, fmt.Errorf("recio: malformed columnar segment: %w", ErrTruncated)
 	}
 	for i := range fields {
 		mlen, w := binary.Uvarint(seg[pos:])
-		if w <= 0 || int64(mlen) > maxSegment || pos+w+int(mlen) > len(seg) {
+		if w <= 0 || mlen > maxSegment || pos+w+int(mlen) > len(seg) {
 			return nil, fmt.Errorf("recio: malformed column member %d: %w", i, ErrTruncated)
 		}
 		pos += w
 		if i == want {
-			enc, err := inflate(seg[pos:pos+int(mlen)], maxSegment)
+			enc, err := z.inflate(seg[pos:pos+int(mlen)], maxSegment)
 			if err != nil {
 				return nil, err
 			}
-			return decodeColumn(enc, fields[i].Kind, int(recs))
+			if err := checkColumnLen(enc, fields[i].Kind, int(recs)); err != nil {
+				return nil, err
+			}
+			vals := make([]uint64, recs)
+			return vals, decodeColumn(vals, enc, fields[i].Kind)
 		}
 		pos += int(mlen)
 	}
 	return nil, fmt.Errorf("recio: columnar segment ended before field %d", want)
 }
 
+// declaredRecords is the record count a verified columnar segment
+// declares in its uncompressed head, or -1 when unreadable.
+func declaredRecords(data []byte, s SegmentInfo) int {
+	start := s.Offset + int64(uvarintLen(uint64(s.CLen)))
+	recs, w := binary.Uvarint(data[start : start+s.CLen])
+	if w <= 0 || recs > maxSegment {
+		return -1
+	}
+	return int(recs)
+}
+
 // scanResult is everything one sequential body walk learns.
 type scanResult struct {
-	payloads  [][]byte   // row layout: record payloads, in order
-	cols      [][]uint64 // column layout: per-field values, in order
+	payloads  [][]byte     // row layout: record payloads, in order
+	segCols   [][][]uint64 // column layout: each segment's per-field values
 	records   int
 	segs      []SegmentInfo
 	cleanSize int64
@@ -310,9 +329,8 @@ type scanResult struct {
 // Damage stops the walk; everything before it stays valid.
 func scanBody(data []byte, hdr Header, headerEnd int64, fields []Field) scanResult {
 	sc := scanResult{cleanSize: headerEnd}
-	if fields != nil {
-		sc.cols = make([][]uint64, len(fields))
-	}
+	z := getInflater()
+	defer z.release()
 	nextCell := hdr.CellLo
 	off := headerEnd
 	for {
@@ -337,19 +355,17 @@ func scanBody(data []byte, hdr Header, headerEnd int64, fields []Field) scanResu
 		var err error
 		if fields == nil {
 			var payloads [][]byte
-			payloads, err = parseRowSegment(seg)
+			payloads, err = parseRowSegment(z, seg)
 			recs = len(payloads)
 			if err == nil {
 				sc.payloads = append(sc.payloads, payloads...)
 			}
 		} else {
-			var segCols [][]uint64
-			segCols, err = parseColSegment(seg, fields)
+			var cols [][]uint64
+			cols, err = parseColSegment(z, seg, fields)
 			if err == nil {
-				recs = len(segCols[0])
-				for i := range sc.cols {
-					sc.cols[i] = append(sc.cols[i], segCols[i]...)
-				}
+				recs = len(cols[0])
+				sc.segCols = append(sc.segCols, cols)
 			}
 		}
 		if err != nil {
@@ -370,31 +386,74 @@ func scanBody(data []byte, hdr Header, headerEnd int64, fields []Field) scanResu
 	}
 }
 
+// inflater is one decoding goroutine's gzip state, kept across
+// members: the source reader, the flate decompressor with its window and
+// tables, and the output buffer. Reset re-arms all three, so a decode
+// that failed mid-member leaves nothing behind for the next one.
+type inflater struct {
+	src bytes.Reader
+	zr  gzip.Reader
+	out []byte
+}
+
+// maxPooledBuffer bounds the output buffer an inflater takes back into
+// the pool; shard members inflate to 16 KiB at most (2,048 floats), so
+// only a foreign writer's oversized segment is dropped.
+const maxPooledBuffer = 1 << 20
+
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+
+// getInflater takes an inflater from the pool; release returns it.
+func getInflater() *inflater { return inflaters.Get().(*inflater) }
+
+// release drops z's reference to the compressed bytes, and an oversized
+// buffer, and returns z to the pool.
+func (z *inflater) release() {
+	z.src.Reset(nil)
+	if cap(z.out) > maxPooledBuffer {
+		z.out = nil
+	}
+	inflaters.Put(z)
+}
+
 // inflate decompresses one gzip member with a bound on the inflated
-// size, so a corrupt length can never become a decompression bomb.
-func inflate(comp []byte, limit int64) ([]byte, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(comp))
-	if err != nil {
+// size, so a corrupt length can never become a decompression bomb. It
+// reads to io.EOF, so gzip's CRC and size checks run. The bytes it
+// returns live in z's buffer until z's next inflate.
+func (z *inflater) inflate(comp []byte, limit int64) ([]byte, error) {
+	z.src.Reset(comp)
+	if err := z.zr.Reset(&z.src); err != nil {
 		return nil, fmt.Errorf("recio: open segment: %w", err)
 	}
-	out, err := io.ReadAll(io.LimitReader(zr, limit+1))
-	if cerr := zr.Close(); err == nil {
-		err = cerr
+	out := z.out[:0]
+	defer func() { z.out = out }()
+	for {
+		if len(out) == cap(out) {
+			out = append(out, 0)[:len(out)]
+		}
+		room := out[len(out):cap(out)]
+		if left := limit + 1 - int64(len(out)); int64(len(room)) > left {
+			room = room[:left]
+		}
+		n, err := z.zr.Read(room)
+		out = out[:len(out)+n]
+		if int64(len(out)) > limit {
+			return nil, fmt.Errorf("recio: inflated segment: %w", ErrTooLarge)
+		}
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("recio: inflate segment: %w", err)
+		}
 	}
-	if err != nil {
-		return nil, fmt.Errorf("recio: inflate segment: %w", err)
-	}
-	if int64(len(out)) > limit {
-		return nil, fmt.Errorf("recio: inflated segment: %w", ErrTooLarge)
-	}
-	return out, nil
 }
 
 // parseRowSegment inflates and frame-checks one row segment's bytes; on
 // success it returns the record payloads (copied out of the inflate
 // buffer).
-func parseRowSegment(seg []byte) ([][]byte, error) {
-	inflated, err := inflate(seg, maxSegment)
+func parseRowSegment(z *inflater, seg []byte) ([][]byte, error) {
+	inflated, err := z.inflate(seg, maxSegment)
 	if err != nil {
 		return nil, err
 	}
@@ -411,25 +470,35 @@ func parseRowSegment(seg []byte) ([][]byte, error) {
 }
 
 // parseColSegment inflates and decodes every field member of one
-// columnar segment's bytes.
-func parseColSegment(seg []byte, fields []Field) ([][]uint64, error) {
+// columnar segment's bytes. The segment's columns share one slab, made
+// once its first member has inflated to as many values as the segment
+// declares.
+func parseColSegment(z *inflater, seg []byte, fields []Field) ([][]uint64, error) {
 	recs, pos := binary.Uvarint(seg)
 	if pos <= 0 || recs == 0 || recs > maxSegment {
 		return nil, fmt.Errorf("recio: malformed columnar segment: %w", ErrTruncated)
 	}
+	n := int(recs)
+	var slab []uint64
 	cols := make([][]uint64, len(fields))
 	for i, f := range fields {
 		mlen, w := binary.Uvarint(seg[pos:])
-		if w <= 0 || int64(mlen) > maxSegment || pos+w+int(mlen) > len(seg) {
+		if w <= 0 || mlen > maxSegment || pos+w+int(mlen) > len(seg) {
 			return nil, fmt.Errorf("recio: malformed column member %d: %w", i, ErrTruncated)
 		}
 		pos += w
-		enc, err := inflate(seg[pos:pos+int(mlen)], maxSegment)
+		enc, err := z.inflate(seg[pos:pos+int(mlen)], maxSegment)
 		if err != nil {
 			return nil, err
 		}
-		cols[i], err = decodeColumn(enc, f.Kind, int(recs))
-		if err != nil {
+		if err := checkColumnLen(enc, f.Kind, n); err != nil {
+			return nil, err
+		}
+		if slab == nil {
+			slab = make([]uint64, n*len(fields))
+		}
+		cols[i] = slab[i*n : (i+1)*n : (i+1)*n]
+		if err := decodeColumn(cols[i], enc, f.Kind); err != nil {
 			return nil, err
 		}
 		pos += int(mlen)
@@ -440,19 +509,47 @@ func parseColSegment(seg []byte, fields []Field) ([][]uint64, error) {
 	return cols, nil
 }
 
+// checkColumnLen fails unless an inflated column member holds exactly
+// the n values its segment declares.
+func checkColumnLen(enc []byte, kind FieldKind, n int) error {
+	got, err := columnLen(enc, kind)
+	if err != nil {
+		return err
+	}
+	if got != n {
+		return fmt.Errorf("recio: column holds %d values, segment declares %d", got, n)
+	}
+	return nil
+}
+
+// concatColumns joins each segment's columns into whole-file columns,
+// one allocation per column (slices.Concat sizes it exactly; nil when
+// there are no values) once every segment has decoded.
+func concatColumns(segCols [][][]uint64, nfields int) [][]uint64 {
+	out := make([][]uint64, nfields)
+	per := make([][]uint64, len(segCols))
+	for f := range out {
+		for i, cols := range segCols {
+			per[i] = cols[f]
+		}
+		out[f] = slices.Concat(per...)
+	}
+	return out
+}
+
 // inflateRowSegments decompresses the given segments concurrently (in
 // index order) and concatenates their record payloads. workers ≤ 0
 // means min(GOMAXPROCS, 8). Strict: any CRC, inflate or frame failure
 // is an error.
 func inflateRowSegments(data []byte, segs []SegmentInfo, workers int) ([][]byte, error) {
 	per := make([][][]byte, len(segs))
-	err := eachSegment(segs, workers, func(i int) error {
+	err := eachSegment(segs, workers, func(z *inflater, i int) error {
 		s := segs[i]
 		if !verifySegment(data, s) {
 			return fmt.Errorf("recio: segment at byte %d: %w", s.Offset, ErrCRC)
 		}
 		start := s.Offset + int64(uvarintLen(uint64(s.CLen)))
-		payloads, err := parseRowSegment(data[start : start+s.CLen])
+		payloads, err := parseRowSegment(z, data[start:start+s.CLen])
 		if err != nil {
 			return err
 		}
@@ -478,16 +575,18 @@ func inflateRowSegments(data []byte, segs []SegmentInfo, workers int) ([][]byte,
 }
 
 // inflateColSegments is inflateRowSegments for columnar bodies: each
-// segment decodes all its field members, concurrently across segments.
-func inflateColSegments(data []byte, segs []SegmentInfo, fields []Field) ([][]uint64, error) {
+// segment decodes all its field members, concurrently across segments,
+// and is checked against its index entry before any whole-file column
+// is sized.
+func inflateColSegments(data []byte, segs []SegmentInfo, fields []Field, workers int) ([][]uint64, error) {
 	per := make([][][]uint64, len(segs))
-	err := eachSegment(segs, 0, func(i int) error {
+	err := eachSegment(segs, workers, func(z *inflater, i int) error {
 		s := segs[i]
 		if !verifySegment(data, s) {
 			return fmt.Errorf("recio: segment at byte %d: %w", s.Offset, ErrCRC)
 		}
 		start := s.Offset + int64(uvarintLen(uint64(s.CLen)))
-		cols, err := parseColSegment(data[start:start+s.CLen], fields)
+		cols, err := parseColSegment(z, data[start:start+s.CLen], fields)
 		if err != nil {
 			return err
 		}
@@ -501,25 +600,22 @@ func inflateColSegments(data []byte, segs []SegmentInfo, fields []Field) ([][]ui
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]uint64, len(fields))
-	for _, cols := range per {
-		for i := range out {
-			out[i] = append(out[i], cols[i]...)
-		}
-	}
-	return out, nil
+	return concatColumns(per, len(fields)), nil
 }
 
-// eachSegment runs fn(i) for every segment index on a bounded worker
-// pool, returning the lowest-index error.
-func eachSegment(segs []SegmentInfo, workers int, fn func(i int) error) error {
+// eachSegment runs fn(z, i) for every segment index on a bounded worker
+// pool, returning the lowest-index error. Each worker decodes with one
+// pooled inflater. workers ≤ 0 means min(GOMAXPROCS, 8).
+func eachSegment(segs []SegmentInfo, workers int, fn func(z *inflater, i int) error) error {
 	if workers <= 0 {
 		workers = min(runtime.GOMAXPROCS(0), 8)
 	}
 	workers = min(workers, len(segs))
 	if workers <= 1 {
+		z := getInflater()
+		defer z.release()
 		for i := range segs {
-			if err := fn(i); err != nil {
+			if err := fn(z, i); err != nil {
 				return err
 			}
 		}
@@ -533,6 +629,8 @@ func eachSegment(segs []SegmentInfo, workers int, fn func(i int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			z := getInflater()
+			defer z.release()
 			for {
 				mu.Lock()
 				i := int(next)
@@ -541,7 +639,7 @@ func eachSegment(segs []SegmentInfo, workers int, fn func(i int) error) error {
 				if i >= len(segs) {
 					return
 				}
-				errs[i] = fn(i)
+				errs[i] = fn(z, i)
 			}
 		}()
 	}

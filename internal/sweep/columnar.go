@@ -185,14 +185,11 @@ func readRecShard[T any](path string) (*ShardFile[T], error) {
 	}
 	f := shardFileOf[T](path, hdr, n)
 	row := make([]uint64, len(cols))
-	for i := 0; i < n; i++ {
-		for j := range cols {
-			row[j] = cols[j][i]
+	for i := range f.Records {
+		for j, col := range cols {
+			row[j] = col[i]
 		}
-		var v T
-		cr, _ := columnarOf(&v)
-		cr.SetColumnValues(row)
-		f.Records = append(f.Records, v)
+		any(&f.Records[i]).(ColumnarRecord).SetColumnValues(row)
 	}
 	if n > 0 {
 		cz, _ = columnarOf(&f.Records[0])
@@ -206,8 +203,8 @@ func readRecShard[T any](path string) (*ShardFile[T], error) {
 	return f, nil
 }
 
-// shardFileOf maps a recio header back onto ShardFile metadata, with
-// capacity for n records.
+// shardFileOf maps a recio header back onto ShardFile metadata, with n
+// zero records for the decoder to fill in place.
 func shardFileOf[T any](path string, hdr recio.Header, n int) *ShardFile[T] {
 	return &ShardFile[T]{
 		Experiment:   hdr.Experiment,
@@ -220,7 +217,7 @@ func shardFileOf[T any](path string, hdr recio.Header, n int) *ShardFile[T] {
 		MatrixDigest: hdr.MatrixDigest,
 		Path:         path,
 		Line:         1, // the header frame opens the file
-		Records:      make([]T, 0, n),
+		Records:      make([]T, n),
 	}
 }
 
