@@ -66,13 +66,9 @@ func seedRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // ProbesAt builds a probe set from explicit ASNs.
 func (s *Simulator) ProbesAt(name string, probes []ASN) (ProbeSet, error) {
-	nodes := make([]int, 0, len(probes))
-	for _, p := range probes {
-		i, err := s.nodeOf(p)
-		if err != nil {
-			return ProbeSet{}, err
-		}
-		nodes = append(nodes, i)
+	nodes, err := s.nodesOf(probes)
+	if err != nil {
+		return ProbeSet{}, err
 	}
 	return detect.CustomProbes(name, nodes), nil
 }
@@ -140,13 +136,9 @@ func (s *Simulator) TopDegreeDeployment(k int) Strategy {
 
 // DeploymentAt builds a strategy from explicit ASNs.
 func (s *Simulator) DeploymentAt(name string, filters []ASN) (Strategy, error) {
-	nodes := make([]int, 0, len(filters))
-	for _, f := range filters {
-		i, err := s.nodeOf(f)
-		if err != nil {
-			return Strategy{}, err
-		}
-		nodes = append(nodes, i)
+	nodes, err := s.nodesOf(filters)
+	if err != nil {
+		return Strategy{}, err
 	}
 	return deploy.Custom(name, nodes), nil
 }
@@ -161,13 +153,9 @@ func (s *Simulator) EvaluatePGBGP(target ASN, deployed []ASN, sample int, seed i
 	if err != nil {
 		return nil, err
 	}
-	nodes := make([]int, 0, len(deployed))
-	for _, d := range deployed {
-		i, err := s.nodeOf(d)
-		if err != nil {
-			return nil, err
-		}
-		nodes = append(nodes, i)
+	nodes, err := s.nodesOf(deployed)
+	if err != nil {
+		return nil, err
 	}
 	attackers := experiments.SampleAttackers(s.world.Graph.TransitNodes(), sample, seedRNG(seed))
 	return pgbgp.Evaluate(s.world.Policy, tgt, attackers, nodes)
@@ -258,7 +246,7 @@ func (s *Simulator) Rehome(target ASN, levels int) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulator{world: w, solver: newSolverFor(w)}, nil
+	return &Simulator{world: w}, nil
 }
 
 // PollutedASNs lists the ASes that selected a route to the attacker in an

@@ -415,7 +415,7 @@ func BenchmarkAblationSBGPModes(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		means, err := sbgp.CompareModes(w.Policy, deep, attackers, deployed)
+		means, err := sbgp.CompareModes(w.Policy, deep, attackers, deployed, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

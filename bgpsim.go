@@ -61,14 +61,13 @@ func ParsePrefix(s string) (Prefix, error) { return prefix.Parse(s) }
 func ParseASN(s string) (ASN, error) { return asn.Parse(s) }
 
 // Simulator is the high-level entry point: a generated or loaded internet
-// plus its routing policy, addressed by ASN.
+// plus its routing policy, addressed by ASN. Its methods are safe for
+// concurrent use, except that PublishROA must not run alongside a method
+// that reads the ROA store.
 type Simulator struct {
-	world  *experiments.World
-	solver *core.Solver
-	roas   rpki.Store
+	world *experiments.World
+	roas  rpki.Store
 }
-
-func newSolverFor(w *experiments.World) *core.Solver { return core.NewSolver(w.Policy) }
 
 // Option configures New and Load.
 type Option func(*options)
@@ -119,7 +118,7 @@ func New(opts ...Option) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulator{world: w, solver: core.NewSolver(w.Policy)}, nil
+	return &Simulator{world: w}, nil
 }
 
 // Load builds a Simulator from CAIDA AS-relationship data.
@@ -133,7 +132,7 @@ func Load(r io.Reader, opts ...Option) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulator{world: w, solver: core.NewSolver(w.Policy)}, nil
+	return &Simulator{world: w}, nil
 }
 
 // World exposes the underlying experiment context for direct use with the
@@ -163,6 +162,19 @@ func (s *Simulator) nodeOf(a ASN) (int, error) {
 		return 0, fmt.Errorf("unknown AS %v", a)
 	}
 	return i, nil
+}
+
+// nodesOf resolves ASNs to node indices, in order.
+func (s *Simulator) nodesOf(asns []ASN) ([]int, error) {
+	nodes := make([]int, 0, len(asns))
+	for _, a := range asns {
+		i, err := s.nodeOf(a)
+		if err != nil {
+			return nil, err
+		}
+		nodes = append(nodes, i)
+	}
+	return nodes, nil
 }
 
 // DepthOf returns the AS's depth (hops to the nearest tier-1 or tier-2).
@@ -279,32 +291,23 @@ func (s *Simulator) Hijack(spec HijackSpec) (*HijackReport, error) {
 			}
 		}
 	}
-	o, err := s.solver.Solve(core.Attack{Target: tgt, Attacker: att, SubPrefix: spec.SubPrefix}, blocked)
+	solver := s.world.Policy.AcquireSolver()
+	defer s.world.Policy.ReleaseSolver(solver)
+	o, err := solver.Solve(core.Attack{Target: tgt, Attacker: att, SubPrefix: spec.SubPrefix}, blocked)
 	if err != nil {
 		return nil, err
 	}
 	g := s.world.Graph
-	var lostWeight, totalWeight int64
-	polluted := 0
-	for i := 0; i < g.N(); i++ {
-		totalWeight += g.AddrWeight(i)
-		if o.Polluted(i) {
-			polluted++
-			lostWeight += g.AddrWeight(i)
-		}
-	}
-	rep := &HijackReport{
-		Attacker:     spec.Attacker,
-		Target:       spec.Target,
-		PollutedASes: polluted,
-		PollutedFrac: float64(polluted) / float64(g.N()),
-		FiltersArmed: armed,
-		Outcome:      o.Clone(),
-	}
-	if totalWeight > 0 {
-		rep.AddrSpaceFrac = float64(lostWeight) / float64(totalWeight)
-	}
-	return rep, nil
+	m := hijack.Measure(g, g.TotalAddrWeight(), o)
+	return &HijackReport{
+		Attacker:      spec.Attacker,
+		Target:        spec.Target,
+		PollutedASes:  m.Pollution,
+		PollutedFrac:  float64(m.Pollution) / float64(g.N()),
+		AddrSpaceFrac: m.WeightFrac,
+		FiltersArmed:  armed,
+		Outcome:       o.Clone(),
+	}, nil
 }
 
 // TraceHijack runs the attack on the generation-stepped message engine and

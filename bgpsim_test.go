@@ -2,7 +2,10 @@ package bgpsim
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/bgpsim/bgpsim/internal/topology"
@@ -238,4 +241,67 @@ func TestWorldAccessor(t *testing.T) {
 		t.Error("MaxDepth too small")
 	}
 	_ = topology.DepthUnreachable // keep explicit dependency for the alias contract
+}
+
+// TestSimulatorConcurrentHijack: eight goroutines call Hijack on one
+// Simulator at once, over different attacks, filters and sub-prefix
+// flags; each report must equal the serial run's, outcome included. Run
+// under -race it also holds Hijack to its concurrency contract.
+func TestSimulatorConcurrentHijack(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	sim := newSim(t)
+	transit := sim.Graph().TransitNodes()
+	filters := sim.FiltersOf(sim.TopDegreeDeployment(10))
+	specs := make([]HijackSpec, 8)
+	for i := range specs {
+		specs[i] = HijackSpec{
+			Attacker:  sim.MustASNAt(transit[3*i]),
+			Target:    sim.MustASNAt(transit[3*i+1]),
+			SubPrefix: i%3 == 2,
+		}
+		if i%2 == 1 {
+			specs[i].Filters = filters
+		}
+	}
+	type result struct {
+		polluted int
+		addrFrac float64
+		asns     []ASN
+	}
+	run := func(spec HijackSpec) (result, error) {
+		rep, err := sim.Hijack(spec)
+		if err != nil {
+			return result{}, err
+		}
+		return result{rep.PollutedASes, rep.AddrSpaceFrac, sim.PollutedASNs(rep.Outcome)}, nil
+	}
+	want := make([]result, len(specs))
+	for i, spec := range specs {
+		r, err := run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r
+	}
+	got := make([]result, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run(spec)
+		}()
+	}
+	wg.Wait()
+	for i := range specs {
+		if errs[i] != nil {
+			t.Fatalf("spec %d: %v", i, errs[i])
+		}
+		if got[i].polluted != want[i].polluted || got[i].addrFrac != want[i].addrFrac || !slices.Equal(got[i].asns, want[i].asns) {
+			t.Errorf("spec %d: concurrent Hijack polluted %d (%v of address space), serial %d (%v)",
+				i, got[i].polluted, got[i].addrFrac, want[i].polluted, want[i].addrFrac)
+		}
+	}
 }

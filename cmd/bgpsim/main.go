@@ -100,7 +100,9 @@ func run() error {
 		}
 		return nil
 	}
-	o, err := core.NewSolver(w.Policy).Solve(at, nil)
+	s := w.Policy.AcquireSolver()
+	defer w.Policy.ReleaseSolver(s)
+	o, err := s.Solve(at, nil)
 	if err != nil {
 		return err
 	}

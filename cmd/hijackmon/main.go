@@ -195,7 +195,9 @@ func run() error {
 	det.NotePublished(victimPrefix)
 
 	attacker := w.Class.Tier1[0]
-	o, err := core.NewSolver(w.Policy).Solve(core.Attack{Target: target, Attacker: attacker}, nil)
+	s := w.Policy.AcquireSolver()
+	defer w.Policy.ReleaseSolver(s)
+	o, err := s.Solve(core.Attack{Target: target, Attacker: attacker}, nil)
 	if err != nil {
 		return err
 	}

@@ -117,7 +117,9 @@ func run() error {
 		return err
 	}
 	attacker := w.Class.Tier1[0]
-	o, err := core.NewSolver(w.Policy).Solve(core.Attack{Target: target, Attacker: attacker}, nil)
+	s := w.Policy.AcquireSolver()
+	defer w.Policy.ReleaseSolver(s)
+	o, err := s.Solve(core.Attack{Target: target, Attacker: attacker}, nil)
 	if err != nil {
 		return err
 	}

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/bgpsim/bgpsim/internal/cli"
@@ -23,19 +24,19 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "selfdefense:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	fs := flag.NewFlagSet("selfdefense", flag.ExitOnError)
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("selfdefense", flag.ContinueOnError)
 	wf := cli.AddWorldFlags(fs)
 	outside := fs.Int("outside", 200, "attacks sampled from outside the region (paper: 200)")
 	levels := fs.Int("levels", 2, "provider-chain levels to re-home upward (paper: 2)")
 	mitigateStudy := fs.Bool("mitigate", false, "also run the reactive sub-prefix mitigation study")
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	w, err := wf.BuildWorld()
@@ -52,22 +53,20 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := res.WriteText(os.Stdout); err != nil {
+	if err := res.WriteText(stdout); err != nil {
 		return err
 	}
-	if *mitigateStudy {
-		fmt.Println()
-		if err := runMitigation(w); err != nil {
-			return err
-		}
+	if !*mitigateStudy {
+		return nil
 	}
-	return nil
+	fmt.Fprintln(stdout)
+	return runMitigation(w, stdout)
 }
 
 // runMitigation demonstrates the reactive defense class: the victim
 // counter-announces more-specific halves, under permissive vs conservative
 // ROA MaxLength policies.
-func runMitigation(w *experiments.World) error {
+func runMitigation(w *experiments.World, stdout io.Writer) error {
 	victim, err := topology.FindTarget(w.Graph, w.Class, topology.TargetQuery{Depth: 2, Stub: true})
 	if err != nil {
 		return err
@@ -82,11 +81,11 @@ func runMitigation(w *experiments.World) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("reactive mitigation (sub-prefix counter-announcement) of %v hijacked by %v, %d filtering ASes:\n",
+	fmt.Fprintf(stdout, "reactive mitigation (sub-prefix counter-announcement) of %v hijacked by %v, %d filtering ASes:\n",
 		w.Graph.ASN(victim), w.Graph.ASN(attacker), study.FilteringASes)
-	fmt.Printf("  ROA maxlen %d (permissive):   mitigation valid=%v  recovered %d  stranded %d\n",
+	fmt.Fprintf(stdout, "  ROA maxlen %d (permissive):   mitigation valid=%v  recovered %d  stranded %d\n",
 		17, study.Permissive.MitigationValid, study.Permissive.RecoveredASes, study.Permissive.StrandedASes)
-	fmt.Printf("  ROA maxlen %d (conservative): mitigation valid=%v  recovered %d  stranded %d  ← the MaxLength trap\n",
+	fmt.Fprintf(stdout, "  ROA maxlen %d (conservative): mitigation valid=%v  recovered %d  stranded %d  ← the MaxLength trap\n",
 		16, study.Conservative.MitigationValid, study.Conservative.RecoveredASes, study.Conservative.StrandedASes)
 	return nil
 }

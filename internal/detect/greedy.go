@@ -5,6 +5,7 @@ import (
 
 	"github.com/bgpsim/bgpsim/internal/asn"
 	"github.com/bgpsim/bgpsim/internal/core"
+	"github.com/bgpsim/bgpsim/internal/sweep"
 )
 
 // GreedyProbes chooses up to k probe ASes by greedy set cover over a
@@ -32,22 +33,28 @@ func GreedyProbes(pol *core.Policy, attacks []core.Attack, candidates []int, k i
 		return ProbeSet{}, fmt.Errorf("greedy probes: no candidates")
 	}
 
-	// coverage[c] = bitset of attack indices candidate c would detect.
-	solver := core.NewSolver(pol)
+	// coverage[c] = bitset of attack indices candidate c would detect,
+	// filled in attack order from the runtime's in-order stream.
 	coverage := make(map[int]*asn.IndexSet, len(candidates))
 	for _, c := range candidates {
 		coverage[c] = asn.NewIndexSet(len(attacks))
 	}
-	for i, at := range attacks {
-		o, err := solver.Solve(at, nil)
-		if err != nil {
-			return ProbeSet{}, fmt.Errorf("greedy probes: %w", err)
-		}
+	detectors := func(_, _ int, o *core.Outcome) []int {
+		var hit []int
 		for _, c := range candidates {
 			if o.Polluted(c) {
-				coverage[c].Add(i)
+				hit = append(hit, c)
 			}
 		}
+		return hit
+	}
+	fill := sweep.ReduceFunc[[]int]{EmitFn: func(i int, hit []int) {
+		for _, c := range hit {
+			coverage[c].Add(i)
+		}
+	}}
+	if err := sweep.RunMatrixReduce(MatrixFor(pol, attacks, core.Defense{}), sweep.MatrixOptions{}, detectors, fill); err != nil {
+		return ProbeSet{}, fmt.Errorf("greedy probes: %w", err)
 	}
 
 	undetected := asn.NewIndexSet(len(attacks))

@@ -37,7 +37,7 @@ func SBGPStudy(w *World, cfg DeploymentConfig) (*SBGPResult, error) {
 	chain := providerChain(w, node)
 	deployed = append(deployed, chain...)
 
-	means, err := sbgp.CompareModes(w.Policy, node, attackers, deployed)
+	means, err := sbgp.CompareModes(w.Policy, node, attackers, deployed, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("sbgp study: %w", err)
 	}

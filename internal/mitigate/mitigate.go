@@ -108,7 +108,8 @@ func Execute(pol *core.Policy, plan Plan) (*Result, error) {
 	// The more-specific plane: only the victim announces. Reuse the
 	// sub-prefix machinery with the victim in the announcing role; the
 	// blocked set (if the mitigation is Invalid) drops it at validators.
-	solver := core.NewSolver(pol)
+	solver := pol.AcquireSolver()
+	defer pol.ReleaseSolver(solver)
 	o, err := solver.Solve(core.Attack{
 		Target:    plan.Attacker, // unused in a sub-prefix plane
 		Attacker:  plan.Victim,   // the announcing origin
@@ -117,16 +118,10 @@ func Execute(pol *core.Policy, plan Plan) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mitigate: %w", err)
 	}
-	for i := 0; i < n; i++ {
-		if i == plan.Victim {
-			continue
-		}
-		if o.Origin(i) == core.OriginAttacker { // routes to the announcing victim
-			res.RecoveredASes++
-		} else {
-			res.StrandedASes++
-		}
-	}
+	// The victim is the plane's announcing origin, so the ASes routing to
+	// it are the ones the solver counts as polluted.
+	res.RecoveredASes = o.PollutedCount()
+	res.StrandedASes = n - 1 - res.RecoveredASes
 	return res, nil
 }
 

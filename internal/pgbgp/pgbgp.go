@@ -20,8 +20,10 @@ import (
 
 	"github.com/bgpsim/bgpsim/internal/asn"
 	"github.com/bgpsim/bgpsim/internal/core"
+	"github.com/bgpsim/bgpsim/internal/hijack"
 	"github.com/bgpsim/bgpsim/internal/prefix"
 	"github.com/bgpsim/bgpsim/internal/stats"
+	"github.com/bgpsim/bgpsim/internal/sweep"
 )
 
 // Day is a logical simulation day; PGBGP parameters are expressed in days.
@@ -103,37 +105,8 @@ func (h *History) SeedFromBaseline(owners map[prefix.Prefix]asn.ASN, day Day) {
 // legitimately originated the prefix within the window (e.g. the previous
 // owner after a transfer) sails through — PGBGP's inherent blind spot.
 func EvaluateWithHistory(pol *core.Policy, target int, attackers, deployed []int, h *History, hijacked prefix.Prefix, day Day) (*Result, error) {
-	n := pol.N()
-	if target < 0 || target >= n {
-		return nil, fmt.Errorf("pgbgp: target %d out of range", target)
-	}
-	eng := core.NewEngine(pol)
-	res := &Result{Deployed: deployed}
 	g := pol.Graph()
-	depref := asn.NewIndexSet(n)
-	for _, d := range deployed {
-		if d < 0 || d >= n {
-			return nil, fmt.Errorf("pgbgp: deployed node %d out of range", d)
-		}
-		depref.Add(d)
-	}
-	for _, a := range attackers {
-		if a == target {
-			continue
-		}
-		if h.Suspicious(hijacked, g.ASN(a), day) {
-			eng.Depref = depref
-		} else {
-			eng.Depref = nil // historically normal origin: no quarantine
-		}
-		o, _, err := eng.Run(core.Attack{Target: target, Attacker: a}, nil, false)
-		if err != nil {
-			return nil, fmt.Errorf("pgbgp: attack from %d: %w", a, err)
-		}
-		res.Attackers = append(res.Attackers, a)
-		res.Pollution = append(res.Pollution, o.PollutedCount())
-	}
-	return res, nil
+	return evaluate(pol, target, attackers, deployed, func(a int) bool { return h.Suspicious(hijacked, g.ASN(a), day) })
 }
 
 // Result mirrors deploy.Evaluation for depref semantics.
@@ -149,9 +122,18 @@ func (r *Result) Summary() stats.Summary { return stats.Summarize(r.Pollution) }
 
 // Evaluate sweeps the target with every attacker, with the deployed nodes
 // running PGBGP depref (history knows only the legitimate origin, so the
-// hijack's origin is quarantined). It uses the message engine, which is
-// the reference implementation of the two-plane preference.
+// hijack's origin is quarantined): EvaluateWithHistory with every origin
+// suspicious. It uses the message engine, which is the reference
+// implementation of the two-plane preference.
 func Evaluate(pol *core.Policy, target int, attackers, deployed []int) (*Result, error) {
+	return evaluate(pol, target, attackers, deployed, func(int) bool { return true })
+}
+
+// evaluate runs every attack but the target's own on the message engine,
+// one Engine per worker, with the deployed nodes depreffing the attacks
+// whose origin is suspicious. Results are in attacker order at any worker
+// count.
+func evaluate(pol *core.Policy, target int, attackers, deployed []int, suspicious func(attacker int) bool) (*Result, error) {
 	n := pol.N()
 	if target < 0 || target >= n {
 		return nil, fmt.Errorf("pgbgp: target %d out of range", target)
@@ -163,19 +145,29 @@ func Evaluate(pol *core.Policy, target int, attackers, deployed []int) (*Result,
 		}
 		depref.Add(d)
 	}
-	eng := core.NewEngine(pol)
-	eng.Depref = depref
 	res := &Result{Deployed: deployed}
 	for _, a := range attackers {
-		if a == target {
-			continue
+		if a != target {
+			res.Attackers = append(res.Attackers, a)
 		}
-		o, _, err := eng.Run(core.Attack{Target: target, Attacker: a}, nil, false)
-		if err != nil {
-			return nil, fmt.Errorf("pgbgp: attack from %d: %w", a, err)
-		}
-		res.Attackers = append(res.Attackers, a)
-		res.Pollution = append(res.Pollution, o.PollutedCount())
+	}
+	res.Pollution = make([]int, len(res.Attackers))
+	err := sweep.MapLocal(len(res.Attackers), sweep.Options{}, func() *core.Engine { return core.NewEngine(pol) },
+		func(eng *core.Engine, i int) error {
+			a := res.Attackers[i]
+			eng.Depref = nil // historically normal origin: no quarantine
+			if suspicious(a) {
+				eng.Depref = depref
+			}
+			o, _, err := eng.Run(core.Attack{Target: target, Attacker: a}, nil, false)
+			if err != nil {
+				return fmt.Errorf("pgbgp: attack from %d: %w", a, err)
+			}
+			res.Pollution[i] = o.PollutedCount()
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -193,17 +185,9 @@ func CompareWithDrop(pol *core.Policy, target int, attackers, deployed []int) (d
 	for _, d := range deployed {
 		blocked.Add(d)
 	}
-	s := core.NewSolver(pol)
-	var drops []int
-	for _, a := range attackers {
-		if a == target {
-			continue
-		}
-		o, err := s.Solve(core.Attack{Target: target, Attacker: a}, blocked)
-		if err != nil {
-			return 0, 0, err
-		}
-		drops = append(drops, o.PollutedCount())
+	drop, err := hijack.Sweep(pol, hijack.SweepConfig{Target: target, Attackers: attackers, Blocked: blocked})
+	if err != nil {
+		return 0, 0, err
 	}
-	return pg.Summary().Mean, stats.Summarize(drops).Mean, nil
+	return pg.Summary().Mean, drop.Summary().Mean, nil
 }

@@ -34,26 +34,44 @@ func TestEvaluateValidation(t *testing.T) {
 }
 
 // TestSecurityOffMatchesBaseline: mode off must equal a plain engine run.
+// Security off runs on the staged solver, so this is the reference test
+// holding that swap to the message engine: every transit attacker against
+// a depth-1 and a depth-2 stub, through Evaluate and through CompareModes.
 func TestSecurityOffMatchesBaseline(t *testing.T) {
 	pol, g, c := testWorld(t, 500)
-	target, err := topology.FindTarget(g, c, topology.TargetQuery{Depth: 2, Stub: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	attackers := g.TransitNodes()[:30]
-	off, err := Evaluate(pol, target, attackers, topology.NodesByDegree(g)[:20], core.SecureOff)
-	if err != nil {
-		t.Fatal(err)
-	}
+	attackers := g.TransitNodes()
+	deployed := topology.NodesByDegree(g)[:20]
 	plain := core.NewEngine(pol)
-	for i, a := range off.Attackers {
-		o, _, err := plain.Run(core.Attack{Target: target, Attacker: a}, nil, false)
+	for _, depth := range []int{1, 2} {
+		target, err := topology.FindTarget(g, c, topology.TargetQuery{Depth: depth, Stub: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if o.PollutedCount() != off.Pollution[i] {
-			t.Fatalf("mode-off diverges from baseline at attacker %d: %d vs %d",
-				a, off.Pollution[i], o.PollutedCount())
+		off, err := Evaluate(pol, target, attackers, deployed, core.SecureOff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(off.Attackers) != len(attackers) {
+			t.Fatalf("depth %d: %d attackers evaluated, want %d", depth, len(off.Attackers), len(attackers))
+		}
+		sum := 0
+		for i, a := range off.Attackers {
+			o, _, err := plain.Run(core.Attack{Target: target, Attacker: a}, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o.PollutedCount() != off.Pollution[i] {
+				t.Fatalf("depth %d: mode-off diverges from baseline at attacker %d: %d vs %d",
+					depth, a, off.Pollution[i], o.PollutedCount())
+			}
+			sum += o.PollutedCount()
+		}
+		means, err := CompareModes(pol, target, attackers, deployed, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := float64(sum) / float64(len(off.Attackers)); means[core.SecureOff] != want {
+			t.Errorf("depth %d: CompareModes mode-off mean %v, engine mean %v", depth, means[core.SecureOff], want)
 		}
 	}
 }
@@ -73,7 +91,7 @@ func TestSecurityModeOrdering(t *testing.T) {
 		attackers = attackers[:50]
 	}
 	deployed := topology.NodesByDegree(g)[:40]
-	means, err := CompareModes(pol, target, attackers, deployed)
+	means, err := CompareModes(pol, target, attackers, deployed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"github.com/bgpsim/bgpsim/internal/asn"
 	"github.com/bgpsim/bgpsim/internal/core"
+	"github.com/bgpsim/bgpsim/internal/sweep"
 	"github.com/bgpsim/bgpsim/internal/topology"
 )
 
@@ -42,69 +43,61 @@ func MeasureRegional(pol *core.Policy, target, region, outsideSample int, rng *r
 	if len(regionNodes) == 0 {
 		return nil, fmt.Errorf("regional measure: region %d is empty", region)
 	}
-	inRegion := make(map[int]bool, len(regionNodes))
-	for _, i := range regionNodes {
-		inRegion[i] = true
-	}
-	if !inRegion[target] {
+	if target < 0 || target >= g.N() || g.Region(target) != region {
 		return nil, fmt.Errorf("regional measure: target %d not in region %d", target, region)
 	}
 
-	s := core.NewSolver(pol)
-	regionalPollution := func(attacker int) (int, error) {
-		o, err := s.Solve(core.Attack{Target: target, Attacker: attacker}, blocked)
-		if err != nil {
-			return 0, err
+	// Every region member but the target attacks, then the outside
+	// sample, deterministic for the generator's state.
+	attackers := make([]int, 0, len(regionNodes))
+	for _, a := range regionNodes {
+		if a != target {
+			attackers = append(attackers, a)
 		}
+	}
+	inside := len(attackers)
+	var outside []int
+	for i := 0; i < g.N(); i++ {
+		if g.Region(i) != region {
+			outside = append(outside, i)
+		}
+	}
+	rng.Shuffle(len(outside), func(i, j int) { outside[i], outside[j] = outside[j], outside[i] })
+	attackers = append(attackers, outside[:min(outsideSample, len(outside))]...)
+
+	// One run over both samples: the attacks share the target and the
+	// blocked set, so the runtime solves them as lane batches.
+	var sums [2]int // polluted region members, inside and outside
+	job := func(i int) (core.Attack, core.Defense) {
+		return core.Attack{Target: target, Attacker: attackers[i]}, core.Defense{Blocked: blocked}
+	}
+	regionalPollution := func(_ int, o *core.Outcome) int {
 		c := 0
 		for _, i := range regionNodes {
 			if o.Polluted(i) {
 				c++
 			}
 		}
-		return c, nil
+		return c
+	}
+	sum := sweep.ReduceFunc[int]{EmitFn: func(i, p int) {
+		if i < inside {
+			sums[0] += p
+		} else {
+			sums[1] += p
+		}
+	}}
+	if err := sweep.RunReduce(pol, len(attackers), job, sweep.Options{}, regionalPollution, sum); err != nil {
+		return nil, fmt.Errorf("regional measure: %w", err)
 	}
 
-	res := &RegionalResult{Region: region, RegionSize: len(regionNodes)}
-	insideSum := 0
-	for _, a := range regionNodes {
-		if a == target {
-			continue
-		}
-		p, err := regionalPollution(a)
-		if err != nil {
-			return nil, err
-		}
-		insideSum += p
-		res.InsideAttacks++
-	}
+	res := &RegionalResult{Region: region, RegionSize: len(regionNodes), InsideAttacks: inside, OutsideAttacks: len(attackers) - inside}
 	if res.InsideAttacks > 0 {
-		res.InsideMean = float64(insideSum) / float64(res.InsideAttacks)
+		res.InsideMean = float64(sums[0]) / float64(res.InsideAttacks)
 		res.InsideFrac = res.InsideMean / float64(res.RegionSize)
 	}
-
-	// Outside sample, deterministic for the generator's state.
-	var outside []int
-	for i := 0; i < g.N(); i++ {
-		if !inRegion[i] {
-			outside = append(outside, i)
-		}
-	}
-	rng.Shuffle(len(outside), func(i, j int) { outside[i], outside[j] = outside[j], outside[i] })
-	if outsideSample > len(outside) {
-		outsideSample = len(outside)
-	}
-	outsideSum := 0
-	for _, a := range outside[:outsideSample] {
-		p, err := regionalPollution(a)
-		if err != nil {
-			return nil, err
-		}
-		outsideSum += p
-		res.OutsideAttacks++
-	}
 	if res.OutsideAttacks > 0 {
-		res.OutsideMean = float64(outsideSum) / float64(res.OutsideAttacks)
+		res.OutsideMean = float64(sums[1]) / float64(res.OutsideAttacks)
 		res.OutsideFrac = res.OutsideMean / float64(res.RegionSize)
 	}
 	return res, nil

@@ -1,7 +1,9 @@
 // Package sweep is the repository's shared deterministic parallel solve
 // runtime. Every experiment layer — the hijack vulnerability sweeps, the
-// deployment ladders, the detector evaluations, and the hole/sub-prefix/
-// validation studies — maps some list of attacks through a core.Solver and
+// deployment ladders, the detector evaluations and greedy probe placement,
+// the hole/sub-prefix/validation studies, the Section VII regional measure
+// — maps some list of attacks through a core.Solver (or, for S*BGP's
+// secure ranks and PGBGP's depref, a core.Engine per MapLocal worker) and
 // aggregates per-attack measurements. This package owns that map exactly
 // once: worker-pool setup, per-worker solver reuse, index-ordered result
 // writes, first-error propagation with cancellation, and an optional

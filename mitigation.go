@@ -30,12 +30,8 @@ func (s *Simulator) Mitigate(victim, attacker ASN, victimPrefix Prefix, filters 
 	plan := mitigate.Plan{Victim: v, Attacker: a, VictimPrefix: victimPrefix}
 	if len(filters) > 0 {
 		plan.Validator = &s.roas
-		for _, f := range filters {
-			i, err := s.nodeOf(f)
-			if err != nil {
-				return nil, err
-			}
-			plan.Filtering = append(plan.Filtering, i)
+		if plan.Filtering, err = s.nodesOf(filters); err != nil {
+			return nil, err
 		}
 	}
 	return mitigate.Execute(s.world.Policy, plan)
@@ -52,13 +48,9 @@ func (s *Simulator) RunMitigationStudy(victim, attacker ASN, victimPrefix Prefix
 	if err != nil {
 		return nil, err
 	}
-	nodes := make([]int, 0, len(filters))
-	for _, f := range filters {
-		i, err := s.nodeOf(f)
-		if err != nil {
-			return nil, err
-		}
-		nodes = append(nodes, i)
+	nodes, err := s.nodesOf(filters)
+	if err != nil {
+		return nil, err
 	}
 	return mitigate.Study(s.world.Policy, v, a, victimPrefix, nodes)
 }
