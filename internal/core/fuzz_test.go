@@ -307,9 +307,10 @@ func fuzzSeeds() []fuzzCase {
 		lanes: fuzzLanes{width: 9, pos: 8, base: [8]byte{1, 2, 3, 4, 4, 3, 2, 1}, step: 2},
 	}
 	// Stub 5 has two providers: 0 reaches target 3 down the chain 0→2→3
-	// (an offer of length 3), 1 is attacker 4's provider (length 2). The
-	// lane stub pass must keep the shorter offer, not the first in the row;
-	// stub 6, 1's only customer, is the single-provider copy at +1.
+	// (an offer of length 3), 1 is attacker 4's provider (length 2). Both
+	// stub passes must keep the shorter offer, not the first in the row;
+	// stub 6, 1's only customer, is the single-provider copy at +1, and a
+	// scalar outcome derives it.
 	shortest := fuzzCase{
 		seeded: "a stub keeps its shortest provider offer", n: 7,
 		ranks: []byte{9, 9, 5, 1, 1, 1, 1},
@@ -320,13 +321,14 @@ func fuzzSeeds() []fuzzCase {
 		lanes: fuzzLanes{width: 4, pos: 0, base: [8]byte{4, 6, 5, 2}},
 	}
 	// The same stubs validating: 5 drops 1's attacker offer and takes 0's
-	// target route instead, 6 drops its only offer and stays unrouted.
+	// target route instead, 6 drops its only offer and stays unrouted — the
+	// derivation, too, must ask the scenario.
 	validating := shortest
 	validating.seeded, validating.at.rov = "validating stubs drop the attacker's offer", 0b1100000
 	// Stub 4's providers 0 and 1 offer length 2 each, 0 the route to target
 	// 2, 1 the route to attacker 3. Under WithPreferHighNextHop the stub
 	// takes 1's: read forwards, or with a later equal offer replacing the
-	// kept one, it takes 0's.
+	// kept one, either stub pass takes 0's.
 	stubTie := fuzzCase{
 		seeded: "a stub breaks a provider tie under the flipped tie-break", n: 5, tieHi: true,
 		ranks: []byte{9, 9, 1, 1, 1},
@@ -335,12 +337,48 @@ func fuzzSeeds() []fuzzCase {
 		prev:  fuzzCell{target: 3, attacker: 2},
 		lanes: fuzzLanes{width: 3, pos: 0, base: [8]byte{3, 4, 0}},
 	}
+	// Leaker 2 hands its real route to target 1 (length 2, via 0) up to its
+	// other provider 3, whose only other customer is the single-homed stub
+	// 4. With SPF off any node may be tier-1: 4 is, so Peerlock has it drop
+	// the leak its provider offers, and it stays unrouted.
+	peerlockStub := fuzzCase{
+		seeded: "a Peerlock single-homed stub drops its provider's leak", n: 5, noSPF: true, tier1: 0b10000,
+		ranks: []byte{9, 1, 5, 9, 1},
+		links: [][3]int{{0, 1, transit}, {0, 2, transit}, {3, 2, transit}, {3, 4, transit}},
+		at:    fuzzCell{target: 1, attacker: 2, kind: KindRouteLeak, peerlock: true},
+		prev:  fuzzCell{target: 4, attacker: 1},
+		lanes: fuzzLanes{width: 3, pos: 0, base: [8]byte{4, 3, 0}},
+	}
+	// Single-homed stub 1 of provider 0 peers with attacker 2: stage 2 fills
+	// it with the attacker's route, which 0 selects too (2 is its
+	// customer). Counting 0's stubs must count 1 once, and 2's stub 5,
+	// which only derives its route, once.
+	peerFilledStub := fuzzCase{
+		seeded: "a peer-filled single-homed stub is counted once", n: 6,
+		ranks: []byte{9, 1, 5, 1, 9, 1},
+		links: [][3]int{{0, 1, transit}, {0, 2, transit}, {2, 5, transit}, {1, 2, peer}, {4, 3, transit}, {0, 4, peer}},
+		at:    fuzzCell{target: 3, attacker: 2},
+		prev:  fuzzCell{target: 2, attacker: 3, kind: KindForgedOrigin},
+		lanes: fuzzLanes{width: 4, pos: 1, base: [8]byte{1, 5, 0, 4}},
+	}
+	// Target 2 and attacker 1 are both single-homed stubs of 0, which takes
+	// the attacker's route (the lower next hop): both seeds sit in the stub
+	// row of a polluted node and must be counted as their own records say.
+	stubSeeds := fuzzCase{
+		seeded: "single-homed seeds are counted once", n: 3,
+		ranks: []byte{9, 1, 1},
+		links: [][3]int{{0, 1, transit}, {0, 2, transit}},
+		at:    fuzzCell{target: 2, attacker: 1},
+		prev:  fuzzCell{target: 1, attacker: 2},
+		lanes: fuzzLanes{width: 2, pos: 1, base: [8]byte{0, 1}},
+	}
 	everyoneTier1 := diamond
 	everyoneTier1.seeded, everyoneTier1.tier1, everyoneTier1.tieHi = "whole-graph tier-1 set", ^uint32(0), true
 	noTier1 := reroute
 	noTier1.seeded, noTier1.tier1, noTier1.noSPF = "empty tier-1 set", 0, true
 	noTier1.lanes = fuzzLanes{width: 12, pos: 0, late: true, base: [8]byte{4, 3, 2, 6, 0, 1, 4, 4}, step: 3}
-	return []fuzzCase{diamond, reroute, noLeak, pullTie, noPeerTransit, everyoneTier1, noTier1, shortest, validating, stubTie}
+	return []fuzzCase{diamond, reroute, noLeak, pullTie, noPeerTransit, everyoneTier1, noTier1, shortest, validating, stubTie,
+		peerlockStub, peerFilledStub, stubSeeds}
 }
 
 // rootCause unwraps err to the innermost error's text: the three solvers
@@ -438,6 +476,25 @@ func checkSolverEquivalence(t *testing.T, c fuzzCase) {
 		if d := viewDiff(want, other.view); d != "" {
 			t.Fatalf("%s diverges from a fresh solver on %+v under %+v (spf=%v tiehigh=%v): %s",
 				other.name, at, c.at, !c.noSPF, c.tieHi, d)
+		}
+	}
+	// The engine writes every route it selects, so its pollution totals
+	// count each node from its own record: the solvers' totals, which
+	// count single-homed stubs from their provider's, and a clone's must
+	// match them.
+	if d := viewDiff(want, want.Clone()); d != "" {
+		t.Fatalf("clone diverges from its outcome on %+v: %s", at, d)
+	}
+	for _, weights := range [][]int64{nil, oddWeights(pol.N())} {
+		wc, ww := eng.PollutedWeight(weights)
+		for _, other := range []struct {
+			name string
+			view OutcomeView
+		}{{"fresh solver", want}, {"reused solver", warm}, {"clone", want.Clone()}} {
+			if gc, gw := other.view.PollutedWeight(weights); gc != wc || gw != ww {
+				t.Fatalf("%s counts (%d, %d) polluted on %+v (weighted=%v), the engine (%d, %d)",
+					other.name, gc, gw, at, weights != nil, wc, ww)
+			}
 		}
 	}
 	requireLevelSets(t, reused)

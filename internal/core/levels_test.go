@@ -78,8 +78,9 @@ func requireRoutes(t *testing.T, s *Solver, ix func(asn.ASN) int, at Attack, def
 // four-hop customer chain and over its peer AS2, whose customer the target
 // is. The SPF pass replaces the customer route (dist 4) with the peer route
 // (dist 2), and stage 3 must flood AS1 from level 2 — and from level 2
-// only. AS60, a customer of both AS1 and AS10 (dist 3), tells the two
-// apart: flooded from the stale level it would hear AS10 first (dist 4).
+// only. AS60, a transit customer of both AS1 and AS10 (dist 3), tells the
+// two apart: flooded from the stale level it would hear AS10 first (dist
+// 4). Its stub AS70 follows it.
 func TestSPFRerouteFloodsFromNewLevel(t *testing.T) {
 	pol, ix := handPolicy(t, []link{
 		{1, 2, topology.RelPeer},
@@ -87,6 +88,7 @@ func TestSPFRerouteFloodsFromNewLevel(t *testing.T) {
 		{11, 12, topology.RelCustomer}, {12, 50, topology.RelCustomer},
 		{2, 50, topology.RelCustomer},
 		{1, 60, topology.RelCustomer}, {10, 60, topology.RelCustomer},
+		{60, 70, topology.RelCustomer},
 		{2, 61, topology.RelCustomer}, // the attacker, filtered everywhere
 	}, []asn.ASN{1, 2})
 	everyone := asn.NewIndexSet(pol.N())
@@ -102,12 +104,14 @@ func TestSPFRerouteFloodsFromNewLevel(t *testing.T) {
 		10: {ClassCustomer, 3, 11, OriginTarget},
 		1:  {ClassPeer, 2, 2, OriginTarget},
 		60: {ClassProvider, 3, 1, OriginTarget},
+		70: {ClassProvider, 4, 60, OriginTarget},
 		61: {ClassOrigin, 0, 0, OriginAttacker},
 	})
-	// Every routed node with customers floods exactly once: 1, 2, 10, 11
-	// and 12. A tier-1 left in its stale level as well would make it six.
-	if got := s.Stats().Sources[2]; got != 5 {
-		t.Errorf("stage 3 visited %d sources, want 5", got)
+	// Every routed node with transit customers floods exactly once: 1, 10
+	// and 11 (2, 12 and 60 have stub customers only). A tier-1 left in its
+	// stale level as well would make it four.
+	if got := s.Stats().Sources[2]; got != 3 {
+		t.Errorf("stage 3 visited %d sources, want 3", got)
 	}
 }
 
@@ -221,9 +225,10 @@ func TestLeakBaselinePerTarget(t *testing.T) {
 
 // TestSolverStats pins the work counters on the seed-42 2,000-AS world with
 // exact, machine-independent values: each stage's sources are the routed
-// nodes that have someone to offer to, each visited once, a ladder's leaks
-// share one baseline per target, and a lane solve is one pass however many
-// lanes it carries.
+// nodes that have someone to offer to, each visited once, the provider
+// stage offers to transit customers only and pulls the multi-homed stubs,
+// a ladder's leaks share one baseline per target, and a lane solve is one
+// pass however many lanes it carries.
 func TestSolverStats(t *testing.T) {
 	pol := deltaTestPolicy(t, 2000, 42)
 	n := pol.N()
@@ -235,14 +240,20 @@ func TestSolverStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var withCustomers, custEdges, peerEdges, stage1 int64
+	var withTransit, tranEdges, multiPulled, peerEdges, stage1 int64
 	for i := 0; i < n; i++ {
+		// A multi-homed stub is still open after the flood unless stages 1–2
+		// routed it, which give no provider-class routes.
+		if provs := len(pol.Providers(i)); provs > 1 && len(pol.Customers(i)) == 0 &&
+			(!o.HasRoute(i) || o.Class(i) == ClassProvider) {
+			multiPulled += int64(provs)
+		}
 		if !o.HasRoute(i) {
 			continue
 		}
-		if c := len(pol.Customers(i)); c > 0 {
-			withCustomers++
-			custEdges += int64(c)
+		if c := transitCustomers(pol, i); c > 0 {
+			withTransit++
+			tranEdges += c
 		}
 		// Origin and customer-class nodes were routed by stage 1 and offer
 		// over every peer link; so was a tier-1 that stage 2 re-routed, which
@@ -258,9 +269,12 @@ func TestSolverStats(t *testing.T) {
 	if st.Solves != 1 || st.BaselineSolves != 0 {
 		t.Errorf("after one origin-hijack solve: %d solves, %d baseline solves", st.Solves, st.BaselineSolves)
 	}
-	if st.Sources[2] != withCustomers || st.Offers[2] != custEdges {
-		t.Errorf("stage 3 visited %d sources offering over %d edges, want the %d routed nodes with customers and their %d customer edges",
-			st.Sources[2], st.Offers[2], withCustomers, custEdges)
+	if st.Sources[2] != withTransit || st.Offers[2] != tranEdges {
+		t.Errorf("stage 3 visited %d sources offering over %d edges, want the %d routed nodes with transit customers and their %d transit-customer edges",
+			st.Sources[2], st.Offers[2], withTransit, tranEdges)
+	}
+	if st.Pulled != multiPulled {
+		t.Errorf("stage 3 pulled over %d provider edges, want the %d of the multi-homed stubs the flood left open", st.Pulled, multiPulled)
 	}
 	if st.Offers[1] != peerEdges {
 		t.Errorf("peer stage offered over %d edges, want the %d peer edges of origin/customer-class nodes", st.Offers[1], peerEdges)
@@ -335,8 +349,8 @@ func TestSolverStats(t *testing.T) {
 
 	// A flood visits a source once for all the lanes it carries: a batch of
 	// one visits exactly the sources the scalar solve of that cell visits,
-	// and offers over the same edges in the first two stages; 60 lanes visit
-	// and offer less than 60 solves do.
+	// and offers over the same edges in all three stages; 60 lanes visit and
+	// offer less than 60 solves do.
 	one, sixty, scalar := NewSolver(pol), NewSolver(pol), NewSolver(pol)
 	if _, err := one.SolveLanes(target, group[:1], KindOrigin, false, defs[1]); err != nil {
 		t.Fatal(err)
@@ -358,15 +372,15 @@ func TestSolverStats(t *testing.T) {
 				open[w] = true
 			}
 		}
-		if l, st := one.Stats(), scalar.Stats(); i == 0 && (l.Sources != st.Sources || l.Offers[0] != st.Offers[0] || l.Offers[1] != st.Offers[1]) {
+		if l, st := one.Stats(), scalar.Stats(); i == 0 && (l.Sources != st.Sources || l.Offers != st.Offers) {
 			t.Errorf("a one-lane batch visited %v sources over %v edges, the scalar solve %v over %v",
 				l.Sources, l.Offers, st.Sources, st.Offers)
 		}
 	}
-	// Stage 3 of the 60-lane batch, exactly: a routed node with customers is
-	// a source once per distinct distance among its lanes and offers over its
-	// transit-customer edges, and the stub pass reads every provider edge of
-	// the stubs left open.
+	// Stage 3 of the 60-lane batch, exactly: a routed node with transit
+	// customers is a source once per distinct distance among its lanes and
+	// offers over its transit-customer edges, and the stub pass reads every
+	// provider edge of the stubs left open.
 	var sources, transit, pulled int64
 	for v := 0; v < n; v++ {
 		if len(pol.Customers(v)) == 0 {
@@ -375,11 +389,9 @@ func TestSolverStats(t *testing.T) {
 			}
 			continue
 		}
-		var tc int64
-		for _, c := range pol.Customers(v) {
-			if len(pol.Customers(int(c))) > 0 {
-				tc++
-			}
+		tc := transitCustomers(pol, v)
+		if tc == 0 {
+			continue
 		}
 		dists := map[int16]bool{}
 		for i := range outs {
@@ -401,4 +413,16 @@ func TestSolverStats(t *testing.T) {
 				stage, l.Sources[stage], l.Offers[stage], sc.Sources[stage], sc.Offers[stage])
 		}
 	}
+}
+
+// transitCustomers counts node v's customers that have customers of their
+// own: the edges both provider floods offer over.
+func transitCustomers(pol *Policy, v int) int64 {
+	var tc int64
+	for _, c := range pol.Customers(v) {
+		if len(pol.Customers(int(c))) > 0 {
+			tc++
+		}
+	}
+	return tc
 }

@@ -33,8 +33,10 @@ func kernelCells(pol *Policy) (cells []Attack, defs []Defense) {
 // returned Outcome are retained. Route leaks solve a baseline on the lazily
 // built secondary solver, which is the one allocation they are allowed.
 // BuildSnapshot runs the same stages; all it may allocate is the detached
-// Snapshot it returns. SolveDelta allocates nothing on either kernel, and
-// neither does SolveLanes, reading its lanes and materializing one included.
+// Snapshot it returns. A scalar outcome's PollutedWeight, which asks the
+// scenario at the single-homed stubs it derives, allocates nothing under
+// ROV or ASPA. SolveDelta allocates nothing on either kernel, and neither
+// does SolveLanes, reading its lanes and materializing one included.
 func TestWarmSolveAllocs(t *testing.T) {
 	pol := deltaTestPolicy(t, 2000, 42)
 	cells, defs := kernelCells(pol)
@@ -64,6 +66,28 @@ func TestWarmSolveAllocs(t *testing.T) {
 		}
 	}
 
+	weights := oddWeights(pol.N())
+	some := defs[1].Blocked
+	for _, def := range []Defense{RovOnly(some), {ASPA: some}} {
+		s := NewSolver(pol)
+		for _, kind := range Kinds() {
+			at := cells[0]
+			at.Kind = kind
+			o, err := s.SolveDefense(at, def)
+			if err != nil {
+				t.Fatal(err)
+			}
+			measure := func() {
+				o.PollutedWeight(weights)
+				o.PollutedWeight(nil)
+			}
+			measure()
+			if got := testing.AllocsPerRun(5, measure); got > 0 {
+				t.Errorf("%v under %+v: warm PollutedWeight allocates %.1f times, want 0", kind, def, got)
+			}
+		}
+	}
+
 	// A lane solve retains its per-node words, distance planes and lane
 	// outcomes like the scalar arenas; the pollution totals come off the
 	// stack. Materializing a lane is a scalar solve on the same buffers.
@@ -71,7 +95,6 @@ func TestWarmSolveAllocs(t *testing.T) {
 	for i, at := range cells {
 		attackers[i] = at.Attacker
 	}
-	weights := oddWeights(pol.N())
 	for _, kind := range Kinds() {
 		s := NewSolver(pol)
 		pass := func() {
@@ -135,24 +158,34 @@ func TestWarmSolveAllocs(t *testing.T) {
 }
 
 // requireLevelSets checks the invariant every stage relies on and leaves
-// behind: the level sets are disjoint, their union is exactly the routed
-// nodes, and a routed node sits in the level of its distance.
+// behind: the level sets are disjoint, their union is exactly the nodes
+// stages 1–2 routed plus the transit nodes stage 3 routed, and each sits in
+// the level of its distance. Stage 3 writes no single-homed stub and
+// enters no stub it pulls: a stub (provider, no customer) holding a
+// provider-class record was routed by the pull, as stages 1–2 hand out
+// origin, customer and peer routes only.
 func requireLevelSets(t *testing.T, s *Solver) {
 	t.Helper()
+	pol := s.pol
 	levels := len(s.levels) / s.words
 	for i, r := range s.nodes {
 		routed := r.stamp == s.epoch
+		stub := len(pol.Providers(i)) > 0 && len(pol.Customers(i)) == 0
+		pulled := routed && stub && r.class == ClassProvider
+		if pulled && pol.sole(int32(i)) {
+			t.Fatalf("single-homed stub %d holds a provider-class record (dist %d, nh %d)", i, r.dist, r.nexthop)
+		}
 		member := 0
 		for d := 0; d < levels; d++ {
 			if s.level(d)[i>>6]&(1<<(i&63)) == 0 {
 				continue
 			}
 			member++
-			if !routed || int(r.dist) != d || d > s.top {
-				t.Fatalf("node %d (routed=%v dist=%d) is in level %d (top %d)", i, routed, r.dist, d, s.top)
+			if !routed || pulled || int(r.dist) != d || d > s.top {
+				t.Fatalf("node %d (routed=%v pulled=%v dist=%d) is in level %d (top %d)", i, routed, pulled, r.dist, d, s.top)
 			}
 		}
-		if routed && member != 1 {
+		if routed && !pulled && member != 1 {
 			t.Fatalf("routed node %d (dist %d) is in %d levels, want exactly 1", i, r.dist, member)
 		}
 	}
@@ -160,7 +193,8 @@ func requireLevelSets(t *testing.T, s *Solver) {
 
 // TestLevelSetsPartitionRoutedNodes holds the level-set invariant after
 // every Solve and BuildSnapshot on a solver reused across kinds, defenses,
-// tie-break directions and snapshot builds.
+// tie-break directions and snapshot builds: the levels partition the nodes
+// stages 1–2 routed plus the transit nodes stage 3 routed.
 func TestLevelSetsPartitionRoutedNodes(t *testing.T) {
 	for _, opts := range [][]PolicyOption{nil, {WithTier1ShortestPath(false)}, {WithPreferHighNextHop(true)}} {
 		pol := deltaTestPolicy(t, 600, 11, opts...)

@@ -79,14 +79,25 @@ type Policy struct {
 	provOff, custOff, peerOff []int32
 	provAdj, custAdj, peerAdj []int32
 	// tranOff/tranAdj is custAdj restricted to transit customers, those
-	// with customers of their own: the rows the lane provider flood offers
-	// over, which leaves the stubs to pullStubLanes.
+	// with customers of their own: the rows both provider floods offer
+	// over, which leaves the stubs to the stub passes. hasTran marks the
+	// nodes whose row is non-empty, the floods' sources.
 	tranOff, tranAdj []int32
+	hasTran          []uint64
+	// soleOff/soleAdj is custAdj restricted to single-homed stubs, those
+	// with one provider and no customer, ascending: the nodes whose
+	// provider-stage route a scalar Outcome derives from the row's owner.
+	// hasSole marks the nodes whose row is non-empty.
+	soleOff, soleAdj []int32
+	hasSole          []uint64
+	// multiStub is the bitmap of the other stubs, the multi-homed ones:
+	// more than one provider, no customer. The scalar stub pull visits them.
+	multiStub []uint64
 	// Bitmaps (bit i%64 of word i/64) of the nodes with at least one
-	// provider / peer / customer. levelWalk masks each level word with one
-	// of them, so a node with nobody to offer a route to in a stage is
-	// never visited as that stage's source: a customer-less node (a stub,
-	// when it has a provider) never sources in the provider stage.
+	// provider / peer / customer. levelWalk masks each level word with
+	// hasProv, hasPeer or hasTran, so a node with nobody to offer a route
+	// to in a stage is never visited as that stage's source: a node whose
+	// customers are all stubs never sources in the provider stage.
 	hasProv, hasPeer, hasCust []uint64
 
 	// tier1SPF enables the paper's tier-1 policy: "Tier-1 routers always
@@ -230,17 +241,49 @@ func NewPolicy(g *topology.Graph, tier1 []int, opts ...PolicyOption) (*Policy, e
 		}
 	}
 	p.provOff[n], p.custOff[n], p.peerOff[n] = cp, cc, cr
-	p.tranOff = make([]int32, n+1)
+	// Each transit customer sits in all its providers' tranAdj rows, each
+	// single-homed stub in one soleAdj row: size both before filling them.
+	p.multiStub = make([]uint64, words)
+	var nTran, nSole int
 	for i := 0; i < n; i++ {
-		p.tranOff[i] = int32(len(p.tranAdj))
+		switch provs := p.provOff[i+1] - p.provOff[i]; {
+		case p.custOff[i+1] > p.custOff[i]:
+			nTran += int(provs)
+		case provs == 1:
+			nSole++
+		case provs > 1:
+			p.multiStub[i>>6] |= 1 << (i & 63)
+		}
+	}
+	p.tranOff, p.tranAdj = make([]int32, n+1), make([]int32, 0, nTran)
+	p.soleOff, p.soleAdj = make([]int32, n+1), make([]int32, 0, nSole)
+	p.hasTran = make([]uint64, words)
+	p.hasSole = make([]uint64, words)
+	for i := 0; i < n; i++ {
+		p.tranOff[i], p.soleOff[i] = int32(len(p.tranAdj)), int32(len(p.soleAdj))
 		for _, c := range p.Customers(i) {
 			if p.hasCust[c>>6]>>(c&63)&1 != 0 {
 				p.tranAdj = append(p.tranAdj, c)
+			} else if p.sole(c) {
+				p.soleAdj = append(p.soleAdj, c)
 			}
 		}
+		if len(p.tranAdj) > int(p.tranOff[i]) {
+			p.hasTran[i>>6] |= 1 << (i & 63)
+		}
+		if len(p.soleAdj) > int(p.soleOff[i]) {
+			p.hasSole[i>>6] |= 1 << (i & 63)
+		}
 	}
-	p.tranOff[n] = int32(len(p.tranAdj))
+	p.tranOff[n], p.soleOff[n] = int32(len(p.tranAdj)), int32(len(p.soleAdj))
 	return p, nil
+}
+
+// sole reports whether node i is a single-homed stub: a provider, no
+// customer, and not multi-homed.
+func (p *Policy) sole(i int32) bool {
+	w := i >> 6
+	return (p.hasProv[w]&^p.hasCust[w]&^p.multiStub[w])>>(i&63)&1 != 0
 }
 
 // Graph returns the topology the policy was built over.

@@ -64,8 +64,10 @@ func (s *Solver) BuildSnapshot(target int) (*Snapshot, error) {
 		snap.t1Class = make([]RouteClass, len(t1))
 		snap.t1Dist = make([]int16, len(t1))
 		snap.t1NH = make([]int32, len(t1))
+		// The records as stage 1 left them: nothing is derived before stage 3.
+		raw := Outcome{epoch: s.epoch, nodes: s.nodes}
 		for k, i := range t1 {
-			r := s.detached(int(i))
+			r := detached(&raw, int(i))
 			snap.t1Class[k], snap.t1Dist[k], snap.t1NH[k] = r.class, r.dist, r.nexthop
 		}
 	}
@@ -76,17 +78,20 @@ func (s *Solver) BuildSnapshot(target int) (*Snapshot, error) {
 	snap.class = make([]RouteClass, n)
 	snap.dist = make([]int16, n)
 	snap.nexthop = make([]int32, n)
+	// The baseline's scenario filters nothing, so a single-homed stub the
+	// solve left stale follows its provider wherever that is routed.
+	final := Outcome{epoch: s.epoch, nodes: s.nodes, pol: s.pol}
 	for i := 0; i < n; i++ {
-		r := s.detached(i)
+		r := detached(&final, i)
 		snap.class[i], snap.dist[i], snap.nexthop[i] = r.class, r.dist, r.nexthop
 	}
 	return snap, nil
 }
 
-// detached returns node i's record as a Snapshot stores it: an unrouted
-// node normalised to (ClassNone, dist 0, nexthop -1).
-func (s *Solver) detached(i int) nodeRec {
-	if r := s.nodes[i]; r.stamp == s.epoch {
+// detached returns node i's route in o as a Snapshot stores it: an
+// unrouted node normalised to (ClassNone, dist 0, nexthop -1).
+func detached(o *Outcome, i int) nodeRec {
+	if r, ok := o.route(i); ok {
 		return r
 	}
 	return nodeRec{class: ClassNone, nexthop: -1}

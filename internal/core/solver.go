@@ -30,10 +30,12 @@ type Attack struct {
 // reads and writes sit in one record (and so one cache line) instead of
 // one n-sized array per field. stamp == the solver's epoch means the rest
 // is the node's selected route this solve; any other stamp is stale — no
-// route this solve. Epochs are positive, so a zeroed record is stale under
-// every epoch. A record is written at most once per solve (twice for a
-// tier-1 the shortest-path-first pass re-routes): every stage offers
-// routes in preference order, so the first offer a node accepts is final.
+// route this solve, or, at a single-homed stub, the route Outcome.route
+// derives from its provider's. Epochs are positive, so a zeroed record is
+// stale under every epoch. A record is written at most once per solve
+// (twice for a tier-1 the shortest-path-first pass re-routes): every stage
+// offers routes in preference order, so the first offer a node accepts is
+// final.
 type nodeRec struct {
 	stamp   int32
 	nexthop int32
@@ -96,13 +98,14 @@ type SolverStats struct {
 	// Sources counts the routed nodes the solves visited to offer their
 	// route on, and Offers the edges they offered it over (each source's
 	// whole adjacency row, whether or not the neighbor took the route). A
-	// lane flood visits a source once for all the lanes it carries, and its
-	// provider stage offers over transit-customer edges only.
+	// lane flood visits a source once for all the lanes it carries. Both
+	// provider stages offer over transit-customer edges only.
 	Sources [3]int64
 	Offers  [3]int64
-	// Pulled counts the provider edges the lane stub pass read: every
-	// provider link of each stub still unrouted in some lane after the lane
-	// provider flood.
+	// Pulled counts the provider edges the stub passes read: every provider
+	// link of each stub still unrouted in some lane after the lane provider
+	// flood, and of each multi-homed stub still unrouted after the scalar
+	// one.
 	Pulled int64
 }
 
@@ -127,6 +130,11 @@ func (s *Solver) Stats() SolverStats { return s.stats }
 // Outcome is a view of one converged routing state. It remains valid only
 // until the owning Solver/Engine runs again; call Clone to detach it.
 //
+// A scalar solve leaves its single-homed stubs — one provider, no
+// customer — unwritten unless the first two stages routed them: such a
+// stub's route is its provider's one hop on, or none where the scenario
+// has the stub reject it, and the Outcome derives it when read (route).
+//
 // One lane of a SolveLanes batch is an Outcome too. It answers what every
 // lane has — whether a node is routed, to which origin, how far, and the
 // pollution totals — from the batch's lane words, and what only a scalar
@@ -138,7 +146,12 @@ type Outcome struct {
 	Attacker int
 
 	epoch int32
-	nodes []nodeRec // nodes[i].stamp == epoch ⇒ node i has a route
+	nodes []nodeRec // nodes[i].stamp == epoch ⇒ node i has that route (see route)
+
+	// pol is non-nil on a scalar solve's records, whose stale single-homed
+	// stubs are derived under the solve's resolved scenario sc.
+	pol *Policy
+	sc  scenario
 
 	lanes *Solver // non-nil: lane `lane` of lanes' current batch
 	lane  uint
@@ -152,58 +165,99 @@ func (o *Outcome) N() int {
 	return len(o.nodes)
 }
 
+// route returns node i's route in the records, and whether it has one: its
+// record when the solve wrote it, else, for a single-homed stub of a
+// scalar solve, its provider's route with ClassProvider, one hop longer
+// and through that provider — unless the provider is unrouted or the
+// scenario has the stub reject the route. A provider has a customer, so
+// it is no stub and its own record is final.
+func (o *Outcome) route(i int) (nodeRec, bool) {
+	r := o.nodes[i]
+	if r.stamp == o.epoch {
+		return r, true
+	}
+	pol := o.pol
+	if pol == nil || !pol.sole(int32(i)) {
+		return r, false
+	}
+	p := pol.provAdj[pol.provOff[i]]
+	pr := o.nodes[p]
+	if pr.stamp != o.epoch || o.sc.rejects(pol, int32(i), pr.origin) {
+		return r, false
+	}
+	return nodeRec{stamp: o.epoch, nexthop: p, dist: pr.dist + 1, class: ClassProvider, origin: pr.origin}, true
+}
+
 // HasRoute reports whether node i selected any route.
 func (o *Outcome) HasRoute(i int) bool {
 	if o.lanes != nil {
 		return o.lanes.ln.routed[i]>>o.lane&1 != 0
 	}
-	return o.nodes[i].stamp == o.epoch
+	_, ok := o.route(i)
+	return ok
 }
 
 // Origin returns which origin node i routes to (OriginTarget,
 // OriginAttacker, or OriginNone).
 func (o *Outcome) Origin(i int) int8 {
-	if !o.HasRoute(i) {
-		return OriginNone
-	}
 	if o.lanes != nil {
+		if !o.HasRoute(i) {
+			return OriginNone
+		}
 		return int8(o.lanes.ln.att[i] >> o.lane & 1) // OriginTarget is 0, OriginAttacker 1
 	}
-	return o.nodes[i].origin
+	r, ok := o.route(i)
+	if !ok {
+		return OriginNone
+	}
+	return r.origin
 }
 
 // Class returns the route class node i selected.
 func (o *Outcome) Class(i int) RouteClass {
-	if !o.HasRoute(i) {
+	if o.lanes != nil {
+		if !o.HasRoute(i) {
+			return ClassNone
+		}
+		o.materialize()
+	}
+	r, ok := o.route(i)
+	if !ok {
 		return ClassNone
 	}
-	o.materialize()
-	return o.nodes[i].class
+	return r.class
 }
 
 // Dist returns node i's AS-path length to its selected origin (0 at the
 // origin itself); -1 without a route.
 func (o *Outcome) Dist(i int) int16 {
-	if !o.HasRoute(i) {
-		return -1
-	}
 	if o.lanes != nil {
+		if !o.HasRoute(i) {
+			return -1
+		}
 		return o.lanes.ln.dist(i, o.lane)
 	}
-	return o.nodes[i].dist
+	r, ok := o.route(i)
+	if !ok {
+		return -1
+	}
+	return r.dist
 }
 
 // NextHop returns the neighbor node i forwards through, or -1 at an origin
 // or unrouted node.
 func (o *Outcome) NextHop(i int) int32 {
-	if !o.HasRoute(i) {
+	if o.lanes != nil {
+		if !o.HasRoute(i) {
+			return -1
+		}
+		o.materialize()
+	}
+	r, ok := o.route(i)
+	if !ok || r.class == ClassOrigin {
 		return -1
 	}
-	o.materialize()
-	if o.nodes[i].class == ClassOrigin {
-		return -1
-	}
-	return o.nodes[i].nexthop
+	return r.nexthop
 }
 
 // Polluted reports whether node i selected a route to the attacker.
@@ -220,8 +274,10 @@ func (o *Outcome) PollutedCount() int {
 }
 
 // PollutedWeight returns the number of polluted ASes and the sum of their
-// weights in one pass over the packed records. weights is indexed by node;
-// nil means every node weighs 1 (topology.Graph.AddrWeights' convention).
+// weights in one pass over the packed records, plus, on a scalar solve's
+// outcome, a walk of the single-homed stubs it derives (pollutedSole).
+// weights is indexed by node; nil means every node weighs 1
+// (topology.Graph.AddrWeights' convention).
 func (o *Outcome) PollutedWeight(weights []int64) (count int, weight int64) {
 	if o.lanes != nil {
 		return o.lanes.ln.polluted(o.lane, weights)
@@ -234,6 +290,10 @@ func (o *Outcome) PollutedWeight(weights []int64) (count int, weight int64) {
 		}
 		// The attacker's own origination is not pollution.
 		count -= int(o.nodes[o.Attacker].toAttacker(o.epoch))
+		if o.pol != nil {
+			c, _ := o.pollutedSole(nil)
+			count += c
+		}
 		return count, int64(count)
 	}
 	weights = weights[:len(o.nodes)]
@@ -243,7 +303,46 @@ func (o *Outcome) PollutedWeight(weights []int64) (count int, weight int64) {
 		weight += weights[i] & -hit
 	}
 	hit := o.nodes[o.Attacker].toAttacker(o.epoch)
-	return count - int(hit), weight - weights[o.Attacker]&-hit
+	count, weight = count-int(hit), weight-weights[o.Attacker]&-hit
+	if o.pol != nil {
+		c, w := o.pollutedSole(weights)
+		count, weight = count+c, weight+w
+	}
+	return count, weight
+}
+
+// pollutedSole counts, and weighs, the single-homed stubs a scalar
+// solve's Outcome derives a route to the attacker for. It walks the
+// soleAdj row of each node with single-homed stubs (Policy.hasSole) whose
+// written route leads to the attacker, and counts a member unless its own
+// record is current — stages 1–2 routed it, a seed or a peer fill, and the
+// pass over the records counted it — or the scenario has it reject the
+// attacker's route. Visiting those nodes from their bitmap, after the
+// branch-free pass, halves what the walk adds to PollutedWeight at paper
+// scale against branching on every record.
+//
+//bgplint:hotpath runs per measured scalar cell over the nodes with single-homed stubs
+func (o *Outcome) pollutedSole(weights []int64) (count int, weight int64) {
+	pol, nodes, epoch := o.pol, o.nodes, o.epoch
+	filtered := !o.sc.unfiltered()
+	for wi, word := range pol.hasSole {
+		for b := word; b != 0; b &= b - 1 {
+			p := wi<<6 | bits.TrailingZeros64(b)
+			if nodes[p].toAttacker(epoch) == 0 {
+				continue
+			}
+			for _, w := range pol.soleAdj[pol.soleOff[p]:pol.soleOff[p+1]] {
+				if nodes[w].stamp == epoch || filtered && o.sc.rejects(pol, w, OriginAttacker) {
+					continue
+				}
+				count++
+				if weights != nil {
+					weight += weights[w]
+				}
+			}
+		}
+	}
+	return count, weight
 }
 
 // toAttacker is 1 when the record is a route to the attacker committed
@@ -265,12 +364,13 @@ func (o *Outcome) PollutedNodes(dst []int) []int {
 	return dst
 }
 
-// Clone returns a detached copy that survives further Solver runs.
+// Clone returns a detached copy that survives further Solver runs. It
+// writes every route, derived ones included, so it needs no scenario.
 func (o *Outcome) Clone() *Outcome {
 	o.materialize()
 	c := &Outcome{Target: o.Target, Attacker: o.Attacker, epoch: 1, nodes: make([]nodeRec, len(o.nodes))}
-	for i, r := range o.nodes {
-		if r.stamp == o.epoch {
+	for i := range o.nodes {
+		if r, ok := o.route(i); ok {
 			r.stamp = 1
 			c.nodes[i] = r
 		}
@@ -287,8 +387,8 @@ func (o *Outcome) Path(i int) []int {
 	o.materialize()
 	path := []int{i}
 	cur := i
-	for o.nodes[cur].class != ClassOrigin {
-		cur = int(o.nodes[cur].nexthop)
+	for r, _ := o.route(cur); r.class != ClassOrigin; r, _ = o.route(cur) {
+		cur = int(r.nexthop)
 		path = append(path, cur)
 		if len(path) > len(o.nodes) {
 			return nil // defensive: cycles cannot happen in converged state
@@ -376,7 +476,7 @@ func (s *Solver) solveScenario(at Attack, sc *scenario) *Outcome {
 	s.stagePeer(sc)
 	s.stageProvider(sc)
 
-	s.out = Outcome{Target: at.Target, Attacker: at.Attacker, epoch: s.epoch, nodes: s.nodes}
+	s.out = Outcome{Target: at.Target, Attacker: at.Attacker, epoch: s.epoch, nodes: s.nodes, pol: s.pol, sc: *sc}
 	return &s.out
 }
 
@@ -569,14 +669,78 @@ func offersToPeers(c RouteClass) bool {
 	return c == ClassOrigin || c == ClassCustomer
 }
 
-// stageProvider floods every selected route down customer links, from the
-// level sets the first two stages leave behind (sources start at
-// different depths), assigning provider-class routes to still-unrouted
-// nodes level by level.
+// stageProvider hands provider-class routes down customer links. It floods
+// every selected route to the transit customers, from the level sets the
+// first two stages leave behind (sources start at different depths), level
+// by level; then pullStubs routes the multi-homed stubs still open. It
+// never writes a single-homed stub: what the flood would hand one is its
+// provider's final route one hop on, which the Outcome derives on read.
 //
 //bgplint:hotpath runs once per (target, attacker, policy) cell of a sweep
 func (s *Solver) stageProvider(sc *scenario) {
-	s.flood(sc, s.pol.custOff, s.pol.custAdj, s.pol.hasCust, ClassProvider)
+	s.flood(sc, s.pol.tranOff, s.pol.tranAdj, s.pol.hasTran, ClassProvider)
+	s.pullStubs(sc)
+}
+
+// pullStubs is pullStubLanes for one cell, over the multi-homed stubs —
+// more than one provider, no customer — the flood left unrouted. A stub
+// never sources in the provider stage, so the route a flood down every
+// customer link would hand it is its first accepted offer in (level,
+// betterNH) order: the shortest among its providers' final routes that it
+// does not reject, the preferred next hop among equals. The stub's record
+// is written; it is not entered into the level sets, which nothing walks
+// after the last stage.
+//
+//bgplint:hotpath one pass per scalar solve over the multi-homed stubs
+func (s *Solver) pullStubs(sc *scenario) {
+	pol, nodes, epoch := s.pol, s.nodes, s.epoch
+	filtered := !sc.unfiltered()
+	// flip maps node indices to next-hop rank: ascending, or descending
+	// under WithPreferHighNextHop (indices are below 2^31).
+	flip := int32(0)
+	if pol.tieHigh {
+		flip = math.MaxInt32
+	}
+	const none = math.MaxUint64
+	var pulled int64
+	for wi, multi := range pol.multiStub {
+		for stubs := multi; stubs != 0; stubs &= stubs - 1 {
+			w := int32(wi<<6 | bits.TrailingZeros64(stubs))
+			if nodes[w].stamp == epoch {
+				continue
+			}
+			// The stub drops the attacker's route, whichever provider offers
+			// it; a routed record's origin is never OriginNone.
+			drop := OriginNone
+			if filtered && sc.rejects(pol, w, OriginAttacker) {
+				drop = OriginAttacker
+			}
+			provs := pol.provAdj[pol.provOff[w]:pol.provOff[w+1]]
+			pulled += int64(len(provs))
+			// Each offer as one key, (distance, next-hop rank, origin), so the
+			// kept offer is a minimum taken without a data-dependent branch: a
+			// branchy compare, or reading the winner's record back, costs the
+			// pass about two fifths more at paper scale.
+			best := uint64(none)
+			for _, v := range provs {
+				r := &nodes[v]
+				key := uint64(uint16(r.dist))<<32 | uint64(uint32(v^flip))<<1 | uint64(r.origin&1)
+				if r.stamp != epoch {
+					key = none
+				}
+				if r.origin == drop {
+					key = none
+				}
+				best = min(best, key)
+			}
+			if best != none {
+				r := &nodes[w]
+				nh := int32(best>>1&math.MaxInt32) ^ flip
+				r.stamp, r.nexthop, r.dist, r.class, r.origin = epoch, nh, int16(best>>32)+1, ClassProvider, int8(best&1)
+			}
+		}
+	}
+	s.stats.Pulled += pulled
 }
 
 // flood is the level-synchronous BFS all three stages share: every level
@@ -767,7 +931,7 @@ func (s *Solver) SolveLanes(target int, attackers []int, kind AttackKind, subPre
 		s.pullTier1Lanes()
 	}
 	s.floodLanes(pol.peerOff, pol.peerAdj, pol.hasPeer, ClassPeer)
-	s.floodLanes(pol.tranOff, pol.tranAdj, pol.hasCust, ClassProvider)
+	s.floodLanes(pol.tranOff, pol.tranAdj, pol.hasTran, ClassProvider)
 	s.pullStubLanes()
 
 	for i, a := range attackers {
@@ -1207,7 +1371,7 @@ func (o *Outcome) materialize() {
 	ln := s.ln
 	at := Attack{Target: o.Target, Attacker: o.Attacker, SubPrefix: ln.subPrefix, Kind: ln.kind}
 	so := s.solveScenario(at, &ln.sc[o.lane])
-	o.nodes, o.epoch = so.nodes, so.epoch
+	o.nodes, o.epoch, o.pol, o.sc = so.nodes, so.epoch, so.pol, so.sc
 	s.stats.Materialized++
 }
 

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 	"github.com/bgpsim/bgpsim/internal/hijack"
 	"github.com/bgpsim/bgpsim/internal/queryd"
 	"github.com/bgpsim/bgpsim/internal/sweep"
+	"github.com/bgpsim/bgpsim/internal/topology"
 )
 
 // testWorld builds the shared fixture world once: equivalence runs many
@@ -402,4 +404,101 @@ func TestAttackMatchesDirectSolve(t *testing.T) {
 			t.Fatalf("sub-prefix attack answered via %q, want full", got.Path)
 		}
 	}
+}
+
+// TestConcurrentAttackMatchesDirectSolve pins N concurrent exact
+// /v1/attack queries to N sequential ones: clients post mixed kinds and
+// defenses to a 2,000-AS server with one worker per client, and every
+// answer must equal a fresh Solver's SolveDefense plus hijack.Measure of
+// that cell. The workers' solvers share one Policy, so anything a solve
+// or a measurement kept on it would race here (run under -race).
+func TestConcurrentAttackMatchesDirectSolve(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const clients, perClient = 4, 30
+	w, err := experiments.NewWorld(2000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := w.Policy.N()
+	srv := newTestServer(t, queryd.Config{World: w, Workers: clients})
+	h := srv.Handler()
+	total := w.Graph.TotalAddrWeight()
+
+	rng := rand.New(rand.NewSource(36))
+	top := topology.NodesByDegree(w.Graph)[:50]
+	var tenth []int
+	for i := 0; i < n; i += 10 {
+		tenth = append(tenth, i)
+	}
+	specs := []queryd.DefenseSpec{{}, {ROV: top}, {ROV: tenth, ASPA: tenth}, {ASPA: tenth, Peerlock: true}}
+	kinds := []struct {
+		kind core.AttackKind
+		sub  bool
+	}{{core.KindOrigin, false}, {core.KindOrigin, true}, {core.KindForgedOrigin, false}, {core.KindRouteLeak, false}}
+	type cell struct {
+		req  queryd.AttackRequest
+		want hijack.Record
+	}
+	cells := make([]cell, clients*perClient)
+	for i := range cells {
+		k, spec := kinds[rng.Intn(len(kinds))], specs[rng.Intn(len(specs))]
+		at := core.Attack{Target: rng.Intn(n), Attacker: rng.Intn(n - 1), Kind: k.kind, SubPrefix: k.sub}
+		if at.Attacker >= at.Target {
+			at.Attacker++
+		}
+		def := core.Defense{Peerlock: spec.Peerlock}
+		if len(spec.ROV) > 0 {
+			def.Blocked = asn.NewIndexSet(n)
+			for _, v := range spec.ROV {
+				def.Blocked.Add(v)
+			}
+		}
+		if len(spec.ASPA) > 0 {
+			def.ASPA = asn.NewIndexSet(n)
+			for _, v := range spec.ASPA {
+				def.ASPA.Add(v)
+			}
+		}
+		o, err := core.NewSolver(w.Policy).SolveDefense(at, def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells[i] = cell{
+			req:  queryd.AttackRequest{Target: at.Target, Attacker: at.Attacker, Kind: k.kind.String(), SubPrefix: k.sub, Defense: spec, Exact: true},
+			want: hijack.Measure(w.Graph, total, o),
+		}
+	}
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; i < len(cells); i += clients {
+				raw, err := json.Marshal(cells[i].req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/attack", bytes.NewReader(raw)))
+				var got queryd.AttackResponse
+				if rec.Code != http.StatusOK {
+					t.Errorf("cell %d: status %d: %s", i, rec.Code, rec.Body.String())
+					return
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+					t.Error(err)
+					return
+				}
+				want := cells[i].want
+				if got.Pollution == nil || got.WeightFrac == nil || *got.Pollution != want.Pollution || *got.WeightFrac != want.WeightFrac {
+					t.Errorf("cell %d (%+v) concurrently: pollution %v, weight frac %v; sequentially: %d, %v",
+						i, cells[i].req, got.Pollution, got.WeightFrac, want.Pollution, want.WeightFrac)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
