@@ -90,7 +90,6 @@ fuzz:
 	$(GO) test ./internal/topology -fuzz FuzzParse    -fuzztime 10s
 	$(GO) test ./internal/topology -fuzz FuzzContractSiblings -fuzztime 10s
 	$(GO) test ./internal/sweep    -fuzz FuzzMatrixDigest -fuzztime 10s
-	$(GO) test ./internal/irr     -fuzz FuzzParse     -fuzztime 10s
 	$(GO) test ./internal/recio   -fuzz FuzzDecode    -fuzztime 10s
 	$(GO) test ./internal/mrt     -fuzz FuzzMRTReader -fuzztime 10s
 	$(GO) test ./internal/core    -fuzz FuzzSolverEquivalence -fuzztime 10s

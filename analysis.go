@@ -2,7 +2,6 @@ package bgpsim
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
@@ -10,7 +9,6 @@ import (
 	"github.com/bgpsim/bgpsim/internal/deploy"
 	"github.com/bgpsim/bgpsim/internal/detect"
 	"github.com/bgpsim/bgpsim/internal/experiments"
-	"github.com/bgpsim/bgpsim/internal/irr"
 	"github.com/bgpsim/bgpsim/internal/pgbgp"
 	"github.com/bgpsim/bgpsim/internal/selfinterest"
 	"github.com/bgpsim/bgpsim/internal/topology"
@@ -30,16 +28,7 @@ type (
 	RegionalReport = selfinterest.RegionalResult
 	// PGBGPResult is a PGBGP-defense sweep outcome.
 	PGBGPResult = pgbgp.Result
-	// IRRRegistry is an Internet Routing Registry (RPSL route objects);
-	// it satisfies OriginValidator for use in HijackSpec.ValidateAgainst.
-	IRRRegistry = irr.Registry
-	// RouteObject is one RPSL route registration.
-	RouteObject = irr.RouteObject
 )
-
-// LoadIRR parses RPSL route objects into a registry usable as an origin
-// validator (the paper's "most widely-used" prevention data source).
-func LoadIRR(r io.Reader) (*IRRRegistry, error) { return irr.Parse(r) }
 
 // --- Detection --------------------------------------------------------------
 

@@ -1,7 +1,6 @@
 package bgpsim
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -158,38 +157,6 @@ func TestPGBGPFacade(t *testing.T) {
 	if res.Summary().Mean >= baseline.Summary().Mean {
 		t.Errorf("PGBGP at core (%.1f) did not beat baseline (%.1f)",
 			res.Summary().Mean, baseline.Summary().Mean)
-	}
-}
-
-func TestIRRFacade(t *testing.T) {
-	sim := newSim(t)
-	target, err := sim.FindAS(TargetQuery{Depth: 2, Stub: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	victimPrefix, err := ParsePrefix("192.0.2.0/24")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, err := LoadIRR(strings.NewReader(
-		"route: 192.0.2.0/24\norigin: " + target.String() + "\nsource: RADB\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	attacker := sim.Tier1ASNs()[0]
-	filters := sim.FiltersOf(sim.TopDegreeDeployment(15))
-	rep, err := sim.Hijack(HijackSpec{
-		Attacker:        attacker,
-		Target:          target,
-		Filters:         filters,
-		ValidateAgainst: reg,
-		HijackedPrefix:  victimPrefix,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.FiltersArmed {
-		t.Error("IRR-backed filters did not arm against an unregistered origin")
 	}
 }
 

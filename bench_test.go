@@ -21,6 +21,7 @@ import (
 	"github.com/bgpsim/bgpsim/internal/pgbgp"
 	"github.com/bgpsim/bgpsim/internal/prefix"
 	"github.com/bgpsim/bgpsim/internal/sbgp"
+	"github.com/bgpsim/bgpsim/internal/sweep"
 	"github.com/bgpsim/bgpsim/internal/topology"
 )
 
@@ -307,7 +308,7 @@ func BenchmarkAblationDepthDefinition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var v1Gap, v2Gap float64
 		for _, tgt := range targets {
-			res, err := hijack.Sweep(w.Policy, hijack.SweepConfig{Target: tgt, Attackers: attackers})
+			res, err := hijack.Sweep(w.Policy, hijack.SweepConfig{Target: tgt, Attackers: attackers}, sweep.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -455,7 +456,7 @@ func BenchmarkSolverSweep(b *testing.B) {
 	attackers := experiments.SampleAttackers(w.Graph.TransitNodes(), 100, rand.New(rand.NewSource(1)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := hijack.Sweep(w.Policy, hijack.SweepConfig{Target: deep, Attackers: attackers}); err != nil {
+		if _, err := hijack.Sweep(w.Policy, hijack.SweepConfig{Target: deep, Attackers: attackers}, sweep.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -473,7 +474,7 @@ func BenchmarkSweepRunWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := hijack.Sweep(w.Policy, hijack.SweepConfig{Target: deep, Attackers: attackers, Workers: workers}); err != nil {
+				if _, err := hijack.Sweep(w.Policy, hijack.SweepConfig{Target: deep, Attackers: attackers}, sweep.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -501,7 +502,7 @@ func BenchmarkScenarioKinds(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := hijack.Sweep(w.Policy, hijack.SweepConfig{
 					Target: deep, Attackers: attackers, Kind: kind, Defense: def,
-				})
+				}, sweep.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -13,6 +13,7 @@ import (
 	"github.com/bgpsim/bgpsim/internal/prefix"
 	"github.com/bgpsim/bgpsim/internal/rpki"
 	"github.com/bgpsim/bgpsim/internal/stats"
+	"github.com/bgpsim/bgpsim/internal/sweep"
 	"github.com/bgpsim/bgpsim/internal/topology"
 )
 
@@ -333,7 +334,7 @@ func (s *Simulator) VulnerabilitySweep(target ASN, sample int) (*SweepResult, er
 		return nil, err
 	}
 	attackers := experiments.SampleAttackers(hijack.AllNodes(s.world.Graph.N()), sample, seedRNG(1))
-	return hijack.Sweep(s.world.Policy, hijack.SweepConfig{Target: tgt, Attackers: attackers})
+	return hijack.Sweep(s.world.Policy, hijack.SweepConfig{Target: tgt, Attackers: attackers}, sweep.Options{})
 }
 
 // PublishROA records a Route Origin Authorization in the simulator's

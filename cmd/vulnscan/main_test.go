@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -65,5 +68,39 @@ func checkShardMerge(t *testing.T, args ...string) {
 		if got := stdoutOf(t, append(shardArgs, "-merge")...); got != want {
 			t.Errorf("%v -format %s: merged stdout differs from the full run\ngot:\n%s\nwant:\n%s", args, format, got, want)
 		}
+	}
+}
+
+// TestMergeRejectsDigestFreeShards: shards whose matrix_digest lines were
+// stripped carry nothing that ties them to a workload, so a merge refuses
+// them by file and line rather than print a ROV-defended run as the
+// undefended figure.
+func TestMergeRejectsDigestFreeShards(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-scale", "400", "-sample", "50", "-shard-dir", dir}
+	for _, sel := range []string{"0/2", "1/2"} {
+		stdoutOf(t, append(args, "-defense", "rov", "-shard", sel)...)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(paths) != 2 {
+		t.Fatalf("shard files %v (%v), want 2", paths, err)
+	}
+	digestLine := regexp.MustCompile(`(?m)^\s*"matrix_digest":.*\n`)
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stripped := digestLine.ReplaceAll(data, nil)
+		if bytes.Equal(stripped, data) {
+			t.Fatalf("%s has no matrix_digest line to strip", p)
+		}
+		if err := os.WriteFile(p, stripped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = run(append(args, "-merge"), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), paths[0]+":1") || !strings.Contains(err.Error(), "no matrix digest") {
+		t.Fatalf("merge of digest-free shards: err = %v, want a refusal naming %s:1", err, paths[0])
 	}
 }

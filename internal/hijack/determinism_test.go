@@ -101,11 +101,11 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SweepConfig{Target: target, Attackers: AllNodes(g.N()), Workers: 4}
+	cfg := SweepConfig{Target: target, Attackers: AllNodes(g.N())}
 
 	var digests [2][sha256.Size]byte
 	for run := 0; run < 2; run++ {
-		res, err := Sweep(pol, cfg)
+		res, err := Sweep(pol, cfg, sweep.Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,9 +115,7 @@ func TestParallelSweepDeterminism(t *testing.T) {
 		t.Errorf("parallel sweep not reproducible: %x != %x", digests[0][:8], digests[1][:8])
 	}
 
-	seq := cfg
-	seq.Workers = 1
-	res, err := Sweep(pol, seq)
+	res, err := Sweep(pol, cfg, sweep.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

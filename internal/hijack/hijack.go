@@ -39,8 +39,6 @@ type SweepConfig struct {
 	Kind core.AttackKind
 	// SubPrefix switches every attack to a sub-prefix hijack.
 	SubPrefix bool
-	// Workers bounds solve parallelism; 0 means GOMAXPROCS.
-	Workers int
 }
 
 // defense resolves the configuration's effective Defense value.
@@ -205,8 +203,8 @@ func (w *Workload) Results() ([]*SweepResult, sweep.Reducer[Record]) {
 // Sweep attacks the target from every configured attacker and records the
 // pollution each attack achieves. It is a thin wrapper over SweepAll's
 // shared matrix runtime.
-func Sweep(pol *core.Policy, cfg SweepConfig) (*SweepResult, error) {
-	res, err := SweepAll(pol, []SweepConfig{cfg}, sweep.Options{Workers: cfg.Workers})
+func Sweep(pol *core.Policy, cfg SweepConfig, opts sweep.Options) (*SweepResult, error) {
+	res, err := SweepAll(pol, []SweepConfig{cfg}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -219,18 +217,12 @@ func Sweep(pol *core.Policy, cfg SweepConfig) (*SweepResult, error) {
 // by rung. Results are index-ordered per configuration and bit-identical
 // at any worker count (DESIGN.md §5, §7).
 func SweepAll(pol *core.Policy, cfgs []SweepConfig, opts sweep.Options) ([]*SweepResult, error) {
-	return SweepMatrix(pol, cfgs, sweep.MatrixOptions{Workers: opts.Workers, Progress: opts.Progress})
-}
-
-// SweepMatrix is SweepAll under full matrix options: shard selections
-// (in-process concurrent shards) included.
-func SweepMatrix(pol *core.Policy, cfgs []SweepConfig, opts sweep.MatrixOptions) ([]*SweepResult, error) {
 	w, err := NewWorkload(pol, cfgs)
 	if err != nil {
 		return nil, err
 	}
 	results, red := w.Results()
-	if err := sweep.RunMatrixReduce(w.Matrix, opts, w.Extract(), red); err != nil {
+	if err := sweep.RunMatrixReduce(w.Matrix, sweep.MatrixOptions{Workers: opts.Workers}, w.Extract(), red); err != nil {
 		return nil, err
 	}
 	return results, nil

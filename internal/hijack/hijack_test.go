@@ -5,6 +5,7 @@ import (
 
 	"github.com/bgpsim/bgpsim/internal/asn"
 	"github.com/bgpsim/bgpsim/internal/core"
+	"github.com/bgpsim/bgpsim/internal/sweep"
 	"github.com/bgpsim/bgpsim/internal/topology"
 )
 
@@ -28,10 +29,10 @@ func testWorld(t *testing.T, n int) (*core.Policy, *topology.Graph, *topology.Cl
 
 func TestSweepValidation(t *testing.T) {
 	pol, _, _ := testWorld(t, 200)
-	if _, err := Sweep(pol, SweepConfig{Target: -1}); err == nil {
+	if _, err := Sweep(pol, SweepConfig{Target: -1}, sweep.Options{}); err == nil {
 		t.Error("bad target accepted")
 	}
-	if _, err := Sweep(pol, SweepConfig{Target: 0, Attackers: []int{pol.N()}}); err == nil {
+	if _, err := Sweep(pol, SweepConfig{Target: 0, Attackers: []int{pol.N()}}, sweep.Options{}); err == nil {
 		t.Error("bad attacker accepted")
 	}
 }
@@ -42,7 +43,7 @@ func TestSweepBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Sweep(pol, SweepConfig{Target: target, Attackers: AllNodes(g.N())})
+	res, err := Sweep(pol, SweepConfig{Target: target, Attackers: AllNodes(g.N())}, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +82,11 @@ func TestSweepWorkersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := SweepConfig{Target: target, Attackers: AllNodes(g.N())}
-	seq, err := Sweep(pol, cfg)
+	seq, err := Sweep(pol, cfg, sweep.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 4
-	par, err := Sweep(pol, cfg)
+	par, err := Sweep(pol, cfg, sweep.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestSweepDepthMonotonicity(t *testing.T) {
 		t.Skip("no depth-3 stub in this topology")
 	}
 	attackers := AllNodes(g.N())
-	rs, err := Sweep(pol, SweepConfig{Target: shallow, Attackers: attackers})
+	rs, err := Sweep(pol, SweepConfig{Target: shallow, Attackers: attackers}, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Sweep(pol, SweepConfig{Target: deep, Attackers: attackers})
+	rd, err := Sweep(pol, SweepConfig{Target: deep, Attackers: attackers}, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSweepBlockedReducesPollution(t *testing.T) {
 		t.Fatal(err)
 	}
 	attackers := g.TransitNodes()
-	base, err := Sweep(pol, SweepConfig{Target: target, Attackers: attackers})
+	base, err := Sweep(pol, SweepConfig{Target: target, Attackers: attackers}, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSweepBlockedReducesPollution(t *testing.T) {
 	for _, i := range topology.NodesByDegree(g)[:40] {
 		blocked.Add(i)
 	}
-	def, err := Sweep(pol, SweepConfig{Target: target, Attackers: attackers, Blocked: blocked})
+	def, err := Sweep(pol, SweepConfig{Target: target, Attackers: attackers, Blocked: blocked}, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestTopAttackers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Sweep(pol, SweepConfig{Target: target, Attackers: AllNodes(g.N())})
+	res, err := Sweep(pol, SweepConfig{Target: target, Attackers: AllNodes(g.N())}, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestAggressivenessDepthCorrelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Sweep(pol, SweepConfig{Target: target, Attackers: AllNodes(g.N())})
+	res, err := Sweep(pol, SweepConfig{Target: target, Attackers: AllNodes(g.N())}, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

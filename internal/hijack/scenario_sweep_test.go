@@ -10,9 +10,33 @@ import (
 	"github.com/bgpsim/bgpsim/internal/topology"
 )
 
+// sweepShards runs cfgs the way a scan CLI's -shard/-merge runs do: each
+// shard of shards on its own RunShard, then one MergeShards into the
+// results reducer.
+func sweepShards(t *testing.T, pol *core.Policy, cfgs []SweepConfig, workers, shards int) []*SweepResult {
+	t.Helper()
+	w, err := NewWorkload(pol, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make([]*sweep.ShardFile[Record], shards)
+	for s := range files {
+		opts := sweep.MatrixOptions{Workers: workers, Sel: sweep.OneShard(s, shards)}
+		if files[s], err = sweep.RunShard(w.Matrix, opts, "sweep", w.Extract()); err != nil {
+			t.Fatalf("workers=%d shard %d/%d: %v", workers, s, shards, err)
+		}
+	}
+	results, red := w.Results()
+	if err := sweep.MergeShards(files, "sweep", sweep.MatrixDigest(w.Matrix), red); err != nil {
+		t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
+	}
+	return results
+}
+
 // TestForgedOriginWorkerInvariance is the scenario-axis arm of the CI
 // digest job: a forged-origin sweep defended by ROV + ASPA must produce
-// byte-identical result vectors at workers ∈ {1, 8}. Forged-origin cells
+// byte-identical result vectors at workers ∈ {1, 8} × shards ∈ {1, 3},
+// the shards run one by one and merged. Forged-origin cells
 // exercise the ASPA-plausibility branch of the scenario resolver, which
 // the exact-origin determinism tests never touch.
 func TestForgedOriginWorkerInvariance(t *testing.T) {
@@ -36,21 +60,18 @@ func TestForgedOriginWorkerInvariance(t *testing.T) {
 		Kind:      core.KindForgedOrigin,
 		Defense:   core.Defense{Blocked: blocked, ASPA: aspa},
 	}
-	var ref [32]byte
-	for i, workers := range []int{1, 8} {
-		cfg.Workers = workers
-		res, err := Sweep(pol, cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		d := sweepDigest(res)
-		if i == 0 {
-			ref = d
-			continue
-		}
-		if d != ref {
-			t.Errorf("workers=%d: forged-origin sweep digest %x diverges from serial %x",
-				workers, d[:8], ref[:8])
+	ref, err := Sweep(pol, cfg, sweep.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sweepDigest(ref)
+	for _, workers := range []int{1, 8} {
+		for _, shards := range []int{1, 3} {
+			res := sweepShards(t, pol, []SweepConfig{cfg}, workers, shards)
+			if d := sweepDigest(res[0]); d != want {
+				t.Errorf("workers=%d shards=%d: forged-origin sweep digest %x diverges from the serial run's %x",
+					workers, shards, d[:8], want[:8])
+			}
 		}
 	}
 }
@@ -60,7 +81,7 @@ func TestForgedOriginWorkerInvariance(t *testing.T) {
 // every attack kind, defended by ROV + ASPA + Peerlock and not, 300
 // attackers a configuration (so a configuration is several full batches and
 // a ragged one), at workers ∈ {1, 8} × shards ∈ {1, 3}, where the shard
-// cuts fall inside batches.
+// cuts fall inside batches. Shards run one by one and merge.
 func TestScenarioLaneEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	pol, g, c := testWorld(t, 300)
@@ -103,14 +124,7 @@ func TestScenarioLaneEquivalence(t *testing.T) {
 
 	for _, workers := range []int{1, 8} {
 		for _, shards := range []int{1, 3} {
-			opts := sweep.MatrixOptions{Workers: workers}
-			if shards > 1 {
-				opts.Sel = sweep.AllShards(shards)
-			}
-			results, err := SweepMatrix(pol, cfgs, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			results := sweepShards(t, pol, cfgs, workers, shards)
 			for ci := range cfgs {
 				if got, want := sweepDigest(results[ci]), sweepDigest(refs[ci]); got != want {
 					t.Errorf("workers=%d shards=%d cfg=%d (%v): digest %x != serial reference %x",

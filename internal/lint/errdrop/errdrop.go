@@ -2,7 +2,7 @@
 // discarded error returns from this module's own APIs.
 //
 // The simulator's entry points (Solver.Solve, Engine.Run, the
-// bgpwire/mrt/irr/topology parsers, the experiment runners) all report
+// bgpwire/mrt/topology parsers, the experiment runners) all report
 // failure through their final error result; a call statement that drops
 // that value turns a broken reproduction into a silently wrong one.
 // Only implicit drops are flagged: an explicit `_ = f()` assignment is

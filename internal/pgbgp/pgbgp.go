@@ -185,7 +185,7 @@ func CompareWithDrop(pol *core.Policy, target int, attackers, deployed []int) (d
 	for _, d := range deployed {
 		blocked.Add(d)
 	}
-	drop, err := hijack.Sweep(pol, hijack.SweepConfig{Target: target, Attackers: attackers, Blocked: blocked})
+	drop, err := hijack.Sweep(pol, hijack.SweepConfig{Target: target, Attackers: attackers, Blocked: blocked}, sweep.Options{})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -75,7 +75,7 @@ func evaluate(pol *core.Policy, target int, attackers, deployed []int, mode core
 	set.Add(target)
 	res := &Result{Mode: mode, Deployed: deployed, SecureTarget: true}
 	if mode == core.SecureOff {
-		off, err := hijack.Sweep(pol, hijack.SweepConfig{Target: target, Attackers: attackers, Workers: workers})
+		off, err := hijack.Sweep(pol, hijack.SweepConfig{Target: target, Attackers: attackers}, sweep.Options{Workers: workers})
 		if err != nil {
 			return nil, fmt.Errorf("sbgp: %w", err)
 		}

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -13,7 +12,7 @@ import (
 
 // Tests for the lane batching inside runShard: the runtime groups cells
 // into core.Solver.SolveLanes batches on its own, and nothing a caller can
-// observe — records, their order, progress, errors — may show it.
+// observe — records, their order, errors — may show it.
 
 // laneCell is what the batching tests extract: the pollution totals every
 // sweep reads, plus one probe node's route, which a lane answers from its
@@ -143,45 +142,28 @@ func TestBatchStartsPartition(t *testing.T) {
 	}
 }
 
-// TestLaneBatchEquivalence: however the cell space is cut — workers,
-// in-process shards, single-shard partial runs whose cuts fall mid-run, a
-// reorder window of one record — the stream is what a loop of scalar
-// solves produces.
+// TestLaneBatchEquivalence: however the cell space is cut — workers, the
+// whole matrix in one run, single-shard partial runs whose cuts fall
+// mid-run — the stream is what a loop of scalar solves produces.
 func TestLaneBatchEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	m, extract := laneMatrix(t)
 	want := scalarReference(t, m, extract)
 	for _, workers := range []int{1, 8} {
+		var got Collect[laneCell]
+		if err := RunMatrixReduce(m, MatrixOptions{Workers: workers}, extract, &got); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got.Records, want) {
+			t.Errorf("workers=%d: whole-matrix stream diverges from the scalar reference", workers)
+		}
 		for _, shards := range []int{1, 3} {
-			for _, window := range []int{0, 1} {
-				name := fmt.Sprintf("workers=%d shards=%d window=%d", workers, shards, window)
-				opts := MatrixOptions{Workers: workers, Window: window}
-				if shards > 1 {
-					opts.Sel = AllShards(shards)
-				}
-				var got Collect[laneCell]
-				if err := RunMatrixReduce(m, opts, extract, &got); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !reflect.DeepEqual(got.Records, want) {
-					t.Errorf("%s: in-process stream diverges from the scalar reference", name)
-				}
-				files := make([]*ShardFile[laneCell], shards)
-				for s := range files {
-					opts.Sel = OneShard(s, shards)
-					f, err := RunShard(m, opts, "lanes", extract)
-					if err != nil {
-						t.Fatalf("%s shard %d: %v", name, s, err)
-					}
-					files[s] = f
-				}
-				var merged Collect[laneCell]
-				if err := MergeShards(files, "lanes", MatrixDigest(m), &merged); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !reflect.DeepEqual(merged.Records, want) {
-					t.Errorf("%s: merged partial runs diverge from the scalar reference", name)
-				}
+			var merged Collect[laneCell]
+			if err := mergeShards(m, workers, shards, extract, &merged); err != nil {
+				t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
+			}
+			if !reflect.DeepEqual(merged.Records, want) {
+				t.Errorf("workers=%d shards=%d: merged partial runs diverge from the scalar reference", workers, shards)
 			}
 		}
 	}
@@ -211,33 +193,10 @@ func TestLaneBatchRIBEquivalence(t *testing.T) {
 	}
 }
 
-// TestLaneBatchProgressPerCell: Progress still fires once per cell, not
-// once per batch, with a strictly increasing count.
-func TestLaneBatchProgressPerCell(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	m, extract := laneMatrix(t)
-	cells := m.Cells()
-	for _, opts := range []MatrixOptions{{Workers: 1}, {Workers: 8}, {Workers: 8, Sel: AllShards(3)}} {
-		calls, last, violation := 0, 0, ""
-		opts.Progress = func(done, total int) {
-			calls++
-			if violation == "" && (done != last+1 || total != cells) {
-				violation = fmt.Sprintf("Progress(%d, %d) after %d of %d", done, total, last, cells)
-			}
-			last = done
-		}
-		if err := RunMatrixReduce(m, opts, extract, &Collect[laneCell]{}); err != nil {
-			t.Fatal(err)
-		}
-		if violation != "" || calls != cells {
-			t.Errorf("workers=%d shards=%d: %d progress calls for %d cells %s", opts.Workers, opts.Sel.Shards, calls, cells, violation)
-		}
-	}
-}
-
 // TestLaneBatchErrorNamesLowestCell: an invalid cell in the middle of what
 // would be one batch fails the run as it did cell by cell — the lowest
-// invalid cell, in the scalar path's words.
+// invalid cell, in the scalar path's words. Run as shards one by one, the
+// first shard to fail is the one holding that cell, and it names it.
 func TestLaneBatchErrorNamesLowestCell(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	pol, _ := testPolicy(t, 200)
@@ -254,10 +213,18 @@ func TestLaneBatchErrorNamesLowestCell(t *testing.T) {
 		},
 	}
 	const want = "matrix cell 110 (group 1 attack 10, attacker 0 → target 0): solve: target and attacker are the same node 0"
-	for _, opts := range []MatrixOptions{{Workers: 1}, {Workers: 8}, {Workers: 8, Window: 1}, {Workers: 4, Sel: AllShards(3)}} {
-		err := RunMatrixReduce(m, opts, func(_, _ int, o *core.Outcome) int { return o.PollutedCount() }, &Collect[int]{})
+	extract := func(_, _ int, o *core.Outcome) int { return o.PollutedCount() }
+	for _, workers := range []int{1, 8} {
+		err := RunMatrixReduce(m, MatrixOptions{Workers: workers}, extract, &Collect[int]{})
 		if err == nil || err.Error() != want {
-			t.Errorf("workers=%d window=%d shards=%d: err = %v, want %q", opts.Workers, opts.Window, opts.Sel.Shards, err, want)
+			t.Errorf("workers=%d: err = %v, want %q", workers, err, want)
+		}
+		err = nil
+		for s := 0; s < 3 && err == nil; s++ {
+			_, err = RunShard(m, MatrixOptions{Workers: workers, Sel: OneShard(s, 3)}, "lanes", extract)
+		}
+		if err == nil || err.Error() != want {
+			t.Errorf("workers=%d shards=3: first failing shard's err = %v, want %q", workers, err, want)
 		}
 	}
 }

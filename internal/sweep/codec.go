@@ -123,7 +123,7 @@ func lineAt(data []byte, off int64) int {
 }
 
 // digestLine locates the matrix_digest field so mismatch diagnostics
-// can point at the exact line; files predating digests report line 1.
+// can point at the exact line; a file without one reports line 1.
 func digestLine(data []byte) int {
 	idx := bytes.Index(data, []byte(`"matrix_digest"`))
 	if idx < 0 {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
@@ -273,8 +274,9 @@ func TestPersistShardResumeNeedsRecio(t *testing.T) {
 
 // TestMergeShardsDigestMismatch covers the mixed-digest merge: shards
 // produced from different worlds must abort the merge with a file:line
-// diagnostic, and a shard set disagreeing with the rebuilt workload's
-// digest must abort too.
+// diagnostic, a shard set disagreeing with the rebuilt workload's digest
+// must abort too, and so must a shard without a digest or a merge with no
+// digest to check against.
 func TestMergeShardsDigestMismatch(t *testing.T) {
 	mk := func(lo, hi int, digest, path string) *ShardFile[int] {
 		return &ShardFile[int]{Experiment: "e", Cells: 10, Groups: 1, Shards: 2,
@@ -300,10 +302,21 @@ func TestMergeShardsDigestMismatch(t *testing.T) {
 		t.Fatalf("stale digests accepted or mislocated: %v", err)
 	}
 
-	// Legacy digest-free shards stay mergeable.
-	legacy := []*ShardFile[int]{mk(0, 5, "", ""), mk(5, 10, "", "")}
-	if err := MergeShards(legacy, "e", "cccc", sink); err != nil {
-		t.Fatalf("legacy shards rejected: %v", err)
+	// A shard without a digest could be from any workload.
+	bare := []*ShardFile[int]{mk(0, 5, "cccc", "a.rec"), mk(5, 10, "", "b.json")}
+	err = MergeShards(bare, "e", "cccc", sink)
+	if err == nil || !strings.Contains(err.Error(), "b.json:9") || !strings.Contains(err.Error(), "no matrix digest") {
+		t.Fatalf("digest-free shard accepted or mislocated: %v", err)
+	}
+
+	// Nor can shards be checked against no workload at all.
+	good := []*ShardFile[int]{mk(0, 5, "cccc", "a.rec"), mk(5, 10, "cccc", "b.json")}
+	err = MergeShards(good, "e", "", sink)
+	if err == nil || !strings.Contains(err.Error(), "a.rec:9") || !strings.Contains(err.Error(), "no workload digest") {
+		t.Fatalf("merge without a workload digest accepted or mislocated: %v", err)
+	}
+	if err := MergeShards(good, "e", "cccc", sink); err != nil {
+		t.Fatalf("matching digests rejected: %v", err)
 	}
 }
 
@@ -437,14 +450,17 @@ func TestRowLayoutRecRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	solved := 0
-	opts := MatrixOptions{Workers: 2, Progress: func(int, int) { solved++ }}
-	_, err = PersistShard(m, opts, "rows", extractCount, ShardStore{Dir: dir, Format: FormatRecio, Resume: true})
+	var solved atomic.Int32
+	counting := func(g, k int, o *core.Outcome) count {
+		solved.Add(1)
+		return extractCount(g, k, o)
+	}
+	_, err = PersistShard(m, MatrixOptions{Workers: 2}, "rows", counting, ShardStore{Dir: dir, Format: FormatRecio, Resume: true})
 	if err == nil || !strings.Contains(err.Error(), "row-layout") || !strings.Contains(err.Error(), "cannot resume") {
 		t.Fatalf("resume onto a row-layout shard: err = %v, want the up-front row-layout refusal", err)
 	}
-	if after, _ := os.ReadFile(path); solved != 0 || !bytes.Equal(after, before) {
-		t.Fatalf("refused resume solved %d cells or touched the file", solved)
+	if after, _ := os.ReadFile(path); solved.Load() != 0 || !bytes.Equal(after, before) {
+		t.Fatalf("refused resume solved %d cells or touched the file", solved.Load())
 	}
 
 	if _, err := ReadShardDir[count](dir, "rows"); err == nil || !strings.Contains(err.Error(), "row-layout") {

@@ -7,26 +7,20 @@ import (
 	"github.com/bgpsim/bgpsim/internal/core"
 )
 
-// BenchmarkMatrixShards measures in-process shard scaling on the shared
-// test matrix: the same cell space solved as 1, 2, and 4 concurrent
-// shards over a fixed worker pool. Shards add a bounded reorder window
-// per slice, so the cost of the `-shard` path shows up directly against
-// the unsharded baseline.
+// BenchmarkMatrixShards measures the `-shard` path's cost on the shared
+// test matrix: the same cell space solved as 1, 2, and 4 shards, each on
+// its own RunShard over a fixed worker pool, then merged. Every shard adds
+// a bounded reorder window and a merge replays the records, so the cost
+// shows up directly against the one-shard baseline.
 func BenchmarkMatrixShards(b *testing.B) {
 	m, cells := testMatrix(b)
 	extract := func(_, _ int, o *core.Outcome) int { return o.PollutedCount() }
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sel := ShardSel{}
-			if shards > 1 {
-				sel = AllShards(shards)
-			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				err := RunMatrixReduce(m, MatrixOptions{Workers: 4, Sel: sel}, extract,
-					ReduceFunc[int]{EmitFn: func(int, int) { n++ }})
-				if err != nil {
+				if err := mergeShards(m, 4, shards, extract, ReduceFunc[int]{EmitFn: func(int, int) { n++ }}); err != nil {
 					b.Fatal(err)
 				}
 				if n != cells {

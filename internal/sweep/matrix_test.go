@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,45 +48,62 @@ func tier1Of(t testing.TB, g *topology.Graph) []int {
 	return c.Tier1
 }
 
-// TestMatrixDigestInvariance is the acceptance criterion: a ≥2-policy ×
-// ≥100-attack matrix produces byte-identical digests at workers ∈ {1, 8}
-// × shards ∈ {1, 3}, streamed or collected.
-func TestMatrixDigestInvariance(t *testing.T) {
+// mergeShards runs every shard of m on its own RunShard and merges them
+// into reds — the path the scan CLIs' -shard/-merge runs take.
+func mergeShards[T any](m Matrix, workers, shards int, extract func(g, k int, o *core.Outcome) T, reds ...Reducer[T]) error {
+	files := make([]*ShardFile[T], shards)
+	for s := range files {
+		f, err := RunShard(m, MatrixOptions{Workers: workers, Sel: OneShard(s, shards)}, "matrix-test", extract)
+		if err != nil {
+			return fmt.Errorf("shard %d/%d: %w", s, shards, err)
+		}
+		files[s] = f
+	}
+	return MergeShards(files, "matrix-test", MatrixDigest(m), reds...)
+}
+
+// TestMatrixShardMergeWorkerInvariance is the acceptance criterion: a
+// ≥2-policy × ≥100-attack matrix produces byte-identical digests whole and
+// as shards ∈ {1, 3} run one by one and merged, at workers ∈ {1, 8}.
+func TestMatrixShardMergeWorkerInvariance(t *testing.T) {
 	m, cells := testMatrix(t)
 	extract := func(_, _ int, o *core.Outcome) int { return o.PollutedCount() }
 
 	var ref [sha256.Size]byte
 	first := true
+	check := func(name string, run func(red Reducer[int])) {
+		t.Helper()
+		got := make([]int, 0, cells)
+		lastIdx := -1
+		run(ReduceFunc[int]{EmitFn: func(idx int, v int) {
+			if idx != lastIdx+1 {
+				t.Fatalf("%s: Emit(%d) after %d, want in-order", name, idx, lastIdx)
+			}
+			lastIdx = idx
+			got = append(got, v)
+		}})
+		if len(got) != cells {
+			t.Fatalf("%s: %d records, want %d", name, len(got), cells)
+		}
+		d := runDigest(got)
+		if first {
+			ref, first = d, false
+		} else if d != ref {
+			t.Errorf("%s: digest %x diverges from reference %x", name, d[:8], ref[:8])
+		}
+	}
 	for _, workers := range []int{1, 8} {
+		check(fmt.Sprintf("workers=%d whole", workers), func(red Reducer[int]) {
+			if err := RunMatrixReduce(m, MatrixOptions{Workers: workers}, extract, red); err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+		})
 		for _, shards := range []int{1, 3} {
-			sel := ShardSel{}
-			if shards > 1 {
-				sel = AllShards(shards)
-			}
-			got := make([]int, 0, cells)
-			lastIdx := -1
-			err := RunMatrixReduce(m, MatrixOptions{Workers: workers, Sel: sel}, extract,
-				ReduceFunc[int]{EmitFn: func(idx int, v int) {
-					if idx != lastIdx+1 {
-						t.Fatalf("workers=%d shards=%d: Emit(%d) after %d, want in-order", workers, shards, idx, lastIdx)
-					}
-					lastIdx = idx
-					got = append(got, v)
-				}})
-			if err != nil {
-				t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
-			}
-			if len(got) != cells {
-				t.Fatalf("workers=%d shards=%d: %d records, want %d", workers, shards, len(got), cells)
-			}
-			d := runDigest(got)
-			if first {
-				ref, first = d, false
-				continue
-			}
-			if d != ref {
-				t.Errorf("workers=%d shards=%d: digest %x diverges from reference %x", workers, shards, d[:8], ref[:8])
-			}
+			check(fmt.Sprintf("workers=%d shards=%d", workers, shards), func(red Reducer[int]) {
+				if err := mergeShards(m, workers, shards, extract, red); err != nil {
+					t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
+				}
+			})
 		}
 	}
 }
@@ -140,7 +159,7 @@ func TestMatrixShardMergeShuffled(t *testing.T) {
 func TestMergeShardsValidation(t *testing.T) {
 	mk := func(lo, hi int) *ShardFile[int] {
 		recs := make([]int, hi-lo)
-		return &ShardFile[int]{Experiment: "e", Cells: 10, Groups: 1, Shards: 2, CellLo: lo, CellHi: hi, Records: recs}
+		return &ShardFile[int]{Experiment: "e", Cells: 10, Groups: 1, Shards: 2, CellLo: lo, CellHi: hi, MatrixDigest: "d", Records: recs}
 	}
 	sink := ReduceFunc[int]{EmitFn: func(int, int) {}}
 
@@ -157,14 +176,14 @@ func TestMergeShardsValidation(t *testing.T) {
 		{"none", nil, "e", "no shard files"},
 	}
 	for _, tc := range cases {
-		err := MergeShards(tc.files, tc.exp, "", sink)
+		err := MergeShards(tc.files, tc.exp, "d", sink)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
 	}
 
 	ok := []*ShardFile[int]{mk(5, 10), mk(0, 5)} // shuffled but valid
-	if err := MergeShards(ok, "e", "", sink); err != nil {
+	if err := MergeShards(ok, "e", "d", sink); err != nil {
 		t.Errorf("shuffled valid tiling rejected: %v", err)
 	}
 }
@@ -203,36 +222,59 @@ func TestRunReduceMatchesRun(t *testing.T) {
 	}
 }
 
-// TestMatrixSolveErrorPropagates checks a failing cell cancels the run
-// and reports the failure without deadlocking blocked window Puts.
-func TestMatrixSolveErrorPropagates(t *testing.T) {
+// TestDeterminismMatrixErrorReleasesFullWindow: a failing cell at the
+// head of the window cancels the run without deadlocking the Puts blocked
+// behind it. Every cell is its own group, so batches are singletons and
+// the window holds defaultWindow(workers) records; there are more cells
+// than that. The head cell is the bad one, and its Policy callback holds
+// its solve until the other workers have filled the window, so the failure
+// lands while their Puts wait on a head that never arrives.
+func TestDeterminismMatrixErrorReleasesFullWindow(t *testing.T) {
 	pol, g := testPolicy(t, 200)
-	n := g.N()
+	const workers = 4
+	window := defaultWindow(workers)
+	n := 4 * window
+	if g.N() <= n {
+		t.Fatalf("test topology too small: %d nodes for %d cells", g.N(), n)
+	}
+	// Workers other than the head's put cells 1..window-1, then each
+	// extracts one more cell and blocks on its Put.
+	full := int32(window - 1 + workers - 1)
+	var extracted atomic.Int32
+	filled := make(chan struct{})
 	m := Matrix{
-		Groups: 2,
-		Size:   func(int) int { return n },
-		Policy: func(int) *core.Policy { return pol },
-		Job: func(_, k int) (core.Attack, core.Defense) {
-			a := k
-			if k == 7 {
-				a = 0 // target==attacker: rejected by the solver
+		Groups: n,
+		Size:   func(int) int { return 1 },
+		Policy: func(g int) *core.Policy {
+			if g == 0 {
+				select {
+				case <-filled:
+				case <-time.After(10 * time.Second):
+					t.Error("the other workers never filled the window")
+				}
 			}
-			return core.Attack{Target: 0, Attacker: a}, core.Defense{}
+			return pol
 		},
+		Job: func(g, _ int) (core.Attack, core.Defense) {
+			// Cell 0 is target==attacker, which the solver rejects.
+			return core.Attack{Target: 0, Attacker: g}, core.Defense{}
+		},
+	}
+	extract := func(_, _ int, o *core.Outcome) int {
+		if extracted.Add(1) == full {
+			close(filled)
+		}
+		return o.PollutedCount()
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- RunMatrixReduce(m, MatrixOptions{Workers: 4, Window: 2}, // tiny window: force blocking
-			func(_, _ int, o *core.Outcome) int { return o.PollutedCount() },
-			ReduceFunc[int]{EmitFn: func(int, int) {}})
+		done <- RunMatrixReduce(m, MatrixOptions{Workers: workers}, extract, ReduceFunc[int]{EmitFn: func(int, int) {}})
 	}()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("expected solve error")
-		}
-		if !strings.Contains(err.Error(), "matrix cell") {
-			t.Errorf("error %q lacks cell context", err)
+		const want = "matrix cell 0 (group 0 attack 0, attacker 0 → target 0): solve: target and attacker are the same node 0"
+		if err == nil || err.Error() != want {
+			t.Fatalf("err = %v, want %q", err, want)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("matrix error path deadlocked")
@@ -434,5 +476,27 @@ func TestShardRangeTiles(t *testing.T) {
 		if want != tc.n {
 			t.Fatalf("n=%d shards=%d: ranges end at %d", tc.n, tc.shards, want)
 		}
+	}
+}
+
+// TestShardSelSpan: the zero selection is the whole matrix as shard 0 of
+// 1, a shard selection is its ShardRange, an out-of-range one is refused,
+// and RunMatrixReduce refuses any sharded selection.
+func TestShardSelSpan(t *testing.T) {
+	if sh, n, lo, hi, err := (ShardSel{}).span(10); err != nil || sh != 0 || n != 1 || lo != 0 || hi != 10 {
+		t.Errorf("zero selection: shard %d/%d [%d,%d) %v, want 0/1 [0,10)", sh, n, lo, hi, err)
+	}
+	if sh, n, lo, hi, err := OneShard(2, 3).span(10); err != nil || sh != 2 || n != 3 || lo != 6 || hi != 10 {
+		t.Errorf("2/3: shard %d/%d [%d,%d) %v, want 2/3 [6,10)", sh, n, lo, hi, err)
+	}
+	for _, bad := range []ShardSel{OneShard(3, 3), OneShard(-1, 3), {Shard: 1}} {
+		if _, _, _, _, err := bad.span(10); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
+	m, _ := testMatrix(t)
+	err := RunMatrixReduce(m, MatrixOptions{Sel: OneShard(0, 2)}, func(_, _ int, o *core.Outcome) int { return 0 }, &Collect[int]{})
+	if err == nil || !strings.Contains(err.Error(), "RunShard") {
+		t.Errorf("RunMatrixReduce over shard 0/2: err = %v, want a refusal pointing at RunShard", err)
 	}
 }

@@ -14,8 +14,6 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"runtime"
-	"sync"
 
 	"github.com/bgpsim/bgpsim/internal/core"
 	"github.com/bgpsim/bgpsim/internal/recio"
@@ -62,16 +60,17 @@ type ShardReport struct {
 
 // PersistShard solves one shard of the matrix and persists it to the
 // store, returning where the file went and how much of it was recovered
-// versus solved. opts.Sel must select a single shard (or be zero for an
-// unsharded 0-of-1 run), exactly as RunShard requires.
+// versus solved. opts.Sel selects the shard (zero for an unsharded 0-of-1
+// run), exactly as for RunShard.
 func PersistShard[T any](m Matrix, opts MatrixOptions, experiment string, extract func(g, k int, o *core.Outcome) T, store ShardStore) (ShardReport, error) {
 	var rep ShardReport
 	codec, err := CodecFor[T](store.Format, store.Level)
 	if err != nil {
 		return rep, err
 	}
-	if opts.Sel.Shards > 1 && opts.Sel.Shard < 0 {
-		return rep, fmt.Errorf("sweep: PersistShard needs a single shard selection, got %q", opts.Sel)
+	shard, shards, lo, hi, err := opts.Sel.span(m.Cells())
+	if err != nil {
+		return rep, err
 	}
 	if store.Resume && codec.Name() != FormatRecio {
 		return rep, fmt.Errorf("sweep: -resume needs the recio format: %s shards are written whole at the end and leave nothing to resume", codec.Name())
@@ -82,14 +81,6 @@ func PersistShard[T any](m Matrix, opts MatrixOptions, experiment string, extrac
 	if err := os.MkdirAll(store.Dir, 0o755); err != nil {
 		return rep, err
 	}
-	shard, shards := opts.Sel.Shard, opts.Sel.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shard < 0 {
-		shard = 0
-	}
-	lo, hi := ShardRange(m.Cells(), shard, shards)
 	rep = ShardReport{
 		Path:   ShardPath(store.Dir, experiment, shard, shards, codec.Ext()),
 		Format: codec.Name(),
@@ -189,24 +180,6 @@ func persistRecio[T any](m Matrix, opts MatrixOptions, experiment string, extrac
 	}
 	rep.Resumed = done
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var prog func(int, int)
-	if user := opts.Progress; user != nil {
-		// Completed-cell counter over the whole shard: resumed records
-		// count as already done.
-		var mu sync.Mutex
-		count := done
-		prog = func(_, _ int) {
-			mu.Lock()
-			count++
-			user(count, hi-lo)
-			mu.Unlock()
-		}
-	}
-
 	// The reducer is the file: records arrive in cell order from the
 	// reorder window and append straight into the open segment, which is
 	// checkpointed (written + fsynced) as it seals.
@@ -219,7 +192,7 @@ func persistRecio[T any](m Matrix, opts MatrixOptions, experiment string, extrac
 			ioErr = fmt.Errorf("%s: %w", rep.Path, err)
 		}
 	}}
-	err := unwrapShardErr(runShard(m, m.offsets(), lo+done, hi, workers, opts.Window, prog, red, extract))
+	err := runShard(m, lo+done, hi, opts.Workers, red, extract)
 	if err == nil {
 		err = ioErr
 	}

@@ -119,16 +119,20 @@ func TestDeterminismSharedPolicyConcurrentRuns(t *testing.T) {
 			},
 		}, func(_, k int, o *core.Outcome) int { return 8*o.PollutedCount() + int(o.Class(k)) }},
 	}
-	digestOf := func(r run, opts MatrixOptions) ([sha256.Size]byte, error) {
+	// digestOf runs r whole, or as shards run one by one and merged.
+	digestOf := func(r run, workers, shards int) ([sha256.Size]byte, error) {
 		var c Collect[int]
-		if err := RunMatrixReduce(r.m, opts, r.extract, &c); err != nil {
-			return [sha256.Size]byte{}, err
+		var err error
+		if shards == 1 {
+			err = RunMatrixReduce(r.m, MatrixOptions{Workers: workers}, r.extract, &c)
+		} else {
+			err = mergeShards(r.m, workers, shards, r.extract, &c)
 		}
-		return runDigest(c.Records), nil
+		return runDigest(c.Records), err
 	}
 	want := make([][sha256.Size]byte, len(runs))
 	for i, r := range runs {
-		d, err := digestOf(r, MatrixOptions{Workers: 1})
+		d, err := digestOf(r, 1, 1)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -143,11 +147,11 @@ func TestDeterminismSharedPolicyConcurrentRuns(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for rep := 0; rep < reps; rep++ {
-				opts := MatrixOptions{Workers: 2}
+				shards := 1
 				if rep == 1 {
-					opts.Sel = AllShards(2)
+					shards = 2
 				}
-				d, err := digestOf(runs[i], opts)
+				d, err := digestOf(runs[i], 2, shards)
 				if err == nil && d != want[i] {
 					err = fmt.Errorf("digest %x, serial run says %x", d[:8], want[i][:8])
 				}

@@ -218,14 +218,14 @@ func defaultWindow(workers int) int {
 	return 4*workers + 16
 }
 
-// MapReduce runs compute(i) for every i in [0, n) on the Map worker pool
+// MapReduce runs compute(i) for every i in [0, n) on the MapLocal worker pool
 // and streams the results, in index order through a bounded window, into
 // the reducers. It carries non-solver workloads (e.g. RPKI validation
 // checks) on the same streaming contract as RunReduce.
 func MapReduce[T any](n int, opts Options, compute func(i int) (T, error), reds ...Reducer[T]) error {
 	red := Tee(reds...)
 	win := NewWindow(0, n, windowCap(opts, n), red.Emit)
-	err := Map(n, opts, func(i int) error {
+	err := MapLocal(n, opts, func() struct{} { return struct{}{} }, func(_ struct{}, i int) error {
 		v, err := compute(i)
 		if err != nil {
 			win.Abort()

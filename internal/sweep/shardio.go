@@ -34,8 +34,8 @@ type ShardFile[T any] struct {
 	CellHi int `json:"cell_hi"`
 	// MatrixDigest is the SHA-256 workload identity (MatrixDigest(m)) of
 	// the matrix the shard was solved from; merge refuses shards whose
-	// digest disagrees with the workload rebuilt from the current flags.
-	// Empty in files written before digests existed (checked leniently).
+	// digest is missing or disagrees with the workload rebuilt from the
+	// current flags.
 	MatrixDigest string `json:"matrix_digest,omitempty"`
 	Records      []T    `json:"records"`
 
@@ -99,27 +99,26 @@ func ReadShardFile[T any](r io.Reader) (*ShardFile[T], error) {
 }
 
 // RunShard solves one shard of a matrix and returns it as a ShardFile
-// ready for WriteShardFile; opts.Sel must select a single shard.
+// ready for WriteShardFile; opts.Sel selects the shard (zero for an
+// unsharded 0-of-1 run).
 func RunShard[T any](m Matrix, opts MatrixOptions, experiment string, extract func(g, k int, o *core.Outcome) T) (*ShardFile[T], error) {
-	if opts.Sel.Shards > 1 && opts.Sel.Shard < 0 {
-		return nil, fmt.Errorf("sweep: RunShard needs a single shard selection, got %q", opts.Sel)
-	}
-	digest := MatrixDigest(m)
-	var out *ShardFile[T]
-	err := RunMatrix(m, opts, extract, func(s, lo, hi int) Reducer[T] {
-		out = &ShardFile[T]{
-			Experiment:   experiment,
-			Cells:        m.Cells(),
-			Groups:       m.Groups,
-			Shard:        s,
-			Shards:       max(1, opts.Sel.Shards),
-			CellLo:       lo,
-			CellHi:       hi,
-			MatrixDigest: digest,
-		}
-		return ReduceFunc[T]{EmitFn: func(_ int, v T) { out.Records = append(out.Records, v) }}
-	})
+	cells := m.Cells()
+	shard, shards, lo, hi, err := opts.Sel.span(cells)
 	if err != nil {
+		return nil, err
+	}
+	out := &ShardFile[T]{
+		Experiment:   experiment,
+		Cells:        cells,
+		Groups:       m.Groups,
+		Shard:        shard,
+		Shards:       shards,
+		CellLo:       lo,
+		CellHi:       hi,
+		MatrixDigest: MatrixDigest(m),
+	}
+	red := ReduceFunc[T]{EmitFn: func(_ int, v T) { out.Records = append(out.Records, v) }}
+	if err := runShard(m, lo, hi, opts.Workers, red, extract); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -134,9 +133,9 @@ func RunShard[T any](m Matrix, opts MatrixOptions, experiment string, extract fu
 // wantDigest is the MatrixDigest of the workload the merging process
 // rebuilt from its own flags; any shard carrying a different digest was
 // produced from a different world/seed/defaults and aborts the merge
-// with a file:line diagnostic. Shards must also agree with each other.
-// Empty digests (pre-digest shard files, or wantDigest == "") are
-// exempt from the comparison they would anchor.
+// with a file:line diagnostic. Every writer stamps a digest, so a shard
+// without one — or an empty wantDigest — aborts the merge the same way:
+// nothing would tie the shard to the workload.
 func MergeShards[T any](files []*ShardFile[T], experiment, wantDigest string, reds ...Reducer[T]) error {
 	if len(files) == 0 {
 		return fmt.Errorf("merge %s: no shard files", experiment)
@@ -145,23 +144,21 @@ func MergeShards[T any](files []*ShardFile[T], experiment, wantDigest string, re
 	copy(sorted, files)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].CellLo < sorted[j].CellLo })
 	ref := sorted[0]
-	var digestRef *ShardFile[T]
 	want := 0
 	for _, f := range sorted {
 		if f.Experiment != experiment {
 			return fmt.Errorf("merge %s: shard %d/%d is from experiment %q", experiment, f.Shard, f.Shards, f.Experiment)
 		}
-		if f.MatrixDigest != "" {
-			if wantDigest != "" && f.MatrixDigest != wantDigest {
-				return fmt.Errorf("%s: merge %s: shard %d/%d matrix digest %.12s… does not match the workload rebuilt from the current flags (%.12s…): different world, seed or defaults",
-					f.loc(), experiment, f.Shard, f.Shards, f.MatrixDigest, wantDigest)
-			}
-			if digestRef == nil {
-				digestRef = f
-			} else if f.MatrixDigest != digestRef.MatrixDigest {
-				return fmt.Errorf("%s: merge %s: shard %d/%d matrix digest %.12s… disagrees with %s (%.12s…): shards were produced from different worlds",
-					f.loc(), experiment, f.Shard, f.Shards, f.MatrixDigest, digestRef.loc(), digestRef.MatrixDigest)
-			}
+		switch {
+		case wantDigest == "":
+			return fmt.Errorf("%s: merge %s: no workload digest to check shard %d/%d against",
+				f.loc(), experiment, f.Shard, f.Shards)
+		case f.MatrixDigest == "":
+			return fmt.Errorf("%s: merge %s: shard %d/%d has no matrix digest, so nothing ties it to the workload rebuilt from the current flags",
+				f.loc(), experiment, f.Shard, f.Shards)
+		case f.MatrixDigest != wantDigest:
+			return fmt.Errorf("%s: merge %s: shard %d/%d matrix digest %.12s… does not match the workload rebuilt from the current flags (%.12s…): different world, seed or defaults",
+				f.loc(), experiment, f.Shard, f.Shards, f.MatrixDigest, wantDigest)
 		}
 		if f.Cells != ref.Cells || f.Groups != ref.Groups || f.Shards != ref.Shards {
 			return fmt.Errorf("merge %s: shard %d/%d dimensions (%d cells, %d groups, %d shards) disagree with shard %d/%d (%d cells, %d groups, %d shards)",

@@ -6,13 +6,12 @@
 // secure ranks and PGBGP's depref, a core.Engine per MapLocal worker) and
 // aggregates per-attack measurements. This package owns that map exactly
 // once: worker-pool setup, per-worker solver reuse, index-ordered result
-// writes, first-error propagation with cancellation, and an optional
-// progress callback.
+// writes and first-error propagation with cancellation.
 //
 // Determinism contract (DESIGN.md §5 "Sweep runtime", §7): a run's results
 // are a pure function of its inputs, bit-identical at any worker count and
-// any GOMAXPROCS. The kernel guarantees this by construction — Map hands
-// each index out exactly once and callers write into pre-sized,
+// any GOMAXPROCS. The kernel guarantees this by construction — MapLocal
+// hands each index out exactly once and callers write into pre-sized,
 // index-disjoint slots; the solver-owning runs (matrix.go) extract one
 // record per cell on the workers and deliver the records to a Reducer in
 // cell order through a bounded window — so goroutine scheduling never
@@ -32,11 +31,6 @@ import (
 type Options struct {
 	// Workers bounds solve parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Progress, when non-nil, is called once per completed item with the
-	// running completion count and the total. Calls are serialized, but
-	// arrive in completion order — not index order — so Progress must only
-	// drive reporting, never results.
-	Progress func(done, total int)
 }
 
 // workers resolves the effective worker count for n items.
@@ -54,20 +48,14 @@ func (o Options) workers(n int) int {
 	return w
 }
 
-// Map runs fn(i) for every i in [0, n) across the configured workers.
-// Indices are handed out dynamically for load balance; determinism is the
-// caller's index-disjoint writes, not the schedule. On error the run
-// cancels: in-flight items finish, unstarted items never run, and the
+// MapLocal runs fn(w, i) for every i in [0, n) across the configured
+// workers. Each worker calls local() once and threads the value through
+// every fn it runs, so expensive reusable buffers (a core.Solver, scratch
+// slices) are allocated once per worker instead of once per item. Indices
+// are handed out dynamically for load balance; determinism is the caller's
+// index-disjoint writes, not the schedule. On error the run cancels:
+// in-flight items finish, unstarted items never run, and the
 // lowest-indexed observed error is returned.
-func Map(n int, opts Options, fn func(i int) error) error {
-	return MapLocal(n, opts, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) error { return fn(i) })
-}
-
-// MapLocal is Map with per-worker state: each worker calls local() once and
-// threads the value through every fn it runs, so expensive reusable buffers
-// (a core.Solver, scratch slices) are allocated once per worker instead of
-// once per item.
 //
 //bgplint:hotpath the worker dispatch loop runs once per sweep cell
 func MapLocal[W any](n int, opts Options, local func() W, fn func(w W, i int) error) error {
@@ -81,9 +69,6 @@ func MapLocal[W any](n int, opts Options, local func() W, fn func(w W, i int) er
 			if err := fn(w, i); err != nil {
 				return err
 			}
-			if opts.Progress != nil {
-				opts.Progress(i+1, n)
-			}
 		}
 		return nil
 	}
@@ -92,8 +77,7 @@ func MapLocal[W any](n int, opts Options, local func() W, fn func(w W, i int) er
 		next atomic.Int64 // next index to hand out
 		stop atomic.Bool  // set on first error: cancel unstarted work
 
-		mu       sync.Mutex // guards firstErr/errIdx/done and serializes Progress
-		done     int        // completed items, for Progress
+		mu       sync.Mutex // guards firstErr/errIdx
 		firstErr error
 		errIdx   int
 		wg       sync.WaitGroup
@@ -118,14 +102,6 @@ func MapLocal[W any](n int, opts Options, local func() W, fn func(w W, i int) er
 					mu.Unlock()
 					stop.Store(true)
 					return
-				}
-				if opts.Progress != nil {
-					// Count under the lock: a count taken before it could be
-					// overtaken on the way in and reported out of order.
-					mu.Lock()
-					done++
-					opts.Progress(done, n)
-					mu.Unlock()
 				}
 			}
 		}()

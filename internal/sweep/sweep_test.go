@@ -41,7 +41,7 @@ func TestMapCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		n := 501
 		counts := make([]int32, n)
-		err := Map(n, Options{Workers: workers}, func(i int) error {
+		err := MapLocal(n, Options{Workers: workers}, func() struct{} { return struct{}{} }, func(_ struct{}, i int) error {
 			atomic.AddInt32(&counts[i], 1)
 			return nil
 		})
@@ -83,7 +83,7 @@ func TestMapFirstErrorCancels(t *testing.T) {
 	n := 10000
 	var ran atomic.Int32
 	wantErr := errors.New("boom")
-	err := Map(n, Options{Workers: 4}, func(i int) error {
+	err := MapLocal(n, Options{Workers: 4}, func() struct{} { return struct{}{} }, func(_ struct{}, i int) error {
 		ran.Add(1)
 		if i == 5 {
 			return fmt.Errorf("item %d: %w", i, wantErr)
@@ -107,7 +107,7 @@ func TestMapFirstErrorCancels(t *testing.T) {
 // TestMapSerialErrorShortCircuits pins the workers=1 fast path's behavior.
 func TestMapSerialErrorShortCircuits(t *testing.T) {
 	var ran int
-	err := Map(100, Options{Workers: 1}, func(i int) error {
+	err := MapLocal(100, Options{Workers: 1}, func() struct{} { return struct{}{} }, func(_ struct{}, i int) error {
 		ran++
 		if i == 3 {
 			return errors.New("stop here")
@@ -116,38 +116,6 @@ func TestMapSerialErrorShortCircuits(t *testing.T) {
 	})
 	if err == nil || ran != 4 {
 		t.Fatalf("serial path ran %d items (err %v), want 4 with error", ran, err)
-	}
-}
-
-// TestMapProgress checks the callback fires once per item with a monotone
-// completion count.
-func TestMapProgress(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for _, workers := range []int{1, 4} {
-		n := 200
-		calls, last := 0, 0
-		// Progress runs on worker goroutines (serialized by Map), so it
-		// only records the first violation; the test goroutine fails.
-		var violation string
-		err := Map(n, Options{Workers: workers, Progress: func(done, total int) {
-			calls++
-			if violation == "" && total != n {
-				violation = fmt.Sprintf("total = %d, want %d", total, n)
-			}
-			if violation == "" && done != last+1 {
-				violation = fmt.Sprintf("progress out of order: %d after %d", done, last)
-			}
-			last = done
-		}}, func(i int) error { return nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if violation != "" {
-			t.Fatalf("workers=%d: %s", workers, violation)
-		}
-		if calls != n || last != n {
-			t.Fatalf("workers=%d: %d progress calls ending at %d, want %d", workers, calls, last, n)
-		}
 	}
 }
 
