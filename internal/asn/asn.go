@@ -120,6 +120,10 @@ func (s *IndexSet) Count() int {
 	return c
 }
 
+// Words returns the set's backing words: bit i%64 of word i/64 is index
+// i's membership. The caller must not modify them.
+func (s *IndexSet) Words() []uint64 { return s.words }
+
 // Members appends all member indices to dst and returns it.
 func (s *IndexSet) Members(dst []int) []int {
 	for wi, w := range s.words {

@@ -372,13 +372,52 @@ func fuzzSeeds() []fuzzCase {
 		prev:  fuzzCell{target: 1, attacker: 2},
 		lanes: fuzzLanes{width: 2, pos: 1, base: [8]byte{0, 1}},
 	}
+	// Target 1 and attacker 2 are single-homed stubs of 0, which takes the
+	// target's route (the lower next hop), and both lanes of the batch are
+	// attacker 2's. Its own origination is the one polluted word of 0's
+	// stub row and must be counted once per lane, not once per lane naming
+	// it.
+	dupSoleAttacker := fuzzCase{
+		seeded: "two lanes with the same single-homed attacker", n: 3,
+		ranks: []byte{9, 1, 1},
+		links: [][3]int{{0, 1, transit}, {0, 2, transit}},
+		at:    fuzzCell{target: 1, attacker: 2},
+		prev:  fuzzCell{target: 2, attacker: 1, subPrefix: true},
+		lanes: fuzzLanes{width: 2, pos: 0, base: [8]byte{2, 2}},
+	}
+	// Forged-origin attacker 2, a customer of 0, ties target 1's route
+	// through 4 at 0 and wins on the lower next hop. Single-homed stub 3 of
+	// 0 validates ASPA and drops the route its provider would hand it; its
+	// sibling stub 5 takes it.
+	aspaSole := fuzzCase{
+		seeded: "an ASPA-deploying single-homed stub", n: 6,
+		ranks: []byte{9, 1, 1, 1, 5, 1},
+		links: [][3]int{{0, 4, transit}, {4, 1, transit}, {0, 2, transit}, {0, 3, transit}, {0, 5, transit}},
+		at:    fuzzCell{target: 1, attacker: 2, kind: KindForgedOrigin, aspa: 0b1000},
+		prev:  fuzzCell{target: 1, attacker: 5, kind: KindForgedOrigin},
+		lanes: fuzzLanes{width: 3, pos: 0, base: [8]byte{2, 5, 3}},
+	}
+	// Stub 6's two providers offer length-2 routes in the lane of attacker
+	// 3 — 0 to target 2, 1 to the attacker — and under
+	// WithPreferHighNextHop the stub takes 1's. In attacker 5's lane 1's
+	// offer is longer and 0's wins outright; in attacker 7's lane both lead
+	// to the attacker.
+	twoProvTie := fuzzCase{
+		seeded: "a two-provider stub tie under the flipped tie-break", n: 8, tieHi: true,
+		ranks: []byte{9, 9, 1, 1, 5, 1, 1, 1},
+		links: [][3]int{{0, 2, transit}, {1, 3, transit}, {1, 4, transit}, {4, 5, transit},
+			{0, 6, transit}, {1, 6, transit}, {0, 7, transit}},
+		at:    fuzzCell{target: 2, attacker: 3},
+		prev:  fuzzCell{target: 3, attacker: 2},
+		lanes: fuzzLanes{width: 4, pos: 0, base: [8]byte{3, 5, 7, 6}},
+	}
 	everyoneTier1 := diamond
 	everyoneTier1.seeded, everyoneTier1.tier1, everyoneTier1.tieHi = "whole-graph tier-1 set", ^uint32(0), true
 	noTier1 := reroute
 	noTier1.seeded, noTier1.tier1, noTier1.noSPF = "empty tier-1 set", 0, true
 	noTier1.lanes = fuzzLanes{width: 12, pos: 0, late: true, base: [8]byte{4, 3, 2, 6, 0, 1, 4, 4}, step: 3}
 	return []fuzzCase{diamond, reroute, noLeak, pullTie, noPeerTransit, everyoneTier1, noTier1, shortest, validating, stubTie,
-		peerlockStub, peerFilledStub, stubSeeds}
+		peerlockStub, peerFilledStub, stubSeeds, dupSoleAttacker, aspaSole, twoProvTie}
 }
 
 // rootCause unwraps err to the innermost error's text: the three solvers

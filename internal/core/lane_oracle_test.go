@@ -1,0 +1,356 @@
+package core
+
+import (
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"testing"
+
+	"github.com/bgpsim/bgpsim/internal/asn"
+	"github.com/bgpsim/bgpsim/internal/topology"
+)
+
+// oraclePullStubLanes is the lane stub pass that writes every stub, the
+// single-homed ones too, each multi-homed stub through the one loop over
+// its providers. It is the oracle the derived single-homed stubs, the
+// two-provider pull and the grouped tally are held to.
+func (s *Solver) oraclePullStubLanes() {
+	pol, ln := s.pol, s.ln
+	// A pulled route is one hop longer than the longest provider's.
+	ln.growPlanes(s.top + 1)
+	n, np := ln.n, ln.nplanes
+	routed, att, planes := ln.routed, ln.att, ln.planes
+	var pulled int64
+	for wi, prov := range pol.hasProv {
+		for stubs := prov &^ pol.hasCust[wi]; stubs != 0; stubs &= stubs - 1 {
+			w := int32(wi<<6 | bits.TrailingZeros64(stubs))
+			open := ln.full &^ routed[w]
+			if open == 0 {
+				continue
+			}
+			drop := uint64(0)
+			if ln.rejLanes != 0 && ln.rej.rejects(pol, w, OriginAttacker) {
+				drop = ln.rejLanes
+			}
+			provs := pol.provAdj[pol.provOff[w]:pol.provOff[w+1]]
+			pulled += int64(len(provs))
+			// The planes of w are zero in the lanes it is unrouted in, so a
+			// route is written by ORing in the provider's distance +1, carried
+			// up the planes; growPlanes above leaves no carry out.
+			if len(provs) == 1 {
+				v := provs[0]
+				take := open & routed[v] &^ (att[v] & drop)
+				if take == 0 {
+					continue
+				}
+				routed[w] |= take
+				att[w] |= att[v] & take
+				carry := take
+				for p, i, j := 0, int(v), int(w); p < np; p, i, j = p+1, i+n, j+n {
+					x := planes[i] & take
+					planes[j] |= x ^ carry
+					carry &= x
+				}
+				continue
+			}
+			// The kept offer per lane: its provider's distance, bit-sliced,
+			// and whether it leads to the attacker.
+			var best [16]uint64
+			var have, bogus uint64
+			for k := range provs {
+				v := provs[k]
+				if pol.tieHigh {
+					v = provs[len(provs)-1-k]
+				}
+				take := open & routed[v] &^ (att[v] & drop)
+				if take&have != 0 {
+					// Of the lanes that hold an offer, v takes those it beats
+					// strictly: compare from the top plane down.
+					lt, eq := uint64(0), ^uint64(0)
+					for p, i := np-1, int(v)+(np-1)*n; p >= 0; p, i = p-1, i-n {
+						x := planes[i]
+						lt |= eq & best[p] &^ x
+						eq &^= best[p] ^ x
+					}
+					take &^= have &^ lt
+				}
+				if take == 0 {
+					continue
+				}
+				for p, i := 0, int(v); p < np; p, i = p+1, i+n {
+					best[p] = best[p]&^take | planes[i]&take
+				}
+				have |= take
+				bogus = bogus&^take | att[v]&take
+			}
+			if have == 0 {
+				continue
+			}
+			routed[w] |= have
+			att[w] |= bogus
+			carry := have
+			for p, j := 0, int(w); p < np; p, j = p+1, j+n {
+				planes[j] |= best[p] ^ carry
+				carry &= best[p]
+			}
+		}
+	}
+	s.stats.Pulled += pulled
+}
+
+// oracleTally is the lane tally over every node's written word, for the
+// oracle's batches, in which every routed node has one.
+func (ln *laneState) oracleTally(weights []int64) {
+	var cnt, sum laneSum
+	for v, a := range ln.att {
+		if a == 0 {
+			continue
+		}
+		cnt.add(a, 0)
+		if weights == nil {
+			continue
+		}
+		for wt := uint64(weights[v]); wt != 0; wt &= wt - 1 {
+			sum.add(a, bits.TrailingZeros64(wt))
+		}
+	}
+	cnt.flush()
+	sum.flush()
+	for i := 0; i < ln.width; i++ {
+		// The attacker's own origination is not pollution.
+		a := ln.attackers[i]
+		own := int64(ln.att[a] >> i & 1)
+		ln.count[i] = int(cnt.lane(i) - own)
+		if weights != nil {
+			ln.weight[i] = sum.lane(i) - own*weights[a]
+		}
+	}
+	ln.counted = true
+	if weights != nil {
+		ln.wkey = &weights[0]
+	}
+}
+
+// laneOracle solves lane batches with oraclePullStubLanes on a solver of
+// its own and answers from the lane words it wrote, deriving nothing.
+type laneOracle struct{ s *Solver }
+
+func (o laneOracle) solve(target int, attackers []int, kind AttackKind, sub bool, def Defense) error {
+	s := o.s
+	if err := s.seedLanes(target, attackers, kind, sub, def); err != nil {
+		return err
+	}
+	pol := s.pol
+	s.floodLanes(pol.provOff, pol.provAdj, pol.hasProv, ClassCustomer)
+	if pol.tier1SPF {
+		s.pullTier1Lanes()
+	}
+	s.floodLanes(pol.peerOff, pol.peerAdj, pol.hasPeer, ClassPeer)
+	s.floodLanes(pol.tranOff, pol.tranAdj, pol.hasTran, ClassProvider)
+	s.oraclePullStubLanes()
+	return nil
+}
+
+// node returns node v's (route, origin, distance) in lane, as Outcome's
+// accessors report them.
+func (o laneOracle) node(v int, lane uint) (bool, int8, int16) {
+	ln := o.s.ln
+	if ln.routed[v]>>lane&1 == 0 {
+		return false, OriginNone, -1
+	}
+	return true, int8(ln.att[v] >> lane & 1), ln.dist(v, lane)
+}
+
+func (o laneOracle) polluted(lane uint, weights []int64) (int, int64) {
+	ln := o.s.ln
+	ln.oracleTally(weights)
+	if weights == nil {
+		return ln.count[lane], int64(ln.count[lane])
+	}
+	return ln.count[lane], ln.weight[lane]
+}
+
+// withStubPeers rebuilds pol's world with k more peer links, each from a
+// single-homed stub to a node it is not linked to: the generator gives its
+// stubs no peers, and the peer stage routing a single-homed stub is a case
+// the lane tally must correct. Node indices, address weights and the
+// tier-1 set carry over.
+func withStubPeers(t *testing.T, pol *Policy, k int, seed int64, opts ...PolicyOption) *Policy {
+	t.Helper()
+	g, n := pol.Graph(), pol.N()
+	b := topology.NewBuilder()
+	for i := 0; i < n; i++ {
+		b.SetAddrWeight(g.ASN(i), g.AddrWeight(i))
+		nbrs, rels := g.Neighbors(i)
+		for j, nb := range nbrs {
+			if err := b.AddLink(g.ASN(i), g.ASN(int(nb)), rels[j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for added := 0; added < k; {
+		w, v := rng.Intn(n), rng.Intn(n)
+		if !pol.sole(int32(w)) || v == w || g.Rel(w, v) != 0 {
+			continue
+		}
+		if err := b.AddLink(g.ASN(w), g.ASN(v), topology.RelPeer); err != nil {
+			t.Fatal(err)
+		}
+		added++
+	}
+	tier1 := make([]int, len(pol.tier1List))
+	for i, t1 := range pol.tier1List {
+		tier1[i] = int(t1)
+	}
+	peered, err := NewPolicy(b.Build(), tier1, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peered.N() != n {
+		t.Fatalf("rebuilt world has %d nodes, want %d", peered.N(), n)
+	}
+	return peered
+}
+
+// TestLaneStubOracleEquivalence holds SolveLanes, whose single-homed stubs
+// follow their provider on read, whose two-provider stubs pull without a
+// loop and whose tally sums single-homed stubs per provider, to the lane
+// oracle that writes every stub, on the seed-42 2,000-AS world with 60
+// single-homed stubs given a peer: every kind, sub-prefix, both tie-break
+// directions and four defenses, over batches whose target or attackers are
+// single-homed stubs, peered ones and duplicates. Every node's route,
+// origin and distance is compared in every lane, and the pollution totals
+// under three weightings, asked for in an order that makes the solver
+// re-tally and re-sum its rows.
+func TestLaneStubOracleEquivalence(t *testing.T) {
+	for _, high := range []bool{false, true} {
+		opts := []PolicyOption{WithPreferHighNextHop(high)}
+		pol := withStubPeers(t, deltaTestPolicy(t, 2000, 42), 60, 40, opts...)
+		n := pol.N()
+		var sole, peered, twoProv []int
+		for v := 0; v < n; v++ {
+			switch {
+			case pol.solePeer[v>>6]>>(v&63)&1 != 0:
+				peered = append(peered, v)
+			case pol.sole(int32(v)):
+				sole = append(sole, v)
+			case len(pol.Customers(v)) == 0 && len(pol.Providers(v)) == 2:
+				twoProv = append(twoProv, v)
+			}
+		}
+		if len(sole) == 0 || len(peered) == 0 || len(twoProv) == 0 {
+			t.Fatalf("world has %d single-homed stubs, %d peered ones, %d two-provider stubs; want some of each",
+				len(sole), len(peered), len(twoProv))
+		}
+		rng := rand.New(rand.NewSource(40))
+		pick := func(xs []int) int { return xs[rng.Intn(len(xs))] }
+		// A random tenth of the world, with single-homed stubs, peered ones
+		// and two-provider stubs among its validators.
+		tenth := asn.NewIndexSet(n)
+		for k := 0; k < 20; k++ {
+			tenth.Add(pick(sole))
+			tenth.Add(pick(twoProv))
+		}
+		tenth.Add(pick(peered))
+		for tenth.Count() < n/10 {
+			tenth.Add(rng.Intn(n))
+		}
+		defs := []Defense{
+			{},
+			{Blocked: benchTopDegreeSet(pol, 50)},
+			{Blocked: tenth, ASPA: tenth},
+			{ASPA: tenth, Peerlock: true},
+		}
+		batch := func(target, width int, from ...[]int) []int {
+			out := make([]int, width)
+			for i := range out {
+				for out[i] = pick(from[i%len(from)]); out[i] == target; {
+					out[i] = rng.Intn(n)
+				}
+			}
+			return out
+		}
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		type lanes struct {
+			target    int
+			attackers []int
+		}
+		var batches []lanes
+		// A single-homed target, attacked from everywhere.
+		b := lanes{target: pick(sole)}
+		b.attackers = batch(b.target, LaneWidth, all, sole, peered, twoProv)
+		b.attackers[5], b.attackers[40] = b.attackers[1], b.attackers[1] // a single-homed attacker three times
+		batches = append(batches, b)
+		// A peered single-homed target, attacked by stubs.
+		b = lanes{target: pick(peered)}
+		b.attackers = batch(b.target, 24, sole, peered)
+		b.attackers[23] = b.attackers[3] // a peered attacker twice
+		batches = append(batches, b)
+		// A random target; two lanes with the same single-homed attacker.
+		b = lanes{target: rng.Intn(n)}
+		b.attackers = batch(b.target, 17, all, sole)
+		b.attackers[16] = b.attackers[1]
+		batches = append(batches, b)
+		// A tier-1 target; the two lanes attack from one single-homed stub.
+		b = lanes{target: int(pol.tier1List[0])}
+		b.attackers = batch(b.target, 2, sole)
+		b.attackers[1] = b.attackers[0]
+		batches = append(batches, b)
+
+		weightings := [][]int64{nil, pol.Graph().AddrWeights(), oddWeights(n)}
+		order := []int{0, 1, 2, 1, 0}
+		s, oracle := NewSolver(pol), laneOracle{NewSolver(pol)}
+		for bi, b := range batches {
+			for _, kind := range Kinds() {
+				for _, sub := range []bool{false, true} {
+					if sub && kind == KindRouteLeak {
+						continue
+					}
+					for d, def := range defs {
+						label := fmt.Sprintf("high=%v batch %d kind %v sub=%v defense %d", high, bi, kind, sub, d)
+						if err := oracle.solve(b.target, b.attackers, kind, sub, def); err != nil {
+							t.Fatalf("%s: oracle: %v", label, err)
+						}
+						outs, err := s.SolveLanes(b.target, b.attackers, kind, sub, def)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						for i := range outs {
+							o, lane := &outs[i], uint(i)
+							for v := 0; v < n; v++ {
+								route, org, dist := oracle.node(v, lane)
+								if o.HasRoute(v) != route || o.Origin(v) != org || o.Dist(v) != dist {
+									t.Fatalf("%s: lane %d (attacker %d) node %d has (route=%v org=%d dist=%d), the oracle (%v %d %d)",
+										label, i, b.attackers[i], v, o.HasRoute(v), o.Origin(v), o.Dist(v), route, org, dist)
+								}
+							}
+						}
+						for _, k := range order {
+							for i := range outs {
+								gc, gw := outs[i].PollutedWeight(weightings[k])
+								wc, ww := oracle.polluted(uint(i), weightings[k])
+								if gc != wc || gw != ww {
+									t.Fatalf("%s: lane %d pollution under weighting %d is (%d, %d), the oracle's (%d, %d)",
+										label, i, k, gc, gw, wc, ww)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// lane gathers one lane's total, plane by plane, for oracleTally.
+func (z *laneSum) lane(i int) int64 {
+	var total uint64
+	for k, p := range z.planes {
+		total |= (p >> i & 1) << k
+	}
+	return int64(total)
+}

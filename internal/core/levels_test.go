@@ -380,12 +380,13 @@ func TestSolverStats(t *testing.T) {
 	// Stage 3 of the 60-lane batch, exactly: a routed node with transit
 	// customers is a source once per distinct distance among its lanes and
 	// offers over its transit-customer edges, and the stub pass reads every
-	// provider edge of the stubs left open.
+	// provider edge of the multi-homed stubs left open; single-homed stubs
+	// follow their provider and cost the pass nothing.
 	var sources, transit, pulled int64
 	for v := 0; v < n; v++ {
 		if len(pol.Customers(v)) == 0 {
-			if open[v] {
-				pulled += int64(len(pol.Providers(v)))
+			if provs := len(pol.Providers(v)); open[v] && provs > 1 {
+				pulled += int64(provs)
 			}
 			continue
 		}

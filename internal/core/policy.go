@@ -90,6 +90,10 @@ type Policy struct {
 	// hasSole marks the nodes whose row is non-empty.
 	soleOff, soleAdj []int32
 	hasSole          []uint64
+	// solePeer marks the single-homed stubs with peers: the only ones
+	// besides the seeds that the peer stage can route, which a lane tally
+	// visits one by one.
+	solePeer []uint64
 	// multiStub is the bitmap of the other stubs, the multi-homed ones:
 	// more than one provider, no customer. The scalar stub pull visits them.
 	multiStub []uint64
@@ -259,6 +263,7 @@ func NewPolicy(g *topology.Graph, tier1 []int, opts ...PolicyOption) (*Policy, e
 	p.soleOff, p.soleAdj = make([]int32, n+1), make([]int32, 0, nSole)
 	p.hasTran = make([]uint64, words)
 	p.hasSole = make([]uint64, words)
+	p.solePeer = make([]uint64, words)
 	for i := 0; i < n; i++ {
 		p.tranOff[i], p.soleOff[i] = int32(len(p.tranAdj)), int32(len(p.soleAdj))
 		for _, c := range p.Customers(i) {
@@ -274,6 +279,9 @@ func NewPolicy(g *topology.Graph, tier1 []int, opts ...PolicyOption) (*Policy, e
 		if len(p.soleAdj) > int(p.soleOff[i]) {
 			p.hasSole[i>>6] |= 1 << (i & 63)
 		}
+		if p.sole(int32(i)) && p.peerOff[i+1] > p.peerOff[i] {
+			p.solePeer[i>>6] |= 1 << (i & 63)
+		}
 	}
 	p.tranOff[n], p.soleOff[n] = int32(len(p.tranAdj)), int32(len(p.soleAdj))
 	return p, nil
@@ -281,10 +289,10 @@ func NewPolicy(g *topology.Graph, tier1 []int, opts ...PolicyOption) (*Policy, e
 
 // sole reports whether node i is a single-homed stub: a provider, no
 // customer, and not multi-homed.
-func (p *Policy) sole(i int32) bool {
-	w := i >> 6
-	return (p.hasProv[w]&^p.hasCust[w]&^p.multiStub[w])>>(i&63)&1 != 0
-}
+func (p *Policy) sole(i int32) bool { return p.soleWord(int(i>>6))>>(i&63)&1 != 0 }
+
+// soleWord is word wi of the single-homed stubs' bitmap.
+func (p *Policy) soleWord(wi int) uint64 { return p.hasProv[wi] &^ p.hasCust[wi] &^ p.multiStub[wi] }
 
 // Graph returns the topology the policy was built over.
 func (p *Policy) Graph() *topology.Graph { return p.g }

@@ -103,9 +103,9 @@ type SolverStats struct {
 	Sources [3]int64
 	Offers  [3]int64
 	// Pulled counts the provider edges the stub passes read: every provider
-	// link of each stub still unrouted in some lane after the lane provider
-	// flood, and of each multi-homed stub still unrouted after the scalar
-	// one.
+	// link of each multi-homed stub still unrouted in some lane after the
+	// lane provider flood, or after the scalar one. Single-homed stubs are
+	// derived from their provider on read and cost the passes nothing.
 	Pulled int64
 }
 
@@ -137,10 +137,11 @@ func (s *Solver) Stats() SolverStats { return s.stats }
 //
 // One lane of a SolveLanes batch is an Outcome too. It answers what every
 // lane has — whether a node is routed, to which origin, how far, and the
-// pollution totals — from the batch's lane words, and what only a scalar
-// solve has (Class, NextHop, Path, Clone) by running that one cell on the
-// owning Solver the first time it is asked: no reader can tell which mode
-// solved its cell.
+// pollution totals — from the batch's lane words, deriving single-homed
+// stubs from their provider's the same way (laneRoute), and what only a
+// scalar solve has (Class, NextHop, Path, Clone) by running that one cell
+// on the owning Solver the first time it is asked: no reader can tell which
+// mode solved its cell.
 type Outcome struct {
 	Target   int
 	Attacker int
@@ -188,10 +189,34 @@ func (o *Outcome) route(i int) (nodeRec, bool) {
 	return nodeRec{stamp: o.epoch, nexthop: p, dist: pr.dist + 1, class: ClassProvider, origin: pr.origin}, true
 }
 
+// laneRoute is route for one lane of a batch: the node whose lane words
+// hold node i's route in lane — i itself where the batch routed it there,
+// else, for a single-homed stub, its provider, one hop further on — and
+// whether i has a route at all. Like a scalar solve, a batch leaves its
+// single-homed stubs unwritten unless the first two stages routed them; a
+// stub derives its provider's route unless the provider is unrouted in the
+// lane or the stub rejects the route.
+func (s *Solver) laneRoute(i int, lane uint) (v int32, hop int16, ok bool) {
+	pol, ln := s.pol, s.ln
+	bit := uint64(1) << lane
+	if ln.routed[i]&bit != 0 {
+		return int32(i), 0, true
+	}
+	if !pol.sole(int32(i)) {
+		return 0, 0, false
+	}
+	p := pol.provAdj[pol.provOff[i]]
+	if ln.routed[p]&bit == 0 || ln.att[p]&ln.rejLanes&bit != 0 && ln.rej.rejects(pol, int32(i), OriginAttacker) {
+		return 0, 0, false
+	}
+	return p, 1, true
+}
+
 // HasRoute reports whether node i selected any route.
 func (o *Outcome) HasRoute(i int) bool {
 	if o.lanes != nil {
-		return o.lanes.ln.routed[i]>>o.lane&1 != 0
+		_, _, ok := o.lanes.laneRoute(i, o.lane)
+		return ok
 	}
 	_, ok := o.route(i)
 	return ok
@@ -201,10 +226,11 @@ func (o *Outcome) HasRoute(i int) bool {
 // OriginAttacker, or OriginNone).
 func (o *Outcome) Origin(i int) int8 {
 	if o.lanes != nil {
-		if !o.HasRoute(i) {
+		v, _, ok := o.lanes.laneRoute(i, o.lane)
+		if !ok {
 			return OriginNone
 		}
-		return int8(o.lanes.ln.att[i] >> o.lane & 1) // OriginTarget is 0, OriginAttacker 1
+		return int8(o.lanes.ln.att[v] >> o.lane & 1) // OriginTarget is 0, OriginAttacker 1
 	}
 	r, ok := o.route(i)
 	if !ok {
@@ -232,10 +258,11 @@ func (o *Outcome) Class(i int) RouteClass {
 // origin itself); -1 without a route.
 func (o *Outcome) Dist(i int) int16 {
 	if o.lanes != nil {
-		if !o.HasRoute(i) {
+		v, hop, ok := o.lanes.laneRoute(i, o.lane)
+		if !ok {
 			return -1
 		}
-		return o.lanes.ln.dist(i, o.lane)
+		return o.lanes.ln.dist(int(v), o.lane) + hop
 	}
 	r, ok := o.route(i)
 	if !ok {
@@ -277,10 +304,13 @@ func (o *Outcome) PollutedCount() int {
 // weights in one pass over the packed records, plus, on a scalar solve's
 // outcome, a walk of the single-homed stubs it derives (pollutedSole).
 // weights is indexed by node; nil means every node weighs 1
-// (topology.Graph.AddrWeights' convention).
+// (topology.Graph.AddrWeights' convention). A lane outcome keys the sums
+// it keeps on &weights[0] — the batch's totals, and its solver's per-row
+// sums across batches — so a weight vector must not be changed in place
+// once a solver has weighed with it.
 func (o *Outcome) PollutedWeight(weights []int64) (count int, weight int64) {
 	if o.lanes != nil {
-		return o.lanes.ln.polluted(o.lane, weights)
+		return o.lanes.ln.polluted(o.lanes.pol, o.lane, weights)
 	}
 	// Whether a node is polluted is close to a coin flip, so the loops are
 	// branch-free: hit is 0 or 1 and masks the node's weight.
@@ -835,6 +865,7 @@ type laneState struct {
 
 	kind      AttackKind
 	subPrefix bool
+	target    int32
 	attackers [LaneWidth]int32
 	// sc is each lane's resolved scenario: its seed here, and what
 	// materializing the lane solves under.
@@ -862,6 +893,16 @@ type laneState struct {
 	wkey    *int64 // &weights[0] of the weights the sums were taken under
 	count   [LaneWidth]int
 	weight  [LaneWidth]int64
+	// soleW[p] is the weight sum of node p's soleAdj row under the weights
+	// whose &weights[0] is soleKey, built on the first tally under them;
+	// the key keeps that array alive, so no other vector can take its
+	// address. It is the solver's own: a Policy is shared between
+	// goroutines.
+	soleW   []int64
+	soleKey *int64
+	// fix is the tally's scratch bitmap of the single-homed stubs whose
+	// derived word the grouped sum gets wrong (see tally).
+	fix []uint64
 
 	outs [LaneWidth]Outcome
 }
@@ -874,8 +915,30 @@ type laneState struct {
 // until its next solve; an invalid cell fails the batch with a *LaneError
 // naming the lowest such lane.
 func (s *Solver) SolveLanes(target int, attackers []int, kind AttackKind, subPrefix bool, def Defense) ([]Outcome, error) {
+	if err := s.seedLanes(target, attackers, kind, subPrefix, def); err != nil {
+		return nil, err
+	}
+	pol, ln := s.pol, s.ln
+	s.floodLanes(pol.provOff, pol.provAdj, pol.hasProv, ClassCustomer)
+	if pol.tier1SPF {
+		s.pullTier1Lanes()
+	}
+	s.floodLanes(pol.peerOff, pol.peerAdj, pol.hasPeer, ClassPeer)
+	s.floodLanes(pol.tranOff, pol.tranAdj, pol.hasTran, ClassProvider)
+	s.pullStubLanes()
+
+	for i, a := range attackers {
+		ln.outs[i] = Outcome{Target: target, Attacker: a, lanes: s, lane: uint(i)}
+	}
+	return ln.outs[:ln.width], nil
+}
+
+// seedLanes resolves a batch's cells, empties the lane words and places the
+// seeds, as solveScenario places them: the target in every lane, each
+// attacker in its own lane at its scenario's depth.
+func (s *Solver) seedLanes(target int, attackers []int, kind AttackKind, subPrefix bool, def Defense) error {
 	if len(attackers) == 0 || len(attackers) > LaneWidth {
-		return nil, fmt.Errorf("solve: %d lanes, want 1..%d", len(attackers), LaneWidth)
+		return fmt.Errorf("solve: %d lanes, want 1..%d", len(attackers), LaneWidth)
 	}
 	if s.ln == nil {
 		n := s.pol.n
@@ -889,17 +952,18 @@ func (s *Solver) SolveLanes(target int, attackers []int, kind AttackKind, subPre
 	for i, a := range attackers {
 		at := Attack{Target: target, Attacker: a, SubPrefix: subPrefix, Kind: kind}
 		if err := validateAttack(s.pol, at); err != nil {
-			return nil, &LaneError{Lane: i, Err: fmt.Errorf("solve: %w", err)}
+			return &LaneError{Lane: i, Err: fmt.Errorf("solve: %w", err)}
 		}
 		sc, err := buildScenario(s.pol, at, def, func() (int16, bool) { return s.baselineDist(at) })
 		if err != nil {
-			return nil, &LaneError{Lane: i, Err: err}
+			return &LaneError{Lane: i, Err: err}
 		}
 		ln.attackers[i], ln.sc[i] = int32(a), sc
 		if !sc.unfiltered() {
 			ln.rej, ln.rejLanes = sc, ln.rejLanes|1<<i
 		}
 	}
+	ln.target = int32(target)
 
 	clear(ln.words)
 	ln.planes, ln.nplanes = ln.planes[:0], 0
@@ -908,8 +972,6 @@ func (s *Solver) SolveLanes(target int, attackers []int, kind AttackKind, subPre
 	s.stats.LaneSolves++
 	s.stats.Lanes += int64(ln.width)
 
-	// Seeds, as solveScenario places them: the target in every lane, each
-	// attacker in its own lane at its scenario's depth.
 	if !subPrefix {
 		ln.routed[target], ln.donor[target] = ln.full, ln.full
 		s.enter(int32(target), 0)
@@ -924,20 +986,7 @@ func (s *Solver) SolveLanes(target int, attackers []int, kind AttackKind, subPre
 			s.enter(a, int(sc.seedDist))
 		}
 	}
-
-	pol := s.pol
-	s.floodLanes(pol.provOff, pol.provAdj, pol.hasProv, ClassCustomer)
-	if pol.tier1SPF {
-		s.pullTier1Lanes()
-	}
-	s.floodLanes(pol.peerOff, pol.peerAdj, pol.hasPeer, ClassPeer)
-	s.floodLanes(pol.tranOff, pol.tranAdj, pol.hasTran, ClassProvider)
-	s.pullStubLanes()
-
-	for i, a := range attackers {
-		ln.outs[i] = Outcome{Target: target, Attacker: a, lanes: s, lane: uint(i)}
-	}
-	return ln.outs[:ln.width], nil
+	return nil
 }
 
 // growPlanes makes every distance up to d representable.
@@ -1134,18 +1183,20 @@ func (s *Solver) pullLanes(w int32, lanes uint64, last int) {
 	}
 }
 
-// pullStubLanes ends the lane provider stage at the stubs — the nodes with
-// a provider and no customer — which floodLanes offers nothing to. A stub
-// never sources in that stage, so the route the flood would hand it in a
-// lane is its first accepted offer in (level, betterNH) order: the shortest
-// offer among its providers' final routes, the first in betterNH order
-// among equals (the row forwards, or backwards under
-// WithPreferHighNextHop). One ascending pass pulls that, in the lanes the
-// stub is still unrouted in, from the providers' lane words; a validating
-// stub drops att[v] & rejLanes, as the flood does. Stubs are not entered
-// into the level sets: nothing walks them after the last stage.
+// pullStubLanes ends the lane provider stage at the multi-homed stubs —
+// more than one provider, no customer — which floodLanes offers nothing
+// to. A stub never sources in that stage, so the route the flood would
+// hand it in a lane is its first accepted offer in (level, betterNH)
+// order: the shortest offer among its providers' final routes, the first
+// in betterNH order among equals (the row forwards, or backwards under
+// WithPreferHighNextHop). One pass pulls that, in the lanes the stub is
+// still unrouted in, from the providers' lane words; a validating stub
+// drops att[v] & rejLanes, as the flood does. Single-homed stubs are left
+// unwritten, as by the scalar stage, and derived on read (laneRoute, and
+// tally's grouped sums). Stubs are not entered into the level sets:
+// nothing walks them after the last stage.
 //
-//bgplint:hotpath one pass per batch over the stubs' provider links
+//bgplint:hotpath one pass per batch over the multi-homed stubs' provider links
 func (s *Solver) pullStubLanes() {
 	pol, ln := s.pol, s.ln
 	// A pulled route is one hop longer than the longest provider's.
@@ -1153,8 +1204,8 @@ func (s *Solver) pullStubLanes() {
 	n, np := ln.n, ln.nplanes
 	routed, att, planes := ln.routed, ln.att, ln.planes
 	var pulled int64
-	for wi, prov := range pol.hasProv {
-		for stubs := prov &^ pol.hasCust[wi]; stubs != 0; stubs &= stubs - 1 {
+	for wi, multi := range pol.multiStub {
+		for stubs := multi; stubs != 0; stubs &= stubs - 1 {
 			w := int32(wi<<6 | bits.TrailingZeros64(stubs))
 			open := ln.full &^ routed[w]
 			if open == 0 {
@@ -1167,20 +1218,37 @@ func (s *Solver) pullStubLanes() {
 			provs := pol.provAdj[pol.provOff[w]:pol.provOff[w+1]]
 			pulled += int64(len(provs))
 			// The planes of w are zero in the lanes it is unrouted in, so a
-			// route is written by ORing in the provider's distance +1, carried
-			// up the planes; growPlanes above leaves no carry out.
-			if len(provs) == 1 {
-				v := provs[0]
-				take := open & routed[v] &^ (att[v] & drop)
-				if take == 0 {
+			// route is written by ORing in the kept provider's distance +1,
+			// carried up the planes; growPlanes above leaves no carry out.
+			if len(provs) == 2 {
+				// Two offers, u first in tie-break order: u keeps the lanes
+				// both offer in unless v is strictly shorter there.
+				u, v := provs[0], provs[1]
+				if pol.tieHigh {
+					u, v = v, u
+				}
+				tu := open & routed[u] &^ (att[u] & drop)
+				tv := open & routed[v] &^ (att[v] & drop)
+				if both := tu & tv; both != 0 {
+					lt, eq := uint64(0), both
+					for p, i, j := np-1, int(u)+(np-1)*n, int(v)+(np-1)*n; p >= 0; p, i, j = p-1, i-n, j-n {
+						x, y := planes[i], planes[j]
+						lt |= eq & x &^ y
+						eq &^= x ^ y
+					}
+					tu &^= lt
+				}
+				tv &^= tu
+				have := tu | tv
+				if have == 0 {
 					continue
 				}
-				routed[w] |= take
-				att[w] |= att[v] & take
-				carry := take
-				for p, i, j := 0, int(v), int(w); p < np; p, i, j = p+1, i+n, j+n {
-					x := planes[i] & take
-					planes[j] |= x ^ carry
+				routed[w] |= have
+				att[w] |= att[u]&tu | att[v]&tv
+				carry := have
+				for p, i, j, k := 0, int(u), int(v), int(w); p < np; p, i, j, k = p+1, i+n, j+n, k+n {
+					x := planes[i]&tu | planes[j]&tv
+					planes[k] |= x ^ carry
 					carry &= x
 				}
 				continue
@@ -1232,9 +1300,9 @@ func (s *Solver) pullStubLanes() {
 
 // polluted returns one lane's PollutedWeight, tallying every lane's on the
 // batch's first call (and again should the weights change).
-func (ln *laneState) polluted(lane uint, weights []int64) (int, int64) {
+func (ln *laneState) polluted(pol *Policy, lane uint, weights []int64) (int, int64) {
 	if !ln.counted || weights != nil && ln.wkey != &weights[0] {
-		ln.tally(weights)
+		ln.tally(pol, weights)
 	}
 	if weights == nil {
 		return ln.count[lane], int64(ln.count[lane])
@@ -1248,35 +1316,161 @@ func (ln *laneState) polluted(lane uint, weights []int64) (int, int64) {
 // per set bit b of its weight to the weight sum scaled by 2^b. Sums wrap at
 // 64 bits, as the scalar accumulator does.
 //
-//bgplint:hotpath one pass per batch over every node's lane word
-func (ln *laneState) tally(weights []int64) {
-	var cnt, sum laneSum
-	for v, a := range ln.att {
-		if a == 0 {
-			continue
+// A single-homed stub's word is not read: a stub the batch left unwritten
+// routes to the attacker exactly where its provider p does, so p's word is
+// added once for its whole soleAdj row, scaled by the row's length in the
+// count and by its weight sum in the weight. The grouped sum is wrong only
+// for a stub the first two stages wrote (a seed, or one with peers) or one
+// that rejects the attacker's route; those are gathered in the fix bitmap,
+// and each takes back att[p] in the lanes it is routed or drops the route
+// in and adds its own word.
+//
+//bgplint:hotpath one pass per batch over every lane word but the single-homed stubs'
+func (ln *laneState) tally(pol *Policy, weights []int64) {
+	// cntBack and sumBack collect what the grouped rows added too much.
+	var cnt, sum, cntBack, sumBack laneSum
+	att := ln.att
+	for wi := range pol.hasProv {
+		own := ^pol.soleWord(wi)
+		if rest := ln.n - wi<<6; rest < 64 {
+			own &= 1<<rest - 1
 		}
-		cnt.add(a, 0)
-		if weights == nil {
-			continue
-		}
-		for wt := uint64(weights[v]); wt != 0; wt &= wt - 1 {
-			sum.add(a, bits.TrailingZeros64(wt))
+		for b := own; b != 0; b &= b - 1 {
+			v := wi<<6 | bits.TrailingZeros64(b)
+			a := att[v]
+			if a == 0 {
+				continue
+			}
+			cnt.add(a, 0)
+			if weights == nil {
+				continue
+			}
+			for wt := uint64(weights[v]); wt != 0; wt &= wt - 1 {
+				sum.add(a, bits.TrailingZeros64(wt))
+			}
 		}
 	}
-	cnt.flush()
-	sum.flush()
+	soleW := ln.soleWeights(pol, weights)
+	for wi, has := range pol.hasSole {
+		for b := has; b != 0; b &= b - 1 {
+			p := wi<<6 | bits.TrailingZeros64(b)
+			a := att[p]
+			if a == 0 {
+				continue
+			}
+			for k := uint64(pol.soleOff[p+1] - pol.soleOff[p]); k != 0; k &= k - 1 {
+				cnt.add(a, bits.TrailingZeros64(k))
+			}
+			if weights == nil {
+				continue
+			}
+			for wt := uint64(soleW[p]); wt != 0; wt &= wt - 1 {
+				sum.add(a, bits.TrailingZeros64(wt))
+			}
+		}
+	}
+	for wi, x := range ln.fixes(pol) {
+		for b := x; b != 0; b &= b - 1 {
+			w := int32(wi<<6 | bits.TrailingZeros64(b))
+			p := pol.provAdj[pol.provOff[w]]
+			drop := uint64(0)
+			if ln.rejLanes != 0 && ln.rej.rejects(pol, w, OriginAttacker) {
+				drop = ln.rejLanes
+			}
+			back := att[p] & (ln.routed[w] | drop)
+			cntBack.add(back, 0)
+			cnt.add(att[w], 0)
+			if weights == nil {
+				continue
+			}
+			for wt := uint64(weights[w]); wt != 0; wt &= wt - 1 {
+				sumBack.add(back, bits.TrailingZeros64(wt))
+				sum.add(att[w], bits.TrailingZeros64(wt))
+			}
+		}
+	}
+	counts, taken := cnt.lanes(), cntBack.lanes()
+	sums, takenW := sum.lanes(), sumBack.lanes()
 	for i := 0; i < ln.width; i++ {
 		// The attacker's own origination is not pollution.
 		a := ln.attackers[i]
-		own := int64(ln.att[a] >> i & 1)
-		ln.count[i] = int(cnt.lane(i) - own)
+		own := att[a] >> i & 1
+		ln.count[i] = int(counts[i] - taken[i] - own)
 		if weights != nil {
-			ln.weight[i] = sum.lane(i) - own*weights[a]
+			ln.weight[i] = int64(sums[i] - takenW[i] - own*uint64(weights[a]))
 		}
 	}
 	ln.counted = true
 	if weights != nil {
 		ln.wkey = &weights[0]
+	}
+}
+
+// soleWeights returns the weight sum of every node's soleAdj row under
+// weights, summed on the solver's first tally under them; nil weights need
+// none.
+//
+//bgplint:hotpath one pass over the soleAdj rows per solver and weight vector
+func (ln *laneState) soleWeights(pol *Policy, weights []int64) []int64 {
+	if weights == nil || ln.soleKey == &weights[0] {
+		return ln.soleW
+	}
+	if ln.soleW == nil {
+		ln.soleW = make([]int64, ln.n)
+	}
+	for p := range ln.soleW {
+		var sum int64
+		for _, w := range pol.soleAdj[pol.soleOff[p]:pol.soleOff[p+1]] {
+			sum += weights[w]
+		}
+		ln.soleW[p] = sum
+	}
+	ln.soleKey = &weights[0]
+	return ln.soleW
+}
+
+// fixes returns the batch's single-homed stubs whose word tally's grouped
+// sum gets wrong, as a bitmap, each stub once: those with peers (the peer
+// stage may have written them), the target and the attackers (seeds), and,
+// when some lane's attack is filtered, those that filter it — read off the
+// deployment's set words and the tier-1 list, not by visiting every stub.
+// Any other single-homed stub is unwritten and accepts its provider's route
+// in every lane.
+//
+//bgplint:hotpath runs once per batch tally over the policy's bitmap words
+func (ln *laneState) fixes(pol *Policy) []uint64 {
+	if ln.fix == nil {
+		ln.fix = make([]uint64, len(pol.solePeer))
+	}
+	fix := ln.fix
+	copy(fix, pol.solePeer)
+	if ln.rejLanes != 0 {
+		for _, set := range [2]*asn.IndexSet{ln.rej.blocked, ln.rej.aspa} {
+			if set == nil {
+				continue
+			}
+			words := set.Words()
+			for wi := range min(len(words), len(fix)) {
+				fix[wi] |= words[wi] & pol.soleWord(wi)
+			}
+		}
+		if ln.rej.peerlock {
+			for _, t := range pol.tier1List {
+				ln.markSole(pol, t)
+			}
+		}
+	}
+	ln.markSole(pol, ln.target)
+	for _, a := range ln.attackers[:ln.width] {
+		ln.markSole(pol, a)
+	}
+	return fix
+}
+
+// markSole adds node w to the fix bitmap if it is a single-homed stub.
+func (ln *laneState) markSole(pol *Policy, w int32) {
+	if pol.sole(w) {
+		ln.fix[w>>6] |= 1 << (w & 63)
 	}
 }
 
@@ -1351,13 +1545,17 @@ func (z *laneSum) reduce(b int) {
 	}
 }
 
-// lane gathers one lane's total.
-func (z *laneSum) lane(i int) int64 {
-	var total uint64
+// lanes adds the partly filled blocks and gathers every lane's total, one
+// set bit of the planes at a time: a count fills a dozen planes at paper
+// scale, not 64.
+func (z *laneSum) lanes() (total [LaneWidth]uint64) {
+	z.flush()
 	for k, p := range z.planes {
-		total |= (p >> i & 1) << k
+		for ; p != 0; p &= p - 1 {
+			total[bits.TrailingZeros64(p)] |= 1 << k
+		}
 	}
-	return int64(total)
+	return total
 }
 
 // materialize backs a lane outcome with the scalar records of its cell, by

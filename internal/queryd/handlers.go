@@ -34,14 +34,16 @@ func (s *Server) routes() {
 func (s *Server) query(ep *endpointMetrics, fn func(epoch int64, r *http.Request) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		s.solve(w, ep, func(epoch int64, _ *worker) (any, error) { return fn(epoch, r) })
+		s.solve(w, r, ep, func(epoch int64, _ *worker) (any, error) { return fn(epoch, r) })
 	}
 }
 
 // solve runs fn on the solver tier: bounded admission (shed with 429 +
 // Retry-After when full), epoch registration, latency observation and
-// JSON rendering. fn holds its admitted worker for its whole run.
-func (s *Server) solve(w http.ResponseWriter, ep *endpointMetrics, fn func(epoch int64, wk *worker) (any, error)) {
+// JSON rendering. fn holds its admitted worker for its whole run. A
+// request whose client has gone while it waited for a worker hands the
+// worker straight back unsolved and is counted as canceled.
+func (s *Server) solve(w http.ResponseWriter, r *http.Request, ep *endpointMetrics, fn func(epoch int64, wk *worker) (any, error)) {
 	wk, ok := s.admit()
 	if !ok {
 		ep.shed.Add(1)
@@ -50,6 +52,10 @@ func (s *Server) solve(w http.ResponseWriter, ep *endpointMetrics, fn func(epoch
 		return
 	}
 	defer s.release(wk)
+	if r.Context().Err() != nil {
+		ep.canceled.Add(1)
+		return
+	}
 	st := s.acquireState()
 	defer st.inflight.Done()
 	s.met.inflight.Add(1)
@@ -125,7 +131,7 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	s.solve(w, ep, func(epoch int64, wk *worker) (any, error) {
+	s.solve(w, r, ep, func(epoch int64, wk *worker) (any, error) {
 		o, err := wk.solver.SolveDefense(at, def)
 		if err != nil {
 			return nil, err

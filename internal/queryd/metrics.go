@@ -50,10 +50,11 @@ func (h *latencyHist) quantile(q float64) int64 {
 
 // endpointMetrics is one query endpoint's serving counters.
 type endpointMetrics struct {
-	served atomic.Int64
-	shed   atomic.Int64
-	errs   atomic.Int64
-	lat    latencyHist
+	served   atomic.Int64
+	shed     atomic.Int64
+	errs     atomic.Int64
+	canceled atomic.Int64 // admitted, but the client left before a worker was free
+	lat      latencyHist
 }
 
 // metrics is the server's observability state, all atomics: the
@@ -76,6 +77,7 @@ type endpointSnapshot struct {
 	Served    int64 `json:"served"`
 	Shed      int64 `json:"shed"`
 	Errors    int64 `json:"errors"`
+	Canceled  int64 `json:"canceled"`
 	P50Ns     int64 `json:"p50_ns"`
 	P99Ns     int64 `json:"p99_ns"`
 	MeanNs    int64 `json:"mean_ns"`
@@ -93,6 +95,7 @@ func (e *endpointMetrics) snapshot() endpointSnapshot {
 		Served:    e.served.Load(),
 		Shed:      e.shed.Load(),
 		Errors:    e.errs.Load(),
+		Canceled:  e.canceled.Load(),
 		P50Ns:     e.lat.quantile(0.50),
 		P99Ns:     e.lat.quantile(0.99),
 		MeanNs:    mean,

@@ -2,6 +2,7 @@ package queryd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -307,6 +308,44 @@ func TestMetricsCountSolvePaths(t *testing.T) {
 	}
 	if m.Inflight != 0 {
 		t.Fatalf("inflight gauge = %d after quiesce", m.Inflight)
+	}
+}
+
+// TestCanceledRequestSkipsSolve: an admitted request whose client left
+// before a worker was free releases its worker unsolved. On a one-worker
+// server a pre-canceled exact attack and a pre-canceled multi-cell query
+// solve nothing, are counted as canceled, and leave the slot and the
+// worker free for the next request.
+func TestCanceledRequestSkipsSolve(t *testing.T) {
+	s := mustServer(t, Config{Workers: 1, Backlog: -1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, q := range []struct{ path, body string }{
+		{"/v1/attack", `{"target": 5, "attacker": 9, "exact": true}`},
+		{"/v1/vulnerability", `{"target": 5}`},
+	} {
+		req := httptest.NewRequest("POST", q.path, strings.NewReader(q.body)).WithContext(ctx)
+		s.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	}
+	var m metricsSnapshot
+	decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
+	if m.Solves.Full != 0 {
+		t.Fatalf("canceled requests ran %d solves, want 0", m.Solves.Full)
+	}
+	for _, name := range []string{"attack", "vulnerability"} {
+		if e := m.Endpoints[name]; e.Canceled != 1 || e.Served != 0 {
+			t.Fatalf("%s: canceled=%d served=%d, want 1 and 0", name, e.Canceled, e.Served)
+		}
+	}
+	if len(s.slots) != 0 || len(s.pool) != 1 {
+		t.Fatalf("after canceled requests: %d slots held, %d idle workers; want 0 and 1", len(s.slots), len(s.pool))
+	}
+	if rec := do(t, s, "POST", "/v1/attack", `{"target": 5, "attacker": 9, "exact": true}`); rec.Code != http.StatusOK {
+		t.Fatalf("attack after canceled requests: status %d: %s", rec.Code, rec.Body.String())
+	}
+	decodeInto(t, do(t, s, "GET", "/metrics", ""), &m)
+	if m.Solves.Full != 1 {
+		t.Fatalf("a live request after canceled ones ran %d solves, want 1", m.Solves.Full)
 	}
 }
 
