@@ -24,6 +24,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +42,7 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("deployscan", flag.ContinueOnError)
 	wf := cli.AddWorldFlags(fs)
 	target := fs.String("target", "both", "which target panel to run: depth1 | deep | both")
@@ -54,9 +55,15 @@ func run(args []string, stdout io.Writer) error {
 	sc := cli.AddScenarioFlags(fs)
 	workers := cli.AddWorkersFlag(fs)
 	sh := cli.AddShardFlags(fs)
+	prof := cli.AddCPUProfileFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	mode, _, err := sh.Mode()
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,10 +53,14 @@ func stdoutOf(t *testing.T, args ...string) string {
 }
 
 // checkShardMerge holds `-shard 1/2` + `-shard 0/2` + `-merge`, in json
-// and in recio, to the stdout of the full run with the same flags.
+// and in recio, and the full run under -cpuprofile, to the stdout of the
+// full run with the same flags.
 func checkShardMerge(t *testing.T, args ...string) {
 	t.Helper()
 	want := stdoutOf(t, args...)
+	if got := stdoutOf(t, append(args, "-cpuprofile", filepath.Join(t.TempDir(), "cpu.pprof"))...); got != want {
+		t.Errorf("%v -cpuprofile: stdout differs from the run without it\ngot:\n%s\nwant:\n%s", args, got, want)
+	}
 	for _, format := range []string{"json", "recio"} {
 		shardArgs := append([]string{"-format", format, "-shard-dir", t.TempDir()}, args...)
 		for _, sel := range []string{"1/2", "0/2"} {

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,7 +36,7 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("detectscan", flag.ContinueOnError)
 	wf := cli.AddWorldFlags(fs)
 	attacks := fs.Int("attacks", 2000, "random attack workload size (paper: 8000)")
@@ -47,9 +48,15 @@ func run(args []string, stdout io.Writer) error {
 	sc := cli.AddScenarioFlags(fs)
 	workers := cli.AddWorkersFlag(fs)
 	sh := cli.AddShardFlags(fs)
+	prof := cli.AddCPUProfileFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	mode, _, err := sh.Mode()
 	if err != nil {
 		return err

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,7 +35,7 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("holescan", flag.ContinueOnError)
 	wf := cli.AddWorldFlags(fs)
 	attacks := fs.Int("attacks", 2000, "random attack workload size")
@@ -44,9 +45,15 @@ func run(args []string, stdout io.Writer) error {
 	sc := cli.AddScenarioFlags(fs)
 	workers := cli.AddWorkersFlag(fs)
 	sh := cli.AddShardFlags(fs)
+	prof := cli.AddCPUProfileFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	if _, _, err := sh.Mode(); err != nil {
 		return err
 	}

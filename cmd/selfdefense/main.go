@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,15 +31,21 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("selfdefense", flag.ContinueOnError)
 	wf := cli.AddWorldFlags(fs)
 	outside := fs.Int("outside", 200, "attacks sampled from outside the region (paper: 200)")
 	levels := fs.Int("levels", 2, "provider-chain levels to re-home upward (paper: 2)")
 	mitigateStudy := fs.Bool("mitigate", false, "also run the reactive sub-prefix mitigation study")
+	prof := cli.AddCPUProfileFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	w, err := wf.BuildWorld()
 	if err != nil {
 		return err

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,7 +40,7 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("vulnscan", flag.ContinueOnError)
 	wf := cli.AddWorldFlags(fs)
 	hierarchy := fs.String("hierarchy", "tier1", "target hierarchy for the depth panel: tier1 | tier2")
@@ -49,9 +50,15 @@ func run(args []string, stdout io.Writer) error {
 	sc := cli.AddScenarioFlags(fs)
 	workers := cli.AddWorkersFlag(fs)
 	sh := cli.AddShardFlags(fs)
+	prof := cli.AddCPUProfileFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	if _, _, err := sh.Mode(); err != nil {
 		return err
 	}

@@ -411,13 +411,53 @@ func fuzzSeeds() []fuzzCase {
 		prev:  fuzzCell{target: 3, attacker: 2},
 		lanes: fuzzLanes{width: 4, pos: 0, base: [8]byte{3, 5, 7, 6}},
 	}
+	// Stub 6 has three providers: 1 hands it attacker 4's route (length
+	// 2), 0 and 2 the route to target 3 through 5 (length 3 each). The
+	// stub validates, so it drops the shortest offer and keeps 0's, the
+	// first of the two equal ones.
+	threeProvDrop := fuzzCase{
+		seeded: "a validating three-provider stub drops its shortest offer", n: 7,
+		ranks: []byte{9, 9, 9, 1, 1, 5, 1},
+		links: [][3]int{{0, 5, transit}, {2, 5, transit}, {3, 5, transit}, {1, 4, transit},
+			{0, 6, transit}, {1, 6, transit}, {2, 6, transit}},
+		at:    fuzzCell{target: 3, attacker: 4, rov: 0b1000000},
+		prev:  fuzzCell{target: 4, attacker: 3, rov: 0b1000000},
+		lanes: fuzzLanes{width: 3, pos: 0, base: [8]byte{4, 5, 2}},
+	}
+	// Multi-homed stub 4 peers with target 2, so the peer stage routes it
+	// to the target in every lane, though its provider 1 offers attacker
+	// 3's route: the stub pass must leave its lanes alone.
+	multiPeer := fuzzCase{
+		seeded: "a multi-homed stub routed by the peer stage", n: 5,
+		ranks: []byte{9, 9, 1, 1, 1},
+		links: [][3]int{{0, 2, transit}, {1, 3, transit}, {0, 4, transit}, {1, 4, transit}, {2, 4, peer}, {0, 1, peer}},
+		at:    fuzzCell{target: 2, attacker: 3},
+		prev:  fuzzCell{target: 3, attacker: 2},
+		lanes: fuzzLanes{width: 3, pos: 0, base: [8]byte{3, 1, 0}},
+	}
+	// Stub 6's providers 0, 1 and 2 offer length-2 routes: 0 to target 3,
+	// 1 to attacker 4, and 2 to attacker 5 in that attacker's lane. The
+	// stub takes the target's under the default tie-break and an
+	// attacker's under the flipped one.
+	threeProvTie := fuzzCase{
+		seeded: "a three-provider stub tie between origins", n: 7,
+		ranks: []byte{9, 9, 9, 1, 1, 1, 1},
+		links: [][3]int{{0, 3, transit}, {1, 4, transit}, {2, 5, transit},
+			{0, 6, transit}, {1, 6, transit}, {2, 6, transit}},
+		at:    fuzzCell{target: 3, attacker: 4},
+		prev:  fuzzCell{target: 4, attacker: 5},
+		lanes: fuzzLanes{width: 3, pos: 0, base: [8]byte{4, 5, 6}},
+	}
+	threeProvTieHigh := threeProvTie
+	threeProvTieHigh.seeded, threeProvTieHigh.tieHi = "a three-provider stub tie between origins, flipped", true
 	everyoneTier1 := diamond
 	everyoneTier1.seeded, everyoneTier1.tier1, everyoneTier1.tieHi = "whole-graph tier-1 set", ^uint32(0), true
 	noTier1 := reroute
 	noTier1.seeded, noTier1.tier1, noTier1.noSPF = "empty tier-1 set", 0, true
 	noTier1.lanes = fuzzLanes{width: 12, pos: 0, late: true, base: [8]byte{4, 3, 2, 6, 0, 1, 4, 4}, step: 3}
 	return []fuzzCase{diamond, reroute, noLeak, pullTie, noPeerTransit, everyoneTier1, noTier1, shortest, validating, stubTie,
-		peerlockStub, peerFilledStub, stubSeeds, dupSoleAttacker, aspaSole, twoProvTie}
+		peerlockStub, peerFilledStub, stubSeeds, dupSoleAttacker, aspaSole, twoProvTie,
+		threeProvDrop, multiPeer, threeProvTie, threeProvTieHigh}
 }
 
 // rootCause unwraps err to the innermost error's text: the three solvers

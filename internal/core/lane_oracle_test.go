@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
@@ -171,10 +172,10 @@ func (o laneOracle) polluted(lane uint, weights []int64) (int, int64) {
 }
 
 // withStubPeers rebuilds pol's world with k more peer links, each from a
-// single-homed stub to a node it is not linked to: the generator gives its
-// stubs no peers, and the peer stage routing a single-homed stub is a case
-// the lane tally must correct. Node indices, address weights and the
-// tier-1 set carry over.
+// stub to a node it is not linked to, single-homed and multi-homed stubs
+// in turn: the generator gives its stubs no peers, and the peer stage
+// routing a stub is a case the lane derivation and tally must handle. Node
+// indices, address weights and the tier-1 set carry over.
 func withStubPeers(t *testing.T, pol *Policy, k int, seed int64, opts ...PolicyOption) *Policy {
 	t.Helper()
 	g, n := pol.Graph(), pol.N()
@@ -191,7 +192,8 @@ func withStubPeers(t *testing.T, pol *Policy, k int, seed int64, opts ...PolicyO
 	rng := rand.New(rand.NewSource(seed))
 	for added := 0; added < k; {
 		w, v := rng.Intn(n), rng.Intn(n)
-		if !pol.sole(int32(w)) || v == w || g.Rel(w, v) != 0 {
+		multi := pol.multiStub[w>>6]>>(w&63)&1 != 0
+		if added%2 == 0 && !pol.sole(int32(w)) || added%2 == 1 && !multi || v == w || g.Rel(w, v) != 0 {
 			continue
 		}
 		if err := b.AddLink(g.ASN(w), g.ASN(v), topology.RelPeer); err != nil {
@@ -213,44 +215,111 @@ func withStubPeers(t *testing.T, pol *Policy, k int, seed int64, opts ...PolicyO
 	return peered
 }
 
-// TestLaneStubOracleEquivalence holds SolveLanes, whose single-homed stubs
-// follow their provider on read, whose two-provider stubs pull without a
-// loop and whose tally sums single-homed stubs per provider, to the lane
-// oracle that writes every stub, on the seed-42 2,000-AS world with 60
-// single-homed stubs given a peer: every kind, sub-prefix, both tie-break
-// directions and four defenses, over batches whose target or attackers are
-// single-homed stubs, peered ones and duplicates. Every node's route,
-// origin and distance is compared in every lane, and the pollution totals
-// under three weightings, asked for in an order that makes the solver
-// re-tally and re-sum its rows.
+// stubCases counts, over the lanes of s's last batch, the multi-homed stub
+// shapes the derivation must get right: routed by the peer stage (not a
+// seed, but routed), a validating stub with three or more providers whose
+// shortest offer is the attacker's and is dropped, and a stub whose
+// shortest offers tie in distance but lead to different origins.
+func stubCases(s *Solver, target int, attackers []int) (peerRouted, dropShortest, tie int) {
+	pol, ln := s.pol, s.ln
+	for wi, multi := range pol.multiStub {
+		for stubs := multi; stubs != 0; stubs &= stubs - 1 {
+			w := wi<<6 | bits.TrailingZeros64(stubs)
+			validates := ln.rejLanes != 0 && ln.rej.rejects(pol, int32(w), OriginAttacker)
+			for i, a := range attackers {
+				bit := uint64(1) << i
+				if ln.routed[w]&bit != 0 {
+					if w != target && w != a {
+						peerRouted++
+					}
+					continue
+				}
+				// The shortest offer overall, and among the offers kept.
+				const far = int16(1 << 14)
+				all, kept, keptOrg := far, far, uint64(0)
+				mixed := false
+				for _, v := range pol.Providers(w) {
+					if ln.routed[v]&bit == 0 {
+						continue
+					}
+					d, org := ln.dist(int(v), uint(i)), ln.att[v]&bit
+					all = min(all, d)
+					if validates && ln.rejLanes&bit != 0 && org != 0 {
+						continue
+					}
+					switch {
+					case d < kept:
+						kept, keptOrg, mixed = d, org, false
+					case d == kept && org != keptOrg:
+						mixed = true
+					}
+				}
+				if len(pol.Providers(w)) >= 3 && all < kept && kept < far {
+					dropShortest++
+				}
+				if mixed {
+					tie++
+				}
+			}
+		}
+	}
+	return peerRouted, dropShortest, tie
+}
+
+// TestLaneStubOracleEquivalence holds SolveLanes, whose stubs follow their
+// providers on read, whose multi-homed stubs' pull writes only their att
+// words and whose tally sums single-homed stubs per provider and the rest
+// by weight group, to the lane oracle that writes every stub, on the
+// seed-42 2,000-AS world with 60 single-homed and 60 multi-homed stubs
+// given a peer: every kind, sub-prefix, both tie-break directions and four
+// defenses, over batches whose target or attackers are single-homed stubs,
+// peered ones, multi-homed ones, their peers and duplicates. Every node's
+// route, origin and distance is compared in every lane, and the pollution
+// totals under six weightings (nil, address, odd, all-odd, some zero and
+// multi-bit ones), asked for in an order that alternates vectors on one
+// solver, so that it re-tallies and re-plans. The test also counts that
+// the multi-homed shapes the derivation must get right occur: peer-routed
+// stubs, validating three-provider stubs losing their shortest offer to
+// the drop, and equal-distance offers of opposite origin, under both
+// tie-breaks.
 func TestLaneStubOracleEquivalence(t *testing.T) {
 	for _, high := range []bool{false, true} {
 		opts := []PolicyOption{WithPreferHighNextHop(high)}
-		pol := withStubPeers(t, deltaTestPolicy(t, 2000, 42), 60, 40, opts...)
+		pol := withStubPeers(t, deltaTestPolicy(t, 2000, 42), 120, 40, opts...)
 		n := pol.N()
-		var sole, peered, twoProv []int
+		var sole, peered, twoProv, threeProv, multiPeered, stubPeers []int
 		for v := 0; v < n; v++ {
+			multi := pol.multiStub[v>>6]>>(v&63)&1 != 0
 			switch {
 			case pol.solePeer[v>>6]>>(v&63)&1 != 0:
 				peered = append(peered, v)
 			case pol.sole(int32(v)):
 				sole = append(sole, v)
-			case len(pol.Customers(v)) == 0 && len(pol.Providers(v)) == 2:
+			case multi && len(pol.Peers(v)) > 0:
+				multiPeered = append(multiPeered, v)
+				for _, p := range pol.Peers(v) {
+					stubPeers = append(stubPeers, int(p))
+				}
+			case multi && len(pol.Providers(v)) == 2:
 				twoProv = append(twoProv, v)
+			case multi:
+				threeProv = append(threeProv, v)
 			}
 		}
-		if len(sole) == 0 || len(peered) == 0 || len(twoProv) == 0 {
-			t.Fatalf("world has %d single-homed stubs, %d peered ones, %d two-provider stubs; want some of each",
-				len(sole), len(peered), len(twoProv))
+		if len(sole) == 0 || len(peered) == 0 || len(twoProv) == 0 || len(threeProv) == 0 || len(multiPeered) == 0 {
+			t.Fatalf("world has %d single-homed stubs, %d peered ones, %d two-provider stubs, %d with more providers, %d peered multi-homed ones; want some of each",
+				len(sole), len(peered), len(twoProv), len(threeProv), len(multiPeered))
 		}
 		rng := rand.New(rand.NewSource(40))
 		pick := func(xs []int) int { return xs[rng.Intn(len(xs))] }
 		// A random tenth of the world, with single-homed stubs, peered ones
-		// and two-provider stubs among its validators.
+		// and multi-homed stubs among its validators.
 		tenth := asn.NewIndexSet(n)
 		for k := 0; k < 20; k++ {
 			tenth.Add(pick(sole))
 			tenth.Add(pick(twoProv))
+			tenth.Add(pick(threeProv))
+			tenth.Add(pick(multiPeered))
 		}
 		tenth.Add(pick(peered))
 		for tenth.Count() < n/10 {
@@ -282,7 +351,7 @@ func TestLaneStubOracleEquivalence(t *testing.T) {
 		var batches []lanes
 		// A single-homed target, attacked from everywhere.
 		b := lanes{target: pick(sole)}
-		b.attackers = batch(b.target, LaneWidth, all, sole, peered, twoProv)
+		b.attackers = batch(b.target, LaneWidth, all, sole, peered, twoProv, stubPeers, threeProv)
 		b.attackers[5], b.attackers[40] = b.attackers[1], b.attackers[1] // a single-homed attacker three times
 		batches = append(batches, b)
 		// A peered single-homed target, attacked by stubs.
@@ -300,9 +369,27 @@ func TestLaneStubOracleEquivalence(t *testing.T) {
 		b.attackers = batch(b.target, 2, sole)
 		b.attackers[1] = b.attackers[0]
 		batches = append(batches, b)
+		// A peered multi-homed target, attacked by the peers of multi-homed
+		// stubs and by multi-homed stubs.
+		b = lanes{target: pick(multiPeered)}
+		b.attackers = batch(b.target, 40, stubPeers, multiPeered, threeProv, all)
+		batches = append(batches, b)
 
-		weightings := [][]int64{nil, pol.Graph().AddrWeights(), oddWeights(n)}
-		order := []int{0, 1, 2, 1, 0}
+		addr := pol.Graph().AddrWeights()
+		allOdd, someZero := make([]int64, n), slices.Clone(addr)
+		for i := range allOdd {
+			allOdd[i] = int64(2*(i%37) + 1)
+			if i%5 == 0 {
+				someZero[i] = 0
+			}
+		}
+		multiBit := oddWeights(n)
+		multiBit[7] = -5 // wraps, as the scalar sum does
+		weightings := [][]int64{nil, addr, oddWeights(n), allOdd, someZero, multiBit}
+		// Each batch starts under nil weights on the plan the last one left,
+		// built under the multi-bit weights.
+		order := []int{0, 1, 2, 1, 0, 3, 4, 3, 1, 0, 5}
+		var peerRouted, dropShortest, tie int
 		s, oracle := NewSolver(pol), laneOracle{NewSolver(pol)}
 		for bi, b := range batches {
 			for _, kind := range Kinds() {
@@ -319,6 +406,8 @@ func TestLaneStubOracleEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
+						pr, ds, ti := stubCases(s, b.target, b.attackers)
+						peerRouted, dropShortest, tie = peerRouted+pr, dropShortest+ds, tie+ti
 						for i := range outs {
 							o, lane := &outs[i], uint(i)
 							for v := 0; v < n; v++ {
@@ -343,6 +432,11 @@ func TestLaneStubOracleEquivalence(t *testing.T) {
 				}
 			}
 		}
+		if peerRouted == 0 || dropShortest == 0 || tie == 0 {
+			t.Fatalf("high=%v: %d peer-routed multi-homed stub lanes, %d validating three-provider stubs losing their shortest offer, %d opposite-origin ties; want some of each",
+				high, peerRouted, dropShortest, tie)
+		}
+		t.Logf("high=%v: %d peer-routed multi-homed stub lanes, %d dropped shortest offers, %d opposite-origin ties", high, peerRouted, dropShortest, tie)
 	}
 }
 

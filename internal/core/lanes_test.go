@@ -50,7 +50,10 @@ func requireLanes(t *testing.T, s *Solver, target int, attackers []int, kind Att
 	if len(outs) != len(attackers) {
 		t.Fatalf("%d lanes for %d attackers", len(outs), len(attackers))
 	}
-	weights := oddWeights(pol.N())
+	weights, pow2 := oddWeights(pol.N()), make([]int64, pol.N())
+	for v := range pow2 {
+		pow2[v] = 1 << (v % 7)
+	}
 	wants := make([]*Outcome, len(outs))
 	for i := range outs {
 		o := &outs[i]
@@ -71,7 +74,7 @@ func requireLanes(t *testing.T, s *Solver, target int, attackers []int, kind Att
 		if got, want := o.PollutedNodes(nil), want.PollutedNodes(nil); !slices.Equal(got, want) {
 			t.Fatalf("lane %d: polluted nodes %v, want %v", i, got, want)
 		}
-		for _, w := range [][]int64{nil, weights, nil} {
+		for _, w := range [][]int64{nil, weights, pow2, nil} {
 			gc, gw := o.PollutedWeight(w)
 			wc, ww := want.PollutedWeight(w)
 			if gc != wc || gw != ww || o.PollutedCount() != wc {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
 )
@@ -137,8 +138,8 @@ func (s *Solver) Stats() SolverStats { return s.stats }
 //
 // One lane of a SolveLanes batch is an Outcome too. It answers what every
 // lane has — whether a node is routed, to which origin, how far, and the
-// pollution totals — from the batch's lane words, deriving single-homed
-// stubs from their provider's the same way (laneRoute), and what only a
+// pollution totals — from the batch's lane words, deriving every stub the
+// batch left unwritten from its providers' words (laneRoute), and what only a
 // scalar solve has (Class, NextHop, Path, Clone) by running that one cell
 // on the owning Solver the first time it is asked: no reader can tell which
 // mode solved its cell.
@@ -191,25 +192,42 @@ func (o *Outcome) route(i int) (nodeRec, bool) {
 
 // laneRoute is route for one lane of a batch: the node whose lane words
 // hold node i's route in lane — i itself where the batch routed it there,
-// else, for a single-homed stub, its provider, one hop further on — and
-// whether i has a route at all. Like a scalar solve, a batch leaves its
-// single-homed stubs unwritten unless the first two stages routed them; a
-// stub derives its provider's route unless the provider is unrouted in the
-// lane or the stub rejects the route.
+// else, for a stub, the provider whose route it takes, one hop further on
+// — and whether i has a route at all. Like a scalar solve, a batch writes
+// a stub's route only where the first two stages routed it (a seed, or
+// through a peer), so a stub derives its route from its providers' with
+// pullStubs' rule: the shortest offer among the providers routed in the
+// lane whose route it does not reject, the first in tie-break order among
+// equals.
 func (s *Solver) laneRoute(i int, lane uint) (v int32, hop int16, ok bool) {
 	pol, ln := s.pol, s.ln
 	bit := uint64(1) << lane
 	if ln.routed[i]&bit != 0 {
 		return int32(i), 0, true
 	}
-	if !pol.sole(int32(i)) {
+	if pol.hasCust[i>>6]>>(i&63)&1 != 0 {
 		return 0, 0, false
 	}
-	p := pol.provAdj[pol.provOff[i]]
-	if ln.routed[p]&bit == 0 || ln.att[p]&ln.rejLanes&bit != 0 && ln.rej.rejects(pol, int32(i), OriginAttacker) {
-		return 0, 0, false
+	drop := uint64(0)
+	if ln.rejLanes&bit != 0 && ln.rej.rejects(pol, int32(i), OriginAttacker) {
+		drop = bit
 	}
-	return p, 1, true
+	provs := pol.Providers(i)
+	v, best := int32(-1), int16(0)
+	for k := range provs {
+		u := provs[k]
+		if pol.tieHigh {
+			u = provs[len(provs)-1-k]
+		}
+		if ln.routed[u]&bit == 0 || ln.att[u]&drop != 0 {
+			continue
+		}
+		// A later offer displaces the kept one only when strictly shorter.
+		if d := ln.dist(int(u), lane); v < 0 || d < best {
+			v, best = u, d
+		}
+	}
+	return v, 1, v >= 0
 }
 
 // HasRoute reports whether node i selected any route.
@@ -878,7 +896,9 @@ type laneState struct {
 
 	// Per node, one word each (words backs all three): the lanes in which
 	// it has a route, in which that route leads to the attacker, and in
-	// which it is of origin or customer class — may be offered to peers.
+	// which it is of origin or customer class — may be offered to peers. A
+	// stub's routed bits and planes hold only what the first two stages
+	// gave it; a multi-homed stub's provider-stage route is in att alone.
 	// donor cannot be derived from routed afterwards: the peer stage routes
 	// nodes that must not donate, and re-routes tier-1s that no longer may.
 	words, routed, att, donor []uint64
@@ -893,13 +913,21 @@ type laneState struct {
 	wkey    *int64 // &weights[0] of the weights the sums were taken under
 	count   [LaneWidth]int
 	weight  [LaneWidth]int64
-	// soleW[p] is the weight sum of node p's soleAdj row under the weights
-	// whose &weights[0] is soleKey, built on the first tally under them;
-	// the key keeps that array alive, so no other vector can take its
-	// address. It is the solver's own: a Policy is shared between
-	// goroutines.
-	soleW   []int64
-	soleKey *int64
+	// The tally's plan, built on the solver's first tally under a weight
+	// vector and kept for the next ones. single groups the nodes other than
+	// the single-homed stubs whose weight is one power of two (all of them
+	// under nil weights, as weight 1); odd lists the others, of zero or
+	// multi-bit weight. rowLen groups the nodes with single-homed stubs by
+	// the bits of their soleAdj row's length, rowW by those of the row's
+	// weight sum. planKey is the &weights[0] of the vector the plan was
+	// built under, nil for nil weights; the key keeps that array alive, so
+	// no other vector can take its address. The plan is the solver's own:
+	// a Policy is shared between goroutines.
+	planned      bool
+	planKey      *int64
+	single       bitGroups
+	odd          []int32
+	rowLen, rowW bitGroups
 	// fix is the tally's scratch bitmap of the single-homed stubs whose
 	// derived word the grouped sum gets wrong (see tally).
 	fix []uint64
@@ -1189,18 +1217,16 @@ func (s *Solver) pullLanes(w int32, lanes uint64, last int) {
 // hand it in a lane is its first accepted offer in (level, betterNH)
 // order: the shortest offer among its providers' final routes, the first
 // in betterNH order among equals (the row forwards, or backwards under
-// WithPreferHighNextHop). One pass pulls that, in the lanes the stub is
-// still unrouted in, from the providers' lane words; a validating stub
-// drops att[v] & rejLanes, as the flood does. Single-homed stubs are left
-// unwritten, as by the scalar stage, and derived on read (laneRoute, and
-// tally's grouped sums). Stubs are not entered into the level sets:
-// nothing walks them after the last stage.
+// WithPreferHighNextHop); a validating stub drops att[v] & rejLanes, as
+// the flood does. Of that route a batch's readers need only the origin in
+// the tally: the pass writes att[w] in the lanes the stub is still
+// unrouted in, and nothing else. Lane reads derive the route itself on
+// demand (laneRoute), as they do for every stub; single-homed stubs are
+// not visited at all.
 //
 //bgplint:hotpath one pass per batch over the multi-homed stubs' provider links
 func (s *Solver) pullStubLanes() {
 	pol, ln := s.pol, s.ln
-	// A pulled route is one hop longer than the longest provider's.
-	ln.growPlanes(s.top + 1)
 	n, np := ln.n, ln.nplanes
 	routed, att, planes := ln.routed, ln.att, ln.planes
 	var pulled int64
@@ -1217,20 +1243,19 @@ func (s *Solver) pullStubLanes() {
 			}
 			provs := pol.provAdj[pol.provOff[w]:pol.provOff[w+1]]
 			pulled += int64(len(provs))
-			// The planes of w are zero in the lanes it is unrouted in, so a
-			// route is written by ORing in the kept provider's distance +1,
-			// carried up the planes; growPlanes above leaves no carry out.
 			if len(provs) == 2 {
 				// Two offers, u first in tie-break order: u keeps the lanes
-				// both offer in unless v is strictly shorter there.
+				// both offer in unless v is strictly shorter there. Where the
+				// two agree on the origin the winner does not matter, so the
+				// distances are compared only where they disagree.
 				u, v := provs[0], provs[1]
 				if pol.tieHigh {
 					u, v = v, u
 				}
 				tu := open & routed[u] &^ (att[u] & drop)
 				tv := open & routed[v] &^ (att[v] & drop)
-				if both := tu & tv; both != 0 {
-					lt, eq := uint64(0), both
+				if split := tu & tv & (att[u] ^ att[v]); split != 0 {
+					lt, eq := uint64(0), split
 					for p, i, j := np-1, int(u)+(np-1)*n, int(v)+(np-1)*n; p >= 0; p, i, j = p-1, i-n, j-n {
 						x, y := planes[i], planes[j]
 						lt |= eq & x &^ y
@@ -1238,19 +1263,7 @@ func (s *Solver) pullStubLanes() {
 					}
 					tu &^= lt
 				}
-				tv &^= tu
-				have := tu | tv
-				if have == 0 {
-					continue
-				}
-				routed[w] |= have
-				att[w] |= att[u]&tu | att[v]&tv
-				carry := have
-				for p, i, j, k := 0, int(u), int(v), int(w); p < np; p, i, j, k = p+1, i+n, j+n, k+n {
-					x := planes[i]&tu | planes[j]&tv
-					planes[k] |= x ^ carry
-					carry &= x
-				}
+				att[w] |= att[u]&tu | att[v]&tv&^tu
 				continue
 			}
 			// The kept offer per lane: its provider's distance, bit-sliced,
@@ -1283,16 +1296,7 @@ func (s *Solver) pullStubLanes() {
 				have |= take
 				bogus = bogus&^take | att[v]&take
 			}
-			if have == 0 {
-				continue
-			}
-			routed[w] |= have
 			att[w] |= bogus
-			carry := have
-			for p, j := 0, int(w); p < np; p, j = p+1, j+n {
-				planes[j] |= best[p] ^ carry
-				carry &= best[p]
-			}
 		}
 	}
 	s.stats.Pulled += pulled
@@ -1312,14 +1316,23 @@ func (ln *laneState) polluted(pol *Policy, lane uint, weights []int64) (int, int
 
 // tally counts the polluted nodes of every lane, and sums their weights, in
 // one pass over att with bit-sliced counters: plane k of a laneSum holds bit
-// k of all 64 running totals. A node's lane word goes to the count, and once
-// per set bit b of its weight to the weight sum scaled by 2^b. Sums wrap at
-// 64 bits, as the scalar accumulator does.
+// k of all 64 running totals. A node's lane word goes to the count, and
+// scaled by its weight to the weight sum. Sums wrap at 64 bits, as the
+// scalar accumulator does.
+//
+// The words go in by group (the plan's). A node of weight 2^b — every
+// generated address weight is one power of two — sits in group b of
+// single: one positional count over the group's words gives their total,
+// which is added once to the count and once, scaled by 2^b, to the weight
+// sum. A node of zero or multi-bit weight (a sum over contracted siblings)
+// is counted with the odd ones and adds its word once per set bit of its
+// weight. Under nil weights there is one group, only counted.
 //
 // A single-homed stub's word is not read: a stub the batch left unwritten
-// routes to the attacker exactly where its provider p does, so p's word is
-// added once for its whole soleAdj row, scaled by the row's length in the
-// count and by its weight sum in the weight. The grouped sum is wrong only
+// routes to the attacker exactly where its provider p does, so p's word
+// stands for its whole soleAdj row, scaled by the row's length in the
+// count and by its weight sum in the weight. Those go in by group too, one
+// per set bit of the length and of the sum. The grouped sum is wrong only
 // for a stub the first two stages wrote (a seed, or one with peers) or one
 // that rejects the attacker's route; those are gathered in the fix bitmap,
 // and each takes back att[p] in the lanes it is routed or drops the route
@@ -1327,45 +1340,27 @@ func (ln *laneState) polluted(pol *Policy, lane uint, weights []int64) (int, int
 //
 //bgplint:hotpath one pass per batch over every lane word but the single-homed stubs'
 func (ln *laneState) tally(pol *Policy, weights []int64) {
+	ln.plan(pol, weights)
 	// cntBack and sumBack collect what the grouped rows added too much.
 	var cnt, sum, cntBack, sumBack laneSum
 	att := ln.att
-	for wi := range pol.hasProv {
-		own := ^pol.soleWord(wi)
-		if rest := ln.n - wi<<6; rest < 64 {
-			own &= 1<<rest - 1
+	var total [32]uint64
+	for b := 0; b < 64; b++ {
+		planes := positional(&total, att, ln.single.group(b))
+		cnt.addPlanes(planes, 0)
+		if weights != nil {
+			sum.addPlanes(planes, b)
 		}
-		for b := own; b != 0; b &= b - 1 {
-			v := wi<<6 | bits.TrailingZeros64(b)
-			a := att[v]
-			if a == 0 {
-				continue
-			}
-			cnt.add(a, 0)
-			if weights == nil {
-				continue
-			}
-			for wt := uint64(weights[v]); wt != 0; wt &= wt - 1 {
-				sum.add(a, bits.TrailingZeros64(wt))
-			}
+		cnt.addPlanes(positional(&total, att, ln.rowLen.group(b)), b)
+		if weights != nil {
+			sum.addPlanes(positional(&total, att, ln.rowW.group(b)), b)
 		}
 	}
-	soleW := ln.soleWeights(pol, weights)
-	for wi, has := range pol.hasSole {
-		for b := has; b != 0; b &= b - 1 {
-			p := wi<<6 | bits.TrailingZeros64(b)
-			a := att[p]
-			if a == 0 {
-				continue
-			}
-			for k := uint64(pol.soleOff[p+1] - pol.soleOff[p]); k != 0; k &= k - 1 {
-				cnt.add(a, bits.TrailingZeros64(k))
-			}
-			if weights == nil {
-				continue
-			}
-			for wt := uint64(soleW[p]); wt != 0; wt &= wt - 1 {
-				sum.add(a, bits.TrailingZeros64(wt))
+	cnt.addPlanes(positional(&total, att, ln.odd), 0)
+	if weights != nil {
+		for _, v := range ln.odd {
+			for wt := uint64(weights[v]); wt != 0; wt &= wt - 1 {
+				sum.add(att[v], bits.TrailingZeros64(wt))
 			}
 		}
 	}
@@ -1406,27 +1401,126 @@ func (ln *laneState) tally(pol *Policy, weights []int64) {
 	}
 }
 
-// soleWeights returns the weight sum of every node's soleAdj row under
-// weights, summed on the solver's first tally under them; nil weights need
-// none.
+// plan makes the tally's plan serve weights. It is built on a solver's
+// first tally and rebuilt under each new weight vector; nil weights, which
+// only count, accept a plan built under any vector, as that groups every
+// node once between single and odd.
 //
-//bgplint:hotpath one pass over the soleAdj rows per solver and weight vector
-func (ln *laneState) soleWeights(pol *Policy, weights []int64) []int64 {
-	if weights == nil || ln.soleKey == &weights[0] {
-		return ln.soleW
+//bgplint:hotpath one pass over the nodes and soleAdj rows per solver and weight vector
+func (ln *laneState) plan(pol *Policy, weights []int64) {
+	var key *int64
+	if weights != nil {
+		key = &weights[0]
 	}
-	if ln.soleW == nil {
-		ln.soleW = make([]int64, ln.n)
+	if ln.planned && (weights == nil || ln.planKey == key) {
+		return
 	}
-	for p := range ln.soleW {
-		var sum int64
-		for _, w := range pol.soleAdj[pol.soleOff[p]:pol.soleOff[p+1]] {
-			sum += weights[w]
+	// A node is single when its weight is one power of two, odd otherwise.
+	single := func(v int) bool { wt := uint64(weights[v]); return wt != 0 && wt&(wt-1) == 0 }
+	ln.single.build(ln.n, func(v int) uint64 {
+		switch {
+		case pol.sole(int32(v)):
+			return 0
+		case weights == nil:
+			return 1
+		case single(v):
+			return uint64(weights[v])
 		}
-		ln.soleW[p] = sum
+		return 0
+	})
+	ln.odd = ln.odd[:0]
+	for v := 0; weights != nil && v < ln.n; v++ {
+		if !pol.sole(int32(v)) && !single(v) {
+			ln.odd = append(ln.odd, int32(v))
+		}
 	}
-	ln.soleKey = &weights[0]
-	return ln.soleW
+	ln.rowLen.build(ln.n, func(p int) uint64 { return uint64(pol.soleOff[p+1] - pol.soleOff[p]) })
+	if weights != nil {
+		ln.rowW.build(ln.n, func(p int) uint64 {
+			var sum int64
+			for _, w := range pol.soleAdj[pol.soleOff[p]:pol.soleOff[p+1]] {
+				sum += weights[w]
+			}
+			return uint64(sum)
+		})
+	}
+	ln.planned, ln.planKey = true, key
+}
+
+// bitGroups lists nodes by the set bits of a per-node key: group b holds,
+// ascending, the nodes whose key has bit b set.
+type bitGroups struct {
+	off [65]int32
+	adj []int32
+}
+
+func (g *bitGroups) group(b int) []int32 { return g.adj[g.off[b]:g.off[b+1]] }
+
+// build groups the nodes [0, n) by key, which it calls twice per node.
+func (g *bitGroups) build(n int, key func(v int) uint64) {
+	clear(g.off[:])
+	for v := 0; v < n; v++ {
+		for k := key(v); k != 0; k &= k - 1 {
+			g.off[bits.TrailingZeros64(k)+1]++
+		}
+	}
+	for b := 1; b < len(g.off); b++ {
+		g.off[b] += g.off[b-1]
+	}
+	g.adj = slices.Grow(g.adj[:0], int(g.off[64]))[:g.off[64]]
+	var next [64]int32
+	copy(next[:], g.off[:])
+	for v := 0; v < n; v++ {
+		for k := key(v); k != 0; k &= k - 1 {
+			b := bits.TrailingZeros64(k)
+			g.adj[next[b]] = int32(v)
+			next[b]++
+		}
+	}
+}
+
+// positional sets total to how many of the words att[v], v in group, have
+// each lane's bit set, bit-sliced — plane k holds bit k of all 64 counts —
+// and returns the planes a count of len(group) can reach. The words go
+// through a carry-save adder tree sixteen at a time (Harley-Seal): ones,
+// twos, fours and eights are the running total's low four planes, and each
+// block's sixteens ripple into the planes above. There is no test for a
+// zero word, which would be a branch on close to a coin flip.
+//
+//bgplint:hotpath the tally's main pass, once per group and batch
+func positional(total *[32]uint64, att []uint64, group []int32) []uint64 {
+	*total = [32]uint64{}
+	planes := total[:bits.Len(uint(len(group)))]
+	var ones, twos, fours, eights uint64
+	for ; len(group) >= 16; group = group[16:] {
+		x := group[:16:16]
+		var twosA, twosB, foursA, foursB, eightsA, eightsB, sixteens uint64
+		ones, twosA = csa(ones, att[x[0]], att[x[1]])
+		ones, twosB = csa(ones, att[x[2]], att[x[3]])
+		twos, foursA = csa(twos, twosA, twosB)
+		ones, twosA = csa(ones, att[x[4]], att[x[5]])
+		ones, twosB = csa(ones, att[x[6]], att[x[7]])
+		twos, foursB = csa(twos, twosA, twosB)
+		fours, eightsA = csa(fours, foursA, foursB)
+		ones, twosA = csa(ones, att[x[8]], att[x[9]])
+		ones, twosB = csa(ones, att[x[10]], att[x[11]])
+		twos, foursA = csa(twos, twosA, twosB)
+		ones, twosA = csa(ones, att[x[12]], att[x[13]])
+		ones, twosB = csa(ones, att[x[14]], att[x[15]])
+		twos, foursB = csa(twos, twosA, twosB)
+		fours, eightsB = csa(fours, foursA, foursB)
+		eights, sixteens = csa(eights, eightsA, eightsB)
+		for k := 4; sixteens != 0 && k < len(total); k++ {
+			total[k], sixteens = total[k]^sixteens, total[k]&sixteens
+		}
+	}
+	total[0], total[1], total[2], total[3] = ones, twos, fours, eights
+	for _, v := range group {
+		for k, carry := 0, att[v]; carry != 0 && k < len(total); k++ {
+			total[k], carry = total[k]^carry, total[k]&carry
+		}
+	}
+	return planes
 }
 
 // fixes returns the batch's single-homed stubs whose word tally's grouped
@@ -1534,13 +1628,21 @@ func (z *laneSum) reduce(b int) {
 	eights[0], sixteens = csa(eights[0], eights[1], 0)
 	// The block's per-lane total, 0..16, is the five-plane number (ones[0],
 	// twos[0], fours[0], eights[0], sixteens): add it in at plane b.
+	z.addPlanes([]uint64{ones[0], twos[0], fours[0], eights[0], sixteens}, b)
+}
+
+// addPlanes adds 2^b times the bit-sliced number x (plane k of x holds bit
+// k of every lane's value) to every lane; what carries past the top plane
+// wraps away.
+func (z *laneSum) addPlanes(x []uint64, b int) {
 	carry := uint64(0)
-	for k, d := range [5]uint64{ones[0], twos[0], fours[0], eights[0], sixteens} {
-		if b+k < len(z.planes) {
-			z.planes[b+k], carry = csa(z.planes[b+k], d, carry)
+	for k, d := range x {
+		if b+k >= len(z.planes) {
+			return
 		}
+		z.planes[b+k], carry = csa(z.planes[b+k], d, carry)
 	}
-	for k := b + 5; carry != 0 && k < len(z.planes); k++ {
+	for k := b + len(x); carry != 0 && k < len(z.planes); k++ {
 		z.planes[k], carry = z.planes[k]^carry, z.planes[k]&carry
 	}
 }
