@@ -33,14 +33,18 @@ race:
 	$(GO) test -race ./...
 
 # Stress lane for the concurrent surfaces — the sweep runtime's reorder
-# window sized in whole lane batches, per-cell progress from per-batch
-# workers, lowest-cell-first errors, hijackd's worker pool and epoch
-# drain, the live feed's sessions and firehose backpressure, and the
-# recio decoders' pooled inflaters shared by parallel segment workers —
-# where a scheduling-dependent bug shows once in many runs
-# (.github/workflows/stress.yml runs it weekly).
+# window sized in whole lane batches, lowest-cell-first errors from
+# per-batch workers, hijackd's worker pool and epoch drain, the live
+# feed's sessions and firehose backpressure, the recio decoders' pooled
+# inflaters shared by parallel segment workers, and the lane tally plan
+# that solvers on one policy build once and share — where a
+# scheduling-dependent bug shows once in many runs
+# (.github/workflows/stress.yml runs it weekly). internal/core is too
+# slow under -race to run whole fifty times, so only its shared-plan
+# test runs there.
 stress:
 	$(GO) test -race -count=50 ./internal/sweep ./internal/hijack ./internal/queryd ./internal/feed ./internal/firehose ./internal/recio
+	$(GO) test -race -count=50 -run '^TestLanePlanSharedAcrossSolvers$$' ./internal/core
 
 # Tier-1 verify (build + tests) in a fresh git worktree of HEAD, where
 # only committed files exist — catches fixtures hidden by .gitignore.

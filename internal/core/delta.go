@@ -87,6 +87,13 @@ import (
 // unrouted instead of climbing forever.
 const deltaDistCap = 1 << 13
 
+// t1sel is one tier-1 node with its customer-route distance, the sort key
+// of the repair's tier-1 shortest-path-first pass.
+type t1sel struct {
+	node int32
+	d    int16
+}
+
 // rv is one node's route value during delta repair; class ClassNone
 // means no route (the other fields are then meaningless).
 type rv struct {
@@ -358,13 +365,14 @@ func (o *DeltaOutcome) PollutedCount() int {
 }
 
 // PollutedWeight returns the number of polluted ASes and the sum of their
-// weights (nil: every node weighs 1). Pollution lives entirely in the
-// changed set, and integer sums are order-free, so the delta path walks
-// that set unsorted and Changed's lazy sort is not paid.
-func (o *DeltaOutcome) PollutedWeight(weights []int64) (count int, weight int64) {
+// address weights, as Outcome.PollutedWeight does. Pollution lives
+// entirely in the changed set, and integer sums are order-free, so the
+// delta path walks that set unsorted and Changed's lazy sort is not paid.
+func (o *DeltaOutcome) PollutedWeight() (count int, weight int64) {
 	if o.full != nil {
-		return o.full.PollutedWeight(weights)
+		return o.full.PollutedWeight()
 	}
+	weights := o.snap.pol.g.AddrWeights()
 	if weights == nil {
 		return o.polluted, int64(o.polluted)
 	}

@@ -47,35 +47,34 @@ func repairWithBudget(ds *DeltaSolver, snap *Snapshot, at Attack, def Defense, b
 // unbounded is a budget no repair can spend.
 const unbounded = math.MaxInt64
 
-// requirePollutedWeight checks the bulk pollution pass against the
-// per-node Polluted loop it replaced, under unit weights (nil) and under
-// the given per-node weights.
+// requirePollutedWeight checks the bulk pollution passes against the
+// per-node Polluted loop they replaced, under weights, the address weights
+// of the outcome's graph (nil: every node weighs 1).
 func requirePollutedWeight(t *testing.T, label string, weights []int64, o OutcomeView) {
 	t.Helper()
-	for _, ws := range [][]int64{nil, weights} {
-		wantCount, wantWeight := 0, int64(0)
-		for i := 0; i < o.N(); i++ {
-			if !o.Polluted(i) {
-				continue
-			}
-			wantCount++
-			if ws == nil {
-				wantWeight++
-			} else {
-				wantWeight += ws[i]
-			}
+	wantCount, wantWeight := 0, int64(0)
+	for i := 0; i < o.N(); i++ {
+		if !o.Polluted(i) {
+			continue
 		}
-		count, weight := o.PollutedWeight(ws)
-		if count != wantCount || weight != wantWeight {
-			t.Fatalf("%s: PollutedWeight(weighted=%v) = (%d, %d), per-node loop (%d, %d)",
-				label, ws != nil, count, weight, wantCount, wantWeight)
+		wantCount++
+		if weights == nil {
+			wantWeight++
+		} else {
+			wantWeight += weights[i]
 		}
+	}
+	count, weight := o.PollutedWeight()
+	if count != wantCount || weight != wantWeight || o.PollutedCount() != wantCount {
+		t.Fatalf("%s: PollutedWeight() = (%d, %d) and PollutedCount() = %d, per-node loop (%d, %d)",
+			label, count, weight, o.PollutedCount(), wantCount, wantWeight)
 	}
 }
 
 // requireSameOutcome compares a DeltaOutcome against a full Outcome node
 // by node across every accessor the query layer reads, and holds the bulk
-// pollution pass of both, and of a Clone, to the per-node loop.
+// pollution pass of both, and of a Clone, to the per-node loop under the
+// address weights of their graph.
 func requireSameOutcome(t *testing.T, label string, weights []int64, want *Outcome, got *DeltaOutcome) {
 	t.Helper()
 	if want.N() != got.N() {
@@ -437,7 +436,7 @@ func TestSolveDeltaChooses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		requireSameOutcome(t, tc.name, nil, want, got)
+		requireSameOutcome(t, tc.name, pol.Graph().AddrWeights(), want, got)
 		st := ds.Stats()
 		attempted := got.UsedDelta() || got.Examined() > 0
 		if attempted != tc.repair {
@@ -481,7 +480,7 @@ func TestRepairBudgetEdge(t *testing.T) {
 	if !got.UsedDelta() || got.Examined() != need {
 		t.Fatalf("budget %d: repaired=%v after %d examinations, want a repair after %d", need, got.UsedDelta(), got.Examined(), need)
 	}
-	requireSameOutcome(t, "budget met", nil, want, got)
+	requireSameOutcome(t, "budget met", pol.Graph().AddrWeights(), want, got)
 
 	before := ds.Stats()
 	if got, err = repairWithBudget(ds, snap, at, def, need-1); err != nil {
@@ -490,7 +489,7 @@ func TestRepairBudgetEdge(t *testing.T) {
 	if got.UsedDelta() || got.Examined() != need {
 		t.Fatalf("budget %d: repaired=%v after %d examinations, want a full solve after %d", need-1, got.UsedDelta(), got.Examined(), need)
 	}
-	requireSameOutcome(t, "budget one short", nil, want, got)
+	requireSameOutcome(t, "budget one short", pol.Graph().AddrWeights(), want, got)
 	after := ds.Stats()
 	if after.Bailed != before.Bailed+1 || after.FullFallbacks != before.FullFallbacks+1 || after.Examined != before.Examined+need {
 		t.Fatalf("stats moved %+v → %+v, want one bailed fallback and %d examinations", before, after, need)
@@ -533,7 +532,7 @@ func TestDeltaLeakFallbackSolvesOnce(t *testing.T) {
 		if got.UsedDelta() {
 			t.Fatalf("%s: answered by the repair, want the fallback", tc.name)
 		}
-		requireSameOutcome(t, tc.name, nil, want, got)
+		requireSameOutcome(t, tc.name, pol.Graph().AddrWeights(), want, got)
 		if st := ds.Solver().Stats(); st.Solves != 1 || st.BaselineSolves != 0 {
 			t.Errorf("%s: the fallback cost %d solves + %d baseline solves, want 1 + 0", tc.name, st.Solves, st.BaselineSolves)
 		}

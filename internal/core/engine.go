@@ -233,7 +233,7 @@ func (e *Engine) RunDefense(at Attack, def Defense, collectTrace bool) (*Outcome
 		}
 	}
 
-	out := &Outcome{Target: at.Target, Attacker: at.Attacker, epoch: 1, nodes: r.nodes}
+	out := &Outcome{Target: at.Target, Attacker: at.Attacker, epoch: 1, nodes: r.nodes, weights: r.pol.g.AddrWeights()}
 	if r.trace != nil {
 		r.trace.Generations = r.gen
 	}
@@ -454,15 +454,9 @@ func (r *engineRun) enqueueUpdates(v int32, oldClass RouteClass, oldNH int32) {
 		send(c, oldClass != ClassNone && c != oldNH, newClass != ClassNone && c != newNH)
 	}
 	for _, p := range r.pol.Peers(int(v)) {
-		send(p, exportsToPeerOrProv(oldClass) && p != oldNH, exportsToPeerOrProv(newClass) && p != newNH)
+		send(p, offersToPeers(oldClass) && p != oldNH, offersToPeers(newClass) && p != newNH)
 	}
 	for _, p := range r.pol.Providers(int(v)) {
-		send(p, exportsToPeerOrProv(oldClass) && p != oldNH, exportsToPeerOrProv(newClass) && p != newNH)
+		send(p, offersToPeers(oldClass) && p != oldNH, offersToPeers(newClass) && p != newNH)
 	}
-}
-
-// exportsToPeerOrProv reports whether a best route of the given class is
-// announced to peers and providers (only origin/customer routes are).
-func exportsToPeerOrProv(c RouteClass) bool {
-	return c == ClassOrigin || c == ClassCustomer
 }

@@ -564,18 +564,39 @@ func checkSolverEquivalence(t *testing.T, c fuzzCase) {
 	if d := viewDiff(want, want.Clone()); d != "" {
 		t.Fatalf("clone diverges from its outcome on %+v: %s", at, d)
 	}
-	for _, weights := range [][]int64{nil, oddWeights(pol.N())} {
-		wc, ww := eng.PollutedWeight(weights)
-		for _, other := range []struct {
-			name string
-			view OutcomeView
-		}{{"fresh solver", want}, {"reused solver", warm}, {"clone", want.Clone()}} {
-			if gc, gw := other.view.PollutedWeight(weights); gc != wc || gw != ww {
-				t.Fatalf("%s counts (%d, %d) polluted on %+v (weighted=%v), the engine (%d, %d)",
-					other.name, gc, gw, at, weights != nil, wc, ww)
+	// The same world weighed by powers of two and multi-bit weights in
+	// turn: the fresh solver's and a clone's totals against the engine's,
+	// and a lane batch's against fresh solvers'.
+	mixed := oddWeights(pol.N())
+	for v := 0; v < len(mixed); v += 2 {
+		mixed[v] = 1 << (v % 7)
+	}
+	weighted := withWeights(t, pol, mixed)
+	weng, _, err := NewEngine(weighted).RunDefense(at, def, false)
+	if err != nil {
+		t.Fatalf("engine on the weighted world: %v", err)
+	}
+	wwant, err := NewSolver(weighted).SolveDefense(at, def)
+	if err != nil {
+		t.Fatalf("solver on the weighted world: %v", err)
+	}
+	for _, w := range []struct {
+		name string
+		eng  *Outcome
+		view []OutcomeView // a fresh solver's, a clone's, and a reused solver's
+	}{
+		{"unweighted", eng, []OutcomeView{want, want.Clone(), warm}},
+		{"mixed", weng, []OutcomeView{wwant, wwant.Clone()}},
+	} {
+		wc, ww := w.eng.PollutedWeight()
+		for k, v := range w.view {
+			if gc, gw := v.PollutedWeight(); gc != wc || gw != ww {
+				t.Fatalf("%s weights: view %d counts (%d, %d) polluted on %+v, the engine (%d, %d)",
+					w.name, k, gc, gw, at, wc, ww)
 			}
 		}
 	}
+	requireLanes(t, NewSolver(weighted), at.Target, batch, at.Kind, at.SubPrefix, def)
 	requireLevelSets(t, reused)
 }
 

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
@@ -115,8 +117,6 @@ func (ln *laneState) oracleTally(weights []int64) {
 			sum.add(a, bits.TrailingZeros64(wt))
 		}
 	}
-	cnt.flush()
-	sum.flush()
 	for i := 0; i < ln.width; i++ {
 		// The attacker's own origination is not pollution.
 		a := ln.attackers[i]
@@ -126,10 +126,7 @@ func (ln *laneState) oracleTally(weights []int64) {
 			ln.weight[i] = sum.lane(i) - own*weights[a]
 		}
 	}
-	ln.counted = true
-	if weights != nil {
-		ln.wkey = &weights[0]
-	}
+	ln.counted, ln.weighed = true, weights != nil
 }
 
 // laneOracle solves lane batches with oraclePullStubLanes on a solver of
@@ -179,9 +176,43 @@ func (o laneOracle) polluted(lane uint, weights []int64) (int, int64) {
 func withStubPeers(t *testing.T, pol *Policy, k int, seed int64, opts ...PolicyOption) *Policy {
 	t.Helper()
 	g, n := pol.Graph(), pol.N()
+	return rebuildWorld(t, pol, g.AddrWeights(), func(b *topology.Builder) {
+		rng := rand.New(rand.NewSource(seed))
+		for added := 0; added < k; {
+			w, v := rng.Intn(n), rng.Intn(n)
+			multi := pol.multiStub[w>>6]>>(w&63)&1 != 0
+			if added%2 == 0 && !pol.sole(int32(w)) || added%2 == 1 && !multi || v == w || g.Rel(w, v) != 0 {
+				continue
+			}
+			if err := b.AddLink(g.ASN(w), g.ASN(v), topology.RelPeer); err != nil {
+				t.Fatal(err)
+			}
+			added++
+		}
+	}, opts...)
+}
+
+// withWeights rebuilds pol's world with address weights w, indexed by node
+// — nil builds a graph without weights, which weighs every node 1 — under
+// pol's tier-1 set and options: an outcome weighs by its own policy's
+// graph, so a test weighs one world many ways through one policy each.
+// Node indices carry over.
+func withWeights(t testing.TB, pol *Policy, w []int64) *Policy {
+	t.Helper()
+	return rebuildWorld(t, pol, w, nil, WithTier1ShortestPath(pol.tier1SPF), WithPreferHighNextHop(pol.tieHigh))
+}
+
+// rebuildWorld builds a policy over pol's links and tier-1 set, with
+// address weights w (nil: none) and whatever more links add, if non-nil,
+// puts in.
+func rebuildWorld(t testing.TB, pol *Policy, w []int64, add func(*topology.Builder), opts ...PolicyOption) *Policy {
+	t.Helper()
+	g, n := pol.Graph(), pol.N()
 	b := topology.NewBuilder()
 	for i := 0; i < n; i++ {
-		b.SetAddrWeight(g.ASN(i), g.AddrWeight(i))
+		if w != nil {
+			b.SetAddrWeight(g.ASN(i), w[i])
+		}
 		nbrs, rels := g.Neighbors(i)
 		for j, nb := range nbrs {
 			if err := b.AddLink(g.ASN(i), g.ASN(int(nb)), rels[j]); err != nil {
@@ -189,30 +220,21 @@ func withStubPeers(t *testing.T, pol *Policy, k int, seed int64, opts ...PolicyO
 			}
 		}
 	}
-	rng := rand.New(rand.NewSource(seed))
-	for added := 0; added < k; {
-		w, v := rng.Intn(n), rng.Intn(n)
-		multi := pol.multiStub[w>>6]>>(w&63)&1 != 0
-		if added%2 == 0 && !pol.sole(int32(w)) || added%2 == 1 && !multi || v == w || g.Rel(w, v) != 0 {
-			continue
-		}
-		if err := b.AddLink(g.ASN(w), g.ASN(v), topology.RelPeer); err != nil {
-			t.Fatal(err)
-		}
-		added++
+	if add != nil {
+		add(b)
 	}
 	tier1 := make([]int, len(pol.tier1List))
 	for i, t1 := range pol.tier1List {
 		tier1[i] = int(t1)
 	}
-	peered, err := NewPolicy(b.Build(), tier1, opts...)
+	rebuilt, err := NewPolicy(b.Build(), tier1, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if peered.N() != n {
-		t.Fatalf("rebuilt world has %d nodes, want %d", peered.N(), n)
+	if rebuilt.N() != n {
+		t.Fatalf("rebuilt world has %d nodes, want %d", rebuilt.N(), n)
 	}
-	return peered
+	return rebuilt
 }
 
 // stubCases counts, over the lanes of s's last batch, the multi-homed stub
@@ -275,9 +297,9 @@ func stubCases(s *Solver, target int, attackers []int) (peerRouted, dropShortest
 // defenses, over batches whose target or attackers are single-homed stubs,
 // peered ones, multi-homed ones, their peers and duplicates. Every node's
 // route, origin and distance is compared in every lane, and the pollution
-// totals under six weightings (nil, address, odd, all-odd, some zero and
-// multi-bit ones), asked for in an order that alternates vectors on one
-// solver, so that it re-tallies and re-plans. The test also counts that
+// totals under six weightings (none, address, odd, all-odd, some zero and
+// multi-bit ones), each solved on the world weighed that way, half of them
+// with the count asked for first, so that the batch tallies twice. The test also counts that
 // the multi-homed shapes the derivation must get right occur: peer-routed
 // stubs, validating three-provider stubs losing their shortest offer to
 // the drop, and equal-distance offers of opposite origin, under both
@@ -386,9 +408,12 @@ func TestLaneStubOracleEquivalence(t *testing.T) {
 		multiBit := oddWeights(n)
 		multiBit[7] = -5 // wraps, as the scalar sum does
 		weightings := [][]int64{nil, addr, oddWeights(n), allOdd, someZero, multiBit}
-		// Each batch starts under nil weights on the plan the last one left,
-		// built under the multi-bit weights.
-		order := []int{0, 1, 2, 1, 0, 3, 4, 3, 1, 0, 5}
+		// One solver per weighting, each over the world weighed that way;
+		// the address weights are pol's own.
+		weighed := make([]*Solver, len(weightings))
+		for k, w := range weightings {
+			weighed[k] = NewSolver(withWeights(t, pol, w))
+		}
 		var peerRouted, dropShortest, tie int
 		s, oracle := NewSolver(pol), laneOracle{NewSolver(pol)}
 		for bi, b := range batches {
@@ -418,11 +443,19 @@ func TestLaneStubOracleEquivalence(t *testing.T) {
 								}
 							}
 						}
-						for _, k := range order {
+						for k, ws := range weighed {
+							outs, err := ws.SolveLanes(b.target, b.attackers, kind, sub, def)
+							if err != nil {
+								t.Fatalf("%s: weighting %d: %v", label, k, err)
+							}
 							for i := range outs {
-								gc, gw := outs[i].PollutedWeight(weightings[k])
 								wc, ww := oracle.polluted(uint(i), weightings[k])
-								if gc != wc || gw != ww {
+								// Every other weighting asks for the count
+								// first, so that the batch tallies twice.
+								if k%2 == 1 && outs[i].PollutedCount() != wc {
+									t.Fatalf("%s: lane %d counts %d polluted, the oracle %d", label, i, outs[i].PollutedCount(), wc)
+								}
+								if gc, gw := outs[i].PollutedWeight(); gc != wc || gw != ww {
 									t.Fatalf("%s: lane %d pollution under weighting %d is (%d, %d), the oracle's (%d, %d)",
 										label, i, k, gc, gw, wc, ww)
 								}
@@ -437,6 +470,74 @@ func TestLaneStubOracleEquivalence(t *testing.T) {
 				high, peerRouted, dropShortest, tie)
 		}
 		t.Logf("high=%v: %d peer-routed multi-homed stub lanes, %d dropped shortest offers, %d opposite-origin ties", high, peerRouted, dropShortest, tie)
+	}
+}
+
+// TestLanePlanSharedAcrossSolvers: four solvers over one policy solve and
+// tally their batches on goroutines of their own at once. They build the
+// policy's tally plan once and share it, and every lane's totals are the
+// oracle tally's. The world is weighed by multi-bit weights, one of them
+// negative, so the plan's every group is used. Run it with -race.
+func TestLanePlanSharedAcrossSolvers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	base := deltaTestPolicy(t, 2000, 42)
+	n := base.N()
+	weights := oddWeights(n)
+	weights[7] = -5
+	pol := withWeights(t, base, weights)
+	def := Defense{Blocked: benchTopDegreeSet(pol, 50)}
+	const solvers = 4
+	rng := rand.New(rand.NewSource(44))
+	target := rng.Intn(n)
+	batches := make([][]int, solvers)
+	for k := range batches {
+		batches[k] = make([]int, LaneWidth)
+		for i := range batches[k] {
+			for batches[k][i] = rng.Intn(n); batches[k][i] == target; {
+				batches[k][i] = rng.Intn(n)
+			}
+		}
+	}
+	type total struct {
+		count  int
+		weight int64
+	}
+	got := make([][LaneWidth]total, solvers)
+	plans := make([]*tallyPlan, solvers)
+	var wg sync.WaitGroup
+	for k := 0; k < solvers; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			outs, err := NewSolver(pol).SolveLanes(target, batches[k], KindOrigin, false, def)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := range outs {
+				got[k][i].count, got[k][i].weight = outs[i].PollutedWeight()
+			}
+			plans[k] = pol.tallyPlan()
+		}(k)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	oracle := laneOracle{NewSolver(pol)}
+	for k, batch := range batches {
+		if plans[k] == nil || plans[k] != plans[0] {
+			t.Fatalf("solver %d tallied with plan %p, solver 0 with %p", k, plans[k], plans[0])
+		}
+		if err := oracle.solve(target, batch, KindOrigin, false, def); err != nil {
+			t.Fatal(err)
+		}
+		for i := range batch {
+			if wc, ww := oracle.polluted(uint(i), weights); got[k][i] != (total{wc, ww}) {
+				t.Fatalf("solver %d lane %d: pollution (%d, %d), the oracle's (%d, %d)",
+					k, i, got[k][i].count, got[k][i].weight, wc, ww)
+			}
+		}
 	}
 }
 

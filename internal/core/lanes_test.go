@@ -50,10 +50,6 @@ func requireLanes(t *testing.T, s *Solver, target int, attackers []int, kind Att
 	if len(outs) != len(attackers) {
 		t.Fatalf("%d lanes for %d attackers", len(outs), len(attackers))
 	}
-	weights, pow2 := oddWeights(pol.N()), make([]int64, pol.N())
-	for v := range pow2 {
-		pow2[v] = 1 << (v % 7)
-	}
 	wants := make([]*Outcome, len(outs))
 	for i := range outs {
 		o := &outs[i]
@@ -74,12 +70,13 @@ func requireLanes(t *testing.T, s *Solver, target int, attackers []int, kind Att
 		if got, want := o.PollutedNodes(nil), want.PollutedNodes(nil); !slices.Equal(got, want) {
 			t.Fatalf("lane %d: polluted nodes %v, want %v", i, got, want)
 		}
-		for _, w := range [][]int64{nil, weights, pow2, nil} {
-			gc, gw := o.PollutedWeight(w)
-			wc, ww := want.PollutedWeight(w)
-			if gc != wc || gw != ww || o.PollutedCount() != wc {
-				t.Fatalf("lane %d: pollution (%d, %d) under weights=%v, want (%d, %d)", i, gc, gw, w != nil, wc, ww)
-			}
+		// The count first: the batch tallies the weights only once asked.
+		wc, ww := want.PollutedWeight()
+		if gc := o.PollutedCount(); gc != wc {
+			t.Fatalf("lane %d: %d polluted, want %d", i, gc, wc)
+		}
+		if gc, gw := o.PollutedWeight(); gc != wc || gw != ww || o.PollutedCount() != wc {
+			t.Fatalf("lane %d: pollution (%d, %d), want (%d, %d)", i, gc, gw, wc, ww)
 		}
 	}
 	if st := s.Stats(); st.Solves != before.Solves || st.Materialized != before.Materialized ||
@@ -105,15 +102,23 @@ func requireLanes(t *testing.T, s *Solver, target int, attackers []int, kind Att
 // TestSolveLanesEquivalence holds lane i of a batch to the scalar solve of
 // cell i on a generated 600-AS world, over every kind × defense ×
 // sub-prefix flag × SPF setting × tie-break direction, on one solver per
-// policy reused across widths 1..64 with scalar solves in between.
+// policy reused across widths 1..64 with scalar solves in between. The
+// three policies weigh the world by its address weights (powers of two),
+// by multi-bit weights and not at all.
 func TestSolveLanesEquivalence(t *testing.T) {
-	for _, opts := range [][]PolicyOption{
+	for k, opts := range [][]PolicyOption{
 		nil,
 		{WithPreferHighNextHop(true)},
 		{WithTier1ShortestPath(false)},
 	} {
 		pol := deltaTestPolicy(t, 600, 11, opts...)
 		n := pol.N()
+		switch k {
+		case 1:
+			pol = withWeights(t, pol, oddWeights(n))
+		case 2:
+			pol = withWeights(t, pol, nil)
+		}
 		_, defs := kernelCells(pol)
 		rng := rand.New(rand.NewSource(5))
 		s := NewSolver(pol)
@@ -165,7 +170,7 @@ func TestLaneOnlySolverSkipsScalarArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range outs {
-		outs[i].PollutedWeight(oddWeights(pol.N()))
+		outs[i].PollutedWeight()
 	}
 	if s.nodes != nil {
 		t.Fatalf("a lane-only solver holds %d scalar records", len(s.nodes))

@@ -313,7 +313,6 @@ func TestSolverStats(t *testing.T) {
 			group[i] = rng.Intn(n)
 		}
 	}
-	weights := pol.Graph().AddrWeights()
 	s = NewSolver(pol)
 	for round, kind := range []AttackKind{KindOrigin, KindRouteLeak} {
 		outs, err := s.SolveLanes(target, group, kind, false, defs[1])
@@ -321,7 +320,7 @@ func TestSolverStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range outs {
-			outs[i].PollutedWeight(weights)
+			outs[i].PollutedWeight()
 			outs[i].Polluted(i)
 		}
 		want := SolverStats{LaneSolves: int64(round + 1), Lanes: int64(60 * (round + 1)), BaselineSolves: int64(round)}

@@ -33,9 +33,9 @@ func kernelCells(pol *Policy) (cells []Attack, defs []Defense) {
 // returned Outcome are retained. Route leaks solve a baseline on the lazily
 // built secondary solver, which is the one allocation they are allowed.
 // BuildSnapshot runs the same stages; all it may allocate is the detached
-// Snapshot it returns. A scalar outcome's PollutedWeight, which asks the
-// scenario at the single-homed stubs it derives, allocates nothing under
-// ROV or ASPA. SolveDelta allocates nothing on either kernel, and neither
+// Snapshot it returns. A scalar outcome's PollutedWeight and
+// PollutedCount, which ask the scenario at the single-homed stubs it
+// derives, allocate nothing under ROV or ASPA, weighted or not. SolveDelta allocates nothing on either kernel, and neither
 // does SolveLanes, reading its lanes and materializing one included.
 func TestWarmSolveAllocs(t *testing.T) {
 	pol := deltaTestPolicy(t, 2000, 42)
@@ -66,37 +66,42 @@ func TestWarmSolveAllocs(t *testing.T) {
 		}
 	}
 
-	weights := oddWeights(pol.N())
+	// The world weighed by multi-bit weights, and by none.
+	odd, unit := withWeights(t, pol, oddWeights(pol.N())), withWeights(t, pol, nil)
 	some := defs[1].Blocked
-	for _, def := range []Defense{RovOnly(some), {ASPA: some}} {
-		s := NewSolver(pol)
-		for _, kind := range Kinds() {
-			at := cells[0]
-			at.Kind = kind
-			o, err := s.SolveDefense(at, def)
-			if err != nil {
-				t.Fatal(err)
-			}
-			measure := func() {
-				o.PollutedWeight(weights)
-				o.PollutedWeight(nil)
-			}
-			measure()
-			if got := testing.AllocsPerRun(5, measure); got > 0 {
-				t.Errorf("%v under %+v: warm PollutedWeight allocates %.1f times, want 0", kind, def, got)
+	for _, wpol := range []*Policy{odd, unit} {
+		for _, def := range []Defense{RovOnly(some), {ASPA: some}} {
+			s := NewSolver(wpol)
+			for _, kind := range Kinds() {
+				at := cells[0]
+				at.Kind = kind
+				o, err := s.SolveDefense(at, def)
+				if err != nil {
+					t.Fatal(err)
+				}
+				measure := func() {
+					o.PollutedWeight()
+					o.PollutedCount()
+				}
+				measure()
+				if got := testing.AllocsPerRun(5, measure); got > 0 {
+					t.Errorf("%v under %+v (weighted=%v): warm PollutedWeight allocates %.1f times, want 0",
+						kind, def, wpol == odd, got)
+				}
 			}
 		}
 	}
 
 	// A lane solve retains its per-node words, distance planes and lane
 	// outcomes like the scalar arenas; the pollution totals come off the
-	// stack. Materializing a lane is a scalar solve on the same buffers.
+	// stack, and the tally's plan is the policy's, built by the first.
+	// Materializing a lane is a scalar solve on the same buffers.
 	attackers := make([]int, len(cells))
 	for i, at := range cells {
 		attackers[i] = at.Attacker
 	}
 	for _, kind := range Kinds() {
-		s := NewSolver(pol)
+		s := NewSolver(odd)
 		pass := func() {
 			for _, def := range defs {
 				outs, err := s.SolveLanes(cells[0].Target, attackers, kind, false, def)
@@ -104,7 +109,7 @@ func TestWarmSolveAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := range outs {
-					outs[i].PollutedWeight(weights)
+					outs[i].PollutedWeight()
 				}
 				outs[1].NextHop(cells[0].Target)
 			}

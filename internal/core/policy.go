@@ -63,9 +63,9 @@ const (
 )
 
 // Policy is the immutable routing state of a topology — per-class
-// adjacency in CSR form plus the tier-1 set — plus the idle list of the
-// Solvers built over it. Build once, share across any number of Solvers
-// and Engines.
+// adjacency in CSR form plus the tier-1 set, and the lane tally's plan,
+// built once on first use — plus the idle list of the Solvers built over
+// it. Build once, share across any number of Solvers and Engines.
 type Policy struct {
 	g     *topology.Graph
 	n     int
@@ -110,6 +110,11 @@ type Policy struct {
 	// tieHigh flips the deterministic next-hop tie-break (see
 	// WithPreferHighNextHop).
 	tieHigh bool
+
+	// plan is the lane tally's grouping of the nodes, built by the first
+	// lane tally over the policy (tallyPlan) and read-only after.
+	planOnce sync.Once
+	plan     *tallyPlan
 
 	// idle holds the Solvers handed back by ReleaseSolver, warm arenas and
 	// all, for AcquireSolver to hand out again. It never holds more than
@@ -366,12 +371,12 @@ func (p *Policy) betterNH(a, b int32) bool {
 //	origin/customer routes → everyone
 //	peer/provider routes   → customers only
 func exportsTo(best RouteClass, rel topology.Rel) bool {
-	switch best {
-	case ClassOrigin, ClassCustomer:
-		return true
-	case ClassPeer, ClassProvider:
-		return rel == topology.RelCustomer
-	default:
-		return false
-	}
+	return offersToPeers(best) || best != ClassNone && rel == topology.RelCustomer
+}
+
+// offersToPeers reports whether a node whose best route has class c
+// exports it to peers, and to providers: only origin and customer-class
+// selections are.
+func offersToPeers(c RouteClass) bool {
+	return c == ClassOrigin || c == ClassCustomer
 }

@@ -55,15 +55,14 @@ func (p *pushOracle) run(s *Solver, at Attack, sc *scenario) *Outcome {
 	s.stageCustomer(sc)
 	s.stagePeer(sc)
 	pushStageProvider(s, sc)
-	return &Outcome{Target: at.Target, Attacker: at.Attacker, epoch: s.epoch, nodes: s.nodes}
+	return &Outcome{Target: at.Target, Attacker: at.Attacker, epoch: s.epoch, nodes: s.nodes, weights: s.pol.g.AddrWeights()}
 }
 
 // requirePushEquivalent holds a solver outcome to the push oracle's at
 // every node — route, origin, class, distance, next hop and, with paths
-// set, path — and on the pollution totals under three weightings. Its
-// clone, which writes every route, must hold the oracle's records and
-// totals.
-func requirePushEquivalent(t *testing.T, label string, want, got *Outcome, weightings [][]int64, paths bool) {
+// set, path — and on the pollution totals. Its clone, which writes every
+// route, must hold the oracle's records and totals.
+func requirePushEquivalent(t *testing.T, label string, want, got *Outcome, paths bool) {
 	t.Helper()
 	// The oracle's records are every route it selected: read them
 	// directly, the outcome under test through its accessors.
@@ -97,15 +96,20 @@ func requirePushEquivalent(t *testing.T, label string, want, got *Outcome, weigh
 			t.Fatalf("%s: clone record of node %d is %+v, the push oracle's %+v", label, v, clone.nodes[v], r)
 		}
 	}
-	for k, weights := range weightings {
-		wc, ww := want.PollutedWeight(weights)
-		for _, o := range []struct {
-			name string
-			view *Outcome
-		}{{"solve", got}, {"clone", clone}} {
-			if gc, gw := o.view.PollutedWeight(weights); wc != gc || ww != gw {
-				t.Fatalf("%s: %s pollution under weighting %d is (%d, %d), the push oracle's (%d, %d)", label, o.name, k, gc, gw, wc, ww)
-			}
+	requirePushPollution(t, label, want, got, clone)
+}
+
+// requirePushPollution holds the pollution totals of a solve and of its
+// clone to the push oracle's.
+func requirePushPollution(t *testing.T, label string, want, got, clone *Outcome) {
+	t.Helper()
+	wc, ww := want.PollutedWeight()
+	for _, o := range []struct {
+		name string
+		view *Outcome
+	}{{"solve", got}, {"clone", clone}} {
+		if gc, gw := o.view.PollutedWeight(); wc != gc || ww != gw {
+			t.Fatalf("%s: %s pollution is (%d, %d), the push oracle's (%d, %d)", label, o.name, gc, gw, wc, ww)
 		}
 	}
 }
@@ -131,7 +135,17 @@ func TestPushOracleEquivalence(t *testing.T) {
 			{Blocked: tenth, ASPA: tenth},
 			{ASPA: tenth, Peerlock: true},
 		}
-		weightings := [][]int64{nil, pol.Graph().AddrWeights(), oddWeights(n)}
+		// pol weighs the world by its address weights; it is weighed by none
+		// and by multi-bit ones too, each through a policy of its own.
+		type reweighed struct {
+			s      *Solver
+			oracle *pushOracle
+		}
+		var others []reweighed
+		for _, w := range [][]int64{nil, oddWeights(n)} {
+			wpol := withWeights(t, pol, w)
+			others = append(others, reweighed{NewSolver(wpol), newPushOracle(wpol)})
+		}
 		s, oracle := NewSolver(pol), newPushOracle(pol)
 		for k := 0; k < 300; k++ {
 			at := Attack{Target: rng.Intn(n), Attacker: rng.Intn(n - 1)}
@@ -149,7 +163,19 @@ func TestPushOracleEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					requirePushEquivalent(t, fmt.Sprintf("high=%v %+v defense %d", high, at, d), want, got, weightings, k%10 == 0)
+					label := fmt.Sprintf("high=%v %+v defense %d", high, at, d)
+					requirePushEquivalent(t, label, want, got, k%10 == 0)
+					for j, o := range others {
+						want, err := o.oracle.solve(at, def)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := o.s.SolveDefense(at, def)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requirePushPollution(t, fmt.Sprintf("%s reweighed %d", label, j), want, got, got.Clone())
+					}
 				}
 			}
 		}

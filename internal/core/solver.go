@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
+	"github.com/bgpsim/bgpsim/internal/topology"
 )
 
 // Attack describes one hijack scenario: Attacker announces address space
@@ -67,8 +68,6 @@ type Solver struct {
 	words  int // uint64s per level
 	top    int // highest level that has had a member this solve
 
-	tier1Buf []t1sel // stagePeer's SPF worklist, reused across Solve calls
-
 	// base lazily holds a second solver for the defense-free baseline
 	// solves route leaks need (the leaked route's real length), so the
 	// main solve's buffers stay untouched. Its records keep the baseline
@@ -110,13 +109,6 @@ type SolverStats struct {
 	Pulled int64
 }
 
-// t1sel is one tier-1 node with its customer-route distance, the sort key
-// of stagePeer's shortest-path-first pass.
-type t1sel struct {
-	node int32
-	d    int16
-}
-
 // NewSolver returns a Solver over the policy. Its arenas are allocated by
 // the first solve that needs them: the scalar records by the first scalar
 // solve, lane materialization or leak baseline, the lane words by the first
@@ -154,6 +146,8 @@ type Outcome struct {
 	// stubs are derived under the solve's resolved scenario sc.
 	pol *Policy
 	sc  scenario
+	// weights is the policy graph's AddrWeights, which PollutedWeight sums.
+	weights []int64
 
 	lanes *Solver // non-nil: lane `lane` of lanes' current batch
 	lane  uint
@@ -314,21 +308,26 @@ func (o *Outcome) Polluted(i int) bool {
 // PollutedCount returns the number of polluted ASes — the paper's core
 // vulnerability measurement.
 func (o *Outcome) PollutedCount() int {
-	count, _ := o.PollutedWeight(nil)
+	count, _ := o.polluted(false)
 	return count
 }
 
 // PollutedWeight returns the number of polluted ASes and the sum of their
-// weights in one pass over the packed records, plus, on a scalar solve's
-// outcome, a walk of the single-homed stubs it derives (pollutedSole).
-// weights is indexed by node; nil means every node weighs 1
-// (topology.Graph.AddrWeights' convention). A lane outcome keys the sums
-// it keeps on &weights[0] — the batch's totals, and its solver's per-row
-// sums across batches — so a weight vector must not be changed in place
-// once a solver has weighed with it.
-func (o *Outcome) PollutedWeight(weights []int64) (count int, weight int64) {
+// address weights, those of the policy's graph (topology.Graph.AddrWeights;
+// a graph without them weighs every node 1), in one pass over the packed
+// records plus, on a scalar solve's outcome, a walk of the single-homed
+// stubs it derives (pollutedSole).
+func (o *Outcome) PollutedWeight() (count int, weight int64) { return o.polluted(true) }
+
+// polluted is PollutedWeight, or PollutedCount without weigh: the weight it
+// returns is then the count.
+func (o *Outcome) polluted(weigh bool) (count int, weight int64) {
 	if o.lanes != nil {
-		return o.lanes.ln.polluted(o.lanes.pol, o.lane, weights)
+		return o.lanes.ln.polluted(o.lanes.pol, o.lane, weigh)
+	}
+	weights := o.weights
+	if !weigh {
+		weights = nil
 	}
 	// Whether a node is polluted is close to a coin flip, so the loops are
 	// branch-free: hit is 0 or 1 and masks the node's weight.
@@ -416,7 +415,7 @@ func (o *Outcome) PollutedNodes(dst []int) []int {
 // writes every route, derived ones included, so it needs no scenario.
 func (o *Outcome) Clone() *Outcome {
 	o.materialize()
-	c := &Outcome{Target: o.Target, Attacker: o.Attacker, epoch: 1, nodes: make([]nodeRec, len(o.nodes))}
+	c := &Outcome{Target: o.Target, Attacker: o.Attacker, epoch: 1, nodes: make([]nodeRec, len(o.nodes)), weights: o.weights}
 	for i := range o.nodes {
 		if r, ok := o.route(i); ok {
 			r.stamp = 1
@@ -524,7 +523,7 @@ func (s *Solver) solveScenario(at Attack, sc *scenario) *Outcome {
 	s.stagePeer(sc)
 	s.stageProvider(sc)
 
-	s.out = Outcome{Target: at.Target, Attacker: at.Attacker, epoch: s.epoch, nodes: s.nodes, pol: s.pol, sc: *sc}
+	s.out = Outcome{Target: at.Target, Attacker: at.Attacker, epoch: s.epoch, nodes: s.nodes, pol: s.pol, sc: *sc, weights: s.pol.g.AddrWeights()}
 	return &s.out
 }
 
@@ -642,9 +641,13 @@ func (s *Solver) stageCustomer(sc *scenario) {
 // apply shortest-path-first import and may replace their customer route
 // with a shorter peer route, in which case they stop offering a route to
 // their peers (peer-learned routes are not exported to peers); processing
-// tier-1s in ascending customer-route distance resolves that dependency in
-// one pass. A tier-1 re-routed here moves to the level of its new distance,
-// which is where stage 3 must flood it from.
+// tier-1s in ascending customer-route distance, node breaking ties,
+// resolves that dependency in one pass. That is the order pullTier1Lanes
+// visits: the levels from 2 up — a tier-1 at distance D only takes a
+// strictly shorter peer route, which none below 2 can be offered — then
+// the unrouted tier-1s. A tier-1 re-routed here moves to the level of its
+// new distance, one already walked, which is where stage 3 must flood it
+// from.
 //
 // Everyone else: peer routes only fill gaps (customer class wins), and
 // they do not cascade, so one push from the stage-1 levels suffices. A
@@ -657,40 +660,38 @@ func (s *Solver) stageCustomer(sc *scenario) {
 func (s *Solver) stagePeer(sc *scenario) {
 	pol := s.pol
 	if pol.tier1SPF {
-		s.tier1Buf = s.tier1Buf[:0]
-		for _, w := range pol.tier1List {
-			d := int16(1) << 14 // effectively infinite
-			if s.nodes[w].stamp == s.epoch {
-				d = s.nodes[w].dist
-			}
-			s.tier1Buf = append(s.tier1Buf, t1sel{w, d})
-		}
-		tier1s := s.tier1Buf
-		// Ascending customer-route distance, node id breaking ties.
-		for i := 1; i < len(tier1s); i++ {
-			for j := i; j > 0 && (tier1s[j].d < tier1s[j-1].d ||
-				tier1s[j].d == tier1s[j-1].d && tier1s[j].node < tier1s[j-1].node); j-- {
-				tier1s[j], tier1s[j-1] = tier1s[j-1], tier1s[j]
-			}
-		}
-		for _, t := range tier1s {
-			w := t.node
-			// Best peer offer among peers still offering customer routes.
-			bestD, bestNH, bestOrg := s.bestPeerOffer(sc, w)
-			if bestNH == -1 {
-				continue
-			}
-			cur := s.nodes[w]
-			if cur.stamp == s.epoch {
-				if !pol.better(int(w), ClassPeer, bestD, bestNH, cur.class, cur.dist, cur.nexthop) {
-					continue
+		// A re-routed tier-1 lands in a level below d, which exists.
+		for d := 2; d <= s.top; d++ {
+			lvl := s.level(d)
+			for _, w := range pol.tier1List {
+				if lvl[w>>6]>>(w&63)&1 != 0 {
+					s.spfTier1(sc, w)
 				}
-				s.level(int(cur.dist))[w>>6] &^= 1 << (w & 63)
 			}
-			s.place(w, ClassPeer, bestD, bestNH, bestOrg)
+		}
+		for _, w := range pol.tier1List {
+			if s.nodes[w].stamp != s.epoch {
+				s.spfTier1(sc, w)
+			}
 		}
 	}
 	s.flood(sc, pol.peerOff, pol.peerAdj, pol.hasPeer, ClassPeer)
+}
+
+// spfTier1 re-routes tier-1 w to its best peer offer among peers still
+// offering customer routes, where shortest-path-first import prefers it.
+func (s *Solver) spfTier1(sc *scenario, w int32) {
+	bestD, bestNH, bestOrg := s.bestPeerOffer(sc, w)
+	if bestNH == -1 {
+		return
+	}
+	if cur := s.nodes[w]; cur.stamp == s.epoch {
+		if !s.pol.better(int(w), ClassPeer, bestD, bestNH, cur.class, cur.dist, cur.nexthop) {
+			return
+		}
+		s.level(int(cur.dist))[w>>6] &^= 1 << (w & 63)
+	}
+	s.place(w, ClassPeer, bestD, bestNH, bestOrg)
 }
 
 // bestPeerOffer returns the route w would pick among its peers' current
@@ -709,12 +710,6 @@ func (s *Solver) bestPeerOffer(sc *scenario, w int32) (bestD int16, bestNH int32
 		}
 	}
 	return bestD, bestNH, bestOrg
-}
-
-// offersToPeers reports whether a node whose best route has class c
-// exports it to peers (true only for origin/customer-class selections).
-func offersToPeers(c RouteClass) bool {
-	return c == ClassOrigin || c == ClassCustomer
 }
 
 // stageProvider hands provider-class routes down customer links. It floods
@@ -908,26 +903,11 @@ type laneState struct {
 	planes  []uint64
 	nplanes int
 
-	// Pollution totals of every lane, made by one pass on first use.
-	counted bool
-	wkey    *int64 // &weights[0] of the weights the sums were taken under
-	count   [LaneWidth]int
-	weight  [LaneWidth]int64
-	// The tally's plan, built on the solver's first tally under a weight
-	// vector and kept for the next ones. single groups the nodes other than
-	// the single-homed stubs whose weight is one power of two (all of them
-	// under nil weights, as weight 1); odd lists the others, of zero or
-	// multi-bit weight. rowLen groups the nodes with single-homed stubs by
-	// the bits of their soleAdj row's length, rowW by those of the row's
-	// weight sum. planKey is the &weights[0] of the vector the plan was
-	// built under, nil for nil weights; the key keeps that array alive, so
-	// no other vector can take its address. The plan is the solver's own:
-	// a Policy is shared between goroutines.
-	planned      bool
-	planKey      *int64
-	single       bitGroups
-	odd          []int32
-	rowLen, rowW bitGroups
+	// Pollution totals of every lane, made by one pass on first use: the
+	// counts, and with weighed the weight sums too.
+	counted, weighed bool
+	count            [LaneWidth]int
+	weight           [LaneWidth]int64
 	// fix is the tally's scratch bitmap of the single-homed stubs whose
 	// derived word the grouped sum gets wrong (see tally).
 	fix []uint64
@@ -995,7 +975,7 @@ func (s *Solver) seedLanes(target int, attackers []int, kind AttackKind, subPref
 
 	clear(ln.words)
 	ln.planes, ln.nplanes = ln.planes[:0], 0
-	ln.counted, ln.wkey = false, nil
+	ln.counted, ln.weighed = false, false
 	s.levels, s.top = s.levels[:0], 0
 	s.stats.LaneSolves++
 	s.stats.Lanes += int64(ln.width)
@@ -1302,31 +1282,34 @@ func (s *Solver) pullStubLanes() {
 	s.stats.Pulled += pulled
 }
 
-// polluted returns one lane's PollutedWeight, tallying every lane's on the
-// batch's first call (and again should the weights change).
-func (ln *laneState) polluted(pol *Policy, lane uint, weights []int64) (int, int64) {
-	if !ln.counted || weights != nil && ln.wkey != &weights[0] {
-		ln.tally(pol, weights)
+// polluted returns one lane's PollutedWeight, or PollutedCount without
+// weigh, tallying every lane's on the batch's first call — and again for
+// the weights, should a count-only call have come first.
+func (ln *laneState) polluted(pol *Policy, lane uint, weigh bool) (int, int64) {
+	weigh = weigh && pol.g.AddrWeights() != nil
+	if !ln.counted || weigh && !ln.weighed {
+		ln.tally(pol, weigh)
 	}
-	if weights == nil {
+	if !weigh {
 		return ln.count[lane], int64(ln.count[lane])
 	}
 	return ln.count[lane], ln.weight[lane]
 }
 
-// tally counts the polluted nodes of every lane, and sums their weights, in
-// one pass over att with bit-sliced counters: plane k of a laneSum holds bit
-// k of all 64 running totals. A node's lane word goes to the count, and
-// scaled by its weight to the weight sum. Sums wrap at 64 bits, as the
-// scalar accumulator does.
+// tally counts the polluted nodes of every lane, and with weigh sums their
+// address weights, in one pass over att with bit-sliced counters: plane k
+// of a laneSum holds bit k of all 64 running totals. A node's lane word
+// goes to the count, and scaled by its weight to the weight sum. Sums wrap
+// at 64 bits, as the scalar accumulator does.
 //
-// The words go in by group (the plan's). A node of weight 2^b — every
-// generated address weight is one power of two — sits in group b of
-// single: one positional count over the group's words gives their total,
-// which is added once to the count and once, scaled by 2^b, to the weight
-// sum. A node of zero or multi-bit weight (a sum over contracted siblings)
-// is counted with the odd ones and adds its word once per set bit of its
-// weight. Under nil weights there is one group, only counted.
+// The words go in by group, those of the policy's tallyPlan. A node of
+// weight 2^b — every generated address weight is one power of two — sits
+// in group b of single: one positional count over the group's words gives
+// their total, which is added once to the count and once, scaled by 2^b,
+// to the weight sum. A node of zero or multi-bit weight (a sum over
+// contracted siblings) is counted with the odd ones, and sits in group b
+// of oddW for each set bit b of its weight. On a graph without weights
+// there is one group, only counted.
 //
 // A single-homed stub's word is not read: a stub the batch left unwritten
 // routes to the attacker exactly where its provider p does, so p's word
@@ -1336,34 +1319,26 @@ func (ln *laneState) polluted(pol *Policy, lane uint, weights []int64) (int, int
 // for a stub the first two stages wrote (a seed, or one with peers) or one
 // that rejects the attacker's route; those are gathered in the fix bitmap,
 // and each takes back att[p] in the lanes it is routed or drops the route
-// in and adds its own word.
+// in and adds its own word, one ripple add per bit of its weight.
 //
 //bgplint:hotpath one pass per batch over every lane word but the single-homed stubs'
-func (ln *laneState) tally(pol *Policy, weights []int64) {
-	ln.plan(pol, weights)
+func (ln *laneState) tally(pol *Policy, weigh bool) {
+	plan, weights := pol.tallyPlan(), pol.g.AddrWeights()
 	// cntBack and sumBack collect what the grouped rows added too much.
 	var cnt, sum, cntBack, sumBack laneSum
 	att := ln.att
 	var total [32]uint64
 	for b := 0; b < 64; b++ {
-		planes := positional(&total, att, ln.single.group(b))
+		planes := positional(&total, att, plan.single.group(b))
 		cnt.addPlanes(planes, 0)
-		if weights != nil {
+		if weigh {
 			sum.addPlanes(planes, b)
+			sum.addPlanes(positional(&total, att, plan.oddW.group(b)), b)
+			sum.addPlanes(positional(&total, att, plan.rowW.group(b)), b)
 		}
-		cnt.addPlanes(positional(&total, att, ln.rowLen.group(b)), b)
-		if weights != nil {
-			sum.addPlanes(positional(&total, att, ln.rowW.group(b)), b)
-		}
+		cnt.addPlanes(positional(&total, att, plan.rowLen.group(b)), b)
 	}
-	cnt.addPlanes(positional(&total, att, ln.odd), 0)
-	if weights != nil {
-		for _, v := range ln.odd {
-			for wt := uint64(weights[v]); wt != 0; wt &= wt - 1 {
-				sum.add(att[v], bits.TrailingZeros64(wt))
-			}
-		}
-	}
+	cnt.addPlanes(positional(&total, att, plan.odd), 0)
 	for wi, x := range ln.fixes(pol) {
 		for b := x; b != 0; b &= b - 1 {
 			w := int32(wi<<6 | bits.TrailingZeros64(b))
@@ -1375,7 +1350,7 @@ func (ln *laneState) tally(pol *Policy, weights []int64) {
 			back := att[p] & (ln.routed[w] | drop)
 			cntBack.add(back, 0)
 			cnt.add(att[w], 0)
-			if weights == nil {
+			if !weigh {
 				continue
 			}
 			for wt := uint64(weights[w]); wt != 0; wt &= wt - 1 {
@@ -1391,60 +1366,73 @@ func (ln *laneState) tally(pol *Policy, weights []int64) {
 		a := ln.attackers[i]
 		own := att[a] >> i & 1
 		ln.count[i] = int(counts[i] - taken[i] - own)
-		if weights != nil {
+		if weigh {
 			ln.weight[i] = int64(sums[i] - takenW[i] - own*uint64(weights[a]))
 		}
 	}
-	ln.counted = true
-	if weights != nil {
-		ln.wkey = &weights[0]
-	}
+	ln.counted, ln.weighed = true, weigh
 }
 
-// plan makes the tally's plan serve weights. It is built on a solver's
-// first tally and rebuilt under each new weight vector; nil weights, which
-// only count, accept a plan built under any vector, as that groups every
-// node once between single and odd.
-//
-//bgplint:hotpath one pass over the nodes and soleAdj rows per solver and weight vector
-func (ln *laneState) plan(pol *Policy, weights []int64) {
-	var key *int64
-	if weights != nil {
-		key = &weights[0]
-	}
-	if ln.planned && (weights == nil || ln.planKey == key) {
-		return
+// tallyPlan groups a policy's nodes for the lane tally. single groups the
+// nodes other than the single-homed stubs whose weight is one power of two
+// (all of them on a graph without weights, as weight 1) by that bit; odd
+// lists the others, of zero or multi-bit weight, and oddW groups them by
+// the bits of their weight. rowLen groups the nodes with single-homed stubs
+// by the bits of their soleAdj row's length, rowW by those of the row's
+// weight sum. It depends on nothing but the policy's graph, which must not
+// change — Graph.AddrWeights is read-only — so it is built once per policy
+// (Policy.tallyPlan) and read by every solver over it.
+type tallyPlan struct {
+	single, oddW bitGroups
+	odd          []int32
+	rowLen, rowW bitGroups
+}
+
+// tallyPlan returns the policy's tally plan, building it on first use.
+// Solvers on other goroutines may ask at once: sync.Once builds it once
+// and orders that build before every read of it.
+func (p *Policy) tallyPlan() *tallyPlan {
+	p.planOnce.Do(func() { p.plan = newTallyPlan(p) })
+	return p.plan
+}
+
+// newTallyPlan builds the tally plan of pol.
+func newTallyPlan(pol *Policy) *tallyPlan {
+	weights := pol.g.AddrWeights()
+	weight := func(v int) uint64 {
+		if weights == nil {
+			return 1
+		}
+		return uint64(weights[v])
 	}
 	// A node is single when its weight is one power of two, odd otherwise.
-	single := func(v int) bool { wt := uint64(weights[v]); return wt != 0 && wt&(wt-1) == 0 }
-	ln.single.build(ln.n, func(v int) uint64 {
-		switch {
-		case pol.sole(int32(v)):
-			return 0
-		case weights == nil:
-			return 1
-		case single(v):
-			return uint64(weights[v])
-		}
-		return 0
-	})
-	ln.odd = ln.odd[:0]
-	for v := 0; weights != nil && v < ln.n; v++ {
-		if !pol.sole(int32(v)) && !single(v) {
-			ln.odd = append(ln.odd, int32(v))
-		}
-	}
-	ln.rowLen.build(ln.n, func(p int) uint64 { return uint64(pol.soleOff[p+1] - pol.soleOff[p]) })
-	if weights != nil {
-		ln.rowW.build(ln.n, func(p int) uint64 {
-			var sum int64
-			for _, w := range pol.soleAdj[pol.soleOff[p]:pol.soleOff[p+1]] {
-				sum += weights[w]
+	single := func(v int) bool { wt := weight(v); return wt != 0 && wt&(wt-1) == 0 }
+	// in keys the nodes of one kind, single-homed stubs aside, by weight.
+	in := func(odd bool) func(v int) uint64 {
+		return func(v int) uint64 {
+			if pol.sole(int32(v)) || single(v) == odd {
+				return 0
 			}
-			return uint64(sum)
-		})
+			return weight(v)
+		}
 	}
-	ln.planned, ln.planKey = true, key
+	plan := &tallyPlan{}
+	plan.single.build(pol.n, in(false))
+	plan.oddW.build(pol.n, in(true))
+	for v := 0; v < pol.n; v++ {
+		if !pol.sole(int32(v)) && !single(v) {
+			plan.odd = append(plan.odd, int32(v))
+		}
+	}
+	plan.rowLen.build(pol.n, func(p int) uint64 { return uint64(pol.soleOff[p+1] - pol.soleOff[p]) })
+	plan.rowW.build(pol.n, func(p int) uint64 {
+		var sum uint64
+		for _, w := range pol.soleAdj[pol.soleOff[p]:pol.soleOff[p+1]] {
+			sum += weight(int(w))
+		}
+		return sum
+	})
+	return plan
 }
 
 // bitGroups lists nodes by the set bits of a per-node key: group b holds,
@@ -1568,31 +1556,15 @@ func (ln *laneState) markSole(pol *Policy, w int32) {
 	}
 }
 
-// laneSum is 64 bit-sliced accumulators, one per lane. A ripple-carry add
-// of one lane word runs as far as the longest carry chain among 64 lanes —
-// about seven planes, every time — so words wait in a per-scale block and
-// go in sixteen at a time through a carry-save adder tree (Harley-Seal),
-// which costs fifteen fixed adder steps and one ripple.
+// laneSum is 64 bit-sliced accumulators, one per lane.
 type laneSum struct {
 	planes [64]uint64
-	block  [64][16]uint64 // words waiting to be added at scale 2^b
-	held   [64]uint8
 }
 
-// add adds 2^b to every lane of word.
+// add adds 2^b to every lane of word, rippling the carry up the planes.
 func (z *laneSum) add(word uint64, b int) {
-	z.block[b][z.held[b]] = word
-	if z.held[b]++; z.held[b] == 16 {
-		z.reduce(b)
-	}
-}
-
-// flush adds the partly filled blocks.
-func (z *laneSum) flush() {
-	for b := range z.held {
-		if z.held[b] != 0 {
-			z.reduce(b)
-		}
+	for k := b; word != 0 && k < len(z.planes); k++ {
+		z.planes[k], word = z.planes[k]^word, z.planes[k]&word
 	}
 }
 
@@ -1601,34 +1573,6 @@ func (z *laneSum) flush() {
 func csa(a, b, c uint64) (sum, carry uint64) {
 	u := a ^ b
 	return u ^ c, a&b | u&c
-}
-
-// reduce adds block b into the planes and empties it.
-func (z *laneSum) reduce(b int) {
-	x := &z.block[b]
-	clear(x[z.held[b]:])
-	z.held[b] = 0
-	var ones [5]uint64
-	var twos [8]uint64
-	var fours [4]uint64
-	for i := 0; i < 5; i++ { // 15 words → 5 ones, 5 twos
-		ones[i], twos[i] = csa(x[3*i], x[3*i+1], x[3*i+2])
-	}
-	ones[0], twos[5] = csa(ones[0], ones[1], ones[2])
-	ones[0], twos[6] = csa(ones[0], ones[3], ones[4])
-	ones[0], twos[7] = csa(ones[0], x[15], 0)
-	twos[0], fours[0] = csa(twos[0], twos[1], twos[2])
-	twos[1], fours[1] = csa(twos[3], twos[4], twos[5])
-	twos[0], fours[2] = csa(twos[0], twos[1], twos[6])
-	twos[0], fours[3] = csa(twos[0], twos[7], 0)
-	var eights [2]uint64
-	fours[0], eights[0] = csa(fours[0], fours[1], fours[2])
-	fours[0], eights[1] = csa(fours[0], fours[3], 0)
-	var sixteens uint64
-	eights[0], sixteens = csa(eights[0], eights[1], 0)
-	// The block's per-lane total, 0..16, is the five-plane number (ones[0],
-	// twos[0], fours[0], eights[0], sixteens): add it in at plane b.
-	z.addPlanes([]uint64{ones[0], twos[0], fours[0], eights[0], sixteens}, b)
 }
 
 // addPlanes adds 2^b times the bit-sliced number x (plane k of x holds bit
@@ -1647,11 +1591,9 @@ func (z *laneSum) addPlanes(x []uint64, b int) {
 	}
 }
 
-// lanes adds the partly filled blocks and gathers every lane's total, one
-// set bit of the planes at a time: a count fills a dozen planes at paper
-// scale, not 64.
+// lanes gathers every lane's total, one set bit of the planes at a time: a
+// count fills a dozen planes at paper scale, not 64.
 func (z *laneSum) lanes() (total [LaneWidth]uint64) {
-	z.flush()
 	for k, p := range z.planes {
 		for ; p != 0; p &= p - 1 {
 			total[bits.TrailingZeros64(p)] |= 1 << k
@@ -1671,7 +1613,7 @@ func (o *Outcome) materialize() {
 	ln := s.ln
 	at := Attack{Target: o.Target, Attacker: o.Attacker, SubPrefix: ln.subPrefix, Kind: ln.kind}
 	so := s.solveScenario(at, &ln.sc[o.lane])
-	o.nodes, o.epoch, o.pol, o.sc = so.nodes, so.epoch, so.pol, so.sc
+	o.nodes, o.epoch, o.pol, o.sc, o.weights = so.nodes, so.epoch, so.pol, so.sc, so.weights
 	s.stats.Materialized++
 }
 
@@ -1681,23 +1623,42 @@ func (o *Outcome) materialize() {
 // the alternative detection semantics studied as an ablation (the paper's
 // detectors trigger on routes their probe AS selects and re-exports).
 func ReceivedAttackerRoute(pol *Policy, o OutcomeView) []bool {
-	n := o.N()
-	received := make([]bool, n)
-	g := pol.Graph()
-	for v := 0; v < n; v++ {
-		if o.Origin(v) != OriginAttacker {
-			continue
-		}
-		cls := o.Class(v)
-		nbrs, rels := g.Neighbors(v)
-		for k, nb := range nbrs {
-			if int(nb) == int(o.NextHop(v)) {
-				continue // split horizon: never announced back to the next hop
-			}
-			if exportsTo(cls, rels[k]) {
-				received[nb] = true
-			}
-		}
+	received := make([]bool, o.N())
+	for p := range received {
+		class, _ := BestAttackerOffer(pol, o, p)
+		received[p] = class != ClassNone
 	}
 	return received
+}
+
+// BestAttackerOffer returns the best attacker-origin route node p was
+// offered in the converged state: the class it has at p (customer, peer or
+// provider, by who offers it) and its AS-path length there, the better
+// class first and then the shorter path; ClassNone when no neighbor offers
+// p one. A neighbor offers its selected route where the valley-free export
+// rule lets it (exportsTo), and never back to its own next hop (split
+// horizon).
+func BestAttackerOffer(pol *Policy, o OutcomeView, p int) (class RouteClass, dist int16) {
+	nbrs, rels := pol.g.Neighbors(p)
+	for k, nb := range nbrs {
+		v := int(nb)
+		if o.Origin(v) != OriginAttacker || o.NextHop(v) == int32(p) {
+			continue
+		}
+		// rels[k] is v's role from p's side; exportsTo asks for p's from v's.
+		offer, toP := ClassProvider, topology.RelCustomer
+		switch rels[k] {
+		case topology.RelCustomer:
+			offer, toP = ClassCustomer, topology.RelProvider
+		case topology.RelPeer:
+			offer, toP = ClassPeer, topology.RelPeer
+		}
+		if !exportsTo(o.Class(v), toP) {
+			continue
+		}
+		if d := o.Dist(v) + 1; class == ClassNone || offer < class || offer == class && d < dist {
+			class, dist = offer, d
+		}
+	}
+	return class, dist
 }

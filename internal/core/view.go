@@ -26,9 +26,10 @@ type OutcomeView interface {
 	// PollutedCount returns the number of polluted ASes.
 	PollutedCount() int
 	// PollutedWeight returns the number of polluted ASes and the sum of
-	// weights[i] over them, in one bulk pass (no per-node calls through
-	// the interface). A nil weights weighs every node 1.
-	PollutedWeight(weights []int64) (count int, weight int64)
+	// their address weights, those of the policy's graph
+	// (topology.Graph.AddrWeights; a graph without them weighs every node
+	// 1), in one bulk pass (no per-node calls through the interface).
+	PollutedWeight() (count int, weight int64)
 }
 
 // Both solve paths expose the measurement surface.

@@ -11,7 +11,6 @@ import (
 	"github.com/bgpsim/bgpsim/internal/detect"
 	"github.com/bgpsim/bgpsim/internal/recio"
 	"github.com/bgpsim/bgpsim/internal/sweep"
-	"github.com/bgpsim/bgpsim/internal/topology"
 	"github.com/bgpsim/bgpsim/internal/xmaps"
 )
 
@@ -330,50 +329,11 @@ func HoleStudy(cfg HoleConfig) Study[HoleRecord, *HoleResult] {
 // bogus route in the converged outcome.
 func explainMisses(w *World, o *core.Outcome, at core.Attack, def core.Defense, probes []int) map[MissReason]int {
 	reasons := make(map[MissReason]int)
-	g := w.Graph
 	for _, p := range probes {
 		if o.Origin(p) == core.OriginAttacker {
 			continue // triggered probes are not misses (cannot happen for holes)
 		}
-		// Find the best bogus offer the probe actually received: neighbors
-		// whose selected route leads to the attacker and whose export
-		// rules reach the probe.
-		bestClass := core.ClassNone
-		bestDist := int16(0)
-		nbrs, rels := g.Neighbors(p)
-		for k, nb := range nbrs {
-			v := int(nb)
-			if o.Origin(v) != core.OriginAttacker || int32(p) == o.NextHop(v) {
-				continue
-			}
-			// v exports to p if p is v's customer, or v's route is
-			// customer/origin class (valley-free export).
-			exported := false
-			switch rels[k] {
-			case topology.RelProvider: // v is p's provider → p is v's customer
-				exported = true
-			default:
-				exported = o.Class(v) == core.ClassOrigin || o.Class(v) == core.ClassCustomer
-			}
-			if !exported {
-				continue
-			}
-			// The class this offer would have at p.
-			var offerClass core.RouteClass
-			switch rels[k] {
-			case topology.RelCustomer:
-				offerClass = core.ClassCustomer
-			case topology.RelPeer:
-				offerClass = core.ClassPeer
-			default:
-				offerClass = core.ClassProvider
-			}
-			d := o.Dist(v) + 1
-			if bestClass == core.ClassNone || offerClass < bestClass ||
-				offerClass == bestClass && d < bestDist {
-				bestClass, bestDist = offerClass, d
-			}
-		}
+		bestClass, bestDist := core.BestAttackerOffer(w.Policy, o, p)
 		switch {
 		case bestClass == core.ClassNone:
 			reasons[MissNeverReached]++

@@ -16,8 +16,8 @@ var paper = flag.Bool("paper", false, "also run the paper-scale (42,697-AS) chec
 // 42,697-AS world with a 60-attacker sample (300 cells, the benchmark's
 // Figure 2 pass), each target's attackers solved as SolveLanes batches.
 // Every lane must give every node the HasRoute, Origin and Dist a scalar
-// Solver gives it on that cell, and the same pollution totals, unweighted
-// and under the address weights. It runs only with -paper.
+// Solver gives it on that cell, and the same pollution count, asked for
+// first, and address-weight total. It runs only with -paper.
 func TestPaperScaleLanesMatchSolver(t *testing.T) {
 	if !*paper {
 		t.Skip("paper-scale check: run with -paper")
@@ -30,7 +30,7 @@ func TestPaperScaleLanesMatchSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, weights := w.Graph.N(), w.Graph.AddrWeights()
+	n := w.Graph.N()
 	lanes, scalar := core.NewSolver(w.Policy), core.NewSolver(w.Policy)
 	cells := 0
 	for ti, tgt := range targets {
@@ -52,13 +52,14 @@ func TestPaperScaleLanesMatchSolver(t *testing.T) {
 							tgt.Node, a, v, got.HasRoute(v), got.Origin(v), got.Dist(v), want.HasRoute(v), want.Origin(v), want.Dist(v))
 					}
 				}
-				for _, wt := range [][]int64{nil, weights} {
-					gc, gw := got.PollutedWeight(wt)
-					wc, ww := want.PollutedWeight(wt)
-					if gc != wc || gw != ww {
-						t.Fatalf("target %d attacker %d: lane pollution (%d, %d), scalar (%d, %d), weighted=%v",
-							tgt.Node, a, gc, gw, wc, ww, wt != nil)
-					}
+				// The count first, which the batch tallies without the weights.
+				if gc, wc := got.PollutedCount(), want.PollutedCount(); gc != wc {
+					t.Fatalf("target %d attacker %d: lane counts %d polluted, scalar %d", tgt.Node, a, gc, wc)
+				}
+				gc, gw := got.PollutedWeight()
+				wc, ww := want.PollutedWeight()
+				if gc != wc || gw != ww {
+					t.Fatalf("target %d attacker %d: lane pollution (%d, %d), scalar (%d, %d)", tgt.Node, a, gc, gw, wc, ww)
 				}
 				cells++
 			}

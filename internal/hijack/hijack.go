@@ -94,12 +94,15 @@ func (r *Record) SetColumnValues(vals []uint64) {
 var _ sweep.ColumnarRecord = (*Record)(nil)
 
 // Measure compresses a transient outcome into a Record. totalWeight is
-// g.TotalAddrWeight(), hoisted by the caller so per-attack extraction
-// stays allocation-free. It accepts any converged view — a batch solve
-// and a delta repair of the same attack measure identically (the weight
-// accumulator is an integer, so the sum is order-free).
+// the solved graph's TotalAddrWeight(), hoisted by the caller so
+// per-attack extraction stays allocation-free. The outcome weighs its
+// polluted ASes by its own policy's graph, so Measure reads nothing of g,
+// which it keeps for the callers that pass it. It accepts any converged
+// view — a batch solve and a delta repair of the same attack measure
+// identically (the weight accumulator is an integer, so the sum is
+// order-free).
 func Measure(g *topology.Graph, totalWeight int64, o core.OutcomeView) Record {
-	count, weight := o.PollutedWeight(g.AddrWeights())
+	count, weight := o.PollutedWeight()
 	rec := Record{Pollution: count}
 	if totalWeight > 0 {
 		rec.WeightFrac = float64(weight) / float64(totalWeight)

@@ -8,6 +8,7 @@ import (
 	"github.com/bgpsim/bgpsim/internal/asn"
 	"github.com/bgpsim/bgpsim/internal/core"
 	"github.com/bgpsim/bgpsim/internal/ribcompare"
+	"github.com/bgpsim/bgpsim/internal/topology"
 )
 
 // Tests for the lane batching inside runShard: the runtime groups cells
@@ -30,12 +31,22 @@ type laneCell struct {
 // at cell 70 and of defense at cell 100.
 func laneMatrix(t testing.TB) (Matrix, func(g, k int, o *core.Outcome) laneCell) {
 	t.Helper()
-	pol, g := testPolicy(t, 300)
+	_, g := testPolicy(t, 300)
+	n := g.N()
+	// Multi-bit address weights, which the lane tally sums bit by bit.
+	b := topology.Clone(g)
+	for i := 0; i < n; i++ {
+		b.SetAddrWeight(g.ASN(i), int64(5+i%97))
+	}
+	g = b.Build()
+	pol, err := core.NewPolicy(g, tier1Of(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
 	polHigh, err := core.NewPolicy(g, tier1Of(t, g), core.WithPreferHighNextHop(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.N()
 	some := asn.NewIndexSet(n)
 	for i := 0; i < n; i += 4 {
 		some.Add(i)
@@ -71,13 +82,9 @@ func laneMatrix(t testing.TB) (Matrix, func(g, k int, o *core.Outcome) laneCell)
 			return at, def
 		},
 	}
-	weights := make([]int64, n)
-	for i := range weights {
-		weights[i] = int64(5 + i%97)
-	}
 	probe := n / 2
 	return m, func(_, _ int, o *core.Outcome) laneCell {
-		count, weight := o.PollutedWeight(weights)
+		count, weight := o.PollutedWeight()
 		return laneCell{Pollution: count, Weight: weight, Dist: o.Dist(probe), NextHop: o.NextHop(probe)}
 	}
 }
