@@ -90,7 +90,11 @@ type Alert struct {
 
 // Detector validates announcement streams against an origin oracle and
 // raises deduplicated alerts. It is safe for concurrent Process calls
-// (collector sessions run per-connection goroutines).
+// (collector sessions run per-connection goroutines). A detector built
+// over the collector's own RouteServer (route-server mode) does not
+// validate again: the collector hands it the Invalid prefixes its
+// boundary validation found. Any other detector, one over its own
+// rpki.Store for instance, validates each update through Process.
 type Detector struct {
 	validator rpki.OriginValidator
 	onAlert   func(Alert)
@@ -141,6 +145,24 @@ func (d *Detector) Process(tu TimedUpdate) {
 		if d.validator.Validate(p, origin) != rpki.Invalid {
 			continue
 		}
+		d.raise(tu, p, origin)
+	}
+}
+
+// validatesVia reports whether d validates through rs, so that rs's
+// verdicts are d's own.
+func (d *Detector) validatesVia(rs *RouteServer) bool {
+	return rs != nil && d.validator == rpki.OriginValidator(rs)
+}
+
+// raiseInvalid raises alerts for the prefixes of tu's announcement that
+// the detector's own validator already judged Invalid.
+func (d *Detector) raiseInvalid(tu TimedUpdate, invalid []prefix.Prefix) {
+	if len(invalid) == 0 {
+		return
+	}
+	origin, _ := tu.Update.OriginAS()
+	for _, p := range invalid {
 		d.raise(tu, p, origin)
 	}
 }

@@ -192,3 +192,96 @@ func TestCollectorLoadWindowRolls(t *testing.T) {
 	probe.Close()
 	<-errCh
 }
+
+// writeBatch sends n benign UPDATEs as one Write of concatenated frames,
+// which the collector's frame reader takes in one transport read: one
+// batch for the session loop.
+func writeBatch(t *testing.T, conn net.Conn, n int) {
+	t.Helper()
+	var buf []byte
+	for i := 0; i < n; i++ {
+		var err error
+		if buf, err = bgpwire.AppendMessage(buf, benignUpdate(100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(buf); err != nil {
+		t.Fatalf("batch write: %v", err)
+	}
+}
+
+// TestCollectorLoadShedMidBatch: UPDATEs that arrive in one read are
+// accounted together but decided one by one, so a batch that crosses
+// MaxLoad is neither dropped whole nor admitted whole.
+func TestCollectorLoadShedMidBatch(t *testing.T) {
+	// The crossing session is its own victim: the updates before the
+	// crossing one reach the validator, the crossing one is counted and
+	// dropped, the ones after it are never counted, and the peer gets a
+	// Cease.
+	t.Run("self", func(t *testing.T) {
+		var store rpki.Store
+		rs := NewRouteServer(&store)
+		c := &Collector{
+			LocalAS: 65535, RouterID: 1,
+			Clock:      tick.NewFake(),
+			MaxLoad:    5,
+			LoadWindow: time.Hour,
+			Validator:  rs,
+		}
+		probe, errCh := dialRaw(t, c, 65001)
+		defer probe.Close()
+		writeBatch(t, probe, 8)
+		msg, err := bgpwire.ReadMessage(probe)
+		if err != nil {
+			t.Fatalf("read shed NOTIFICATION: %v", err)
+		}
+		if n, ok := msg.(*bgpwire.Notification); !ok || n.Code != 6 {
+			t.Errorf("got %T %+v, want Cease NOTIFICATION", msg, msg)
+		}
+		if err := <-errCh; !errors.Is(err, ErrSessionShed) {
+			t.Errorf("session error = %v, want ErrSessionShed", err)
+		}
+		if obs := rs.Stats().Observed; obs != c.MaxLoad {
+			t.Errorf("validator observed %d announcements, want MaxLoad = %d", obs, c.MaxLoad)
+		}
+		if st := c.Stats(); st.Updates != c.MaxLoad+1 || st.LoadSheds != 1 {
+			t.Errorf("stats = %+v, want Updates %d (the crossing update counted) / LoadSheds 1", st, c.MaxLoad+1)
+		}
+	})
+
+	// A quieter session crosses MaxLoad mid-batch: the noisier session
+	// is shed and its conn closed, and the whole batch is admitted.
+	t.Run("other", func(t *testing.T) {
+		var store rpki.Store
+		rs := NewRouteServer(&store)
+		c := &Collector{
+			LocalAS: 65535, RouterID: 1,
+			Clock:      tick.NewFake(),
+			MaxLoad:    5,
+			LoadWindow: time.Hour,
+			Validator:  rs,
+		}
+		loud, loudErr := dialRaw(t, c, 65001)
+		quiet, quietErr := dialRaw(t, c, 65002)
+		defer loud.Close()
+		writeBatch(t, loud, 4)
+		waitFor(t, "loud batch accounted", func() bool { return rs.Stats().Observed == 4 })
+		writeBatch(t, quiet, 3)
+		select {
+		case err := <-loudErr:
+			if !errors.Is(err, ErrSessionShed) {
+				t.Errorf("loud session error = %v, want ErrSessionShed", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("loud session never shed")
+		}
+		waitFor(t, "quiet batch validated", func() bool { return rs.Stats().Observed == 7 })
+		if st := c.Stats(); st.Updates != 7 || st.LoadSheds != 1 {
+			t.Errorf("stats = %+v, want Updates 7 / LoadSheds 1", st)
+		}
+		quiet.Close()
+		if err := <-quietErr; errors.Is(err, ErrSessionShed) {
+			t.Errorf("quiet session error = %v, want no shed", err)
+		}
+	})
+}

@@ -19,10 +19,11 @@ import (
 // per-probe validation, because RFC 6811 validation is a pure function
 // of prefix and origin.
 //
-// RouteServer is itself an rpki.OriginValidator, so a Detector built
-// over it shares the memo: set it as both Collector.Validator (boundary
-// accounting) and the detector's validator (alerting) to run the full
-// route-server mode.
+// RouteServer is itself an rpki.OriginValidator. Set it as both
+// Collector.Validator and the detector's validator to run the full
+// route-server mode: each session then validates an update's prefixes
+// once, under one lock acquisition, and hands the detector the Invalid
+// ones, so the detector never asks the memo a second time.
 type RouteServer struct {
 	validator rpki.OriginValidator
 
@@ -36,7 +37,10 @@ type routeKey struct {
 	origin asn.ASN
 }
 
-// RouteServerStats counts the boundary validator's work.
+// RouteServerStats counts the boundary validator's work. When only the
+// collector consults the RouteServer (route-server mode, or a detector
+// with its own validator), every observed announcement is one memo
+// query: Hits + Lookups == Observed.
 type RouteServerStats struct {
 	// Lookups counts underlying validator calls — one per distinct
 	// (prefix, origin) pair ever observed.
@@ -60,38 +64,52 @@ func NewRouteServer(v rpki.OriginValidator) *RouteServer {
 // underlying validator only on the first sight of the pair.
 func (rs *RouteServer) Validate(p prefix.Prefix, origin asn.ASN) rpki.Validity {
 	rs.mu.Lock()
-	if v, ok := rs.cache[routeKey{p, origin}]; ok {
-		rs.stats.Hits++
-		rs.mu.Unlock()
-		return v
-	}
-	// The trie lookup runs under mu: the underlying store is not
-	// guaranteed concurrency-safe, and the collector already serializes
-	// sessions through the detector mutex at comparable cost.
-	v := rs.validator.Validate(p, origin)
-	rs.cache[routeKey{p, origin}] = v
-	rs.stats.Lookups++
+	v := rs.validateLocked(p, origin)
 	rs.mu.Unlock()
 	return v
 }
 
+// validateLocked is Validate with rs.mu held. The trie lookup runs under
+// mu: the underlying store is not guaranteed concurrency-safe.
+func (rs *RouteServer) validateLocked(p prefix.Prefix, origin asn.ASN) rpki.Validity {
+	key := routeKey{p, origin}
+	if v, ok := rs.cache[key]; ok {
+		rs.stats.Hits++
+		return v
+	}
+	v := rs.validator.Validate(p, origin)
+	rs.cache[key] = v
+	rs.stats.Lookups++
+	return v
+}
+
 // Observe validates every prefix one update announces, counting Invalid
-// verdicts — the per-announcement accounting HandleSession drives when
-// the collector runs in route-server mode.
+// verdicts — the per-announcement accounting a collector session runs
+// in route-server mode.
 func (rs *RouteServer) Observe(peer asn.ASN, u *bgpwire.Update) {
+	rs.observe(nil, u)
+}
+
+// observe is Observe for a session: it validates all of u's prefixes
+// under one lock acquisition and appends the Invalid ones to invalid,
+// which it returns.
+//
+//bgplint:hotpath the validation loop runs once per announced prefix
+func (rs *RouteServer) observe(invalid []prefix.Prefix, u *bgpwire.Update) []prefix.Prefix {
 	origin, ok := u.OriginAS()
 	if !ok {
-		return // withdrawals carry no origin
+		return invalid // withdrawals carry no origin
 	}
+	rs.mu.Lock()
 	for _, p := range u.NLRI {
-		v := rs.Validate(p, origin)
-		rs.mu.Lock()
-		rs.stats.Observed++
-		if v == rpki.Invalid {
+		if rs.validateLocked(p, origin) == rpki.Invalid {
 			rs.stats.Invalid++
+			invalid = append(invalid, p)
 		}
-		rs.mu.Unlock()
 	}
+	rs.stats.Observed += len(u.NLRI)
+	rs.mu.Unlock()
+	return invalid
 }
 
 // Stats returns a snapshot of the boundary validator's counters.

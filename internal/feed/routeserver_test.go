@@ -1,6 +1,7 @@
 package feed
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
@@ -10,47 +11,73 @@ import (
 	"github.com/bgpsim/bgpsim/internal/tick"
 )
 
-// TestRouteServerMemoizes: in route-server mode the collector validates
-// each distinct (prefix, origin) pair exactly once, however many peers
-// announce it — and the detector's alert set is identical to per-probe
-// validation over the same stream.
-func TestRouteServerMemoizes(t *testing.T) {
-	var store rpki.Store
-	if err := store.Add(rpki.ROA{Prefix: prefix.MustParse("10.0.0.0/16"), MaxLength: 24, Origin: 100}); err != nil {
+// routeServerStream is the stream both route-server tests replay: two
+// peers each announce the same valid route and the same sub-prefix
+// hijack of a ROA-covered /16.
+type routeServerStream struct {
+	store         rpki.Store
+	valid, hijack *bgpwire.Update
+	peers         []asn.ASN
+}
+
+func newRouteServerStream(t *testing.T) *routeServerStream {
+	t.Helper()
+	s := &routeServerStream{
+		valid: &bgpwire.Update{
+			Origin: bgpwire.OriginIGP, ASPath: []asn.ASN{65010, 100}, NextHop: 1,
+			NLRI: []prefix.Prefix{prefix.MustParse("10.0.0.0/16")},
+		},
+		hijack: &bgpwire.Update{
+			Origin: bgpwire.OriginIGP, ASPath: []asn.ASN{65010, 666}, NextHop: 1,
+			NLRI: []prefix.Prefix{prefix.MustParse("10.0.1.0/24")},
+		},
+		peers: []asn.ASN{65001, 65002},
+	}
+	if err := s.store.Add(rpki.ROA{Prefix: prefix.MustParse("10.0.0.0/16"), MaxLength: 24, Origin: 100}); err != nil {
 		t.Fatal(err)
 	}
-	rs := NewRouteServer(&store)
-	det := NewDetector(rs, nil)
+	return s
+}
+
+// detector builds a detector over v that knows the stream's published
+// prefix.
+func (s *routeServerStream) detector(v rpki.OriginValidator) *Detector {
+	det := NewDetector(v, nil)
 	det.NotePublished(prefix.MustParse("10.0.0.0/16"))
-	c := &Collector{
-		LocalAS: 65535, RouterID: 1,
-		Clock:     tick.NewFake(),
-		Validator: rs,
-		Detector:  det,
-	}
+	return det
+}
 
-	valid := &bgpwire.Update{
-		Origin: bgpwire.OriginIGP, ASPath: []asn.ASN{65010, 100}, NextHop: 1,
-		NLRI: []prefix.Prefix{prefix.MustParse("10.0.0.0/16")},
-	}
-	hijack := &bgpwire.Update{
-		Origin: bgpwire.OriginIGP, ASPath: []asn.ASN{65010, 666}, NextHop: 1,
-		NLRI: []prefix.Prefix{prefix.MustParse("10.0.1.0/24")},
-	}
-
-	// Two peers each announce the same valid route and the same hijack.
-	for _, as := range []asn.ASN{65001, 65002} {
+// replay sends the stream through c, one session per peer.
+func (s *routeServerStream) replay(t *testing.T, c *Collector) {
+	t.Helper()
+	for _, as := range s.peers {
 		probe, errCh := dialRaw(t, c, as)
-		if err := bgpwire.WriteMessage(probe, valid); err != nil {
+		if err := bgpwire.WriteMessage(probe, s.valid); err != nil {
 			t.Fatal(err)
 		}
-		if err := bgpwire.WriteMessage(probe, hijack); err != nil {
+		if err := bgpwire.WriteMessage(probe, s.hijack); err != nil {
 			t.Fatal(err)
 		}
 		probe.Close()
 		<-errCh
 	}
+}
 
+// wantDigest is the alert-set digest of per-probe validation over the
+// stream.
+func (s *routeServerStream) wantDigest() [32]byte {
+	ref := s.detector(&s.store)
+	for _, as := range s.peers {
+		ref.Process(TimedUpdate{Time: 1, PeerAS: as, Update: s.valid})
+		ref.Process(TimedUpdate{Time: 1, PeerAS: as, Update: s.hijack})
+	}
+	return AlertSetDigest(ref.Alerts())
+}
+
+// requireBoundaryStats checks the boundary validator's counters after
+// one replay: each announcement is one memo query.
+func requireBoundaryStats(t *testing.T, rs *RouteServer) {
+	t.Helper()
 	st := rs.Stats()
 	if st.Lookups != 2 {
 		t.Errorf("Lookups = %d, want 2: one per distinct (prefix, origin) pair", st.Lookups)
@@ -58,9 +85,29 @@ func TestRouteServerMemoizes(t *testing.T) {
 	if st.Observed != 4 || st.Invalid != 2 {
 		t.Errorf("stats = %+v, want Observed 4 / Invalid 2", st)
 	}
-	if st.Hits < 2 {
-		t.Errorf("Hits = %d, want ≥ 2 (repeat announcements served from the memo)", st.Hits)
+	if st.Hits != st.Observed-st.Lookups {
+		t.Errorf("Hits = %d, want Observed − Lookups = %d: each announcement is validated once", st.Hits, st.Observed-st.Lookups)
 	}
+}
+
+// TestRouteServerMemoizes: in route-server mode the collector validates
+// each distinct (prefix, origin) pair exactly once, however many peers
+// announce it, and each announcement exactly once — the detector raises
+// from the boundary's verdicts without asking the memo again — and the
+// detector's alert set is identical to per-probe validation over the
+// same stream.
+func TestRouteServerMemoizes(t *testing.T) {
+	s := newRouteServerStream(t)
+	rs := NewRouteServer(&s.store)
+	det := s.detector(rs)
+	s.replay(t, &Collector{
+		LocalAS: 65535, RouterID: 1,
+		Clock:     tick.NewFake(),
+		Validator: rs,
+		Detector:  det,
+	})
+
+	requireBoundaryStats(t, rs)
 	alerts := det.Alerts()
 	if len(alerts) != 1 {
 		t.Fatalf("alerts = %d, want exactly 1 (deduplicated)", len(alerts))
@@ -68,15 +115,43 @@ func TestRouteServerMemoizes(t *testing.T) {
 	if alerts[0].Reason != ReasonSubPrefix || alerts[0].Origin != 666 {
 		t.Errorf("alert = %+v, want subprefix-hijack by 666", alerts[0])
 	}
-
-	// Per-probe validation over the same stream yields the same digest.
-	ref := NewDetector(&store, nil)
-	ref.NotePublished(prefix.MustParse("10.0.0.0/16"))
-	for _, as := range []asn.ASN{65001, 65002} {
-		ref.Process(TimedUpdate{Time: 1, PeerAS: as, Update: valid})
-		ref.Process(TimedUpdate{Time: 1, PeerAS: as, Update: hijack})
-	}
-	if AlertSetDigest(det.Alerts()) != AlertSetDigest(ref.Alerts()) {
+	if AlertSetDigest(alerts) != s.wantDigest() {
 		t.Error("route-server alert digest differs from per-probe validation")
+	}
+}
+
+// countingValidator counts the calls it passes on.
+type countingValidator struct {
+	v     rpki.OriginValidator
+	calls atomic.Int64
+}
+
+func (cv *countingValidator) Validate(p prefix.Prefix, origin asn.ASN) rpki.Validity {
+	cv.calls.Add(1)
+	return cv.v.Validate(p, origin)
+}
+
+// TestRouteServerBesideOwnValidator: a detector over its own validator,
+// beside a RouteServer at the collector boundary, still validates every
+// announcement itself through Process and raises the same alert set,
+// while the boundary keeps its own accounting.
+func TestRouteServerBesideOwnValidator(t *testing.T) {
+	s := newRouteServerStream(t)
+	rs := NewRouteServer(&s.store)
+	own := &countingValidator{v: &s.store}
+	det := s.detector(own)
+	s.replay(t, &Collector{
+		LocalAS: 65535, RouterID: 1,
+		Clock:     tick.NewFake(),
+		Validator: rs,
+		Detector:  det,
+	})
+
+	requireBoundaryStats(t, rs)
+	if n := own.calls.Load(); n != 4 {
+		t.Errorf("detector's own validator ran %d times, want 4: once per announcement", n)
+	}
+	if AlertSetDigest(det.Alerts()) != s.wantDigest() {
+		t.Error("alert digest with the detector's own validator differs from per-probe validation")
 	}
 }

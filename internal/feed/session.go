@@ -8,6 +8,7 @@ import (
 
 	"github.com/bgpsim/bgpsim/internal/bgpwire"
 	"github.com/bgpsim/bgpsim/internal/mrt"
+	"github.com/bgpsim/bgpsim/internal/prefix"
 	"github.com/bgpsim/bgpsim/internal/tick"
 )
 
@@ -127,8 +128,30 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 
 	var seq uint32
 	malformed := 0
-	// handle processes one reader event; done ends the session with err
-	// (nil for a clean close).
+	// In route-server mode the detector validates through the
+	// collector's own RouteServer, so the Invalid prefixes observe
+	// reports are its verdicts too: it raises from them instead of
+	// asking the memo again.
+	shared := c.Detector != nil && c.Detector.validatesVia(c.Validator)
+	var invalid []prefix.Prefix
+	// accept hands one admitted UPDATE to recording, validation and
+	// detection.
+	accept := func(m *bgpwire.Update) {
+		seq++
+		c.record(open, m, seq)
+		tu := TimedUpdate{Time: seq, PeerAS: open.AS, Update: m}
+		if c.Validator != nil {
+			invalid = c.Validator.observe(invalid[:0], m)
+		}
+		switch {
+		case shared:
+			c.Detector.raiseInvalid(tu, invalid)
+		case c.Detector != nil:
+			c.Detector.Process(tu)
+		}
+	}
+	// handle processes one reader event other than an UPDATE; done ends
+	// the session with err (nil for a clean close).
 	handle := func(rr readResult) (done bool, err error) {
 		if rr.err != nil {
 			// A read error on a conn that load shedding closed is the
@@ -153,22 +176,7 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 			}
 			return false, nil
 		}
-		switch m := rr.msg.(type) {
-		case *bgpwire.Update:
-			if c.noteUpdate(conn) {
-				// This session is the load-shed victim: the crossing
-				// update is dropped, the peer gets a Cease.
-				_ = bgpwire.WriteMessageDeadline(conn, &bgpwire.Notification{Code: 6 /* cease */}, writeDeadline())
-				return true, fmt.Errorf("collector: session with %v: %w", open.AS, ErrSessionShed)
-			}
-			seq++
-			c.record(open, m, seq)
-			if c.Validator != nil {
-				c.Validator.Observe(open.AS, m)
-			}
-			if c.Detector != nil {
-				c.Detector.Process(TimedUpdate{Time: seq, PeerAS: open.AS, Update: m})
-			}
+		switch rr.msg.(type) {
 		case bgpwire.Keepalive:
 			// Its arrival refreshed the hold timer; nothing else to do.
 		case *bgpwire.Notification:
@@ -188,10 +196,29 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 			if hold > 0 && batch[0].err == nil {
 				tick.Rearm(holdT, hold)
 			}
-			for _, rr := range batch {
-				if done, err := handle(rr); done {
-					return err
+			for len(batch) > 0 {
+				n := leadingUpdates(batch)
+				if n == 0 {
+					if done, err := handle(batch[0]); done {
+						return err
+					}
+					batch = batch[1:]
+					continue
 				}
+				// One lock and one clock reading account the whole run;
+				// the decision is still made update by update.
+				admitted, shedSelf := c.noteUpdates(conn, n)
+				for _, rr := range batch[:admitted] {
+					accept(rr.msg.(*bgpwire.Update))
+				}
+				if shedSelf {
+					// This session is the load-shed victim: the update
+					// that found it shed is dropped, the peer gets a
+					// Cease.
+					_ = bgpwire.WriteMessageDeadline(conn, &bgpwire.Notification{Code: 6 /* cease */}, writeDeadline())
+					return fmt.Errorf("collector: session with %v: %w", open.AS, ErrSessionShed)
+				}
+				batch = batch[n:]
 			}
 		case <-kaC:
 			if err := bgpwire.WriteMessageDeadline(conn, bgpwire.Keepalive{}, writeDeadline()); err != nil {
@@ -207,6 +234,17 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 			return fmt.Errorf("collector: session with %v: hold timer expired", open.AS)
 		}
 	}
+}
+
+// leadingUpdates counts the UPDATEs that open batch, up to its first
+// other result: the run the collector accounts in one critical section.
+func leadingUpdates(batch []readResult) int {
+	for i, rr := range batch {
+		if _, ok := rr.msg.(*bgpwire.Update); !ok {
+			return i
+		}
+	}
+	return len(batch)
 }
 
 // record logs one update to the MRT recorder, degrading to a counted,

@@ -126,12 +126,16 @@ type Collector struct {
 	// collector. 0 disables load shedding.
 	MaxLoad int
 	// LoadWindow is the read-rate accounting window; 0 means
-	// DefaultLoadWindow.
+	// DefaultLoadWindow. Sessions read the clock once per run of UPDATEs
+	// a transport read delivered, so a window rolls between batches.
 	LoadWindow time.Duration
 	// Validator, when non-nil, puts the collector in route-server mode:
-	// every announced (prefix, origin) pair is origin-validated once at
-	// the collector boundary — the IXP middlebox model — instead of by
-	// each probe. See RouteServer.
+	// every announcement is origin-validated once, at the collector
+	// boundary — the IXP middlebox model — instead of by each probe.
+	// A Detector built over this same RouteServer raises its alerts
+	// from those verdicts without validating again; a Detector over
+	// any other validator still validates each update itself. See
+	// RouteServer.
 	Validator *RouteServer
 	// Logf, when non-nil, receives operational log lines (degraded
 	// mode, reaped peers).
@@ -283,14 +287,21 @@ func (c *Collector) loadWindow() time.Duration {
 	return DefaultLoadWindow
 }
 
-// noteUpdate accounts one received UPDATE against the session's window
-// and the global MaxLoad threshold. Crossing the threshold sheds the
-// noisiest unshed session of the window (earliest-registered on ties):
-// its conn is closed here — never a blocking write under mu — and its
-// session loop translates the resulting read error into ErrSessionShed.
-// The return reports whether conn's own session is now shed, so the
-// caller stops processing and closes with a Cease of its own.
-func (c *Collector) noteUpdate(conn io.Closer) (shedSelf bool) {
+// noteUpdates accounts a run of n UPDATEs one session received in one
+// read batch, under one critical section and one clock reading, while
+// deciding each update on its own against the session's window and the
+// global MaxLoad threshold. Crossing the threshold sheds the noisiest
+// unshed session of the window (earliest-registered on ties): its conn
+// is closed here — never a blocking write under mu — and its session
+// loop translates the resulting read error into ErrSessionShed. The
+// first admitted of the n updates pass on to detection. shedSelf
+// reports that conn's own session is now shed: the update right after
+// the admitted ones found it so, is counted like every update received,
+// and is dropped; the caller stops processing and closes with a Cease
+// of its own.
+//
+//bgplint:hotpath the decision loop runs once per received UPDATE
+func (c *Collector) noteUpdates(conn io.Closer, n int) (admitted int, shedSelf bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.clock().Now()
@@ -303,12 +314,25 @@ func (c *Collector) noteUpdate(conn io.Closer) (shedSelf bool) {
 	}
 	l := c.loads[conn]
 	if l == nil {
-		return false
+		return n, false
 	}
-	l.window++
-	l.total++
-	c.windowCount++
-	c.stats.Updates++
+	for ; admitted < n; admitted++ {
+		l.window++
+		l.total++
+		c.windowCount++
+		c.stats.Updates++
+		if c.shedFor(l) {
+			return admitted, true
+		}
+	}
+	return n, false
+}
+
+// shedFor decides the update just counted against l, with c.mu held: it
+// reports whether l's session is shed — earlier, or now because this
+// update crossed MaxLoad and l is the noisiest session of the window.
+// When another session is the victim, its conn is closed here.
+func (c *Collector) shedFor(l *sessLoad) bool {
 	if l.shed {
 		return true
 	}

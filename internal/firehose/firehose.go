@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
@@ -135,7 +136,16 @@ type Engine struct {
 	conns   map[io.Closer]struct{}
 	closing bool
 	runErr  error
-	stats   Stats
+	stats   Stats // the once-per-input counters; see updates
+
+	// updates and ribRoutes are Stats.Updates and Stats.RIBRoutes,
+	// counted once per dispatched update without taking mu.
+	updates, ribRoutes atomic.Int64
+	// route is the dispatcher's own peer → runner map. loadRIB and
+	// replayUpdates run one after the other on Run's goroutine, the
+	// only one that touches it, so it needs no lock: runnerFor and its
+	// mutex run on a peer's first sight only.
+	route map[asn.ASN]*feed.ProbeRunner
 
 	wg sync.WaitGroup
 }
@@ -147,6 +157,7 @@ func New(cfg Config) *Engine {
 		clock:  tick.Or(cfg.Clock),
 		slotOf: make(map[asn.ASN]int),
 		conns:  make(map[io.Closer]struct{}),
+		route:  make(map[asn.ASN]*feed.ProbeRunner),
 	}
 }
 
@@ -156,7 +167,8 @@ func (e *Engine) logf(format string, args ...any) {
 	}
 }
 
-// bump applies one counter mutation under the engine mutex.
+// bump applies one counter mutation under the engine mutex; the
+// per-update counters are atomics instead.
 func (e *Engine) bump(f func(*Stats)) {
 	e.mu.Lock()
 	f(&e.stats)
@@ -169,6 +181,8 @@ func (e *Engine) collect() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.stats
+	s.Updates = int(e.updates.Load())
+	s.RIBRoutes = int(e.ribRoutes.Load())
 	s.Peers = len(e.peers)
 	s.Sessions = len(e.runners)
 	for _, r := range e.runners {
@@ -284,6 +298,17 @@ func (e *Engine) runnerFor(ctx context.Context, peer asn.ASN) *feed.ProbeRunner 
 	return r
 }
 
+// dispatch enqueues u on peer's session runner and counts it.
+func (e *Engine) dispatch(ctx context.Context, peer asn.ASN, u *bgpwire.Update) {
+	r := e.route[peer]
+	if r == nil {
+		r = e.runnerFor(ctx, peer)
+		e.route[peer] = r
+	}
+	r.Enqueue(u)
+	e.updates.Add(1)
+}
+
 // stopRequested reports whether cfg.Stop has been closed.
 func (e *Engine) stopRequested() bool {
 	if e.cfg.Stop == nil {
@@ -345,14 +370,13 @@ func (e *Engine) loadRIB(ctx context.Context) error {
 				if int(entry.PeerIndex) >= len(pit.Peers) {
 					return fmt.Errorf("firehose: RIB entry references peer %d of %d", entry.PeerIndex, len(pit.Peers))
 				}
-				peer := pit.Peers[entry.PeerIndex]
-				e.runnerFor(ctx, peer.AS).Enqueue(&bgpwire.Update{
+				e.dispatch(ctx, pit.Peers[entry.PeerIndex].AS, &bgpwire.Update{
 					Origin:  entry.Origin,
 					ASPath:  append([]asn.ASN(nil), entry.ASPath...),
 					NextHop: entry.NextHop,
 					NLRI:    []prefix.Prefix{v.Prefix},
 				})
-				e.bump(func(s *Stats) { s.RIBRoutes++; s.Updates++ })
+				e.ribRoutes.Add(1)
 			}
 		}
 	}
@@ -410,8 +434,7 @@ func (e *Engine) replayUpdates(ctx context.Context) error {
 		}
 		lastTS = m.Timestamp
 		first = false
-		e.runnerFor(ctx, m.PeerAS).Enqueue(u)
-		e.bump(func(s *Stats) { s.Updates++ })
+		e.dispatch(ctx, m.PeerAS, u)
 	}
 }
 

@@ -237,6 +237,9 @@ func (e *ErrMalformedRecord) Unwrap() error { return e.Err }
 // the caller may keep reading. Truncation and budget exhaustion are not
 // skippable.
 func Skippable(err error) bool {
+	if err == nil {
+		return false // before the targets below, which escape
+	}
 	var unknown *ErrUnknownRecord
 	var unsupported *ErrUnsupportedRecord
 	var malformed *ErrMalformedRecord

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
@@ -182,5 +183,38 @@ func TestMalformedBodiesStillSpendBudget(t *testing.T) {
 			return
 		}
 		t.Fatalf("after %d malformed records: %v, want ErrBudgetExhausted", malformed, err)
+	}
+}
+
+// TestSkippableVerdicts: Skippable allocates nothing for the nil error
+// every intact record comes back with, and keeps its verdict on each
+// typed error, wrapped or not.
+func TestSkippableVerdicts(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() { _ = mrt.Skippable(nil) }); got != 0 {
+		t.Errorf("Skippable(nil) allocates %v objects, want 0", got)
+	}
+	for _, tc := range []struct {
+		err  error
+		want bool
+	}{
+		{nil, false},
+		{&mrt.ErrUnknownRecord{Type: 99}, true},
+		{&mrt.ErrUnsupportedRecord{Type: mrt.TypeTableDumpV2, Subtype: 4}, true},
+		{&mrt.ErrMalformedRecord{Type: mrt.TypeBGP4MP, Err: io.ErrUnexpectedEOF}, true},
+		{mrt.ErrTruncated, false},
+		{mrt.ErrBudgetExhausted, false},
+		{io.EOF, false},
+		{errors.New("mrt: something else"), false},
+	} {
+		if got := mrt.Skippable(tc.err); got != tc.want {
+			t.Errorf("Skippable(%v) = %v, want %v", tc.err, got, tc.want)
+		}
+		if tc.err == nil {
+			continue
+		}
+		wrapped := fmt.Errorf("replay: %w", tc.err)
+		if got := mrt.Skippable(wrapped); got != tc.want {
+			t.Errorf("Skippable(%v) = %v, want %v", wrapped, got, tc.want)
+		}
 	}
 }
