@@ -56,12 +56,17 @@ worktree-check:
 # at two fixed seeds must produce the exact alert set of a fault-free
 # run — under the race detector, since reconnect storms are the
 # concurrency stress of record. The firehose soak replays the checked-in
-# MRT incident fixture through the same weather.
+# MRT incident fixture through the same weather. The last line repeats
+# the tests where the wire-byte paths share memory across goroutines —
+# a batch in flight beside a shed compacting the runner's table behind
+# it, and a reused decode batch beside the session loop reading the
+# other — which race only under contention.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/ -args -chaos.seed=1
 	$(GO) test -race -count=1 ./internal/chaos/ -args -chaos.seed=7
 	$(GO) test -race -count=1 ./internal/firehose/ -run ChaosSoak -args -firehose.seed=1
 	$(GO) test -race -count=1 ./internal/firehose/ -run ChaosSoak -args -firehose.seed=42
+	$(GO) test -race -count=20 -run 'BatchPinnedAgainstShedding|EnqueueShedOldest|RunnerAccountsEveryUpdate|LoadShedMidBatch|ReplayStalledCollectorBounded|CollectorEndToEnd' ./internal/feed ./internal/firehose
 
 # Replay the checked-in incident fixture end to end through cmd/mrtreplay
 # and compare the alert-set digest to the pinned value.

@@ -219,8 +219,7 @@ func run() error {
 		}
 		byPeer[tu.PeerAS] = append(byPeer[tu.PeerAS], tu.Update)
 	}
-	var wg sync.WaitGroup
-	runErrs := make(chan error, len(order))
+	runners := make([]*feed.ProbeRunner, len(order))
 	for i, peer := range order {
 		r := &feed.ProbeRunner{
 			AS: peer, RouterID: peer.Uint32(),
@@ -234,8 +233,15 @@ func run() error {
 			Logf: logf,
 		}
 		for _, u := range byPeer[peer] {
-			r.Enqueue(u)
+			if err := r.Enqueue(u); err != nil {
+				return err
+			}
 		}
+		runners[i] = r
+	}
+	var wg sync.WaitGroup
+	runErrs := make(chan error, len(runners))
+	for _, r := range runners {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

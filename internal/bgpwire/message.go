@@ -9,7 +9,9 @@ package bgpwire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
 	"github.com/bgpsim/bgpsim/internal/prefix"
@@ -240,29 +242,38 @@ func errPrefixLen(l uint8) error {
 }
 
 // Unmarshal decodes one full BGP message (header included) and returns the
-// payload as *Open, *Update, *Notification or Keepalive.
+// payload as *Open, *Update, *Notification or Keepalive. The result is
+// fresh and the caller's: nothing in it aliases data or any earlier
+// result.
 func Unmarshal(data []byte) (any, error) {
-	if len(data) < HeaderLen {
-		return nil, fmt.Errorf("bgpwire: short message (%d bytes)", len(data))
-	}
-	for i := 0; i < markerLen; i++ {
-		if data[i] != 0xff {
-			return nil, fmt.Errorf("bgpwire: bad marker at byte %d", i)
-		}
-	}
-	total := int(binary.BigEndian.Uint16(data[16:18]))
-	if total < HeaderLen || total > MaxMessageLen {
-		return nil, fmt.Errorf("bgpwire: invalid length %d", total)
-	}
-	if total != len(data) {
-		return nil, fmt.Errorf("bgpwire: length field %d != buffer %d", total, len(data))
+	return UnmarshalInto(data, nil)
+}
+
+// UnmarshalInto is Unmarshal with an UPDATE decoded into caller storage:
+// when data is an UPDATE and u is non-nil, every field of u is
+// overwritten — nothing of the message u held before survives — its
+// Withdrawn, ASPath and NLRI reuse their backing arrays, and the result
+// is u itself, so a caller that keeps u across messages decodes UPDATEs
+// without allocating. Nothing in u aliases data. Other message types,
+// and any UPDATE when u is nil, come back fresh as from Unmarshal. After
+// an error u holds no meaningful message.
+func UnmarshalInto(data []byte, u *Update) (any, error) {
+	typ, err := FrameType(data)
+	if err != nil {
+		return nil, err
 	}
 	body := data[HeaderLen:]
-	switch data[18] {
+	switch typ {
 	case TypeOpen:
 		return unmarshalOpen(body)
 	case TypeUpdate:
-		return unmarshalUpdate(body)
+		if u == nil {
+			u = &Update{}
+		}
+		if err := u.unmarshal(body); err != nil {
+			return nil, err
+		}
+		return u, nil
 	case TypeNotification:
 		if len(body) < 2 {
 			return nil, fmt.Errorf("bgpwire: short NOTIFICATION")
@@ -274,8 +285,30 @@ func Unmarshal(data []byte) (any, error) {
 		}
 		return Keepalive{}, nil
 	default:
-		return nil, fmt.Errorf("bgpwire: unknown message type %d", data[18])
+		return nil, fmt.Errorf("bgpwire: unknown message type %d", typ)
 	}
+}
+
+// FrameType checks the header of one full BGP message — the marker, and
+// a length field that is legal and equal to len(data) — and returns the
+// message type. It decodes nothing past the header.
+func FrameType(data []byte) (uint8, error) {
+	if len(data) < HeaderLen {
+		return 0, fmt.Errorf("bgpwire: short message (%d bytes)", len(data))
+	}
+	for i := 0; i < markerLen; i++ {
+		if data[i] != 0xff {
+			return 0, errMarker(i)
+		}
+	}
+	total := int(binary.BigEndian.Uint16(data[16:18]))
+	if total < HeaderLen || total > MaxMessageLen {
+		return 0, fmt.Errorf("bgpwire: invalid length %d", total)
+	}
+	if total != len(data) {
+		return 0, fmt.Errorf("bgpwire: length field %d != buffer %d", total, len(data))
+	}
+	return data[18], nil
 }
 
 func unmarshalOpen(body []byte) (*Open, error) {
@@ -307,72 +340,106 @@ func unmarshalOpen(body []byte) (*Open, error) {
 	return o, nil
 }
 
-func unmarshalUpdate(body []byte) (*Update, error) {
-	u := &Update{}
+// Decode errors. The ones a hotpath loop returns are values or built by
+// a function, so no loop body formats.
+var (
+	errShortUpdate     = errors.New("bgpwire: short UPDATE")
+	errWithdrawnLen    = errors.New("bgpwire: UPDATE withdrawn length overruns")
+	errAttrLen         = errors.New("bgpwire: UPDATE attribute length overruns")
+	errNoASPath        = errors.New("bgpwire: UPDATE announces routes without AS_PATH")
+	errTruncatedAttr   = errors.New("bgpwire: truncated path attribute")
+	errTruncatedExtLen = errors.New("bgpwire: truncated extended attribute")
+	errOrigin          = errors.New("bgpwire: malformed ORIGIN")
+	errNextHop         = errors.New("bgpwire: malformed NEXT_HOP")
+	errTruncatedSeg    = errors.New("bgpwire: truncated AS_PATH segment")
+	errSegOverrun      = errors.New("bgpwire: AS_PATH segment overruns")
+	errTruncatedNLRI   = errors.New("bgpwire: truncated NLRI")
+)
+
+func errMarker(i int) error { return fmt.Errorf("bgpwire: bad marker at byte %d", i) }
+
+func errAttrOverrun(typ uint8) error {
+	return fmt.Errorf("bgpwire: attribute %d overruns message", typ)
+}
+
+func errSegType(t uint8) error { return fmt.Errorf("bgpwire: unknown AS_PATH segment type %d", t) }
+
+func errNLRILen(l uint8) error { return fmt.Errorf("bgpwire: NLRI length %d invalid", l) }
+
+func errHostBits(p prefix.Prefix) error {
+	return fmt.Errorf("bgpwire: NLRI %v has host bits set", p)
+}
+
+// unmarshal decodes an UPDATE body into u, overwriting every field and
+// reusing the storage of its slices.
+func (u *Update) unmarshal(body []byte) error {
+	*u = Update{Withdrawn: u.Withdrawn[:0], ASPath: u.ASPath[:0], NLRI: u.NLRI[:0]}
 	if len(body) < 2 {
-		return nil, fmt.Errorf("bgpwire: short UPDATE")
+		return errShortUpdate
 	}
 	wLen := int(binary.BigEndian.Uint16(body[0:2]))
 	if len(body) < 2+wLen+2 {
-		return nil, fmt.Errorf("bgpwire: UPDATE withdrawn length overruns")
+		return errWithdrawnLen
 	}
 	var err error
-	u.Withdrawn, err = unmarshalNLRI(body[2 : 2+wLen])
-	if err != nil {
-		return nil, err
+	if u.Withdrawn, err = appendNLRIs(u.Withdrawn, body[2:2+wLen]); err != nil {
+		return err
 	}
 	rest := body[2+wLen:]
 	aLen := int(binary.BigEndian.Uint16(rest[0:2]))
 	if len(rest) < 2+aLen {
-		return nil, fmt.Errorf("bgpwire: UPDATE attribute length overruns")
+		return errAttrLen
 	}
 	if err := u.unmarshalAttrs(rest[2 : 2+aLen]); err != nil {
-		return nil, err
+		return err
 	}
-	u.NLRI, err = unmarshalNLRI(rest[2+aLen:])
-	if err != nil {
-		return nil, err
+	if u.NLRI, err = appendNLRIs(u.NLRI, rest[2+aLen:]); err != nil {
+		return err
 	}
 	if len(u.NLRI) > 0 && len(u.ASPath) == 0 {
-		return nil, fmt.Errorf("bgpwire: UPDATE announces routes without AS_PATH")
+		return errNoASPath
 	}
-	return u, nil
+	return nil
 }
 
+// unmarshalAttrs decodes a path-attribute block into u's Origin, ASPath
+// and NextHop; a repeated attribute overwrites the earlier one.
+//
+//bgplint:hotpath runs once per path attribute of every UPDATE decoded
 func (u *Update) unmarshalAttrs(data []byte) error {
 	for len(data) > 0 {
 		if len(data) < 3 {
-			return fmt.Errorf("bgpwire: truncated path attribute")
+			return errTruncatedAttr
 		}
 		flags, typ := data[0], data[1]
 		var aLen, hdr int
 		if flags&0x10 != 0 { // extended length
 			if len(data) < 4 {
-				return fmt.Errorf("bgpwire: truncated extended attribute")
+				return errTruncatedExtLen
 			}
 			aLen, hdr = int(binary.BigEndian.Uint16(data[2:4])), 4
 		} else {
 			aLen, hdr = int(data[2]), 3
 		}
 		if len(data) < hdr+aLen {
-			return fmt.Errorf("bgpwire: attribute %d overruns message", typ)
+			return errAttrOverrun(typ)
 		}
 		val := data[hdr : hdr+aLen]
 		switch typ {
 		case AttrOrigin:
 			if aLen != 1 || val[0] > OriginIncomplete {
-				return fmt.Errorf("bgpwire: malformed ORIGIN")
+				return errOrigin
 			}
 			u.Origin = val[0]
 		case AttrASPath:
-			path, err := unmarshalASPath(val)
+			path, err := appendASPath(u.ASPath[:0], val)
 			if err != nil {
 				return err
 			}
 			u.ASPath = path
 		case AttrNextHop:
 			if aLen != 4 {
-				return fmt.Errorf("bgpwire: malformed NEXT_HOP")
+				return errNextHop
 			}
 			u.NextHop = binary.BigEndian.Uint32(val)
 		default:
@@ -384,23 +451,25 @@ func (u *Update) unmarshalAttrs(data []byte) error {
 	return nil
 }
 
-// unmarshalASPath flattens every AS_SEQUENCE and AS_SET segment into one
-// path, skipping confederation segments (RFC 5065 §5.3: they do not count
-// toward the path), so a path of confederation segments alone flattens
-// to empty. It walks the segment headers once to validate and size the
-// result, then fills it.
-func unmarshalASPath(data []byte) ([]asn.ASN, error) {
+// appendASPath flattens every AS_SEQUENCE and AS_SET segment into one
+// path appended to dst, skipping confederation segments (RFC 5065 §5.3:
+// they do not count toward the path), so a path of confederation
+// segments alone flattens to nothing. It walks the segment headers once
+// to validate and size the result, then fills it.
+//
+//bgplint:hotpath runs once per AS_PATH segment and hop of every UPDATE decoded
+func appendASPath(dst []asn.ASN, data []byte) ([]asn.ASN, error) {
 	total := 0
 	for rest := data; len(rest) > 0; {
 		if len(rest) < 2 {
-			return nil, fmt.Errorf("bgpwire: truncated AS_PATH segment")
+			return dst, errTruncatedSeg
 		}
 		segType, count := rest[0], int(rest[1])
 		if segType < SegmentSet || segType > SegmentConfedSet {
-			return nil, fmt.Errorf("bgpwire: unknown AS_PATH segment type %d", segType)
+			return dst, errSegType(segType)
 		}
 		if len(rest) < 2+4*count {
-			return nil, fmt.Errorf("bgpwire: AS_PATH segment overruns")
+			return dst, errSegOverrun
 		}
 		if !confedSegment(segType) {
 			total += count
@@ -408,44 +477,46 @@ func unmarshalASPath(data []byte) ([]asn.ASN, error) {
 		rest = rest[2+4*count:]
 	}
 	if total == 0 {
-		return nil, nil
+		return dst, nil
 	}
-	path := make([]asn.ASN, 0, total)
+	dst = slices.Grow(dst, total)
 	for len(data) > 0 {
 		count := int(data[1])
 		if !confedSegment(data[0]) {
 			for i := 0; i < count; i++ {
-				path = append(path, asn.FromUint32(binary.BigEndian.Uint32(data[2+4*i:])))
+				dst = append(dst, asn.FromUint32(binary.BigEndian.Uint32(data[2+4*i:])))
 			}
 		}
 		data = data[2+4*count:]
 	}
-	return path, nil
+	return dst, nil
 }
 
 func confedSegment(segType byte) bool {
 	return segType == SegmentConfedSequence || segType == SegmentConfedSet
 }
 
-// unmarshalNLRI decodes a run of (length, truncated address) prefixes,
-// sizing the result from a first pass over the length octets.
-func unmarshalNLRI(data []byte) ([]prefix.Prefix, error) {
+// appendNLRIs decodes a run of (length, truncated address) prefixes onto
+// dst, sizing it from a first pass over the length octets.
+//
+//bgplint:hotpath runs once per prefix of every UPDATE decoded
+func appendNLRIs(dst []prefix.Prefix, data []byte) ([]prefix.Prefix, error) {
 	n := 0
 	for rest := data; len(rest) > 0; n++ {
 		l := rest[0]
 		if l > 32 {
-			return nil, fmt.Errorf("bgpwire: NLRI length %d invalid", l)
+			return dst, errNLRILen(l)
 		}
 		nBytes := int(l+7) / 8
 		if len(rest) < 1+nBytes {
-			return nil, fmt.Errorf("bgpwire: truncated NLRI")
+			return dst, errTruncatedNLRI
 		}
 		rest = rest[1+nBytes:]
 	}
 	if n == 0 {
-		return nil, nil
+		return dst, nil
 	}
-	out := make([]prefix.Prefix, 0, n)
+	dst = slices.Grow(dst, n)
 	for len(data) > 0 {
 		l := data[0]
 		nBytes := int(l+7) / 8
@@ -453,12 +524,12 @@ func unmarshalNLRI(data []byte) ([]prefix.Prefix, error) {
 		copy(addr[:], data[1:1+nBytes])
 		p := prefix.New(binary.BigEndian.Uint32(addr[:]), l)
 		if p.Addr != binary.BigEndian.Uint32(addr[:]) {
-			return nil, fmt.Errorf("bgpwire: NLRI %v has host bits set", p)
+			return dst, errHostBits(p)
 		}
-		out = append(out, p)
+		dst = append(dst, p)
 		data = data[1+nBytes:]
 	}
-	return out, nil
+	return dst, nil
 }
 
 // DecodeAttributes parses a path-attribute block (the inverse of

@@ -292,7 +292,7 @@ func TestASSetSegment(t *testing.T) {
 		SegmentSequence, 1, 0, 0, 0, 100,
 		SegmentSet, 2, 0, 0, 0, 200, 0, 0, 1, 44, // 300
 	}
-	path, err := unmarshalASPath(val)
+	path, err := appendASPath(nil, val)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +300,11 @@ func TestASSetSegment(t *testing.T) {
 		t.Errorf("path = %v", path)
 	}
 	// Unknown segment type rejected.
-	if _, err := unmarshalASPath([]byte{9, 1, 0, 0, 0, 1}); err == nil {
+	if _, err := appendASPath(nil, []byte{9, 1, 0, 0, 0, 1}); err == nil {
 		t.Error("unknown segment type accepted")
 	}
 	// Truncated segment rejected.
-	if _, err := unmarshalASPath([]byte{SegmentSequence, 2, 0, 0, 0, 1}); err == nil {
+	if _, err := appendASPath(nil, []byte{SegmentSequence, 2, 0, 0, 0, 1}); err == nil {
 		t.Error("truncated segment accepted")
 	}
 }
@@ -352,7 +352,7 @@ func TestConfedSegmentsSkipped(t *testing.T) {
 	}
 	// A path of confederation segments alone flattens to empty, so an
 	// UPDATE announcing with it names no origin and is refused as such.
-	path, err := unmarshalASPath([]byte{SegmentConfedSequence, 1, 0, 0, 252, 0, SegmentConfedSet, 0})
+	path, err := appendASPath(nil, []byte{SegmentConfedSequence, 1, 0, 0, 252, 0, SegmentConfedSet, 0})
 	if err != nil || len(path) != 0 {
 		t.Errorf("confederation-only path = %v, %v; want empty", path, err)
 	}
@@ -361,10 +361,10 @@ func TestConfedSegmentsSkipped(t *testing.T) {
 		t.Errorf("confederation-only announcement: err = %v, want the empty-path refusal", err)
 	}
 	// A truncated confederation segment is still malformed.
-	if _, err := unmarshalASPath([]byte{SegmentConfedSequence, 2, 0, 0, 0, 1}); err == nil {
+	if _, err := appendASPath(nil, []byte{SegmentConfedSequence, 2, 0, 0, 0, 1}); err == nil {
 		t.Error("truncated confederation segment accepted")
 	}
-	if _, err := unmarshalASPath([]byte{5, 0}); err == nil {
+	if _, err := appendASPath(nil, []byte{5, 0}); err == nil {
 		t.Error("segment type 5 accepted")
 	}
 }

@@ -102,22 +102,26 @@ func runSoak(t *testing.T, seed int64, chaotic bool) soakResult {
 			},
 		}
 		// One valid announcement for the probe's own prefix...
-		r.Enqueue(&bgpwire.Update{
+		if err := r.Enqueue(&bgpwire.Update{
 			Origin: bgpwire.OriginIGP, NextHop: 1,
 			ASPath: []asn.ASN{probeAS, asn.ASN(1000 + j)},
 			NLRI:   []prefix.Prefix{p16},
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		// ...and one unique hijack: even probes forge the origin on the
 		// covering /16, odd probes announce a bogus more-specific /24.
 		bogus := p16
 		if j%2 == 1 {
 			bogus = prefix.MustParse(fmt.Sprintf("10.%d.4.0/24", j))
 		}
-		r.Enqueue(&bgpwire.Update{
+		if err := r.Enqueue(&bgpwire.Update{
 			Origin: bgpwire.OriginIGP, NextHop: 1,
 			ASPath: []asn.ASN{probeAS, asn.ASN(4000 + j)},
 			NLRI:   []prefix.Prefix{bogus},
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		runners[j] = r
 		wg.Add(1)
 		go func() {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +26,21 @@ func numbered(i int) *bgpwire.Update {
 }
 
 func serial(u *bgpwire.Update) int { return int(u.ASPath[0]) }
+
+// serials decodes a run of back-to-back UPDATE messages into their
+// serial numbers.
+func serials(t *testing.T, b []byte) []int {
+	t.Helper()
+	var out []int
+	for r := bytes.NewReader(b); r.Len() > 0; {
+		msg, err := bgpwire.ReadMessage(r)
+		if err != nil {
+			t.Fatalf("table bytes are not whole UPDATE messages: %v", err)
+		}
+		out = append(out, serial(msg.(*bgpwire.Update)))
+	}
+	return out
+}
 
 // recordConn scripts the collector half of a handshake and then accepts
 // and records every write — a collector that always keeps up.
@@ -96,32 +112,32 @@ func (c *recordConn) updateWrites(t *testing.T) (batches [][]int, total int) {
 // is never seen without that Enqueue.
 func TestTakeDrainDecision(t *testing.T) {
 	r := &ProbeRunner{}
-	if batch, drained := r.take(false); batch != nil || drained {
-		t.Fatalf("idle runner: take = %d updates, drained %v; want nothing and keep waiting", len(batch), drained)
+	if batch, n, drained := r.take(false); batch != nil || n != 0 || drained {
+		t.Fatalf("idle runner: take = %d updates, drained %v; want nothing and keep waiting", n, drained)
 	}
 	r.Enqueue(numbered(1))
 	r.CloseWhenDrained()
-	batch, drained := r.take(false)
-	if len(batch) != 1 || drained {
-		t.Fatalf("drain requested with one update pending: take = %d updates, drained %v; want the update first", len(batch), drained)
+	_, n, drained := r.take(false)
+	if n != 1 || drained {
+		t.Fatalf("drain requested with one update pending: take = %d updates, drained %v; want the update first", n, drained)
 	}
 	r.advance(1)
-	if batch, drained = r.take(false); batch != nil || !drained {
-		t.Fatalf("after the last write: take = %d updates, drained %v; want drained", len(batch), drained)
+	if _, n, drained = r.take(false); n != 0 || !drained {
+		t.Fatalf("after the last write: take = %d updates, drained %v; want drained", n, drained)
 	}
 	// An update enqueued after the drain request still counts toward it.
 	r.Enqueue(numbered(2))
-	if batch, drained = r.take(false); len(batch) != 1 || drained {
-		t.Fatalf("late enqueue: take = %d updates, drained %v; want the update", len(batch), drained)
+	if _, n, drained = r.take(false); n != 1 || drained {
+		t.Fatalf("late enqueue: take = %d updates, drained %v; want the update", n, drained)
 	}
 
 	static := &ProbeRunner{}
 	static.Enqueue(numbered(1))
-	if batch, drained = static.take(true); len(batch) != 1 || drained {
-		t.Fatalf("RunDrain with one pending: take = %d updates, drained %v", len(batch), drained)
+	if _, n, drained = static.take(true); n != 1 || drained {
+		t.Fatalf("RunDrain with one pending: take = %d updates, drained %v", n, drained)
 	}
 	static.advance(1)
-	if _, drained = static.take(true); !drained {
+	if _, _, drained = static.take(true); !drained {
 		t.Fatal("RunDrain with an empty queue is not drained")
 	}
 }
@@ -242,20 +258,18 @@ func TestBatchPinnedAgainstShedding(t *testing.T) {
 		}
 		for step := 0; step < 400; step++ {
 			enqueue(step*7%23 + 1)
-			batch, _ := r.take(false)
-			held := make([]int, len(batch))
-			for i, u := range batch {
-				held[i] = serial(u)
+			batch, n, _ := r.take(false)
+			held := serials(t, batch)
+			if len(held) != n {
+				t.Fatalf("MaxPending %d step %d: a batch of %d updates holds %d messages", maxPending, step, n, len(held))
 			}
 			enqueue(step * 5 % 190) // sheds land while the batch is in flight
 			r.mu.Lock()
-			for i, u := range batch {
-				if serial(u) != held[i] || r.queue[r.next+i] != u {
-					t.Fatalf("MaxPending %d step %d: in-flight update %d changed under a shed", maxPending, step, held[i])
-				}
+			from := r.start(r.next)
+			if !bytes.Equal(r.table[from:r.ends[r.next+n-1]], batch) || !slices.Equal(serials(t, batch), held) {
+				t.Fatalf("MaxPending %d step %d: in-flight updates %v changed under a shed", maxPending, step, held)
 			}
 			r.mu.Unlock()
-			n := len(batch)
 			if step%3 == 0 && n > 1 {
 				n-- // a byte-capped write carries a prefix of the batch
 			}

@@ -51,9 +51,12 @@ type RunnerStats struct {
 // Like a real BGP speaker it retransmits its full table (every update
 // ever enqueued) on each new session, so a connection reset can delay
 // but never lose an announcement; the collector's detector deduplicates
-// the replays. Clock and jitter RNG are injected — there is no
-// time.Now or global rand in the retry path — so the backoff schedule
-// is exactly reproducible under a tick.Fake.
+// the replays. The table is wire bytes: each update is encoded once, on
+// Enqueue, into one pointer-free buffer of back-to-back UPDATE messages,
+// and every write — first send and retransmission alike — issues a run
+// of those bytes as they are. Clock and jitter RNG are injected — there
+// is no time.Now or global rand in the retry path — so the backoff
+// schedule is exactly reproducible under a tick.Fake.
 type ProbeRunner struct {
 	AS       asn.ASN
 	RouterID uint32
@@ -93,10 +96,15 @@ type ProbeRunner struct {
 	// 0 or an out-of-range value means MaxPending/2.
 	LowPending int
 
-	mu       sync.Mutex
-	queue    []*bgpwire.Update
-	next     int // queue[next:] not yet written on the current session
-	inflight int // queue[next:next+inflight] is the batch being written
+	mu sync.Mutex
+	// table holds every update enqueued and not shed, as UPDATE messages
+	// back to back; update i ends at ends[i] and starts where update i−1
+	// ends. Bytes in flight never move: a shed compacts only the unsent
+	// tail behind the batch, and growth copies into a new array.
+	table    []byte
+	ends     []int
+	next     int // updates next.. are not yet written on the current session
+	inflight int // updates next..next+inflight-1 are the batch being written
 	drainReq bool
 	stats    RunnerStats
 	notify   chan struct{}
@@ -126,12 +134,63 @@ func (r *ProbeRunner) CloseWhenDrained() {
 	}
 }
 
-// Enqueue adds one update to the runner's table, shedding the oldest
-// unsent updates when MaxPending is exceeded. Safe from any goroutine,
-// before or during Run.
-func (r *ProbeRunner) Enqueue(u *bgpwire.Update) {
+// Enqueue encodes u onto the runner's table, shedding the oldest unsent
+// updates when MaxPending is exceeded. The table keeps nothing of u, so
+// the caller may reuse it at once. An update that cannot be encoded (an
+// ORIGIN out of range, a prefix longer than 32 bits, a message over
+// bgpwire.MaxMessageLen) is refused with an error and never enters the
+// table. Safe from any goroutine, before or during Run.
+func (r *ProbeRunner) Enqueue(u *bgpwire.Update) error {
 	r.mu.Lock()
-	r.queue = append(r.queue, u)
+	r.reserveLocked(bgpwire.MaxMessageLen)
+	table, err := bgpwire.AppendMessage(r.table, u)
+	if err != nil {
+		r.mu.Unlock()
+		return fmt.Errorf("probe %v: enqueue: %w", r.AS, err)
+	}
+	r.table = table
+	r.pushLocked()
+	return nil
+}
+
+// EnqueueWire is Enqueue for an UPDATE already in wire form: msg is one
+// whole message, header included, as a BGP4MP record or a frame reader
+// carries it. It checks the marker, the length field and the type, then
+// copies msg onto the table as it is — the body is not decoded, so
+// attributes Enqueue would not encode (AS_SETs, confederation segments,
+// unknown optional attributes) reach the collector as they were read.
+// The caller may reuse msg at once.
+func (r *ProbeRunner) EnqueueWire(msg []byte) error {
+	typ, err := bgpwire.FrameType(msg)
+	if err != nil {
+		return fmt.Errorf("probe %v: enqueue: %w", r.AS, err)
+	}
+	if typ != bgpwire.TypeUpdate {
+		return fmt.Errorf("probe %v: enqueue: message type %d is not an UPDATE", r.AS, typ)
+	}
+	r.mu.Lock()
+	r.reserveLocked(len(msg))
+	r.table = append(r.table, msg...)
+	r.pushLocked()
+	return nil
+}
+
+// reserveLocked makes room for n more table bytes, doubling the table
+// when it grows: append's own policy grows a large slice by a quarter,
+// which re-copies a long replay's table several times as often.
+func (r *ProbeRunner) reserveLocked(n int) {
+	if len(r.table)+n <= cap(r.table) {
+		return
+	}
+	grown := make([]byte, len(r.table), max(2*cap(r.table), len(r.table)+n, 4096))
+	copy(grown, r.table)
+	r.table = grown
+}
+
+// pushLocked indexes the update just appended to the table, sheds, and
+// wakes the session. It releases r.mu.
+func (r *ProbeRunner) pushLocked() {
+	r.ends = append(r.ends, len(r.table))
 	r.shedLocked()
 	ch := r.notifyLocked()
 	r.mu.Unlock()
@@ -139,6 +198,14 @@ func (r *ProbeRunner) Enqueue(u *bgpwire.Update) {
 	case ch <- struct{}{}:
 	default:
 	}
+}
+
+// start is the table offset where update i begins.
+func (r *ProbeRunner) start(i int) int {
+	if i == 0 {
+		return 0
+	}
+	return r.ends[i-1]
 }
 
 // lowPending is the effective low watermark a shed drains the queue to.
@@ -152,24 +219,31 @@ func (r *ProbeRunner) lowPending() int {
 // shedLocked enforces MaxPending: above the high watermark it drops the
 // oldest unsent updates down to the low watermark. The batch a write has
 // in flight and the newest update are never shed, so the session loop's
-// position stays coherent and fresh data always wins over stale.
+// position stays coherent and fresh data always wins over stale. The
+// bytes after the dropped run move down over it; nothing before it —
+// written updates and the batch in flight — moves.
 func (r *ProbeRunner) shedLocked() {
 	if r.MaxPending <= 0 {
 		return
 	}
-	pending := len(r.queue) - r.next
+	pending := len(r.ends) - r.next
 	if pending <= r.MaxPending {
 		return
 	}
 	drop := pending - r.lowPending()
 	lo := r.next + r.inflight
-	if max := len(r.queue) - 1 - lo; drop > max {
+	if max := len(r.ends) - 1 - lo; drop > max {
 		drop = max
 	}
 	if drop <= 0 {
 		return
 	}
-	r.queue = append(r.queue[:lo], r.queue[lo+drop:]...)
+	from, to := r.start(lo), r.start(lo+drop)
+	r.table = append(r.table[:from], r.table[to:]...)
+	for i, end := range r.ends[lo+drop:] {
+		r.ends[lo+i] = end - (to - from)
+	}
+	r.ends = r.ends[:len(r.ends)-drop]
 	r.stats.Shed += drop
 }
 
@@ -184,7 +258,7 @@ func (r *ProbeRunner) notifyLocked() chan struct{} {
 func (r *ProbeRunner) Pending() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.queue) - r.next
+	return len(r.ends) - r.next
 }
 
 // Stats returns a snapshot of the runner's counters.
@@ -192,19 +266,23 @@ func (r *ProbeRunner) Stats() RunnerStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.stats
-	s.Pending = len(r.queue) - r.next
+	s.Pending = len(r.ends) - r.next
 	s.Writes = int(r.writes.Load())
 	return s
 }
 
 // take claims the next batch to write: everything pending now, up to
-// the batch cap. The batch stays in the queue, pinned against shedding
-// until advance or rewind (shedLocked only moves what lies beyond it, so
-// the returned slice stays valid outside the lock). With nothing pending
-// it reports whether the runner has drained — static drain mode, or
-// CloseWhenDrained called — as one decision under one lock hold, so a
-// CloseWhenDrained that follows the last Enqueue can never be seen
-// without that Enqueue.
+// the batch cap and maxBatchBytes — an update joins while the bytes
+// before it leave room for a largest possible message, so a batch never
+// exceeds the cap and always holds at least one update. The batch is
+// the table's bytes of its n updates, written as they are; it stays in
+// the table, pinned against shedding until advance or rewind (shedLocked
+// only moves what lies beyond it, and growth leaves the old array to the
+// batch, so the returned slice stays valid outside the lock). With
+// nothing pending it reports whether the runner has drained — static
+// drain mode, or CloseWhenDrained called — as one decision under one
+// lock hold, so a CloseWhenDrained that follows the last Enqueue can
+// never be seen without that Enqueue.
 //
 // Under MaxPending a batch takes at most low−1 updates. A shed fires at
 // pending = MaxPending+1 and owes pending−low drops; it may touch
@@ -212,25 +290,30 @@ func (r *ProbeRunner) Stats() RunnerStats {
 // pending−1−k candidates — enough exactly when k ≤ low−1. So every shed
 // drops pending−low whatever the session was doing, and shed counts stay
 // independent of how sender and dispatcher interleave.
-func (r *ProbeRunner) take(drain bool) (batch []*bgpwire.Update, drained bool) {
+func (r *ProbeRunner) take(drain bool) (batch []byte, n int, drained bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	limit := maxBatchUpdates
 	if r.MaxPending > 0 {
 		limit = min(limit, max(1, r.lowPending()-1))
 	}
-	r.inflight = min(len(r.queue)-r.next, limit)
-	if r.inflight == 0 {
-		return nil, r.drainedLocked(drain)
+	limit = min(limit, len(r.ends)-r.next)
+	from := r.start(r.next)
+	for n < limit && r.start(r.next+n)-from+bgpwire.MaxMessageLen <= maxBatchBytes {
+		n++
 	}
-	return r.queue[r.next : r.next+r.inflight], false
+	r.inflight = n
+	if n == 0 {
+		return nil, 0, r.drainedLocked(drain)
+	}
+	return r.table[from:r.ends[r.next+n-1]], n, false
 }
 
 // drainedLocked reports whether the runner is in drain mode — statically
 // (RunDrain) or because CloseWhenDrained was called — with nothing left
 // to write.
 func (r *ProbeRunner) drainedLocked(drain bool) bool {
-	return (drain || r.drainReq) && r.next == len(r.queue)
+	return (drain || r.drainReq) && r.next == len(r.ends)
 }
 
 // advance marks the first n updates of the batch in flight written and
@@ -414,10 +497,9 @@ func (r *ProbeRunner) session(ctx context.Context, conn io.ReadWriteCloser, drai
 	}
 
 	for {
-		batch, drained := r.take(drain)
-		if len(batch) > 0 {
-			n, err := p.sendBatch(batch)
-			if err != nil {
+		batch, n, drained := r.take(drain)
+		if n > 0 {
+			if err := p.flush(batch, hold); err != nil {
 				return true, err
 			}
 			r.advance(n)

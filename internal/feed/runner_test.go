@@ -199,9 +199,12 @@ func TestEnqueueShedOldest(t *testing.T) {
 	}
 	// The newest update must have survived every shed.
 	r.mu.Lock()
-	last := r.queue[len(r.queue)-1]
+	last, err := bgpwire.Unmarshal(r.table[r.start(len(r.ends)-1):])
 	r.mu.Unlock()
-	if got := last.ASPath[0]; got != 20 {
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := last.(*bgpwire.Update).ASPath[0]; got != 20 {
 		t.Errorf("newest queued update is from AS %v, want 20", got)
 	}
 	// Unbounded runner never sheds.
@@ -518,4 +521,81 @@ func TestRunnerDrainMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-serveDone
+}
+
+// TestUnencodableUpdateRefused: an update that cannot be encoded is
+// refused at Enqueue and never enters the table, so the good updates on
+// either side of it still arrive. A runner that took it in would fail
+// every send on every session, and since each handshake resets the
+// failure count it would reconnect forever without delivering even the
+// update before it. EnqueueWire refuses what is not one whole UPDATE.
+func TestUnencodableUpdateRefused(t *testing.T) {
+	rs := NewRouteServer(&rpki.Store{})
+	collector := &Collector{LocalAS: 65535, RouterID: 1, Detector: NewDetector(rs, nil), Validator: rs}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan struct{})
+	go func() {
+		defer close(serveDone)
+		_ = collector.Serve(l)
+	}()
+	r := &ProbeRunner{
+		AS: 65001, RouterID: 2, BackoffBase: time.Millisecond, MaxAttempts: 3,
+		Dial: func() (io.ReadWriteCloser, error) {
+			return net.DialTimeout("tcp", l.Addr().String(), 5*time.Second)
+		},
+	}
+	good := func(i int) *bgpwire.Update {
+		return &bgpwire.Update{
+			Origin: bgpwire.OriginIGP, ASPath: []asn.ASN{65001, asn.ASN(100 + i)}, NextHop: 1,
+			NLRI: []prefix.Prefix{prefix.New(uint32(i)<<8|0xc0000200, 24)},
+		}
+	}
+	if err := r.Enqueue(good(0)); err != nil {
+		t.Fatal(err)
+	}
+	bad := good(1)
+	bad.Origin = 7
+	if err := r.Enqueue(bad); err == nil || !strings.Contains(err.Error(), "ORIGIN") {
+		t.Fatalf("Enqueue(ORIGIN 7) = %v, want the encode error", err)
+	}
+	keepalive, err := bgpwire.Marshal(bgpwire.Keepalive{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := bgpwire.Marshal(good(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	badMarker := append([]byte(nil), wire...)
+	badMarker[3] = 0
+	for i, msg := range [][]byte{keepalive, badMarker, wire[:len(wire)-1]} {
+		if err := r.EnqueueWire(msg); err == nil {
+			t.Errorf("EnqueueWire accepted bad message %d: % x", i, msg)
+		}
+	}
+	if err := r.EnqueueWire(wire); err != nil {
+		t.Fatal(err)
+	}
+	if p := r.Pending(); p != 2 {
+		t.Fatalf("%d updates pending, want the 2 good ones", p)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := r.RunDrain(ctx); err != nil {
+		t.Fatalf("RunDrain: %v", err)
+	}
+	if st := r.Stats(); st.Sent != 2 || st.Sessions != 1 {
+		t.Errorf("stats = %+v, want 2 sent over 1 session", st)
+	}
+	l.Close()
+	if err := collector.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	<-serveDone
+	if obs := rs.Stats().Observed; obs != 2 {
+		t.Errorf("collector observed %d announcements, want 2", obs)
+	}
 }

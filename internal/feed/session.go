@@ -26,23 +26,34 @@ type readResult struct {
 // completes plus every message that read already buffered, so the
 // session loop wakes (and re-arms its hold timer) once per read, not
 // once per message. A fatal error is the last result of its batch. The
-// two batch slices alternate: out is unbuffered, so by the time a send
-// completes the receiver is done with the slice it took before.
+// two batch slices alternate, and each has its own pool of Updates that
+// its UPDATEs decode into: out is unbuffered, so by the time a send
+// completes the receiver is done with the slice it took before, and
+// with every Update in it. So a receiver may use a batch's Updates
+// until its next receive and must keep nothing of them past it.
 //
 //bgplint:hotpath the frame-decode loop runs once per received message
 func readLoop(in *bgpwire.FrameReader, out chan<- []readResult, done <-chan struct{}) {
 	var batches [2][]readResult
+	var pools [2][]*bgpwire.Update
 	for i := 0; ; i ^= 1 {
 		batches[i] = batches[i][:0]
+		used := 0
 		var rr readResult
 		for more := true; more; more = rr.err == nil && in.Buffered() {
 			rr = readResult{}
+			if used == len(pools[i]) {
+				pools[i] = append(pools[i], new(bgpwire.Update))
+			}
 			if frame, err := in.Next(); err != nil {
 				rr.err = err
-			} else if msg, uerr := bgpwire.Unmarshal(frame); uerr != nil {
+			} else if msg, uerr := bgpwire.UnmarshalInto(frame, pools[i][used]); uerr != nil {
 				rr.malformed = uerr
 			} else {
 				rr.msg = msg
+				if _, ok := msg.(*bgpwire.Update); ok {
+					used++
+				}
 			}
 			batches[i] = append(batches[i], rr)
 		}
@@ -135,7 +146,9 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 	shared := c.Detector != nil && c.Detector.validatesVia(c.Validator)
 	var invalid []prefix.Prefix
 	// accept hands one admitted UPDATE to recording, validation and
-	// detection.
+	// detection. m is readLoop's storage, refilled once this batch is
+	// done, so nothing here keeps it: the recorder encodes it at once,
+	// validation keeps verdicts, and an alert copies the path.
 	accept := func(m *bgpwire.Update) {
 		seq++
 		c.record(open, m, seq)

@@ -477,7 +477,8 @@ type Probe struct {
 	in   *bgpwire.FrameReader
 	hold time.Duration
 	peer bgpwire.Open
-	// out is the encode buffer every write reuses.
+	// out is the encode buffer every message send reuses; a ProbeRunner's
+	// update batches go out of its table as they are.
 	out []byte
 	// writes, when non-nil, counts transport Write calls (the runner's
 	// RunnerStats.Writes).
@@ -495,10 +496,10 @@ func (p *Probe) clock() tick.Clock {
 	return tick.Or(p.Clock)
 }
 
-// flush issues p.out as one transport write under a write deadline
-// timeout ahead (0 = none), so a peer that stops reading cannot block
-// the session goroutine forever.
-func (p *Probe) flush(timeout time.Duration) error {
+// flush issues b as one transport write under a write deadline timeout
+// ahead (0 = none), so a peer that stops reading cannot block the
+// session goroutine forever.
+func (p *Probe) flush(b []byte, timeout time.Duration) error {
 	if d, ok := p.conn.(bgpwire.WriteDeadliner); ok && timeout > 0 {
 		// As with reads: let the write itself report a closed conn.
 		_ = d.SetWriteDeadline(p.clock().Now().Add(timeout))
@@ -506,40 +507,21 @@ func (p *Probe) flush(timeout time.Duration) error {
 	if p.writes != nil {
 		p.writes.Add(1)
 	}
-	_, err := p.conn.Write(p.out)
+	_, err := p.conn.Write(b)
 	return err
 }
 
-// send writes one message.
+// send encodes one message into the reused buffer and writes it.
 func (p *Probe) send(msg any, timeout time.Duration) (err error) {
 	if p.out, err = bgpwire.AppendMessage(p.out[:0], msg); err != nil {
 		return err
 	}
-	return p.flush(timeout)
+	return p.flush(p.out, timeout)
 }
 
-// maxBatchBytes bounds one coalesced write (and so the encode buffer a
-// session keeps): the frame reader's buffer on the other side.
+// maxBatchBytes bounds one coalesced update write: the frame reader's
+// buffer on the other side.
 const maxBatchBytes = 64 << 10
-
-// sendBatch encodes a prefix of batch — all of it unless maxBatchBytes
-// cuts it short — into one buffer and issues it as one transport write.
-// It returns how many updates that write carried.
-//
-//bgplint:hotpath the batch-encode loop runs once per UPDATE sent
-func (p *Probe) sendBatch(batch []*bgpwire.Update) (n int, err error) {
-	p.out = p.out[:0]
-	for _, u := range batch {
-		if len(p.out)+bgpwire.MaxMessageLen > maxBatchBytes {
-			break
-		}
-		if p.out, err = bgpwire.AppendMessage(p.out, u); err != nil {
-			return 0, err
-		}
-		n++
-	}
-	return n, p.flush(p.hold)
-}
 
 // Dial performs the BGP handshake over an established connection,
 // validating the peer's OPEN (version 4, non-zero hold time of at least

@@ -298,15 +298,15 @@ func (e *Engine) runnerFor(ctx context.Context, peer asn.ASN) *feed.ProbeRunner 
 	return r
 }
 
-// dispatch enqueues u on peer's session runner and counts it.
-func (e *Engine) dispatch(ctx context.Context, peer asn.ASN, u *bgpwire.Update) {
+// sessionFor returns peer's session runner from the dispatcher's own
+// map, creating the slot on first sight.
+func (e *Engine) sessionFor(ctx context.Context, peer asn.ASN) *feed.ProbeRunner {
 	r := e.route[peer]
 	if r == nil {
 		r = e.runnerFor(ctx, peer)
 		e.route[peer] = r
 	}
-	r.Enqueue(u)
-	e.updates.Add(1)
+	return r
 }
 
 // stopRequested reports whether cfg.Stop has been closed.
@@ -332,11 +332,15 @@ func (e *Engine) reader(r io.Reader) *mrt.Reader {
 }
 
 // loadRIB enqueues every baseline route from the RIB dump onto its
-// peer's session, in file order.
+// peer's session, in file order. Each route is built in one scratch
+// UPDATE that Enqueue encodes at once, so the dispatcher keeps no
+// per-route value.
 func (e *Engine) loadRIB(ctx context.Context) error {
 	mr := e.reader(e.cfg.RIB)
 	defer func() { e.bump(func(s *Stats) { s.Skipped += mr.Skipped() }) }()
 	var pit *mrt.PeerIndexTable
+	var u bgpwire.Update
+	var nlri [1]prefix.Prefix
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -370,12 +374,13 @@ func (e *Engine) loadRIB(ctx context.Context) error {
 				if int(entry.PeerIndex) >= len(pit.Peers) {
 					return fmt.Errorf("firehose: RIB entry references peer %d of %d", entry.PeerIndex, len(pit.Peers))
 				}
-				e.dispatch(ctx, pit.Peers[entry.PeerIndex].AS, &bgpwire.Update{
-					Origin:  entry.Origin,
-					ASPath:  append([]asn.ASN(nil), entry.ASPath...),
-					NextHop: entry.NextHop,
-					NLRI:    []prefix.Prefix{v.Prefix},
-				})
+				peer := pit.Peers[entry.PeerIndex].AS
+				nlri[0] = v.Prefix
+				u = bgpwire.Update{Origin: entry.Origin, ASPath: entry.ASPath, NextHop: entry.NextHop, NLRI: nlri[:]}
+				if err := e.sessionFor(ctx, peer).Enqueue(&u); err != nil {
+					return fmt.Errorf("firehose: RIB route %v from peer %v: %w", v.Prefix, peer, err)
+				}
+				e.updates.Add(1)
 				e.ribRoutes.Add(1)
 			}
 		}
@@ -383,12 +388,17 @@ func (e *Engine) loadRIB(ctx context.Context) error {
 }
 
 // replayUpdates streams the BGP4MP update log through the sessions,
-// paced by record timestamps when Speed > 0.
+// paced by record timestamps when Speed > 0. Each UPDATE is decoded into
+// reused storage — enough to skip what does not decode, exactly as Next
+// would — and its bytes go onto the session's table as read, with no
+// re-encode.
 func (e *Engine) replayUpdates(ctx context.Context) error {
 	mr := e.reader(e.cfg.Updates)
 	defer func() { e.bump(func(s *Stats) { s.Skipped += mr.Skipped() }) }()
 	var lastTS uint32
 	first := true
+	var m mrt.BGP4MPMessage
+	var u bgpwire.Update
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -396,7 +406,7 @@ func (e *Engine) replayUpdates(ctx context.Context) error {
 		if e.stopRequested() {
 			return nil
 		}
-		rec, err := mr.Next()
+		rec, msg, err := mr.NextInto(&m, &u)
 		if err == io.EOF {
 			return nil
 		}
@@ -411,12 +421,10 @@ func (e *Engine) replayUpdates(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("firehose: update stream: %w", err)
 		}
-		m, ok := rec.(*mrt.BGP4MPMessage)
-		if !ok {
+		if _, ok := rec.(*mrt.BGP4MPMessage); !ok {
 			continue // a RIB record mid-stream carries no replay event
 		}
-		u, ok := m.Message.(*bgpwire.Update)
-		if !ok {
+		if _, ok := m.Message.(*bgpwire.Update); !ok {
 			continue // OPENs/KEEPALIVEs in a capture are session noise
 		}
 		if e.cfg.Speed > 0 && !first && m.Timestamp > lastTS {
@@ -434,7 +442,10 @@ func (e *Engine) replayUpdates(ctx context.Context) error {
 		}
 		lastTS = m.Timestamp
 		first = false
-		e.dispatch(ctx, m.PeerAS, u)
+		if err := e.sessionFor(ctx, m.PeerAS).EnqueueWire(msg); err != nil {
+			return fmt.Errorf("firehose: update stream: %w", err)
+		}
+		e.updates.Add(1)
 	}
 }
 

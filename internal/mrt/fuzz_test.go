@@ -3,9 +3,12 @@ package mrt_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
 	"testing"
 
+	"github.com/bgpsim/bgpsim/internal/bgpwire"
 	"github.com/bgpsim/bgpsim/internal/firehose"
 	"github.com/bgpsim/bgpsim/internal/mrt"
 )
@@ -50,12 +53,87 @@ func drainStream(t *testing.T, data []byte, budget int) (recs, skipped, spent in
 	}
 }
 
+// lockstepNextInto drains data with Next and with NextInto side by side
+// and requires the same answer at every step: the same record (an
+// UPDATE's nil and empty slices count as equal), the same error, Offset
+// and skip count. The bytes NextInto returns must Unmarshal to the
+// record's message.
+func lockstepNextInto(t *testing.T, data []byte, budget int) {
+	t.Helper()
+	fresh, reused := mrt.NewReader(bytes.NewReader(data)), mrt.NewReader(bytes.NewReader(data))
+	fresh.SetMalformedBudget(budget)
+	reused.SetMalformedBudget(budget)
+	var m mrt.BGP4MPMessage
+	var u bgpwire.Update
+	for step := 0; ; step++ {
+		want, wantErr := fresh.Next()
+		got, msg, err := reused.NextInto(&m, &u)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("step %d: NextInto err %v, Next err %v", step, err, wantErr)
+		}
+		if fresh.Offset() != reused.Offset() || fresh.Skipped() != reused.Skipped() {
+			t.Fatalf("step %d: NextInto at offset %d with %d skips, Next at %d with %d",
+				step, reused.Offset(), reused.Skipped(), fresh.Offset(), fresh.Skipped())
+		}
+		if wantErr != nil {
+			if !mrt.Skippable(wantErr) {
+				return
+			}
+			continue
+		}
+		if !reflect.DeepEqual(normalized(got), normalized(want)) {
+			t.Fatalf("step %d: NextInto read %+v, Next read %+v", step, got, want)
+		}
+		bm, ok := got.(*mrt.BGP4MPMessage)
+		if !ok {
+			if msg != nil {
+				t.Fatalf("step %d: %T came with %d message bytes", step, got, len(msg))
+			}
+			continue
+		}
+		if bm != &m {
+			t.Fatalf("step %d: BGP4MP record decoded outside the caller's storage", step)
+		}
+		if _, isUpdate := bm.Message.(*bgpwire.Update); isUpdate && bm.Message != any(&u) {
+			t.Fatalf("step %d: UPDATE decoded outside the caller's storage", step)
+		}
+		again, err := bgpwire.Unmarshal(msg)
+		if err != nil || !reflect.DeepEqual(normalized(again), normalized(want.(*mrt.BGP4MPMessage).Message)) {
+			t.Fatalf("step %d: message bytes decode to %+v (%v), record holds %+v", step, again, err, bm.Message)
+		}
+	}
+}
+
+// normalized copies a record with an UPDATE's empty slices set to nil.
+func normalized(v any) any {
+	switch x := v.(type) {
+	case *mrt.BGP4MPMessage:
+		c := *x
+		c.Message = normalized(c.Message)
+		return &c
+	case *bgpwire.Update:
+		c := *x
+		if len(c.Withdrawn) == 0 {
+			c.Withdrawn = nil
+		}
+		if len(c.ASPath) == 0 {
+			c.ASPath = nil
+		}
+		if len(c.NLRI) == 0 {
+			c.NLRI = nil
+		}
+		return &c
+	}
+	return v
+}
+
 // FuzzMRTReader drives the MRT reader over arbitrary bytes. The
 // properties under test are the robustness contract the firehose replay
 // engine leans on: no panic and no runaway allocation on corrupt
 // lengths, skippable errors leave the stream aligned, truncation yields
 // a clean prefix that is a fixed point under re-parsing, and the
-// malformed budget trips after exactly budget+1 skips.
+// malformed budget trips after exactly budget+1 skips. The replay read,
+// NextInto, must read every input exactly as Next does.
 func FuzzMRTReader(f *testing.F) {
 	var rib, upd bytes.Buffer
 	if err := firehose.WriteIncidentRIB(&rib); err != nil {
@@ -82,6 +160,8 @@ func FuzzMRTReader(f *testing.F) {
 	f.Add(unsupported)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		lockstepNextInto(t, data, -1)
+		lockstepNextInto(t, data, 2)
 		recs, skipped, spent, off, term := drainStream(t, data, -1)
 		if errors.Is(term, mrt.ErrBudgetExhausted) {
 			t.Fatalf("unlimited budget exhausted after %d skips", skipped)

@@ -268,9 +268,15 @@ var rfc6396Subtypes = map[uint16][]uint16{
 // session: two 4-byte ASNs, interface index, AFI, two 16-byte addresses.
 const bgp4mpIPv6Header = 4 + 4 + 2 + 2 + 16 + 16
 
-// Reader decodes MRT records sequentially.
+// Reader decodes MRT records sequentially. It reads every record body
+// into one buffer it reuses, so a stream costs no allocation per record
+// for its bytes. Next decodes each record into fresh storage the caller
+// keeps; NextInto, the replay path, decodes BGP4MP messages into the
+// caller's storage instead.
 type Reader struct {
 	r       *bufio.Reader
+	hdr     [12]byte
+	body    []byte // the current record's body; reused by every read
 	off     int64
 	skipped int
 	spent   int // unknown and malformed records, against budget
@@ -308,9 +314,9 @@ func (r *Reader) skip(err error) error {
 }
 
 // unsupported counts one RFC-defined record this package does not decode.
-func (r *Reader) unsupported(typ, subtype uint16, length uint32) error {
+func (r *Reader) unsupported(typ, subtype uint16, length int) error {
 	r.skipped++
-	return &ErrUnsupportedRecord{Type: typ, Subtype: subtype, Length: length}
+	return &ErrUnsupportedRecord{Type: typ, Subtype: subtype, Length: uint32(length)}
 }
 
 // Next returns the next record, or io.EOF at a clean end of stream.
@@ -320,33 +326,28 @@ func (r *Reader) unsupported(typ, subtype uint16, length uint32) error {
 // still aligned — call Next again to continue past them (unknown and
 // malformed ones subject to the malformed budget). A stream ending
 // mid-record yields an error wrapping ErrTruncated; the records already
-// returned are a clean prefix ending at Offset.
+// returned are a clean prefix ending at Offset. Every record Next
+// returns owns its storage: later reads leave it as it was.
 func (r *Reader) Next() (Record, error) {
-	var hdr [12]byte
-	if n, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("mrt: %d of 12 header bytes at offset %d: %w", n, r.off, ErrTruncated)
-		}
-		return nil, err
+	rec, _, err := r.NextInto(nil, nil)
+	return rec, err
+}
+
+// NextInto is Next for a replay that forwards BGP messages as read. A
+// BGP4MP MESSAGE_AS4 record is decoded into m, an UPDATE it carries into
+// u (m.Message is then u), and msg is the record's BGP message as it
+// appeared in the file, header included; m, u and msg stay valid until
+// the next read, which overwrites them. So a caller that keeps m and u
+// reads a stream of UPDATEs without allocating. Any other record, and a
+// non-UPDATE message, comes back fresh as from Next (msg is nil for
+// records that are not BGP4MP); a nil m or u decodes into fresh storage
+// too, which is how Next reads. Errors, skips, the malformed budget and
+// Offset are exactly Next's: the two reads may be mixed on one stream.
+func (r *Reader) NextInto(m *BGP4MPMessage, u *bgpwire.Update) (rec Record, msg []byte, err error) {
+	ts, typ, subtype, body, err := r.read()
+	if err != nil {
+		return nil, nil, err
 	}
-	typ := binary.BigEndian.Uint16(hdr[4:6])
-	subtype := binary.BigEndian.Uint16(hdr[6:8])
-	length := binary.BigEndian.Uint32(hdr[8:12])
-	if length > 1<<24 {
-		// The length field itself is untrustworthy, so realignment is
-		// impossible: fatal, not skippable.
-		return nil, fmt.Errorf("mrt: implausible record length %d at offset %d", length, r.off)
-	}
-	body := make([]byte, length)
-	if n, err := io.ReadFull(r.r, body); err != nil {
-		return nil, fmt.Errorf("mrt: %d of %d body bytes at offset %d: %w", n, length, r.off, ErrTruncated)
-	}
-	r.off += 12 + int64(length)
-	ts := binary.BigEndian.Uint32(hdr[0:4])
-	var (
-		rec Record
-		err error
-	)
 	switch {
 	case typ == TypeTableDumpV2 && subtype == SubtypePeerIndexTable:
 		rec, err = parsePeerIndexTable(body)
@@ -354,18 +355,51 @@ func (r *Reader) Next() (Record, error) {
 		rec, err = parseRIB(body)
 	case typ == TypeBGP4MP && subtype == SubtypeMessageAS4 && len(body) >= bgp4mpIPv6Header &&
 		binary.BigEndian.Uint16(body[10:12]) == afiIPv6:
-		return nil, r.unsupported(typ, subtype, length)
+		return nil, nil, r.unsupported(typ, subtype, len(body))
 	case typ == TypeBGP4MP && subtype == SubtypeMessageAS4:
-		rec, err = parseBGP4MP(ts, body)
+		if m == nil {
+			m = new(BGP4MPMessage)
+		}
+		rec = m
+		msg, err = parseBGP4MP(m, ts, body, u)
 	case slices.Contains(rfc6396Subtypes[typ], subtype):
-		return nil, r.unsupported(typ, subtype, length)
+		return nil, nil, r.unsupported(typ, subtype, len(body))
 	default:
-		return nil, r.skip(&ErrUnknownRecord{Type: typ, Subtype: subtype, Length: length})
+		return nil, nil, r.skip(&ErrUnknownRecord{Type: typ, Subtype: subtype, Length: uint32(len(body))})
 	}
 	if err != nil {
-		return nil, r.skip(&ErrMalformedRecord{Type: typ, Subtype: subtype, Err: err})
+		return nil, nil, r.skip(&ErrMalformedRecord{Type: typ, Subtype: subtype, Err: err})
 	}
-	return rec, nil
+	return rec, msg, nil
+}
+
+// read frames the next record: its header fields, and its body in the
+// reused buffer, valid until the following read. It advances Offset
+// past the record; a stream ending mid-record is ErrTruncated.
+func (r *Reader) read() (ts uint32, typ, subtype uint16, body []byte, err error) {
+	if n, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			return 0, 0, 0, nil, fmt.Errorf("mrt: %d of 12 header bytes at offset %d: %w", n, r.off, ErrTruncated)
+		}
+		return 0, 0, 0, nil, err
+	}
+	typ = binary.BigEndian.Uint16(r.hdr[4:6])
+	subtype = binary.BigEndian.Uint16(r.hdr[6:8])
+	length := binary.BigEndian.Uint32(r.hdr[8:12])
+	if length > 1<<24 {
+		// The length field itself is untrustworthy, so realignment is
+		// impossible: fatal, not skippable.
+		return 0, 0, 0, nil, fmt.Errorf("mrt: implausible record length %d at offset %d", length, r.off)
+	}
+	if int(length) > cap(r.body) {
+		r.body = make([]byte, length)
+	}
+	body = r.body[:length]
+	if n, err := io.ReadFull(r.r, body); err != nil {
+		return 0, 0, 0, nil, fmt.Errorf("mrt: %d of %d body bytes at offset %d: %w", n, length, r.off, ErrTruncated)
+	}
+	r.off += 12 + int64(length)
+	return binary.BigEndian.Uint32(r.hdr[0:4]), typ, subtype, body, nil
 }
 
 func parsePeerIndexTable(body []byte) (*PeerIndexTable, error) {
@@ -444,25 +478,28 @@ func parseRIB(body []byte) (*RIBIPv4Unicast, error) {
 	return r, nil
 }
 
-func parseBGP4MP(ts uint32, body []byte) (*BGP4MPMessage, error) {
+// parseBGP4MP decodes a BGP4MP MESSAGE_AS4 body into m, with an UPDATE
+// into u (fresh when nil), and returns the BGP message's bytes.
+func parseBGP4MP(m *BGP4MPMessage, ts uint32, body []byte, u *bgpwire.Update) ([]byte, error) {
 	if len(body) < 20 {
-		return nil, fmt.Errorf("mrt: short BGP4MP record")
+		return nil, errShortBGP4MP
 	}
-	afi := binary.BigEndian.Uint16(body[10:12])
-	if afi != afiIPv4 {
+	if afi := binary.BigEndian.Uint16(body[10:12]); afi != afiIPv4 {
 		return nil, fmt.Errorf("mrt: BGP4MP AFI %d unsupported", afi)
 	}
-	m := &BGP4MPMessage{
+	*m = BGP4MPMessage{
 		Timestamp: ts,
 		PeerAS:    asn.FromUint32(binary.BigEndian.Uint32(body[0:4])),
 		LocalAS:   asn.FromUint32(binary.BigEndian.Uint32(body[4:8])),
 		PeerAddr:  binary.BigEndian.Uint32(body[12:16]),
 		LocalAddr: binary.BigEndian.Uint32(body[16:20]),
 	}
-	msg, err := bgpwire.Unmarshal(body[20:])
+	msg, err := bgpwire.UnmarshalInto(body[20:], u)
 	if err != nil {
 		return nil, fmt.Errorf("mrt: BGP4MP payload: %w", err)
 	}
 	m.Message = msg
-	return m, nil
+	return body[20:], nil
 }
+
+var errShortBGP4MP = errors.New("mrt: short BGP4MP record")
