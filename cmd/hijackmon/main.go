@@ -41,6 +41,7 @@ import (
 	"github.com/bgpsim/bgpsim/internal/cli"
 	"github.com/bgpsim/bgpsim/internal/core"
 	"github.com/bgpsim/bgpsim/internal/detect"
+	"github.com/bgpsim/bgpsim/internal/experiments"
 	"github.com/bgpsim/bgpsim/internal/feed"
 	"github.com/bgpsim/bgpsim/internal/mrt"
 	"github.com/bgpsim/bgpsim/internal/prefix"
@@ -93,6 +94,27 @@ func run() error {
 			return err
 		}
 		fmt.Printf("loaded %d ROAs from %s\n", n, *roaFile)
+	}
+
+	// The demo's world and its victim's ROA are in place before the
+	// collector listens: sessions validate with no lock around the
+	// store, so it must not be written once a peer can connect.
+	var w *experiments.World
+	var target int
+	victimPrefix := prefix.MustParse("129.82.0.0/16")
+	if *demo {
+		var err error
+		if w, err = wf.BuildWorld(); err != nil {
+			return err
+		}
+		cli.Describe(w)
+		if target, err = topology.FindTarget(w.Graph, w.Class, topology.TargetQuery{Depth: 2, Stub: true}); err != nil {
+			return err
+		}
+		if err := store.Add(rpki.ROA{Prefix: victimPrefix, MaxLength: 24, Origin: w.Graph.ASN(target)}); err != nil {
+			return err
+		}
+		det.NotePublished(victimPrefix)
 	}
 
 	collector := &feed.Collector{
@@ -178,22 +200,7 @@ func run() error {
 		}
 	}
 
-	// Demo: simulate a hijack against a published victim and stream it.
-	w, err := wf.BuildWorld()
-	if err != nil {
-		return err
-	}
-	cli.Describe(w)
-	target, err := topology.FindTarget(w.Graph, w.Class, topology.TargetQuery{Depth: 2, Stub: true})
-	if err != nil {
-		return err
-	}
-	victimPrefix := prefix.MustParse("129.82.0.0/16")
-	if err := store.Add(rpki.ROA{Prefix: victimPrefix, MaxLength: 24, Origin: w.Graph.ASN(target)}); err != nil {
-		return err
-	}
-	det.NotePublished(victimPrefix)
-
+	// Demo: simulate a hijack against the published victim and stream it.
 	attacker := w.Class.Tier1[0]
 	s := w.Policy.AcquireSolver()
 	defer w.Policy.ReleaseSolver(s)

@@ -644,10 +644,11 @@ func (s *Solver) stageCustomer(sc *scenario) {
 // tier-1s in ascending customer-route distance, node breaking ties,
 // resolves that dependency in one pass. That is the order pullTier1Lanes
 // visits: the levels from 2 up — a tier-1 at distance D only takes a
-// strictly shorter peer route, which none below 2 can be offered — then
-// the unrouted tier-1s. A tier-1 re-routed here moves to the level of its
-// new distance, one already walked, which is where stage 3 must flood it
-// from.
+// strictly shorter peer route, which none below 2 can be offered. A
+// tier-1 re-routed here moves to the level of its new distance, one
+// already walked, which is where stage 3 must flood it from. A tier-1
+// still unrouted is left to the peer flood below, which offers it its
+// shortest donor route in next-hop tie-break order: bestPeerOffer's pick.
 //
 // Everyone else: peer routes only fill gaps (customer class wins), and
 // they do not cascade, so one push from the stage-1 levels suffices. A
@@ -667,11 +668,6 @@ func (s *Solver) stagePeer(sc *scenario) {
 				if lvl[w>>6]>>(w&63)&1 != 0 {
 					s.spfTier1(sc, w)
 				}
-			}
-		}
-		for _, w := range pol.tier1List {
-			if s.nodes[w].stamp != s.epoch {
-				s.spfTier1(sc, w)
 			}
 		}
 	}
@@ -799,9 +795,9 @@ func (s *Solver) pullStubs(sc *scenario) {
 // Across peer links (c == ClassPeer) the export rule bites: only origin
 // and customer-class routes are offered, which also keeps a node this
 // stage filled from donating. A tier-1 under shortest-path-first import
-// needs no special case: if it is still unrouted, stagePeer's SPF pass
-// showed it every offer this push can make — donors only lose that status
-// during the pass — and it accepted none.
+// needs no special case: if it is still unrouted, the first offer it
+// accepts here is the shortest, best-next-hop one, which is the route
+// shortest-path-first import would pick.
 //
 //bgplint:hotpath the edge-relaxation loop: most of a sweep's CPU
 func (s *Solver) flood(sc *scenario, off, adj []int32, mask []uint64, c RouteClass) {
@@ -1119,7 +1115,7 @@ func (s *Solver) floodLanes(off, adj []int32, mask []uint64, c RouteClass) {
 // at each visit the lanes in which that tier-1 sits at D is, restricted to
 // any one lane, that lane's own order. A tier-1 at D only ever takes a
 // strictly shorter peer route, so it looks no further than level D-2; an
-// unrouted one (last, as in the scalar order) takes whatever is offered.
+// unrouted one is left, as in the scalar pass, to the peer flood.
 //
 //bgplint:hotpath runs once per batch over the tier-1 club's peer links
 func (s *Solver) pullTier1Lanes() {
@@ -1137,11 +1133,6 @@ func (s *Solver) pullTier1Lanes() {
 			if lanes := ln.at(w, d) & ln.donor[w]; lanes != 0 {
 				s.pullLanes(w, lanes, d-2)
 			}
-		}
-	}
-	for _, w := range s.pol.tier1List {
-		if lanes := ln.full &^ ln.routed[w]; lanes != 0 {
-			s.pullLanes(w, lanes, top)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package feed
 import (
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -94,15 +95,13 @@ func TestCollectorLoadShedsNoisiest(t *testing.T) {
 	if st.LoadSheds != 1 || st.Updates != 11 {
 		t.Errorf("stats = %+v, want LoadSheds 1 / Updates 11", st)
 	}
+	// The shed session has ended, so only the quiet one is listed.
 	loads := c.SessionLoads()
-	if len(loads) != 2 {
-		t.Fatalf("SessionLoads = %d entries, want 2", len(loads))
+	if len(loads) != 1 {
+		t.Fatalf("SessionLoads = %+v, want the quiet session only", loads)
 	}
-	if !loads[0].Shed || loads[0].AS != 65001 || loads[0].Total != 9 {
-		t.Errorf("loud load = %+v, want shed with 9 total", loads[0])
-	}
-	if loads[1].Shed || loads[1].AS != 65002 || loads[1].Total != 2 {
-		t.Errorf("quiet load = %+v, want unshed with 2 total", loads[1])
+	if loads[0].Shed || loads[0].AS != 65002 || loads[0].Total != 2 {
+		t.Errorf("quiet load = %+v, want unshed with 2 total", loads[0])
 	}
 
 	// The quiet session is still live.
@@ -116,6 +115,30 @@ func TestCollectorLoadShedsNoisiest(t *testing.T) {
 		// be wrong here.
 		_ = err
 	}
+}
+
+// TestCollectorSessionChurn: a peer that connects, opens and closes
+// over and over, one session after another, leaves the collector as it
+// found it — no session listed, no goroutine left behind — however many
+// sessions it has run.
+func TestCollectorSessionChurn(t *testing.T) {
+	const cycles = 10000
+	c := &Collector{LocalAS: 65535, RouterID: 1, Clock: tick.NewFake()}
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < cycles; i++ {
+		probe, errCh := dialRaw(t, c, 65001)
+		probe.Close()
+		if err := <-errCh; err != nil {
+			t.Fatalf("cycle %d: session error %v, want a clean close", i, err)
+		}
+	}
+	if n := c.Sessions(); n != cycles {
+		t.Errorf("Sessions = %d, want %d", n, cycles)
+	}
+	if loads := c.SessionLoads(); len(loads) != 0 {
+		t.Errorf("SessionLoads lists %d sessions after every one closed, want none", len(loads))
+	}
+	waitFor(t, "session goroutines to exit", func() bool { return runtime.NumGoroutine() <= baseline })
 }
 
 // TestCollectorSelfShed: a single session that alone crosses MaxLoad is

@@ -1,7 +1,7 @@
 package feed
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
 	"github.com/bgpsim/bgpsim/internal/bgpwire"
@@ -12,42 +12,29 @@ import (
 // RouteServer applies origin validation once at the collector boundary —
 // the IXP route-server / middlebox deployment model ("Keep Your Friends
 // Close", PAPERS.md): instead of every probe AS validating independently,
-// one validator serves the whole collector and memoizes each distinct
-// (prefix, origin) verdict. A burst of identical announcements from
-// hundreds of peers then costs one trie lookup, not hundreds; the
-// verdicts — and therefore the detector's alert set — are identical to
-// per-probe validation, because RFC 6811 validation is a pure function
-// of prefix and origin.
+// one validator serves the whole collector. The verdicts — and therefore
+// the detector's alert set — are identical to per-probe validation,
+// because RFC 6811 validation is a pure function of prefix and origin.
 //
 // RouteServer is itself an rpki.OriginValidator. Set it as both
 // Collector.Validator and the detector's validator to run the full
 // route-server mode: each session then validates an update's prefixes
-// once, under one lock acquisition, and hands the detector the Invalid
-// ones, so the detector never asks the memo a second time.
+// once and hands the detector the Invalid ones, so the detector never
+// validates a second time.
+//
+// RouteServer takes no lock: sessions call the underlying validator
+// concurrently, which rpki.OriginValidator's contract allows once
+// loading ends, and count through atomics.
 type RouteServer struct {
 	validator rpki.OriginValidator
-
-	mu    sync.Mutex
-	cache map[routeKey]rpki.Validity
-	stats RouteServerStats
+	observed  atomic.Int64
+	invalid   atomic.Int64
 }
 
-type routeKey struct {
-	p      prefix.Prefix
-	origin asn.ASN
-}
-
-// RouteServerStats counts the boundary validator's work. When only the
-// collector consults the RouteServer (route-server mode, or a detector
-// with its own validator), every observed announcement is one memo
-// query: Hits + Lookups == Observed.
+// RouteServerStats counts the boundary validator's work.
 type RouteServerStats struct {
-	// Lookups counts underlying validator calls — one per distinct
-	// (prefix, origin) pair ever observed.
-	Lookups int
-	// Hits counts verdicts served from the memo.
-	Hits int
-	// Observed counts announcements seen via Observe.
+	// Observed counts announcements seen via Observe or a collector
+	// session.
 	Observed int
 	// Invalid counts observed announcements whose verdict was Invalid.
 	Invalid int
@@ -55,32 +42,15 @@ type RouteServerStats struct {
 
 var _ rpki.OriginValidator = (*RouteServer)(nil)
 
-// NewRouteServer wraps v in a memoizing collector-boundary validator.
+// NewRouteServer wraps v in a counting collector-boundary validator.
 func NewRouteServer(v rpki.OriginValidator) *RouteServer {
-	return &RouteServer{validator: v, cache: make(map[routeKey]rpki.Validity)}
+	return &RouteServer{validator: v}
 }
 
-// Validate returns the RFC 6811 verdict for (p, origin), consulting the
-// underlying validator only on the first sight of the pair.
+// Validate returns the underlying validator's RFC 6811 verdict for
+// (p, origin).
 func (rs *RouteServer) Validate(p prefix.Prefix, origin asn.ASN) rpki.Validity {
-	rs.mu.Lock()
-	v := rs.validateLocked(p, origin)
-	rs.mu.Unlock()
-	return v
-}
-
-// validateLocked is Validate with rs.mu held. The trie lookup runs under
-// mu: the underlying store is not guaranteed concurrency-safe.
-func (rs *RouteServer) validateLocked(p prefix.Prefix, origin asn.ASN) rpki.Validity {
-	key := routeKey{p, origin}
-	if v, ok := rs.cache[key]; ok {
-		rs.stats.Hits++
-		return v
-	}
-	v := rs.validator.Validate(p, origin)
-	rs.cache[key] = v
-	rs.stats.Lookups++
-	return v
+	return rs.validator.Validate(p, origin)
 }
 
 // Observe validates every prefix one update announces, counting Invalid
@@ -90,9 +60,9 @@ func (rs *RouteServer) Observe(peer asn.ASN, u *bgpwire.Update) {
 	rs.observe(nil, u)
 }
 
-// observe is Observe for a session: it validates all of u's prefixes
-// under one lock acquisition and appends the Invalid ones to invalid,
-// which it returns.
+// observe is Observe for a session: it validates all of u's prefixes,
+// appends the Invalid ones to invalid, which it returns, and adds to
+// the counters once for the whole update.
 //
 //bgplint:hotpath the validation loop runs once per announced prefix
 func (rs *RouteServer) observe(invalid []prefix.Prefix, u *bgpwire.Update) []prefix.Prefix {
@@ -100,21 +70,20 @@ func (rs *RouteServer) observe(invalid []prefix.Prefix, u *bgpwire.Update) []pre
 	if !ok {
 		return invalid // withdrawals carry no origin
 	}
-	rs.mu.Lock()
+	n := len(invalid)
 	for _, p := range u.NLRI {
-		if rs.validateLocked(p, origin) == rpki.Invalid {
-			rs.stats.Invalid++
+		if rs.validator.Validate(p, origin) == rpki.Invalid {
 			invalid = append(invalid, p)
 		}
 	}
-	rs.stats.Observed += len(u.NLRI)
-	rs.mu.Unlock()
+	rs.observed.Add(int64(len(u.NLRI)))
+	if bad := len(invalid) - n; bad > 0 {
+		rs.invalid.Add(int64(bad))
+	}
 	return invalid
 }
 
 // Stats returns a snapshot of the boundary validator's counters.
 func (rs *RouteServer) Stats() RouteServerStats {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.stats
+	return RouteServerStats{Observed: int(rs.observed.Load()), Invalid: int(rs.invalid.Load())}
 }

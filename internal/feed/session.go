@@ -76,10 +76,11 @@ func readLoop(in *bgpwire.FrameReader, out chan<- []readResult, done <-chan stru
 // session.
 func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 	defer conn.Close()
-	if err := c.register(conn); err != nil {
+	sess, err := c.register(conn)
+	if err != nil {
 		return err
 	}
-	defer c.unregister(conn)
+	defer c.unregister(sess)
 
 	clock := c.clock()
 	localHold := time.Duration(c.holdTime()) * time.Second
@@ -100,7 +101,7 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 		_ = bgpwire.WriteMessageDeadline(conn, &bgpwire.Notification{Code: 2, Subcode: openErrSubcode(open)}, handshakeDeadline)
 		return fmt.Errorf("collector: %w", err)
 	}
-	c.noteOpen(conn, open.AS)
+	c.noteOpen(sess, open.AS)
 	if err := bgpwire.WriteMessageDeadline(conn, &bgpwire.Open{
 		Version: 4, AS: c.LocalAS, HoldTime: c.holdTime(), RouterID: c.RouterID,
 	}, handshakeDeadline); err != nil {
@@ -142,7 +143,7 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 	// In route-server mode the detector validates through the
 	// collector's own RouteServer, so the Invalid prefixes observe
 	// reports are its verdicts too: it raises from them instead of
-	// asking the memo again.
+	// validating again.
 	shared := c.Detector != nil && c.Detector.validatesVia(c.Validator)
 	var invalid []prefix.Prefix
 	// accept hands one admitted UPDATE to recording, validation and
@@ -169,7 +170,7 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 		if rr.err != nil {
 			// A read error on a conn that load shedding closed is the
 			// shed itself, not a transport fault.
-			if c.wasShed(conn) {
+			if c.wasShed(sess) {
 				return true, fmt.Errorf("collector: session with %v: %w", open.AS, ErrSessionShed)
 			}
 			if errors.Is(rr.err, io.EOF) {
@@ -220,7 +221,7 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 				}
 				// One lock and one clock reading account the whole run;
 				// the decision is still made update by update.
-				admitted, shedSelf := c.noteUpdates(conn, n)
+				admitted, shedSelf := c.noteUpdates(sess, n)
 				for _, rr := range batch[:admitted] {
 					accept(rr.msg.(*bgpwire.Update))
 				}

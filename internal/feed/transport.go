@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,8 +82,9 @@ type SessionLoad struct {
 	Shed bool
 }
 
-// sessLoad is the collector's per-session accounting record. Guarded by
-// Collector.mu; loadList preserves registration order so victim
+// sessLoad is one live session's entry in the collector: its conn, for
+// force-close and load shedding, and its accounting record. Guarded by
+// Collector.mu; Collector.live keeps registration order so victim
 // selection and SessionLoads are deterministic.
 type sessLoad struct {
 	conn   io.Closer
@@ -134,26 +136,26 @@ type Collector struct {
 	// boundary — the IXP middlebox model — instead of by each probe.
 	// A Detector built over this same RouteServer raises its alerts
 	// from those verdicts without validating again; a Detector over
-	// any other validator still validates each update itself. See
-	// RouteServer.
+	// any other validator still validates each update itself. Sessions
+	// call it concurrently with no lock around it, so the validator
+	// under it must be fully loaded before the first session starts.
+	// See RouteServer.
 	Validator *RouteServer
 	// Logf, when non-nil, receives operational log lines (degraded
 	// mode, reaped peers).
 	Logf func(format string, args ...any)
 
-	// mu guards sessions, conns, closed, stats, and (in session.go)
-	// writes through Recorder, which is not itself concurrency-safe.
-	// The accept loop checks closed and registers with wg under the
-	// same critical section so Shutdown can never miss an in-flight
-	// session.
+	// mu guards sessions, live, closed, stats, the load window, and (in
+	// session.go) writes through Recorder, which is not itself
+	// concurrency-safe. The accept loop checks closed and registers with
+	// wg under the same critical section so Shutdown can never miss an
+	// in-flight session.
 	mu          sync.Mutex
 	sessions    int
-	conns       map[io.Closer]struct{}
+	live        []*sessLoad // live sessions, in registration order
 	wg          sync.WaitGroup
 	closed      bool
 	stats       CollectorStats
-	loads       map[io.Closer]*sessLoad
-	loadList    []*sessLoad // registration order
 	windowStart time.Time
 	windowCount int
 	reads       atomic.Int64 // CollectorStats.Reads, bumped by session reader goroutines
@@ -226,8 +228,8 @@ func (c *Collector) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 	}
 	c.mu.Lock()
-	for conn := range c.conns { //bgplint:ignore maporder force-close teardown; close order is immaterial
-		_ = conn.Close()
+	for _, l := range c.live {
+		_ = l.conn.Close()
 	}
 	c.mu.Unlock()
 	c.wg.Wait()
@@ -235,47 +237,40 @@ func (c *Collector) Shutdown(ctx context.Context) error {
 }
 
 // register enrolls one session with the collector: it joins the
-// Shutdown wait group, is counted, and its conn becomes force-closable.
-// It fails once Shutdown has begun.
-func (c *Collector) register(conn io.Closer) error {
+// Shutdown wait group, is counted, and joins the live list, where its
+// conn is force-closable and its load is accounted. The session hands
+// the returned entry to every later call about itself. It fails once
+// Shutdown has begun.
+func (c *Collector) register(conn io.Closer) (*sessLoad, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return net.ErrClosed
+		return nil, net.ErrClosed
 	}
 	c.sessions++
 	c.wg.Add(1)
-	if c.conns == nil {
-		c.conns = make(map[io.Closer]struct{})
-	}
-	c.conns[conn] = struct{}{}
-	if c.loads == nil {
-		c.loads = make(map[io.Closer]*sessLoad)
-	}
 	l := &sessLoad{conn: conn}
-	c.loads[conn] = l
-	c.loadList = append(c.loadList, l)
-	return nil
+	c.live = append(c.live, l)
+	return l, nil
 }
 
-// unregister is register's counterpart: the conn stops being tracked
-// and the Shutdown wait group is released. The load record stays in
-// loadList so SessionLoads keeps reporting finished sessions.
-func (c *Collector) unregister(conn io.Closer) {
+// unregister is register's counterpart: l leaves the live list, keeping
+// the others in registration order, and the Shutdown wait group is
+// released. A finished session leaves no trace but the counters in
+// Stats.
+func (c *Collector) unregister(l *sessLoad) {
 	c.mu.Lock()
-	delete(c.conns, conn)
-	delete(c.loads, conn)
+	i := slices.Index(c.live, l)
+	c.live = slices.Delete(c.live, i, i+1)
 	c.mu.Unlock()
 	c.wg.Done()
 }
 
-// noteOpen records the peer AS on the session's load entry once its
-// OPEN arrives.
-func (c *Collector) noteOpen(conn io.Closer, as asn.ASN) {
+// noteOpen records the peer AS on the session's entry once its OPEN
+// arrives.
+func (c *Collector) noteOpen(l *sessLoad, as asn.ASN) {
 	c.mu.Lock()
-	if l := c.loads[conn]; l != nil {
-		l.as = as
-	}
+	l.as = as
 	c.mu.Unlock()
 }
 
@@ -287,7 +282,7 @@ func (c *Collector) loadWindow() time.Duration {
 	return DefaultLoadWindow
 }
 
-// noteUpdates accounts a run of n UPDATEs one session received in one
+// noteUpdates accounts a run of n UPDATEs session l received in one
 // read batch, under one critical section and one clock reading, while
 // deciding each update on its own against the session's window and the
 // global MaxLoad threshold. Crossing the threshold sheds the noisiest
@@ -295,26 +290,22 @@ func (c *Collector) loadWindow() time.Duration {
 // is closed here — never a blocking write under mu — and its session
 // loop translates the resulting read error into ErrSessionShed. The
 // first admitted of the n updates pass on to detection. shedSelf
-// reports that conn's own session is now shed: the update right after
+// reports that l's own session is now shed: the update right after
 // the admitted ones found it so, is counted like every update received,
 // and is dropped; the caller stops processing and closes with a Cease
 // of its own.
 //
 //bgplint:hotpath the decision loop runs once per received UPDATE
-func (c *Collector) noteUpdates(conn io.Closer, n int) (admitted int, shedSelf bool) {
+func (c *Collector) noteUpdates(l *sessLoad, n int) (admitted int, shedSelf bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.clock().Now()
 	if c.windowStart.IsZero() || now.Sub(c.windowStart) >= c.loadWindow() {
 		c.windowStart = now
 		c.windowCount = 0
-		for _, l := range c.loadList {
-			l.window = 0
+		for _, s := range c.live {
+			s.window = 0
 		}
-	}
-	l := c.loads[conn]
-	if l == nil {
-		return n, false
 	}
 	for ; admitted < n; admitted++ {
 		l.window++
@@ -340,9 +331,9 @@ func (c *Collector) shedFor(l *sessLoad) bool {
 		return false
 	}
 	var victim *sessLoad
-	for _, cand := range c.loadList {
-		if cand.shed || c.loads[cand.conn] == nil {
-			continue // already shed, or session already gone
+	for _, cand := range c.live {
+		if cand.shed {
+			continue
 		}
 		if victim == nil || cand.window > victim.window {
 			victim = cand
@@ -363,21 +354,21 @@ func (c *Collector) shedFor(l *sessLoad) bool {
 	return true
 }
 
-// wasShed reports whether conn's session was closed by load shedding.
-func (c *Collector) wasShed(conn io.Closer) bool {
+// wasShed reports whether l's session was closed by load shedding.
+func (c *Collector) wasShed(l *sessLoad) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	l := c.loads[conn]
-	return l != nil && l.shed
+	return l.shed
 }
 
-// SessionLoads returns every session's read-rate accounting snapshot,
-// finished sessions included, in registration order.
+// SessionLoads returns each live session's read-rate accounting
+// snapshot, in registration order. A finished session, shed or not, is
+// no longer listed; Stats keeps the collector-wide counts.
 func (c *Collector) SessionLoads() []SessionLoad {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]SessionLoad, 0, len(c.loadList))
-	for _, l := range c.loadList {
+	out := make([]SessionLoad, 0, len(c.live))
+	for _, l := range c.live {
 		out = append(out, SessionLoad{AS: l.as, Window: l.window, Total: l.total, Shed: l.shed})
 	}
 	return out

@@ -90,7 +90,7 @@ func TestFixturesInSync(t *testing.T) {
 
 // incidentDetector builds the detection stack the incident replay runs
 // against: the ROAs in force, one route-server validator at the
-// collector boundary, and a detector sharing its memo.
+// collector boundary, and a detector sharing its verdicts.
 func incidentDetector(t *testing.T) (*feed.Detector, *feed.RouteServer) {
 	t.Helper()
 	var store rpki.Store

@@ -286,6 +286,10 @@ func (r *Resolver) LookupOrigins(p prefix.Prefix) (asn.Set, error) {
 // NotFound when nothing covering is published. Verification failures are
 // treated as NotFound (fail-open, as incremental deployment demands) and
 // surfaced through Err.
+//
+// Store does not yet meet rpki.OriginValidator's concurrency contract:
+// Validate writes the resolver's KeyLog and lastErr unguarded, so it must
+// not serve a collector's sessions until those writes are made safe.
 type Store struct {
 	resolver *Resolver
 	// published mirrors the set of published prefixes so covering lookups

@@ -46,7 +46,9 @@ func (v Validity) String() string {
 }
 
 // OriginValidator is the oracle interface both RPKI and ROVER provide to
-// filters and detectors.
+// filters and detectors. Validate must be safe for concurrent calls once
+// loading ends: a collector's sessions call it from one goroutine each,
+// with no lock of their own around it.
 type OriginValidator interface {
 	Validate(p prefix.Prefix, origin asn.ASN) Validity
 }
@@ -73,7 +75,9 @@ func (r ROA) covers(p prefix.Prefix, origin asn.ASN) bool {
 }
 
 // Store is an in-memory ROA database with RFC 6811 validation semantics.
-// The zero value is empty and ready to use.
+// The zero value is empty and ready to use. Validate only reads, so any
+// number of goroutines may call it at once, provided none calls Add
+// meanwhile.
 type Store struct {
 	trie prefix.Trie[[]ROA]
 	n    int

@@ -1,6 +1,8 @@
 package rpki
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
@@ -82,6 +84,68 @@ func TestStoreMultipleROAs(t *testing.T) {
 	origins := s.AuthorizedOrigins(mp("10.0.0.0/8"))
 	if len(origins) != 2 || !origins.Contains(1) || !origins.Contains(2) {
 		t.Errorf("AuthorizedOrigins = %v", origins.Sorted())
+	}
+}
+
+// TestStoreValidateConcurrent: once loading ends, Validate may be called
+// from many goroutines at once — as a collector's sessions do — and each
+// call returns the verdict a serial pass gives. Run under -race it also
+// shows that Validate writes nothing.
+func TestStoreValidateConcurrent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var s Store
+	for _, r := range []ROA{
+		{Prefix: mp("10.0.0.0/8"), MaxLength: 16, Origin: 100},
+		{Prefix: mp("10.1.0.0/16"), MaxLength: 24, Origin: 200},
+		{Prefix: mp("10.1.0.0/16"), MaxLength: 20, Origin: 300},
+		{Prefix: mp("129.82.0.0/16"), MaxLength: 20, Origin: 12145},
+	} {
+		if err := s.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type query struct {
+		p      prefix.Prefix
+		origin asn.ASN
+	}
+	var queries []query
+	var want []Validity
+	seen := map[Validity]bool{}
+	for _, base := range []string{"10.0.0.0/8", "10.1.0.0/16", "129.82.0.0/16", "192.0.2.0/24"} {
+		b := mp(base)
+		for l := b.Len; l <= 24; l += 4 {
+			for _, origin := range []asn.ASN{100, 200, 300, 12145, 666} {
+				q := query{prefix.New(b.Addr|uint32(l)<<8, l), origin}
+				v := s.Validate(q.p, q.origin)
+				queries, want = append(queries, q), append(want, v)
+				seen[v] = true
+			}
+		}
+	}
+	if !seen[Valid] || !seen[Invalid] || !seen[NotFound] {
+		t.Fatalf("queries reach only %v: the test must cover every verdict", seen)
+	}
+	const workers, rounds = 8, 50
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i, q := range queries {
+					if got := s.Validate(q.p, q.origin); got != want[i] {
+						errs <- q.p.String() + ": concurrent verdict differs from the serial pass"
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 
