@@ -60,15 +60,16 @@ worktree-check:
 # the tests where the wire-byte paths share memory across goroutines —
 # a batch in flight beside a shed compacting the runner's table behind
 # it, and a reused decode batch beside the session loop reading the
-# other — which race only under contention — and the load-shedding tests,
+# other — which race only under contention — the load-shedding tests,
 # whose victim selection walks the live-session list while sessions join
-# and leave it.
+# and leave it, and the wedged-transport cancel, where a runner's
+# teardown closes the conn while its session closes it too.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/ -args -chaos.seed=1
 	$(GO) test -race -count=1 ./internal/chaos/ -args -chaos.seed=7
 	$(GO) test -race -count=1 ./internal/firehose/ -run ChaosSoak -args -firehose.seed=1
 	$(GO) test -race -count=1 ./internal/firehose/ -run ChaosSoak -args -firehose.seed=42
-	$(GO) test -race -count=20 -run 'BatchPinnedAgainstShedding|EnqueueShedOldest|RunnerAccountsEveryUpdate|LoadShedMidBatch|ReplayStalledCollectorBounded|CollectorEndToEnd|LoadShedsNoisiest|SelfShed|SessionChurn' ./internal/feed ./internal/firehose
+	$(GO) test -race -count=20 -run 'BatchPinnedAgainstShedding|EnqueueShedOldest|RunnerAccountsEveryUpdate|LoadShedMidBatch|ReplayStalledCollectorBounded|CollectorEndToEnd|LoadShedsNoisiest|SelfShed|SessionChurn|RunnerCancelClosesWedgedTransport' ./internal/feed ./internal/firehose
 
 # Replay the checked-in incident fixture end to end through cmd/mrtreplay
 # and compare the alert-set digest to the pinned value.

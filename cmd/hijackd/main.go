@@ -15,8 +15,7 @@
 // Endpoints: GET /healthz, GET /metrics, POST /reload, POST
 // /v1/attack, /v1/vulnerability, /v1/deployment, /v1/detection.
 //
-// Signals: SIGHUP starts a new epoch once in-flight queries drain (as
-// does POST /reload);
+// Signals: SIGHUP starts a new epoch (as does POST /reload);
 // SIGTERM/SIGINT stop intake, drain in-flight queries and exit 0.
 package main
 
@@ -112,12 +111,11 @@ func run(args []string) error {
 				fmt.Fprintf(os.Stderr, "hijackd: reloaded, epoch %d\n", s.Reload())
 				continue
 			}
-			// Graceful drain: Shutdown stops intake and waits for handlers,
-			// Drain is the epoch-level barrier behind it.
+			// Graceful drain: Shutdown stops intake and waits for
+			// handlers, for at most drainTimeout.
 			ctx, cancel := timeoutCtx(tick.Or(nil), drainTimeout)
 			err := srv.Shutdown(ctx)
 			cancel()
-			s.Drain()
 			if err != nil {
 				return fmt.Errorf("shutdown: %w", err)
 			}

@@ -148,16 +148,3 @@ func WriteMessage(w io.Writer, msg any) error {
 	_, err = w.Write(data)
 	return err
 }
-
-// WriteMessageDeadline arms w's write deadline (when supported and
-// non-zero) and writes one message, so a peer that stops reading cannot
-// block a session goroutine forever.
-func WriteMessageDeadline(w io.Writer, msg any, deadline time.Time) error {
-	if d, ok := w.(WriteDeadliner); ok && !deadline.IsZero() {
-		// A deadline-set failure (typically a conn the peer already
-		// closed) is deliberately not surfaced: the write itself reports
-		// the true condition.
-		_ = d.SetWriteDeadline(deadline)
-	}
-	return WriteMessage(w, msg)
-}

@@ -406,8 +406,12 @@ func (r *ProbeRunner) run(ctx context.Context, drain bool) error {
 		r.mu.Unlock()
 		conn, err := r.Dial()
 		if err == nil {
+			// The runner owns its transport's teardown: a session wedged
+			// in a write or a handshake read returns once ctx ends.
+			stop := context.AfterFunc(ctx, func() { _ = conn.Close() })
 			var established bool
 			established, err = r.session(ctx, conn, drain)
+			stop()
 			if err == nil {
 				return nil // drain completed
 			}
@@ -442,8 +446,7 @@ func (r *ProbeRunner) run(ctx context.Context, drain bool) error {
 // established=false when the handshake itself failed. A nil error means
 // drain mode finished the table.
 func (r *ProbeRunner) session(ctx context.Context, conn io.ReadWriteCloser, drain bool) (established bool, err error) {
-	clock := r.clock()
-	p := &Probe{AS: r.AS, RouterID: r.RouterID, HoldTime: r.HoldTime, Clock: clock, writes: &r.writes}
+	p := &Probe{AS: r.AS, RouterID: r.RouterID, HoldTime: r.HoldTime, Clock: r.clock(), tx: sender{writes: &r.writes}}
 	if err := p.Dial(conn); err != nil {
 		return false, err // Dial closed conn
 	}
@@ -453,34 +456,18 @@ func (r *ProbeRunner) session(ctx context.Context, conn io.ReadWriteCloser, drai
 	if r.stats.Sessions > 1 {
 		r.stats.Reconnects++
 	}
+	r.stats.Connected = true
 	notify := r.notifyLocked()
 	r.mu.Unlock()
-	r.setConnected(true)
 	defer r.setConnected(false)
 
-	hold := p.NegotiatedHold()
-	readCh := make(chan []readResult)
-	readerDone := make(chan struct{})
-	defer close(readerDone)
-	go readLoop(p.in, readCh, readerDone)
-
-	var holdT, kaT tick.Timer
-	var holdC, kaC <-chan time.Time
-	if hold > 0 {
-		holdT = clock.NewTimer(hold)
-		holdC = holdT.C()
-		kaT = clock.NewTimer(hold / 3)
-		kaC = kaT.C()
-		defer holdT.Stop()
-		defer kaT.Stop()
-	}
+	lv := startLiveness(&p.tx, p.in, p.hold)
+	defer lv.stop()
 
 	// handleRead processes one batch of collector-to-probe messages; a
 	// non-nil return ends the session.
 	handleRead := func(batch []readResult) error {
-		if hold > 0 && batch[0].err == nil {
-			tick.Rearm(holdT, hold)
-		}
+		lv.heard(batch)
 		for _, rr := range batch {
 			if rr.err != nil {
 				return fmt.Errorf("probe %v: read: %w", r.AS, rr.err)
@@ -499,16 +486,14 @@ func (r *ProbeRunner) session(ctx context.Context, conn io.ReadWriteCloser, drai
 	for {
 		batch, n, drained := r.take(drain)
 		if n > 0 {
-			if err := p.flush(batch, hold); err != nil {
+			if err := p.tx.flush(batch, p.hold); err != nil {
 				return true, err
 			}
 			r.advance(n)
-			if hold > 0 {
-				tick.Rearm(kaT, hold/3) // our write already proved liveness to the peer
-			}
+			lv.wrote()
 			// Drain reader/timer events without blocking between writes.
 			select {
-			case b := <-readCh:
+			case b := <-lv.reads:
 				if err := handleRead(b); err != nil {
 					return true, err
 				}
@@ -525,18 +510,17 @@ func (r *ProbeRunner) session(ctx context.Context, conn io.ReadWriteCloser, drai
 		}
 		select {
 		case <-notify:
-		case b := <-readCh:
+		case b := <-lv.reads:
 			if err := handleRead(b); err != nil {
 				return true, err
 			}
-		case <-kaC:
-			if err := p.send(bgpwire.Keepalive{}, hold); err != nil {
+		case <-lv.kaC:
+			if err := lv.keepalive(); err != nil {
 				return true, fmt.Errorf("probe %v: send KEEPALIVE: %w", r.AS, err)
 			}
-			tick.Rearm(kaT, hold/3)
-		case <-holdC:
-			_ = p.send(&bgpwire.Notification{Code: 4 /* hold timer expired */}, hold)
-			return true, fmt.Errorf("probe %v: hold timer (%v) expired: collector silent", r.AS, hold)
+		case <-lv.holdC:
+			lv.expire()
+			return true, fmt.Errorf("probe %v: hold timer (%v) expired: collector silent", r.AS, p.hold)
 		case <-ctx.Done():
 			_ = p.Close()
 			return true, ctx.Err()

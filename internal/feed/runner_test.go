@@ -221,13 +221,15 @@ func TestEnqueueShedOldest(t *testing.T) {
 // lets the probe's OPEN through, and then blocks every later write until
 // Close — a collector that accepted the session and stopped reading.
 type stalledConn struct {
-	mu        sync.Mutex
-	script    []byte // collector→probe bytes served by Read
-	wrote     int
-	stalled   chan struct{} // closed when a post-handshake write blocks
-	closed    chan struct{}
-	stallOnce sync.Once
-	closeOnce sync.Once
+	mu         sync.Mutex
+	script     []byte // collector→probe bytes served by Read
+	wrote      int
+	stalled    chan struct{} // closed when a post-handshake write blocks
+	starved    chan struct{} // closed when a read finds the script spent and blocks
+	closed     chan struct{}
+	stallOnce  sync.Once
+	starveOnce sync.Once
+	closeOnce  sync.Once
 }
 
 // collectorScript is the collector half of a handshake as wire bytes:
@@ -248,6 +250,7 @@ func newStalledConn(t *testing.T) *stalledConn {
 	return &stalledConn{
 		script:  collectorScript(t),
 		stalled: make(chan struct{}),
+		starved: make(chan struct{}),
 		closed:  make(chan struct{}),
 	}
 }
@@ -261,6 +264,7 @@ func (c *stalledConn) Read(p []byte) (int, error) {
 		return n, nil
 	}
 	c.mu.Unlock()
+	c.starveOnce.Do(func() { close(c.starved) })
 	<-c.closed
 	return 0, io.EOF
 }
@@ -345,6 +349,57 @@ func TestRunnerBoundedUnderStalledTransport(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("runner never exited after conn close")
+	}
+}
+
+// TestRunnerCancelClosesWedgedTransport: a runner owns its transport's
+// teardown. Over a conn with no deadlines, a runner cancelled while it
+// is wedged in a write the collector never reads, or in a handshake
+// read the collector never answers, must close the conn itself and
+// return context.Canceled: nothing else holds the conn to close it.
+func TestRunnerCancelClosesWedgedTransport(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		handshake bool // whether the collector answers the OPEN
+	}{{"write", true}, {"handshake read", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn := newStalledConn(t)
+			wedged := conn.stalled
+			if !tc.handshake {
+				conn.script, wedged = nil, conn.starved
+			}
+			r := &ProbeRunner{
+				AS: 65001, RouterID: 2,
+				Dial:        func() (io.ReadWriteCloser, error) { return conn, nil },
+				HoldTime:    30,
+				MaxAttempts: 1,
+				Clock:       tick.NewFake(),
+			}
+			if err := r.Enqueue(&bgpwire.Update{
+				Origin: bgpwire.OriginIGP, ASPath: []asn.ASN{65001}, NextHop: 1,
+				NLRI: []prefix.Prefix{prefix.MustParse("192.0.2.0/24")},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- r.Run(ctx) }()
+			select {
+			case <-wedged:
+			case <-time.After(10 * time.Second):
+				t.Fatal("session never wedged")
+			}
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("Run = %v, want context.Canceled", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("cancelled runner never returned: nothing closed its wedged transport")
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 	"time"
 
 	"github.com/bgpsim/bgpsim/internal/bgpwire"
@@ -68,6 +69,133 @@ func readLoop(in *bgpwire.FrameReader, out chan<- []readResult, done <-chan stru
 	}
 }
 
+// sender is the one writer of either session end: every message the
+// collector or a probe sends goes out through it.
+type sender struct {
+	conn   io.ReadWriteCloser
+	clock  tick.Clock
+	out    []byte        // the encode buffer every send reuses
+	writes *atomic.Int64 // transport Write calls; nil when nobody counts
+}
+
+// flush issues b as one transport write under a write deadline timeout
+// ahead (0 = none), so a peer that stops reading cannot block the
+// session goroutine forever.
+func (s *sender) flush(b []byte, timeout time.Duration) error {
+	if d, ok := s.conn.(bgpwire.WriteDeadliner); ok && timeout > 0 {
+		// As with reads: let the write itself report a closed conn.
+		_ = d.SetWriteDeadline(s.clock.Now().Add(timeout))
+	}
+	if s.writes != nil {
+		s.writes.Add(1)
+	}
+	_, err := s.conn.Write(b)
+	return err
+}
+
+// send encodes one message into the reused buffer and writes it.
+func (s *sender) send(msg any, timeout time.Duration) (err error) {
+	if s.out, err = bgpwire.AppendMessage(s.out[:0], msg); err != nil {
+		return err
+	}
+	return s.flush(s.out, timeout)
+}
+
+// readOpen reads the peer's OPEN off in and returns it with the session
+// hold time (RFC 4271 §4.2): the lesser offer, 0 from either side
+// disabling the timer. A bad OPEN gets a best-effort OPEN error
+// NOTIFICATION (§6.2). Only a collector (allowZeroHold) accepts an offer
+// of 0: a probe needs a live hold timer from its collector.
+func (s *sender) readOpen(in *bgpwire.FrameReader, local uint16, allowZeroHold bool, timeout time.Duration) (*bgpwire.Open, time.Duration, error) {
+	msg, err := in.ReadMessage()
+	if err != nil {
+		return nil, 0, fmt.Errorf("read OPEN: %w", err)
+	}
+	o, ok := msg.(*bgpwire.Open)
+	if !ok {
+		return nil, 0, fmt.Errorf("expected OPEN, got %T", msg)
+	}
+	subcode := uint8(6) // unacceptable hold time
+	switch {
+	case o.Version != 4:
+		err, subcode = fmt.Errorf("peer OPEN: unsupported BGP version %d", o.Version), 1
+	case o.HoldTime == 0 && !allowZeroHold:
+		err = fmt.Errorf("peer OPEN: zero hold time (peer would never be reaped)")
+	case o.HoldTime != 0 && o.HoldTime < minHoldTime:
+		err = fmt.Errorf("peer OPEN: hold time %ds below the %ds floor", o.HoldTime, minHoldTime)
+	}
+	if err != nil {
+		_ = s.send(&bgpwire.Notification{Code: 2, Subcode: subcode}, timeout)
+		return nil, 0, err
+	}
+	return o, time.Duration(min(local, o.HoldTime)) * time.Second, nil
+}
+
+// liveness keeps an established session alive from either end: the
+// reader goroutine that ships the peer's messages on reads, and the
+// hold/keepalive timer pair. A hold of 0 disables both timers; their
+// nil channels keep those select arms permanently silent.
+type liveness struct {
+	tx         *sender
+	hold       time.Duration
+	reads      chan []readResult
+	done       chan struct{}
+	holdT, kaT tick.Timer
+	holdC, kaC <-chan time.Time
+}
+
+// startLiveness starts reading in and arms the timers for the
+// negotiated hold; the session loop calls stop when it ends.
+func startLiveness(tx *sender, in *bgpwire.FrameReader, hold time.Duration) *liveness {
+	l := &liveness{tx: tx, hold: hold, reads: make(chan []readResult), done: make(chan struct{})}
+	go readLoop(in, l.reads, l.done)
+	if hold > 0 {
+		l.holdT = tx.clock.NewTimer(hold)
+		l.holdC = l.holdT.C()
+		l.kaT = tx.clock.NewTimer(hold / 3)
+		l.kaC = l.kaT.C()
+	}
+	return l
+}
+
+// stop releases the reader goroutine and the timers.
+func (l *liveness) stop() {
+	close(l.done)
+	if l.hold > 0 {
+		l.holdT.Stop()
+		l.kaT.Stop()
+	}
+}
+
+// heard re-arms the hold timer once for a whole batch off reads: any
+// received message, even a malformed one, proves the peer alive.
+func (l *liveness) heard(batch []readResult) {
+	if l.hold > 0 && batch[0].err == nil {
+		tick.Rearm(l.holdT, l.hold)
+	}
+}
+
+// wrote defers the next keepalive: a write of our own already proved
+// liveness to the peer.
+func (l *liveness) wrote() {
+	if l.hold > 0 {
+		tick.Rearm(l.kaT, l.hold/3)
+	}
+}
+
+// keepalive answers a tick of kaC with a KEEPALIVE.
+func (l *liveness) keepalive() error {
+	err := l.tx.send(bgpwire.Keepalive{}, l.hold)
+	l.wrote()
+	return err
+}
+
+// expire answers a tick of holdC with a best-effort hold-timer-expired
+// NOTIFICATION; the session then ends.
+func (l *liveness) expire() {
+	_ = l.tx.send(&bgpwire.Notification{Code: 4 /* hold timer expired */}, l.hold)
+}
+
 // HandleSession runs one collector-side BGP session on conn: OPEN
 // exchange, KEEPALIVE, then UPDATE stream into the detector until the
 // peer closes, sends NOTIFICATION, or the negotiated hold timer
@@ -82,61 +210,30 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 	}
 	defer c.unregister(sess)
 
-	clock := c.clock()
+	tx := &sender{conn: conn, clock: c.clock()}
 	localHold := time.Duration(c.holdTime()) * time.Second
-	handshakeDeadline := clock.Now().Add(localHold)
 	// One frame reader for the whole session, handshake included: what it
 	// reads ahead of the OPEN is the start of the update stream.
-	dr := &deadlineReader{conn: conn, clock: clock, hold: localHold, reads: &c.reads}
+	dr := &deadlineReader{conn: conn, clock: tx.clock, hold: localHold, reads: &c.reads}
 	in := bgpwire.NewFrameReader(dr)
-	msg, err := in.ReadMessage()
+	// Each handshake write is bounded by the local hold offer, as the
+	// probe's are.
+	open, hold, err := tx.readOpen(in, c.holdTime(), true, localHold)
 	if err != nil {
-		return fmt.Errorf("collector: read OPEN: %w", err)
-	}
-	open, ok := msg.(*bgpwire.Open)
-	if !ok {
-		return fmt.Errorf("collector: expected OPEN, got %T", msg)
-	}
-	if err := validateOpen(open, true); err != nil {
-		_ = bgpwire.WriteMessageDeadline(conn, &bgpwire.Notification{Code: 2, Subcode: openErrSubcode(open)}, handshakeDeadline)
 		return fmt.Errorf("collector: %w", err)
 	}
 	c.noteOpen(sess, open.AS)
-	if err := bgpwire.WriteMessageDeadline(conn, &bgpwire.Open{
+	if err := tx.send(&bgpwire.Open{
 		Version: 4, AS: c.LocalAS, HoldTime: c.holdTime(), RouterID: c.RouterID,
-	}, handshakeDeadline); err != nil {
+	}, localHold); err != nil {
 		return fmt.Errorf("collector: send OPEN: %w", err)
 	}
-	if err := bgpwire.WriteMessageDeadline(conn, bgpwire.Keepalive{}, handshakeDeadline); err != nil {
+	if err := tx.send(bgpwire.Keepalive{}, localHold); err != nil {
 		return fmt.Errorf("collector: send KEEPALIVE: %w", err)
 	}
-	hold := negotiateHold(c.holdTime(), open.HoldTime)
 	dr.setHold(hold)
-
-	readCh := make(chan []readResult)
-	readerDone := make(chan struct{})
-	defer close(readerDone)
-	go readLoop(in, readCh, readerDone)
-
-	// A negotiated hold of 0 disables both timers; nil channels keep
-	// those select arms permanently silent.
-	var holdT, kaT tick.Timer
-	var holdC, kaC <-chan time.Time
-	if hold > 0 {
-		holdT = clock.NewTimer(hold)
-		holdC = holdT.C()
-		kaT = clock.NewTimer(hold / 3)
-		kaC = kaT.C()
-		defer holdT.Stop()
-		defer kaT.Stop()
-	}
-
-	writeDeadline := func() time.Time {
-		if hold == 0 {
-			return time.Time{}
-		}
-		return clock.Now().Add(hold)
-	}
+	lv := startLiveness(tx, in, hold)
+	defer lv.stop()
 
 	var seq uint32
 	malformed := 0
@@ -185,7 +282,7 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 			c.mu.Unlock()
 			if malformed > c.maxMalformed() {
 				c.logf("collector: closing %v after %d malformed messages (last: %v)", open.AS, malformed, rr.malformed)
-				_ = bgpwire.WriteMessageDeadline(conn, &bgpwire.Notification{Code: 1 /* message header error */}, writeDeadline())
+				_ = tx.send(&bgpwire.Notification{Code: 1 /* message header error */}, hold)
 				return true, fmt.Errorf("collector: session with %v: malformed budget exhausted: %w", open.AS, rr.malformed)
 			}
 			return false, nil
@@ -196,7 +293,7 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 		case *bgpwire.Notification:
 			return true, nil // peer is closing the session
 		default:
-			_ = bgpwire.WriteMessageDeadline(conn, &bgpwire.Notification{Code: 5 /* FSM error */}, writeDeadline())
+			_ = tx.send(&bgpwire.Notification{Code: 5 /* FSM error */}, hold)
 			return true, fmt.Errorf("collector: unexpected %T mid-session", rr.msg)
 		}
 		return false, nil
@@ -204,12 +301,8 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 
 	for {
 		select {
-		case batch := <-readCh:
-			// Any received message, even a malformed one, proves liveness:
-			// one re-arm covers the whole batch.
-			if hold > 0 && batch[0].err == nil {
-				tick.Rearm(holdT, hold)
-			}
+		case batch := <-lv.reads:
+			lv.heard(batch)
 			for len(batch) > 0 {
 				n := leadingUpdates(batch)
 				if n == 0 {
@@ -229,22 +322,21 @@ func (c *Collector) HandleSession(conn io.ReadWriteCloser) error {
 					// This session is the load-shed victim: the update
 					// that found it shed is dropped, the peer gets a
 					// Cease.
-					_ = bgpwire.WriteMessageDeadline(conn, &bgpwire.Notification{Code: 6 /* cease */}, writeDeadline())
+					_ = tx.send(&bgpwire.Notification{Code: 6 /* cease */}, hold)
 					return fmt.Errorf("collector: session with %v: %w", open.AS, ErrSessionShed)
 				}
 				batch = batch[n:]
 			}
-		case <-kaC:
-			if err := bgpwire.WriteMessageDeadline(conn, bgpwire.Keepalive{}, writeDeadline()); err != nil {
+		case <-lv.kaC:
+			if err := lv.keepalive(); err != nil {
 				return fmt.Errorf("collector: send KEEPALIVE to %v: %w", open.AS, err)
 			}
-			tick.Rearm(kaT, hold/3)
-		case <-holdC:
+		case <-lv.holdC:
 			c.mu.Lock()
 			c.stats.HoldExpiries++
 			c.mu.Unlock()
 			c.logf("collector: hold timer (%v) expired for %v; reaping session", hold, open.AS)
-			_ = bgpwire.WriteMessageDeadline(conn, &bgpwire.Notification{Code: 4 /* hold timer expired */}, writeDeadline())
+			lv.expire()
 			return fmt.Errorf("collector: session with %v: hold timer expired", open.AS)
 		}
 	}

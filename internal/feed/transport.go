@@ -398,20 +398,6 @@ func (c *Collector) logf(format string, args ...any) {
 	}
 }
 
-// negotiateHold returns the session hold time per RFC 4271 §4.2: the
-// minimum of the two offers, where 0 from either side disables the
-// timer entirely.
-func negotiateHold(local, peer uint16) time.Duration {
-	if local == 0 || peer == 0 {
-		return 0
-	}
-	h := local
-	if peer < h {
-		h = peer
-	}
-	return time.Duration(h) * time.Second
-}
-
 // deadlineReader is the transport under a session's frame reader. Every
 // Read first arms conn's read deadline (real sockets only) one hold
 // period ahead on the injected clock — the kernel-level backstop for the
@@ -462,18 +448,14 @@ type Probe struct {
 	// clock.
 	Clock tick.Clock
 
-	conn io.ReadWriteCloser
+	// tx holds the session's conn (nil outside a session) and writes all
+	// the probe sends, a ProbeRunner's table bytes included.
+	tx sender
 	// in frames everything the collector sends, handshake included: the
 	// session's one reader, so nothing it read ahead is ever stranded.
 	in   *bgpwire.FrameReader
 	hold time.Duration
 	peer bgpwire.Open
-	// out is the encode buffer every message send reuses; a ProbeRunner's
-	// update batches go out of its table as they are.
-	out []byte
-	// writes, when non-nil, counts transport Write calls (the runner's
-	// RunnerStats.Writes).
-	writes *atomic.Int64
 }
 
 func (p *Probe) holdTime() uint16 {
@@ -481,33 +463,6 @@ func (p *Probe) holdTime() uint16 {
 		return p.HoldTime
 	}
 	return DefaultHoldTime
-}
-
-func (p *Probe) clock() tick.Clock {
-	return tick.Or(p.Clock)
-}
-
-// flush issues b as one transport write under a write deadline timeout
-// ahead (0 = none), so a peer that stops reading cannot block the
-// session goroutine forever.
-func (p *Probe) flush(b []byte, timeout time.Duration) error {
-	if d, ok := p.conn.(bgpwire.WriteDeadliner); ok && timeout > 0 {
-		// As with reads: let the write itself report a closed conn.
-		_ = d.SetWriteDeadline(p.clock().Now().Add(timeout))
-	}
-	if p.writes != nil {
-		p.writes.Add(1)
-	}
-	_, err := p.conn.Write(b)
-	return err
-}
-
-// send encodes one message into the reused buffer and writes it.
-func (p *Probe) send(msg any, timeout time.Duration) (err error) {
-	if p.out, err = bgpwire.AppendMessage(p.out[:0], msg); err != nil {
-		return err
-	}
-	return p.flush(p.out, timeout)
 }
 
 // maxBatchBytes bounds one coalesced update write: the frame reader's
@@ -522,66 +477,34 @@ const maxBatchBytes = 64 << 10
 // Dial forever on a real socket. A failed Dial closes conn.
 func (p *Probe) Dial(conn io.ReadWriteCloser) (err error) {
 	offer := time.Duration(p.holdTime()) * time.Second
-	dr := &deadlineReader{conn: conn, clock: p.clock(), hold: offer}
-	p.conn, p.in = conn, bgpwire.NewFrameReader(dr)
+	clock := tick.Or(p.Clock)
+	dr := &deadlineReader{conn: conn, clock: clock, hold: offer}
+	p.tx.conn, p.tx.clock, p.in = conn, clock, bgpwire.NewFrameReader(dr)
 	defer func() {
 		if err != nil {
 			conn.Close()
-			p.conn, p.in = nil, nil
+			p.tx.conn, p.in = nil, nil
 		}
 	}()
-	if err := p.send(&bgpwire.Open{
+	if err := p.tx.send(&bgpwire.Open{
 		Version: 4, AS: p.AS, HoldTime: p.holdTime(), RouterID: p.RouterID,
 	}, offer); err != nil {
 		return fmt.Errorf("probe %v: send OPEN: %w", p.AS, err)
 	}
-	msg, err := p.in.ReadMessage()
+	open, hold, err := p.tx.readOpen(p.in, p.holdTime(), false, offer)
 	if err != nil {
-		return fmt.Errorf("probe %v: read OPEN: %w", p.AS, err)
-	}
-	open, ok := msg.(*bgpwire.Open)
-	if !ok {
-		return fmt.Errorf("probe %v: expected OPEN, got %T", p.AS, msg)
-	}
-	if err := validateOpen(open, false); err != nil {
-		// Best-effort OPEN error NOTIFICATION before teardown.
-		_ = p.send(&bgpwire.Notification{Code: 2, Subcode: openErrSubcode(open)}, offer)
 		return fmt.Errorf("probe %v: %w", p.AS, err)
 	}
-	if msg, err = p.in.ReadMessage(); err != nil {
+	msg, err := p.in.ReadMessage()
+	if err != nil {
 		return fmt.Errorf("probe %v: read KEEPALIVE: %w", p.AS, err)
 	}
 	if _, ok := msg.(bgpwire.Keepalive); !ok {
 		return fmt.Errorf("probe %v: expected KEEPALIVE, got %T", p.AS, msg)
 	}
-	p.peer = *open
-	p.hold = negotiateHold(p.holdTime(), open.HoldTime)
-	dr.setHold(p.hold)
+	p.peer, p.hold = *open, hold
+	dr.setHold(hold)
 	return nil
-}
-
-// validateOpen checks an incoming OPEN. allowZeroHold distinguishes the
-// collector (hold 0 legitimately disables the timer) from the probe,
-// which requires a live hold timer from its collector.
-func validateOpen(o *bgpwire.Open, allowZeroHold bool) error {
-	if o.Version != 4 {
-		return fmt.Errorf("peer OPEN: unsupported BGP version %d", o.Version)
-	}
-	if o.HoldTime == 0 && !allowZeroHold {
-		return fmt.Errorf("peer OPEN: zero hold time (peer would never be reaped)")
-	}
-	if o.HoldTime != 0 && o.HoldTime < minHoldTime {
-		return fmt.Errorf("peer OPEN: hold time %ds below the %ds floor", o.HoldTime, minHoldTime)
-	}
-	return nil
-}
-
-// openErrSubcode maps a rejected OPEN to the RFC 4271 §6.2 subcode.
-func openErrSubcode(o *bgpwire.Open) uint8 {
-	if o.Version != 4 {
-		return 1 // unsupported version number
-	}
-	return 6 // unacceptable hold time
 }
 
 // NegotiatedHold returns the hold time agreed during Dial (zero when
@@ -593,20 +516,20 @@ func (p *Probe) PeerOpen() bgpwire.Open { return p.peer }
 
 // Send streams one UPDATE on the session: a batch of one.
 func (p *Probe) Send(u *bgpwire.Update) error {
-	if p.conn == nil {
+	if p.tx.conn == nil {
 		return fmt.Errorf("probe %v: session not established", p.AS)
 	}
-	return p.send(u, p.hold)
+	return p.tx.send(u, p.hold)
 }
 
 // Close ends the session with a Cease NOTIFICATION.
 func (p *Probe) Close() error {
-	if p.conn == nil {
+	if p.tx.conn == nil {
 		return nil
 	}
-	_ = p.send(&bgpwire.Notification{Code: 6 /* cease */}, p.hold)
-	err := p.conn.Close()
-	p.conn = nil
+	_ = p.tx.send(&bgpwire.Notification{Code: 6 /* cease */}, p.hold)
+	err := p.tx.conn.Close()
+	p.tx.conn = nil
 	p.hold = 0
 	return err
 }

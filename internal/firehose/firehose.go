@@ -129,19 +129,16 @@ type Engine struct {
 	cfg   Config
 	clock tick.Clock
 
+	// mu guards runners, runErr and stats.
 	mu      sync.Mutex
 	runners []*feed.ProbeRunner
-	slotOf  map[asn.ASN]int
-	peers   []asn.ASN // distinct peers in first-appearance order
-	conns   map[io.Closer]struct{}
-	closing bool
 	runErr  error
-	stats   Stats // the once-per-input counters; see updates
+	stats   Stats // the once-per-input and once-per-peer counters; see updates
 
 	// updates and ribRoutes are Stats.Updates and Stats.RIBRoutes,
 	// counted once per dispatched update without taking mu.
 	updates, ribRoutes atomic.Int64
-	// route is the dispatcher's own peer → runner map. loadRIB and
+	// route is the engine's one peer → runner map. loadRIB and
 	// replayUpdates run one after the other on Run's goroutine, the
 	// only one that touches it, so it needs no lock: runnerFor and its
 	// mutex run on a peer's first sight only.
@@ -153,11 +150,9 @@ type Engine struct {
 // New builds an Engine over cfg.
 func New(cfg Config) *Engine {
 	return &Engine{
-		cfg:    cfg,
-		clock:  tick.Or(cfg.Clock),
-		slotOf: make(map[asn.ASN]int),
-		conns:  make(map[io.Closer]struct{}),
-		route:  make(map[asn.ASN]*feed.ProbeRunner),
+		cfg:   cfg,
+		clock: tick.Or(cfg.Clock),
+		route: make(map[asn.ASN]*feed.ProbeRunner),
 	}
 }
 
@@ -175,15 +170,16 @@ func (e *Engine) bump(f func(*Stats)) {
 	e.mu.Unlock()
 }
 
-// collect assembles a Stats snapshot: dispatch counters plus the session
-// runners' live counters.
-func (e *Engine) collect() Stats {
+// Snapshot reports the replay's counters as of now: dispatch counters
+// plus the session runners' live counters. Safe to call from any
+// goroutine while Run is in flight — the progress feed for long replays
+// and the probe point for backpressure tests.
+func (e *Engine) Snapshot() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.stats
 	s.Updates = int(e.updates.Load())
 	s.RIBRoutes = int(e.ribRoutes.Load())
-	s.Peers = len(e.peers)
 	s.Sessions = len(e.runners)
 	for _, r := range e.runners {
 		rs := r.Stats()
@@ -195,85 +191,22 @@ func (e *Engine) collect() Stats {
 	return s
 }
 
-// Snapshot reports the replay's counters as of now. Safe to call from
-// any goroutine while Run is in flight — the progress feed for long
-// replays and the probe point for backpressure tests.
-func (e *Engine) Snapshot() Stats { return e.collect() }
-
-// trackedConn unregisters itself from the engine's force-close set when
-// the session closes it.
-type trackedConn struct {
-	io.ReadWriteCloser
-	e *Engine
-}
-
-func (t *trackedConn) Close() error {
-	t.e.mu.Lock()
-	delete(t.e.conns, t)
-	t.e.mu.Unlock()
-	return t.ReadWriteCloser.Close()
-}
-
-// dial wraps cfg.Dial with live-connection tracking, so teardown can
-// force-close transports that deadline-less fakes or stalled peers have
-// wedged mid-write.
-func (e *Engine) dial() (io.ReadWriteCloser, error) {
-	conn, err := e.cfg.Dial()
-	if err != nil {
-		return nil, err
-	}
-	t := &trackedConn{ReadWriteCloser: conn, e: e}
-	e.mu.Lock()
-	if e.closing {
-		e.mu.Unlock()
-		conn.Close()
-		return nil, errors.New("firehose: engine shutting down")
-	}
-	e.conns[t] = struct{}{}
-	e.mu.Unlock()
-	return t, nil
-}
-
-// closeConns force-closes every live transport, unblocking any session
-// goroutine stuck in a read or write.
-func (e *Engine) closeConns() {
-	e.mu.Lock()
-	e.closing = true
-	conns := make([]io.Closer, 0, len(e.conns))
-	for conn := range e.conns { //bgplint:ignore maporder force-close teardown; close order is immaterial
-		conns = append(conns, conn)
-	}
-	e.conns = make(map[io.Closer]struct{})
-	e.mu.Unlock()
-	// Close outside the lock: trackedConn.Close re-enters e.mu to
-	// unregister itself.
-	for _, conn := range conns {
-		_ = conn.Close()
-	}
-}
-
-// runnerFor returns the session runner for peer, creating the slot (and
-// starting its Run goroutine) on first sight. Slot assignment is a pure
-// function of first-appearance order, so replays are reproducible.
+// runnerFor returns the session runner for a peer seen for the first
+// time, creating its slot (and starting its Run goroutine) unless the
+// session cap coalesces it onto an existing one. Slot assignment is a
+// pure function of first-appearance order, so replays are reproducible.
 func (e *Engine) runnerFor(ctx context.Context, peer asn.ASN) *feed.ProbeRunner {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if i, ok := e.slotOf[peer]; ok {
-		return e.runners[i]
-	}
-	seen := len(e.peers)
-	e.peers = append(e.peers, peer)
+	seen := e.stats.Peers
+	e.stats.Peers++
 	if n := e.cfg.Sessions; n > 0 && len(e.runners) >= n {
-		slot := seen % n
-		e.slotOf[peer] = slot
-		return e.runners[slot]
+		return e.runners[seen%n]
 	}
-	slot := len(e.runners)
-	e.slotOf[peer] = slot
 	r := &feed.ProbeRunner{
 		AS:          peer,
-		RouterID:    uint32(slot + 1),
-		Dial:        e.dial,
+		RouterID:    uint32(len(e.runners) + 1),
+		Dial:        e.cfg.Dial,
 		HoldTime:    e.cfg.HoldTime,
 		BackoffBase: e.cfg.BackoffBase,
 		BackoffMax:  e.cfg.BackoffMax,
@@ -298,8 +231,8 @@ func (e *Engine) runnerFor(ctx context.Context, peer asn.ASN) *feed.ProbeRunner 
 	return r
 }
 
-// sessionFor returns peer's session runner from the dispatcher's own
-// map, creating the slot on first sight.
+// sessionFor returns peer's session runner from the route map, creating
+// the slot on first sight.
 func (e *Engine) sessionFor(ctx context.Context, peer asn.ASN) *feed.ProbeRunner {
 	r := e.route[peer]
 	if r == nil {
@@ -453,15 +386,12 @@ func (e *Engine) replayUpdates(ctx context.Context) error {
 // graceful drain — every session finishes writing its table and closes
 // with a Cease, so the collector has processed everything Run dispatched
 // by the time it returns. On ctx cancellation or expiry the drain is cut
-// short: live transports are force-closed and the error is returned with
-// whatever Stats had accumulated.
+// short: each runner closes its own transport and returns, and the error
+// is returned with whatever Stats had accumulated.
 func (e *Engine) Run(ctx context.Context) (Stats, error) {
 	if e.cfg.Dial == nil {
 		return Stats{}, errors.New("firehose: Config.Dial is required")
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	dispatchErr := func() error {
 		if e.cfg.RIB != nil {
 			if err := e.loadRIB(ctx); err != nil {
@@ -478,30 +408,16 @@ func (e *Engine) Run(ctx context.Context) (Stats, error) {
 
 	// Drain: every runner closes its session once its queue is written.
 	e.mu.Lock()
-	runners := append([]*feed.ProbeRunner(nil), e.runners...)
-	e.mu.Unlock()
-	for _, r := range runners {
+	for _, r := range e.runners {
 		r.CloseWhenDrained()
 	}
-	done := make(chan struct{})
-	go func() {
-		e.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		// Deadline-less transports can wedge a drain forever; cut the
-		// connections out from under the sessions and collect what ran.
-		cancel()
-		e.closeConns()
-		<-done
-		if dispatchErr == nil {
-			dispatchErr = ctx.Err()
-		}
-	}
+	e.mu.Unlock()
+	e.wg.Wait()
 
-	stats := e.collect()
+	stats := e.Snapshot()
+	if dispatchErr == nil {
+		dispatchErr = ctx.Err()
+	}
 	if dispatchErr == nil {
 		e.mu.Lock()
 		dispatchErr = e.runErr

@@ -39,10 +39,11 @@ func (s *Server) query(ep *endpointMetrics, fn func(epoch int64, r *http.Request
 }
 
 // solve runs fn on the solver tier: bounded admission (shed with 429 +
-// Retry-After when full), epoch registration, latency observation and
-// JSON rendering. fn holds its admitted worker for its whole run. A
-// request whose client has gone while it waited for a worker hands the
-// worker straight back unsolved and is counted as canceled.
+// Retry-After when full), latency observation and JSON rendering. fn
+// answers under the epoch current when it starts and holds its admitted
+// worker for its whole run. A request whose client has gone while it
+// waited for a worker hands the worker straight back unsolved and is
+// counted as canceled.
 func (s *Server) solve(w http.ResponseWriter, r *http.Request, ep *endpointMetrics, fn func(epoch int64, wk *worker) (any, error)) {
 	wk, ok := s.admit()
 	if !ok {
@@ -56,12 +57,10 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request, ep *endpointMetri
 		ep.canceled.Add(1)
 		return
 	}
-	st := s.acquireState()
-	defer st.inflight.Done()
 	s.met.inflight.Add(1)
 	defer s.met.inflight.Add(-1)
 	start := s.clock.Now()
-	resp, err := fn(st.epoch, wk)
+	resp, err := fn(s.Epoch(), wk)
 	if err != nil {
 		fail(w, ep, err)
 		return
@@ -94,9 +93,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.snapshotMetrics())
 }
 
-// handleReload installs a fresh epoch. It deliberately does NOT register
-// on the current epoch: the reload waits for old-epoch queries to drain,
-// and registering would deadlock it against itself.
+// handleReload installs a fresh epoch.
 func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 	epoch := s.Reload()
 	writeJSON(w, http.StatusOK, map[string]any{"epoch": epoch})

@@ -10,8 +10,9 @@
 // The serving contract (DESIGN.md §11):
 //
 //   - State is epoch-versioned. A reload (SIGHUP or POST /reload)
-//     installs a fresh epoch and drains in-flight old-epoch queries
-//     before returning; queries never observe a torn epoch.
+//     bumps the epoch; the world is immutable for the server's
+//     lifetime, so an epoch carries no cached state and a query reports
+//     the epoch current when it starts solving.
 //   - Admission is bounded: at most Workers queries solve concurrently
 //     and at most Backlog more wait. Beyond that the server sheds with a
 //     counted 429 + Retry-After instead of queueing unboundedly. Request
@@ -35,7 +36,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bgpsim/bgpsim/internal/core"
@@ -79,19 +80,8 @@ type Server struct {
 	pool  chan *worker
 	slots chan struct{}
 
-	// mu guards the epoch swap: queries take the read side just long
-	// enough to register on the current epoch's in-flight group.
-	mu sync.RWMutex
-	st *epochState
-}
-
-// epochState is one serving epoch: its number and the in-flight count
-// that a reload drains. Queries register on exactly one epoch for their
-// whole lifetime; a reload swaps the state pointer and waits for the old
-// epoch's group to drain.
-type epochState struct {
-	epoch    int64
-	inflight sync.WaitGroup
+	// epoch is the serving epoch, bumped by Reload.
+	epoch atomic.Int64
 }
 
 // New builds a Server: workers and their solvers, the estimator's
@@ -121,8 +111,8 @@ func New(cfg Config) (*Server, error) {
 		started:     clock.Now(),
 		pool:        make(chan *worker, workers),
 		slots:       make(chan struct{}, workers+backlog),
-		st:          &epochState{epoch: 1},
 	}
+	s.epoch.Store(1)
 	for i := 0; i < workers; i++ {
 		s.pool <- &worker{solver: core.NewSolver(cfg.World.Policy)}
 	}
@@ -135,49 +125,21 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Epoch returns the current epoch.
-func (s *Server) Epoch() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.epoch
-}
+func (s *Server) Epoch() int64 { return s.epoch.Load() }
 
-// acquireState registers the caller on the current epoch. The returned
-// state stays the caller's until it calls inflight.Done, even across a
-// concurrent reload: the swap only installs a new epoch, and the reload
-// returns once every query registered on the old one has finished.
-func (s *Server) acquireState() *epochState {
-	s.mu.RLock()
-	st := s.st
-	st.inflight.Add(1)
-	s.mu.RUnlock()
-	return st
-}
-
-// Reload installs a fresh epoch and returns it once all old-epoch
-// queries have drained. The world itself is immutable for the server's
-// lifetime.
+// Reload starts a fresh epoch and returns it. The world itself is
+// immutable for the server's lifetime, so an epoch holds no state.
 func (s *Server) Reload() int64 {
-	s.mu.Lock()
-	old := s.st
-	next := &epochState{epoch: old.epoch + 1}
-	s.st = next
-	s.mu.Unlock()
-	// Drain: no new queries can register on old (the swap is done), so
-	// Wait is a pure countdown.
-	old.inflight.Wait()
+	epoch := s.epoch.Add(1)
 	s.met.reloads.Add(1)
-	return next.epoch
+	return epoch
 }
 
-// Drain blocks until every query admitted before the call has finished.
-// The SIGTERM path runs http.Server.Shutdown (which stops intake and
-// waits for handlers) and then Drain as a belt-and-braces barrier.
-func (s *Server) Drain() {
-	s.mu.RLock()
-	st := s.st
-	s.mu.RUnlock()
-	st.inflight.Wait()
-}
+// Drain returns at once: an epoch holds no state, so there is nothing
+// behind http.Server.Shutdown left to wait for. Shutdown, bounded by
+// its context, is the drain; hijackd calls nothing else. Drain stays
+// only because the benchmark harness (bench/hijackd.go) still calls it.
+func (s *Server) Drain() {}
 
 // worker is one solver lane: a core.Solver whose arenas are reused
 // across every exact /v1/attack the lane serves.

@@ -8,6 +8,7 @@
 package tick
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -76,9 +77,12 @@ func (r realTimer) Reset(d time.Duration) bool { return r.t.Reset(d) }
 // fire only inside Advance/AdvanceToNext, on the advancing goroutine.
 // It is safe for concurrent use.
 type Fake struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	now    time.Time
+	mu   sync.Mutex
+	cond *sync.Cond
+	now  time.Time
+	// timers holds the armed timers, in arming order: a fire or Stop
+	// removes one and Reset puts it back, so a long test that arms and
+	// stops timers by the thousand keeps none of them.
 	timers []*fakeTimer
 }
 
@@ -106,14 +110,8 @@ func (f *Fake) Now() time.Time {
 func (f *Fake) NewTimer(d time.Duration) Timer {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	t := &fakeTimer{
-		clock:    f,
-		ch:       make(chan time.Time, 1),
-		deadline: f.now.Add(d),
-		armed:    true,
-	}
-	f.timers = append(f.timers, t)
-	f.cond.Broadcast()
+	t := &fakeTimer{clock: f, ch: make(chan time.Time, 1)}
+	f.armLocked(t, d)
 	return t
 }
 
@@ -133,7 +131,7 @@ func (f *Fake) AdvanceToNext() (time.Duration, bool) {
 	defer f.mu.Unlock()
 	var next *fakeTimer
 	for _, t := range f.timers {
-		if t.armed && (next == nil || t.deadline.Before(next.deadline)) {
+		if next == nil || t.deadline.Before(next.deadline) {
 			next = t
 		}
 	}
@@ -154,20 +152,28 @@ func (f *Fake) AdvanceToNext() (time.Duration, bool) {
 func (f *Fake) BlockUntilTimers(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for f.armedLocked() < n {
+	for len(f.timers) < n {
 		//bgplint:ignore lockheld Cond.Wait atomically releases f.mu while parked
 		f.cond.Wait()
 	}
 }
 
-func (f *Fake) armedLocked() int {
-	n := 0
-	for _, t := range f.timers {
-		if t.armed {
-			n++
-		}
+// armLocked (re-)arms t to fire d from now; the caller holds f.mu.
+func (f *Fake) armLocked(t *fakeTimer, d time.Duration) {
+	t.deadline = f.now.Add(d)
+	f.timers = append(f.timers, t)
+	f.cond.Broadcast()
+}
+
+// disarmLocked removes t from the armed set, reporting whether it was
+// armed; the caller holds f.mu.
+func (f *Fake) disarmLocked(t *fakeTimer) bool {
+	i := slices.Index(f.timers, t)
+	if i < 0 {
+		return false
 	}
-	return n
+	f.timers = slices.Delete(f.timers, i, i+1)
+	return true
 }
 
 // advanceTo fires due timers in deadline order; the caller holds f.mu.
@@ -175,8 +181,7 @@ func (f *Fake) advanceTo(target time.Time) {
 	for {
 		var next *fakeTimer
 		for _, t := range f.timers {
-			if t.armed && !t.deadline.After(target) &&
-				(next == nil || t.deadline.Before(next.deadline)) {
+			if !t.deadline.After(target) && (next == nil || t.deadline.Before(next.deadline)) {
 				next = t
 			}
 		}
@@ -186,7 +191,7 @@ func (f *Fake) advanceTo(target time.Time) {
 		if next.deadline.After(f.now) {
 			f.now = next.deadline
 		}
-		next.armed = false
+		f.disarmLocked(next)
 		select {
 		case next.ch <- next.deadline:
 		default: // a previous fire is still buffered; drop, like time.Timer
@@ -197,11 +202,11 @@ func (f *Fake) advanceTo(target time.Time) {
 	}
 }
 
+// fakeTimer is armed while it is in its clock's timers list.
 type fakeTimer struct {
 	clock    *Fake
 	ch       chan time.Time
 	deadline time.Time
-	armed    bool
 }
 
 func (t *fakeTimer) C() <-chan time.Time { return t.ch }
@@ -209,17 +214,13 @@ func (t *fakeTimer) C() <-chan time.Time { return t.ch }
 func (t *fakeTimer) Stop() bool {
 	t.clock.mu.Lock()
 	defer t.clock.mu.Unlock()
-	was := t.armed
-	t.armed = false
-	return was
+	return t.clock.disarmLocked(t)
 }
 
 func (t *fakeTimer) Reset(d time.Duration) bool {
 	t.clock.mu.Lock()
 	defer t.clock.mu.Unlock()
-	was := t.armed
-	t.deadline = t.clock.now.Add(d)
-	t.armed = true
-	t.clock.cond.Broadcast()
+	was := t.clock.disarmLocked(t)
+	t.clock.armLocked(t, d)
 	return was
 }

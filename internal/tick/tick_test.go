@@ -78,6 +78,52 @@ func TestFakeBlockUntilTimers(t *testing.T) {
 	}
 }
 
+// TestFakeKeepsOnlyArmedTimers: a Fake holds a timer only while it is
+// armed — stopped and fired timers leave its list, a Reset one rejoins
+// it — so a long run that arms and stops timers by the thousand keeps
+// none of them, and firing stays earliest-first.
+func TestFakeKeepsOnlyArmedTimers(t *testing.T) {
+	f := NewFake()
+	for i := 0; i < 10000; i++ {
+		tm := f.NewTimer(time.Duration(i%7+1) * time.Second)
+		if i%2 == 0 {
+			tm.Stop()
+		} else {
+			Rearm(tm, time.Second)
+			tm.Stop()
+		}
+	}
+	if n := len(f.timers); n != 0 {
+		t.Fatalf("after 10000 arm/stop cycles the fake keeps %d timers, want 0", n)
+	}
+	late := f.NewTimer(5 * time.Second)
+	early := f.NewTimer(time.Second)
+	mid := f.NewTimer(2 * time.Second)
+	if late.Stop(); late.Reset(3 * time.Second) {
+		t.Fatal("Reset of a stopped timer reported it armed")
+	}
+	if n := len(f.timers); n != 3 {
+		t.Fatalf("armed timers = %d, want 3", n)
+	}
+	for i, want := range []Timer{early, mid, late} {
+		d, ok := f.AdvanceToNext()
+		if !ok || d != time.Second {
+			t.Fatalf("advance %d = %v,%v, want 1s", i, d, ok)
+		}
+		select {
+		case <-want.C():
+		default:
+			t.Fatalf("advance %d fired the wrong timer", i)
+		}
+		if n := len(f.timers); n != 2-i {
+			t.Fatalf("after fire %d the fake keeps %d timers, want %d", i, n, 2-i)
+		}
+	}
+	if late.Stop() {
+		t.Fatal("Stop of a fired timer reported it armed")
+	}
+}
+
 func TestRealClockBasics(t *testing.T) {
 	c := Real()
 	tm := c.NewTimer(time.Millisecond)
