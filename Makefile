@@ -93,8 +93,8 @@ vulncheck:
 
 # Short fuzz pass over every parser, and the differential targets that
 # hold the sibling contraction to its map-based reference, the buffered
-# matrix digest to its unbuffered reference, and Solver, Engine and
-# DeltaSolver to one answer (CI-friendly).
+# matrix digest to its unbuffered reference, the ROA index to a linear
+# scan, and Solver, Engine and DeltaSolver to one answer (CI-friendly).
 fuzz:
 	$(GO) test ./internal/bgpwire -fuzz FuzzUnmarshal -fuzztime 15s
 	$(GO) test ./internal/bgpwire -fuzz FuzzFrameReader -fuzztime 10s
@@ -104,6 +104,7 @@ fuzz:
 	$(GO) test ./internal/sweep    -fuzz FuzzMatrixDigest -fuzztime 10s
 	$(GO) test ./internal/recio   -fuzz FuzzDecode    -fuzztime 10s
 	$(GO) test ./internal/mrt     -fuzz FuzzMRTReader -fuzztime 10s
+	$(GO) test ./internal/rpki    -fuzz FuzzStoreValidate -fuzztime 10s
 	$(GO) test ./internal/core    -fuzz FuzzSolverEquivalence -fuzztime 10s
 
 # One benchmark per paper table/figure; metrics double as reproduction

@@ -533,9 +533,10 @@ func appendNLRIs(dst []prefix.Prefix, data []byte) ([]prefix.Prefix, error) {
 }
 
 // DecodeAttributes parses a path-attribute block (the inverse of
-// AppendAttributes; unknown attributes are skipped).
-func DecodeAttributes(data []byte) (origin uint8, asPath []asn.ASN, nextHop uint32, err error) {
-	var u Update
+// AppendAttributes; unknown attributes are skipped). The AS path is
+// decoded into pathBuf's storage, so passing the last path back reuses it.
+func DecodeAttributes(data []byte, pathBuf []asn.ASN) (origin uint8, asPath []asn.ASN, nextHop uint32, err error) {
+	u := Update{ASPath: pathBuf[:0]}
 	if err := u.unmarshalAttrs(data); err != nil {
 		return 0, nil, 0, err
 	}

@@ -376,7 +376,7 @@ func TestEncodeDecodeAttributesHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	origin, path, nh, err := DecodeAttributes(attrs)
+	origin, path, nh, err := DecodeAttributes(attrs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestEncodeDecodeAttributesHelpers(t *testing.T) {
 	if _, err := AppendAttributes(nil, 9, nil, 0); err == nil {
 		t.Error("invalid origin accepted")
 	}
-	if _, _, _, err := DecodeAttributes([]byte{0x40}); err == nil {
+	if _, _, _, err := DecodeAttributes([]byte{0x40}, nil); err == nil {
 		t.Error("truncated attribute block accepted")
 	}
 }

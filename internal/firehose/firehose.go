@@ -265,13 +265,14 @@ func (e *Engine) reader(r io.Reader) *mrt.Reader {
 }
 
 // loadRIB enqueues every baseline route from the RIB dump onto its
-// peer's session, in file order. Each route is built in one scratch
-// UPDATE that Enqueue encodes at once, so the dispatcher keeps no
-// per-route value.
+// peer's session, in file order. Records are read into reused storage
+// and each route is built in one scratch UPDATE that Enqueue encodes at
+// once, so the dispatcher keeps no per-route value.
 func (e *Engine) loadRIB(ctx context.Context) error {
 	mr := e.reader(e.cfg.RIB)
 	defer func() { e.bump(func(s *Stats) { s.Skipped += mr.Skipped() }) }()
 	var pit *mrt.PeerIndexTable
+	var scratch mrt.Scratch
 	var u bgpwire.Update
 	var nlri [1]prefix.Prefix
 	for {
@@ -281,7 +282,7 @@ func (e *Engine) loadRIB(ctx context.Context) error {
 		if e.stopRequested() {
 			return nil
 		}
-		rec, err := mr.Next()
+		rec, _, err := mr.NextInto(&scratch)
 		if err == io.EOF {
 			return nil
 		}
@@ -330,8 +331,8 @@ func (e *Engine) replayUpdates(ctx context.Context) error {
 	defer func() { e.bump(func(s *Stats) { s.Skipped += mr.Skipped() }) }()
 	var lastTS uint32
 	first := true
-	var m mrt.BGP4MPMessage
-	var u bgpwire.Update
+	var scratch mrt.Scratch
+	m := &scratch.BGP4MP
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -339,7 +340,7 @@ func (e *Engine) replayUpdates(ctx context.Context) error {
 		if e.stopRequested() {
 			return nil
 		}
-		rec, msg, err := mr.NextInto(&m, &u)
+		rec, msg, err := mr.NextInto(&scratch)
 		if err == io.EOF {
 			return nil
 		}

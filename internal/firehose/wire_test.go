@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
@@ -212,50 +213,90 @@ func TestForwardedBytesMatchReencoding(t *testing.T) {
 }
 
 // TestReplayReadEnqueueAllocFree pins the replay's per-record cost as a
-// count any machine reproduces: reading one BGP4MP UPDATE record into
-// reused storage and copying its bytes onto a session's table allocate
-// nothing once storage has grown to the stream's largest message. The
-// runner's MaxPending bounds its table, so the table stops growing too.
+// count any machine reproduces: reading one RIB record or one BGP4MP
+// UPDATE record into reused storage and putting its routes onto a
+// session's table allocate nothing once storage has grown to the
+// stream's largest record. A RIB entry is encoded onto the table as
+// loadRIB does it, an UPDATE's bytes are copied. The runner's MaxPending
+// bounds its table, so the table stops growing too.
 func TestReplayReadEnqueueAllocFree(t *testing.T) {
-	var buf bytes.Buffer
-	mw := mrt.NewWriter(&buf, 1)
 	const records = 1500
+	path := func(i int) []asn.ASN {
+		return append([]asn.ASN{64501, 3356, 174, 2914, 1299, 6939, 3257, 6461}[:1+i%8], asn.ASN(65000+i))
+	}
+	var rib, upd bytes.Buffer
+	rw, uw := mrt.NewWriter(&rib, 0), mrt.NewWriter(&upd, 1)
+	if err := rw.WritePeerIndexTable(&mrt.PeerIndexTable{Peers: []mrt.Peer{{AS: 64501}, {AS: 64502}, {AS: 64503}}}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < records; i++ {
-		path := []asn.ASN{64501, 3356, 174, 2914, 1299, 6939, 3257, 6461}[:1+i%8]
-		err := mw.WriteBGP4MP(&mrt.BGP4MPMessage{PeerAS: 64501, LocalAS: 65535, Message: &bgpwire.Update{
+		rec := &mrt.RIBIPv4Unicast{SequenceNumber: uint32(i), Prefix: prefix.New(uint32(i)<<8|0x0A000000, 24)}
+		for j := 0; j <= i%3; j++ {
+			rec.Entries = append(rec.Entries, mrt.RIBEntry{PeerIndex: uint16(j), Origin: bgpwire.OriginIGP, ASPath: path(i + j), NextHop: 1})
+		}
+		if err := rw.WriteRIB(rec); err != nil {
+			t.Fatal(err)
+		}
+		err := uw.WriteBGP4MP(&mrt.BGP4MPMessage{PeerAS: 64501, LocalAS: 65535, Message: &bgpwire.Update{
 			Withdrawn: []prefix.Prefix{prefix.New(uint32(i)<<8|0x0B000000, 24)}[:i%2],
-			Origin:    bgpwire.OriginIGP, ASPath: append(path, asn.ASN(65000+i)), NextHop: 1,
+			Origin:    bgpwire.OriginIGP, ASPath: path(i), NextHop: 1,
 			NLRI: []prefix.Prefix{prefix.New(uint32(i)<<8|0x0A000000, 24), prefix.New(uint32(i)<<8|0x0C000000, 24)}[:1+i%2],
 		}})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := mw.Flush(); err != nil {
+	if err := errors.Join(rw.Flush(), uw.Flush()); err != nil {
 		t.Fatal(err)
 	}
-	mr := mrt.NewReader(bytes.NewReader(buf.Bytes()))
 	r := &feed.ProbeRunner{AS: 64501, MaxPending: 64}
-	var m mrt.BGP4MPMessage
-	var u bgpwire.Update
+	var scratch mrt.Scratch
 	var stepErr error
-	step := func() {
-		_, msg, err := mr.NextInto(&m, &u)
-		if err == nil {
-			err = r.EnqueueWire(msg)
-		}
+	check := func(err error) {
 		if err != nil && stepErr == nil {
 			stepErr = err
 		}
 	}
-	for i := 0; i < 200; i++ {
-		step()
+	ribReader := mrt.NewReader(bytes.NewReader(rib.Bytes()))
+	if _, _, err := ribReader.NextInto(&scratch); err != nil { // the peer index table
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(1000, step)
-	if stepErr != nil {
-		t.Fatal(stepErr)
+	var u bgpwire.Update
+	var nlri [1]prefix.Prefix
+	ribStep := func() {
+		rec, _, err := ribReader.NextInto(&scratch)
+		if err != nil {
+			check(err)
+			return
+		}
+		v := rec.(*mrt.RIBIPv4Unicast)
+		for _, e := range v.Entries {
+			nlri[0] = v.Prefix
+			u = bgpwire.Update{Origin: e.Origin, ASPath: e.ASPath, NextHop: e.NextHop, NLRI: nlri[:]}
+			check(r.Enqueue(&u))
+		}
 	}
-	if allocs != 0 {
-		t.Errorf("%v allocations per replayed record, want 0", allocs)
+	updReader := mrt.NewReader(bytes.NewReader(upd.Bytes()))
+	updStep := func() {
+		_, msg, err := updReader.NextInto(&scratch)
+		if err == nil {
+			err = r.EnqueueWire(msg)
+		}
+		check(err)
+	}
+	for _, half := range []struct {
+		name string
+		step func()
+	}{{"RIB record", ribStep}, {"BGP4MP record", updStep}} {
+		for i := 0; i < 200; i++ {
+			half.step()
+		}
+		allocs := testing.AllocsPerRun(1000, half.step)
+		if stepErr != nil {
+			t.Fatal(stepErr)
+		}
+		if allocs != 0 {
+			t.Errorf("%v allocations per replayed %s, want 0", allocs, half.name)
+		}
 	}
 }

@@ -8,9 +8,11 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/bgpsim/bgpsim/internal/asn"
 	"github.com/bgpsim/bgpsim/internal/bgpwire"
 	"github.com/bgpsim/bgpsim/internal/firehose"
 	"github.com/bgpsim/bgpsim/internal/mrt"
+	"github.com/bgpsim/bgpsim/internal/prefix"
 )
 
 // drainStream runs a Reader to its terminal error, checking the
@@ -54,20 +56,19 @@ func drainStream(t *testing.T, data []byte, budget int) (recs, skipped, spent in
 }
 
 // lockstepNextInto drains data with Next and with NextInto side by side
-// and requires the same answer at every step: the same record (an
-// UPDATE's nil and empty slices count as equal), the same error, Offset
-// and skip count. The bytes NextInto returns must Unmarshal to the
-// record's message.
+// and requires the same answer at every step: the same record (nil and
+// empty slices count as equal), the same error, Offset and skip count.
+// RIB and BGP4MP records must come back in the caller's storage, and
+// the bytes NextInto returns must Unmarshal to the record's message.
 func lockstepNextInto(t *testing.T, data []byte, budget int) {
 	t.Helper()
 	fresh, reused := mrt.NewReader(bytes.NewReader(data)), mrt.NewReader(bytes.NewReader(data))
 	fresh.SetMalformedBudget(budget)
 	reused.SetMalformedBudget(budget)
-	var m mrt.BGP4MPMessage
-	var u bgpwire.Update
+	var scratch mrt.Scratch
 	for step := 0; ; step++ {
 		want, wantErr := fresh.Next()
-		got, msg, err := reused.NextInto(&m, &u)
+		got, msg, err := reused.NextInto(&scratch)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("step %d: NextInto err %v, Next err %v", step, err, wantErr)
 		}
@@ -84,6 +85,9 @@ func lockstepNextInto(t *testing.T, data []byte, budget int) {
 		if !reflect.DeepEqual(normalized(got), normalized(want)) {
 			t.Fatalf("step %d: NextInto read %+v, Next read %+v", step, got, want)
 		}
+		if rib, ok := got.(*mrt.RIBIPv4Unicast); ok && rib != &scratch.RIB {
+			t.Fatalf("step %d: RIB record decoded outside the caller's storage", step)
+		}
 		bm, ok := got.(*mrt.BGP4MPMessage)
 		if !ok {
 			if msg != nil {
@@ -91,10 +95,10 @@ func lockstepNextInto(t *testing.T, data []byte, budget int) {
 			}
 			continue
 		}
-		if bm != &m {
+		if bm != &scratch.BGP4MP {
 			t.Fatalf("step %d: BGP4MP record decoded outside the caller's storage", step)
 		}
-		if _, isUpdate := bm.Message.(*bgpwire.Update); isUpdate && bm.Message != any(&u) {
+		if _, isUpdate := bm.Message.(*bgpwire.Update); isUpdate && bm.Message != any(&scratch.Update) {
 			t.Fatalf("step %d: UPDATE decoded outside the caller's storage", step)
 		}
 		again, err := bgpwire.Unmarshal(msg)
@@ -104,9 +108,19 @@ func lockstepNextInto(t *testing.T, data []byte, budget int) {
 	}
 }
 
-// normalized copies a record with an UPDATE's empty slices set to nil.
+// normalized copies a record with its empty slices set to nil.
 func normalized(v any) any {
 	switch x := v.(type) {
+	case *mrt.RIBIPv4Unicast:
+		c := *x
+		c.Entries = nil
+		for _, e := range x.Entries {
+			if len(e.ASPath) == 0 {
+				e.ASPath = nil
+			}
+			c.Entries = append(c.Entries, e)
+		}
+		return &c
 	case *mrt.BGP4MPMessage:
 		c := *x
 		c.Message = normalized(c.Message)
@@ -125,6 +139,27 @@ func normalized(v any) any {
 		return &c
 	}
 	return v
+}
+
+// shrinkingRIB is a RIB dump whose records leave NextInto's reused
+// storage longer than the next record needs: three entries, then none,
+// then one entry whose attributes carry no AS_PATH.
+func shrinkingRIB(tb testing.TB) []byte {
+	var buf bytes.Buffer
+	w := mrt.NewWriter(&buf, 0)
+	rec := &mrt.RIBIPv4Unicast{Prefix: prefix.MustParse("10.0.0.0/24")}
+	for i := uint16(0); i < 3; i++ {
+		rec.Entries = append(rec.Entries, mrt.RIBEntry{PeerIndex: i, ASPath: []asn.ASN{64500, 3356, 174}, NextHop: 1})
+	}
+	if err := errors.Join(w.WritePeerIndexTable(&mrt.PeerIndexTable{Peers: make([]mrt.Peer, 3)}),
+		w.WriteRIB(rec), w.WriteRIB(&mrt.RIBIPv4Unicast{SequenceNumber: 1}), w.Flush()); err != nil {
+		tb.Fatal(err)
+	}
+	// Sequence 2, 10.0.1.0/24, one entry of peer 0 at time 0 whose
+	// attributes are ORIGIN IGP alone.
+	body := []byte{0, 0, 0, 2, 24, 10, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 4, 0x40, bgpwire.AttrOrigin, 1, 0}
+	hdr := []byte{0, 0, 0, 0, 0, mrt.TypeTableDumpV2, 0, mrt.SubtypeRIBIPv4Unicast, 0, 0, 0, byte(len(body))}
+	return append(append(buf.Bytes(), hdr...), body...)
 }
 
 // FuzzMRTReader drives the MRT reader over arbitrary bytes. The
@@ -158,6 +193,7 @@ func FuzzMRTReader(f *testing.F) {
 	// RFC 6396 records the reader does not decode, between IPv4 updates.
 	unsupported, _ := rfcDefinedStream(f, 3, 2, 2)
 	f.Add(unsupported)
+	f.Add(shrinkingRIB(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lockstepNextInto(t, data, -1)

@@ -271,8 +271,8 @@ const bgp4mpIPv6Header = 4 + 4 + 2 + 2 + 16 + 16
 // Reader decodes MRT records sequentially. It reads every record body
 // into one buffer it reuses, so a stream costs no allocation per record
 // for its bytes. Next decodes each record into fresh storage the caller
-// keeps; NextInto, the replay path, decodes BGP4MP messages into the
-// caller's storage instead.
+// keeps; NextInto, the replay path, decodes RIB and BGP4MP records into
+// the caller's storage instead.
 type Reader struct {
 	r       *bufio.Reader
 	hdr     [12]byte
@@ -329,21 +329,30 @@ func (r *Reader) unsupported(typ, subtype uint16, length int) error {
 // returned are a clean prefix ending at Offset. Every record Next
 // returns owns its storage: later reads leave it as it was.
 func (r *Reader) Next() (Record, error) {
-	rec, _, err := r.NextInto(nil, nil)
+	rec, _, err := r.NextInto(nil)
 	return rec, err
 }
 
-// NextInto is Next for a replay that forwards BGP messages as read. A
-// BGP4MP MESSAGE_AS4 record is decoded into m, an UPDATE it carries into
-// u (m.Message is then u), and msg is the record's BGP message as it
-// appeared in the file, header included; m, u and msg stay valid until
-// the next read, which overwrites them. So a caller that keeps m and u
-// reads a stream of UPDATEs without allocating. Any other record, and a
+// Scratch is the storage NextInto decodes records into.
+type Scratch struct {
+	RIB    RIBIPv4Unicast
+	BGP4MP BGP4MPMessage
+	Update bgpwire.Update
+}
+
+// NextInto is Next for a replay that reads into reused storage. A
+// RIB_IPV4_UNICAST record is decoded into s.RIB, reusing its entries and
+// their AS paths. A BGP4MP MESSAGE_AS4 record is decoded into s.BGP4MP,
+// an UPDATE it carries into s.Update (s.BGP4MP.Message is then
+// &s.Update), and msg is the record's BGP message as it appeared in the
+// file, header included. The record and msg stay valid until the next
+// read, which overwrites them, so a caller that keeps s reads a stream
+// of RIB entries or UPDATEs without allocating. Any other record, and a
 // non-UPDATE message, comes back fresh as from Next (msg is nil for
-// records that are not BGP4MP); a nil m or u decodes into fresh storage
-// too, which is how Next reads. Errors, skips, the malformed budget and
+// records that are not BGP4MP); a nil s decodes into fresh storage too,
+// which is how Next reads. Errors, skips, the malformed budget and
 // Offset are exactly Next's: the two reads may be mixed on one stream.
-func (r *Reader) NextInto(m *BGP4MPMessage, u *bgpwire.Update) (rec Record, msg []byte, err error) {
+func (r *Reader) NextInto(s *Scratch) (rec Record, msg []byte, err error) {
 	ts, typ, subtype, body, err := r.read()
 	if err != nil {
 		return nil, nil, err
@@ -352,16 +361,19 @@ func (r *Reader) NextInto(m *BGP4MPMessage, u *bgpwire.Update) (rec Record, msg 
 	case typ == TypeTableDumpV2 && subtype == SubtypePeerIndexTable:
 		rec, err = parsePeerIndexTable(body)
 	case typ == TypeTableDumpV2 && subtype == SubtypeRIBIPv4Unicast:
-		rec, err = parseRIB(body)
+		if s == nil {
+			s = new(Scratch)
+		}
+		rec, err = &s.RIB, parseRIB(&s.RIB, body)
 	case typ == TypeBGP4MP && subtype == SubtypeMessageAS4 && len(body) >= bgp4mpIPv6Header &&
 		binary.BigEndian.Uint16(body[10:12]) == afiIPv6:
 		return nil, nil, r.unsupported(typ, subtype, len(body))
 	case typ == TypeBGP4MP && subtype == SubtypeMessageAS4:
-		if m == nil {
-			m = new(BGP4MPMessage)
+		if s == nil {
+			s = new(Scratch)
 		}
-		rec = m
-		msg, err = parseBGP4MP(m, ts, body, u)
+		rec = &s.BGP4MP
+		msg, err = parseBGP4MP(&s.BGP4MP, ts, body, &s.Update)
 	case slices.Contains(rfc6396Subtypes[typ], subtype):
 		return nil, nil, r.unsupported(typ, subtype, len(body))
 	default:
@@ -436,50 +448,52 @@ func parsePeerIndexTable(body []byte) (*PeerIndexTable, error) {
 	return t, nil
 }
 
-func parseRIB(body []byte) (*RIBIPv4Unicast, error) {
+// parseRIB decodes a RIB_IPV4_UNICAST body into r, reusing the storage
+// of its entries and their AS paths.
+func parseRIB(r *RIBIPv4Unicast, body []byte) error {
 	if len(body) < 5 {
-		return nil, fmt.Errorf("mrt: short RIB record")
+		return fmt.Errorf("mrt: short RIB record")
 	}
-	r := &RIBIPv4Unicast{SequenceNumber: binary.BigEndian.Uint32(body[0:4])}
 	plen := body[4]
 	if plen > 32 {
-		return nil, fmt.Errorf("mrt: RIB prefix length %d invalid", plen)
+		return fmt.Errorf("mrt: RIB prefix length %d invalid", plen)
 	}
 	nBytes := int(plen+7) / 8
 	if len(body) < 5+nBytes+2 {
-		return nil, fmt.Errorf("mrt: RIB prefix overruns")
+		return fmt.Errorf("mrt: RIB prefix overruns")
 	}
 	var addr [4]byte
 	copy(addr[:], body[5:5+nBytes])
+	r.SequenceNumber = binary.BigEndian.Uint32(body[0:4])
 	r.Prefix = prefix.New(binary.BigEndian.Uint32(addr[:]), plen)
+	r.Entries = r.Entries[:0]
 	rest := body[5+nBytes:]
 	count := int(binary.BigEndian.Uint16(rest[0:2]))
 	rest = rest[2:]
 	for i := 0; i < count; i++ {
 		if len(rest) < 8 {
-			return nil, fmt.Errorf("mrt: truncated RIB entry")
-		}
-		e := RIBEntry{
-			PeerIndex:      binary.BigEndian.Uint16(rest[0:2]),
-			OriginatedTime: binary.BigEndian.Uint32(rest[2:6]),
+			return fmt.Errorf("mrt: truncated RIB entry")
 		}
 		attrLen := int(binary.BigEndian.Uint16(rest[6:8]))
 		if len(rest) < 8+attrLen {
-			return nil, fmt.Errorf("mrt: RIB entry attributes overrun")
+			return fmt.Errorf("mrt: RIB entry attributes overrun")
 		}
+		r.Entries = slices.Grow(r.Entries, 1)[:i+1]
+		e := &r.Entries[i]
+		e.PeerIndex = binary.BigEndian.Uint16(rest[0:2])
+		e.OriginatedTime = binary.BigEndian.Uint32(rest[2:6])
 		var err error
-		e.Origin, e.ASPath, e.NextHop, err = bgpwire.DecodeAttributes(rest[8 : 8+attrLen])
+		e.Origin, e.ASPath, e.NextHop, err = bgpwire.DecodeAttributes(rest[8:8+attrLen], e.ASPath)
 		if err != nil {
-			return nil, fmt.Errorf("mrt: RIB entry: %w", err)
+			return fmt.Errorf("mrt: RIB entry: %w", err)
 		}
-		r.Entries = append(r.Entries, e)
 		rest = rest[8+attrLen:]
 	}
-	return r, nil
+	return nil
 }
 
 // parseBGP4MP decodes a BGP4MP MESSAGE_AS4 body into m, with an UPDATE
-// into u (fresh when nil), and returns the BGP message's bytes.
+// into u, and returns the BGP message's bytes.
 func parseBGP4MP(m *BGP4MPMessage, ts uint32, body []byte, u *bgpwire.Update) ([]byte, error) {
 	if len(body) < 20 {
 		return nil, errShortBGP4MP

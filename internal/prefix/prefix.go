@@ -1,7 +1,7 @@
 // Package prefix implements IPv4 CIDR prefixes and a binary radix trie
-// keyed by prefix. The trie is the lookup substrate shared by the RPKI ROA
-// store and the ROVER reverse-DNS zone: both need exact-match, longest-match
-// and covering-entry queries over address space.
+// keyed by prefix. The trie serves the detector's published-prefix set and
+// the ROVER reverse-DNS zone: they need exact-match, longest-match and
+// covering-entry queries over address space.
 package prefix
 
 import (

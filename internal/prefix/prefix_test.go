@@ -189,24 +189,6 @@ func TestTrieInsertReplace(t *testing.T) {
 	}
 }
 
-func TestTrieRemove(t *testing.T) {
-	var tr Trie[int]
-	p := MustParse("10.0.0.0/8")
-	tr.Insert(p, 1)
-	if !tr.Remove(p) {
-		t.Error("Remove should succeed")
-	}
-	if tr.Remove(p) {
-		t.Error("second Remove should fail")
-	}
-	if _, ok := tr.Exact(p); ok {
-		t.Error("Exact should miss after Remove")
-	}
-	if tr.Len() != 0 {
-		t.Errorf("Len = %d after Remove", tr.Len())
-	}
-}
-
 func TestTrieCovering(t *testing.T) {
 	var tr Trie[string]
 	tr.Insert(MustParse("0.0.0.0/0"), "root")
@@ -237,33 +219,6 @@ func TestTrieCovering(t *testing.T) {
 	})
 	if calls != 1 {
 		t.Errorf("Covering ignored early exit, calls = %d", calls)
-	}
-}
-
-func TestTrieWalkOrder(t *testing.T) {
-	var tr Trie[int]
-	ps := []Prefix{
-		MustParse("10.0.0.0/8"),
-		MustParse("9.0.0.0/8"),
-		MustParse("10.128.0.0/9"),
-		MustParse("10.0.0.0/16"),
-	}
-	for i, p := range ps {
-		tr.Insert(p, i)
-	}
-	var walked []Prefix
-	tr.Walk(func(p Prefix, _ int) bool {
-		walked = append(walked, p)
-		return true
-	})
-	if len(walked) != len(ps) {
-		t.Fatalf("Walk visited %d, want %d", len(walked), len(ps))
-	}
-	for i := 1; i < len(walked); i++ {
-		a, b := walked[i-1], walked[i]
-		if a.Addr > b.Addr || (a.Addr == b.Addr && a.Len > b.Len) {
-			t.Fatalf("Walk order violated: %v before %v", a, b)
-		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package prefix
 
 // Trie is a binary radix trie mapping prefixes to arbitrary values. It
-// supports the three queries origin validation needs:
+// supports the three queries sub-prefix classification and ROVER need:
 //
 //   - Exact:       the value stored at precisely this prefix
 //   - LongestMatch: the most-specific stored prefix covering a query
@@ -86,39 +86,4 @@ func (t *Trie[V]) Covering(p Prefix, fn func(matchLen uint8, value V) bool) {
 		}
 		n = n.child[p.Bit(i)]
 	}
-}
-
-// Remove deletes the value stored at exactly p, reporting whether one was
-// present. Interior nodes are left in place; for the simulation's static
-// ROA tables this never matters, and it keeps removal O(len).
-func (t *Trie[V]) Remove(p Prefix) bool {
-	n := t.root
-	for i := uint8(0); n != nil && i < p.Len; i++ {
-		n = n.child[p.Bit(i)]
-	}
-	if n == nil || !n.set {
-		return false
-	}
-	var zero V
-	n.value, n.set = zero, false
-	t.size--
-	return true
-}
-
-// Walk visits every stored (prefix, value) pair in address order.
-func (t *Trie[V]) Walk(fn func(p Prefix, value V) bool) {
-	var walk func(n *trieNode[V], addr uint32, depth uint8) bool
-	walk = func(n *trieNode[V], addr uint32, depth uint8) bool {
-		if n == nil {
-			return true
-		}
-		if n.set && !fn(Prefix{Addr: addr, Len: depth}, n.value) {
-			return false
-		}
-		if !walk(n.child[0], addr, depth+1) {
-			return false
-		}
-		return walk(n.child[1], addr|1<<(31-depth), depth+1)
-	}
-	walk(t.root, 0, 0)
 }

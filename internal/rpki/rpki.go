@@ -12,6 +12,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 
 	"github.com/bgpsim/bgpsim/internal/asn"
 	"github.com/bgpsim/bgpsim/internal/prefix"
@@ -75,28 +77,49 @@ func (r ROA) covers(p prefix.Prefix, origin asn.ASN) bool {
 }
 
 // Store is an in-memory ROA database with RFC 6811 validation semantics.
-// The zero value is empty and ready to use. Validate only reads, so any
-// number of goroutines may call it at once, provided none calls Add
-// meanwhile.
+// It indexes ROAs by exact prefix and keeps, per /16, a mask of the
+// lengths at which a ROA covers that /16 or lies inside it. A lookup
+// probes the index once per marked length up to the announced one, so a
+// /24 costs a hash probe or two, not 24 dependent pointer loads, and a
+// /16 that no ROA touches costs none. The zero value is empty and ready
+// to use. Validate only reads, so any number of goroutines may call it
+// at once, provided none calls Add meanwhile.
 type Store struct {
-	trie prefix.Trie[[]ROA]
+	roas map[uint64][]ROA // by roaKey
+	by16 *[1 << 16]uint64 // [addr>>16] bit l: a ROA of length l covers or lies in that /16
 	n    int
 }
 
 var _ OriginValidator = (*Store)(nil)
 
-// Add inserts a ROA.
+// roaKey is the index key of the prefix addr/l, host bits masked off.
+func roaKey(addr uint32, l uint8) uint64 {
+	return uint64(addr&prefix.Mask(l))<<8 | uint64(l)
+}
+
+// Add inserts a ROA. A ROA of length l < 16 marks 2^(16-l) summary
+// entries; any other marks one.
 func (s *Store) Add(r ROA) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	existing, _ := s.trie.Exact(r.Prefix)
-	for _, e := range existing {
-		if e == r {
-			return nil // idempotent
-		}
+	l := r.Prefix.Len
+	k := roaKey(r.Prefix.Addr, l)
+	if slices.Contains(s.roas[k], r) {
+		return nil // idempotent
 	}
-	s.trie.Insert(r.Prefix, append(existing, r))
+	if s.roas == nil {
+		s.roas, s.by16 = make(map[uint64][]ROA), new([1 << 16]uint64)
+	}
+	s.roas[k] = append(s.roas[k], r)
+	first, span := r.Prefix.Addr&prefix.Mask(l)>>16, uint32(1)
+	if l < 16 {
+		span = 1 << (16 - l)
+	}
+	marks := s.by16[first : first+span]
+	for i := range marks {
+		marks[i] |= 1 << l
+	}
 	s.n++
 	return nil
 }
@@ -104,22 +127,33 @@ func (s *Store) Add(r ROA) error {
 // Len returns the number of stored ROAs.
 func (s *Store) Len() int { return s.n }
 
+// covering returns the lengths at which a ROA may cover p: bit l set
+// means the index may hold ROAs at p's /l. A bit up to /16 is a ROA that
+// covers p's /16, so its probe always hits.
+func (s *Store) covering(p prefix.Prefix) uint64 {
+	if s.by16 == nil {
+		return 0
+	}
+	return s.by16[p.Addr>>16] & (2<<p.Len - 1)
+}
+
 // Validate classifies an announcement per RFC 6811: Valid if any covering
 // ROA authorizes the origin with sufficient MaxLength, Invalid if covering
 // ROAs exist but none matches, NotFound if the prefix is entirely
-// uncovered.
+// uncovered. It probes the most specific length first: that ROA is the
+// one that most often authorizes an announcement.
 func (s *Store) Validate(p prefix.Prefix, origin asn.ASN) Validity {
 	res := NotFound
-	s.trie.Covering(p, func(_ uint8, roas []ROA) bool {
-		for _, r := range roas {
+	for lens := s.covering(p); lens != 0; {
+		l := uint8(63 - bits.LeadingZeros64(lens))
+		lens &^= 1 << l
+		for _, r := range s.roas[roaKey(p.Addr, l)] {
 			if r.covers(p, origin) {
-				res = Valid
-				return false
+				return Valid
 			}
 			res = Invalid
 		}
-		return true
-	})
+	}
 	return res
 }
 
@@ -127,14 +161,13 @@ func (s *Store) Validate(p prefix.Prefix, origin asn.ASN) Validity {
 // authorizes for p (useful for detector comparison data).
 func (s *Store) AuthorizedOrigins(p prefix.Prefix) asn.Set {
 	out := asn.NewSet()
-	s.trie.Covering(p, func(_ uint8, roas []ROA) bool {
-		for _, r := range roas {
+	for lens := s.covering(p); lens != 0; lens &= lens - 1 {
+		for _, r := range s.roas[roaKey(p.Addr, uint8(bits.TrailingZeros64(lens)))] {
 			if r.Prefix.Covers(p) && p.Len <= r.MaxLength {
 				out.Add(r.Origin)
 			}
 		}
-		return true
-	})
+	}
 	return out
 }
 
