@@ -101,6 +101,7 @@ fuzz:
 	$(GO) test ./internal/prefix  -fuzz FuzzParse     -fuzztime 10s
 	$(GO) test ./internal/topology -fuzz FuzzParse    -fuzztime 10s
 	$(GO) test ./internal/topology -fuzz FuzzContractSiblings -fuzztime 10s
+	$(GO) test ./internal/topology -fuzz FuzzSortKeys -fuzztime 10s
 	$(GO) test ./internal/sweep    -fuzz FuzzMatrixDigest -fuzztime 10s
 	$(GO) test ./internal/recio   -fuzz FuzzDecode    -fuzztime 10s
 	$(GO) test ./internal/mrt     -fuzz FuzzMRTReader -fuzztime 10s

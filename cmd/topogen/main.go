@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/bgpsim/bgpsim/internal/cli"
@@ -18,18 +19,21 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "topogen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	fs := flag.NewFlagSet("topogen", flag.ExitOnError)
+// run writes the topology to stdout (or -o) and, with -stats, its
+// structural statistics to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("topogen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	wf := cli.AddWorldFlags(fs)
 	out := fs.String("o", "", "output file (default stdout)")
 	showStats := fs.Bool("stats", false, "print structural statistics to stderr")
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
@@ -60,19 +64,19 @@ func run() error {
 		for i := 0; i < g.N(); i++ {
 			depthHist[c.Depth[i]]++
 		}
-		fmt.Fprintf(os.Stderr, "ASes=%d links=%d tier1=%d tier2=%d transit=%d\n",
+		fmt.Fprintf(stderr, "ASes=%d links=%d tier1=%d tier2=%d transit=%d\n",
 			g.N(), g.Edges(), len(c.Tier1), len(c.Tier2), len(g.TransitNodes()))
 		for d := 0; d <= c.MaxDepth(); d++ {
-			fmt.Fprintf(os.Stderr, "depth %d: %d ASes\n", d, depthHist[d])
+			fmt.Fprintf(stderr, "depth %d: %d ASes\n", d, depthHist[d])
 		}
 		audit := topology.Audit(g)
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(stderr,
 			"audit: components=%d largest=%d provider-cycle-nodes=%d isolated=%d stub-share=%.2f clean=%v\n",
 			audit.Components, audit.LargestComponent, audit.ProviderCycles,
 			audit.IsolatedFromCore, audit.StubShare, audit.Clean(g.N()))
 	}
 
-	w := os.Stdout
+	w := stdout
 	if *out != "" {
 		fh, err := os.Create(*out)
 		if err != nil {

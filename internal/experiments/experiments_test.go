@@ -37,14 +37,15 @@ func TestNewWorld(t *testing.T) {
 
 // TestNewWorldAllocs guards the paper-scale world build's allocation
 // count, a machine-independent proxy for its cost: the build draws every
-// attachment from Fenwick trees and assembles the generated and the
-// contracted graph straight into CSR slices, so its objects are per-stage
-// arrays, not per-link map entries.
+// attachment from Fenwick trees, splits each layer's region lists out of
+// one array and assembles the generated and the contracted graph straight
+// into CSR slices, so its objects are per-stage arrays, not per-link map
+// entries or per-region growth.
 func TestNewWorldAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale world build")
 	}
-	const measured = 1192 // NewWorld(42697, 1) when the guard was set
+	const measured = 383 // NewWorld(42697, 1) when the guard was set
 	got := testing.AllocsPerRun(1, func() {
 		if _, err := NewWorld(42697, 1); err != nil {
 			t.Fatal(err)

@@ -150,9 +150,6 @@ func TestTrieExactAndLongest(t *testing.T) {
 	tr.Insert(MustParse("10.1.0.0/16"), "sixteen")
 	tr.Insert(MustParse("0.0.0.0/0"), "default")
 
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", tr.Len())
-	}
 	if v, ok := tr.Exact(MustParse("10.1.0.0/16")); !ok || v != "sixteen" {
 		t.Errorf("Exact(10.1/16) = %q, %v", v, ok)
 	}
@@ -175,17 +172,10 @@ func TestTrieExactAndLongest(t *testing.T) {
 
 func TestTrieInsertReplace(t *testing.T) {
 	var tr Trie[int]
-	if !tr.Insert(MustParse("10.0.0.0/8"), 1) {
-		t.Error("first Insert should report fresh")
-	}
-	if tr.Insert(MustParse("10.0.0.0/8"), 2) {
-		t.Error("second Insert should report replace")
-	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d after replace", tr.Len())
-	}
-	if v, _ := tr.Exact(MustParse("10.0.0.0/8")); v != 2 {
-		t.Errorf("value = %d, want 2", v)
+	tr.Insert(MustParse("10.0.0.0/8"), 1)
+	tr.Insert(MustParse("10.0.0.0/8"), 2)
+	if v, ok := tr.Exact(MustParse("10.0.0.0/8")); !ok || v != 2 {
+		t.Errorf("value = %d, %v after replace, want 2", v, ok)
 	}
 }
 
@@ -230,9 +220,8 @@ func TestTrieLongestMatchModel(t *testing.T) {
 	var stored []Prefix
 	for i := 0; i < 300; i++ {
 		p := New(rng.Uint32(), uint8(rng.Intn(33)))
-		if tr.Insert(p, i) {
-			stored = append(stored, p)
-		}
+		tr.Insert(p, i)
+		stored = append(stored, p)
 	}
 	for i := 0; i < 2000; i++ {
 		q := New(rng.Uint32(), uint8(rng.Intn(33)))

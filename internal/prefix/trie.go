@@ -10,7 +10,6 @@ package prefix
 // The zero value is an empty trie ready to use.
 type Trie[V any] struct {
 	root *trieNode[V]
-	size int
 }
 
 type trieNode[V any] struct {
@@ -19,12 +18,8 @@ type trieNode[V any] struct {
 	set   bool
 }
 
-// Len returns the number of stored prefixes.
-func (t *Trie[V]) Len() int { return t.size }
-
-// Insert stores value at p, replacing any existing value. It reports
-// whether the prefix was newly inserted (false means replaced).
-func (t *Trie[V]) Insert(p Prefix, value V) bool {
+// Insert stores value at p, replacing any existing value.
+func (t *Trie[V]) Insert(p Prefix, value V) {
 	if t.root == nil {
 		t.root = &trieNode[V]{}
 	}
@@ -36,12 +31,7 @@ func (t *Trie[V]) Insert(p Prefix, value V) bool {
 		}
 		n = n.child[b]
 	}
-	fresh := !n.set
 	n.value, n.set = value, true
-	if fresh {
-		t.size++
-	}
-	return fresh
 }
 
 // Exact returns the value stored at exactly p.

@@ -102,7 +102,7 @@ func ContractSiblings(g *Graph) (*Contraction, error) {
 			keys = append(keys, linkKey(lo, hi)|uint64(relRank(rel)))
 		}
 	}
-	slices.Sort(keys)
+	sortKeys(keys)
 	keys = slices.CompactFunc(keys, func(a, b uint64) bool { return a>>2 == b>>2 })
 
 	// The contracted graph holds the representatives with an external

@@ -1,20 +1,25 @@
 package topology
 
-import "slices"
-
 // drawList is a candidate list for degree-weighted draws: node ids in
 // ascending order, with a Fenwick tree over their degree+1 weights.
+// Every list is a transit layer (consecutive ids from base) or a subset
+// of one, so at, indexed by id-base, finds an id's position in O(1). A
+// layer's region lists hold disjoint ids and share one at.
 type drawList struct {
 	ids  []int
+	base int
+	at   []int32 // at[id-base]: id's position in the list holding it
 	tree fenwick
 }
 
-// newDrawList builds the list over ids (ascending) at their current
-// weights, filling the tree in one pass: a position's sum is complete
-// once its own weight is in, and is then added to its parent's.
-func (s *genState) newDrawList(ids []int) *drawList {
+// newDrawList builds the list over ids (ascending, each in
+// [base, base+len(at))) at their current weights, recording each id's
+// position in at. It fills the tree in one pass: a position's sum is
+// complete once its own weight is in, and is then added to its parent's.
+func (s *genState) newDrawList(ids []int, base int, at []int32) *drawList {
 	f := fenwick{sum: make([]int, len(ids)+1)}
 	for i, id := range ids {
+		at[id-base] = int32(i)
 		w := s.degree[id] + 1
 		f.total += w
 		j := i + 1
@@ -23,12 +28,18 @@ func (s *genState) newDrawList(ids []int) *drawList {
 			f.sum[p] += f.sum[j]
 		}
 	}
-	return &drawList{ids: ids, tree: f}
+	return &drawList{ids: ids, base: base, at: at, tree: f}
 }
 
-// pos returns id's position in the list.
+// pos returns id's position in the list. An id outside the layer, or
+// held by another list sharing at, is not found.
 func (l *drawList) pos(id int) (int, bool) {
-	return slices.BinarySearch(l.ids, id)
+	k := id - l.base
+	if k < 0 || k >= len(l.at) {
+		return 0, false
+	}
+	i := int(l.at[k])
+	return i, i < len(l.ids) && l.ids[i] == id
 }
 
 // add raises id's weight by delta; ids not in the list are ignored.

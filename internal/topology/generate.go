@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -193,8 +192,9 @@ func (s *genState) assignASNs() {
 		for i := range ids {
 			ids[i] = next + i
 		}
+		l := s.newDrawList(ids, next, make([]int32, size))
 		next += size
-		return s.newDrawList(ids)
+		return l
 	}
 	s.tier1 = layer(s.p.Tier1)
 	s.tier2 = layer(s.p.Tier2)
@@ -489,17 +489,31 @@ func (s *genState) regionFiltered(layer *drawList, byRegion []*drawList, region 
 }
 
 // byRegion splits a layer's draw list into one list per region, each in
-// layer order.
+// layer order. The lists are runs of one array, filled by a counting sort
+// on region, and share one position array.
 func (s *genState) byRegion(layer *drawList) []*drawList {
-	ids := make([][]int, s.p.Regions)
+	off := make([]int, s.p.Regions+1) // region r's run starts at off[r]
 	for _, id := range layer.ids {
 		if r := s.region[id]; r >= 0 {
-			ids[r] = append(ids[r], id)
+			off[r+1]++
 		}
 	}
-	lists := make([]*drawList, len(ids))
-	for r := range ids {
-		lists[r] = s.newDrawList(ids[r])
+	for r := 1; r < len(off); r++ {
+		off[r] += off[r-1]
+	}
+	ids := make([]int, off[s.p.Regions])
+	for _, id := range layer.ids {
+		if r := s.region[id]; r >= 0 {
+			ids[off[r]] = id
+			off[r]++ // now the run's next free slot; its end once filled
+		}
+	}
+	at := make([]int32, len(layer.at))
+	lists := make([]*drawList, s.p.Regions)
+	lo := 0
+	for r := range lists {
+		lists[r] = s.newDrawList(ids[lo:off[r]], layer.base, at)
+		lo = off[r]
 	}
 	return lists
 }
@@ -607,16 +621,20 @@ func (s *genState) assignWeights() {
 // link is created once, between nodes of distinct layers or checked
 // peers).
 func (s *genState) graph() *Graph {
-	ids := make([]int32, 0, len(s.asns))
+	// The linked ids in ASN order: sort asn<<32 | id keys.
+	byASN := make([]uint64, 0, len(s.asns))
 	for id, d := range s.degree {
 		if d > 0 {
-			ids = append(ids, int32(id))
+			byASN = append(byASN, uint64(s.asns[id].Uint32())<<32|uint64(id))
 		}
 	}
-	slices.SortFunc(ids, func(a, b int32) int { return cmp.Compare(s.asns[a], s.asns[b]) })
+	sortKeys(byASN)
+	ids := make([]int32, len(byASN))
 	node := make([]int32, len(s.asns)) // id -> node index
 	asns := make([]asn.ASN, len(ids))
-	for i, id := range ids {
+	for i, key := range byASN {
+		id := int32(uint32(key))
+		ids[i] = id
 		node[id] = int32(i)
 		asns[i] = s.asns[id]
 	}
@@ -628,7 +646,7 @@ func (s *genState) graph() *Graph {
 		}
 		keys[k] = packLink(a, b, rel)
 	}
-	slices.Sort(keys)
+	sortKeys(keys)
 	keys = slices.Compact(keys)
 	for k := 1; k < len(keys); k++ {
 		if keys[k]>>2 == keys[k-1]>>2 {

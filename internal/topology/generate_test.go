@@ -282,7 +282,7 @@ func TestPickWeightedMatchesScan(t *testing.T) {
 				ids = append(ids, id)
 			}
 		}
-		l := s.newDrawList(ids)
+		l := s.newDrawList(ids, 0, make([]int32, 2*n))
 		// Raise some weights after the build, as link does.
 		for k := src.Intn(5); k > 0; k-- {
 			id := src.Intn(2 * n)

@@ -63,8 +63,7 @@ func (r Rel) invert() Rel {
 // Graph is an immutable AS-level topology in compressed sparse row form.
 // Build one with a Builder, Parse (CAIDA format) or Generate.
 type Graph struct {
-	asns  []asn.ASN
-	index map[asn.ASN]int
+	asns []asn.ASN // ascending: node indices are in ASN order
 
 	off []int32 // off[i]:off[i+1] bounds node i's adjacency
 	nbr []int32 // neighbor node index
@@ -83,10 +82,13 @@ func (g *Graph) Edges() int { return len(g.nbr) / 2 }
 // ASN returns the AS number of node i.
 func (g *Graph) ASN(i int) asn.ASN { return g.asns[i] }
 
-// Index returns the node index for an ASN.
+// Index returns the node index for an ASN. Node indices ascend with
+// ASN, so it binary-searches the ASN column.
 func (g *Graph) Index(a asn.ASN) (int, bool) {
-	i, ok := g.index[a]
-	return i, ok
+	if i, ok := slices.BinarySearch(g.asns, a); ok {
+		return i, true
+	}
+	return 0, false
 }
 
 // Degree returns the total number of neighbors of node i.
@@ -319,10 +321,6 @@ func unpackLink(key uint64) (lo, hi int32, rel Rel) {
 // Regions and address weights are left for the caller.
 func newGraph(asns []asn.ASN, links []uint64) *Graph {
 	n := len(asns)
-	index := make(map[asn.ASN]int, n)
-	for i, a := range asns {
-		index[a] = i
-	}
 	off := make([]int32, n+1)
 	for _, key := range links {
 		lo, hi, _ := unpackLink(key)
@@ -343,7 +341,7 @@ func newGraph(asns []asn.ASN, links []uint64) *Graph {
 		nbr[cursor[hi]], rel[cursor[hi]] = lo, r.invert()
 		cursor[hi]++
 	}
-	return &Graph{asns: asns, index: index, off: off, nbr: nbr, rel: rel}
+	return &Graph{asns: asns, off: off, nbr: nbr, rel: rel}
 }
 
 // Clone returns a Builder pre-populated with all of g's links and

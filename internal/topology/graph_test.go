@@ -461,3 +461,36 @@ func TestRehomeMultiProvider(t *testing.T) {
 		t.Errorf("depth after multi-home = %d, want 1", c.Depth[s2])
 	}
 }
+
+// TestGraphIndex holds Index to a linear scan of the ASN column on a
+// 2,000-AS world and its contraction: every node's ASN maps back to it,
+// and every other ASN from 0 to past the largest is rejected.
+func TestGraphIndex(t *testing.T) {
+	p := DefaultParams(2000)
+	p.Seed = 42
+	g := MustGenerate(p)
+	con, err := ContractSiblings(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{g, con.Graph} {
+		scan := func(a asn.ASN) (int, bool) {
+			for i := 0; i < g.N(); i++ {
+				if g.ASN(i) == a {
+					return i, true
+				}
+			}
+			return 0, false
+		}
+		for a := asn.ASN(0); a <= g.ASN(g.N()-1)+2; a++ {
+			i, ok := g.Index(a)
+			wi, wok := scan(a)
+			if i != wi || ok != wok {
+				t.Fatalf("Index(%v) = %d, %v; linear scan %d, %v", a, i, ok, wi, wok)
+			}
+		}
+	}
+	if _, ok := (&Graph{}).Index(1); ok {
+		t.Error("empty graph found AS1")
+	}
+}

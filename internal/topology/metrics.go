@@ -22,15 +22,14 @@ type Classification struct {
 	// definition, used everywhere after Section IV).
 	Depth []int
 
-	tier1Set map[int]bool
-	tier2Set map[int]bool
+	tier []int8 // per node: 1 tier-1, 2 tier-2, 0 neither
 }
 
 // IsTier1 reports whether node i is classified tier-1.
-func (c *Classification) IsTier1(i int) bool { return c.tier1Set[i] }
+func (c *Classification) IsTier1(i int) bool { return c.tier[i] == 1 }
 
 // IsTier2 reports whether node i is classified tier-2.
-func (c *Classification) IsTier2(i int) bool { return c.tier2Set[i] }
+func (c *Classification) IsTier2(i int) bool { return c.tier[i] == 2 }
 
 // MaxDepth returns the largest finite depth value.
 func (c *Classification) MaxDepth() int {
@@ -108,38 +107,32 @@ func Classify(g *Graph, opts ClassifyOptions) *Classification {
 		tier1 = []int{best}
 	}
 	sort.Ints(tier1)
-	tier1Set := make(map[int]bool, len(tier1))
+	tier := make([]int8, g.N())
 	for _, i := range tier1 {
-		tier1Set[i] = true
+		tier[i] = 1
 	}
 
 	// Tier-2: direct customers of a tier-1 that are substantial transits.
 	var tier2 []int
-	tier2Set := make(map[int]bool)
 	for i := 0; i < g.N(); i++ {
-		if tier1Set[i] {
+		if tier[i] == 1 {
 			continue
 		}
 		nbrs, rels := g.Neighbors(i)
 		hasT1Provider := false
 		for k, nb := range nbrs {
-			if rels[k] == RelProvider && tier1Set[int(nb)] {
+			if rels[k] == RelProvider && tier[nb] == 1 {
 				hasT1Provider = true
 				break
 			}
 		}
 		if hasT1Provider && g.CountRel(i, RelCustomer) >= opts.Tier2MinCustomers {
 			tier2 = append(tier2, i)
-			tier2Set[i] = true
+			tier[i] = 2
 		}
 	}
 
-	c := &Classification{
-		Tier1:    tier1,
-		Tier2:    tier2,
-		tier1Set: tier1Set,
-		tier2Set: tier2Set,
-	}
+	c := &Classification{Tier1: tier1, Tier2: tier2, tier: tier}
 	c.DepthV1 = DepthFrom(g, tier1)
 	anchors := make([]int, 0, len(tier1)+len(tier2))
 	anchors = append(anchors, tier1...)
