@@ -173,3 +173,41 @@ func TestLongASPathSegments(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckUpdateAllocFree: checking an UPDATE allocates nothing, for
+// bodies it accepts and for faults reported by a fixed error — what
+// lets a replay reader forward an UPDATE's bytes without a decode.
+func TestCheckUpdateAllocFree(t *testing.T) {
+	long := make([]asn.ASN, 300) // an extended-length AS_PATH in two segments
+	for i := range long {
+		long[i] = asn.ASN(64000 + i)
+	}
+	var bodies [][]byte
+	for _, u := range []*Update{
+		{Origin: OriginIGP, ASPath: []asn.ASN{65001, 3491, 100}, NextHop: 1,
+			NLRI: []prefix.Prefix{mp("10.0.0.0/16"), mp("192.0.2.0/24"), mp("0.0.0.0/0"), mp("198.51.100.7/32")}},
+		{Withdrawn: []prefix.Prefix{mp("10.1.0.0/16"), mp("10.128.0.0/9")}},
+		{Origin: OriginEGP, ASPath: long, NextHop: 2, NLRI: []prefix.Prefix{mp("203.0.113.0/24")}},
+	} {
+		msg, err := Marshal(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, msg[HeaderLen:])
+	}
+	bodies = append(bodies,
+		confedUpdate([]uint32{SegmentConfedSequence, 64512}, []uint32{SegmentSequence, 7018})[HeaderLen:],
+		[]byte{0, 0, 0, 0, 24, 10, 0, 1}, // announces without AS_PATH: a fixed error
+	)
+	for i, body := range bodies {
+		want := CheckUpdate(body)
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := CheckUpdate(body); err != want {
+				t.Fatalf("body %d: CheckUpdate = %v, then %v", i, want, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("CheckUpdate(body %d): %v allocs per call, want 0", i, allocs)
+		}
+	}
+}

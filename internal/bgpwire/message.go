@@ -296,10 +296,8 @@ func FrameType(data []byte) (uint8, error) {
 	if len(data) < HeaderLen {
 		return 0, fmt.Errorf("bgpwire: short message (%d bytes)", len(data))
 	}
-	for i := 0; i < markerLen; i++ {
-		if data[i] != 0xff {
-			return 0, errMarker(i)
-		}
+	if binary.LittleEndian.Uint64(data[0:8])&binary.LittleEndian.Uint64(data[8:16]) != ^uint64(0) {
+		return 0, errMarker(data)
 	}
 	total := int(binary.BigEndian.Uint16(data[16:18]))
 	if total < HeaderLen || total > MaxMessageLen {
@@ -356,7 +354,14 @@ var (
 	errTruncatedNLRI   = errors.New("bgpwire: truncated NLRI")
 )
 
-func errMarker(i int) error { return fmt.Errorf("bgpwire: bad marker at byte %d", i) }
+// errMarker reports the first marker byte of data that is not 0xff.
+func errMarker(data []byte) error {
+	i := 0
+	for data[i] == 0xff {
+		i++
+	}
+	return fmt.Errorf("bgpwire: bad marker at byte %d", i)
+}
 
 func errAttrOverrun(typ uint8) error {
 	return fmt.Errorf("bgpwire: attribute %d overruns message", typ)
@@ -366,14 +371,52 @@ func errSegType(t uint8) error { return fmt.Errorf("bgpwire: unknown AS_PATH seg
 
 func errNLRILen(l uint8) error { return fmt.Errorf("bgpwire: NLRI length %d invalid", l) }
 
-func errHostBits(p prefix.Prefix) error {
-	return fmt.Errorf("bgpwire: NLRI %v has host bits set", p)
+// errHostBits reports the NLRI entry rec (its length octet, then its
+// address octets) for host bits below its length, naming the prefix the
+// length masks it to.
+func errHostBits(rec []byte) error {
+	var addr [4]byte
+	copy(addr[:], rec[1:1+int(rec[0]+7)/8])
+	return fmt.Errorf("bgpwire: NLRI %v has host bits set", prefix.New(binary.BigEndian.Uint32(addr[:]), rec[0]))
 }
 
-// unmarshal decodes an UPDATE body into u, overwriting every field and
-// reusing the storage of its slices.
-func (u *Update) unmarshal(body []byte) error {
-	*u = Update{Withdrawn: u.Withdrawn[:0], ASPath: u.ASPath[:0], NLRI: u.NLRI[:0]}
+// CheckUpdate reports whether body, the bytes of an UPDATE after its
+// 19-byte header, decodes: it returns exactly the error UnmarshalInto
+// would return for the message, or nil when it would decode. It runs the
+// decoder's own validation and fills nothing, so it allocates nothing —
+// a reader that only forwards an UPDATE's bytes checks them with it
+// instead of decoding them.
+func CheckUpdate(body []byte) error {
+	var p updateParts
+	return p.check(body)
+}
+
+// updateParts is an UPDATE body that check accepted, split into
+// what the fill needs: each NLRI run with its prefix count, and the
+// path attributes.
+type updateParts struct {
+	withdrawn, nlri   []byte
+	nWithdrawn, nNLRI int
+	attrs             pathAttrs
+}
+
+// pathAttrs is a checked path-attribute block: ORIGIN and NEXT_HOP
+// decoded, and the last AS_PATH's value with the number of ASNs it
+// flattens to.
+type pathAttrs struct {
+	origin  uint8
+	nextHop uint32
+	path    []byte
+	pathLen int
+}
+
+// check is the decoder's validation of an UPDATE body, recording the
+// parts into p, in the order its errors take precedence: the
+// withdrawn-routes length, the withdrawn prefixes, the attribute-block
+// length, the attributes, the announced prefixes, then an announcement
+// without an AS path. The parts are written through p rather than
+// returned: a result this size costs a copy per call.
+func (p *updateParts) check(body []byte) (err error) {
 	if len(body) < 2 {
 		return errShortUpdate
 	}
@@ -381,8 +424,8 @@ func (u *Update) unmarshal(body []byte) error {
 	if len(body) < 2+wLen+2 {
 		return errWithdrawnLen
 	}
-	var err error
-	if u.Withdrawn, err = appendNLRIs(u.Withdrawn, body[2:2+wLen]); err != nil {
+	p.withdrawn = body[2 : 2+wLen]
+	if p.nWithdrawn, err = checkNLRIs(p.withdrawn); err != nil {
 		return err
 	}
 	rest := body[2+wLen:]
@@ -390,23 +433,43 @@ func (u *Update) unmarshal(body []byte) error {
 	if len(rest) < 2+aLen {
 		return errAttrLen
 	}
-	if err := u.unmarshalAttrs(rest[2 : 2+aLen]); err != nil {
+	if err := p.attrs.check(rest[2 : 2+aLen]); err != nil {
 		return err
 	}
-	if u.NLRI, err = appendNLRIs(u.NLRI, rest[2+aLen:]); err != nil {
+	p.nlri = rest[2+aLen:]
+	if p.nNLRI, err = checkNLRIs(p.nlri); err != nil {
 		return err
 	}
-	if len(u.NLRI) > 0 && len(u.ASPath) == 0 {
+	if p.nNLRI > 0 && p.attrs.pathLen == 0 {
 		return errNoASPath
 	}
 	return nil
 }
 
-// unmarshalAttrs decodes a path-attribute block into u's Origin, ASPath
-// and NextHop; a repeated attribute overwrites the earlier one.
+// unmarshal decodes an UPDATE body into u: the check, then a fill
+// that overwrites every field and reuses the storage of u's slices.
+// After an error u is left as it was.
+func (u *Update) unmarshal(body []byte) error {
+	var p updateParts
+	if err := p.check(body); err != nil {
+		return err
+	}
+	// Field by field, every one of them: a composite literal would be
+	// built aside and copied over u.
+	u.Withdrawn = fillNLRIs(u.Withdrawn[:0], p.withdrawn, p.nWithdrawn)
+	u.Origin = p.attrs.origin
+	u.ASPath = fillASPath(u.ASPath[:0], p.attrs.path, p.attrs.pathLen)
+	u.NextHop = p.attrs.nextHop
+	u.NLRI = fillNLRIs(u.NLRI[:0], p.nlri, p.nNLRI)
+	return nil
+}
+
+// check validates a path-attribute block and records what it carries
+// into a; a repeated attribute overwrites the earlier one, so the last
+// AS_PATH is the path.
 //
-//bgplint:hotpath runs once per path attribute of every UPDATE decoded
-func (u *Update) unmarshalAttrs(data []byte) error {
+//bgplint:hotpath runs once per path attribute of every UPDATE checked
+func (a *pathAttrs) check(data []byte) (err error) {
 	for len(data) > 0 {
 		if len(data) < 3 {
 			return errTruncatedAttr
@@ -430,18 +493,17 @@ func (u *Update) unmarshalAttrs(data []byte) error {
 			if aLen != 1 || val[0] > OriginIncomplete {
 				return errOrigin
 			}
-			u.Origin = val[0]
+			a.origin = val[0]
 		case AttrASPath:
-			path, err := appendASPath(u.ASPath[:0], val)
-			if err != nil {
+			if a.pathLen, err = checkASPath(val); err != nil {
 				return err
 			}
-			u.ASPath = path
+			a.path = val
 		case AttrNextHop:
 			if aLen != 4 {
 				return errNextHop
 			}
-			u.NextHop = binary.BigEndian.Uint32(val)
+			a.nextHop = binary.BigEndian.Uint32(val)
 		default:
 			// Unknown attributes are skipped (we only need the origin
 			// trio); real routers apply the transitive bit here.
@@ -451,33 +513,41 @@ func (u *Update) unmarshalAttrs(data []byte) error {
 	return nil
 }
 
-// appendASPath flattens every AS_SEQUENCE and AS_SET segment into one
-// path appended to dst, skipping confederation segments (RFC 5065 §5.3:
-// they do not count toward the path), so a path of confederation
-// segments alone flattens to nothing. It walks the segment headers once
-// to validate and size the result, then fills it.
+// checkASPath walks an AS_PATH value's segment headers and returns how
+// many ASNs its AS_SEQUENCE and AS_SET segments hold. Confederation
+// segments (RFC 5065 §5.3) do not count toward the path, so a path of
+// confederation segments alone counts none.
 //
-//bgplint:hotpath runs once per AS_PATH segment and hop of every UPDATE decoded
-func appendASPath(dst []asn.ASN, data []byte) ([]asn.ASN, error) {
+//bgplint:hotpath runs once per AS_PATH segment of every UPDATE checked
+func checkASPath(data []byte) (int, error) {
 	total := 0
-	for rest := data; len(rest) > 0; {
-		if len(rest) < 2 {
-			return dst, errTruncatedSeg
+	for len(data) > 0 {
+		if len(data) < 2 {
+			return 0, errTruncatedSeg
 		}
-		segType, count := rest[0], int(rest[1])
+		segType, count := data[0], int(data[1])
 		if segType < SegmentSet || segType > SegmentConfedSet {
-			return dst, errSegType(segType)
+			return 0, errSegType(segType)
 		}
-		if len(rest) < 2+4*count {
-			return dst, errSegOverrun
+		if len(data) < 2+4*count {
+			return 0, errSegOverrun
 		}
 		if !confedSegment(segType) {
 			total += count
 		}
-		rest = rest[2+4*count:]
+		data = data[2+4*count:]
 	}
+	return total, nil
+}
+
+// fillASPath appends the total ASNs of an AS_PATH value that
+// checkASPath accepted to dst, flattening every AS_SEQUENCE and AS_SET
+// segment into one path.
+//
+//bgplint:hotpath runs once per AS_PATH hop of every UPDATE decoded
+func fillASPath(dst []asn.ASN, data []byte, total int) []asn.ASN {
 	if total == 0 {
-		return dst, nil
+		return dst
 	}
 	dst = slices.Grow(dst, total)
 	for len(data) > 0 {
@@ -489,56 +559,78 @@ func appendASPath(dst []asn.ASN, data []byte) ([]asn.ASN, error) {
 		}
 		data = data[2+4*count:]
 	}
-	return dst, nil
+	return dst
 }
 
 func confedSegment(segType byte) bool {
 	return segType == SegmentConfedSequence || segType == SegmentConfedSet
 }
 
-// appendNLRIs decodes a run of (length, truncated address) prefixes onto
-// dst, sizing it from a first pass over the length octets.
+// checkNLRIs validates a run of (length, truncated address) prefixes and
+// returns how many it holds. A bad length or a truncated prefix anywhere
+// in the run is reported ahead of host bits set in any prefix, and of
+// several faults of one kind the first is reported.
 //
-//bgplint:hotpath runs once per prefix of every UPDATE decoded
-func appendNLRIs(dst []prefix.Prefix, data []byte) ([]prefix.Prefix, error) {
-	n := 0
-	for rest := data; len(rest) > 0; n++ {
-		l := rest[0]
+//bgplint:hotpath runs once per prefix of every UPDATE checked
+func checkNLRIs(data []byte) (int, error) {
+	n, hostBits := 0, -1
+	for off := 0; off < len(data); n++ {
+		l := data[off]
 		if l > 32 {
-			return dst, errNLRILen(l)
+			return 0, errNLRILen(l)
 		}
 		nBytes := int(l+7) / 8
-		if len(rest) < 1+nBytes {
-			return dst, errTruncatedNLRI
+		if len(data)-off < 1+nBytes {
+			return 0, errTruncatedNLRI
 		}
-		rest = rest[1+nBytes:]
+		// Only the last address octet can hold bits below the length.
+		if hostBits < 0 && l%8 != 0 && data[off+nBytes]&(0xff>>(l%8)) != 0 {
+			hostBits = off
+		}
+		off += 1 + nBytes
 	}
+	if hostBits >= 0 {
+		return 0, errHostBits(data[hostBits:])
+	}
+	return n, nil
+}
+
+// fillNLRIs appends the n prefixes of a run checkNLRIs accepted to dst,
+// building each address from its 0–4 octets. Where four octets follow
+// the length octet it loads them at once and masks to the length: the
+// check found no bits below the length in the prefix's own octets, and
+// the mask clears the next prefix's.
+//
+//bgplint:hotpath runs once per prefix of every UPDATE decoded
+func fillNLRIs(dst []prefix.Prefix, data []byte, n int) []prefix.Prefix {
 	if n == 0 {
-		return dst, nil
+		return dst
 	}
 	dst = slices.Grow(dst, n)
 	for len(data) > 0 {
 		l := data[0]
 		nBytes := int(l+7) / 8
-		var addr [4]byte
-		copy(addr[:], data[1:1+nBytes])
-		p := prefix.New(binary.BigEndian.Uint32(addr[:]), l)
-		if p.Addr != binary.BigEndian.Uint32(addr[:]) {
-			return dst, errHostBits(p)
+		var addr uint32
+		if len(data) >= 5 {
+			addr = binary.BigEndian.Uint32(data[1:5]) & prefix.Mask(l)
+		} else {
+			for i, b := range data[1 : 1+nBytes] {
+				addr |= uint32(b) << (24 - 8*i)
+			}
 		}
-		dst = append(dst, p)
+		dst = append(dst, prefix.Prefix{Addr: addr, Len: l})
 		data = data[1+nBytes:]
 	}
-	return dst, nil
+	return dst
 }
 
 // DecodeAttributes parses a path-attribute block (the inverse of
 // AppendAttributes; unknown attributes are skipped). The AS path is
 // decoded into pathBuf's storage, so passing the last path back reuses it.
 func DecodeAttributes(data []byte, pathBuf []asn.ASN) (origin uint8, asPath []asn.ASN, nextHop uint32, err error) {
-	u := Update{ASPath: pathBuf[:0]}
-	if err := u.unmarshalAttrs(data); err != nil {
+	var a pathAttrs
+	if err := a.check(data); err != nil {
 		return 0, nil, 0, err
 	}
-	return u.Origin, u.ASPath, u.NextHop, nil
+	return a.origin, fillASPath(pathBuf[:0], a.path, a.pathLen), a.nextHop, nil
 }

@@ -284,6 +284,16 @@ func TestExtendedLengthAttribute(t *testing.T) {
 	}
 }
 
+// decodeASPath runs the decoder's AS_PATH check and fill over one
+// attribute value.
+func decodeASPath(val []byte) ([]asn.ASN, error) {
+	n, err := checkASPath(val)
+	if err != nil {
+		return nil, err
+	}
+	return fillASPath(nil, val, n), nil
+}
+
 // TestASSetSegment: decoders must accept AS_SET segments (aggregated
 // routes), flattening their members into the path.
 func TestASSetSegment(t *testing.T) {
@@ -292,7 +302,7 @@ func TestASSetSegment(t *testing.T) {
 		SegmentSequence, 1, 0, 0, 0, 100,
 		SegmentSet, 2, 0, 0, 0, 200, 0, 0, 1, 44, // 300
 	}
-	path, err := appendASPath(nil, val)
+	path, err := decodeASPath(val)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +310,11 @@ func TestASSetSegment(t *testing.T) {
 		t.Errorf("path = %v", path)
 	}
 	// Unknown segment type rejected.
-	if _, err := appendASPath(nil, []byte{9, 1, 0, 0, 0, 1}); err == nil {
+	if _, err := decodeASPath([]byte{9, 1, 0, 0, 0, 1}); err == nil {
 		t.Error("unknown segment type accepted")
 	}
 	// Truncated segment rejected.
-	if _, err := appendASPath(nil, []byte{SegmentSequence, 2, 0, 0, 0, 1}); err == nil {
+	if _, err := decodeASPath([]byte{SegmentSequence, 2, 0, 0, 0, 1}); err == nil {
 		t.Error("truncated segment accepted")
 	}
 }
@@ -352,7 +362,7 @@ func TestConfedSegmentsSkipped(t *testing.T) {
 	}
 	// A path of confederation segments alone flattens to empty, so an
 	// UPDATE announcing with it names no origin and is refused as such.
-	path, err := appendASPath(nil, []byte{SegmentConfedSequence, 1, 0, 0, 252, 0, SegmentConfedSet, 0})
+	path, err := decodeASPath([]byte{SegmentConfedSequence, 1, 0, 0, 252, 0, SegmentConfedSet, 0})
 	if err != nil || len(path) != 0 {
 		t.Errorf("confederation-only path = %v, %v; want empty", path, err)
 	}
@@ -361,10 +371,10 @@ func TestConfedSegmentsSkipped(t *testing.T) {
 		t.Errorf("confederation-only announcement: err = %v, want the empty-path refusal", err)
 	}
 	// A truncated confederation segment is still malformed.
-	if _, err := appendASPath(nil, []byte{SegmentConfedSequence, 2, 0, 0, 0, 1}); err == nil {
+	if _, err := decodeASPath([]byte{SegmentConfedSequence, 2, 0, 0, 0, 1}); err == nil {
 		t.Error("truncated confederation segment accepted")
 	}
-	if _, err := appendASPath(nil, []byte{5, 0}); err == nil {
+	if _, err := decodeASPath([]byte{5, 0}); err == nil {
 		t.Error("segment type 5 accepted")
 	}
 }

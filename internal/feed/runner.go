@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -175,16 +176,16 @@ func (r *ProbeRunner) EnqueueWire(msg []byte) error {
 	return nil
 }
 
-// reserveLocked makes room for n more table bytes, doubling the table
-// when it grows: append's own policy grows a large slice by a quarter,
-// which re-copies a long replay's table several times as often.
+// reserveLocked makes room for n more table bytes, at least doubling
+// the table when it grows: append's own policy grows a large slice by a
+// quarter, which re-copies a long replay's table several times as often.
+// slices.Grow copies the table into a new array, so a batch a session
+// is still writing from the old one stays valid, and the runtime zeroes
+// only the bytes past the copy.
 func (r *ProbeRunner) reserveLocked(n int) {
-	if len(r.table)+n <= cap(r.table) {
-		return
+	if len(r.table)+n > cap(r.table) {
+		r.table = slices.Grow(r.table, max(n, cap(r.table), 4096))
 	}
-	grown := make([]byte, len(r.table), max(2*cap(r.table), len(r.table)+n, 4096))
-	copy(grown, r.table)
-	r.table = grown
 }
 
 // pushLocked indexes the update just appended to the table, sheds, and

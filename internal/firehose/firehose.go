@@ -242,13 +242,13 @@ func (e *Engine) sessionFor(ctx context.Context, peer asn.ASN) *feed.ProbeRunner
 	return r
 }
 
-// stopRequested reports whether cfg.Stop has been closed.
-func (e *Engine) stopRequested() bool {
-	if e.cfg.Stop == nil {
-		return false
-	}
+// closed polls a channel that is closed to signal, without blocking; a
+// nil channel never reads closed. The dispatch loops poll cfg.Stop and
+// ctx.Done() (read once) per record: ctx.Err() would take the context's
+// mutex on every call.
+func closed(ch <-chan struct{}) bool {
 	select {
-	case <-e.cfg.Stop:
+	case <-ch:
 		return true
 	default:
 		return false
@@ -275,11 +275,12 @@ func (e *Engine) loadRIB(ctx context.Context) error {
 	var scratch mrt.Scratch
 	var u bgpwire.Update
 	var nlri [1]prefix.Prefix
+	done := ctx.Done()
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
+		if closed(done) {
+			return ctx.Err()
 		}
-		if e.stopRequested() {
+		if closed(e.cfg.Stop) {
 			return nil
 		}
 		rec, _, err := mr.NextInto(&scratch)
@@ -322,10 +323,10 @@ func (e *Engine) loadRIB(ctx context.Context) error {
 }
 
 // replayUpdates streams the BGP4MP update log through the sessions,
-// paced by record timestamps when Speed > 0. Each UPDATE is decoded into
-// reused storage — enough to skip what does not decode, exactly as Next
-// would — and its bytes go onto the session's table as read, with no
-// re-encode.
+// paced by record timestamps when Speed > 0. The reader checks each
+// UPDATE without decoding it — enough to skip what would not decode,
+// exactly as Next would — and its bytes go onto the session's table as
+// read, with no re-encode; the collector decodes them once.
 func (e *Engine) replayUpdates(ctx context.Context) error {
 	mr := e.reader(e.cfg.Updates)
 	defer func() { e.bump(func(s *Stats) { s.Skipped += mr.Skipped() }) }()
@@ -333,14 +334,15 @@ func (e *Engine) replayUpdates(ctx context.Context) error {
 	first := true
 	var scratch mrt.Scratch
 	m := &scratch.BGP4MP
+	done := ctx.Done()
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
+		if closed(done) {
+			return ctx.Err()
 		}
-		if e.stopRequested() {
+		if closed(e.cfg.Stop) {
 			return nil
 		}
-		rec, msg, err := mr.NextInto(&scratch)
+		_, msg, err := mr.NextInto(&scratch)
 		if err == io.EOF {
 			return nil
 		}
@@ -355,11 +357,10 @@ func (e *Engine) replayUpdates(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("firehose: update stream: %w", err)
 		}
-		if _, ok := rec.(*mrt.BGP4MPMessage); !ok {
-			continue // a RIB record mid-stream carries no replay event
-		}
-		if _, ok := m.Message.(*bgpwire.Update); !ok {
-			continue // OPENs/KEEPALIVEs in a capture are session noise
+		if msg == nil {
+			// A RIB record mid-stream carries no replay event, and
+			// OPENs/KEEPALIVEs in a capture are session noise.
+			continue
 		}
 		if e.cfg.Speed > 0 && !first && m.Timestamp > lastTS {
 			gap := time.Duration(float64(m.Timestamp-lastTS) * float64(time.Second) / e.cfg.Speed)

@@ -56,10 +56,13 @@ func drainStream(t *testing.T, data []byte, budget int) (recs, skipped, spent in
 }
 
 // lockstepNextInto drains data with Next and with NextInto side by side
-// and requires the same answer at every step: the same record (nil and
-// empty slices count as equal), the same error, Offset and skip count.
-// RIB and BGP4MP records must come back in the caller's storage, and
-// the bytes NextInto returns must Unmarshal to the record's message.
+// and requires the same answer at every step: the same error, Offset and
+// skip count, and the same record (nil and empty slices count as equal),
+// except that NextInto leaves an UPDATE undecoded. RIB and BGP4MP
+// records must come back in the caller's storage. NextInto's message
+// bytes must be non-nil exactly when Next's record carries an UPDATE;
+// then NextInto's record holds no message, its header fields are Next's,
+// and the bytes Unmarshal to Next's UPDATE.
 func lockstepNextInto(t *testing.T, data []byte, budget int) {
 	t.Helper()
 	fresh, reused := mrt.NewReader(bytes.NewReader(data)), mrt.NewReader(bytes.NewReader(data))
@@ -82,30 +85,41 @@ func lockstepNextInto(t *testing.T, data []byte, budget int) {
 			}
 			continue
 		}
-		if !reflect.DeepEqual(normalized(got), normalized(want)) {
-			t.Fatalf("step %d: NextInto read %+v, Next read %+v", step, got, want)
-		}
 		if rib, ok := got.(*mrt.RIBIPv4Unicast); ok && rib != &scratch.RIB {
 			t.Fatalf("step %d: RIB record decoded outside the caller's storage", step)
 		}
-		bm, ok := got.(*mrt.BGP4MPMessage)
-		if !ok {
+		if bm, ok := got.(*mrt.BGP4MPMessage); ok && bm != &scratch.BGP4MP {
+			t.Fatalf("step %d: BGP4MP record decoded outside the caller's storage", step)
+		}
+		wantBM, _ := want.(*mrt.BGP4MPMessage)
+		if wantBM == nil || !isUpdate(wantBM.Message) {
 			if msg != nil {
-				t.Fatalf("step %d: %T came with %d message bytes", step, got, len(msg))
+				t.Fatalf("step %d: %T without an UPDATE came with %d message bytes", step, want, len(msg))
+			}
+			if !reflect.DeepEqual(normalized(got), normalized(want)) {
+				t.Fatalf("step %d: NextInto read %+v, Next read %+v", step, got, want)
 			}
 			continue
 		}
-		if bm != &scratch.BGP4MP {
-			t.Fatalf("step %d: BGP4MP record decoded outside the caller's storage", step)
+		if msg == nil {
+			t.Fatalf("step %d: NextInto returned no bytes for an UPDATE", step)
 		}
-		if _, isUpdate := bm.Message.(*bgpwire.Update); isUpdate && bm.Message != any(&scratch.Update) {
-			t.Fatalf("step %d: UPDATE decoded outside the caller's storage", step)
+		gotHdr := *got.(*mrt.BGP4MPMessage)
+		wantHdr := *wantBM
+		wantHdr.Message = nil
+		if gotHdr != wantHdr {
+			t.Fatalf("step %d: NextInto read %+v, Next read %+v without its message", step, gotHdr, wantHdr)
 		}
 		again, err := bgpwire.Unmarshal(msg)
-		if err != nil || !reflect.DeepEqual(normalized(again), normalized(want.(*mrt.BGP4MPMessage).Message)) {
-			t.Fatalf("step %d: message bytes decode to %+v (%v), record holds %+v", step, again, err, bm.Message)
+		if err != nil || !reflect.DeepEqual(normalized(again), normalized(wantBM.Message)) {
+			t.Fatalf("step %d: message bytes decode to %+v (%v), Next read %+v", step, again, err, wantBM.Message)
 		}
 	}
+}
+
+func isUpdate(msg any) bool {
+	_, ok := msg.(*bgpwire.Update)
+	return ok
 }
 
 // normalized copies a record with its empty slices set to nil.
@@ -162,6 +176,26 @@ func shrinkingRIB(tb testing.TB) []byte {
 	return append(append(buf.Bytes(), hdr...), body...)
 }
 
+// hostBitsUpdate is a BGP4MP stream of a good UPDATE, then one whose
+// only fault is deep in its body, an announced prefix with host bits
+// set, then the good one again: a reader must skip the middle record
+// whether it decodes the UPDATE or only checks it.
+func hostBitsUpdate(tb testing.TB) []byte {
+	var buf bytes.Buffer
+	w := mrt.NewWriter(&buf, 0)
+	rec := &mrt.BGP4MPMessage{PeerAS: 64500, LocalAS: 65535, Message: &bgpwire.Update{
+		Origin: bgpwire.OriginIGP, ASPath: []asn.ASN{64500, 174}, NextHop: 1,
+		NLRI: []prefix.Prefix{prefix.MustParse("10.0.0.0/15")},
+	}}
+	if err := errors.Join(w.WriteBGP4MP(rec), w.Flush()); err != nil {
+		tb.Fatal(err)
+	}
+	good := append([]byte(nil), buf.Bytes()...)
+	bad := append([]byte(nil), good...)
+	bad[len(bad)-1] = 1 // 10.1.0.0/15
+	return append(append(append([]byte(nil), good...), bad...), good...)
+}
+
 // FuzzMRTReader drives the MRT reader over arbitrary bytes. The
 // properties under test are the robustness contract the firehose replay
 // engine leans on: no panic and no runaway allocation on corrupt
@@ -194,6 +228,7 @@ func FuzzMRTReader(f *testing.F) {
 	unsupported, _ := rfcDefinedStream(f, 3, 2, 2)
 	f.Add(unsupported)
 	f.Add(shrinkingRIB(f))
+	f.Add(hostBitsUpdate(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lockstepNextInto(t, data, -1)

@@ -272,7 +272,7 @@ const bgp4mpIPv6Header = 4 + 4 + 2 + 2 + 16 + 16
 // into one buffer it reuses, so a stream costs no allocation per record
 // for its bytes. Next decodes each record into fresh storage the caller
 // keeps; NextInto, the replay path, decodes RIB and BGP4MP records into
-// the caller's storage instead.
+// the caller's storage instead and leaves UPDATEs in wire form.
 type Reader struct {
 	r       *bufio.Reader
 	hdr     [12]byte
@@ -329,7 +329,7 @@ func (r *Reader) unsupported(typ, subtype uint16, length int) error {
 // returned are a clean prefix ending at Offset. Every record Next
 // returns owns its storage: later reads leave it as it was.
 func (r *Reader) Next() (Record, error) {
-	rec, _, err := r.NextInto(nil)
+	rec, _, err := r.next(nil)
 	return rec, err
 }
 
@@ -337,22 +337,33 @@ func (r *Reader) Next() (Record, error) {
 type Scratch struct {
 	RIB    RIBIPv4Unicast
 	BGP4MP BGP4MPMessage
-	Update bgpwire.Update
 }
 
-// NextInto is Next for a replay that reads into reused storage. A
-// RIB_IPV4_UNICAST record is decoded into s.RIB, reusing its entries and
-// their AS paths. A BGP4MP MESSAGE_AS4 record is decoded into s.BGP4MP,
-// an UPDATE it carries into s.Update (s.BGP4MP.Message is then
-// &s.Update), and msg is the record's BGP message as it appeared in the
-// file, header included. The record and msg stay valid until the next
-// read, which overwrites them, so a caller that keeps s reads a stream
-// of RIB entries or UPDATEs without allocating. Any other record, and a
-// non-UPDATE message, comes back fresh as from Next (msg is nil for
-// records that are not BGP4MP); a nil s decodes into fresh storage too,
-// which is how Next reads. Errors, skips, the malformed budget and
-// Offset are exactly Next's: the two reads may be mixed on one stream.
+// NextInto is Next for a replay that forwards UPDATEs as bytes and reads
+// into reused storage. A RIB_IPV4_UNICAST record is decoded into s.RIB,
+// reusing its entries and their AS paths. A BGP4MP MESSAGE_AS4 record's
+// header fields are decoded into s.BGP4MP. When its message is an
+// UPDATE, the UPDATE is checked (bgpwire.CheckUpdate) but not decoded:
+// s.BGP4MP.Message is nil, and msg is the message as it appeared in the
+// file, header included, so msg is non-nil exactly for an UPDATE. Any
+// other BGP message is decoded fresh into s.BGP4MP.Message, and any
+// record other than RIB and BGP4MP comes back fresh as from Next. The
+// record and msg stay valid until the next read, which overwrites them,
+// so a caller that keeps s reads a stream of RIB entries or UPDATEs
+// without allocating; a nil s reads into a fresh Scratch. Errors, skips,
+// the malformed budget and Offset are exactly Next's: an UPDATE is
+// refused with the error its decode would give, and the two reads may
+// be mixed on one stream.
 func (r *Reader) NextInto(s *Scratch) (rec Record, msg []byte, err error) {
+	if s == nil {
+		s = new(Scratch)
+	}
+	return r.next(s)
+}
+
+// next reads one record for Next (s nil: fresh storage, every UPDATE
+// decoded) or NextInto (s non-nil: see there).
+func (r *Reader) next(s *Scratch) (rec Record, msg []byte, err error) {
 	ts, typ, subtype, body, err := r.read()
 	if err != nil {
 		return nil, nil, err
@@ -361,19 +372,25 @@ func (r *Reader) NextInto(s *Scratch) (rec Record, msg []byte, err error) {
 	case typ == TypeTableDumpV2 && subtype == SubtypePeerIndexTable:
 		rec, err = parsePeerIndexTable(body)
 	case typ == TypeTableDumpV2 && subtype == SubtypeRIBIPv4Unicast:
-		if s == nil {
-			s = new(Scratch)
+		var rib *RIBIPv4Unicast
+		if s != nil {
+			rib = &s.RIB
+		} else {
+			rib = new(RIBIPv4Unicast)
 		}
-		rec, err = &s.RIB, parseRIB(&s.RIB, body)
+		rec, err = rib, parseRIB(rib, body)
 	case typ == TypeBGP4MP && subtype == SubtypeMessageAS4 && len(body) >= bgp4mpIPv6Header &&
 		binary.BigEndian.Uint16(body[10:12]) == afiIPv6:
 		return nil, nil, r.unsupported(typ, subtype, len(body))
 	case typ == TypeBGP4MP && subtype == SubtypeMessageAS4:
-		if s == nil {
-			s = new(Scratch)
+		var m *BGP4MPMessage
+		if s != nil {
+			m = &s.BGP4MP
+		} else {
+			m = new(BGP4MPMessage)
 		}
-		rec = &s.BGP4MP
-		msg, err = parseBGP4MP(&s.BGP4MP, ts, body, &s.Update)
+		rec = m
+		msg, err = parseBGP4MP(m, ts, body, s == nil)
 	case slices.Contains(rfc6396Subtypes[typ], subtype):
 		return nil, nil, r.unsupported(typ, subtype, len(body))
 	default:
@@ -492,9 +509,11 @@ func parseRIB(r *RIBIPv4Unicast, body []byte) error {
 	return nil
 }
 
-// parseBGP4MP decodes a BGP4MP MESSAGE_AS4 body into m, with an UPDATE
-// into u, and returns the BGP message's bytes.
-func parseBGP4MP(m *BGP4MPMessage, ts uint32, body []byte, u *bgpwire.Update) ([]byte, error) {
+// parseBGP4MP decodes a BGP4MP MESSAGE_AS4 body into m. Unless decode
+// is set, an UPDATE is only checked, and its bytes are returned in place
+// of m.Message; any other message, and an UPDATE under decode, is
+// decoded fresh into m.Message.
+func parseBGP4MP(m *BGP4MPMessage, ts uint32, body []byte, decode bool) ([]byte, error) {
 	if len(body) < 20 {
 		return nil, errShortBGP4MP
 	}
@@ -508,12 +527,19 @@ func parseBGP4MP(m *BGP4MPMessage, ts uint32, body []byte, u *bgpwire.Update) ([
 		PeerAddr:  binary.BigEndian.Uint32(body[12:16]),
 		LocalAddr: binary.BigEndian.Uint32(body[16:20]),
 	}
-	msg, err := bgpwire.UnmarshalInto(body[20:], u)
+	data := body[20:]
+	if typ, err := bgpwire.FrameType(data); err == nil && typ == bgpwire.TypeUpdate && !decode {
+		if err := bgpwire.CheckUpdate(data[bgpwire.HeaderLen:]); err != nil {
+			return nil, fmt.Errorf("mrt: BGP4MP payload: %w", err)
+		}
+		return data, nil
+	}
+	msg, err := bgpwire.Unmarshal(data)
 	if err != nil {
 		return nil, fmt.Errorf("mrt: BGP4MP payload: %w", err)
 	}
 	m.Message = msg
-	return body[20:], nil
+	return nil, nil
 }
 
 var errShortBGP4MP = errors.New("mrt: short BGP4MP record")

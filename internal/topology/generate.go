@@ -172,11 +172,23 @@ func MustGenerate(p GenParams) *Graph {
 func (s *genState) assignASNs() {
 	n := s.p.Total()
 	// Random but collision-free ASNs from a shuffled range, so that node
-	// index and ASN never coincide by accident in tests.
-	pool := s.rng.Perm(n * 4)
+	// index and ASN never coincide by accident in tests: the first n
+	// entries of rand.Perm(4n), drawn as Perm draws them. Perm's step i
+	// moves entry j to i and writes i at j; for i >= n only a write
+	// below n matters, since entries at n or above never move back down.
+	pool := make([]int32, n)
+	for i := 0; i < 4*n; i++ {
+		j := s.rng.Intn(i + 1)
+		if i < n {
+			pool[i] = pool[j]
+			pool[j] = int32(i)
+		} else if j < n {
+			pool[j] = int32(i)
+		}
+	}
 	s.asns = make([]asn.ASN, n)
-	for i := 0; i < n; i++ {
-		s.asns[i] = asn.FromUint32(uint32(pool[i] + 100))
+	for i, v := range pool {
+		s.asns[i] = asn.FromUint32(uint32(v) + 100)
 	}
 	s.region = make([]int, n)
 	s.head = make([]int32, n)
